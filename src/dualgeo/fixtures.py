@@ -525,6 +525,8 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
             V = (ScalarField.from_source(kd["potential"], n, constants)
                  if kd.get("potential") else None)
             killing.append(KillingData(K, W, V))
+        # raises ValueError when the margin leaves no interior on some axis
+        grid_points(box, 1, cfg.get("singular_margin", 0.0))
         structure = cfg.get("structure", {})
         structure_T = (TensorField.from_sources(structure["T"], ("up", "down", "down"),
                                                 n, constants)

@@ -31,6 +31,9 @@ from .expressions import EvalDomainError
 from .geometry import Metric, SingularMetricError
 
 SINGULAR_HALT_MARGIN = 1e-3
+# queries per block of the curve comparison: its dense temporaries hold
+# block x segments x n doubles, so memory grows linearly in curve length
+QUERY_BLOCK = 64
 
 
 @dataclass
@@ -48,10 +51,6 @@ class Trajectory:
             raise ValueError("empty trajectory")
         if np.any(np.diff(self.tau) <= 0):
             raise ValueError("trajectory parameter must be strictly increasing")
-
-    @property
-    def points(self) -> np.ndarray:
-        return self.x
 
     def write_csv(self, path) -> None:
         n = self.x.shape[1]
@@ -162,8 +161,9 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and nearest-point arc coordinates, vectorized over queries.
 
-    Computes every query-segment pair at once: for trajectory-sized inputs
-    (10^3 samples each) this is a handful of dense numpy operations.
+    Each block of QUERY_BLOCK queries is compared with every segment in a
+    handful of dense numpy operations.  A query's arithmetic does not depend
+    on the block it falls in.
     """
     queries = np.atleast_2d(queries)
     if len(poly) == 1:
@@ -174,22 +174,21 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
     seg_len = np.linalg.norm(ab, axis=1)
     len2 = np.einsum("mi,mi->m", ab, ab)
     safe_len2 = np.where(len2 == 0.0, 1.0, len2)
-    dif = queries[:, None, :] - a[None, :, :]
-    s = np.clip(np.einsum("qmi,mi->qm", dif, ab) / safe_len2, 0.0, 1.0)
-    s = np.where(len2 == 0.0, 0.0, s)
-    closest = dif - s[:, :, None] * ab[None, :, :]
-    d2 = np.einsum("qmi,qmi->qm", closest, closest)
-    best = np.argmin(d2, axis=1)
-    rows = np.arange(len(queries))
     arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
-    arcs = arc_starts[best] + s[rows, best] * seg_len[best]
-    return np.sqrt(d2[rows, best]), arcs
-
-
-def _point_polyline(pt: np.ndarray, poly: np.ndarray) -> tuple[float, float]:
-    """(distance, arc coordinate of the nearest point)."""
-    d, arc = _polyline_distances(np.asarray(pt)[None, :], poly)
-    return float(d[0]), float(arc[0])
+    dists = np.empty(len(queries))
+    arcs = np.empty(len(queries))
+    for lo in range(0, len(queries), QUERY_BLOCK):
+        block = slice(lo, lo + QUERY_BLOCK)
+        dif = queries[block, None, :] - a[None, :, :]
+        s = np.clip(np.einsum("qmi,mi->qm", dif, ab) / safe_len2, 0.0, 1.0)
+        s = np.where(len2 == 0.0, 0.0, s)
+        closest = dif - s[:, :, None] * ab[None, :, :]
+        d2 = np.einsum("qmi,qmi->qm", closest, closest)
+        best = np.argmin(d2, axis=1)
+        rows = np.arange(len(best))
+        arcs[block] = arc_starts[best] + s[rows, best] * seg_len[best]
+        dists[block] = np.sqrt(d2[rows, best])
+    return dists, arcs
 
 
 def _arc_coordinates(poly: np.ndarray) -> np.ndarray:
@@ -214,7 +213,7 @@ def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveCom
     endpoints onto it; samples outside that bracket (the part of a longer arc
     the other curve never reaches) do not count against coincidence.
     """
-    pa, pb = a.points, b.points
+    pa, pb = a.x, b.x
 
     def one_sided(src: np.ndarray, dst: np.ndarray) -> float:
         arcs = _arc_coordinates(src)

@@ -8,22 +8,30 @@ from analytic second derivatives of the metric components (jet arithmetic);
 finite differences of the Christoffel symbols stay available in the test suite
 as the independent oracle.
 
+Expression-backed fields (:class:`ScalarField`, :class:`TensorField` and
+:class:`Metric`) compile their component trees once, on first use, into one
+straight-line program (:func:`dualgeo.jets.compile`).  One call of it returns
+the value or jet of every component, and equal component trees share one
+output.
+
 Everything is observably pure in (field, point), so grid sweeps may run in
-parallel workers as long as reductions keep a fixed order.  The only internal
-state is a most-recent-point memo on Metric (constant metrics cache
-everything); it swaps an immutable tuple atomically, so concurrent readers
-see either the old or the new entry, never a mix.
+parallel workers as long as reductions keep a fixed order.  The internal state
+is each field's compiled program, which is built at most once per worker and
+never changes after, and a most-recent-point memo on Metric (constant metrics
+cache everything); the memo swaps an immutable tuple atomically, so
+concurrent readers see either the old or the new entry, never a mix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .expressions import Expression, is_constant, parse
-from .jets import Jet2, Jet3, eval_jet2, eval_jet3, eval_value
+from .jets import Jet, Program, compile
 
 
 class GeometryError(ValueError):
@@ -45,14 +53,18 @@ class ScalarField:
     def from_source(source: str, n: int, constants=None) -> "ScalarField":
         return ScalarField(parse(source, n, constants=constants), n)
 
+    @cached_property
+    def _program(self) -> Program:
+        return compile([self.expr])
+
     def value(self, x) -> float:
-        return eval_value(self.expr, x)
+        return self._program.values(x)[0]
 
-    def jet2(self, x) -> Jet2:
-        return eval_jet2(self.expr, x)
+    def jet2(self, x) -> Jet:
+        return self._program.jets(x, 2)[0]
 
-    def jet3(self, x) -> Jet3:
-        return eval_jet3(self.expr, x)
+    def jet3(self, x) -> Jet:
+        return self._program.jets(x, 3)[0]
 
     def gradient(self, x) -> np.ndarray:
         return self.jet2(x).grad
@@ -102,6 +114,8 @@ class Metric:
         self.comps = [[comps[i][j] for j in range(n)] for i in range(n)]
         self.condition_bound = condition_bound
         self._constant = all(is_constant(comps[i][j]) for i in range(n) for j in range(n))
+        self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        self._program: Program | None = None
         self._cache: dict = {}
         if self._constant:
             # every derived pointwise quantity is position-independent
@@ -124,20 +138,15 @@ class Metric:
     def _eval_jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, dg, d2g) with dg[a,i,j] = d_a g_ij and d2g[a,b,i,j]."""
         n = self.n
+        if self._program is None:
+            self._program = compile([self.comps[i][j] for i, j in self._pairs])
         g = np.zeros((n, n))
         dg = np.zeros((n, n, n))
         d2g = np.zeros((n, n, n, n))
-        seen: dict = {}  # equal component trees are evaluated once
-        for i in range(n):
-            for j in range(i, n):
-                comp = self.comps[i][j]
-                jet = seen.get(comp)
-                if jet is None:
-                    jet = eval_jet2(comp, x)
-                    seen[comp] = jet
-                g[i, j] = g[j, i] = jet.value
-                dg[:, i, j] = dg[:, j, i] = jet.grad
-                d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
+        for (i, j), jet in zip(self._pairs, self._program.jets(x)):
+            g[i, j] = g[j, i] = jet.value
+            dg[:, i, j] = dg[:, j, i] = jet.grad
+            d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
         return g, dg, d2g
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,7 +242,16 @@ class Metric:
 
 def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
                 margin: float = 0.0) -> list[np.ndarray]:
-    """Uniform sample grid inside a box, shrunk by an absolute margin per axis."""
+    """Uniform sample grid inside a box, shrunk by an absolute margin per axis.
+
+    Raises ValueError when the margin leaves no interior on some axis
+    (2 * margin >= hi - lo), since the shrunk axis would then run backwards
+    out of the box.
+    """
+    for lo, hi in box:
+        if 2.0 * margin >= hi - lo:
+            raise ValueError(f"margin {margin!r} leaves no interior in the axis "
+                             f"[{lo!r}, {hi!r}]")
     axes = [np.linspace(lo + margin, hi - margin, per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -314,20 +332,20 @@ class TensorField:
             arr[idx] = parse(src, n, constants=constants)
         return TensorField(arr, variance, n)
 
+    @cached_property
+    def _program(self) -> Program:
+        return compile(self.comps.ravel())
+
     def value(self, x) -> TensorValue:
-        out = np.zeros(self.comps.shape)
-        for idx in np.ndindex(self.comps.shape):
-            out[idx] = eval_value(self.comps[idx], x)
+        out = np.array(self._program.values(x)).reshape(self.comps.shape)
         return TensorValue(out, self.variance)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components."""
-        vals = np.zeros(self.comps.shape)
-        partials = np.zeros((self.n,) + self.comps.shape)
-        for idx in np.ndindex(self.comps.shape):
-            jet = eval_jet2(self.comps[idx], x)
-            vals[idx] = jet.value
-            partials[(slice(None),) + idx] = jet.grad
+        jets = self._program.jets(x)
+        vals = np.array([jet.value for jet in jets]).reshape(self.comps.shape)
+        partials = np.array([jet.grad for jet in jets]).T.reshape(
+            (self.n,) + self.comps.shape)
         return vals, partials
 
 

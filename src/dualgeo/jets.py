@@ -1,12 +1,21 @@
-"""Truncated-Taylor (jet) arithmetic and expression evaluation.
+"""Truncated-Taylor (jet) arithmetic and compiled expression evaluation.
 
-:class:`Jet2` carries (value, gradient, Hessian) and :class:`Jet3` adds the
-third-derivative array.  Arithmetic propagates the Leibniz and chain rules, so
-evaluating a parsed expression on seeded jets yields derivatives exact to
-roundoff.  Hessians are exactly symmetric by construction: every second-order
-term is assembled from symmetric building blocks (``u (x) v + v (x) u`` and
-scalar multiples of symmetric matrices), which commutativity of IEEE addition
-and multiplication keeps bitwise symmetric.
+A :class:`Jet` carries the value, gradient and Hessian of a scalar at a point,
+and at order 3 its third-derivative array.  Arithmetic propagates the Leibniz
+and chain rules (the Taylor arithmetic of Griewank & Walther, *Evaluating
+Derivatives*), so evaluating an expression on seeded jets yields derivatives
+exact to roundoff.  Hessians are exactly symmetric by construction: every
+second-order term is assembled from symmetric building blocks (``u (x) v +
+v (x) u`` and scalar multiples of symmetric matrices), which commutativity of
+IEEE addition and multiplication keeps bitwise symmetric.
+
+:func:`compile` turns a list of trees into straight-line Python code once.
+Each distinct subtree is one assignment, in the post-order of a walk over the
+tree, with its domain check (division by zero, sqrt or log of a non-positive
+value, tan at a pole, a real power of a non-positive base) right before it, so
+values, overflow errors and :class:`EvalDomainError` messages are those of the
+walk.  On jets, subtrees without coordinates stay floats.  Tree literals and
+subexpression texts live in the code's namespace, never in its source text.
 
 Central finite differences are kept alongside as the independent cross-check
 (and as the fallback third-derivative path).  First-difference stencils use
@@ -17,22 +26,30 @@ cbrt(eps) their roundoff term eps/h^2 alone already exceeds 1e-6 relative.
 
 from __future__ import annotations
 
+import builtins
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .expressions import (
-    Add, Call, Const, Div, EvalDomainError, Expression, Mul, Neg, Num, Pow,
-    Sub, Var, to_source,
+    FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Expression, Mul, Neg,
+    Num, Pow, Sub, Var, to_source,
 )
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))        # ~6.06e-6
 FD_STEP_SCALE_2ND = float(np.finfo(float).eps ** 0.25)     # ~1.22e-4
 
+_DIVISION_BY_ZERO = "division by zero"
+_POSITIVE_BASE = "real exponent needs a positive base"
+_NON_POSITIVE = {"sqrt": "sqrt of a non-positive value",
+                 "log": "log of a non-positive value"}
+_POLE = "tan at a pole"
+
 
 class _DomainViolation(Exception):
-    """Internal: raised by jet/scalar primitives, annotated by the evaluator."""
+    """Internal: raised by jet/scalar primitives, annotated by compiled code."""
 
 
 def _symouter(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -46,180 +63,61 @@ def _sym3(h: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Jet2:
-    """Value, gradient and Hessian of a scalar at a point."""
+class Jet:
+    """Value, gradient, Hessian and, at order 3, the symmetric third-derivative
+    array of a scalar at a point (``third`` is None at order 2)."""
 
     value: float
     grad: np.ndarray
     hess: np.ndarray
+    third: np.ndarray | None = None
 
     @staticmethod
-    def constant(v: float, n: int) -> "Jet2":
-        return Jet2(float(v), np.zeros(n), np.zeros((n, n)))
+    def constant(v: float, n: int, order: int = 2) -> "Jet":
+        return Jet(float(v), np.zeros(n), np.zeros((n, n)),
+                   np.zeros((n, n, n)) if order == 3 else None)
 
     @staticmethod
-    def variable(v: float, index: int, n: int) -> "Jet2":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet2(float(v), g, np.zeros((n, n)))
+    def variable(v: float, index: int, n: int, order: int = 2) -> "Jet":
+        jet = Jet.constant(v, n, order)
+        jet.grad[index] = 1.0
+        return jet
 
-    def _coerce(self, other) -> "Jet2":
-        if isinstance(other, Jet2):
+    @property
+    def order(self) -> int:
+        return 2 if self.third is None else 3
+
+    def _coerce(self, other) -> "Jet":
+        if isinstance(other, Jet):
             return other
-        return Jet2.constant(float(other), self.grad.shape[0])
+        return Jet.constant(float(other), self.grad.shape[0], self.order)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        return Jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess,
+                   None if self.third is None else self.third + o.third)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return Jet(-self.value, -self.grad, -self.hess,
+                   None if self.third is None else -self.third)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        return Jet(self.value - o.value, self.grad - o.grad, self.hess - o.hess,
+                   None if self.third is None else self.third - o.third)
 
     def __rsub__(self, other):
         return self._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return Jet2(
-            self.value * o.value,
-            self.grad * o.value + self.value * o.grad,
-            self.hess * o.value + _symouter(self.grad, o.grad) + self.value * o.hess,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def _reciprocal(self) -> "Jet2":
-        if self.value == 0.0:
-            raise _DomainViolation("division by zero")
-        return self._compose(1.0 / self.value, -1.0 / self.value**2, 2.0 / self.value**3)
-
-    def _compose(self, f0: float, f1: float, f2: float) -> "Jet2":
-        """Chain rule through a scalar function with derivatives f0, f1, f2."""
-        return Jet2(f0, f1 * self.grad,
-                    f1 * self.hess + f2 * np.outer(self.grad, self.grad))
-
-    def _int_pow(self, k: int) -> "Jet2":
-        if k == 0:
-            return Jet2.constant(1.0, self.grad.shape[0])
-        if k < 0:
-            return self._int_pow(-k)._reciprocal()
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
-    def __pow__(self, other):
-        if isinstance(other, Jet2):
-            if np.any(other.grad) or np.any(other.hess):
-                return _jet_exp(_jet_log(self) * other)
-            other = other.value
-        e = float(other)
-        if e.is_integer():
-            return self._int_pow(int(e))
-        if self.value <= 0.0:
-            raise _DomainViolation("real exponent needs a positive base")
-        u = self.value
-        return self._compose(u**e, e * u ** (e - 1.0), e * (e - 1.0) * u ** (e - 2.0))
-
-    def __rpow__(self, other):
-        return self._coerce(other).__pow__(self)
-
-
-def _jet_sqrt(x: Jet2) -> Jet2:
-    if x.value <= 0.0:
-        raise _DomainViolation("sqrt of a non-positive value")
-    r = math.sqrt(x.value)
-    return x._compose(r, 0.5 / r, -0.25 / (r * x.value))
-
-
-def _jet_exp(x: Jet2) -> Jet2:
-    e = math.exp(x.value)
-    return x._compose(e, e, e)
-
-
-def _jet_log(x: Jet2) -> Jet2:
-    if x.value <= 0.0:
-        raise _DomainViolation("log of a non-positive value")
-    return x._compose(math.log(x.value), 1.0 / x.value, -1.0 / x.value**2)
-
-
-def _jet_sin(x: Jet2) -> Jet2:
-    return x._compose(math.sin(x.value), math.cos(x.value), -math.sin(x.value))
-
-
-def _jet_cos(x: Jet2) -> Jet2:
-    return x._compose(math.cos(x.value), -math.sin(x.value), -math.cos(x.value))
-
-
-def _jet_tan(x: Jet2) -> Jet2:
-    c = math.cos(x.value)
-    if c == 0.0:
-        raise _DomainViolation("tan at a pole")
-    t = math.tan(x.value)
-    sec2 = 1.0 + t * t
-    return x._compose(t, sec2, 2.0 * t * sec2)
-
-
-@dataclass
-class Jet3:
-    """Jet2 plus the symmetric third-derivative array."""
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-    third: np.ndarray
-
-    @staticmethod
-    def constant(v: float, n: int) -> "Jet3":
-        return Jet3(float(v), np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n)))
-
-    @staticmethod
-    def variable(v: float, index: int, n: int) -> "Jet3":
-        g = np.zeros(n)
-        g[index] = 1.0
-        return Jet3(float(v), g, np.zeros((n, n)), np.zeros((n, n, n)))
-
-    def _coerce(self, other) -> "Jet3":
-        if isinstance(other, Jet3):
-            return other
-        return Jet3.constant(float(other), self.grad.shape[0])
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet3(self.value + o.value, self.grad + o.grad,
-                    self.hess + o.hess, self.third + o.third)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet3(-self.value, -self.grad, -self.hess, -self.third)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet3(self.value - o.value, self.grad - o.grad,
-                    self.hess - o.hess, self.third - o.third)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        third = (self.third * o.value + _sym3(self.hess, o.grad)
-                 + _sym3(o.hess, self.grad) + self.value * o.third)
-        return Jet3(
+        third = None
+        if self.third is not None:
+            third = (self.third * o.value + _sym3(self.hess, o.grad)
+                     + _sym3(o.hess, self.grad) + self.value * o.third)
+        return Jet(
             self.value * o.value,
             self.grad * o.value + self.value * o.grad,
             self.hess * o.value + _symouter(self.grad, o.grad) + self.value * o.hess,
@@ -235,21 +133,26 @@ class Jet3:
     def __rtruediv__(self, other):
         return self._coerce(other).__truediv__(self)
 
-    def _compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet3":
+    def _compose(self, f0: float, f1: float, f2: float, f3: float | None) -> "Jet":
+        """Chain rule through a scalar function with derivatives f0..f3
+        (f3 is only computed, and only used, at order 3)."""
         g, h = self.grad, self.hess
-        third = (f1 * self.third + f2 * _sym3(h, g)
-                 + f3 * g[:, None, None] * g[None, :, None] * g[None, None, :])
-        return Jet3(f0, f1 * g, f1 * h + f2 * np.outer(g, g), third)
+        third = None
+        if self.third is not None:
+            third = (f1 * self.third + f2 * _sym3(h, g)
+                     + f3 * g[:, None, None] * g[None, :, None] * g[None, None, :])
+        return Jet(f0, f1 * g, f1 * h + f2 * np.outer(g, g), third)
 
-    def _reciprocal(self) -> "Jet3":
+    def _reciprocal(self) -> "Jet":
         if self.value == 0.0:
-            raise _DomainViolation("division by zero")
+            raise _DomainViolation(_DIVISION_BY_ZERO)
         u = self.value
-        return self._compose(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+        return self._compose(1.0 / u, -1.0 / u**2, 2.0 / u**3,
+                             -6.0 / u**4 if self.third is not None else None)
 
-    def _int_pow(self, k: int) -> "Jet3":
+    def _int_pow(self, k: int) -> "Jet":
         if k == 0:
-            return Jet3.constant(1.0, self.grad.shape[0])
+            return Jet.constant(1.0, self.grad.shape[0], self.order)
         if k < 0:
             return self._int_pow(-k)._reciprocal()
         result = self
@@ -258,164 +161,253 @@ class Jet3:
         return result
 
     def __pow__(self, other):
-        if isinstance(other, Jet3):
-            if np.any(other.grad) or np.any(other.hess) or np.any(other.third):
-                return _jet3_exp(_jet3_log(self) * other)
+        if isinstance(other, Jet):
+            if (np.any(other.grad) or np.any(other.hess)
+                    or (other.third is not None and np.any(other.third))):
+                return _jet_exp(_jet_log(self) * other)
             other = other.value
         e = float(other)
         if e.is_integer():
             return self._int_pow(int(e))
         if self.value <= 0.0:
-            raise _DomainViolation("real exponent needs a positive base")
+            raise _DomainViolation(_POSITIVE_BASE)
         u = self.value
-        return self._compose(u**e, e * u ** (e - 1.0),
-                             e * (e - 1.0) * u ** (e - 2.0),
-                             e * (e - 1.0) * (e - 2.0) * u ** (e - 3.0))
+        return self._compose(u**e, e * u ** (e - 1.0), e * (e - 1.0) * u ** (e - 2.0),
+                             e * (e - 1.0) * (e - 2.0) * u ** (e - 3.0)
+                             if self.third is not None else None)
 
     def __rpow__(self, other):
         return self._coerce(other).__pow__(self)
 
 
-def _jet3_sqrt(x: Jet3) -> Jet3:
+def _jet_sqrt(x: Jet) -> Jet:
     if x.value <= 0.0:
-        raise _DomainViolation("sqrt of a non-positive value")
+        raise _DomainViolation(_NON_POSITIVE["sqrt"])
     u = x.value
     r = math.sqrt(u)
-    return x._compose(r, 0.5 / r, -0.25 / (r * u), 0.375 / (r * u * u))
+    return x._compose(r, 0.5 / r, -0.25 / (r * u),
+                      0.375 / (r * u * u) if x.third is not None else None)
 
 
-def _jet3_exp(x: Jet3) -> Jet3:
+def _jet_exp(x: Jet) -> Jet:
     e = math.exp(x.value)
     return x._compose(e, e, e, e)
 
 
-def _jet3_log(x: Jet3) -> Jet3:
+def _jet_log(x: Jet) -> Jet:
     if x.value <= 0.0:
-        raise _DomainViolation("log of a non-positive value")
+        raise _DomainViolation(_NON_POSITIVE["log"])
     u = x.value
-    return x._compose(math.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+    return x._compose(math.log(u), 1.0 / u, -1.0 / u**2,
+                      2.0 / u**3 if x.third is not None else None)
 
 
-def _jet3_sin(x: Jet3) -> Jet3:
+def _jet_sin(x: Jet) -> Jet:
     s, c = math.sin(x.value), math.cos(x.value)
     return x._compose(s, c, -s, -c)
 
 
-def _jet3_cos(x: Jet3) -> Jet3:
+def _jet_cos(x: Jet) -> Jet:
     s, c = math.sin(x.value), math.cos(x.value)
     return x._compose(c, -s, -c, s)
 
 
-def _jet3_tan(x: Jet3) -> Jet3:
+def _jet_tan(x: Jet) -> Jet:
     c = math.cos(x.value)
     if c == 0.0:
-        raise _DomainViolation("tan at a pole")
+        raise _DomainViolation(_POLE)
     t = math.tan(x.value)
     sec2 = 1.0 + t * t
-    return x._compose(t, sec2, 2.0 * t * sec2, sec2 * (4.0 * t * t + 2.0 * sec2))
-
-
-_JET2_FUNCS = {"sqrt": _jet_sqrt, "sin": _jet_sin, "cos": _jet_cos,
-               "tan": _jet_tan, "exp": _jet_exp, "log": _jet_log}
-_JET3_FUNCS = {"sqrt": _jet3_sqrt, "sin": _jet3_sin, "cos": _jet3_cos,
-               "tan": _jet3_tan, "exp": _jet3_exp, "log": _jet3_log}
-
-
-def _float_call(func: str, v: float) -> float:
-    if func == "sqrt":
-        if v <= 0.0:
-            raise _DomainViolation("sqrt of a non-positive value")
-        return math.sqrt(v)
-    if func == "log":
-        if v <= 0.0:
-            raise _DomainViolation("log of a non-positive value")
-        return math.log(v)
-    if func == "tan" and math.cos(v) == 0.0:
-        raise _DomainViolation("tan at a pole")
-    return getattr(math, func)(v)
+    return x._compose(t, sec2, 2.0 * t * sec2,
+                      sec2 * (4.0 * t * t + 2.0 * sec2) if x.third is not None else None)
 
 
 def _float_pow(base: float, e: float) -> float:
     if e.is_integer():
         if base == 0.0 and e < 0:
-            raise _DomainViolation("division by zero")
+            raise _DomainViolation(_DIVISION_BY_ZERO)
         return base ** int(e)
     if base <= 0.0:
-        raise _DomainViolation("real exponent needs a positive base")
+        raise _DomainViolation(_POSITIVE_BASE)
     return base**e
 
 
-# --- Generic evaluator ------------------------------------------------------
+# --- Compiler ---------------------------------------------------------------
+
+# what generated code may name besides its locals and bound literals
+_NAMESPACE = {
+    "_float": float, "_var": Jet.variable, "_const": Jet.constant,
+    "_Domain": EvalDomainError, "_Violation": _DomainViolation,
+    "_float_pow": _float_pow, "_cos": math.cos,
+    **{f"_float_{f}": getattr(math, f) for f in FUNCTIONS},
+    **{f"_jet_{f}": globals()[f"_jet_{f}"] for f in FUNCTIONS},
+}
+_OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-def _eval(node: Expression, env, funcs, mode: str):
-    """Walk the tree with scalars of the given mode ('float'|'jet2'|'jet3')."""
-    try:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Const):
-            return node.value
+class _Writer:
+    """Emits the straight-line body of one compiled function."""
+
+    def __init__(self, jets: bool):
+        self.jets = jets
+        self.lines: list[str] = []
+        self.namespace = dict(_NAMESPACE)
+        self.memo: dict[tuple, tuple[str, bool]] = {}
+
+    def bind(self, value) -> str:
+        name = f"_k{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def guard(self, condition: str, message: str, node: Expression) -> None:
+        """A float domain check, right before the operation it guards."""
+        self.lines += [f"if {condition}:", f"    raise _Domain({self.bind(message)}, "
+                       f"{self.bind(to_source(node))})"]
+
+    def checked(self, statement: str, node: Expression) -> None:
+        """An operation whose domain violation is reported as node's."""
+        self.lines += ["try:", f"    {statement}", "except _Violation as exc:",
+                       f"    raise _Domain(str(exc), {self.bind(to_source(node))}) from None"]
+
+    def visit(self, node: Expression) -> tuple[str, bool]:
+        """Emit node unless an equal subtree already was; return the name that
+        holds its value and whether that value is a jet."""
+        if isinstance(node, (Num, Const)):
+            args, key = (), (type(node), getattr(node, "name", None), repr(node.value))
+        elif isinstance(node, Var):
+            args, key = (), (Var, node.name, node.index)
+        elif isinstance(node, (Neg, Call)):
+            args = (self.visit(node.arg),)
+            key = (type(node), getattr(node, "func", None), *args)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            args = (self.visit(node.lhs), self.visit(node.rhs))
+            key = (type(node), *args)
+        elif isinstance(node, Pow):
+            args = (self.visit(node.base), self.visit(node.exponent))
+            key = (Pow, *args)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        hit = self.memo.get(key)
+        if hit is None:
+            hit = self.memo[key] = self.assign(node, args)
+        return hit
+
+    def assign(self, node: Expression, args) -> tuple[str, bool]:
+        if isinstance(node, (Num, Const)):
+            return self.bind(node.value), False
+        out = f"t{len(self.memo)}"
         if isinstance(node, Var):
-            return env[node.index]
+            i = int(node.index)
+            self.lines.append(f"{out} = _var(x[{i}], {i}, n, order)" if self.jets
+                              else f"{out} = _float(x[{i}])")
+            return out, self.jets
+        names = [name for name, _ in args]
+        jet = any(is_jet for _, is_jet in args)
         if isinstance(node, Neg):
-            return -_eval(node.arg, env, funcs, mode)
-        if isinstance(node, Add):
-            return _eval(node.lhs, env, funcs, mode) + _eval(node.rhs, env, funcs, mode)
-        if isinstance(node, Sub):
-            return _eval(node.lhs, env, funcs, mode) - _eval(node.rhs, env, funcs, mode)
-        if isinstance(node, Mul):
-            return _eval(node.lhs, env, funcs, mode) * _eval(node.rhs, env, funcs, mode)
-        if isinstance(node, Div):
-            lhs = _eval(node.lhs, env, funcs, mode)
-            rhs = _eval(node.rhs, env, funcs, mode)
-            if isinstance(rhs, float) and rhs == 0.0:
-                raise _DomainViolation("division by zero")
-            return lhs / rhs
-        if isinstance(node, Pow):
-            base = _eval(node.base, env, funcs, mode)
-            expo = _eval(node.exponent, env, funcs, mode)
-            if isinstance(base, float) and isinstance(expo, float):
-                return _float_pow(base, expo)
-            if isinstance(base, float):
-                base = expo._coerce(base)
-            return base**expo
-        if isinstance(node, Call):
-            arg = _eval(node.arg, env, funcs, mode)
-            if isinstance(arg, float):
-                return _float_call(node.func, arg)
-            return funcs[node.func](arg)
-    except _DomainViolation as exc:
-        raise EvalDomainError(str(exc), to_source(node)) from None
-    raise TypeError(f"not an expression node: {node!r}")
+            self.lines.append(f"{out} = -{names[0]}")
+        elif isinstance(node, Div) and args[1][1]:
+            self.checked(f"{out} = {names[0]} / {names[1]}", node)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            if isinstance(node, Div):
+                self.guard(f"{names[1]} == 0.0", _DIVISION_BY_ZERO, node)
+            self.lines.append(f"{out} = {names[0]} {_OPERATORS[type(node)]} {names[1]}")
+        elif isinstance(node, Pow):
+            base, exponent = names
+            if not jet:
+                self.checked(f"{out} = _float_pow({base}, {exponent})", node)
+            else:
+                if not args[0][1]:
+                    base = f"{exponent}._coerce({base})"
+                self.checked(f"{out} = {base} ** {exponent}", node)
+        elif node.func not in FUNCTIONS:
+            raise ValueError(f"unknown function {node.func!r}")
+        elif jet:
+            self.checked(f"{out} = _jet_{node.func}({names[0]})", node)
+        else:
+            if node.func in _NON_POSITIVE:
+                self.guard(f"{names[0]} <= 0.0", _NON_POSITIVE[node.func], node)
+            elif node.func == "tan":
+                self.guard(f"_cos({names[0]}) == 0.0", _POLE, node)
+            self.lines.append(f"{out} = _float_{node.func}({names[0]})")
+        return out, jet
+
+
+def _generate(exprs: Sequence[Expression], jets: bool):
+    writer = _Writer(jets)
+    outs = []
+    for expr in exprs:
+        name, is_jet = writer.visit(expr)
+        outs.append(f"_const({name}, n, order)" if jets and not is_jet else name)
+    signature = "x, n, order" if jets else "x"
+    source = "\n".join([f"def _compiled({signature}):",
+                        *("    " + line for line in writer.lines),
+                        f"    return [{', '.join(outs)}]"])
+    exec(builtins.compile(source, "<dualgeo.jets.compile>", "exec"), writer.namespace)
+    return writer.namespace["_compiled"]
+
+
+class Program:
+    """A list of trees compiled to straight-line code; see :func:`compile`.
+
+    The float and the jet function are each generated on first use.
+    """
+
+    def __init__(self, exprs: Sequence[Expression]):
+        self.exprs = tuple(exprs)
+        self._values = None
+        self._jets = None
+
+    def values(self, point) -> list[float]:
+        """The value of every tree at the point, in order."""
+        if self._values is None:
+            self._values = _generate(self.exprs, jets=False)
+        return self._values(point)
+
+    def jets(self, point, order: int = 2) -> list[Jet]:
+        """The jet of the given order (2 or 3) of every tree at the point."""
+        if order not in (2, 3):
+            raise ValueError(f"jet order must be 2 or 3, not {order!r}")
+        if self._jets is None:
+            self._jets = _generate(self.exprs, jets=True)
+        pt = np.asarray(point, dtype=float)
+        return self._jets(pt, pt.shape[0], order)
+
+
+def compile(exprs: Sequence[Expression]) -> Program:
+    """Compile trees into one program that evaluates each distinct subtree once."""
+    return Program(exprs)
+
+
+_CACHE_SIZE = 256
+_cache: dict[int, tuple[Expression, Program]] = {}
+
+
+def _cached_program(expr: Expression) -> Program:
+    # keyed by identity: hashing a tree walks all of it; the entry keeps the
+    # tree alive, so its id cannot be reused while it is cached
+    hit = _cache.get(id(expr))
+    if hit is not None:
+        return hit[1]
+    if len(_cache) >= _CACHE_SIZE:
+        del _cache[next(iter(_cache))]
+    program = compile([expr])
+    _cache[id(expr)] = (expr, program)
+    return program
 
 
 def eval_value(expr: Expression, point) -> float:
     """Plain float evaluation."""
-    env = [float(v) for v in point]
-    result = _eval(expr, env, None, "float")
-    return float(result)
+    return float(_cached_program(expr).values(point)[0])
 
 
-def eval_jet2(expr: Expression, point) -> Jet2:
+def eval_jet2(expr: Expression, point) -> Jet:
     """Value, gradient, Hessian at a point, exact to roundoff."""
-    pt = np.asarray(point, dtype=float)
-    n = pt.shape[0]
-    env = [Jet2.variable(pt[i], i, n) for i in range(n)]
-    result = _eval(expr, env, _JET2_FUNCS, "jet2")
-    if isinstance(result, float):
-        return Jet2.constant(result, n)
-    return result
+    return _cached_program(expr).jets(point, 2)[0]
 
 
-def eval_jet3(expr: Expression, point) -> Jet3:
+def eval_jet3(expr: Expression, point) -> Jet:
     """Derivatives through order three via third-order jets."""
-    pt = np.asarray(point, dtype=float)
-    n = pt.shape[0]
-    env = [Jet3.variable(pt[i], i, n) for i in range(n)]
-    result = _eval(expr, env, _JET3_FUNCS, "jet3")
-    if isinstance(result, float):
-        return Jet3.constant(result, n)
-    return result
+    return _cached_program(expr).jets(point, 3)[0]
 
 
 def eval_order3(expr: Expression, point) -> np.ndarray:

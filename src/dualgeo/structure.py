@@ -25,7 +25,6 @@ import numpy as np
 
 from . import conventions as conv
 from .geometry import Metric, ScalarField, TensorField, hessian
-from .jets import eval_jet2, eval_jet3
 
 RECOVERY_RCOND = 1e-10
 RECOVERY_RESIDUAL_TOL = 1e-8

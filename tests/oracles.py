@@ -1,18 +1,87 @@
 """Independent oracles used to pin expected values.
 
-Everything here deliberately avoids the library's own code paths: plain
-finite differences of plain evaluations, and a brute-force recovery that
+Everything here deliberately avoids the library's own code paths: a plain
+recursive walk over expression trees for values, finite differences of those
+values, and a brute-force recovery that
 parametrizes the full unconstrained tensor with symmetry and trace conditions
 appended as extra equations.  Expected values asserted in the tests were
 computed with these oracles (or by hand) before being frozen.
 """
 
+import math
+
 import numpy as np
 
-from dualgeo.jets import eval_value
+from dualgeo.expressions import (
+    Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub, Var,
+    to_source,
+)
 
 FD_H = 1e-5       # first differences
 FD_H2 = 1e-4      # stencils dividing by h^2
+
+
+class _DomainViolation(Exception):
+    pass
+
+
+def _float_call(func, v):
+    if func == "sqrt":
+        if v <= 0.0:
+            raise _DomainViolation("sqrt of a non-positive value")
+        return math.sqrt(v)
+    if func == "log":
+        if v <= 0.0:
+            raise _DomainViolation("log of a non-positive value")
+        return math.log(v)
+    if func == "tan" and math.cos(v) == 0.0:
+        raise _DomainViolation("tan at a pole")
+    return getattr(math, func)(v)
+
+
+def _float_pow(base, e):
+    if e.is_integer():
+        if base == 0.0 and e < 0:
+            raise _DomainViolation("division by zero")
+        return base ** int(e)
+    if base <= 0.0:
+        raise _DomainViolation("real exponent needs a positive base")
+    return base**e
+
+
+def _walk(node, env):
+    try:
+        if isinstance(node, (Num, Const)):
+            return node.value
+        if isinstance(node, Var):
+            return env[node.index]
+        if isinstance(node, Neg):
+            return -_walk(node.arg, env)
+        if isinstance(node, Add):
+            return _walk(node.lhs, env) + _walk(node.rhs, env)
+        if isinstance(node, Sub):
+            return _walk(node.lhs, env) - _walk(node.rhs, env)
+        if isinstance(node, Mul):
+            return _walk(node.lhs, env) * _walk(node.rhs, env)
+        if isinstance(node, Div):
+            lhs = _walk(node.lhs, env)
+            rhs = _walk(node.rhs, env)
+            if rhs == 0.0:
+                raise _DomainViolation("division by zero")
+            return lhs / rhs
+        if isinstance(node, Pow):
+            return _float_pow(_walk(node.base, env), _walk(node.exponent, env))
+        if isinstance(node, Call):
+            return _float_call(node.func, _walk(node.arg, env))
+    except _DomainViolation as exc:
+        raise EvalDomainError(str(exc), to_source(node)) from None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_value(expr, x):
+    """Reference float evaluation: a plain recursive walk over the tree, the
+    same float operations, math calls and domain checks in post-order."""
+    return float(_walk(expr, [float(v) for v in x]))
 
 
 def fd_gradient(expr, x, h=FD_H):

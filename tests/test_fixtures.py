@@ -92,6 +92,13 @@ def test_wrong_domain_arity():
         from_config(cfg, validate_on_load=False)
 
 
+def test_margin_without_interior_rejected():
+    cfg = builtin_config("sw2")
+    cfg["singular_margin"] = 1.25  # the domain axes are 2.5 wide
+    with pytest.raises(FixtureError, match="no interior"):
+        from_config(cfg, validate_on_load=False)
+
+
 def test_validation_is_total_not_raising(tmp_path):
     # several things wrong at once: report collects them instead of crashing
     cfg = builtin_config("sw2-weak")

@@ -180,6 +180,13 @@ def test_grid_points_shape():
     assert np.allclose([p[0] for p in shrunk], [0.25, 0.5, 0.75])
 
 
+@pytest.mark.parametrize("margin", [0.5, 2.0])
+def test_grid_margin_must_leave_an_interior(margin):
+    # at margin 2.0 the shrunk axis would run 2.0, 0.5, -1.0: outside [0, 1]
+    with pytest.raises(ValueError, match="no interior"):
+        grid_points([(0.0, 1.0), (0.0, 10.0)], per_axis=3, margin=margin)
+
+
 def test_condition_number_guard():
     g = Metric.from_sources([["x1", "0"], ["0", "1"]], condition_bound=1e3)
     with pytest.raises(Exception, match="condition number"):

@@ -1,13 +1,23 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualgeo.expressions import EvalDomainError, parse
+from dualgeo.expressions import (
+    FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub,
+    Var, parse,
+)
+from dualgeo import jets
+from dualgeo.fixtures import builtin, builtin_names
 from dualgeo.jets import (
     eval_jet2, eval_jet3, eval_order3, eval_value, fd_gradient, fd_hessian,
     fd_order3,
 )
-from oracles import fd_gradient as oracle_grad, fd_hessian as oracle_hess
+from oracles import (
+    eval_value as reference_value, fd_gradient as oracle_grad,
+    fd_hessian as oracle_hess,
+)
 
 # expression corpus exercising every operator and function; paired with safe
 # boxes so random points stay inside all domains
@@ -111,13 +121,16 @@ def test_order3_exact_symmetry(rng):
         assert np.array_equal(third, np.transpose(third, perm))
 
 
-def test_jet3_consistent_with_jet2():
-    expr = parse("x1^x2 + tan(x1*x2/4)", 2)
-    x = (0.8, 1.1)
-    j2, j3 = eval_jet2(expr, x), eval_jet3(expr, x)
-    assert j2.value == j3.value
-    assert np.array_equal(j2.grad, j3.grad)
-    assert np.max(np.abs(j2.hess - j3.hess)) < 1e-14
+def test_jet3_consistent_with_jet2(rng):
+    # one jet class: order 3 adds the third array and leaves the rest bit-equal
+    for source, (lo, hi) in CORPUS + [("x1^x2 + tan(x1*x2/4)", (0.5, 1.2))]:
+        expr = parse(source, 2)
+        x = lo + (hi - lo) * rng.random(2)
+        j2, j3 = eval_jet2(expr, x), eval_jet3(expr, x)
+        assert j2.third is None and j3.third.shape == (2, 2, 2)
+        assert j2.value == j3.value, source
+        assert np.array_equal(j2.grad, j3.grad), source
+        assert np.array_equal(j2.hess, j3.hess), source
 
 
 def test_evaluation_is_deterministic():
@@ -164,3 +177,144 @@ def test_product_rule_property(a, b):
     assert abs(prod.value - jfg.value) / scale < 1e-12
     assert np.max(np.abs(prod.grad - jfg.grad)) / scale < 1e-11
     assert np.max(np.abs(prod.hess - jfg.hess)) / scale < 1e-10
+
+
+# --- compiled evaluation against the reference walker -------------------------
+
+
+def _outcome(evaluate):
+    """Bit patterns of the values, or the type and message of the exception."""
+    try:
+        return [struct.pack("<d", v) for v in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_values(trees, x):
+    return [reference_value(tree, x) for tree in trees]
+
+
+_float = st.one_of(st.floats(min_value=-4.0, max_value=4.0),
+                   st.sampled_from([0.0, 1.0, 2.0, -2.0, 0.5, 3.0, 1e155, 1e200]))
+_any_leaf = st.one_of(
+    _float.map(Num),
+    _float.map(lambda v: Const("c", v)),
+    st.sampled_from([Var("x1", 0), Var("x2", 1)]),
+)
+
+
+def _any_combine(children):
+    binary = st.sampled_from([Add, Sub, Mul, Div, Pow])
+    return st.one_of(
+        children.map(Neg),
+        st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda fa: Call(*fa)),
+        st.tuples(binary, children, children).map(lambda t: t[0](t[1], t[2])),
+        st.tuples(children, _float).map(lambda ab: Pow(ab[0], Num(ab[1]))),
+        st.tuples(children, _float).map(lambda ab: Pow(ab[0], Neg(Num(ab[1])))),
+    )
+
+
+_any_tree = st.recursive(_any_leaf, _any_combine, max_leaves=16)
+
+
+@given(st.lists(_any_tree, min_size=1, max_size=4), st.tuples(_float, _float))
+@settings(max_examples=400, deadline=None)
+def test_compiled_values_equal_reference_walker(trees, x):
+    # one program over several trees shares their common subtrees; values,
+    # domain errors and overflow errors match a walk over each tree in turn
+    assert _outcome(lambda: jets.compile(trees).values(x)) == \
+        _outcome(lambda: _reference_values(trees, x))
+    assert _outcome(lambda: [eval_value(trees[0], x)]) == \
+        _outcome(lambda: [reference_value(trees[0], x)])
+
+
+@pytest.mark.parametrize("source,point,error", [
+    ("1/x1", (0.0,), EvalDomainError),
+    ("x1^-2", (0.0,), EvalDomainError),
+    ("x1^0.5", (-1.0,), EvalDomainError),
+    ("sqrt(x1)*log(x1)", (0.0,), EvalDomainError),
+    ("x1 + log(x1 - 1)", (1.0,), EvalDomainError),
+    ("exp(x1)", (1000.0,), OverflowError),
+    ("x1^2", (1e200,), OverflowError),
+    ("x1^2.5", (1e200,), OverflowError),
+    ("sin(x1)", (float("inf"),), ValueError),
+])
+def test_compiled_failures_equal_reference_walker(source, point, error):
+    tree = parse(source, 1)
+    with pytest.raises(error):
+        reference_value(tree, point)
+    assert _outcome(lambda: jets.compile([tree]).values(point)) == \
+        _outcome(lambda: [reference_value(tree, point)])
+
+
+def _fixture_trees(fx):
+    trees = [comp for row in fx.metric.comps for comp in row]
+    scalars = list(fx.family.potentials) if fx.family is not None else []
+    scalars += [fx.zeta] if fx.zeta is not None else []
+    tensors = [field for field in (fx.structure_T, fx.structure_D, fx.structure_s)
+               if field is not None]
+    for kd in fx.killing:
+        tensors.append(kd.K)
+        scalars += [field for field in (kd.W, kd.V) if field is not None]
+    trees += [field.expr for field in scalars]
+    for field in tensors:
+        trees += list(field.comps.ravel())
+    return trees, scalars, tensors
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_fixture_components_equal_reference_walker(name):
+    fx = builtin(name)
+    trees, scalars, tensors = _fixture_trees(fx)
+    program = jets.compile(trees)
+    for x in fx.grid(3):
+        assert _outcome(lambda: program.values(x)) == \
+            _outcome(lambda: _reference_values(trees, x))
+        for field in scalars:
+            assert _outcome(lambda: [field.value(x)]) == \
+                _outcome(lambda: [reference_value(field.expr, x)])
+        for field in tensors:
+            assert _outcome(lambda: field.value(x).components.ravel()) == \
+                _outcome(lambda: _reference_values(field.comps.ravel(), x))
+
+
+def _sympy_tree(node, symbols):
+    import sympy
+    if isinstance(node, (Num, Const)):
+        return sympy.Rational(node.value)
+    if isinstance(node, Var):
+        return symbols[node.index]
+    if isinstance(node, Neg):
+        return -_sympy_tree(node.arg, symbols)
+    if isinstance(node, Call):
+        return getattr(sympy, node.func)(_sympy_tree(node.arg, symbols))
+    if isinstance(node, Pow):
+        return _sympy_tree(node.base, symbols) ** _sympy_tree(node.exponent, symbols)
+    lhs, rhs = _sympy_tree(node.lhs, symbols), _sympy_tree(node.rhs, symbols)
+    if isinstance(node, Add):
+        return lhs + rhs
+    if isinstance(node, Sub):
+        return lhs - rhs
+    if isinstance(node, Mul):
+        return lhs * rhs
+    return lhs / rhs
+
+
+def test_corpus_derivatives_match_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x1 x2")
+    for source, (lo, hi) in CORPUS:
+        expr = parse(source, 2)
+        f = _sympy_tree(expr, symbols)
+        grad = sympy.derive_by_array(f, symbols)
+        hess = sympy.derive_by_array(grad, symbols)
+        third = sympy.derive_by_array(hess, symbols)
+        exact = sympy.lambdify(symbols, [grad.tolist(), hess.tolist(), third.tolist()],
+                               modules="math")
+        for _ in range(5):
+            x = lo + (hi - lo) * rng.random(2)
+            jet = eval_jet3(expr, x)
+            for got, want in zip((jet.grad, jet.hess, jet.third), exact(*x)):
+                want = np.array(want, dtype=float)
+                scale = max(1.0, float(np.max(np.abs(want))))
+                assert np.max(np.abs(got - want)) / scale < 1e-12, source
