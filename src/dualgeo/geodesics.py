@@ -15,7 +15,22 @@ declared singular locus, or stops being finite.
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
 nearest-endpoint projection.  That makes the comparison insensitive to the
-reparametrizations that dual-projective shifts induce.
+reparametrizations that dual-projective shifts induce.  An overlap that holds
+no sample measures as an infinite distance, so it never passes.
+
+The nearest-segment search is exact and pruned.  Segments are grouped into
+chunks of SEGMENT_CHUNK with a bounding box each; a chunk whose box lies
+farther from a block of queries than an upper bound on their nearest
+distances, plus a rounding slack, is skipped.  For curves of m samples that
+do not double back on themselves a query keeps a few chunks, so a comparison
+costs O(m^2 / SEGMENT_CHUNK) box tests and O(m * SEGMENT_CHUNK) segment
+distances instead of m^2 segment distances.  Every kept segment goes through
+the same per-pair arithmetic in ascending order, and a skipped one could only
+compute a strictly larger distance, so distances and arc coordinates equal
+the dense scan's bit for bit.  In the worst case, every segment about equally
+near (a query at the centre of a circle), nothing is skipped: time is the
+dense O(m^2), and memory stays O(QUERY_BLOCK * m) because queries run in
+blocks.
 """
 
 from __future__ import annotations
@@ -31,9 +46,15 @@ from .expressions import EvalDomainError
 from .geometry import Metric, SingularMetricError
 
 SINGULAR_HALT_MARGIN = 1e-3
-# queries per block of the curve comparison: its dense temporaries hold
+# queries per block of the curve comparison: its temporaries hold at most
 # block x segments x n doubles, so memory grows linearly in curve length
 QUERY_BLOCK = 64
+# consecutive segments that share one bounding box in the comparison's pruning
+SEGMENT_CHUNK = 32
+# pruning margin in distance, relative to the largest coordinate magnitude;
+# it exceeds the rounding error of the box bounds and of the per-pair
+# distances (a few hundred ulps of that magnitude for n <= 10) by far
+PRUNE_SLACK = 1e-9
 
 
 @dataclass
@@ -157,13 +178,21 @@ def integrate_dual_geodesic(conn: AffineConnection, g: Metric, x0, w0,
 # --- polyline comparison -------------------------------------------------------
 
 
+def _arc_coordinates(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment lengths of a polyline and the arc coordinate of each vertex."""
+    seg_len = np.linalg.norm(np.diff(poly, axis=0), axis=1)
+    return seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
+
+
 def _polyline_distances(queries: np.ndarray, poly: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and nearest-point arc coordinates, vectorized over queries.
 
-    Each block of QUERY_BLOCK queries is compared with every segment in a
-    handful of dense numpy operations.  A query's arithmetic does not depend
-    on the block it falls in.
+    For each block of QUERY_BLOCK queries, a chunk of SEGMENT_CHUNK segments
+    is skipped when its bounding box lies farther from every query than that
+    query's smallest farthest-corner distance plus the rounding slack.  The
+    kept segments go through the dense per-pair formula in ascending order,
+    which the module docstring shows gives the dense scan's results exactly.
     """
     queries = np.atleast_2d(queries)
     if len(poly) == 1:
@@ -171,31 +200,40 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
         return d, np.zeros(len(queries))
     a = poly[:-1]
     ab = poly[1:] - poly[:-1]
-    seg_len = np.linalg.norm(ab, axis=1)
+    seg_len, arc_starts = _arc_coordinates(poly)
     len2 = np.einsum("mi,mi->m", ab, ab)
     safe_len2 = np.where(len2 == 0.0, 1.0, len2)
-    arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
+    starts = np.arange(0, len(ab), SEGMENT_CHUNK)
+    box_lo = np.minimum.reduceat(np.minimum(a, poly[1:]), starts)
+    box_hi = np.maximum.reduceat(np.maximum(a, poly[1:]), starts)
+    scale = max(np.max(np.abs(poly)), np.max(np.abs(queries), initial=0.0))
+    # the rounding bound needs squared coordinates clear of underflow and
+    # overflow; outside that range, and for NaN, every chunk is kept
+    slack = PRUNE_SLACK * scale if 1e-100 <= scale <= 1e100 else np.inf
     dists = np.empty(len(queries))
     arcs = np.empty(len(queries))
     for lo in range(0, len(queries), QUERY_BLOCK):
         block = slice(lo, lo + QUERY_BLOCK)
-        dif = queries[block, None, :] - a[None, :, :]
-        s = np.clip(np.einsum("qmi,mi->qm", dif, ab) / safe_len2, 0.0, 1.0)
-        s = np.where(len2 == 0.0, 0.0, s)
-        closest = dif - s[:, :, None] * ab[None, :, :]
+        q = queries[block, None, :]
+        below, above = box_lo - q, q - box_hi
+        gap = np.maximum(np.maximum(below, above), 0.0)
+        far = np.maximum(-below, -above)
+        lower = np.einsum("qki,qki->qk", gap, gap)
+        upper = np.min(np.einsum("qki,qki->qk", far, far), axis=1)
+        reach = (np.sqrt(upper) + slack) ** 2
+        kept = ~np.all(lower > reach[:, None], axis=0)
+        seg = np.flatnonzero(np.repeat(kept, SEGMENT_CHUNK)[:len(ab)])
+        dif = q - a[None, seg, :]
+        s = np.clip(np.einsum("qmi,mi->qm", dif, ab[seg]) / safe_len2[seg], 0.0, 1.0)
+        s = np.where(len2[seg] == 0.0, 0.0, s)
+        closest = dif - s[:, :, None] * ab[None, seg, :]
         d2 = np.einsum("qmi,qmi->qm", closest, closest)
         best = np.argmin(d2, axis=1)
         rows = np.arange(len(best))
-        arcs[block] = arc_starts[best] + s[rows, best] * seg_len[best]
+        hit = seg[best]
+        arcs[block] = arc_starts[hit] + s[rows, best] * seg_len[hit]
         dists[block] = np.sqrt(d2[rows, best])
     return dists, arcs
-
-
-def _arc_coordinates(poly: np.ndarray) -> np.ndarray:
-    if len(poly) == 1:
-        return np.zeros(1)
-    seg = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
 
 
 @dataclass
@@ -211,17 +249,18 @@ def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveCom
 
     The overlap of each curve is bracketed by projecting the other curve's
     endpoints onto it; samples outside that bracket (the part of a longer arc
-    the other curve never reaches) do not count against coincidence.
+    the other curve never reaches) do not count against coincidence.  A
+    bracket that holds no sample gives an infinite distance.
     """
     pa, pb = a.x, b.x
 
     def one_sided(src: np.ndarray, dst: np.ndarray) -> float:
-        arcs = _arc_coordinates(src)
+        _, arcs = _arc_coordinates(src)
         _, ends = _polyline_distances(np.array([dst[0], dst[-1]]), src)
         lo, hi = min(ends), max(ends)
         mask = (arcs >= lo - 1e-12) & (arcs <= hi + 1e-12)
         if not np.any(mask):
-            return float(np.max(_polyline_distances(src[:1], dst)[0]))
+            return np.inf
         d, _ = _polyline_distances(src[mask], dst)
         return float(np.max(d))
 

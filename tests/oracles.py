@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's own code paths: a plain
 recursive walk over expression trees for values, finite differences of those
-values, and a brute-force recovery that
+values, a brute-force recovery that
 parametrizes the full unconstrained tensor with symmetry and trace conditions
-appended as extra equations.  Expected values asserted in the tests were
+appended as extra equations, and a dense nearest-segment scan over every
+query-segment pair at once.  Expected values asserted in the tests were
 computed with these oracles (or by hand) before being frozen.
 """
 
@@ -226,3 +227,26 @@ def brute_force_s(metric, family, x):
     A, b = np.array(rows), np.array(rhs)
     s, _, _, _ = np.linalg.lstsq(A, b, rcond=1e-10)
     return s, float(np.max(np.abs(A @ s - b)))
+
+
+def dense_polyline_distances(queries, poly):
+    """Distance from each query to a polyline and the arc coordinate of the
+    nearest point, from every query-segment pair at once.  Ties go to the
+    first segment; a single-vertex polyline is that point at arc 0."""
+    queries = np.atleast_2d(queries)
+    if len(poly) == 1:
+        return np.linalg.norm(queries - poly[0], axis=1), np.zeros(len(queries))
+    a = poly[:-1]
+    ab = poly[1:] - poly[:-1]
+    seg_len = np.linalg.norm(ab, axis=1)
+    len2 = np.einsum("mi,mi->m", ab, ab)
+    safe_len2 = np.where(len2 == 0.0, 1.0, len2)
+    dif = queries[:, None, :] - a[None, :, :]
+    s = np.clip(np.einsum("qmi,mi->qm", dif, ab) / safe_len2, 0.0, 1.0)
+    s = np.where(len2 == 0.0, 0.0, s)
+    closest = dif - s[:, :, None] * ab[None, :, :]
+    d2 = np.einsum("qmi,qmi->qm", closest, closest)
+    best = np.argmin(d2, axis=1)
+    rows = np.arange(len(queries))
+    arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
+    return np.sqrt(d2[rows, best]), arc_starts[best] + s[rows, best] * seg_len[best]

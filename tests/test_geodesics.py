@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualgeo.connections import levi_civita
 from dualgeo.geodesics import (
@@ -10,6 +11,7 @@ from dualgeo.geodesics import (
     integrate_dual_geodesic, read_csv, reparametrization_check,
 )
 from dualgeo.geometry import Metric
+from oracles import dense_polyline_distances
 
 
 def test_straight_line_euclidean(euclid2):
@@ -205,24 +207,6 @@ def test_json_export(tmp_path, euclid2):
     assert float(data["x"][-1][0]) == traj.x[-1][0]
 
 
-def _dense_polyline_distances(queries, poly):
-    """Every query-segment pair at once: the formula the blocked kernel splits."""
-    a = poly[:-1]
-    ab = poly[1:] - poly[:-1]
-    seg_len = np.linalg.norm(ab, axis=1)
-    len2 = np.einsum("mi,mi->m", ab, ab)
-    safe_len2 = np.where(len2 == 0.0, 1.0, len2)
-    dif = queries[:, None, :] - a[None, :, :]
-    s = np.clip(np.einsum("qmi,mi->qm", dif, ab) / safe_len2, 0.0, 1.0)
-    s = np.where(len2 == 0.0, 0.0, s)
-    closest = dif - s[:, :, None] * ab[None, :, :]
-    d2 = np.einsum("qmi,qmi->qm", closest, closest)
-    best = np.argmin(d2, axis=1)
-    rows = np.arange(len(queries))
-    arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
-    return np.sqrt(d2[rows, best]), arc_starts[best] + s[rows, best] * seg_len[best]
-
-
 @pytest.mark.parametrize("queries,segments,n", [(1, 7, 2), (QUERY_BLOCK, 40, 2),
                                                 (3 * QUERY_BLOCK + 5, 90, 3)])
 def test_blocked_distances_equal_dense_formula(rng, queries, segments, n):
@@ -230,7 +214,7 @@ def test_blocked_distances_equal_dense_formula(rng, queries, segments, n):
     poly[5] = poly[4]  # a zero-length segment
     q = 3.0 * rng.normal(size=(queries, n))
     d, arcs = _polyline_distances(q, poly)
-    d_ref, arcs_ref = _dense_polyline_distances(q, poly)
+    d_ref, arcs_ref = dense_polyline_distances(q, poly)
     assert np.array_equal(d, d_ref) and np.array_equal(arcs, arcs_ref)
 
 
@@ -253,3 +237,94 @@ def test_curve_comparison_memory_is_linear_in_samples():
     # query-segment pair; allowing twice that, the bound is 113 MB, where
     # all ~500 overlap queries at once would take 440 MB
     assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
+
+
+def test_curve_comparison_memory_is_bounded_when_nothing_is_pruned():
+    # every segment of a circle is equally near its centre, so no chunk is
+    # skipped and the search falls back to the full blocked scan
+    m = 10_000
+    t = np.linspace(0.0, 2.0 * np.pi, m)
+    circle = np.stack([np.cos(t), np.sin(t)], axis=1)
+    centres = np.zeros((2 * QUERY_BLOCK, 2))
+    tracemalloc.start()
+    try:
+        d, arcs = _polyline_distances(centres, circle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    d_ref, arcs_ref = dense_polyline_distances(centres[:1], circle)
+    assert np.all(d == d_ref[0]) and np.all(arcs == arcs_ref[0])
+    assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
+
+
+def test_empty_overlap_fails():
+    # b's endpoints project into the interior of a's only segment, so a's
+    # overlap bracket holds no sample of a; b still runs through a's first
+    # vertex, so measuring from that vertex alone would read distance 0
+    a = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                   np.zeros((2, 2)), "a", 1.0)
+    b = Trajectory(np.array([0.0, 1.0, 2.0]),
+                   np.array([[0.4, 0.0], [0.0, 0.0], [0.6, 0.0]]),
+                   np.zeros((3, 2)), "b", 1.0)
+    cmp = curves_coincide(a, b, 1e-6)
+    assert cmp.dist_a_to_b == math.inf and cmp.dist_b_to_a == 0.0
+    assert not cmp.coincide
+
+
+_coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+_lattice = st.integers(min_value=-3, max_value=3).map(lambda k: 0.5 * k)
+
+
+@st.composite
+def _polyline_case(draw):
+    """A polyline and queries, drawn from the shapes where a nearest-segment
+    search can go wrong: repeated vertices, collinear runs, equidistant ties,
+    far-away queries and long smooth curves."""
+    n = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["lattice", "walk", "collinear", "circle", "square",
+                                 "smooth"]))
+    if kind == "lattice":
+        # few distinct points: repeats, zero-length segments, ties and
+        # single-vertex or single-segment polylines
+        poly = np.array(draw(st.lists(st.lists(_lattice, min_size=n, max_size=n),
+                                      min_size=1, max_size=12)))
+    elif kind == "walk":
+        steps = np.array(draw(st.lists(st.lists(_coord, min_size=n, max_size=n),
+                                       min_size=1, max_size=150)))
+        poly = np.cumsum(steps, axis=0)
+        for i in draw(st.lists(st.integers(1, len(poly) - 1), max_size=5)
+                      if len(poly) > 1 else st.just([])):
+            poly[i] = poly[i - 1]
+    elif kind == "collinear":
+        ts = draw(st.lists(_coord, min_size=1, max_size=80))
+        direction = np.array(draw(st.lists(_lattice, min_size=n, max_size=n))) + 0.25
+        poly = np.outer(ts, direction) + 1.0
+    elif kind == "circle":
+        t = np.linspace(0.0, 2.0 * np.pi, draw(st.integers(4, 400)))
+        poly = np.zeros((len(t), n))
+        poly[:, 0], poly[:, 1] = np.cos(t), np.sin(t)
+    elif kind == "square":
+        poly = np.zeros((5, n))
+        poly[:, :2] = [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 1]]
+    else:
+        t = np.linspace(0.0, 3.0, 10_000)
+        freq = draw(st.floats(0.5, 8.0))
+        poly = np.zeros((len(t), n))
+        poly[:, 0], poly[:, 1] = t, np.sin(freq * t)
+    queries = [np.zeros(n)]  # the centre of the circle and the square
+    queries += draw(st.lists(st.lists(_lattice, min_size=n, max_size=n), max_size=12))
+    queries += draw(st.lists(st.lists(_coord, min_size=n, max_size=n), max_size=12))
+    picks = draw(st.lists(st.integers(0, len(poly) - 1), max_size=12))
+    queries += [poly[i] for i in picks]  # exact vertex hits
+    queries += [poly[i] + 1e-9 for i in picks]
+    queries += [1e6 * np.array(draw(st.lists(_lattice, min_size=n, max_size=n)))]
+    return np.array(queries, dtype=float), poly
+
+
+@given(_polyline_case())
+@settings(max_examples=300, deadline=None)
+def test_pruned_distances_equal_dense_oracle(case):
+    queries, poly = case
+    d, arcs = _polyline_distances(queries, poly)
+    d_ref, arcs_ref = dense_polyline_distances(queries, poly)
+    assert np.array_equal(d, d_ref) and np.array_equal(arcs, arcs_ref)

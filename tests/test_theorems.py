@@ -176,3 +176,18 @@ def test_reports_are_deterministic(sw2_weak):
     c = verify_theorem2(sw2_weak, trajectory_count=2, trajectory_steps=150,
                         seed=124).to_json()
     assert json.loads(c)["seed"] == 124
+
+
+def test_trajectory_claim_needs_half_the_samples(sw2):
+    # a step of 8.0 leaves the box at once: every curve keeps one of the
+    # 801 samples asked for, so no start counts as evidence
+    from dualgeo.theorems import VerificationReport, _trajectory_claim
+    report = VerificationReport(sw2.name, "theorem1", {}, 0)
+    claim = _trajectory_claim(report, "t1.trajectories.plus", "short curves",
+                              sw2, sw2.connection("+T"), sw2.connection("+B"),
+                              np.random.default_rng(0), count=10, steps=800, h=8.0)
+    assert claim.residual == np.inf and not claim.ok
+    assert len(report.notes) == 10
+    assert report.notes[3] == (
+        "t1.trajectories.plus: start 3 kept 1 and 1 of 801 samples (exit reasons "
+        "domain_exit, domain_exit); fewer than half, so the residual is inf")
