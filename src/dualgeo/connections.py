@@ -2,7 +2,9 @@
 semi-compatibility, Ricci symmetry.
 
 A connection is its coefficient function ``x -> Gamma[k, i, j]`` plus the base
-metric.  All verdict-producing tests are grid-evidence: they evaluate pointwise
+metric.  Coefficient functions take a point or a ``(..., n)`` stack of points
+and return ``(..., n, n, n)``, so an integrator can evaluate many states in
+one call.  All verdict-producing tests are grid-evidence: they evaluate pointwise
 residuals on the sample points they are given and report the maximum, so a
 "true" verdict always comes with the residual and the points that produced it.
 
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Metric
+from .geometry import Metric, matvec
 from .jets import FD_STEP_SCALE
 
 TORSION_TOL = 1e-10
@@ -35,7 +37,8 @@ class TorsionError(ConnectionError_):
 class AffineConnection:
     """Coefficient-function-backed connection on the chart of ``metric``.
 
-    ``coefficients(x)`` returns ``Gamma[k, i, j]``.  ``jacobian(x)`` returns
+    ``coefficients(x)`` returns ``Gamma[k, i, j]``; for points of shape
+    ``(..., n)`` it returns ``(..., n, n, n)``.  ``jacobian(x)`` returns
     ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}``; when no analytic jacobian is
     supplied it falls back to central differences of the coefficients with
     step ``cbrt(eps) * (1 + |x_a|)``.
@@ -95,20 +98,24 @@ def from_difference(g: Metric, sign: int,
     """Connection ``Gamma_LC -/+ A`` for sign +1/-1 (the plus connection
     subtracts the tensor).
 
-    ``tensor_fn(x)`` must return ``A[k, i, j]`` symmetric in ``(i, j)``; an
-    asymmetric tensor is rejected, at the probe point immediately and at every
-    later evaluation.
+    ``tensor_fn(x)`` must return ``A[k, i, j]`` symmetric in ``(i, j)``, for a
+    point or over the leading axes of a stack of points; an asymmetric tensor
+    is rejected, at the probe point immediately and at every later evaluation,
+    and the error names the first point of a stack that fails.
     """
     if sign not in (+1, -1):
         raise ConnectionError_(f"sign must be +1 or -1, got {sign}")
     factor = -float(sign)
 
     def check(a: np.ndarray, x) -> np.ndarray:
-        asym = np.max(np.abs(a - np.einsum("kji->kij", a)))
-        if asym > TORSION_TOL:
+        asym = np.max(np.abs(a - np.einsum("...kji->...kij", a)), axis=(-3, -2, -1))
+        bad = asym > TORSION_TOL
+        if np.any(bad):
+            first = int(np.argmax(bad.ravel()))
+            point = np.asarray(x).reshape(-1, g.n)[first] if np.ndim(bad) else x
             raise TorsionError(
                 f"difference tensor asymmetric in its covariant pair "
-                f"(defect {asym:.3e} at {x})")
+                f"(defect {asym.ravel()[first]:.3e} at {point})")
         return a
 
     def coeff(x):
@@ -131,8 +138,9 @@ def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,
     """The dual-projectively equivalent connection Gamma + beta^sharp (x) g."""
 
     def coeff(x):
-        beta_sharp = g.inverse(x) @ np.asarray(beta_fn(x), dtype=float)
-        return conn.coefficients(x) + np.einsum("k,ij->kij", beta_sharp, g.value(x))
+        beta_sharp = matvec(g.inverse(x), np.asarray(beta_fn(x), dtype=float))
+        return conn.coefficients(x) + np.einsum("...k,...ij->...kij", beta_sharp,
+                                                g.value(x))
 
     return AffineConnection(g, coeff, tag)
 

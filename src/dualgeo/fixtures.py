@@ -25,7 +25,7 @@ import numpy as np
 from . import conventions as conv
 from .connections import AffineConnection, levi_civita
 from .expressions import ParseError
-from .geometry import Metric, ScalarField, TensorField, grid_points
+from .geometry import Metric, ScalarField, TensorField, grid_points, matvec, stack_rows
 from .structure import (
     PotentialFamily, StructureSolver, bertrand_darboux_check, decompose,
     killing_check, poisson_check, t_from_prolongation,
@@ -101,16 +101,26 @@ class Fixture:
 
     # --- structure fields -----------------------------------------------------
 
+    def _solved(self, solve, x) -> np.ndarray:
+        """A recovered field at a point, or at each point of a (..., n) stack."""
+        if np.ndim(x) == 1:
+            return solve(x)[0]
+        return stack_rows(lambda pt: (solve(pt)[0],), x)[0]
+
     def structure_tensor(self, x) -> np.ndarray:
-        """T[k,i,j]; for semi-degenerate fixtures the extracted D - (1/n) g (x) s_sharp."""
+        """T[k,i,j]; for semi-degenerate fixtures the extracted D - (1/n) g (x) s_sharp.
+
+        Like every structure accessor here, it also takes a (..., n) stack of
+        points and returns the stacked values.
+        """
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.value(x).components
-            return self.solver.structure_tensor(x)[0]
+            return self._solved(self.solver.structure_tensor, x)
         D = self.prolongation_tensor(x)
         gmat = self.metric.value(x)
         s_up = self.s_vector(x)
-        return D - np.einsum("ij,k->kij", gmat, s_up) / self.n
+        return D - np.einsum("...ij,...k->...kij", gmat, s_up) / self.n
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         if self.kind == "nondegenerate":
@@ -129,7 +139,7 @@ class Fixture:
             return self.structure_D.value(x).components
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no prolongation data")
-        return self.solver.prolongation_tensor(x)[0]
+        return self._solved(self.solver.prolongation_tensor, x)
 
     def prolongation_jacobian(self, x) -> np.ndarray:
         if self.structure_D is not None:
@@ -142,7 +152,7 @@ class Fixture:
             return self.structure_s.value(x).components
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
-        return self.solver.s_vector(x)[0]
+        return self._solved(self.solver.s_vector, x)
 
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
@@ -235,6 +245,7 @@ class Fixture:
             conn = levi_civita(g)
         elif tag in ("+T", "-T", "+B", "-B"):
             sign = +1.0 if tag[0] == "+" else -1.0
+            t_coef, b_coef = conv.t_coefficient(n), conv.b_coefficient(n)
 
             def tensor(x, _with_b=(tag[1] == "B")):
                 T = self.structure_tensor(x)
@@ -242,9 +253,8 @@ class Fixture:
                     return T
                 # tau of the (possibly extracted) structure tensor gives t for
                 # both fixture kinds, so T is evaluated exactly once
-                t_up = conv.t_coefficient(n) * (g.inverse(x) @ np.einsum("iij->j", T))
-                return T + conv.b_coefficient(n) * np.einsum(
-                    "ij,k->kij", g.value(x), t_up)
+                t_up = t_coef * matvec(g.inverse(x), np.einsum("...iij->...j", T))
+                return T + b_coef * np.einsum("...ij,...k->...kij", g.value(x), t_up)
 
             def coeff(x, _sign=sign):
                 return g.christoffel(x) - _sign * tensor(x)
@@ -271,7 +281,7 @@ class Fixture:
             def coeff(x):
                 gamma = g.christoffel(x) - self.prolongation_tensor(x)
                 return gamma + conv.DAGGER_TRACE_SIGN * np.einsum(
-                    "k,ij->kij", self.s_vector(x), g.value(x)) / n
+                    "...k,...ij->...kij", self.s_vector(x), g.value(x)) / n
 
             conn = AffineConnection(g, coeff, "dagger")
         elif tag in ("+F", "-F"):
@@ -287,9 +297,11 @@ class Fixture:
                 gmat = g.value(x)
                 ginv = g.inverse(x)
                 T = self.structure_tensor(x)
-                t_up = conv.t_coefficient(n) * (ginv @ np.einsum("iij->j", T))
-                F = (T + conv.b_coefficient(n) * np.einsum("ij,k->kij", gmat, t_up)
-                     + np.einsum("kl,ijl->kij", ginv,
+                t_up = conv.t_coefficient(n) * matvec(ginv,
+                                                      np.einsum("...iij->...j", T))
+                F = (T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij",
+                                                           gmat, t_up)
+                     + np.einsum("...kl,...ijl->...kij", ginv,
                                  sym_product_metric_form(gmat, _z.gradient(x)))
                      / (2.0 * (n - 2)))
                 return g.christoffel(x) - _sign * F
@@ -315,7 +327,7 @@ class Fixture:
             if with_b:
                 gmat, dgmat, _ = g.jets(x)
                 ginv = g.inverse(x)
-                dginv = -np.einsum("ip,apq,qj->aij", ginv, dgmat, ginv)
+                dginv = g.inverse_jacobian(x)
                 T = self.structure_tensor(x)
                 tau = np.einsum("iij->j", T)
                 dtau = np.einsum("aiij->aj", dT)
@@ -605,7 +617,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
             fail("metric-conditioning", str(exc), x)
             continue
         if fixture.family is not None:
-            rank = fixture.family.gradient_rank(g, x)
+            rank = fixture.family.gradient_rank(x)
             if rank < n:
                 fail("family-span",
                      f"potential gradients span only {rank} of {n} directions", x)

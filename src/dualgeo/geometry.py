@@ -1,6 +1,10 @@
 """Metric-dependent calculus on a coordinate chart.
 
 The chart is fixed; everything is a dense numpy computation at a point.
+``Metric.jets``, ``value``, ``inverse`` and ``christoffel``, and
+``TensorField.value``, also take a stack of points of shape ``(..., n)`` and
+return arrays with the same leading axes: each point runs through the same
+compiled program, and the rows are stacked once.
 Christoffel symbols are stored as ``Gamma[k, i, j]`` = Gamma^k_{ij}, curvature
 as ``R[l, k, i, j]`` = R^l_{kij} (so ``Ric_{kj} = R[i, k, i, j]``), and
 covariant derivatives prepend the derivative index.  Curvature is assembled
@@ -17,9 +21,10 @@ output.
 Everything is observably pure in (field, point), so grid sweeps may run in
 parallel workers as long as reductions keep a fixed order.  The internal state
 is each field's compiled program, which is built at most once per worker and
-never changes after, and a most-recent-point memo on Metric (constant metrics
-cache everything); the memo swaps an immutable tuple atomically, so
-concurrent readers see either the old or the new entry, never a mix.
+never changes after, and a most-recent-point (or most-recent-batch) memo on
+Metric (constant metrics cache everything); the memo swaps an immutable tuple
+atomically, so concurrent readers see either the old or the new entry, never
+a mix.
 """
 
 from __future__ import annotations
@@ -40,6 +45,27 @@ class GeometryError(ValueError):
 
 class SingularMetricError(GeometryError):
     pass
+
+
+def stack_rows(fn, x) -> list[np.ndarray]:
+    """``fn`` at each point of a ``(..., n)`` stack, every output stacked once.
+
+    ``fn`` maps one point to a tuple of arrays.
+    """
+    pts = np.asarray(x, dtype=float)
+    rows = [fn(pt) for pt in pts.reshape(-1, pts.shape[-1])]
+    return [np.stack(col).reshape(pts.shape[:-1] + col[0].shape) for col in zip(*rows)]
+
+
+def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` over stacks of matrices and vectors (both numpy arrays).
+
+    A stack goes through ``matmul`` as ``(..., n, 1)`` columns, which rounds
+    each row exactly as the single-point ``a @ v`` does.
+    """
+    if a.ndim == 2 and v.ndim == 1:
+        return a @ v
+    return (a @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -67,7 +93,10 @@ class ScalarField:
         return self._program.jets(x, 3)[0]
 
     def gradient(self, x) -> np.ndarray:
-        return self.jet2(x).grad
+        """d_a of the field at a point, or stacked over the leading axes of x."""
+        if np.ndim(x) == 1:
+            return self.jet2(x).grad
+        return stack_rows(lambda pt: (self.jet2(pt).grad,), x)[0]
 
 
 @dataclass(frozen=True)
@@ -75,15 +104,16 @@ class TensorValue:
     """Dense components at a point plus explicit slot variances.
 
     ``variance`` holds one entry per slot, "up" (contravariant) or "down"
-    (covariant), in storage order.  Contractions in this package name slots
-    through these records rather than by implicit position.
+    (covariant), in storage order; the slots are the trailing axes of
+    ``components``, after any leading point axes.  Contractions in this
+    package name slots through these records rather than by implicit position.
     """
 
     components: np.ndarray
     variance: tuple[str, ...]
 
     def __post_init__(self):
-        if self.components.ndim != len(self.variance):
+        if self.components.ndim < len(self.variance):
             raise GeometryError(
                 f"variance {self.variance} does not match array of rank "
                 f"{self.components.ndim}")
@@ -93,7 +123,7 @@ class TensorValue:
 
     @property
     def rank(self) -> int:
-        return self.components.ndim
+        return len(self.variance)
 
 
 class Metric:
@@ -117,10 +147,11 @@ class Metric:
         self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self._program: Program | None = None
         self._cache: dict = {}
+        self._broadcasts: dict = {}
         if self._constant:
             # every derived pointwise quantity is position-independent
             x0 = np.zeros(n)
-            self._cache["jets"] = self._eval_jets(x0)
+            self._cache["g"], self._cache["dg"], self._cache["d2g"] = self._eval_jets(x0)
             self._cache["inverse"] = self._checked_inverse(x0)
             self._cache["christoffel"] = self._christoffel_uncached(x0)
             self._cache["christoffel_jacobian"] = self._christoffel_jacobian_uncached(x0)
@@ -137,6 +168,8 @@ class Metric:
 
     def _eval_jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(g, dg, d2g) with dg[a,i,j] = d_a g_ij and d2g[a,b,i,j]."""
+        if np.ndim(x) > 1:
+            return tuple(stack_rows(self._eval_jets, x))
         n = self.n
         if self._program is None:
             self._program = compile([self.comps[i][j] for i, j in self._pairs])
@@ -149,41 +182,64 @@ class Metric:
             d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
         return g, dg, d2g
 
-    def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._constant:
-            return self._cache["jets"]
-        # memoize the most recent point: one integrator step touches the same
-        # point through value/inverse/christoffel several times
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._cache.get("last_jets")
+    def _memo(self, name: str, fn, x):
+        # memoize the most recent point or batch: one integrator step touches
+        # the same points through value/inverse/christoffel several times
+        pts = np.asarray(x, dtype=float)
+        key = (pts.shape, pts.tobytes())
+        hit = self._cache.get(name)
         if hit is not None and hit[0] == key:
             return hit[1]
-        result = self._eval_jets(x)
-        self._cache["last_jets"] = (key, result)
+        result = fn(pts)
+        self._cache[name] = (key, result)
         return result
 
+    def _fixed(self, name: str, x) -> np.ndarray:
+        """A cached quantity of a constant metric, over the leading axes of x.
+
+        The read-only broadcast view of the most recent batch shape is kept.
+        """
+        fixed = self._cache[name]
+        lead = (x.shape if isinstance(x, np.ndarray) else np.shape(x))[:-1]
+        if not lead:
+            return fixed
+        shape = lead + fixed.shape
+        view = self._broadcasts.get(name)
+        if view is None or view.shape != shape:
+            view = self._broadcasts[name] = np.broadcast_to(fixed, shape)
+        return view
+
+    def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._constant:
+            return self._fixed("g", x), self._fixed("dg", x), self._fixed("d2g", x)
+        return self._memo("last_jets", self._eval_jets, x)
+
     def value(self, x) -> np.ndarray:
+        if self._constant:
+            return self._fixed("g", x)
         return self.jets(x)[0]
 
     def _checked_inverse(self, x) -> np.ndarray:
         g = self.value(x)
         cond = np.linalg.cond(g)
-        if not np.isfinite(cond) or cond > self.condition_bound:
+        bad = ~np.isfinite(cond) | (cond > self.condition_bound)
+        if bad.any():
+            first = int(np.argmax(bad.ravel()))
             raise SingularMetricError(
-                f"metric condition number {cond:.3e} exceeds bound "
-                f"{self.condition_bound:.1e} at {np.asarray(x)}")
+                f"metric condition number {cond.ravel()[first]:.3e} exceeds bound "
+                f"{self.condition_bound:.1e} at "
+                f"{np.asarray(x, dtype=float).reshape(-1, self.n)[first]}")
         return np.linalg.inv(g)
 
     def inverse(self, x) -> np.ndarray:
         if self._constant:
-            return self._cache["inverse"]
-        key = np.asarray(x, dtype=float).tobytes()
-        hit = self._cache.get("last_inverse")
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        result = self._checked_inverse(x)
-        self._cache["last_inverse"] = (key, result)
-        return result
+            return self._fixed("inverse", x)
+        return self._memo("last_inverse", self._checked_inverse, x)
+
+    def inverse_jacobian(self, x) -> np.ndarray:
+        """dginv[a,i,j] = d_a g^{ij} = -(g^{-1} (d_a g) g^{-1})^{ij} at a point."""
+        ginv = self.inverse(x)
+        return -np.einsum("ip,apq,qj->aij", ginv, self.jets(x)[1], ginv)
 
     def sqrt_det(self, x) -> float:
         det = np.linalg.det(self.value(x))
@@ -194,22 +250,22 @@ class Metric:
     # --- connection and curvature -------------------------------------------
 
     def _christoffel_uncached(self, x) -> np.ndarray:
-        g, dg, _ = self.jets(x)
+        _, dg, _ = self.jets(x)
         ginv = self.inverse(x)
-        bracket = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg)
-                   - np.einsum("lij->lij", dg))
-        return 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
+        bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+                   - dg)
+        return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
 
     def christoffel(self, x) -> np.ndarray:
         """Gamma[k,i,j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
         if self._constant:
-            return self._cache["christoffel"]
+            return self._fixed("christoffel", x)
         return self._christoffel_uncached(x)
 
     def _christoffel_jacobian_uncached(self, x) -> np.ndarray:
-        g, dg, d2g = self.jets(x)
+        _, dg, d2g = self.jets(x)
         ginv = self.inverse(x)
-        dginv = -np.einsum("ip,apq,qj->aij", ginv, dg, ginv)
+        dginv = self.inverse_jacobian(x)
         bracket = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
         dbracket = (np.einsum("aijl->alij", d2g) + np.einsum("ajil->alij", d2g)
                     - np.einsum("alij->alij", d2g))
@@ -217,7 +273,7 @@ class Metric:
                       + np.einsum("kl,alij->akij", ginv, dbracket))
 
     def christoffel_jacobian(self, x) -> np.ndarray:
-        """dGamma[a,k,i,j] = d_a Gamma^k_{ij}, from analytic d2g."""
+        """dGamma[a,k,i,j] = d_a Gamma^k_{ij}, from analytic d2g, at a point."""
         if self._constant:
             return self._cache["christoffel_jacobian"]
         return self._christoffel_jacobian_uncached(x)
@@ -235,9 +291,6 @@ class Metric:
 
     def ricci(self, x) -> np.ndarray:
         return np.einsum("ikij->kj", self.riemann(x))
-
-    def scalar_curvature(self, x) -> float:
-        return float(np.einsum("ij,ij->", self.inverse(x), self.ricci(x)))
 
 
 def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
@@ -278,7 +331,7 @@ def laplacian_divergence_form(g: Metric, V: ScalarField, x) -> float:
     ginv = g.inverse(x)
     jet = V.jet2(x)
     sqrtdet = g.sqrt_det(x)
-    dginv = -np.einsum("ip,apq,qj->aij", ginv, dg, ginv)
+    dginv = g.inverse_jacobian(x)
     # d_a sqrt(det g) = 1/2 sqrt(det g) tr(g^{-1} d_a g)
     dsqrt = 0.5 * sqrtdet * np.einsum("ij,aji->a", ginv, dg)
     flux_div = (np.einsum("i,ij,j->", dsqrt, ginv, jet.grad)
@@ -337,8 +390,13 @@ class TensorField:
         return compile(self.comps.ravel())
 
     def value(self, x) -> TensorValue:
-        out = np.array(self._program.values(x)).reshape(self.comps.shape)
-        return TensorValue(out, self.variance)
+        """Components at a point, or stacked over the leading axes of x."""
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim == 1:
+            out = np.array(self._program.values(x))
+        else:
+            out = np.array([self._program.values(pt) for pt in pts.reshape(-1, self.n)])
+        return TensorValue(out.reshape(pts.shape[:-1] + self.comps.shape), self.variance)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components."""

@@ -57,7 +57,7 @@ class PotentialFamily:
     def size(self) -> int:
         return len(self.potentials)
 
-    def gradient_rank(self, g: Metric, x, rcond: float = RECOVERY_RCOND) -> int:
+    def gradient_rank(self, x, rcond: float = RECOVERY_RCOND) -> int:
         grads = np.array([V.gradient(x) for V in self.potentials])
         return int(np.linalg.matrix_rank(grads, tol=rcond * max(1.0, np.max(np.abs(grads)))))
 
@@ -178,7 +178,7 @@ class StructureSolver:
         x = np.asarray(x, dtype=float)
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        dginv = -np.einsum("ip,apq,qj->aij", ginv, dgmat, ginv)
+        dginv = g.inverse_jacobian(x)
         gamma = g.christoffel(x)
         dgamma = g.christoffel_jacobian(x)
 
@@ -486,9 +486,11 @@ def q_hat_ingredients(g: Metric, T: np.ndarray, dT: np.ndarray, x) -> QHatData:
 
 
 def sym_product_metric_form(gmat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Pi_sym(g (x) w)_{ijk} = g_ij w_k + g_jk w_i + g_ki w_j."""
-    return (np.einsum("ij,k->ijk", gmat, w) + np.einsum("jk,i->ijk", gmat, w)
-            + np.einsum("ki,j->ijk", gmat, w))
+    """Pi_sym(g (x) w)_{ijk} = g_ij w_k + g_jk w_i + g_ki w_j, at a point or
+    over leading point axes."""
+    return (np.einsum("...ij,...k->...ijk", gmat, w)
+            + np.einsum("...jk,...i->...ijk", gmat, w)
+            + np.einsum("...ki,...j->...ijk", gmat, w))
 
 
 @dataclass
@@ -550,9 +552,8 @@ def bertrand_darboux_check(g: Metric, K: TensorField, V: ScalarField,
     """max ||d omega|| for omega_i = K^j_i (d_j V) dx^i."""
     worst = 0.0
     for x in points:
-        gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        dginv = -np.einsum("ip,apq,qj->aij", ginv, dgmat, ginv)
+        dginv = g.inverse_jacobian(x)
         kvals, dk = K.jets(x)
         jet = V.jet2(x)
         k_mixed = np.einsum("mk,kj->mj", ginv, kvals)            # K^m_j
@@ -572,9 +573,8 @@ def poisson_check(g: Metric, V: ScalarField, K: TensorField, W: ScalarField,
     """
     worst = 0.0
     for x in points:
-        gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        dginv = -np.einsum("ip,apq,qj->aij", ginv, dgmat, ginv)
+        dginv = g.inverse_jacobian(x)
         kvals, dk = K.jets(x)
         k_up = np.einsum("ia,jb,ab->ij", ginv, ginv, kvals)
         dk_up = (np.einsum("mia,jb,ab->mij", dginv, ginv, kvals)

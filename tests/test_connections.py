@@ -236,3 +236,38 @@ def test_ricci_symmetry_broken_by_nonclosed_trace(euclid2):
     conn = AffineConnection(euclid2, coeff, "nonclosed")
     pts = [np.array([0.3, 0.7]), np.array([-0.2, 0.4])]
     assert connection_ricci_symmetry_check(conn, pts) > 1e-3
+
+
+def _recovered_sw2():
+    from dualgeo.fixtures import builtin_config, from_config
+    cfg = builtin_config("sw2")
+    del cfg["structure"]
+    return from_config(cfg, validate_on_load=False)
+
+
+@pytest.mark.parametrize("name", ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic",
+                                  "sphere3-trivial", "sw2-recovered"])
+def test_coefficients_on_stacked_points_equal_single_points(name):
+    fixture = _recovered_sw2() if name == "sw2-recovered" else builtin(name)
+    points = np.stack(fixture.grid(3))
+    for tag in fixture.available_connections():
+        conn = fixture.connection(tag)
+        single = np.stack([conn.coefficients(x) for x in points])
+        batch = conn.coefficients(points)
+        assert batch.shape == single.shape, tag
+        assert batch.tobytes() == single.tobytes(), tag
+        # a (1, n) stack is a batch too
+        assert conn.coefficients(points[:1]).shape == (1,) + single.shape[1:]
+
+
+def test_from_difference_names_first_asymmetric_point(euclid2):
+    def tensor(x):
+        a = np.zeros(np.shape(x)[:-1] + (2, 2, 2))
+        a[..., 0, 0, 1] = np.asarray(x)[..., 0]   # asymmetric where x1 != 0
+        return a
+
+    conn = from_difference(euclid2, +1, tensor)
+    points = np.array([[0.0, 1.0], [0.0, 2.0], [0.25, 3.0], [0.5, 4.0]])
+    with pytest.raises(TorsionError, match=r"defect 2\.500e-01 at \[0\.25 3\.  \]"):
+        conn.coefficients(points)
+    assert conn.coefficients(points[:2]).shape == (2, 2, 2, 2)

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualgeo.connections import levi_civita
+from dualgeo.connections import AffineConnection, levi_civita
+from dualgeo.expressions import EvalDomainError
+from dualgeo.fixtures import builtin, builtin_names
 from dualgeo.geodesics import (
     QUERY_BLOCK, Trajectory, _polyline_distances, curves_coincide,
-    integrate_dual_geodesic, read_csv, reparametrization_check,
+    integrate_dual_geodesic, integrate_dual_geodesics, read_csv,
+    reparametrization_check,
 )
 from dualgeo.geometry import Metric
+from dualgeo.theorems import _seeded_initial_conditions
 from oracles import dense_polyline_distances
 
 
@@ -176,6 +180,69 @@ def test_lc_dual_geodesics_are_great_circles(sphere3, rng):
         assert np.max(np.abs(np.diff(speeds))) < 1e-9
 
 
+def _assert_rows_equal_single_runs(conn, g, x0s, w0s, steps, h, **kw):
+    batch = integrate_dual_geodesics(conn, g, x0s, w0s, steps, h, **kw)
+    assert len(batch) == len(x0s)
+    for row, x0, w0 in zip(batch, x0s, w0s):
+        alone = integrate_dual_geodesic(conn, g, x0, w0, steps, h, **kw)
+        assert row.exit_reason == alone.exit_reason
+        for got, want in ((row.tau, alone.tau), (row.x, alone.x), (row.p, alone.p)):
+            # bit for bit, NaN and signed zeros included
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_batched_rows_equal_single_runs_on_claim_starts(name):
+    # the seeded starts and connection pairs of the fixture's trajectory
+    # claims, shortened to 40 steps
+    fixture = builtin(name)
+    starts = _seeded_initial_conditions(fixture, np.random.default_rng(7), 10)
+    tags = ("+D", "-D", "+T", "-T") if fixture.is_semidegenerate else ("+T", "-T", "+B", "-B")
+    for tag in tags:
+        batch = _assert_rows_equal_single_runs(
+            fixture.connection(tag), fixture.metric, [x0 for x0, _ in starts],
+            [w0 for _, w0 in starts], 40, 1e-3, box=fixture.box,
+            singular_loci=fixture.singular_loci)
+        assert all(t.exit_reason == "completed" for t in batch)
+
+
+def test_batched_rows_halt_independently(euclid2):
+    # straight lines (zero coefficients) except where a test region makes the
+    # coefficients NaN (x1 > 0.6) or raise (x2 < -0.6025); every row stops
+    # for a different reason at a different step
+    def coeff(x):
+        x = np.asarray(x)
+        if np.any(x[..., 1] < -0.6025):
+            raise EvalDomainError("test region", "x2")
+        nan = np.where(x[..., 0] > 0.6, np.nan, 0.0)
+        return np.zeros(x.shape + (2, 2)) + nan[..., None, None, None]
+
+    conn = AffineConnection(euclid2, coeff, "regions")
+    x0s = [[0.0, 0.0], [0.0, 0.5], [-0.2, 0.0], [0.3, -0.3], [0.2, -0.4]]
+    w0s = [[0.1, 0.1], [0.0, 1.0], [-1.0, 0.0], [0.5, 0.0], [0.0, -1.0]]
+    batch = _assert_rows_equal_single_runs(
+        conn, euclid2, x0s, w0s, 100, 0.01, box=[(-1.0, 1.0), (-1.0, 1.0)],
+        singular_loci=[(0, -0.5)])
+    assert [t.exit_reason for t in batch] == [
+        "completed", "domain_exit", "singular_margin", "nonfinite", "domain_exit"]
+    lengths = [len(t.tau) for t in batch]
+    assert lengths[0] == 101 and len(set(lengths)) == 5, lengths
+    # the raising row stops at a stage point inside a step: its last sample
+    # is still on the allowed side
+    assert batch[4].x[-1][1] >= -0.6025
+
+
+def test_batched_starts_must_match(euclid2):
+    conn = levi_civita(euclid2)
+    with pytest.raises(ValueError, match="one shape"):
+        integrate_dual_geodesics(conn, euclid2, [[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]],
+                                 10, 0.01)
+    with pytest.raises(ValueError, match="nonzero"):
+        integrate_dual_geodesics(conn, euclid2, [[0.0, 0.0], [1.0, 0.0]],
+                                 [[1.0, 0.0], [0.0, 0.0]], 10, 0.01)
+
+
 def test_trajectory_monotone_parameter_guard():
     with pytest.raises(ValueError, match="strictly increasing"):
         Trajectory(np.array([0.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2)), "LC", 0.1)
@@ -219,13 +286,14 @@ def test_blocked_distances_equal_dense_formula(rng, queries, segments, n):
 
 
 def test_curve_comparison_memory_is_linear_in_samples():
-    # two 10^4-sample collinear segments overlapping on 5 % of their length:
-    # each direction compares ~500 overlap samples with 10^4 segments
+    # two 10^4-sample collinear segments overlapping on 55 % of their length
+    # (a smaller share fails by MIN_OVERLAP): each direction compares ~5500
+    # overlap samples with 10^4 segments
     m = 10_000
     t = np.linspace(0.0, 1.0, m)
     line = np.stack([t, np.zeros(m)], axis=1)
     a = Trajectory(t, line, np.zeros_like(line), "a", 1.0 / m)
-    b = Trajectory(t, line + [0.95, 0.0], np.zeros_like(line), "b", 1.0 / m)
+    b = Trajectory(t, line + [0.45, 0.0], np.zeros_like(line), "b", 1.0 / m)
     tracemalloc.start()
     try:
         cmp = curves_coincide(a, b, 1e-9)
@@ -235,7 +303,7 @@ def test_curve_comparison_memory_is_linear_in_samples():
     assert cmp.coincide
     # a block's dense temporaries hold at most (3n + 5) doubles per
     # query-segment pair; allowing twice that, the bound is 113 MB, where
-    # all ~500 overlap queries at once would take 440 MB
+    # all ~5500 overlap queries at once would take 4.8 GB
     assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
 
 
@@ -269,6 +337,26 @@ def test_empty_overlap_fails():
     cmp = curves_coincide(a, b, 1e-6)
     assert cmp.dist_a_to_b == math.inf and cmp.dist_b_to_a == 0.0
     assert not cmp.coincide
+
+
+def _segment_trajectory(start: float, samples: int = 101) -> Trajectory:
+    t = np.linspace(0.0, 1.0, samples)
+    return Trajectory(t, np.stack([start + t, np.zeros(samples)], axis=1),
+                      np.zeros((samples, 2)), "line", t[1])
+
+
+def test_small_overlap_fails():
+    # b continues a along the same line and shares only a's last tenth; the
+    # shared points coincide exactly, so only the overlap share tells them apart
+    cmp = curves_coincide(_segment_trajectory(0.0), _segment_trajectory(0.9), 1e-6)
+    assert cmp.dist_a_to_b == math.inf and cmp.dist_b_to_a == math.inf
+    assert not cmp.coincide
+
+
+def test_overlap_of_most_samples_passes():
+    # sharing 60 of 101 samples clears the MIN_OVERLAP share
+    cmp = curves_coincide(_segment_trajectory(0.0), _segment_trajectory(0.4), 1e-6)
+    assert cmp.coincide and cmp.dist_a_to_b == 0.0 and cmp.dist_b_to_a == 0.0
 
 
 _coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)

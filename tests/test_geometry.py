@@ -191,3 +191,35 @@ def test_condition_number_guard():
     g = Metric.from_sources([["x1", "0"], ["0", "1"]], condition_bound=1e3)
     with pytest.raises(Exception, match="condition number"):
         g.inverse((1e-6, 0.0))
+
+
+@pytest.mark.parametrize("fixture_name", ["sw2", "sphere3-trivial"])
+def test_metric_on_stacked_points_equals_single_points(fixture_name):
+    from dualgeo.fixtures import builtin
+    g = builtin(fixture_name).metric
+    points = np.stack(builtin(fixture_name).grid(3))
+    for method in (g.value, g.inverse, g.christoffel, *((lambda x: g.jets(x)[k])
+                                                        for k in (1, 2))):
+        single = np.stack([method(x) for x in points])
+        batch = method(points)
+        assert batch.shape == single.shape
+        assert batch.tobytes() == single.tobytes()
+
+
+def test_singular_metric_error_names_first_bad_point():
+    from dualgeo.geometry import SingularMetricError
+    g = Metric.from_sources([["x1", "0"], ["0", "1"]], condition_bound=1e3)
+    points = np.array([[1.0, 0.0], [1e-6, 0.5], [1e-7, 0.7]])
+    with pytest.raises(SingularMetricError, match=r"at \[1.e-06 5.e-01\]"):
+        g.inverse(points)
+
+
+def test_tensor_field_on_stacked_points_equals_single_points():
+    T = TensorField.from_sources([[["x1*x2", "1/x1"], ["x2^2", "0"]],
+                                  [["sin(x1)", "x1"], ["2", "x2"]]],
+                                 ("up", "down", "down"), 2)
+    points = np.array([[0.5, 1.0], [1.5, -2.0], [3.0, 0.25]])
+    batch = T.value(points)
+    assert batch.components.shape == (3, 2, 2, 2) and batch.rank == 3
+    single = np.stack([T.value(x).components for x in points])
+    assert batch.components.tobytes() == single.tobytes()
