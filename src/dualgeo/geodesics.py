@@ -15,9 +15,10 @@ declared singular locus, or stops being finite.
 All the starts of a trajectory claim advance together as the rows of one
 (m, n) position and covelocity state, so each RK4 stage evaluates the metric
 and the connection once for every running row.  After each step one test
-over the rows checks finiteness, then the box, then the singular margin, so a
-row gets the exit reason a lone run would; halted rows keep the samples taken
-so far and drop out of the state.  If a stage raises a domain error
+over the rows checks finiteness (of the position and the covelocity), then
+the box, then the singular margin, so a row gets the exit reason a lone run
+would; halted rows keep the samples taken so far and drop out of the state,
+so every kept sample is finite.  If a stage raises a domain error
 (EvalDomainError, SingularMetricError or LinAlgError), that step is redone
 one row at a time: the rows that raise exit with ``domain_exit``, the others
 go on.  Every operation rounds each row as it would round a single point, so
@@ -223,13 +224,16 @@ def integrate_dual_geodesics(conn: AffineConnection, g: Metric, x0s, w0s,
             p = np.concatenate([pr for _, _, pr in done])
         tau += h
         taus[step] = tau
-        go = _ALL((x >= lo_fast) & (x <= hi_fast), axis=1)
+        # x + 0.0 * p equals x where p is finite and is NaN where it is not,
+        # so the same test halts a row whose covelocity stopped being finite
+        xp = x + 0.0 * p
+        go = _ALL((xp >= lo_fast) & (xp <= hi_fast), axis=1)
         if len(axes):
             go &= _ALL(np.abs(x.take(axes, axis=1) - values) >= SINGULAR_HALT_MARGIN,
                        axis=1)
         if not _ALL(go):
             for r in np.flatnonzero(~go):
-                if not np.isfinite(x[r]).all():
+                if not np.isfinite(xp[r]).all():
                     exits[rows[r]] = "nonfinite"
                 elif not ((lo <= x[r]) & (x[r] <= hi)).all():
                     exits[rows[r]] = "domain_exit"

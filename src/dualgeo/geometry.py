@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import Expression, is_constant, parse
-from .jets import Jet, Program, compile
+from .jets import Jet, Program, compile, flat_index
 
 
 class GeometryError(ValueError):
@@ -170,17 +170,24 @@ class Metric:
         """(g, dg, d2g) with dg[a,i,j] = d_a g_ij and d2g[a,b,i,j]."""
         if np.ndim(x) > 1:
             return tuple(stack_rows(self._eval_jets, x))
-        n = self.n
         if self._program is None:
             self._program = compile([self.comps[i][j] for i, j in self._pairs])
-        g = np.zeros((n, n))
-        dg = np.zeros((n, n, n))
-        d2g = np.zeros((n, n, n, n))
-        for (i, j), jet in zip(self._pairs, self._program.jets(x)):
-            g[i, j] = g[j, i] = jet.value
-            dg[:, i, j] = dg[:, j, i] = jet.grad
-            d2g[:, :, i, j] = d2g[:, :, j, i] = jet.hess
-        return g, dg, d2g
+            self._jet_index = self._jet_positions()
+        flat = self._program.jet_flat(x)
+        return tuple(flat.take(index) for index in self._jet_index)
+
+    def _jet_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Where g[i,j], dg[a,i,j] and d2g[a,b,i,j] sit in the flat jet array
+        of the program over the pairs i <= j."""
+        n, count = self.n, len(self._pairs)
+        pair = np.empty((n, n), dtype=int)
+        for p, (i, j) in enumerate(self._pairs):
+            pair[i, j] = pair[j, i] = p
+        a = np.arange(n)
+        return (flat_index(count, n, 0, pair),
+                flat_index(count, n, 1, pair[None], a[:, None, None]),
+                flat_index(count, n, 2, pair[None, None], a[:, None, None, None],
+                           a[None, :, None, None]))
 
     def _memo(self, name: str, fn, x):
         # memoize the most recent point or batch: one integrator step touches
@@ -400,11 +407,9 @@ class TensorField:
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components."""
-        jets = self._program.jets(x)
-        vals = np.array([jet.value for jet in jets]).reshape(self.comps.shape)
-        partials = np.array([jet.grad for jet in jets]).T.reshape(
-            (self.n,) + self.comps.shape)
-        return vals, partials
+        values, grads, _ = self._program.jet_arrays(x)
+        return (values.reshape(self.comps.shape),
+                grads.T.reshape((self.n,) + self.comps.shape))
 
 
 def covariant_derivative(connection, fld: TensorField, x) -> TensorValue:

@@ -1,21 +1,49 @@
-"""Truncated-Taylor (jet) arithmetic and compiled expression evaluation.
-
-A :class:`Jet` carries the value, gradient and Hessian of a scalar at a point,
-and at order 3 its third-derivative array.  Arithmetic propagates the Leibniz
-and chain rules (the Taylor arithmetic of Griewank & Walther, *Evaluating
-Derivatives*), so evaluating an expression on seeded jets yields derivatives
-exact to roundoff.  Hessians are exactly symmetric by construction: every
-second-order term is assembled from symmetric building blocks (``u (x) v +
-v (x) u`` and scalar multiples of symmetric matrices), which commutativity of
-IEEE addition and multiplication keeps bitwise symmetric.
+"""Compiled expression evaluation: values and truncated-Taylor jets.
 
 :func:`compile` turns a list of trees into straight-line Python code once.
 Each distinct subtree is one assignment, in the post-order of a walk over the
 tree, with its domain check (division by zero, sqrt or log of a non-positive
 value, tan at a pole, a real power of a non-positive base) right before it, so
 values, overflow errors and :class:`EvalDomainError` messages are those of the
-walk.  On jets, subtrees without coordinates stay floats.  Tree literals and
-subexpression texts live in the code's namespace, never in its source text.
+walk.  Tree literals and subexpression texts live in the code's namespace,
+never in its source text.
+
+The jet code is unrolled the same way.  A jet of order 2 is a value, a
+gradient and a Hessian; order 3 adds the third-derivative array.  They follow
+the Leibniz and chain rules (the Taylor arithmetic of Griewank & Walther,
+*Evaluating Derivatives*), so derivatives are exact to roundoff.  Each
+component of a subtree's jet is its own float local: the value, ``grad_i``,
+``hess_ij`` for i <= j, and at order 3 every one of the n^3 entries of
+``third``.  Subtrees without coordinates stay floats.  The arrays are built
+once per call, at return, where ``hess_ji`` repeats ``hess_ij``.
+
+Bit identity with plain jet arithmetic.  Every component is the float
+expression the array arithmetic of a jet class would evaluate for that entry,
+with the same operands in the same order: ``(a*b).hess_ij = (a.hess_ij*b.v +
+(a.grad_i*b.grad_j + b.grad_i*a.grad_j)) + a.v*b.hess_ij``, a function f
+composed with a jet gives ``f1*hess_ij + f2*(grad_i*grad_j)``, and so on.  A
+constant operand is a jet with zero derivatives, and its ``x*0.0`` and
+``x + 0.0`` terms stay in the code, since they decide signed zeros, infinities
+and NaNs.  The only folds are exact ones: an operation whose operands are all
+known when the code is generated (tree literals, and the 0s and 1s of seeded
+coordinates and of constants) is done then, and ``1.0*x``, ``x + -0.0`` and
+``x - 0.0`` become ``x``.  Within one block of code, equal expressions share
+one local, ``x*0.0`` and ``0.0*x`` share one (with a single possible NaN
+operand, the product is the same bits either way round), and a jet's
+reciprocal is computed once for every division by it.  Element-wise float
+operations never raise, so only the scalar coefficients of a rule
+(``1/u**2``, ``u**e``, ``exp(u)``, ...) can, and they are computed in the
+rule's order.  Hessians are exactly symmetric, since every
+second-order term is built from ``u_i v_j + v_i u_j`` or ``u_i u_j``; a third
+derivative is a sum like ``h_ij u_k + h_jk u_i + h_ki u_j`` whose order of
+addition differs between index permutations, so no entry is mirrored.  An
+integer exponent k is k - 1 products (unrolled when k is known and small, a
+loop otherwise) and a negative one takes the reciprocal after; a jet-valued
+exponent goes through ``exp(log(base) * exponent)`` unless all of its
+derivatives are zero at the point, in which case its value is used as a
+number.  The reference jet arithmetic these programs must equal bit for bit,
+numpy arrays and operator overloading, is in the test suite
+(``tests/oracles.py``).
 
 Central finite differences are kept alongside as the independent cross-check
 (and as the fallback third-derivative path).  First-difference stencils use
@@ -27,7 +55,9 @@ cbrt(eps) their roundoff term eps/h^2 alone already exceeds 1e-6 relative.
 from __future__ import annotations
 
 import builtins
+import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,180 +76,27 @@ _POSITIVE_BASE = "real exponent needs a positive base"
 _NON_POSITIVE = {"sqrt": "sqrt of a non-positive value",
                  "log": "log of a non-positive value"}
 _POLE = "tan at a pole"
+# integer powers of a jet up to this exponent are unrolled products
+_UNROLLED_POWER = 16
 
 
 class _DomainViolation(Exception):
-    """Internal: raised by jet/scalar primitives, annotated by compiled code."""
-
-
-def _symouter(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.outer(u, v) + np.outer(v, u)
-
-
-def _sym3(h: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # h symmetric: h_ij u_k + h_jk u_i + h_ki u_j
-    a = h[:, :, None] * u[None, None, :]
-    return a + np.transpose(a, (2, 0, 1)) + np.transpose(a, (1, 2, 0))
+    """Internal: raised by float primitives, annotated by compiled code."""
 
 
 @dataclass
 class Jet:
-    """Value, gradient, Hessian and, at order 3, the symmetric third-derivative
-    array of a scalar at a point (``third`` is None at order 2)."""
+    """Value, gradient, Hessian and, at order 3, the third-derivative array of
+    a scalar at a point (``third`` is None at order 2)."""
 
     value: float
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray | None = None
 
-    @staticmethod
-    def constant(v: float, n: int, order: int = 2) -> "Jet":
-        return Jet(float(v), np.zeros(n), np.zeros((n, n)),
-                   np.zeros((n, n, n)) if order == 3 else None)
-
-    @staticmethod
-    def variable(v: float, index: int, n: int, order: int = 2) -> "Jet":
-        jet = Jet.constant(v, n, order)
-        jet.grad[index] = 1.0
-        return jet
-
     @property
     def order(self) -> int:
         return 2 if self.third is None else 3
-
-    def _coerce(self, other) -> "Jet":
-        if isinstance(other, Jet):
-            return other
-        return Jet.constant(float(other), self.grad.shape[0], self.order)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess,
-                   None if self.third is None else self.third + o.third)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.value, -self.grad, -self.hess,
-                   None if self.third is None else -self.third)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.value - o.value, self.grad - o.grad, self.hess - o.hess,
-                   None if self.third is None else self.third - o.third)
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        third = None
-        if self.third is not None:
-            third = (self.third * o.value + _sym3(self.hess, o.grad)
-                     + _sym3(o.hess, self.grad) + self.value * o.third)
-        return Jet(
-            self.value * o.value,
-            self.grad * o.value + self.value * o.grad,
-            self.hess * o.value + _symouter(self.grad, o.grad) + self.value * o.hess,
-            third,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
-
-    def _compose(self, f0: float, f1: float, f2: float, f3: float | None) -> "Jet":
-        """Chain rule through a scalar function with derivatives f0..f3
-        (f3 is only computed, and only used, at order 3)."""
-        g, h = self.grad, self.hess
-        third = None
-        if self.third is not None:
-            third = (f1 * self.third + f2 * _sym3(h, g)
-                     + f3 * g[:, None, None] * g[None, :, None] * g[None, None, :])
-        return Jet(f0, f1 * g, f1 * h + f2 * np.outer(g, g), third)
-
-    def _reciprocal(self) -> "Jet":
-        if self.value == 0.0:
-            raise _DomainViolation(_DIVISION_BY_ZERO)
-        u = self.value
-        return self._compose(1.0 / u, -1.0 / u**2, 2.0 / u**3,
-                             -6.0 / u**4 if self.third is not None else None)
-
-    def _int_pow(self, k: int) -> "Jet":
-        if k == 0:
-            return Jet.constant(1.0, self.grad.shape[0], self.order)
-        if k < 0:
-            return self._int_pow(-k)._reciprocal()
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
-
-    def __pow__(self, other):
-        if isinstance(other, Jet):
-            if (np.any(other.grad) or np.any(other.hess)
-                    or (other.third is not None and np.any(other.third))):
-                return _jet_exp(_jet_log(self) * other)
-            other = other.value
-        e = float(other)
-        if e.is_integer():
-            return self._int_pow(int(e))
-        if self.value <= 0.0:
-            raise _DomainViolation(_POSITIVE_BASE)
-        u = self.value
-        return self._compose(u**e, e * u ** (e - 1.0), e * (e - 1.0) * u ** (e - 2.0),
-                             e * (e - 1.0) * (e - 2.0) * u ** (e - 3.0)
-                             if self.third is not None else None)
-
-    def __rpow__(self, other):
-        return self._coerce(other).__pow__(self)
-
-
-def _jet_sqrt(x: Jet) -> Jet:
-    if x.value <= 0.0:
-        raise _DomainViolation(_NON_POSITIVE["sqrt"])
-    u = x.value
-    r = math.sqrt(u)
-    return x._compose(r, 0.5 / r, -0.25 / (r * u),
-                      0.375 / (r * u * u) if x.third is not None else None)
-
-
-def _jet_exp(x: Jet) -> Jet:
-    e = math.exp(x.value)
-    return x._compose(e, e, e, e)
-
-
-def _jet_log(x: Jet) -> Jet:
-    if x.value <= 0.0:
-        raise _DomainViolation(_NON_POSITIVE["log"])
-    u = x.value
-    return x._compose(math.log(u), 1.0 / u, -1.0 / u**2,
-                      2.0 / u**3 if x.third is not None else None)
-
-
-def _jet_sin(x: Jet) -> Jet:
-    s, c = math.sin(x.value), math.cos(x.value)
-    return x._compose(s, c, -s, -c)
-
-
-def _jet_cos(x: Jet) -> Jet:
-    s, c = math.sin(x.value), math.cos(x.value)
-    return x._compose(c, -s, -c, s)
-
-
-def _jet_tan(x: Jet) -> Jet:
-    c = math.cos(x.value)
-    if c == 0.0:
-        raise _DomainViolation(_POLE)
-    t = math.tan(x.value)
-    sec2 = 1.0 + t * t
-    return x._compose(t, sec2, 2.0 * t * sec2,
-                      sec2 * (4.0 * t * t + 2.0 * sec2) if x.third is not None else None)
 
 
 def _float_pow(base: float, e: float) -> float:
@@ -236,141 +113,566 @@ def _float_pow(base: float, e: float) -> float:
 
 # what generated code may name besides its locals and bound literals
 _NAMESPACE = {
-    "_float": float, "_var": Jet.variable, "_const": Jet.constant,
-    "_Domain": EvalDomainError, "_Violation": _DomainViolation,
+    "_float": float, "_Domain": EvalDomainError, "_Violation": _DomainViolation,
     "_float_pow": _float_pow, "_cos": math.cos,
     **{f"_float_{f}": getattr(math, f) for f in FUNCTIONS},
-    **{f"_jet_{f}": globals()[f"_jet_{f}"] for f in FUNCTIONS},
 }
 _OPERATORS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 
 
-class _Writer:
-    """Emits the straight-line body of one compiled function."""
+def _is_negative_zero(c) -> bool:
+    return isinstance(c, float) and c == 0.0 and math.copysign(1.0, c) < 0.0
 
-    def __init__(self, jets: bool):
-        self.jets = jets
+
+class _Sym:
+    """A jet while its code is generated.
+
+    Each component is the source text of a float (a local's name, or a
+    parenthesized expression) or a float known at generation time.  ``h``
+    holds the entries i <= j; ``t`` is None at order 2.
+    """
+
+    __slots__ = ("v", "g", "h", "t")
+
+    def __init__(self, v, g: list, h: dict, t: dict | None):
+        self.v, self.g, self.h, self.t = v, g, h, t
+
+    def hess(self, i: int, j: int):
+        return self.h[(i, j) if i <= j else (j, i)]
+
+    def components(self) -> list:
+        return [self.v, *self.g, *self.h.values(),
+                *(self.t.values() if self.t is not None else ())]
+
+    def derivatives(self) -> list:
+        return self.components()[1:]
+
+
+class _Writer:
+    """Emits the straight-line body of one compiled function.
+
+    With ``n`` set it emits jet code of the given order for n coordinates.
+    """
+
+    def __init__(self, n: int | None = None, order: int = 2):
+        self.n = n
+        self.order = order
+        self.pairs = [] if n is None else [(i, j) for i in range(n) for j in range(i, n)]
+        self.triples = [] if n is None else list(itertools.product(range(n), repeat=3))
+        # local-name suffixes of a jet's components, in _Sym.components order
+        self.suffixes = [] if n is None else (
+            [""] + [f"_g{i}" for i in range(n)] + ["_h{}_{}".format(*p) for p in self.pairs]
+            + (["_c{}_{}_{}".format(*p) for p in self.triples] if order == 3 else []))
         self.lines: list[str] = []
+        self.depth = 1
         self.namespace = dict(_NAMESPACE)
-        self.memo: dict[tuple, tuple[str, bool]] = {}
+        self.memo: dict[tuple, tuple] = {}
+        self.count = 0
+        self.literals: dict[str, float] = {}   # bound tree literals' values
+        # values reused later in the same block: a jet's reciprocal (by the
+        # jet's id), a local times a signed zero (by name and sign) and the
+        # local holding an expression (by its text)
+        self.reused: dict = {}
+
+    # --- emission -------------------------------------------------------------
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.depth + line)
+
+    @contextmanager
+    def block(self, header: str):
+        """Emit header, then what the with-body emits indented below it;
+        nothing computed in the body is reused outside it, or the reverse."""
+        self.emit(header)
+        self.depth += 1
+        outside, self.reused = self.reused, {}
+        yield
+        self.reused = outside
+        self.depth -= 1
 
     def bind(self, value) -> str:
         name = f"_k{len(self.namespace)}"
         self.namespace[name] = value
         return name
 
-    def guard(self, condition: str, message: str, node: Expression) -> None:
+    def fresh(self, stem: str = "j") -> str:
+        self.count += 1
+        return f"{stem}{self.count}"
+
+    def raise_if(self, condition: str, message: str, node: Expression) -> None:
         """A float domain check, right before the operation it guards."""
-        self.lines += [f"if {condition}:", f"    raise _Domain({self.bind(message)}, "
-                       f"{self.bind(to_source(node))})"]
+        with self.block(f"if {condition}:"):
+            self.emit(f"raise _Domain({self.bind(message)}, {self.bind(to_source(node))})")
 
     def checked(self, statement: str, node: Expression) -> None:
         """An operation whose domain violation is reported as node's."""
-        self.lines += ["try:", f"    {statement}", "except _Violation as exc:",
-                       f"    raise _Domain(str(exc), {self.bind(to_source(node))}) from None"]
+        self.emit("try:")
+        self.emit(f"    {statement}")
+        self.emit("except _Violation as exc:")
+        self.emit(f"    raise _Domain(str(exc), {self.bind(to_source(node))}) from None")
 
-    def visit(self, node: Expression) -> tuple[str, bool]:
-        """Emit node unless an equal subtree already was; return the name that
-        holds its value and whether that value is a jet."""
+    def scalar(self, expression: str) -> str:
+        """A float local holding expression, evaluated here."""
+        name = self.fresh("s")
+        self.emit(f"{name} = {expression}")
+        return name
+
+    # --- components -------------------------------------------------------------
+
+    def text(self, c) -> str:
+        if isinstance(c, str):
+            return c
+        if math.isfinite(c):
+            return f"({c!r})" if math.copysign(1.0, c) < 0.0 else repr(c)
+        return self.bind(c)
+
+    def known(self, c) -> float | None:
+        """The value of a component known at generation time, else None."""
+        return c if isinstance(c, float) else self.literals.get(c)
+
+    def mul(self, a, b):
+        ka, kb = self.known(a), self.known(b)
+        if ka is not None and kb is not None:
+            return ka * kb
+        if ka == 1.0:
+            return b
+        if kb == 1.0:
+            return a
+        # with one factor zero at most one is a NaN, so x*0.0 and 0.0*x are
+        # the same bits: one local serves both
+        for name, zero in ((a, kb), (b, ka)):
+            if zero == 0.0 and not name.startswith("("):
+                key = (name, math.copysign(1.0, zero))
+                if key not in self.reused:
+                    self.reused[key] = self.scalar(f"{name} * {self.text(zero)}")
+                return self.reused[key]
+        return f"({self.text(a)} * {self.text(b)})"
+
+    def add(self, a, b):
+        ka, kb = self.known(a), self.known(b)
+        if ka is not None and kb is not None:
+            return ka + kb
+        if _is_negative_zero(ka):
+            return b
+        if _is_negative_zero(kb):
+            return a
+        return f"({self.text(a)} + {self.text(b)})"
+
+    def sub(self, a, b):
+        ka, kb = self.known(a), self.known(b)
+        if ka is not None and kb is not None:
+            return ka - kb
+        if kb == 0.0 and not _is_negative_zero(kb):
+            return a
+        return f"({self.text(a)} - {self.text(b)})"
+
+    def neg(self, a):
+        k = self.known(a)
+        return -k if k is not None else f"(-{a})"
+
+    def rebuild(self, components: list) -> _Sym:
+        """The jet with these components, in _Sym.components order."""
+        n, end = self.n, 1 + self.n + len(self.pairs)
+        return _Sym(components[0], components[1:1 + n],
+                    dict(zip(self.pairs, components[1 + n:end])),
+                    dict(zip(self.triples, components[end:])) if self.order == 3 else None)
+
+    def settle(self, x: _Sym) -> _Sym:
+        """Assign every compound component of x to a local, shared by equal
+        expressions in the same block (they are the same bits)."""
+        prefix = self.fresh()
+        components = []
+        for c, suffix in zip(x.components(), self.suffixes):
+            if isinstance(c, str) and c.startswith("("):
+                if c not in self.reused:
+                    self.emit(f"{prefix}{suffix} = {c}")
+                    self.reused[c] = prefix + suffix
+                c = self.reused[c]
+            components.append(c)
+        return self.rebuild(components)
+
+    def named(self) -> _Sym:
+        """A jet whose components are fresh, not yet assigned locals."""
+        prefix = self.fresh()
+        return self.rebuild([prefix + suffix for suffix in self.suffixes])
+
+    def store(self, target: _Sym, x: _Sym) -> None:
+        """Assign x's components to target's locals, all in one statement."""
+        self.emit(", ".join(target.components()) + " = "
+                  + ", ".join(self.text(c) for c in x.components()))
+
+    # --- jet rules ------------------------------------------------------------------
+
+    def constant(self, c) -> _Sym:
+        return self.rebuild([c] + [0.0] * (len(self.suffixes) - 1))
+
+    def variable(self, name: str, index: int) -> _Sym:
+        jet = self.constant(name)
+        jet.g = [1.0 if i == index else 0.0 for i in range(self.n)]
+        return jet
+
+    def elementwise(self, op, *jets: _Sym) -> _Sym:
+        return self.settle(self.rebuild(
+            [op(*c) for c in zip(*(jet.components() for jet in jets))]))
+
+    def sym3(self, h: _Sym, u: list, i: int, j: int, k: int):
+        """Entry ijk of h_ij u_k + h_jk u_i + h_ki u_j (h: a jet's Hessian)."""
+        return self.add(self.add(self.mul(h.hess(i, j), u[k]),
+                                 self.mul(h.hess(j, k), u[i])),
+                        self.mul(h.hess(k, i), u[j]))
+
+    def product(self, a: _Sym, b: _Sym) -> _Sym:
+        """The unsettled components of a * b, a the left operand."""
+        mul, add = self.mul, self.add
+        third = None
+        if a.t is not None:
+            third = {(i, j, k): add(add(add(mul(a.t[i, j, k], b.v), self.sym3(a, b.g, i, j, k)),
+                                        self.sym3(b, a.g, i, j, k)),
+                                    mul(a.v, b.t[i, j, k]))
+                     for i, j, k in self.triples}
+        return _Sym(
+            mul(a.v, b.v),
+            [add(mul(x, b.v), mul(a.v, y)) for x, y in zip(a.g, b.g)],
+            {(i, j): add(add(mul(a.h[i, j], b.v),
+                             add(mul(a.g[i], b.g[j]), mul(b.g[i], a.g[j]))),
+                         mul(a.v, b.h[i, j]))
+             for i, j in self.pairs},
+            third)
+
+    def times(self, a: _Sym, b: _Sym) -> _Sym:
+        return self.settle(self.product(a, b))
+
+    def compose(self, x: _Sym, f0, f1, f2, f3) -> _Sym:
+        """The chain rule through a scalar function with derivatives f0..f3
+        (names of float locals; f3 is None at order 2)."""
+        mul, add, g = self.mul, self.add, x.g
+        third = None
+        if x.t is not None:
+            third = {(i, j, k): add(add(mul(f1, x.t[i, j, k]), mul(f2, self.sym3(x, g, i, j, k))),
+                                    mul(mul(mul(f3, g[i]), g[j]), g[k]))
+                     for i, j, k in self.triples}
+        return self.settle(_Sym(
+            f0, [mul(f1, c) for c in g],
+            {(i, j): add(mul(f1, x.h[i, j]), mul(f2, mul(g[i], g[j]))) for i, j in self.pairs},
+            third))
+
+    def reciprocal(self, x: _Sym, node: Expression) -> _Sym:
+        hit = self.reused.get(("reciprocal", id(x)))
+        if hit is not None:
+            return hit[1]
+        u = self.text(x.v)
+        self.raise_if(f"{u} == 0.0", _DIVISION_BY_ZERO, node)
+        result = self.compose(x, self.scalar(f"1.0 / {u}"), self.scalar(f"-1.0 / {u}**2"),
+                              self.scalar(f"2.0 / {u}**3"),
+                              self.scalar(f"-6.0 / {u}**4") if x.t is not None else None)
+        # the entry keeps x alive, so its id stays unique
+        self.reused["reciprocal", id(x)] = (x, result)
+        return result
+
+    def function(self, func: str, x: _Sym, node: Expression) -> _Sym:
+        u = self.text(x.v)
+        order3 = x.t is not None
+        if func in _NON_POSITIVE:
+            self.raise_if(f"{u} <= 0.0", _NON_POSITIVE[func], node)
+        if func == "sqrt":
+            r = self.scalar(f"_float_sqrt({u})")
+            return self.compose(x, r, self.scalar(f"0.5 / {r}"),
+                                self.scalar(f"-0.25 / ({r} * {u})"),
+                                self.scalar(f"0.375 / ({r} * {u} * {u})") if order3 else None)
+        if func == "exp":
+            e = self.scalar(f"_float_exp({u})")
+            return self.compose(x, e, e, e, e)
+        if func == "log":
+            return self.compose(x, self.scalar(f"_float_log({u})"), self.scalar(f"1.0 / {u}"),
+                                self.scalar(f"-1.0 / {u}**2"),
+                                self.scalar(f"2.0 / {u}**3") if order3 else None)
+        if func in ("sin", "cos"):
+            s, c = self.scalar(f"_float_sin({u})"), self.scalar(f"_float_cos({u})")
+            if func == "sin":
+                return self.compose(x, s, c, self.scalar(f"-{s}"),
+                                    self.scalar(f"-{c}") if order3 else None)
+            return self.compose(x, c, self.scalar(f"-{s}"), self.scalar(f"-{c}"), s)
+        if func == "tan":
+            c = self.scalar(f"_cos({u})")
+            self.raise_if(f"{c} == 0.0", _POLE, node)
+            t = self.scalar(f"_float_tan({u})")
+            sec2 = self.scalar(f"1.0 + {t} * {t}")
+            return self.compose(x, t, sec2, self.scalar(f"2.0 * {t} * {sec2}"),
+                                self.scalar(f"{sec2} * (4.0 * {t} * {t} + 2.0 * {sec2})")
+                                if order3 else None)
+        raise ValueError(f"unknown function {func!r}")
+
+    def integer_power(self, x: _Sym, k: int, node: Expression) -> _Sym:
+        if k == 0:
+            return self.constant(1.0)
+        if k < 0:
+            return self.reciprocal(self.integer_power(x, -k, node), node)
+        if k > _UNROLLED_POWER:
+            return self.power_loop(x, str(k - 1))
+        result = x
+        for _ in range(k - 1):
+            result = self.times(result, x)
+        return result
+
+    def power_loop(self, x: _Sym, count: str) -> _Sym:
+        """x times itself count times (count: source of a non-negative int)."""
+        acc = self.named()
+        self.store(acc, x)
+        with self.block(f"for _ in range({count}):"):
+            self.store(acc, self.product(acc, x))
+        return acc
+
+    def real_power(self, x: _Sym, e: str, node: Expression) -> _Sym:
+        u = self.text(x.v)
+        self.raise_if(f"{u} <= 0.0", _POSITIVE_BASE, node)
+        return self.compose(
+            x, self.scalar(f"{u}**{e}"), self.scalar(f"{e} * {u} ** ({e} - 1.0)"),
+            self.scalar(f"{e} * ({e} - 1.0) * {u} ** ({e} - 2.0)"),
+            self.scalar(f"{e} * ({e} - 1.0) * ({e} - 2.0) * {u} ** ({e} - 3.0)")
+            if x.t is not None else None)
+
+    def number_power(self, x: _Sym, e, known: float | None, node: Expression) -> _Sym:
+        """x to the float e (a local, or a known float), whose value is
+        ``known`` when it is known at generation time."""
+        if isinstance(e, float):
+            known = e
+        if known is not None:
+            if known.is_integer():
+                return self.integer_power(x, int(known), node)
+            return self.real_power(x, self.text(e), node)
+        # the value is only known at run time: branch on it there
+        out = self.named()
+        k = self.fresh("s")
+        with self.block(f"if {e}.is_integer():"):
+            self.emit(f"{k} = int({e})")
+            with self.block(f"if {k} == 0:"):
+                self.store(out, self.constant(1.0))
+            with self.block("else:"):
+                acc = self.power_loop(x, f"abs({k}) - 1")
+                with self.block(f"if {k} < 0:"):
+                    self.store(out, self.reciprocal(acc, node))
+                with self.block("else:"):
+                    self.store(out, acc)
+        with self.block("else:"):
+            self.store(out, self.real_power(x, e, node))
+        return out
+
+    def power(self, base: _Sym, exponent, known: float | None, node: Expression) -> _Sym:
+        """base ** exponent: a jet to a float local's value or to a jet."""
+        if not isinstance(exponent, _Sym):
+            return self.number_power(base, exponent, known, node)
+        flags = [c for c in exponent.derivatives() if not isinstance(c, float)]
+        if any(isinstance(c, float) and c != 0.0 for c in exponent.derivatives()):
+            return self.exp_log(base, exponent, node)
+        if not flags:
+            return self.number_power(base, exponent.v, None, node)
+        out = self.named()
+        with self.block(f"if {' or '.join(f'{c} != 0.0' for c in flags)}:"):
+            self.store(out, self.exp_log(base, exponent, node))
+        with self.block("else:"):
+            self.store(out, self.number_power(base, exponent.v, None, node))
+        return out
+
+    def exp_log(self, base: _Sym, exponent: _Sym, node: Expression) -> _Sym:
+        return self.function("exp", self.times(self.function("log", base, node), exponent),
+                             node)
+
+    # --- trees ------------------------------------------------------------------
+
+    def visit(self, node: Expression):
+        """Emit node unless an equal subtree already was; return the name of
+        the float local that holds its value, or its jet."""
         if isinstance(node, (Num, Const)):
             args, key = (), (type(node), getattr(node, "name", None), repr(node.value))
         elif isinstance(node, Var):
             args, key = (), (Var, node.name, node.index)
         elif isinstance(node, (Neg, Call)):
             args = (self.visit(node.arg),)
-            key = (type(node), getattr(node, "func", None), *args)
+            key = (type(node), getattr(node, "func", None), *map(id, args))
         elif isinstance(node, (Add, Sub, Mul, Div)):
             args = (self.visit(node.lhs), self.visit(node.rhs))
-            key = (type(node), *args)
+            key = (type(node), *map(id, args))
         elif isinstance(node, Pow):
             args = (self.visit(node.base), self.visit(node.exponent))
-            key = (Pow, *args)
+            key = (Pow, *map(id, args))
         else:
             raise TypeError(f"not an expression node: {node!r}")
         hit = self.memo.get(key)
         if hit is None:
-            hit = self.memo[key] = self.assign(node, args)
-        return hit
+            # the entry keeps args alive, so their ids stay unique
+            hit = self.memo[key] = (self.assign(node, args), args)
+        return hit[0]
 
-    def assign(self, node: Expression, args) -> tuple[str, bool]:
+    def assign(self, node: Expression, args):
         if isinstance(node, (Num, Const)):
-            return self.bind(node.value), False
-        out = f"t{len(self.memo)}"
+            name = self.bind(node.value)
+            if isinstance(node.value, float):
+                self.literals[name] = node.value
+            return name
         if isinstance(node, Var):
             i = int(node.index)
-            self.lines.append(f"{out} = _var(x[{i}], {i}, n, order)" if self.jets
-                              else f"{out} = _float(x[{i}])")
-            return out, self.jets
-        names = [name for name, _ in args]
-        jet = any(is_jet for _, is_jet in args)
+            out = self.fresh("t")
+            self.emit(f"{out} = _float(x[{i}])")
+            return out if self.n is None else self.variable(out, i)
+        if any(isinstance(arg, _Sym) for arg in args):
+            return self.assign_jet(node, args)
+        out = self.fresh("t")
+        names = args
         if isinstance(node, Neg):
-            self.lines.append(f"{out} = -{names[0]}")
-        elif isinstance(node, Div) and args[1][1]:
-            self.checked(f"{out} = {names[0]} / {names[1]}", node)
+            self.emit(f"{out} = -{names[0]}")
         elif isinstance(node, (Add, Sub, Mul, Div)):
             if isinstance(node, Div):
-                self.guard(f"{names[1]} == 0.0", _DIVISION_BY_ZERO, node)
-            self.lines.append(f"{out} = {names[0]} {_OPERATORS[type(node)]} {names[1]}")
+                self.raise_if(f"{names[1]} == 0.0", _DIVISION_BY_ZERO, node)
+            self.emit(f"{out} = {names[0]} {_OPERATORS[type(node)]} {names[1]}")
         elif isinstance(node, Pow):
-            base, exponent = names
-            if not jet:
-                self.checked(f"{out} = _float_pow({base}, {exponent})", node)
-            else:
-                if not args[0][1]:
-                    base = f"{exponent}._coerce({base})"
-                self.checked(f"{out} = {base} ** {exponent}", node)
+            self.checked(f"{out} = _float_pow({names[0]}, {names[1]})", node)
         elif node.func not in FUNCTIONS:
             raise ValueError(f"unknown function {node.func!r}")
-        elif jet:
-            self.checked(f"{out} = _jet_{node.func}({names[0]})", node)
         else:
             if node.func in _NON_POSITIVE:
-                self.guard(f"{names[0]} <= 0.0", _NON_POSITIVE[node.func], node)
+                self.raise_if(f"{names[0]} <= 0.0", _NON_POSITIVE[node.func], node)
             elif node.func == "tan":
-                self.guard(f"_cos({names[0]}) == 0.0", _POLE, node)
-            self.lines.append(f"{out} = _float_{node.func}({names[0]})")
-        return out, jet
+                self.raise_if(f"_cos({names[0]}) == 0.0", _POLE, node)
+            self.emit(f"{out} = _float_{node.func}({names[0]})")
+        return out
+
+    def assign_jet(self, node: Expression, args) -> _Sym:
+        """A node with at least one jet operand, by the rules of jet
+        arithmetic; a float operand acts as a constant jet, and an operator
+        with a float left operand runs as the jet's reflected operator."""
+        if isinstance(node, Neg):
+            return self.elementwise(self.neg, args[0])
+        if isinstance(node, Call):
+            return self.function(node.func, args[0], node)
+        lhs, rhs = args
+        if isinstance(node, Pow):
+            known = None
+            if not isinstance(rhs, _Sym):
+                known = self.known(rhs)
+                if known is None:
+                    known = _constant_value(node.exponent)
+            return self.power(lhs if isinstance(lhs, _Sym) else self.constant(lhs), rhs,
+                              known, node)
+        if isinstance(node, (Add, Mul)):
+            jet, other = (lhs, rhs) if isinstance(lhs, _Sym) else (rhs, lhs)
+            if not isinstance(other, _Sym):
+                other = self.constant(other)
+            if isinstance(node, Add):
+                return self.elementwise(self.add, jet, other)
+            return self.times(jet, other)
+        if not isinstance(lhs, _Sym):
+            lhs = self.constant(lhs)
+        if isinstance(node, Sub):
+            return self.elementwise(self.sub, lhs, rhs if isinstance(rhs, _Sym)
+                                    else self.constant(rhs))
+        if not isinstance(rhs, _Sym):
+            rhs = self.constant(rhs)
+        return self.times(lhs, self.reciprocal(rhs, node))
+
+    # --- outputs ----------------------------------------------------------------
+
+    def jet_outputs(self, outs) -> list[str]:
+        """Every output's components, laid out as :func:`flat_index` says:
+        all values, then all gradients, all Hessians (both triangles) and
+        all third arrays."""
+        jets = [out if isinstance(out, _Sym) else self.constant(out) for out in outs]
+        texts = [jet.v for jet in jets]
+        texts += [c for jet in jets for c in jet.g]
+        texts += [jet.hess(i, j) for jet in jets for i in range(self.n) for j in range(self.n)]
+        if self.order == 3:
+            texts += [jet.t[p] for jet in jets for p in self.triples]
+        return [self.text(c) for c in texts]
 
 
-def _generate(exprs: Sequence[Expression], jets: bool):
-    writer = _Writer(jets)
-    outs = []
-    for expr in exprs:
-        name, is_jet = writer.visit(expr)
-        outs.append(f"_const({name}, n, order)" if jets and not is_jet else name)
-    signature = "x, n, order" if jets else "x"
-    source = "\n".join([f"def _compiled({signature}):",
-                        *("    " + line for line in writer.lines),
-                        f"    return [{', '.join(outs)}]"])
+def _constant_value(node: Expression) -> float | None:
+    """A coordinate-free subtree's value, or None when evaluating it raises
+    (then the code raises before it needs the value)."""
+    try:
+        return _generate([node])(())[0]
+    except Exception:
+        return None
+
+
+def _generate(exprs: Sequence[Expression], n: int | None = None, order: int = 2):
+    """The float function of exprs, or with n set their jet function."""
+    writer = _Writer(n, order)
+    outs = [writer.visit(expr) for expr in exprs]
+    texts = outs if n is None else writer.jet_outputs(outs)
+    source = "\n".join(["def _compiled(x):", *writer.lines,
+                        f"    return [{', '.join(texts)}]"])
     exec(builtins.compile(source, "<dualgeo.jets.compile>", "exec"), writer.namespace)
     return writer.namespace["_compiled"]
+
+
+def flat_index(m: int, n: int, rank: int, tree, *axes):
+    """Position in :meth:`Program.jet_flat` of entry ``axes`` of the part of
+    the given rank (0 value, 1 gradient, 2 Hessian, 3 third array) of tree
+    number ``tree`` out of m; ``tree`` and ``axes`` may be broadcasting numpy
+    index arrays."""
+    index = tree
+    for axis in axes:
+        index = index * n + axis
+    return m * sum(n**r for r in range(rank)) + index
+
+
+def _layout(m: int, n: int, order: int) -> list[tuple[int, int, tuple]]:
+    """(start, stop, shape) of the stacked values, gradients, Hessians and, at
+    order 3, third arrays of m trees in the flat array of their jets."""
+    return [(flat_index(m, n, rank, 0), flat_index(m, n, rank + 1, 0), (m,) + (n,) * rank)
+            for rank in range(order + 1)]
 
 
 class Program:
     """A list of trees compiled to straight-line code; see :func:`compile`.
 
-    The float and the jet function are each generated on first use.
+    The float function is generated on first use, and the jet function of an
+    order on the first call at that order.
     """
 
     def __init__(self, exprs: Sequence[Expression]):
         self.exprs = tuple(exprs)
         self._values = None
-        self._jets = None
+        self._jets: dict[tuple[int, int], tuple] = {}
 
     def values(self, point) -> list[float]:
         """The value of every tree at the point, in order."""
         if self._values is None:
-            self._values = _generate(self.exprs, jets=False)
+            self._values = _generate(self.exprs)
         return self._values(point)
+
+    def _jet_list(self, point, order: int) -> tuple[list[float], list]:
+        """The flat component list of every tree's jet, and its layout."""
+        n = len(point)
+        hit = self._jets.get((n, order))
+        if hit is None:
+            if order not in (2, 3):
+                raise ValueError(f"jet order must be 2 or 3, not {order!r}")
+            hit = self._jets[n, order] = (_generate(self.exprs, n, order),
+                                          _layout(len(self.exprs), n, order))
+        return hit[0](point), hit[1]
+
+    def jet_flat(self, point, order: int = 2) -> np.ndarray:
+        """Every tree's jet components in one array: all values, then all
+        gradients, all Hessians and, at order 3, all third arrays, tree after
+        tree, each in C order (see :func:`flat_index`)."""
+        return np.array(self._jet_list(point, order)[0])
+
+    @staticmethod
+    def _stacked(flat: list[float], layout) -> list[np.ndarray]:
+        flat = np.array(flat)
+        return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+
+    def jet_arrays(self, point, order: int = 2) -> list[np.ndarray]:
+        """(values, grads, hessians[, thirds]) of every tree, stacked along a
+        leading tree axis."""
+        return self._stacked(*self._jet_list(point, order))
 
     def jets(self, point, order: int = 2) -> list[Jet]:
         """The jet of the given order (2 or 3) of every tree at the point."""
-        if order not in (2, 3):
-            raise ValueError(f"jet order must be 2 or 3, not {order!r}")
-        if self._jets is None:
-            self._jets = _generate(self.exprs, jets=True)
-        pt = np.asarray(point, dtype=float)
-        return self._jets(pt, pt.shape[0], order)
+        flat, layout = self._jet_list(point, order)
+        _, grads, hesses, *thirds = self._stacked(flat, layout)
+        thirds = thirds[0] if thirds else [None] * len(grads)
+        return [Jet(value, *parts) for value, *parts in zip(flat, grads, hesses, thirds)]
 
 
 def compile(exprs: Sequence[Expression]) -> Program:

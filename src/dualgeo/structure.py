@@ -25,6 +25,7 @@ import numpy as np
 
 from . import conventions as conv
 from .geometry import Metric, ScalarField, TensorField, hessian
+from .jets import compile
 
 RECOVERY_RCOND = 1e-10
 RECOVERY_RESIDUAL_TOL = 1e-8
@@ -69,9 +70,12 @@ def _sym_pairs(n: int) -> list[tuple[int, int]]:
 class StructureSolver:
     """Pointwise recovery engine for one (metric, family) pair.
 
-    Caches the symmetric-pair bookkeeping and, for constant metrics, the
-    trace-constraint nullspace, which makes per-step recovery cheap enough to
-    drive the geodesic integrator directly.
+    Caches the symmetric-pair bookkeeping, the family's potentials compiled
+    into one program, the index arrays that scatter and gather the linear
+    system, and, for constant metrics, the trace-constraint nullspace, which
+    makes per-step recovery cheap enough to drive the geodesic integrator
+    directly.  The unknowns are ``c[k*P + p] = T[k, i_p, j_p]`` over the P
+    pairs ``i_p <= j_p``; the rows are (potential, pair).
     """
 
     def __init__(self, g: Metric, family: PotentialFamily):
@@ -82,54 +86,59 @@ class StructureSolver:
         self.P = len(self.pairs)
         self.C = n * self.P
         self._z_cache: np.ndarray | None = None
+        self._program = compile([V.expr for V in family.potentials])
+        P = self.P
+        p, k = np.arange(P), np.arange(n)
+        self._pair_i, self._pair_j = np.array(self.pairs, dtype=int).reshape(P, 2).T
+        # A[a*P + p, k*P + p] = grads[a, k], indexed [a, p, k]
+        self._matrix_rows = np.arange(family.size)[:, None, None] * P + p[None, :, None]
+        self._matrix_cols = k[None, None, :] * P + p[None, :, None]
+        # T[k, i, j] = c[k*P + pair(i, j)]
+        pair = np.empty((n, n), dtype=int)
+        pair[self._pair_i, self._pair_j] = pair[self._pair_j, self._pair_i] = p
+        self._unpack_index = k[:, None, None] * P + pair[None]
+        # G[k, k*P + p] = ginv[i_p, j_p] * weight_p
+        self._trace_rows = k[:, None]
+        self._trace_cols = k[:, None] * P + p[None, :]
+        self._trace_weights = np.where(self._pair_i == self._pair_j, 1.0, 2.0)
 
     # --- shared assembly --------------------------------------------------
 
+    def _family_jets(self, x, order: int) -> list[np.ndarray]:
+        """(grads, hessians[, thirds]) of every potential, stacked."""
+        return self._program.jet_arrays(x, order)[1:]
+
     def _point_data(self, x):
         g = self.g
-        n = g.n
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
         gamma = g.christoffel(x)
-        grads, hess_cov, laps = [], [], []
-        for V in self.family.potentials:
-            jet = V.jet2(x)
-            hc = jet.hess - np.einsum("kij,k->ij", gamma, jet.grad)
-            grads.append(jet.grad)
+        grads, hesses = self._family_jets(x, 2)
+        hess_cov, laps = [], []
+        for grad, hess in zip(grads, hesses):
+            hc = hess - np.einsum("kij,k->ij", gamma, grad)
             hess_cov.append(hc)
             laps.append(float(np.einsum("ij,ij->", ginv, hc)))
-        return gmat, ginv, gamma, np.array(grads), np.array(hess_cov), np.array(laps)
+        return gmat, ginv, gamma, grads, np.array(hess_cov), np.array(laps)
 
     def _matrix(self, grads: np.ndarray) -> np.ndarray:
         """Rows: (potential, pair); columns: (k, pair)."""
-        m = grads.shape[0]
-        n = self.g.n
-        A = np.zeros((m * self.P, self.C))
-        for a in range(m):
-            for p in range(self.P):
-                row = a * self.P + p
-                for k in range(n):
-                    A[row, k * self.P + p] = grads[a, k]
+        A = np.zeros((grads.shape[0] * self.P, self.C))
+        A[self._matrix_rows, self._matrix_cols] = grads[:, None, :]
         return A
 
     def _stack_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs[a, i, j] -> vector ordered like the matrix rows."""
-        return np.array([rhs[a][p] for a in range(rhs.shape[0]) for p in self.pairs])
+        """rhs[a, i, j] -> vector ordered like the matrix rows (a tensor
+        T[k, i, j] -> its unknowns c)."""
+        return rhs[:, self._pair_i, self._pair_j].ravel()
 
     def _unpack(self, c: np.ndarray) -> np.ndarray:
-        n = self.g.n
-        T = np.zeros((n, n, n))
-        for k in range(n):
-            for p, (i, j) in enumerate(self.pairs):
-                T[k, i, j] = T[k, j, i] = c[k * self.P + p]
-        return T
+        return np.take(c, self._unpack_index)
 
     def _trace_constraint(self, ginv: np.ndarray) -> np.ndarray:
-        n = self.g.n
-        G = np.zeros((n, self.C))
-        for k in range(n):
-            for p, (i, j) in enumerate(self.pairs):
-                G[k, k * self.P + p] = ginv[i, j] * (1.0 if i == j else 2.0)
+        G = np.zeros((self.g.n, self.C))
+        G[self._trace_rows, self._trace_cols] = (ginv[self._pair_i, self._pair_j]
+                                                 * self._trace_weights)
         return G
 
     def _nullspace(self, ginv: np.ndarray) -> np.ndarray:
@@ -183,17 +192,8 @@ class StructureSolver:
         dgamma = g.christoffel_jacobian(x)
 
         T, _ = self.structure_tensor(x)
-        c = np.array([T[k, i, j] for k in range(n) for (i, j) in self.pairs])
-
-        grads, hesses, thirds = [], [], []
-        for V in self.family.potentials:
-            jet = V.jet3(x)
-            grads.append(jet.grad)
-            hesses.append(jet.hess)
-            thirds.append(jet.third)
-        grads = np.array(grads)
-        hesses = np.array(hesses)
-        thirds = np.array(thirds)
+        c = self._stack_rhs(T)
+        grads, hesses, thirds = self._family_jets(x, 3)
 
         hess_cov = hesses - np.einsum("kij,ak->aij", gamma, grads)
         laps = np.einsum("ij,aij->a", ginv, hess_cov)
@@ -216,10 +216,7 @@ class StructureSolver:
                     - np.einsum("ij,a->aij", dgmat[m_axis], laps) / n
                     - np.einsum("ij,a->aij", gmat, dlap[:, m_axis]) / n)
             db = self._stack_rhs(drhs)
-            dG = np.zeros_like(G)
-            for k in range(n):
-                for p, (i, j) in enumerate(self.pairs):
-                    dG[k, k * self.P + p] = dginv[m_axis, i, j] * (1.0 if i == j else 2.0)
+            dG = self._trace_constraint(dginv[m_axis])
             # constraint G c' = -dG c, fit A c' = db - dA c
             c0 = np.linalg.pinv(G, rcond=RECOVERY_RCOND) @ (-dG @ c)
             rhs_vec = (db - dA @ c) - A @ c0
@@ -245,15 +242,8 @@ class StructureSolver:
         gamma = g.christoffel(x)
         dgamma = g.christoffel_jacobian(x)
         D, _ = self.prolongation_tensor(x)
-        c = np.array([D[k, i, j] for k in range(n) for (i, j) in self.pairs])
-
-        grads, hesses, thirds = [], [], []
-        for V in self.family.potentials:
-            jet = V.jet3(x)
-            grads.append(jet.grad)
-            hesses.append(jet.hess)
-            thirds.append(jet.third)
-        grads, hesses, thirds = np.array(grads), np.array(hesses), np.array(thirds)
+        c = self._stack_rhs(D)
+        grads, hesses, thirds = self._family_jets(x, 3)
         dhess_cov = (thirds - np.einsum("mkij,ak->amij", dgamma, grads)
                      - np.einsum("kij,amk->amij", gamma, hesses))
         A = self._matrix(grads)

@@ -1,8 +1,11 @@
 """Independent oracles used to pin expected values.
 
 Everything here deliberately avoids the library's own code paths: a plain
-recursive walk over expression trees for values, finite differences of those
-values, a brute-force recovery that
+recursive walk over expression trees for values, the same walk over jets with
+numpy-array Taylor arithmetic (the rules the compiled jet programs unroll, in
+the same float operations and order), finite differences of those values, the
+loop-built assembly of the structure solver's linear system, a brute-force
+recovery that
 parametrizes the full unconstrained tensor with symmetry and trace conditions
 appended as extra equations, and a dense nearest-segment scan over every
 query-segment pair at once.  Expected values asserted in the tests were
@@ -10,6 +13,7 @@ computed with these oracles (or by hand) before being frozen.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +87,241 @@ def eval_value(expr, x):
     """Reference float evaluation: a plain recursive walk over the tree, the
     same float operations, math calls and domain checks in post-order."""
     return float(_walk(expr, [float(v) for v in x]))
+
+
+# --- reference jets ------------------------------------------------------------
+
+# a jet to an integer power k takes k - 1 products; the reference refuses
+# more than this many, so that tests can skip such trees instead of hanging
+MAX_JET_POWER = 64
+
+
+class PowerTooLarge(Exception):
+    pass
+
+
+def _symouter(u, v):
+    return np.outer(u, v) + np.outer(v, u)
+
+
+def _sym3(h, u):
+    # h symmetric: h_ij u_k + h_jk u_i + h_ki u_j
+    a = h[:, :, None] * u[None, None, :]
+    return a + np.transpose(a, (2, 0, 1)) + np.transpose(a, (1, 2, 0))
+
+
+@dataclass
+class Jet:
+    """Value, gradient, Hessian and, at order 3, the third-derivative array,
+    with the Leibniz and chain rules as numpy array arithmetic."""
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+    third: np.ndarray | None = None
+
+    @staticmethod
+    def constant(v, n, order=2):
+        return Jet(float(v), np.zeros(n), np.zeros((n, n)),
+                   np.zeros((n, n, n)) if order == 3 else None)
+
+    @staticmethod
+    def variable(v, index, n, order=2):
+        jet = Jet.constant(v, n, order)
+        jet.grad[index] = 1.0
+        return jet
+
+    @property
+    def order(self):
+        return 2 if self.third is None else 3
+
+    def _coerce(self, other):
+        if isinstance(other, Jet):
+            return other
+        return Jet.constant(float(other), self.grad.shape[0], self.order)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return Jet(self.value + o.value, self.grad + o.grad, self.hess + o.hess,
+                   None if self.third is None else self.third + o.third)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, -self.grad, -self.hess,
+                   None if self.third is None else -self.third)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return Jet(self.value - o.value, self.grad - o.grad, self.hess - o.hess,
+                   None if self.third is None else self.third - o.third)
+
+    def __rsub__(self, other):
+        return self._coerce(other).__sub__(self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        third = None
+        if self.third is not None:
+            third = (self.third * o.value + _sym3(self.hess, o.grad)
+                     + _sym3(o.hess, self.grad) + self.value * o.third)
+        return Jet(
+            self.value * o.value,
+            self.grad * o.value + self.value * o.grad,
+            self.hess * o.value + _symouter(self.grad, o.grad) + self.value * o.hess,
+            third,
+        )
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        return self * o._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other).__truediv__(self)
+
+    def _compose(self, f0, f1, f2, f3):
+        """Chain rule through a scalar function with derivatives f0..f3
+        (f3 is only computed, and only used, at order 3)."""
+        g, h = self.grad, self.hess
+        third = None
+        if self.third is not None:
+            third = (f1 * self.third + f2 * _sym3(h, g)
+                     + f3 * g[:, None, None] * g[None, :, None] * g[None, None, :])
+        return Jet(f0, f1 * g, f1 * h + f2 * np.outer(g, g), third)
+
+    def _reciprocal(self):
+        if self.value == 0.0:
+            raise _DomainViolation("division by zero")
+        u = self.value
+        return self._compose(1.0 / u, -1.0 / u**2, 2.0 / u**3,
+                             -6.0 / u**4 if self.third is not None else None)
+
+    def _int_pow(self, k):
+        if k > MAX_JET_POWER:
+            raise PowerTooLarge(k)
+        if k == 0:
+            return Jet.constant(1.0, self.grad.shape[0], self.order)
+        if k < 0:
+            return self._int_pow(-k)._reciprocal()
+        result = self
+        for _ in range(k - 1):
+            result = result * self
+        return result
+
+    def __pow__(self, other):
+        if isinstance(other, Jet):
+            if (np.any(other.grad) or np.any(other.hess)
+                    or (other.third is not None and np.any(other.third))):
+                return _jet_exp(_jet_log(self) * other)
+            other = other.value
+        e = float(other)
+        if e.is_integer():
+            return self._int_pow(int(e))
+        if self.value <= 0.0:
+            raise _DomainViolation("real exponent needs a positive base")
+        u = self.value
+        return self._compose(u**e, e * u ** (e - 1.0), e * (e - 1.0) * u ** (e - 2.0),
+                             e * (e - 1.0) * (e - 2.0) * u ** (e - 3.0)
+                             if self.third is not None else None)
+
+    def __rpow__(self, other):
+        return self._coerce(other).__pow__(self)
+
+
+def _jet_sqrt(x):
+    if x.value <= 0.0:
+        raise _DomainViolation("sqrt of a non-positive value")
+    u = x.value
+    r = math.sqrt(u)
+    return x._compose(r, 0.5 / r, -0.25 / (r * u),
+                      0.375 / (r * u * u) if x.third is not None else None)
+
+
+def _jet_exp(x):
+    e = math.exp(x.value)
+    return x._compose(e, e, e, e)
+
+
+def _jet_log(x):
+    if x.value <= 0.0:
+        raise _DomainViolation("log of a non-positive value")
+    u = x.value
+    return x._compose(math.log(u), 1.0 / u, -1.0 / u**2,
+                      2.0 / u**3 if x.third is not None else None)
+
+
+def _jet_sin(x):
+    s, c = math.sin(x.value), math.cos(x.value)
+    return x._compose(s, c, -s, -c)
+
+
+def _jet_cos(x):
+    s, c = math.sin(x.value), math.cos(x.value)
+    return x._compose(c, -s, -c, s)
+
+
+def _jet_tan(x):
+    c = math.cos(x.value)
+    if c == 0.0:
+        raise _DomainViolation("tan at a pole")
+    t = math.tan(x.value)
+    sec2 = 1.0 + t * t
+    return x._compose(t, sec2, 2.0 * t * sec2,
+                      sec2 * (4.0 * t * t + 2.0 * sec2) if x.third is not None else None)
+
+
+_JET_FUNCTIONS = {"sqrt": _jet_sqrt, "exp": _jet_exp, "log": _jet_log,
+                  "sin": _jet_sin, "cos": _jet_cos, "tan": _jet_tan}
+
+
+def _jet_walk(node, env, n, order):
+    """Subtrees without coordinates stay floats; a float meeting a jet acts
+    as a constant jet through the jet's (reflected) operators."""
+    try:
+        if isinstance(node, (Num, Const)):
+            return node.value
+        if isinstance(node, Var):
+            return Jet.variable(env[node.index], node.index, n, order)
+        if isinstance(node, Neg):
+            return -_jet_walk(node.arg, env, n, order)
+        if isinstance(node, Call):
+            arg = _jet_walk(node.arg, env, n, order)
+            if isinstance(arg, Jet):
+                return _JET_FUNCTIONS[node.func](arg)
+            return _float_call(node.func, arg)
+        lhs_node, rhs_node = ((node.base, node.exponent) if isinstance(node, Pow)
+                              else (node.lhs, node.rhs))
+        lhs = _jet_walk(lhs_node, env, n, order)
+        rhs = _jet_walk(rhs_node, env, n, order)
+        if isinstance(node, Pow) and not isinstance(lhs, Jet) and not isinstance(rhs, Jet):
+            return _float_pow(lhs, rhs)
+        if isinstance(node, Add):
+            return lhs + rhs
+        if isinstance(node, Sub):
+            return lhs - rhs
+        if isinstance(node, Mul):
+            return lhs * rhs
+        if isinstance(node, Div):
+            if not isinstance(rhs, Jet) and rhs == 0.0:
+                raise _DomainViolation("division by zero")
+            return lhs / rhs
+        if isinstance(node, Pow):
+            base = lhs if isinstance(lhs, Jet) else rhs._coerce(lhs)
+            return base ** rhs
+    except _DomainViolation as exc:
+        raise EvalDomainError(str(exc), to_source(node)) from None
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def eval_jet(expr, x, order=2):
+    """Reference jet of the given order: a recursive walk over the tree with
+    the numpy-array jet arithmetic above."""
+    env = [float(v) for v in x]
+    with np.errstate(all="ignore"):
+        out = _jet_walk(expr, env, len(env), order)
+    return out if isinstance(out, Jet) else Jet.constant(out, len(env), order)
 
 
 def fd_gradient(expr, x, h=FD_H):
@@ -164,6 +403,55 @@ def fd_ricci(metric, x, h=1e-4):
                     val += gamma[i, i, m] * gamma[m, j, k] - gamma[i, j, m] * gamma[m, i, k]
             ric[k, j] = val
     return ric
+
+
+# --- loop-built structure-solver assembly ----------------------------------------
+# Unknowns c[k*P + p] = T[k, i_p, j_p] over the P pairs i_p <= j_p in row-major
+# order; rows (potential a, pair p).
+
+
+def loop_matrix(grads, pairs, n):
+    P = len(pairs)
+    m = grads.shape[0]
+    A = np.zeros((m * P, n * P))
+    for a in range(m):
+        for p in range(P):
+            row = a * P + p
+            for k in range(n):
+                A[row, k * P + p] = grads[a, k]
+    return A
+
+
+def loop_stack_rhs(rhs, pairs):
+    return np.array([rhs[a][p] for a in range(rhs.shape[0]) for p in pairs])
+
+
+def loop_unpack(c, pairs, n):
+    P = len(pairs)
+    T = np.zeros((n, n, n))
+    for k in range(n):
+        for p, (i, j) in enumerate(pairs):
+            T[k, i, j] = T[k, j, i] = c[k * P + p]
+    return T
+
+
+def loop_trace_constraint(ginv, pairs, n):
+    P = len(pairs)
+    G = np.zeros((n, n * P))
+    for k in range(n):
+        for p, (i, j) in enumerate(pairs):
+            G[k, k * P + p] = ginv[i, j] * (1.0 if i == j else 2.0)
+    return G
+
+
+def reference_family_jets(family, x, order):
+    """(grads, hessians[, thirds]) of every potential from the reference jets,
+    stacked."""
+    jets = [eval_jet(V.expr, x, order) for V in family.potentials]
+    out = [np.array([jet.grad for jet in jets]), np.array([jet.hess for jet in jets])]
+    if order == 3:
+        out.append(np.array([jet.third for jet in jets]))
+    return out
 
 
 def brute_force_structure_tensor(metric, family, x):

@@ -231,6 +231,10 @@ def test_batched_rows_halt_independently(euclid2):
     # the raising row stops at a stage point inside a step: its last sample
     # is still on the allowed side
     assert batch[4].x[-1][1] >= -0.6025
+    # the nonfinite row halts at the first step whose covelocity is NaN, even
+    # though its position is still finite, and keeps no such sample
+    for traj in batch:
+        assert np.isfinite(traj.x).all() and np.isfinite(traj.p).all()
 
 
 def test_batched_starts_must_match(euclid2):

@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dualgeo.expressions import (
     FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub,
@@ -15,8 +15,8 @@ from dualgeo.jets import (
     fd_order3,
 )
 from oracles import (
-    eval_value as reference_value, fd_gradient as oracle_grad,
-    fd_hessian as oracle_hess,
+    Jet as ReferenceJet, PowerTooLarge, eval_jet as reference_jet, eval_value as reference_value,
+    fd_gradient as oracle_grad, fd_hessian as oracle_hess,
 )
 
 # expression corpus exercising every operator and function; paired with safe
@@ -172,7 +172,9 @@ def test_product_rule_property(a, b):
     fg = parse("(sin(x1) + x1^2)*(exp(x2)/x2)", 2)
     x = (a, b)
     jf, jg, jfg = eval_jet2(f, x), eval_jet2(g, x), eval_jet2(fg, x)
-    prod = jf * jg
+    # the product of the two jets by the reference arithmetic
+    prod = (ReferenceJet(jf.value, jf.grad, jf.hess)
+            * ReferenceJet(jg.value, jg.grad, jg.hess))
     scale = max(1.0, abs(jfg.value))
     assert abs(prod.value - jfg.value) / scale < 1e-12
     assert np.max(np.abs(prod.grad - jfg.grad)) / scale < 1e-11
@@ -318,3 +320,83 @@ def test_corpus_derivatives_match_sympy(rng):
                 want = np.array(want, dtype=float)
                 scale = max(1.0, float(np.max(np.abs(want))))
                 assert np.max(np.abs(got - want)) / scale < 1e-12, source
+
+
+# --- compiled jets against the reference jet arithmetic -------------------------
+
+
+def _jet_outcome(evaluate):
+    """Bit patterns of every jet's value, gradient, Hessian and third array,
+    or the type and message of the exception."""
+    try:
+        return [(struct.pack("<d", jet.value), jet.grad.tobytes(), jet.hess.tobytes(),
+                 None if jet.third is None else jet.third.tobytes())
+                for jet in evaluate()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _reference_jets(trees, x, order):
+    return [reference_jet(tree, x, order) for tree in trees]
+
+
+@given(st.lists(_any_tree, min_size=1, max_size=4), st.tuples(_float, _float))
+@settings(max_examples=400, deadline=None)
+def test_compiled_jets_equal_reference_jets(trees, x):
+    for order in (2, 3):
+        want = _jet_outcome(lambda: _reference_jets(trees, x, order))
+        # an integer power above MAX_JET_POWER products is not evaluated
+        assume(want[0] is not PowerTooLarge)
+        assert _jet_outcome(lambda: jets.compile(trees).jets(x, order)) == want
+    evaluate = {2: eval_jet2, 3: eval_jet3}
+    for order in (2, 3):
+        assert _jet_outcome(lambda: [evaluate[order](trees[0], x)]) == \
+            _jet_outcome(lambda: [reference_jet(trees[0], x, order)])
+
+
+@pytest.mark.parametrize("source,box", CORPUS)
+def test_corpus_jets_equal_reference_jets(source, box, rng):
+    # the whole plane around the box, so domain errors are compared too
+    expr = parse(source, 2)
+    lo, hi = box
+    points = [lo + (hi - lo) * rng.random(2) for _ in range(20)]
+    points += [4.0 * rng.random(2) - 2.0 for _ in range(20)]
+    points += [(0.0, 0.0), (-1.0, 0.5), (1.0, -0.0)]
+    for x in points:
+        for order in (2, 3):
+            assert _jet_outcome(lambda: jets.compile([expr]).jets(x, order)) == \
+                _jet_outcome(lambda: [reference_jet(expr, x, order)]), (source, x)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_fixture_component_jets_equal_reference_jets(name):
+    fx = builtin(name)
+    trees, _, _ = _fixture_trees(fx)
+    program = jets.compile(trees)
+    for x in fx.grid(3):
+        for order in (2, 3):
+            assert _jet_outcome(lambda: program.jets(x, order)) == \
+                _jet_outcome(lambda: _reference_jets(trees, x, order))
+
+
+@pytest.mark.parametrize("source", [
+    "x1^(x2 - x2)", "x1^(0*x2)", "x1^(x2 - x2 + 3)", "x1^(x2 - x2 - 2)",
+    "x1^(x2 - x2 + 0.5)", "2^(x2 - x2 + 3)", "x1^(x2^3)", "x1^(x2^2)", "(x1 - x1)^(x2 - x2 - 1)",
+])
+def test_jet_exponent_with_vanishing_derivatives(source):
+    # a jet exponent whose derivatives are all zero at the point is used as a
+    # number: x1^(x2^3) at x2 = 0 has a zero gradient and Hessian but not a
+    # zero third array, so orders 2 and 3 take different paths
+    expr = parse(source, 2)
+    for x in [(1.3, 0.0), (0.7, -0.0), (-1.5, 0.0), (1.3, 0.4), (0.0, 0.0)]:
+        for order in (2, 3):
+            assert _jet_outcome(lambda: jets.compile([expr]).jets(x, order)) == \
+                _jet_outcome(lambda: [reference_jet(expr, x, order)]), (source, x, order)
+
+
+def test_order3_code_is_generated_on_first_order3_call():
+    program = jets.compile([parse("sin(x1)*x2^3", 2)])
+    program.jets((0.3, 0.7), 2)
+    assert list(program._jets) == [(2, 2)]
+    program.jets((0.3, 0.7), 3)
+    assert sorted(program._jets) == [(2, 2), (2, 3)]

@@ -8,7 +8,11 @@ from dualgeo.structure import (
     build_Z_and_digamma, classify, decompose, killing_check, poisson_check,
     q_hat_ingredients, recover_s, recover_structure_tensor, t_from_prolongation,
 )
-from oracles import brute_force_s, brute_force_structure_tensor
+from dualgeo.fixtures import builtin, builtin_config, from_config
+from oracles import (
+    brute_force_s, brute_force_structure_tensor, loop_matrix, loop_stack_rhs,
+    loop_trace_constraint, loop_unpack, reference_family_jets,
+)
 
 
 def family(sources, kind, n=2):
@@ -410,3 +414,70 @@ def test_poisson_check_sw_integral(euclid2, rng):
     # wrong scalar part breaks the bracket
     W_bad = ScalarField.from_source("x2^2", 2)
     assert poisson_check(euclid2, V, K, W_bad, pts, momenta) > 1e-2
+
+
+# --- index-array assembly against the loop-built system ------------------------
+
+
+class LoopSolver(StructureSolver):
+    """The solver with the loop-built assembly and the reference jets."""
+
+    def _family_jets(self, x, order):
+        return reference_family_jets(self.family, x, order)
+
+    def _matrix(self, grads):
+        return loop_matrix(grads, self.pairs, self.g.n)
+
+    def _stack_rhs(self, rhs):
+        return loop_stack_rhs(rhs, self.pairs)
+
+    def _unpack(self, c):
+        return loop_unpack(c, self.pairs, self.g.n)
+
+    def _trace_constraint(self, ginv):
+        return loop_trace_constraint(ginv, self.pairs, self.g.n)
+
+
+def _recovered_sw2():
+    cfg = builtin_config("sw2")
+    del cfg["structure"]
+    return from_config(cfg)
+
+
+@pytest.mark.parametrize("fx", [_recovered_sw2(), builtin("ho2"), builtin("sphere3-trivial")],
+                         ids=["sw2-recovered", "ho2", "sphere3-trivial"])
+def test_assembly_equals_loops(fx, rng):
+    solver = fx.solver
+    n, m = fx.n, solver.family.size
+    signed = np.array([0.0, -0.0, 1.5, -2.25])
+    for x in fx.grid(3):
+        grads, hesses = solver._family_jets(x, 2)
+        for data in (grads, hesses[:, n - 1, :], rng.choice(signed, (m, n))):
+            assert solver._matrix(data).tobytes() == \
+                loop_matrix(data, solver.pairs, n).tobytes()
+        rhs = rng.choice(signed, (m, n, n)) + rng.standard_normal((m, n, n))
+        assert solver._stack_rhs(rhs).tobytes() == loop_stack_rhs(rhs, solver.pairs).tobytes()
+        c = rng.choice(signed, n * solver.P)
+        assert solver._unpack(c).tobytes() == loop_unpack(c, solver.pairs, n).tobytes()
+        for ginv in (fx.metric.inverse(x), fx.metric.inverse_jacobian(x)[0],
+                     rng.choice(signed, (n, n))):
+            assert solver._trace_constraint(ginv).tobytes() == \
+                loop_trace_constraint(ginv, solver.pairs, n).tobytes()
+        # the unknowns of a tensor, as the Jacobians read them
+        T = rng.choice(signed, (n, n, n))
+        assert solver._stack_rhs(T).tobytes() == np.array(
+            [T[k, i, j] for k in range(n) for (i, j) in solver.pairs]).tobytes()
+
+
+@pytest.mark.parametrize("fx", [_recovered_sw2(), builtin("ho2")], ids=["sw2-recovered", "ho2"])
+def test_recovery_bit_identical_to_loop_assembly(fx):
+    # one family program and the index arrays change no bit of what the
+    # per-potential reference jets and the loop-built system give
+    solver, loops = fx.solver, LoopSolver(fx.metric, fx.family)
+    for x in fx.grid(4):
+        for name in ("structure_tensor", "prolongation_tensor",
+                     "structure_tensor_jacobian", "prolongation_jacobian"):
+            got, want = getattr(solver, name)(x), getattr(loops, name)(x)
+            got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+            assert [np.asarray(v).tobytes() for v in got] == \
+                [np.asarray(v).tobytes() for v in want], (name, x)
