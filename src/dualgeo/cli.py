@@ -25,7 +25,9 @@ from .fixtures import (
     CONNECTION_TAGS, FixtureError, FixtureValidationError, UnknownFixtureError,
     builtin, builtin_names, load, validate,
 )
-from .geodesics import curves_coincide, integrate_dual_geodesic
+from .geodesics import (
+    CurveComparison, curves_coincide, integrate_dual_geodesic, short_comparison,
+)
 from .structure import classify
 from .theorems import SUITES, SuiteNotApplicable, applicable_suites
 
@@ -172,7 +174,12 @@ def cmd_trace(args) -> int:
         other = integrate_dual_geodesic(compare, fixture.metric, x0, w0, args.steps,
                                         args.h, box=fixture.box,
                                         singular_loci=fixture.singular_loci)
-        cmp = curves_coincide(traj, other, args.tol)
+        why = short_comparison(traj, other, args.steps)
+        if why is None:
+            cmp = curves_coincide(traj, other, args.tol)
+        else:
+            print(f"note: no evidence of coincidence: the curves {why}", file=sys.stderr)
+            cmp = CurveComparison(False, np.inf, np.inf, args.tol)
         result = {
             "coincide": cmp.coincide,
             "hausdorff_a_to_b": f"{cmp.dist_a_to_b:.17g}",
@@ -270,9 +277,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _input_problem(args) -> str | None:
+    """Why a numeric input cannot give evidence, or None when all can."""
+    if getattr(args, "grid", 1) < 1:
+        return f"--grid (or ${DEFAULT_GRID_ENV}) must be at least 1, got {args.grid}"
+    if getattr(args, "steps", 1) < 1:
+        return f"--steps must be at least 1, got {args.steps}"
+    h = getattr(args, "h", 1.0)
+    if not (np.isfinite(h) and h > 0.0):
+        return f"--h must be a positive finite step, got {h}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    problem = _input_problem(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

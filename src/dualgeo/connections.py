@@ -8,6 +8,14 @@ one call.  All verdict-producing tests are grid-evidence: they evaluate pointwis
 residuals on the sample points they are given and report the maximum, so a
 "true" verdict always comes with the residual and the points that produced it.
 
+Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
+difference tensor A symmetric in its covariant pair, and
+:func:`difference_connection` is the one place that assembles it (and its
+Jacobian, when A has an analytic one).  :func:`from_difference` is that
+assembly plus a symmetry check of A at every evaluation, for tensors nothing
+else has checked; fixture connections skip it, because their declared tensors
+are checked once, on the validation grid, when the fixture loads.
+
 Torsion-freeness is a hard precondition of the dual-projective criterion (with
 torsion the criterion has easy counterexamples), so the tests check it first
 and raise instead of returning a misleading verdict.
@@ -20,8 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Metric, matvec
-from .jets import FD_STEP_SCALE
+from .geometry import Metric, central_difference, matvec
 
 TORSION_TOL = 1e-10
 
@@ -40,8 +47,8 @@ class AffineConnection:
     ``coefficients(x)`` returns ``Gamma[k, i, j]``; for points of shape
     ``(..., n)`` it returns ``(..., n, n, n)``.  ``jacobian(x)`` returns
     ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}``; when no analytic jacobian is
-    supplied it falls back to central differences of the coefficients with
-    step ``cbrt(eps) * (1 + |x_a|)``.
+    supplied it falls back to central differences of the coefficients
+    (:func:`dualgeo.geometry.central_difference`).
     """
 
     def __init__(self, metric: Metric, coeff_fn: Callable[[np.ndarray], np.ndarray],
@@ -59,15 +66,7 @@ class AffineConnection:
         x = np.asarray(x, dtype=float)
         if self._jac_fn is not None:
             return self._jac_fn(x)
-        n = self.metric.n
-        out = np.zeros((n, n, n, n))
-        for a in range(n):
-            h = FD_STEP_SCALE * (1.0 + abs(x[a]))
-            up, dn = x.copy(), x.copy()
-            up[a] += h
-            dn[a] -= h
-            out[a] = (self._coeff_fn(up) - self._coeff_fn(dn)) / (2.0 * h)
-        return out
+        return central_difference(self._coeff_fn, x)
 
     def torsion_defect(self, x) -> float:
         gamma = self.coefficients(x)
@@ -90,13 +89,33 @@ def levi_civita(g: Metric) -> AffineConnection:
     return AffineConnection(g, g.christoffel, "LC", jac_fn=g.christoffel_jacobian)
 
 
+def difference_connection(g: Metric, sign: int,
+                          tensor_fn: Callable[[np.ndarray], np.ndarray], tag: str,
+                          tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None
+                          ) -> AffineConnection:
+    """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``.
+
+    Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA,
+    and central differences of the coefficients otherwise.  A is trusted to be
+    symmetric in its covariant pair; nothing here checks it.
+    """
+    def coeff(x):
+        return g.christoffel(x) - sign * tensor_fn(x)
+
+    jac = None
+    if tensor_jac_fn is not None:
+        def jac(x):
+            return g.christoffel_jacobian(x) - sign * tensor_jac_fn(x)
+
+    return AffineConnection(g, coeff, tag, jac_fn=jac)
+
+
 def from_difference(g: Metric, sign: int,
                     tensor_fn: Callable[[np.ndarray], np.ndarray],
                     tag: str | None = None,
                     tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
                     probe_point=None) -> AffineConnection:
-    """Connection ``Gamma_LC -/+ A`` for sign +1/-1 (the plus connection
-    subtracts the tensor).
+    """:func:`difference_connection` for a tensor nothing has checked yet.
 
     ``tensor_fn(x)`` must return ``A[k, i, j]`` symmetric in ``(i, j)``, for a
     point or over the leading axes of a stack of points; an asymmetric tensor
@@ -105,7 +124,6 @@ def from_difference(g: Metric, sign: int,
     """
     if sign not in (+1, -1):
         raise ConnectionError_(f"sign must be +1 or -1, got {sign}")
-    factor = -float(sign)
 
     def check(a: np.ndarray, x) -> np.ndarray:
         asym = np.max(np.abs(a - np.einsum("...kji->...kij", a)), axis=(-3, -2, -1))
@@ -118,19 +136,12 @@ def from_difference(g: Metric, sign: int,
                 f"(defect {asym.ravel()[first]:.3e} at {point})")
         return a
 
-    def coeff(x):
-        return g.christoffel(x) + factor * check(tensor_fn(x), x)
-
-    jac = None
-    if tensor_jac_fn is not None:
-        def jac(x):
-            return g.christoffel_jacobian(x) + factor * tensor_jac_fn(x)
-
     if probe_point is not None:
         check(tensor_fn(np.asarray(probe_point, dtype=float)), probe_point)
     if tag is None:
         tag = f"{'plus' if sign > 0 else 'minus'}A"
-    return AffineConnection(g, coeff, tag, jac_fn=jac)
+    return difference_connection(g, sign, lambda x: check(tensor_fn(x), x), tag,
+                                 tensor_jac_fn)
 
 
 def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,

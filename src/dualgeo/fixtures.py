@@ -9,7 +9,9 @@ from disk, so the loading path is exercised on every construction.
 Closed-form structure data, when a fixture carries it, is never trusted:
 validation cross-checks it against the pointwise least-squares recovery on the
 sample grid and fails the fixture on disagreement.  Fixtures without closed
-forms recover everything per point.
+forms recover everything per point.  A declared T or D must also be symmetric
+in its covariant pair on that grid: every induced connection is Gamma_LC minus
+a tensor built from it, evaluated with no torsion check of its own.
 
 Config schema: docs/fixture.schema.json.
 """
@@ -23,12 +25,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import conventions as conv
-from .connections import AffineConnection, levi_civita
+from .connections import (
+    TORSION_TOL, AffineConnection, difference_connection, levi_civita,
+)
 from .expressions import ParseError
-from .geometry import Metric, ScalarField, TensorField, grid_points, matvec, stack_rows
+from .geometry import (
+    Metric, ScalarField, TensorField, central_difference, grid_points, matvec,
+    stack_rows,
+)
 from .structure import (
     PotentialFamily, StructureSolver, bertrand_darboux_check, decompose,
-    killing_check, poisson_check, t_from_prolongation,
+    killing_check, poisson_check, sym_product_metric_form, t_from_prolongation,
 )
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
@@ -157,17 +164,7 @@ class Fixture:
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
             return self.structure_s.jets(x)[1]
-        from .jets import FD_STEP_SCALE
-        x = np.asarray(x, dtype=float)
-        n = self.n
-        out = np.zeros((n, n))
-        for a in range(n):
-            h = FD_STEP_SCALE * (1.0 + abs(x[a]))
-            up, dn = x.copy(), x.copy()
-            up[a] += h
-            dn[a] -= h
-            out[a] = (self.solver.s_vector(up)[0] - self.solver.s_vector(dn)[0]) / (2.0 * h)
-        return out
+        return central_difference(lambda pt: self.solver.s_vector(pt)[0], x)
 
     def s_covector(self, x) -> np.ndarray:
         return self.metric.value(x) @ self.s_vector(x)
@@ -222,124 +219,90 @@ class Fixture:
 
     # --- the connection family -------------------------------------------------
 
+    def _b_tensor(self, x) -> np.ndarray:
+        """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
+        structure tensor gives t for both fixture kinds, so T is evaluated once."""
+        g = self.metric
+        T = self.structure_tensor(x)
+        t_up = conv.t_coefficient(self.n) * matvec(g.inverse(x),
+                                                   np.einsum("...iij->...j", T))
+        return T + conv.b_coefficient(self.n) * np.einsum("...ij,...k->...kij",
+                                                          g.value(x), t_up)
+
+    def _b_jacobian(self, x) -> np.ndarray:
+        g = self.metric
+        dT = self.structure_tensor_jacobian(x)
+        gmat, dgmat, _ = g.jets(x)
+        ginv = g.inverse(x)
+        tau = np.einsum("iij->j", self.structure_tensor(x))
+        dtau = np.einsum("aiij->aj", dT)
+        coef = conv.t_coefficient(self.n) * conv.b_coefficient(self.n)
+        t_up = coef * ginv @ tau
+        dt_up = coef * (np.einsum("akm,m->ak", g.inverse_jacobian(x), tau)
+                        + np.einsum("km,am->ak", ginv, dtau))
+        return dT + (np.einsum("aij,k->akij", dgmat, t_up)
+                     + np.einsum("ij,ak->akij", gmat, dt_up))
+
+    def _dagger_tensor(self, x) -> np.ndarray:
+        """D minus the trace shift that makes the dagger companion."""
+        return self.prolongation_tensor(x) - conv.DAGGER_TRACE_SIGN * np.einsum(
+            "...k,...ij->...kij", self.s_vector(x), self.metric.value(x)) / self.n
+
+    def _f_tensor(self, x, zeta: ScalarField) -> np.ndarray:
+        """B plus the symmetrized metric-dzeta product, weight 1/(2(n-2))."""
+        g = self.metric
+        return self._b_tensor(x) + np.einsum(
+            "...kl,...ijl->...kij", g.inverse(x),
+            sym_product_metric_form(g.value(x), zeta.gradient(x))) / (2.0 * (self.n - 2))
+
+    def _unavailable(self, tag: str, zeta: ScalarField | None = None) -> str | None:
+        """Why the fixture has no connection ``tag``, or None when it has one."""
+        name = tag.lstrip("+-")
+        if tag not in CONNECTION_TAGS:
+            return f"unknown connection tag {tag!r}; known: {', '.join(CONNECTION_TAGS)}"
+        if name in ("D", "dagger") and not self.is_semidegenerate:
+            return (f"fixture {self.name!r} is {self.kind}; the {name} connection "
+                    "exists for semi-degenerate fixtures only")
+        if name == "F" and self.n < 3:
+            return "the F-connections need dimension n >= 3"
+        if name == "F" and zeta is None and self.zeta is None:
+            return f"fixture {self.name!r} carries no zeta"
+        return None
+
     def available_connections(self) -> list[str]:
-        tags = ["LC", "+T", "-T", "+B", "-B"]
-        if self.is_semidegenerate:
-            tags += ["+D", "-D", "dagger"]
-        if self.zeta is not None and self.n >= 3:
-            tags += ["+F", "-F"]
-        return tags
+        return [tag for tag in CONNECTION_TAGS if self._unavailable(tag) is None]
 
     def connection(self, tag: str, zeta: ScalarField | None = None) -> AffineConnection:
         """Named member of the fixture's connection family.
 
+        Every member but LC is ``Gamma_LC - sign * A`` for the difference
+        tensor A named by the tag (``dagger`` has sign +1).  T and B carry
+        analytic Jacobians; D, dagger and F are differentiated numerically.
         ``zeta`` overrides the fixture's own zeta for the F-connections (used
         by the remark suite to inject test functions).
         """
         cache_key = tag if zeta is None else None
-        if cache_key is not None and cache_key in self._conn_cache:
+        if cache_key in self._conn_cache:
             return self._conn_cache[cache_key]
-        g = self.metric
-        n = self.n
+        reason = self._unavailable(tag, zeta)
+        if reason is not None:
+            raise FixtureError(reason)
         if tag == "LC":
-            conn = levi_civita(g)
-        elif tag in ("+T", "-T", "+B", "-B"):
-            sign = +1.0 if tag[0] == "+" else -1.0
-            t_coef, b_coef = conv.t_coefficient(n), conv.b_coefficient(n)
-
-            def tensor(x, _with_b=(tag[1] == "B")):
-                T = self.structure_tensor(x)
-                if not _with_b:
-                    return T
-                # tau of the (possibly extracted) structure tensor gives t for
-                # both fixture kinds, so T is evaluated exactly once
-                t_up = t_coef * matvec(g.inverse(x), np.einsum("...iij->...j", T))
-                return T + b_coef * np.einsum("...ij,...k->...kij", g.value(x), t_up)
-
-            def coeff(x, _sign=sign):
-                return g.christoffel(x) - _sign * tensor(x)
-
-            jac = self._analytic_jacobian(tag)
-            conn = AffineConnection(g, coeff, tag, jac_fn=jac)
-        elif tag in ("+D", "-D"):
-            if not self.is_semidegenerate:
-                raise FixtureError(
-                    f"fixture {self.name!r} is {self.kind}; the prolongation "
-                    "connections exist for semi-degenerate fixtures only")
-            sign = +1.0 if tag[0] == "+" else -1.0
-
-            def coeff(x, _sign=sign):
-                return g.christoffel(x) - _sign * self.prolongation_tensor(x)
-
-            conn = AffineConnection(g, coeff, tag)
-        elif tag == "dagger":
-            if not self.is_semidegenerate:
-                raise FixtureError(
-                    f"fixture {self.name!r} is {self.kind}; the dagger connection "
-                    "exists for semi-degenerate fixtures only")
-
-            def coeff(x):
-                gamma = g.christoffel(x) - self.prolongation_tensor(x)
-                return gamma + conv.DAGGER_TRACE_SIGN * np.einsum(
-                    "...k,...ij->...kij", self.s_vector(x), g.value(x)) / n
-
-            conn = AffineConnection(g, coeff, "dagger")
-        elif tag in ("+F", "-F"):
-            if n < 3:
-                raise FixtureError("the F-connections need dimension n >= 3")
-            zfield = zeta if zeta is not None else self.zeta
-            if zfield is None:
-                raise FixtureError(f"fixture {self.name!r} carries no zeta")
-            sign = +1.0 if tag[0] == "+" else -1.0
-
-            def coeff(x, _sign=sign, _z=zfield):
-                from .structure import sym_product_metric_form
-                gmat = g.value(x)
-                ginv = g.inverse(x)
-                T = self.structure_tensor(x)
-                t_up = conv.t_coefficient(n) * matvec(ginv,
-                                                      np.einsum("...iij->...j", T))
-                F = (T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij",
-                                                           gmat, t_up)
-                     + np.einsum("...kl,...ijl->...kij", ginv,
-                                 sym_product_metric_form(gmat, _z.gradient(x)))
-                     / (2.0 * (n - 2)))
-                return g.christoffel(x) - _sign * F
-
-            conn = AffineConnection(g, coeff, tag)
+            conn = levi_civita(self.metric)
         else:
-            raise FixtureError(f"unknown connection tag {tag!r}; "
-                               f"known: {', '.join(CONNECTION_TAGS)}")
+            zfield = zeta if zeta is not None else self.zeta
+            tensor_fn, tensor_jac_fn = {
+                "T": (self.structure_tensor, self.structure_tensor_jacobian),
+                "B": (self._b_tensor, self._b_jacobian),
+                "D": (self.prolongation_tensor, None),
+                "dagger": (self._dagger_tensor, None),
+                "F": (lambda x: self._f_tensor(x, zfield), None),
+            }[tag.lstrip("+-")]
+            sign = -1 if tag[0] == "-" else +1
+            conn = difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn)
         if cache_key is not None:
             self._conn_cache[cache_key] = conn
         return conn
-
-    def _analytic_jacobian(self, tag: str):
-        """Analytic coefficient jacobians for the T/B connections."""
-        g = self.metric
-        n = self.n
-        sign = +1.0 if tag[0] == "+" else -1.0
-        with_b = tag[1] == "B"
-
-        def jac(x):
-            dT = self.structure_tensor_jacobian(x)
-            out = g.christoffel_jacobian(x) - sign * dT
-            if with_b:
-                gmat, dgmat, _ = g.jets(x)
-                ginv = g.inverse(x)
-                dginv = g.inverse_jacobian(x)
-                T = self.structure_tensor(x)
-                tau = np.einsum("iij->j", T)
-                dtau = np.einsum("aiij->aj", dT)
-                coef = conv.t_coefficient(n) * conv.b_coefficient(n)
-                t_up = coef * ginv @ tau
-                dt_up = coef * (np.einsum("akm,m->ak", dginv, tau) + np.einsum(
-                    "km,am->ak", ginv, dtau))
-                out -= sign * (np.einsum("aij,k->akij", dgmat, t_up)
-                               + np.einsum("ij,ak->akij", gmat, dt_up))
-            return out
-
-        return jac
 
 
 # --- builtin registry -----------------------------------------------------------
@@ -662,6 +625,24 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
                              "declared s disagrees with recovery", x, diff)
             except Exception as exc:
                 fail("structure-closed-form", str(exc), x)
+
+    # declared T and D must be symmetric in their covariant pair: the induced
+    # connections Gamma_LC -/+ A are evaluated without a torsion check
+    stack = np.array(grid)
+    for label, declared in (("T", fixture.structure_T), ("D", fixture.structure_D)):
+        if declared is None:
+            continue
+        try:
+            A = declared.value(stack).components
+        except Exception as exc:
+            fail("structure-symmetry", f"declared {label}: {exc}")
+            continue
+        asym = np.max(np.abs(A - np.swapaxes(A, -1, -2)), axis=(-3, -2, -1))
+        worst = int(np.argmax(asym))
+        if asym[worst] > TORSION_TOL:
+            fail("structure-symmetry",
+                 f"declared {label} is not symmetric in its covariant pair "
+                 "(the connection would have torsion)", grid[worst], asym[worst])
 
     # Killing data
     rng = np.random.default_rng(seed)

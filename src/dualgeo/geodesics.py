@@ -360,6 +360,18 @@ def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveCom
     return CurveComparison(dab < tol and dba < tol, dab, dba, tol)
 
 
+def short_comparison(a: Trajectory, b: Trajectory, steps: int) -> str | None:
+    """Why comparing ``a`` and ``b`` is no evidence, or None when it is.
+
+    Each curve must keep at least half of the ``steps + 1`` samples asked for;
+    curves that stopped earlier can coincide without showing anything.
+    """
+    if 2 * min(len(a.tau), len(b.tau)) >= steps + 1:
+        return None
+    return (f"kept {len(a.tau)} and {len(b.tau)} of {steps + 1} samples (exit "
+            f"reasons {a.exit_reason}, {b.exit_reason}); fewer than half")
+
+
 def reparametrization_check(conn: AffineConnection, g: Metric, x0, w0,
                             q: Callable[[float], float], steps: int, h: float,
                             tol: float = 1e-6, box=None, singular_loci=None

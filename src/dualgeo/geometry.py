@@ -68,6 +68,26 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
+FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
+
+
+def central_difference(fn, x) -> np.ndarray:
+    """``d_a fn`` at one point as ``out[a]``, by central differences.
+
+    The step ``cbrt(eps) * (1 + |x_a|)`` balances truncation against roundoff
+    for a first difference.  Used where no analytic derivative exists.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = []
+    for a in range(len(x)):
+        h = FD_STEP_SCALE * (1.0 + abs(x[a]))
+        up, dn = x.copy(), x.copy()
+        up[a] += h
+        dn[a] -= h
+        rows.append((fn(up) - fn(dn)) / (2.0 * h))
+    return np.array(rows)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """Expression-backed scalar field on an n-dimensional chart."""

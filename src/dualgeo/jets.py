@@ -42,14 +42,8 @@ loop otherwise) and a negative one takes the reciprocal after; a jet-valued
 exponent goes through ``exp(log(base) * exponent)`` unless all of its
 derivatives are zero at the point, in which case its value is used as a
 number.  The reference jet arithmetic these programs must equal bit for bit,
-numpy arrays and operator overloading, is in the test suite
-(``tests/oracles.py``).
-
-Central finite differences are kept alongside as the independent cross-check
-(and as the fallback third-derivative path).  First-difference stencils use
-the usual optimal step ``cbrt(eps) * (1 + |x_i|)``; stencils that divide by
-h^2 (direct Hessian entries) use the fourth-root step instead, since at
-cbrt(eps) their roundoff term eps/h^2 alone already exceeds 1e-6 relative.
+numpy arrays and operator overloading, and the finite-difference stencils
+that cross-check both, are in the test suite (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -67,9 +61,6 @@ from .expressions import (
     FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Expression, Mul, Neg,
     Num, Pow, Sub, Var, to_source,
 )
-
-FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))        # ~6.06e-6
-FD_STEP_SCALE_2ND = float(np.finfo(float).eps ** 0.25)     # ~1.22e-4
 
 _DIVISION_BY_ZERO = "division by zero"
 _POSITIVE_BASE = "real exponent needs a positive base"
@@ -711,83 +702,3 @@ def eval_jet3(expr: Expression, point) -> Jet:
     """Derivatives through order three via third-order jets."""
     return _cached_program(expr).jets(point, 3)[0]
 
-
-def eval_order3(expr: Expression, point) -> np.ndarray:
-    """Third-derivative array, canonicalized to exact index symmetry."""
-    third = eval_jet3(expr, point).third
-    n = third.shape[0]
-    out = np.empty_like(third)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                v = third[i, j, k]
-                out[i, j, k] = out[i, k, j] = out[j, i, k] = v
-                out[j, k, i] = out[k, i, j] = out[k, j, i] = v
-    return out
-
-
-# --- Finite-difference oracles ----------------------------------------------
-
-
-def fd_step(x: float) -> float:
-    return FD_STEP_SCALE * (1.0 + abs(x))
-
-
-def fd_step_2nd(x: float) -> float:
-    return FD_STEP_SCALE_2ND * (1.0 + abs(x))
-
-
-def fd_gradient(expr: Expression, point) -> np.ndarray:
-    pt = np.asarray(point, dtype=float)
-    n = pt.shape[0]
-    grad = np.zeros(n)
-    for i in range(n):
-        h = fd_step(pt[i])
-        up, dn = pt.copy(), pt.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (eval_value(expr, up) - eval_value(expr, dn)) / (2.0 * h)
-    return grad
-
-
-def fd_hessian(expr: Expression, point) -> np.ndarray:
-    pt = np.asarray(point, dtype=float)
-    n = pt.shape[0]
-    hess = np.zeros((n, n))
-    f0 = eval_value(expr, pt)
-    for i in range(n):
-        hi = fd_step_2nd(pt[i])
-        for j in range(i, n):
-            if i == j:
-                up, dn = pt.copy(), pt.copy()
-                up[i] += hi
-                dn[i] -= hi
-                hess[i, i] = (eval_value(expr, up) - 2.0 * f0 + eval_value(expr, dn)) / hi**2
-            else:
-                hj = fd_step_2nd(pt[j])
-                pp, pm, mp, mm = pt.copy(), pt.copy(), pt.copy(), pt.copy()
-                pp[[i, j]] += [hi, hj]
-                pm[i] += hi
-                pm[j] -= hj
-                mp[i] -= hi
-                mp[j] += hj
-                mm[[i, j]] -= [hi, hj]
-                val = (eval_value(expr, pp) - eval_value(expr, pm)
-                       - eval_value(expr, mp) + eval_value(expr, mm)) / (4.0 * hi * hj)
-                hess[i, j] = hess[j, i] = val
-    return hess
-
-
-def fd_order3(expr: Expression, point) -> np.ndarray:
-    """Central differences of the exact Hessian; fallback for eval_order3."""
-    pt = np.asarray(point, dtype=float)
-    n = pt.shape[0]
-    third = np.zeros((n, n, n))
-    for a in range(n):
-        h = fd_step(pt[a])
-        up, dn = pt.copy(), pt.copy()
-        up[a] += h
-        dn[a] -= h
-        third[a] = (eval_jet2(expr, up).hess - eval_jet2(expr, dn).hess) / (2.0 * h)
-    # symmetrize: derivative index commutes with Hessian indices analytically
-    return (third + np.transpose(third, (1, 2, 0)) + np.transpose(third, (2, 0, 1))) / 3.0

@@ -29,7 +29,7 @@ from .connections import (
     dual_projective_test, semi_compatibility_test, shift_by_one_form,
 )
 from .fixtures import Fixture
-from .geodesics import curves_coincide, integrate_dual_geodesics
+from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
 from .geometry import Metric, ScalarField
 from .structure import (
     beta_condition_residual, build_N, classify, t_from_prolongation,
@@ -165,12 +165,10 @@ def _trajectory_claim(report: VerificationReport, claim_id: str, statement: str,
     curves_b = integrate_dual_geodesics(conn_b, fixture.metric, x0s, w0s, steps, h, **kw)
     worst = 0.0
     for start, (ta, tb) in enumerate(zip(curves_a, curves_b)):
-        if 2 * min(len(ta.tau), len(tb.tau)) < steps + 1:
+        why = short_comparison(ta, tb, steps)
+        if why is not None:
             worst = np.inf
-            report.notes.append(
-                f"{claim_id}: start {start} kept {len(ta.tau)} and {len(tb.tau)} of "
-                f"{steps + 1} samples (exit reasons {ta.exit_reason}, "
-                f"{tb.exit_reason}); fewer than half, so the residual is inf")
+            report.notes.append(f"{claim_id}: start {start} {why}, so the residual is inf")
             continue
         cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
         worst = max(worst, cmp.dist_a_to_b, cmp.dist_b_to_a)

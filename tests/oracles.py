@@ -7,8 +7,9 @@ the same float operations and order), finite differences of those values, the
 loop-built assembly of the structure solver's linear system, a brute-force
 recovery that
 parametrizes the full unconstrained tensor with symmetry and trace conditions
-appended as extra equations, and a dense nearest-segment scan over every
-query-segment pair at once.  Expected values asserted in the tests were
+appended as extra equations, a dense nearest-segment scan over every
+query-segment pair at once, and the connection family written out tag by tag
+on a fixture's structure data.  Expected values asserted in the tests were
 computed with these oracles (or by hand) before being frozen.
 """
 
@@ -17,13 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dualgeo import conventions as conv
 from dualgeo.expressions import (
     Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub, Var,
     to_source,
 )
+from dualgeo.structure import sym_product_metric_form
 
-FD_H = 1e-5       # first differences
-FD_H2 = 1e-4      # stencils dividing by h^2
+# finite-difference steps are scale * (1 + |x_i|) per axis: cbrt(eps) for a
+# first difference; stencils that divide by h^2 take the fourth root instead,
+# since at cbrt(eps) their roundoff term eps/h^2 alone exceeds 1e-6 relative
+FD_SCALE = float(np.cbrt(np.finfo(float).eps))       # ~6.06e-6
+FD_SCALE_2ND = float(np.finfo(float).eps ** 0.25)    # ~1.22e-4
 
 
 class _DomainViolation(Exception):
@@ -324,53 +330,68 @@ def eval_jet(expr, x, order=2):
     return out if isinstance(out, Jet) else Jet.constant(out, len(env), order)
 
 
-def fd_gradient(expr, x, h=FD_H):
+def _fd_steps(x, h, scale):
+    """The fixed step h on every axis, or scale * (1 + |x_i|) when h is None."""
+    return [h if h is not None else scale * (1.0 + abs(v)) for v in x]
+
+
+def fd_derivative(fn, x, h=None):
+    """Central differences ``d_a fn`` at x as ``out[a]``."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    out = np.zeros(n)
-    for i in range(n):
+    rows = []
+    for a, ha in enumerate(_fd_steps(x, h, FD_SCALE)):
         up, dn = x.copy(), x.copy()
-        up[i] += h
-        dn[i] -= h
-        out[i] = (eval_value(expr, up) - eval_value(expr, dn)) / (2 * h)
-    return out
+        up[a] += ha
+        dn[a] -= ha
+        rows.append((np.asarray(fn(up)) - np.asarray(fn(dn))) / (2.0 * ha))
+    return np.array(rows)
 
 
-def fd_hessian(expr, x, h=FD_H2):
+def fd_gradient(expr, x, h=None):
+    return fd_derivative(lambda p: eval_value(expr, p), x, h)
+
+
+def fd_hessian(expr, x, h=None):
     x = np.asarray(x, dtype=float)
     n = len(x)
+    steps = _fd_steps(x, h, FD_SCALE_2ND)
     out = np.zeros((n, n))
     f0 = eval_value(expr, x)
     for i in range(n):
-        for j in range(n):
+        hi = steps[i]
+        for j in range(i, n):
+            hj = steps[j]
             if i == j:
                 up, dn = x.copy(), x.copy()
-                up[i] += h
-                dn[i] -= h
-                out[i, i] = (eval_value(expr, up) - 2 * f0 + eval_value(expr, dn)) / h**2
+                up[i] += hi
+                dn[i] -= hi
+                out[i, i] = (eval_value(expr, up) - 2.0 * f0 + eval_value(expr, dn)) / hi**2
             else:
                 pp, pm, mp, mm = x.copy(), x.copy(), x.copy(), x.copy()
-                pp[[i, j]] += h
-                pm[i] += h
-                pm[j] -= h
-                mp[i] -= h
-                mp[j] += h
-                mm[[i, j]] -= h
-                out[i, j] = (eval_value(expr, pp) - eval_value(expr, pm)
-                             - eval_value(expr, mp) + eval_value(expr, mm)) / (4 * h**2)
+                pp[[i, j]] += [hi, hj]
+                pm[i] += hi
+                pm[j] -= hj
+                mp[i] -= hi
+                mp[j] += hj
+                mm[[i, j]] -= [hi, hj]
+                out[i, j] = out[j, i] = (eval_value(expr, pp) - eval_value(expr, pm)
+                                         - eval_value(expr, mp)
+                                         + eval_value(expr, mm)) / (4.0 * hi * hj)
     return out
+
+
+def fd_third(expr, x):
+    """Third derivatives: central differences of the reference Hessian, with
+    the three cyclic index orders averaged."""
+    third = fd_derivative(lambda p: eval_jet(expr, p).hess, x)
+    return (third + np.transpose(third, (1, 2, 0)) + np.transpose(third, (2, 0, 1))) / 3.0
 
 
 def fd_christoffel(metric, x, h=1e-6):
     """Christoffel symbols from centered differences of metric values only."""
     x = np.asarray(x, dtype=float)
     n = metric.n
-    dg = np.zeros((n, n, n))
-    for a in range(n):
-        up, dn = x.copy(), x.copy()
-        up[a] += h
-        dn[a] -= h
-        dg[a] = (metric.value(up) - metric.value(dn)) / (2 * h)
+    dg = fd_derivative(metric.value, x, h)
     ginv = np.linalg.inv(metric.value(x))
     out = np.zeros((n, n, n))
     for k in range(n):
@@ -387,12 +408,7 @@ def fd_ricci(metric, x, h=1e-4):
     x = np.asarray(x, dtype=float)
     n = metric.n
     gamma = metric.christoffel(x)
-    dgamma = np.zeros((n, n, n, n))
-    for a in range(n):
-        up, dn = x.copy(), x.copy()
-        up[a] += h
-        dn[a] -= h
-        dgamma[a] = (metric.christoffel(up) - metric.christoffel(dn)) / (2 * h)
+    dgamma = fd_derivative(metric.christoffel, x, h)
     ric = np.zeros((n, n))
     for k in range(n):
         for j in range(n):
@@ -538,3 +554,62 @@ def dense_polyline_distances(queries, poly):
     rows = np.arange(len(queries))
     arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
     return np.sqrt(d2[rows, best]), arc_starts[best] + s[rows, best] * seg_len[best]
+
+
+# --- the connection family, tag by tag -------------------------------------------
+# One formula per tag, each with its own operation order: the Levi-Civita
+# symbols minus sign * T, B = T + ((n+2)/n) g (x) t^sharp, D; the dagger
+# companion (Gamma - D) plus the trace shift; F = B plus the metric-dzeta
+# product.  T and B have the analytic Jacobian dGamma - sign * dT, minus sign *
+# the derivative of the B term; D, dagger and F are central differences.
+
+
+def reference_coefficients(fixture, tag, x, zeta=None):
+    """Gamma[k, i, j] of connection ``tag`` at a point or a (..., n) stack."""
+    g = fixture.metric
+    n = fixture.n
+    gamma = g.christoffel(x)
+    if tag == "LC":
+        return gamma
+    if tag == "dagger":
+        return (gamma - fixture.prolongation_tensor(x)) + conv.DAGGER_TRACE_SIGN * np.einsum(
+            "...k,...ij->...kij", fixture.s_vector(x), g.value(x)) / n
+    sign = +1.0 if tag[0] == "+" else -1.0
+    if tag[1:] == "T":
+        return gamma - sign * fixture.structure_tensor(x)
+    if tag[1:] == "D":
+        return gamma - sign * fixture.prolongation_tensor(x)
+    T = fixture.structure_tensor(x)
+    gmat = g.value(x)
+    tau = np.einsum("...iij->...j", T)
+    t_up = conv.t_coefficient(n) * (g.inverse(x) @ tau[..., None])[..., 0]
+    A = T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij", gmat, t_up)
+    if tag[1:] == "F":
+        zfield = zeta if zeta is not None else fixture.zeta
+        A = A + np.einsum("...kl,...ijl->...kij", g.inverse(x),
+                          sym_product_metric_form(gmat, zfield.gradient(x))) / (2.0 * (n - 2))
+    return gamma - sign * A
+
+
+def reference_jacobian(fixture, tag, x, zeta=None):
+    """dGamma[a, k, i, j] of connection ``tag`` at one point."""
+    g = fixture.metric
+    if tag == "LC":
+        return g.christoffel_jacobian(x)
+    if tag[1:] not in ("T", "B"):
+        return fd_derivative(lambda p: reference_coefficients(fixture, tag, p, zeta), x)
+    sign = +1.0 if tag[0] == "+" else -1.0
+    dT = fixture.structure_tensor_jacobian(x)
+    out = g.christoffel_jacobian(x) - sign * dT
+    if tag[1:] == "B":
+        gmat, dgmat, _ = g.jets(x)
+        ginv = g.inverse(x)
+        tau = np.einsum("iij->j", fixture.structure_tensor(x))
+        dtau = np.einsum("aiij->aj", dT)
+        coef = conv.t_coefficient(fixture.n) * conv.b_coefficient(fixture.n)
+        t_up = coef * ginv @ tau
+        dt_up = coef * (np.einsum("akm,m->ak", g.inverse_jacobian(x), tau)
+                        + np.einsum("km,am->ak", ginv, dtau))
+        out -= sign * (np.einsum("aij,k->akij", dgmat, t_up)
+                       + np.einsum("ij,ak->akij", gmat, dt_up))
+    return out

@@ -14,14 +14,14 @@ from dualgeo.connections import (
 )
 from dualgeo.geodesics import curves_coincide, integrate_dual_geodesic
 from dualgeo.geometry import TensorField, covariant_derivative
-from dualgeo.jets import eval_jet2, fd_gradient, fd_hessian
+from dualgeo.jets import eval_jet2
 from dualgeo.structure import beta_condition_residual, classify, sym_product_metric_form
 from dualgeo.geometry import ScalarField
 from dualgeo.expressions import parse
 from dualgeo.fixtures import builtin
 
 from test_jets import CORPUS
-from oracles import brute_force_structure_tensor
+from oracles import brute_force_structure_tensor, fd_gradient, fd_hessian
 
 SEED = 20250808
 

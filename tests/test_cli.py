@@ -156,3 +156,57 @@ def test_verify_config_file_equivalent_to_builtin(tmp_path, capsys):
     a = json.loads(out_path.read_text())
     b = json.loads(ref_path.read_text())
     assert a["reports"][0]["claims"] == b["reports"][0]["claims"]
+
+
+_TRACE = ["trace", "sw2", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "sw2-strong-synthetic", "--grid", "0"],
+    ["verify", "sw2", "--grid", "0"],
+    _TRACE + ["--steps", "-5"],
+    _TRACE + ["--steps", "0"],
+    _TRACE + ["--h", "0"],
+    _TRACE + ["--h=-1e-3"],
+    _TRACE + ["--h", "inf"],
+    _TRACE + ["--compare", "+B", "--h", "nan"],
+], ids=["classify-grid-0", "verify-grid-0", "steps-negative", "steps-0", "h-0",
+        "h-negative", "h-inf", "compare-h-nan"])
+def test_numeric_input_without_evidence_exits_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+    assert not list(tmp_path.iterdir())    # rejected before anything ran
+
+
+def test_grid_from_environment_checked_too(capsys, monkeypatch):
+    monkeypatch.setenv("DUALGEO_GRID", "0")
+    code, out, err = run(["classify", "sw2-strong-synthetic"], capsys)
+    assert code == 2
+    assert "DUALGEO_GRID" in err and out == ""
+
+
+def test_trace_compare_of_curves_that_stopped_early_fails(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["trace", "sw2", "--conn", "+T", "--compare", "+B",
+                          "--x0", "0.502,1.5", "--w0=-0.3,0", "--steps", "1000"], capsys)
+    assert code == 1
+    assert json.loads(out)["coincide"] is False
+    assert "kept 7 and 7 of 1001 samples" in err
+    assert "exit reasons domain_exit, domain_exit" in err
+
+
+def test_declared_d_with_torsion_is_rejected_on_load(tmp_path, capsys, monkeypatch):
+    from dualgeo.fixtures import builtin_config
+    monkeypatch.chdir(tmp_path)
+    cfg = builtin_config("sw2-strong-synthetic")
+    cfg["structure"]["D"][0][0][1] = "0.5"
+    path = tmp_path / "torsion.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["verify", str(path), "--grid", "3"],
+                 ["trace", str(path), "--conn", "+D", "--x0", "1,2", "--w0", "0.1,0",
+                  "--steps", "10"]):
+        code, out, err = run(argv, capsys)
+        assert code == 3, argv
+        assert "structure-symmetry" in err

@@ -7,8 +7,9 @@ from dualgeo.connections import (
     connection_ricci_symmetry_check, difference_tensor, dual_projective_test,
     from_difference, levi_civita, semi_compatibility_test, shift_by_one_form,
 )
-from dualgeo.fixtures import builtin
-from dualgeo.geometry import Metric
+from dualgeo.fixtures import CONNECTION_TAGS, FixtureError, builtin, from_config
+from dualgeo.geometry import Metric, ScalarField
+from oracles import reference_coefficients, reference_jacobian
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +272,101 @@ def test_from_difference_names_first_asymmetric_point(euclid2):
     with pytest.raises(TorsionError, match=r"defect 2\.500e-01 at \[0\.25 3\.  \]"):
         conn.coefficients(points)
     assert conn.coefficients(points[:2]).shape == (2, 2, 2, 2)
+
+
+# --- the connection table against the per-tag reference formulas -----------------
+
+# curved metrics with non-zero structure data and no potentials (loaded without
+# validation): every tag of the table on a non-constant metric
+_CURVED_D = [[[f"{k + 1}*x{i + 1}*x{j + 1} + x{k + 1}/(1 + x{(i + j) % 3 + 1})"
+               for j in range(3)] for i in range(3)] for k in range(3)]
+CURVED = {
+    "curved-t": {
+        "name": "curved-t", "dimension": 2,
+        "metric": [["2 + x2", "x1/4"], ["x1/4", "1 + x1^2"]],
+        "kind": "nondegenerate", "domain": [[0.5, 1.5], [0.5, 1.5]],
+        "structure": {"T": [[["x1*x2", "x2^2/3"], ["x2^2/3", "1/(1 + x2)"]],
+                            [["sin(x1)", "x1 - x2"], ["x1 - x2", "x1^2*x2"]]]},
+        "zeta": "x1 + x2",    # carried, but F needs n >= 3
+    },
+    "curved-d": {
+        "name": "curved-d", "dimension": 3,
+        "metric": [["1 + x1^2", "0", "x2/5"], ["0", "2 + x3", "0"],
+                   ["x2/5", "0", "1 + x2^2"]],
+        "kind": "semidegenerate", "domain": [[0.5, 1.5]] * 3,
+        "structure": {"D": _CURVED_D, "s": ["x2", "x1*x3", "1/x1"]},
+        "zeta": "x1*x2 + x3^2",
+    },
+}
+BUILTINS = ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic", "sphere3-trivial"]
+
+
+def _table_fixture(name):
+    if name == "sw2-recovered":
+        return _recovered_sw2()
+    if name in CURVED:
+        return from_config(CURVED[name], validate_on_load=False)
+    return builtin(name)
+
+
+def _table_cases(fixture):
+    """(tag, injected zeta) pairs: every available tag, plus +-F with a
+    non-constant zeta on a 3-D nondegenerate fixture."""
+    cases = [(tag, None) for tag in fixture.available_connections()]
+    if fixture.n >= 3 and fixture.kind == "nondegenerate":
+        zeta = ScalarField.from_source("x1*x2 + x3^2", fixture.n)
+        cases += [("+F", zeta), ("-F", zeta)]
+    return cases
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["sw2-recovered"])
+def test_connection_table_equals_reference_formulas_bytes(name):
+    fixture = _table_fixture(name)
+    points = fixture.grid(3)
+    stack = np.stack(points)
+    for tag, zeta in _table_cases(fixture):
+        conn = fixture.connection(tag, zeta=zeta)
+        assert (conn.coefficients(stack).tobytes()
+                == reference_coefficients(fixture, tag, stack, zeta).tobytes()), tag
+        for x in points:
+            assert (conn.coefficients(x).tobytes()
+                    == reference_coefficients(fixture, tag, x, zeta).tobytes()), (tag, x)
+            assert (conn.jacobian(x).tobytes()
+                    == reference_jacobian(fixture, tag, x, zeta).tobytes()), (tag, x)
+
+
+@pytest.mark.parametrize("name", sorted(CURVED))
+def test_connection_table_matches_reference_formulas_on_curved_metrics(name):
+    # B = T + b g (x) t subtracted as one tensor, and dagger as Gamma - (D - shift),
+    # round differently from the reference's two subtractions; measured drift
+    # is at most 2e-16 relative in coefficients and analytic Jacobians, and
+    # 1.2e-11 in dagger's central-difference Jacobian
+    fixture = _table_fixture(name)
+    points = fixture.grid(3)
+    stack = np.stack(points)
+
+    def close(a, b, rel):
+        return np.max(np.abs(a - b)) <= rel * max(1.0, np.max(np.abs(b)))
+
+    for tag, zeta in _table_cases(fixture):
+        conn = fixture.connection(tag, zeta=zeta)
+        assert close(conn.coefficients(stack),
+                     reference_coefficients(fixture, tag, stack, zeta), 1e-15), tag
+        for x in points:
+            assert close(conn.coefficients(x),
+                         reference_coefficients(fixture, tag, x, zeta), 1e-15), tag
+            assert close(conn.jacobian(x), reference_jacobian(fixture, tag, x, zeta),
+                         1e-15 if tag[1:] in ("T", "B") else 1e-10), tag
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["sw2-recovered"] + sorted(CURVED))
+def test_available_connections_are_the_buildable_tags(name):
+    fixture = _table_fixture(name)
+    buildable = []
+    for tag in CONNECTION_TAGS:
+        try:
+            fixture.connection(tag)
+        except FixtureError:
+            continue
+        buildable.append(tag)
+    assert fixture.available_connections() == buildable

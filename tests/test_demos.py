@@ -1,4 +1,4 @@
-"""Smoke test: the demos that walk through the jet and structure APIs run."""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -13,7 +13,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("demo", ["demo_expressions_and_jets.py",
-                                  "demo_structure_recovery.py"])
+                                  "demo_structure_recovery.py",
+                                  "demo_dual_geodesics.py",
+                                  "demo_verification_suites.py"])
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     package_root = str(Path(dualgeo.__file__).resolve().parents[1])

@@ -175,3 +175,18 @@ def test_example_config_loads_and_validates():
     V = fixture.family.potentials[0]
     assert V.value(np.array([1.0, 1.0])) == 4.0
     assert np.max(np.abs(fixture.structure_tensor(np.array([0.4, -0.3])))) < 1e-10
+
+
+@pytest.mark.parametrize("name, tensor", [("sw2", "T"), ("sw2-strong-synthetic", "D")])
+def test_declared_structure_with_torsion_fails_validation(name, tensor):
+    # negative control: one asymmetric covariant pair, by 0.5
+    cfg = builtin_config(name)
+    cfg["structure"][tensor][0][0][1] = "0.5"
+    failures = validate(from_config(cfg, validate_on_load=False))
+    sym = [f for f in failures if f["check"] == "structure-symmetry"]
+    assert len(sym) == 1 and sym[0]["residual"] == 0.5
+    assert f"declared {tensor}" in sym[0]["message"]
+    with pytest.raises(FixtureValidationError) as exc:
+        from_config(cfg)
+    assert sym[0] in exc.value.failures
+
