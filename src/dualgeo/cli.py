@@ -58,19 +58,29 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _load_fixture(source: str, skip_validation: bool = False):
-    if source in builtin_names():
-        fixture = builtin(source)
-        if not skip_validation:
+def _load_fixture(source: str):
+    """The validated fixture named by ``source``, or the exit code after every
+    reason it cannot load went to stderr (each validation failure as JSON)."""
+    try:
+        if source in builtin_names():
+            fixture = builtin(source)
             failures = validate(fixture)
             if failures:
                 raise FixtureValidationError(fixture.name, failures)
-        return fixture
-    if os.path.exists(source):
-        return load(source, validate_on_load=not skip_validation)
-    raise UnknownFixtureError(
-        f"{source!r} is neither a built-in fixture ({', '.join(builtin_names())}) "
-        "nor an existing config file")
+            return fixture
+        if os.path.exists(source):
+            return load(source)
+        raise UnknownFixtureError(
+            f"{source!r} is neither a built-in fixture ({', '.join(builtin_names())}) "
+            "nor an existing config file")
+    except FixtureValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for failure in exc.failures:
+            print(f"  - {json.dumps(failure, sort_keys=True)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (FixtureError, ExpressionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
@@ -85,16 +95,9 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
-    try:
-        fixture = _load_fixture(args.fixture)
-    except FixtureValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for failure in exc.failures:
-            print(f"  - {json.dumps(failure, sort_keys=True)}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UnknownFixtureError, FixtureError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fixture = _load_fixture(args.fixture)
+    if isinstance(fixture, int):
+        return fixture
 
     wanted = applicable_suites(fixture) if args.theorem == "all" else [args.theorem]
     reports = []
@@ -138,14 +141,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    try:
-        fixture = _load_fixture(args.fixture)
-    except FixtureValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UnknownFixtureError, FixtureError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fixture = _load_fixture(args.fixture)
+    if isinstance(fixture, int):
+        return fixture
     try:
         x0 = _parse_vector(args.x0, fixture.n, "--x0")
         w0 = _parse_vector(args.w0, fixture.n, "--w0")
@@ -193,14 +191,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        fixture = _load_fixture(args.fixture)
-    except FixtureValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (UnknownFixtureError, FixtureError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fixture = _load_fixture(args.fixture)
+    if isinstance(fixture, int):
+        return fixture
     if not fixture.is_semidegenerate:
         print(f"error: fixture {fixture.name!r} is {fixture.kind}; classification "
               "applies to semi-degenerate fixtures only", file=sys.stderr)

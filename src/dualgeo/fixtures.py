@@ -99,7 +99,7 @@ class Fixture:
     def n(self) -> int:
         return self.metric.n
 
-    def grid(self, per_axis: int = 5) -> list[np.ndarray]:
+    def grid(self, per_axis: int = 5) -> np.ndarray:
         return grid_points(self.box, per_axis, self.singular_margin)
 
     @property
@@ -133,13 +133,13 @@ class Fixture:
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.jets(x)[1]
-            return self.solver.structure_tensor_jacobian(x)
+            return self._solved(lambda pt: (self.solver.structure_tensor_jacobian(pt),), x)
         dD = self.prolongation_jacobian(x)
         gmat, dgmat, _ = self.metric.jets(x)
         s_up = self.s_vector(x)
         ds_up = self.s_vector_jacobian(x)
-        return dD - (np.einsum("aij,k->akij", dgmat, s_up)
-                     + np.einsum("ij,ak->akij", gmat, ds_up)) / self.n
+        return dD - (np.einsum("...aij,...k->...akij", dgmat, s_up)
+                     + np.einsum("...ij,...ak->...akij", gmat, ds_up)) / self.n
 
     def prolongation_tensor(self, x) -> np.ndarray:
         if self.structure_D is not None:
@@ -151,7 +151,7 @@ class Fixture:
     def prolongation_jacobian(self, x) -> np.ndarray:
         if self.structure_D is not None:
             return self.structure_D.jets(x)[1]
-        return self.solver.prolongation_jacobian(x)
+        return self._solved(lambda pt: (self.solver.prolongation_jacobian(pt),), x)
 
     def s_vector(self, x) -> np.ndarray:
         """Contravariant semi-degeneracy vector (declared or recovered)."""
@@ -164,15 +164,15 @@ class Fixture:
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
             return self.structure_s.jets(x)[1]
-        return central_difference(lambda pt: self.solver.s_vector(pt)[0], x)
+        return central_difference(lambda pt: self._solved(self.solver.s_vector, pt), x)
 
     def s_covector(self, x) -> np.ndarray:
-        return self.metric.value(x) @ self.s_vector(x)
+        return matvec(self.metric.value(x), self.s_vector(x))
 
     def t_covector(self, x) -> np.ndarray:
         if self.kind == "nondegenerate":
             T = self.structure_tensor(x)
-            return conv.t_coefficient(self.n) * np.einsum("iij->j", T)
+            return conv.t_coefficient(self.n) * np.einsum("...iij->...j", T)
         D = self.prolongation_tensor(x)
         return t_from_prolongation(D, self.s_covector(x), self.n)
 
@@ -234,14 +234,14 @@ class Fixture:
         dT = self.structure_tensor_jacobian(x)
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        tau = np.einsum("iij->j", self.structure_tensor(x))
-        dtau = np.einsum("aiij->aj", dT)
+        tau = np.einsum("...iij->...j", self.structure_tensor(x))
+        dtau = np.einsum("...aiij->...aj", dT)
         coef = conv.t_coefficient(self.n) * conv.b_coefficient(self.n)
-        t_up = coef * ginv @ tau
-        dt_up = coef * (np.einsum("akm,m->ak", g.inverse_jacobian(x), tau)
-                        + np.einsum("km,am->ak", ginv, dtau))
-        return dT + (np.einsum("aij,k->akij", dgmat, t_up)
-                     + np.einsum("ij,ak->akij", gmat, dt_up))
+        t_up = matvec(coef * ginv, tau)
+        dt_up = coef * (np.einsum("...akm,...m->...ak", g.inverse_jacobian(x), tau)
+                        + np.einsum("...km,...am->...ak", ginv, dtau))
+        return dT + (np.einsum("...aij,...k->...akij", dgmat, t_up)
+                     + np.einsum("...ij,...ak->...akij", gmat, dt_up))
 
     def _dagger_tensor(self, x) -> np.ndarray:
         """D minus the trace shift that makes the dagger companion."""
@@ -601,39 +601,31 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
                      "superintegrable as declared", x, residual)
         # closed-form structure data against recovery
         if fixture.family is not None:
+            solver = fixture.solver
+            declared_s = fixture.structure_s if fixture.is_semidegenerate else None
             try:
-                if fixture.structure_T is not None:
-                    closed = fixture.structure_T.value(x).components
-                    recovered, _ = fixture.solver.structure_tensor(x)
-                    diff = float(np.max(np.abs(closed - recovered)))
+                for check, label, declared, solve in (
+                        ("structure-closed-form", "T", fixture.structure_T,
+                         solver.structure_tensor),
+                        ("prolongation-closed-form", "D", fixture.structure_D,
+                         solver.prolongation_tensor),
+                        ("s-closed-form", "s", declared_s, solver.s_vector)):
+                    if declared is None:
+                        continue
+                    closed = declared.value(x).components
+                    diff = float(np.max(np.abs(closed - solve(x)[0])))
                     if diff > 1e-8:
-                        fail("structure-closed-form",
-                             "declared T disagrees with recovery", x, diff)
-                if fixture.structure_D is not None:
-                    closed = fixture.structure_D.value(x).components
-                    recovered, _ = fixture.solver.prolongation_tensor(x)
-                    diff = float(np.max(np.abs(closed - recovered)))
-                    if diff > 1e-8:
-                        fail("prolongation-closed-form",
-                             "declared D disagrees with recovery", x, diff)
-                if fixture.structure_s is not None and fixture.kind == "semidegenerate":
-                    closed = fixture.structure_s.value(x).components
-                    recovered, _ = fixture.solver.s_vector(x)
-                    diff = float(np.max(np.abs(closed - recovered)))
-                    if diff > 1e-8:
-                        fail("s-closed-form",
-                             "declared s disagrees with recovery", x, diff)
+                        fail(check, f"declared {label} disagrees with recovery", x, diff)
             except Exception as exc:
                 fail("structure-closed-form", str(exc), x)
 
     # declared T and D must be symmetric in their covariant pair: the induced
     # connections Gamma_LC -/+ A are evaluated without a torsion check
-    stack = np.array(grid)
     for label, declared in (("T", fixture.structure_T), ("D", fixture.structure_D)):
         if declared is None:
             continue
         try:
-            A = declared.value(stack).components
+            A = declared.value(grid).components
         except Exception as exc:
             fail("structure-symmetry", f"declared {label}: {exc}")
             continue
@@ -691,7 +683,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
         err = abs(value - float(spot["value"]))
         if err > float(spot["tol"]):
             fail("expected-spot",
-                 f"{tensor}{list(spot['index'])} = {value!r}, "
+                 f"{tensor}{list(spot['index'])} = {float(value)!r}, "
                  f"expected {spot['value']!r}", x, err)
 
     if "classification" in fixture.expected:

@@ -1,16 +1,25 @@
 """Metric-dependent calculus on a coordinate chart.
 
-The chart is fixed; everything is a dense numpy computation at a point.
-``Metric.jets``, ``value``, ``inverse`` and ``christoffel``, and
-``TensorField.value``, also take a stack of points of shape ``(..., n)`` and
-return arrays with the same leading axes: each point runs through the same
-compiled program, and the rows are stacked once.
+The chart is fixed; everything is a dense numpy computation at a point or
+over a stack of points.  The metric's jets, inverse, Christoffel symbols,
+their Jacobians and curvature, the fields' values, jets and derivatives,
+:func:`hessian` and :func:`covariant_derivative` take a point of shape
+``(n,)`` or a stack of shape ``(..., n)`` and return arrays with the same
+leading axes: each point runs through the same compiled program, the rows are
+stacked once, and the tensor algebra is one ``...``-einsum over the stack,
+which rounds every row as the single-point call does.
+
 Christoffel symbols are stored as ``Gamma[k, i, j]`` = Gamma^k_{ij}, curvature
 as ``R[l, k, i, j]`` = R^l_{kij} (so ``Ric_{kj} = R[i, k, i, j]``), and
 covariant derivatives prepend the derivative index.  Curvature is assembled
 from analytic second derivatives of the metric components (jet arithmetic);
 finite differences of the Christoffel symbols stay available in the test suite
 as the independent oracle.
+
+A sample grid is one ``(N, n)`` array (:func:`grid_points`).  Grid checks
+evaluate it in blocks of ``GRID_BLOCK`` rows (:func:`grid_blocks`) and reduce
+each block with ``np.max``, so their memory is bounded by the block, not by
+the grid.
 
 Expression-backed fields (:class:`ScalarField`, :class:`TensorField` and
 :class:`Metric`) compile their component trees once, on first use, into one
@@ -72,20 +81,23 @@ FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
 
 
 def central_difference(fn, x) -> np.ndarray:
-    """``d_a fn`` at one point as ``out[a]``, by central differences.
+    """``d_a fn`` at a point as ``out[a]``, by central differences; over a
+    ``(..., n)`` stack as ``out[..., a]``, with each row's own step.
 
     The step ``cbrt(eps) * (1 + |x_a|)`` balances truncation against roundoff
     for a first difference.  Used where no analytic derivative exists.
     """
     x = np.asarray(x, dtype=float)
+    lead = x.ndim - 1
     rows = []
-    for a in range(len(x)):
-        h = FD_STEP_SCALE * (1.0 + abs(x[a]))
+    for a in range(x.shape[-1]):
+        h = FD_STEP_SCALE * (1.0 + np.abs(x[..., a]))
         up, dn = x.copy(), x.copy()
-        up[a] += h
-        dn[a] -= h
-        rows.append((fn(up) - fn(dn)) / (2.0 * h))
-    return np.array(rows)
+        up[..., a] += h
+        dn[..., a] -= h
+        diff = fn(up) - fn(dn)
+        rows.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - lead)))
+    return np.stack(rows, axis=lead)
 
 
 @dataclass(frozen=True)
@@ -109,14 +121,15 @@ class ScalarField:
     def jet2(self, x) -> Jet:
         return self._program.jets(x, 2)[0]
 
-    def jet3(self, x) -> Jet:
-        return self._program.jets(x, 3)[0]
+    def derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """(d_a V, d_a d_b V) at a point, or stacked over the leading axes of x."""
+        if np.ndim(x) == 1:
+            return tuple(part[0] for part in self._program.jet_arrays(x)[1:])
+        return tuple(stack_rows(self.derivatives, x))
 
     def gradient(self, x) -> np.ndarray:
         """d_a of the field at a point, or stacked over the leading axes of x."""
-        if np.ndim(x) == 1:
-            return self.jet2(x).grad
-        return stack_rows(lambda pt: (self.jet2(pt).grad,), x)[0]
+        return self.derivatives(x)[0]
 
 
 @dataclass(frozen=True)
@@ -264,9 +277,9 @@ class Metric:
         return self._memo("last_inverse", self._checked_inverse, x)
 
     def inverse_jacobian(self, x) -> np.ndarray:
-        """dginv[a,i,j] = d_a g^{ij} = -(g^{-1} (d_a g) g^{-1})^{ij} at a point."""
+        """dginv[a,i,j] = d_a g^{ij} = -(g^{-1} (d_a g) g^{-1})^{ij}."""
         ginv = self.inverse(x)
-        return -np.einsum("ip,apq,qj->aij", ginv, self.jets(x)[1], ginv)
+        return -np.einsum("...ip,...apq,...qj->...aij", ginv, self.jets(x)[1], ginv)
 
     def sqrt_det(self, x) -> float:
         det = np.linalg.det(self.value(x))
@@ -293,36 +306,40 @@ class Metric:
         _, dg, d2g = self.jets(x)
         ginv = self.inverse(x)
         dginv = self.inverse_jacobian(x)
-        bracket = (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-        dbracket = (np.einsum("aijl->alij", d2g) + np.einsum("ajil->alij", d2g)
-                    - np.einsum("alij->alij", d2g))
-        return 0.5 * (np.einsum("akl,lij->akij", dginv, bracket)
-                      + np.einsum("kl,alij->akij", ginv, dbracket))
+        bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+        dbracket = (np.einsum("...aijl->...alij", d2g) + np.einsum("...ajil->...alij", d2g)
+                    - d2g)
+        return 0.5 * (np.einsum("...akl,...lij->...akij", dginv, bracket)
+                      + np.einsum("...kl,...alij->...akij", ginv, dbracket))
 
     def christoffel_jacobian(self, x) -> np.ndarray:
-        """dGamma[a,k,i,j] = d_a Gamma^k_{ij}, from analytic d2g, at a point."""
+        """dGamma[a,k,i,j] = d_a Gamma^k_{ij}, from analytic d2g."""
         if self._constant:
-            return self._cache["christoffel_jacobian"]
+            return self._fixed("christoffel_jacobian", x)
         return self._christoffel_jacobian_uncached(x)
 
     def riemann(self, x) -> np.ndarray:
         """R[l,k,i,j] = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im}Gamma^m_{jk} - Gamma^l_{jm}Gamma^m_{ik}."""
         gamma = self.christoffel(x)
         dgamma = self.christoffel_jacobian(x)
-        return (np.einsum("iljk->lkij", dgamma) - np.einsum("jlik->lkij", dgamma)
-                + np.einsum("lim,mjk->lkij", gamma, gamma)
-                - np.einsum("ljm,mik->lkij", gamma, gamma))
+        return (np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
+                + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
+                - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
 
     def riemann_covariant(self, x) -> np.ndarray:
-        return np.einsum("pl,lkij->pkij", self.value(x), self.riemann(x))
+        return np.einsum("...pl,...lkij->...pkij", self.value(x), self.riemann(x))
 
     def ricci(self, x) -> np.ndarray:
-        return np.einsum("ikij->kj", self.riemann(x))
+        return np.einsum("...ikij->...kj", self.riemann(x))
+
+
+GRID_BLOCK = 64  # rows of the grid a grid check evaluates at once
 
 
 def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
-                margin: float = 0.0) -> list[np.ndarray]:
-    """Uniform sample grid inside a box, shrunk by an absolute margin per axis.
+                margin: float = 0.0) -> np.ndarray:
+    """Uniform sample grid inside a box, shrunk by an absolute margin per axis,
+    as one ``(per_axis**n, n)`` array in C order of the axes.
 
     Raises ValueError when the margin leaves no interior on some axis
     (2 * margin >= hi - lo), since the shrunk axis would then run backwards
@@ -334,8 +351,15 @@ def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
                              f"[{lo!r}, {hi!r}]")
     axes = [np.linspace(lo + margin, hi - margin, per_axis) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [flat[i] for i in range(flat.shape[0])]
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def grid_blocks(points):
+    """Consecutive slices of at most ``GRID_BLOCK`` rows of an ``(N, n)``
+    array of points (or of anything else laid out in grid order)."""
+    points = np.asarray(points, dtype=float)
+    for start in range(0, len(points), GRID_BLOCK):
+        yield points[start:start + GRID_BLOCK]
 
 
 # --- scalar-field calculus ---------------------------------------------------
@@ -343,9 +367,8 @@ def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
 
 def hessian(g: Metric, V: ScalarField, x) -> np.ndarray:
     """(nabla^2 V)_{ij} = d_i d_j V - Gamma^k_{ij} d_k V."""
-    jet = V.jet2(x)
-    gamma = g.christoffel(x)
-    return jet.hess - np.einsum("kij,k->ij", gamma, jet.grad)
+    grad, hess = V.derivatives(x)
+    return hess - np.einsum("...kij,...k->...ij", g.christoffel(x), grad)
 
 
 def laplacian(g: Metric, V: ScalarField, x) -> float:
@@ -367,30 +390,25 @@ def laplacian_divergence_form(g: Metric, V: ScalarField, x) -> float:
     return float(flux_div / sqrtdet)
 
 
-def sharp(g: Metric, x, t: TensorValue, slot: int) -> TensorValue:
-    """Raise the given covariant slot with g^{-1}."""
+def _move_slot(matrix: np.ndarray, t: TensorValue, slot: int, to: str) -> TensorValue:
+    """Contract ``matrix`` into the given slot of t, which becomes ``to``."""
     if not 0 <= slot < t.rank:
         raise GeometryError(f"slot {slot} out of range for rank {t.rank}")
-    if t.variance[slot] != "down":
-        raise GeometryError(f"slot {slot} is already contravariant")
-    ginv = g.inverse(x)
-    comps = np.tensordot(ginv, t.components, axes=([1], [slot]))
-    comps = np.moveaxis(comps, 0, slot)
-    variance = tuple("up" if k == slot else v for k, v in enumerate(t.variance))
-    return TensorValue(comps, variance)
+    if t.variance[slot] == to:
+        raise GeometryError(f"slot {slot} is already "
+                            f"{'contravariant' if to == 'up' else 'covariant'}")
+    comps = np.moveaxis(np.tensordot(matrix, t.components, axes=([1], [slot])), 0, slot)
+    return TensorValue(comps, tuple(to if k == slot else v for k, v in enumerate(t.variance)))
+
+
+def sharp(g: Metric, x, t: TensorValue, slot: int) -> TensorValue:
+    """Raise the given covariant slot with g^{-1}."""
+    return _move_slot(g.inverse(x), t, slot, "up")
 
 
 def flat(g: Metric, x, t: TensorValue, slot: int) -> TensorValue:
     """Lower the given contravariant slot with g."""
-    if not 0 <= slot < t.rank:
-        raise GeometryError(f"slot {slot} out of range for rank {t.rank}")
-    if t.variance[slot] != "up":
-        raise GeometryError(f"slot {slot} is already covariant")
-    gmat = g.value(x)
-    comps = np.tensordot(gmat, t.components, axes=([1], [slot]))
-    comps = np.moveaxis(comps, 0, slot)
-    variance = tuple("down" if k == slot else v for k, v in enumerate(t.variance))
-    return TensorValue(comps, variance)
+    return _move_slot(g.value(x), t, slot, "down")
 
 
 @dataclass(frozen=True)
@@ -426,7 +444,10 @@ class TensorField:
         return TensorValue(out.reshape(pts.shape[:-1] + self.comps.shape), self.variance)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(values, partials) with partials[a, ...] = d_a components."""
+        """(values, partials) with partials[a, ...] = d_a components, at a
+        point or stacked over the leading axes of x."""
+        if np.ndim(x) > 1:
+            return tuple(stack_rows(self.jets, x))
         values, grads, _ = self._program.jet_arrays(x)
         return (values.reshape(self.comps.shape),
                 grads.T.reshape((self.n,) + self.comps.shape))
@@ -443,14 +464,14 @@ def covariant_derivative(connection, fld: TensorField, x) -> TensorValue:
              else connection.coefficients(x))
     vals, partials = fld.jets(x)
     out = partials.copy()
-    rank = len(fld.variance)
+    lead = np.ndim(x) - 1
+    rest = "pqrstuvw"[:len(fld.variance) - 1]
     for slot, var in enumerate(fld.variance):
         # contract Gamma with the tensor on this slot
-        moved = np.moveaxis(vals, slot, 0)
+        moved = np.moveaxis(vals, lead + slot, lead)
         if var == "up":
-            corr = np.einsum("kam,m...->ak...", gamma, moved)
+            corr = np.einsum(f"...kam,...m{rest}->...ak{rest}", gamma, moved)
         else:
-            corr = -np.einsum("mak,m...->ak...", gamma, moved)
-        corr = np.moveaxis(corr, 1, slot + 1)
-        out += corr
+            corr = -np.einsum(f"...mak,...m{rest}->...ak{rest}", gamma, moved)
+        out += np.moveaxis(corr, lead + 1, lead + slot + 1)
     return TensorValue(out, ("down",) + fld.variance)

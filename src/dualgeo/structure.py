@@ -24,7 +24,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import conventions as conv
-from .geometry import Metric, ScalarField, TensorField, hessian
+from .geometry import (
+    Metric, ScalarField, TensorField, covariant_derivative, grid_blocks, hessian, matvec,
+)
 from .jets import compile
 
 RECOVERY_RCOND = 1e-10
@@ -108,18 +110,20 @@ class StructureSolver:
         """(grads, hessians[, thirds]) of every potential, stacked."""
         return self._program.jet_arrays(x, order)[1:]
 
+    @staticmethod
+    def _covariant_hessians(gamma, ginv, grads, hesses) -> tuple[np.ndarray, np.ndarray]:
+        """Covariant Hessian and Laplacian of every potential, stacked."""
+        hess_cov = hesses - np.einsum("kij,ak->aij", gamma, grads)
+        return hess_cov, np.einsum("ij,aij->a", ginv, hess_cov)
+
     def _point_data(self, x):
         g = self.g
-        gmat, dgmat, _ = g.jets(x)
+        gmat = g.value(x)
         ginv = g.inverse(x)
         gamma = g.christoffel(x)
         grads, hesses = self._family_jets(x, 2)
-        hess_cov, laps = [], []
-        for grad, hess in zip(grads, hesses):
-            hc = hess - np.einsum("kij,k->ij", gamma, grad)
-            hess_cov.append(hc)
-            laps.append(float(np.einsum("ij,ij->", ginv, hc)))
-        return gmat, ginv, gamma, grads, np.array(hess_cov), np.array(laps)
+        hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
+        return gmat, ginv, gamma, grads, hess_cov, laps
 
     def _matrix(self, grads: np.ndarray) -> np.ndarray:
         """Rows: (potential, pair); columns: (k, pair)."""
@@ -194,9 +198,7 @@ class StructureSolver:
         T, _ = self.structure_tensor(x)
         c = self._stack_rhs(T)
         grads, hesses, thirds = self._family_jets(x, 3)
-
-        hess_cov = hesses - np.einsum("kij,ak->aij", gamma, grads)
-        laps = np.einsum("ij,aij->a", ginv, hess_cov)
+        hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
         # d_m of the covariant Hessian and of the Laplacian, per potential
         dhess_cov = (np.einsum("amij->amij", thirds)
                      - np.einsum("mkij,ak->amij", dgamma, grads)
@@ -296,11 +298,11 @@ def recover_s(g: Metric, family: PotentialFamily, x,
 
 def lower_output(T: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     """Tc[i,j,k] = g_{kl} T[l,i,j]; output slot flatted last."""
-    return np.einsum("kl,lij->ijk", gmat, T)
+    return np.einsum("...kl,...lij->...ijk", gmat, T)
 
 
 def raise_output(Tc: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    return np.einsum("kl,ijl->kij", ginv, Tc)
+    return np.einsum("...kl,...ijl->...kij", ginv, Tc)
 
 
 @dataclass
@@ -319,20 +321,22 @@ def decompose(T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> Decompositio
     exact remainder ``T_flat - (t (x) g + permutations)``, so reconstruction
     is an identity.  Total symmetry and full tracelessness of S are measured
     and reported; on concrete fixtures the remainder is generally NOT totally
-    symmetric, which is why no code path assumes it.
+    symmetric, which is why no code path assumes it.  Over a stack of points
+    the two defects are the largest over the stack.
     """
-    n = gmat.shape[0]
-    tau = np.einsum("iij->j", T)
+    n = gmat.shape[-1]
+    tau = np.einsum("...iij->...j", T)
     t = conv.t_coefficient(n) * tau
     Tc = lower_output(T, gmat)
-    t_terms = (np.einsum("i,jk->ijk", t, gmat) + np.einsum("j,ik->ijk", t, gmat)
-               + np.einsum("k,ij->ijk", t, gmat))
+    t_terms = (np.einsum("...i,...jk->...ijk", t, gmat)
+               + np.einsum("...j,...ik->...ijk", t, gmat)
+               + np.einsum("...k,...ij->...ijk", t, gmat))
     S = Tc - t_terms
     sym_defect = max(
-        float(np.max(np.abs(S - np.einsum("ikj->ijk", S)))),
-        float(np.max(np.abs(S - np.einsum("jik->ijk", S)))),
+        float(np.max(np.abs(S - np.einsum("...ikj->...ijk", S)))),
+        float(np.max(np.abs(S - np.einsum("...jik->...ijk", S)))),
     )
-    trace_defect = float(np.max(np.abs(np.einsum("ij,ijk->k", ginv, S))))
+    trace_defect = float(np.max(np.abs(np.einsum("...ij,...ijk->...k", ginv, S))))
     return Decomposition(S, t, tau, sym_defect, trace_defect)
 
 
@@ -347,7 +351,7 @@ def build_B(T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
 def t_from_prolongation(D: np.ndarray, s_cov: np.ndarray, n: int) -> np.ndarray:
     """t for systems without a structure tensor: the (1/n) g (x) s part of D
     contributes s/n to the output-covariant trace, which is removed first."""
-    tau_D = np.einsum("iij->j", D)
+    tau_D = np.einsum("...iij->...j", D)
     return conv.t_coefficient(n) * (tau_D - s_cov / n)
 
 
@@ -361,13 +365,14 @@ def build_N(D: np.ndarray, gmat: np.ndarray, s_cov: np.ndarray,
     with ``d = (n+2) t - s`` and ``Dn`` the flat of the connection difference
     (see conventions: Dn = -flat(D), the calibrated orientation).
     """
-    n = gmat.shape[0]
+    n = gmat.shape[-1]
     Dn = conv.N_DIFFERENCE_ORIENTATION * lower_output(D, gmat)
     d_form = (n + 2) * t_cov - s_cov
-    gd = np.einsum("ab,c->abc", gmat, d_form)
-    hook = (2.0 * Dn - np.einsum("acb->abc", Dn) - np.einsum("bca->abc", Dn)) / 3.0
-    trace_part = (2.0 * gd - np.einsum("acb->abc", gd) - np.einsum("bca->abc", gd)) / (
-        3.0 * (n - 1))
+    gd = np.einsum("...ab,...c->...abc", gmat, d_form)
+    hook = (2.0 * Dn - np.einsum("...acb->...abc", Dn)
+            - np.einsum("...bca->...abc", Dn)) / 3.0
+    trace_part = (2.0 * gd - np.einsum("...acb->...abc", gd)
+                  - np.einsum("...bca->...abc", gd)) / (3.0 * (n - 1))
     return hook + trace_part
 
 
@@ -380,58 +385,57 @@ class Classification:
 
 
 def classify(g: Metric, prolongation_fn: Callable, s_cov_fn: Callable,
-             points: Sequence, tol: float = 1e-8) -> Classification:
+             points, tol: float = 1e-8) -> Classification:
     """WEAK iff max ||N|| over the grid stays below tol.
 
-    ``prolongation_fn(x) -> D[k,i,j]`` and ``s_cov_fn(x) -> s_i`` supply the
-    system data (recovered for family fixtures, declared for tensor-level
-    ones).  For WEAK systems the extracted structure tensor
-    ``T = D - (1/n) g (x) s_sharp`` is returned as a field.
+    ``prolongation_fn(x) -> D[..., k,i,j]`` and ``s_cov_fn(x) -> s[..., i]``
+    supply the system data (recovered for family fixtures, declared for
+    tensor-level ones); both receive a block of points.  For WEAK systems the
+    extracted structure tensor ``T = D - (1/n) g (x) s_sharp`` is returned as a
+    field, at a point or over a stack.
     """
     n = g.n
     worst = 0.0
-    for x in points:
-        D = prolongation_fn(x)
-        s_cov = s_cov_fn(x)
-        gmat = g.value(x)
+    for block in grid_blocks(points):
+        D = prolongation_fn(block)
+        s_cov = s_cov_fn(block)
         t_cov = t_from_prolongation(D, s_cov, n)
-        worst = max(worst, float(np.max(np.abs(build_N(D, gmat, s_cov, t_cov)))))
+        worst = max(worst, float(np.max(np.abs(build_N(D, g.value(block), s_cov, t_cov)))))
     if worst < tol:
         def extracted(x):
-            gmat = g.value(x)
-            ginv = g.inverse(x)
-            s_up = ginv @ s_cov_fn(x)
-            return prolongation_fn(x) - np.einsum("ij,k->kij", gmat, s_up) / n
+            s_up = matvec(g.inverse(x), s_cov_fn(x))
+            return prolongation_fn(x) - np.einsum("...ij,...k->...kij", g.value(x), s_up) / n
 
         return Classification("WEAK", worst, tol, extracted)
     return Classification("STRONG", worst, tol, None)
 
 
 def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callable,
-                            points: Sequence) -> float:
+                            points) -> float:
     """Residual of the antisymmetrized metric-derivative identity.
 
     Left side: nabla^{D}_X g(Y,Z) - nabla^{D}_Y g(X,Z), computed from the
     actual connection coefficients.  Right side: N(Y,Z,X) - N(X,Z,Y) plus the
     ((s - (n+2) t)/n)-weighted metric terms.  The two sides travel through
     independent code paths (connection algebra vs tensor assembly).
+    ``D_fn`` and ``s_cov_fn`` receive a block of points.
     """
     from .connections import metric_gradient
 
     n = g.n
     worst = 0.0
-    for x in points:
-        gmat = g.value(x)
-        grad_g = metric_gradient(conn_d, g, x)
-        lhs = grad_g - np.einsum("jik->ijk", grad_g)
-        D = D_fn(x)
-        s_cov = s_cov_fn(x)
+    for block in grid_blocks(points):
+        gmat = g.value(block)
+        grad_g = metric_gradient(conn_d, g, block)
+        lhs = grad_g - np.einsum("...jik->...ijk", grad_g)
+        D = D_fn(block)
+        s_cov = s_cov_fn(block)
         t_cov = t_from_prolongation(D, s_cov, n)
         N = build_N(D, gmat, s_cov, t_cov)
         phi = (s_cov - (n + 2) * t_cov) / n
-        rhs = (np.einsum("jki->ijk", N) - np.einsum("ikj->ijk", N)
-               + np.einsum("i,jk->ijk", phi, gmat)
-               - np.einsum("j,ik->ijk", phi, gmat))
+        rhs = (np.einsum("...jki->...ijk", N) - np.einsum("...ikj->...ijk", N)
+               + np.einsum("...i,...jk->...ijk", phi, gmat)
+               - np.einsum("...j,...ik->...ijk", phi, gmat))
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -507,17 +511,20 @@ def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaD
     ginv = g.inverse(x)
     dec = decompose(T, gmat, ginv)
     S, t = dec.S, dec.t
-    t_up = ginv @ t
-    SS = np.einsum("ikl,jmn,km,ln->ij", S, S, ginv, ginv)
-    S_t = np.einsum("ijk,k->ij", S, t_up)
+    t_up = matvec(ginv, t)
+    SS = np.einsum("...ikl,...jmn,...km,...ln->...ij", S, S, ginv, ginv)
+    S_t = np.einsum("...ijk,...k->...ij", S, t_up)
     ric = g.ricci(x)
-    Z = SS - (n - 2) * (S_t + np.outer(t, t)) - ric
-    Z0 = Z - np.einsum("ij,ij->", ginv, Z) / n * gmat
-    hz = hessian(g, zeta, x)
-    hz0 = hz - np.einsum("ij,ij->", ginv, hz) / n * gmat
-    zeta_residual = float(np.max(np.abs(Z0 - hz0)))
+    Z = SS - (n - 2) * (S_t + np.einsum("...i,...j->...ij", t, t)) - ric
+
+    def tracefree(a):
+        return a - (np.einsum("...ij,...ij->...", ginv, a) / n)[..., None, None] * gmat
+
+    Z0 = tracefree(Z)
+    zeta_residual = float(np.max(np.abs(Z0 - tracefree(hessian(g, zeta, x)))))
     dzeta = zeta.gradient(x)
-    F_cov = (lower_output(T, gmat) + conv.b_coefficient(n) * np.einsum("ij,k->ijk", gmat, dec.t)
+    F_cov = (lower_output(T, gmat)
+             + conv.b_coefficient(n) * np.einsum("...ij,...k->...ijk", gmat, dec.t)
              + sym_product_metric_form(gmat, dzeta) / (2.0 * (n - 2)))
     return ZetaData(Z, Z0, zeta_residual, F_cov, raise_output(F_cov, ginv))
 
@@ -525,59 +532,57 @@ def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaD
 # --- fixture validation checks -------------------------------------------------
 
 
-def killing_check(g: Metric, K: TensorField, points: Sequence) -> float:
+def killing_check(g: Metric, K: TensorField, points) -> float:
     """max over the grid of the cyclic-symmetrized covariant derivative of K."""
-    from .geometry import covariant_derivative
-
     worst = 0.0
-    for x in points:
-        nk = covariant_derivative(g, K, x).components  # [i, j, k] = (nabla_i K)_{jk}
-        sym = (nk + np.einsum("jki->ijk", nk) + np.einsum("kij->ijk", nk)) / 3.0
+    for block in grid_blocks(points):
+        nk = covariant_derivative(g, K, block).components  # [..., i, j, k] = (nabla_i K)_{jk}
+        sym = (nk + np.einsum("...jki->...ijk", nk) + np.einsum("...kij->...ijk", nk)) / 3.0
         worst = max(worst, float(np.max(np.abs(sym))))
     return worst
 
 
-def bertrand_darboux_check(g: Metric, K: TensorField, V: ScalarField,
-                           points: Sequence) -> float:
+def bertrand_darboux_check(g: Metric, K: TensorField, V: ScalarField, points) -> float:
     """max ||d omega|| for omega_i = K^j_i (d_j V) dx^i."""
     worst = 0.0
-    for x in points:
-        ginv = g.inverse(x)
-        dginv = g.inverse_jacobian(x)
-        kvals, dk = K.jets(x)
-        jet = V.jet2(x)
-        k_mixed = np.einsum("mk,kj->mj", ginv, kvals)            # K^m_j
-        dk_mixed = (np.einsum("amk,kj->amj", dginv, kvals)
-                    + np.einsum("mk,akj->amj", ginv, dk))
-        domega = (np.einsum("imj,m->ij", dk_mixed, jet.grad)
-                  + np.einsum("mj,im->ij", k_mixed, jet.hess))
-        worst = max(worst, float(np.max(np.abs(domega - domega.T))))
+    for block in grid_blocks(points):
+        ginv = g.inverse(block)
+        kvals, dk = K.jets(block)
+        grad, hess = V.derivatives(block)
+        k_mixed = np.einsum("...mk,...kj->...mj", ginv, kvals)            # K^m_j
+        dk_mixed = (np.einsum("...amk,...kj->...amj", g.inverse_jacobian(block), kvals)
+                    + np.einsum("...mk,...akj->...amj", ginv, dk))
+        domega = (np.einsum("...imj,...m->...ij", dk_mixed, grad)
+                  + np.einsum("...mj,...im->...ij", k_mixed, hess))
+        worst = max(worst, float(np.max(np.abs(domega - np.swapaxes(domega, -1, -2)))))
     return worst
 
 
 def poisson_check(g: Metric, V: ScalarField, K: TensorField, W: ScalarField,
-                  points: Sequence, momenta: Sequence) -> float:
+                  points, momenta: Sequence) -> float:
     """max |{H, F}| for H = g^{ij} p_i p_j + V, F = K^{ij} p_i p_j + W.
 
     The canonical bracket is evaluated at every (grid point, momentum) pair.
     """
     worst = 0.0
-    for x in points:
-        ginv = g.inverse(x)
-        dginv = g.inverse_jacobian(x)
-        kvals, dk = K.jets(x)
-        k_up = np.einsum("ia,jb,ab->ij", ginv, ginv, kvals)
-        dk_up = (np.einsum("mia,jb,ab->mij", dginv, ginv, kvals)
-                 + np.einsum("ia,mjb,ab->mij", ginv, dginv, kvals)
-                 + np.einsum("ia,jb,mab->mij", ginv, ginv, dk))
-        dV = V.gradient(x)
-        dW = W.gradient(x)
+    for block in grid_blocks(points):
+        ginv = g.inverse(block)
+        dginv = g.inverse_jacobian(block)
+        kvals, dk = K.jets(block)
+        k_up = np.einsum("...ia,...jb,...ab->...ij", ginv, ginv, kvals)
+        dk_up = (np.einsum("...mia,...jb,...ab->...mij", dginv, ginv, kvals)
+                 + np.einsum("...ia,...mjb,...ab->...mij", ginv, dginv, kvals)
+                 + np.einsum("...ia,...jb,...mab->...mij", ginv, ginv, dk))
+        dV = V.gradient(block)
+        dW = W.gradient(block)
         for p in momenta:
             p = np.asarray(p, dtype=float)
-            dH_dx = np.einsum("mij,i,j->m", dginv, p, p) + dV
-            dH_dp = 2.0 * ginv @ p
-            dF_dx = np.einsum("mij,i,j->m", dk_up, p, p) + dW
-            dF_dp = 2.0 * k_up @ p
-            bracket = float(dH_dx @ dF_dp - dH_dp @ dF_dx)
-            worst = max(worst, abs(bracket))
+            dH_dx = np.einsum("...mij,i,j->...m", dginv, p, p) + dV
+            dH_dp = matvec(2.0 * ginv, p)
+            dF_dx = np.einsum("...mij,i,j->...m", dk_up, p, p) + dW
+            dF_dp = matvec(2.0 * k_up, p)
+            # per row (1, n) @ (n, 1), rounded as the single-point u @ v
+            bracket = (dH_dx[..., None, :] @ dF_dp[..., None]
+                       - dH_dp[..., None, :] @ dF_dx[..., None])
+            worst = max(worst, float(np.max(np.abs(bracket))))
     return worst

@@ -18,7 +18,6 @@ import json
 import platform
 import sys
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +25,15 @@ from . import __version__
 from . import conventions as conv
 from .connections import (
     AffineConnection, compatibility_residual, connection_ricci_symmetry_check,
-    dual_projective_test, semi_compatibility_test, shift_by_one_form,
+    difference_tensor, dual_projective_test, metric_gradient, semi_compatibility_test,
+    shift_by_one_form,
 )
 from .fixtures import Fixture
 from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
-from .geometry import Metric, ScalarField
+from .geometry import ScalarField, grid_blocks
 from .structure import (
-    beta_condition_residual, build_N, classify, t_from_prolongation,
+    beta_condition_residual, build_Z_and_digamma, classify, decompose,
+    sym_product_metric_form,
 )
 
 TOL_ALGEBRAIC = 1e-9
@@ -179,6 +180,12 @@ def _sign_label(sign: int) -> str:
     return "plus" if sign > 0 else "minus"
 
 
+def _coefficient_gap(conn_a: AffineConnection, conn_b: AffineConnection, grid) -> float:
+    """max |Gamma_a - Gamma_b| over the grid."""
+    return max(float(np.max(np.abs(difference_tensor(conn_a, conn_b, block))))
+               for block in grid_blocks(grid))
+
+
 def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                     tol_algebraic: float = TOL_ALGEBRAIC,
                     tol_curvature: float = TOL_CURVATURE,
@@ -199,10 +206,9 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
 
     # measured, never asserted: symmetry/trace defects of the decomposition
     # remainder S (nonzero on concrete fixtures under the frozen conventions)
-    from .structure import decompose as _decompose
     s_sym = s_tr = 0.0
-    for x in grid:
-        dec = _decompose(fixture.structure_tensor(x), g.value(x), g.inverse(x))
+    for block in grid_blocks(grid):
+        dec = decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
         s_sym = max(s_sym, dec.symmetry_defect)
         s_tr = max(s_tr, dec.trace_defect)
     report.notes.append(
@@ -221,9 +227,8 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "multiple of one vector field (dual-projective criterion)",
             dp.max_residual, tol_algebraic)
         alpha_err = max(
-            float(np.max(np.abs(dp.alpha_at(i)
-                                - sign * bcoef * fixture.t_covector(x))))
-            for i, x in enumerate(grid))
+            float(np.max(np.abs(alpha - sign * bcoef * fixture.t_covector(block))))
+            for block, alpha in zip(grid_blocks(grid), grid_blocks(dp.alpha)))
         report.add(
             f"t1.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals +/-((n+2)/n) t",
@@ -235,7 +240,7 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                           trajectory_steps, trajectory_step_size)
 
         sc = semi_compatibility_test(conn_b, g, grid, tol_algebraic)
-        alpha_norm = max(float(np.max(np.abs(a))) for a in sc.alpha.values())
+        alpha_norm = float(np.max(np.abs(sc.alpha)))
         report.add(
             f"t1.compatibility.{lbl}",
             "the symmetrized connection is metric-compatible "
@@ -316,16 +321,12 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
     weak = cls.verdict == "WEAK"
 
     if weak:
-        dagger = fixture.connection("dagger")
-        conn_t = fixture.connection("+T")
-        dag_err = max(
-            float(np.max(np.abs(dagger.coefficients(x) - conn_t.coefficients(x))))
-            for x in grid)
         report.add(
             "t2.dagger_equals_induced",
             "the trace-shifted companion equals the induced connection of the "
             "extracted structure tensor, coefficientwise",
-            dag_err, 1e-10)
+            _coefficient_gap(fixture.connection("dagger"), fixture.connection("+T"), grid),
+            1e-10)
 
     for sign in (+1, -1):
         lbl = _sign_label(sign)
@@ -339,8 +340,8 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "differ by a metric multiple of one vector field",
             dp.max_residual, tol_algebraic)
         alpha_err = max(
-            float(np.max(np.abs(dp.alpha_at(i) + sign * fixture.s_covector(x) / n)))
-            for i, x in enumerate(grid))
+            float(np.max(np.abs(alpha + sign * fixture.s_covector(block) / n)))
+            for block, alpha in zip(grid_blocks(grid), grid_blocks(dp.alpha)))
         report.add(
             f"t2.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals -/+ s/n",
@@ -387,10 +388,9 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
     if weak and enlarging:
         from .fixtures import builtin
         big = builtin(enlarging)
-        pts = [np.array([lo + (hi - lo) * rng.random() for lo, hi in fixture.box])
-               for _ in range(10)]
-        err = max(float(np.max(np.abs(cls.extracted_T(x) - big.structure_tensor(x))))
-                  for x in pts)
+        pts = np.array([[lo + (hi - lo) * rng.random() for lo, hi in fixture.box]
+                        for _ in range(10)])
+        err = float(np.max(np.abs(cls.extracted_T(pts) - big.structure_tensor(pts))))
         report.add(
             "t2.extraction_cross_check",
             "the extracted structure tensor matches the independent recovery from "
@@ -402,7 +402,7 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
 
     def flipped_d(x):
         D = fixture.prolongation_tensor(x).copy()
-        D[0, 1, 1] += -1.0 if strong_expected else 1.0
+        D[..., 0, 1, 1] += -1.0 if strong_expected else 1.0
         return D
 
     flipped_cls = classify(g, flipped_d, fixture.s_covector, grid)
@@ -427,8 +427,6 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
     if fixture.kind != "nondegenerate":
         raise SuiteNotApplicable(
             f"weyl suite needs a nondegenerate fixture, got {fixture.kind!r}")
-    from .connections import metric_gradient
-
     report = VerificationReport(fixture.name, "weyl", _grid_spec(fixture, per_axis), seed)
     g = fixture.metric
     grid = fixture.grid(per_axis)
@@ -439,11 +437,12 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
 
     def total_symmetry_defect(conn) -> float:
         worst = 0.0
-        for x in grid:
-            gg = metric_gradient(conn, g, x)
-            w = gg - bcoef * np.einsum("i,jk->ijk", fixture.t_covector(x), g.value(x))
+        for block in grid_blocks(grid):
+            w = metric_gradient(conn, g, block) - bcoef * np.einsum(
+                "...i,...jk->...ijk", fixture.t_covector(block), g.value(block))
             for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-                worst = max(worst, float(np.max(np.abs(w - np.transpose(w, perm)))))
+                moved = np.transpose(w, (0, *(1 + p for p in perm)))
+                worst = max(worst, float(np.max(np.abs(w - moved))))
         return worst
 
     report.add(
@@ -452,7 +451,8 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
         "symmetric cubic form",
         total_symmetry_defect(conn_t), 1e-8)
 
-    t_scale = max(float(np.max(np.abs(fixture.t_covector(x)))) for x in grid)
+    t_scale = max(float(np.max(np.abs(fixture.t_covector(block))))
+                  for block in grid_blocks(grid))
     if t_scale > 1e-6:
         report.add(
             "weyl.negative_control.levi_civita",
@@ -475,8 +475,6 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
         raise SuiteNotApplicable("the remark suite needs dimension n >= 3")
     if fixture.kind != "nondegenerate":
         raise SuiteNotApplicable("the remark suite needs a nondegenerate fixture")
-    from .structure import sym_product_metric_form
-
     report = VerificationReport(fixture.name, "digamma", _grid_spec(fixture, per_axis),
                                 seed)
     g = fixture.metric
@@ -492,12 +490,13 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
     # displayed sign; the plus variants the opposite, by the sign flip built
     # into the induced-connection convention)
     worst = 0.0
-    for x in grid:
-        target = sym_product_metric_form(g.value(x), zeta_linear.gradient(x)) / (
+    for block in grid_blocks(grid):
+        gmat = g.value(block)
+        target = sym_product_metric_form(gmat, zeta_linear.gradient(block)) / (
             2.0 * (n - 2))
         for s, orient in (("-", +1.0), ("+", -1.0)):
-            d = conn_f[s].coefficients(x) - conn_b[s].coefficients(x)
-            d_flat = np.einsum("kl,lij->ijk", g.value(x), d)
+            d_flat = np.einsum("...kl,...lij->...ijk", gmat,
+                               difference_tensor(conn_f[s], conn_b[s], block))
             worst = max(worst, float(np.max(np.abs(d_flat - orient * target))))
     report.add(
         "rd.difference_identity",
@@ -512,37 +511,27 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
             "derivative vanishes)",
             compatibility_residual(conn, g, grid), 1e-9)
 
-    conn_f_const = fixture.connection("+F", zeta=zeta_const)
-    coincide = max(
-        float(np.max(np.abs(conn_f_const.coefficients(x) - conn_b["+"].coefficients(x))))
-        for x in grid)
     report.add(
         "rd.constant_zeta_coincidence",
         "with locally constant zeta the completion connection coincides with the "
         "symmetrized connection coefficientwise",
-        coincide, 1e-12)
+        _coefficient_gap(fixture.connection("+F", zeta=zeta_const), conn_b["+"], grid),
+        1e-12)
 
-    separate = max(
-        float(np.max(np.abs(conn_f["+"].coefficients(x) - conn_b["+"].coefficients(x))))
-        for x in grid)
     report.add(
         "rd.negative_control.nonconstant_zeta",
         "with non-constant zeta the two connections must differ",
-        separate, 1e-6, direction="above", negative_control=True)
+        _coefficient_gap(conn_f["+"], conn_b["+"], grid), 1e-6, direction="above",
+        negative_control=True)
 
     if fixture.zeta is not None:
-        fz = fixture.connection("+F")
-        trivial = max(
-            float(np.max(np.abs(fz.coefficients(x) - conn_b["+"].coefficients(x))))
-            for x in grid)
         report.add(
             "rd.fixture_zeta",
             "with the fixture's own zeta (trivial here) the connections coincide",
-            trivial, 1e-12)
-        from .structure import build_Z_and_digamma
-        zres = max(build_Z_and_digamma(g, fixture.structure_tensor(x),
-                                       fixture.zeta, x).zeta_residual
-                   for x in grid)
+            _coefficient_gap(fixture.connection("+F"), conn_b["+"], grid), 1e-12)
+        zres = max(build_Z_and_digamma(g, fixture.structure_tensor(block),
+                                       fixture.zeta, block).zeta_residual
+                   for block in grid_blocks(grid))
         report.notes.append(
             f"defining-equation residual of the fixture's zeta: {zres:.3e} "
             "(reported; the injected test zeta is not required to satisfy it)")

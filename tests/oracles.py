@@ -8,8 +8,9 @@ loop-built assembly of the structure solver's linear system, a brute-force
 recovery that
 parametrizes the full unconstrained tensor with symmetry and trace conditions
 appended as extra equations, a dense nearest-segment scan over every
-query-segment pair at once, and the connection family written out tag by tag
-on a fixture's structure data.  Expected values asserted in the tests were
+query-segment pair at once, the connection family written out tag by tag
+on a fixture's structure data, and the grid checks evaluated one point at a
+time.  Expected values asserted in the tests were
 computed with these oracles (or by hand) before being frozen.
 """
 
@@ -613,3 +614,167 @@ def reference_jacobian(fixture, tag, x, zeta=None):
         out -= sign * (np.einsum("aij,k->akij", dgmat, t_up)
                        + np.einsum("ij,ak->akij", gmat, dt_up))
     return out
+
+
+# The grid checks one point at a time: the loops the package's blocked checks
+# replaced, with the single-point operation order of each formula.  Every
+# blocked check must round each row exactly as these do.
+
+
+def pointwise_dual_projective(conn_a, conn_b, g, points):
+    """(max residual, alpha lowered with g, one row per point)."""
+    worst, alphas = 0.0, []
+    for x in points:
+        d = conn_a.coefficients(x) - conn_b.coefficients(x)
+        gmat = g.value(x)
+        ginv = g.inverse(x)
+        alpha_up = np.einsum("kij,ij->k", d, ginv) / g.n
+        resid = d - np.einsum("k,ij->kij", alpha_up, gmat)
+        worst = max(worst, float(np.max(np.abs(resid))))
+        alphas.append(gmat @ alpha_up)
+    return worst, np.array(alphas)
+
+
+def _pointwise_metric_gradient(conn, h, x):
+    gamma = conn.coefficients(x)
+    hmat, dh, _ = h.jets(x)
+    corr = np.einsum("mij,mk->ijk", gamma, hmat)
+    return dh - corr - np.einsum("ikj->ijk", corr)
+
+
+def _pointwise_antisymmetrized_gradient(conn, h, x):
+    grad_h = _pointwise_metric_gradient(conn, h, x)
+    return grad_h - np.einsum("jik->ijk", grad_h)
+
+
+def pointwise_semi_compatibility(conn, h, points, expected_beta=None):
+    """(max residual, alpha rows, max ||alpha - beta|| or None)."""
+    n = h.n
+    worst = worst_beta = 0.0
+    alphas = []
+    for x in points:
+        a = _pointwise_antisymmetrized_gradient(conn, h, x)
+        hmat = h.value(x)
+        alpha = np.einsum("ik,ijk->j", h.inverse(x), a) / (n - 1)
+        model = (np.einsum("j,ik->ijk", alpha, hmat)
+                 - np.einsum("i,jk->ijk", alpha, hmat))
+        worst = max(worst, float(np.max(np.abs(a - model))))
+        alphas.append(alpha)
+        if expected_beta is not None:
+            beta = np.asarray(expected_beta(x), dtype=float)
+            worst_beta = max(worst_beta, float(np.max(np.abs(alpha - beta))))
+    return worst, np.array(alphas), (worst_beta if expected_beta is not None else None)
+
+
+def pointwise_compatibility(conn, h, points):
+    return max(float(np.max(np.abs(_pointwise_antisymmetrized_gradient(conn, h, x))))
+               for x in points)
+
+
+def pointwise_ricci_symmetry(conn, points):
+    worst = 0.0
+    for x in points:
+        gamma = conn.coefficients(x)
+        dgamma = conn.jacobian(x)
+        ric = (np.einsum("iijk->kj", dgamma) - np.einsum("jiik->kj", dgamma)
+               + np.einsum("iim,mjk->kj", gamma, gamma)
+               - np.einsum("ijm,mik->kj", gamma, gamma))
+        worst = max(worst, float(np.max(np.abs(ric - ric.T))))
+    return worst
+
+
+def _pointwise_obstruction(g, D, s_cov, x):
+    """(N, t, gmat) at one point, with the single-point build_N formula."""
+    n = g.n
+    gmat = g.value(x)
+    t_cov = conv.t_coefficient(n) * (np.einsum("iij->j", D) - s_cov / n)
+    Dn = conv.N_DIFFERENCE_ORIENTATION * np.einsum("kl,lij->ijk", gmat, D)
+    gd = np.einsum("ab,c->abc", gmat, (n + 2) * t_cov - s_cov)
+    hook = (2.0 * Dn - np.einsum("acb->abc", Dn) - np.einsum("bca->abc", Dn)) / 3.0
+    trace_part = (2.0 * gd - np.einsum("acb->abc", gd) - np.einsum("bca->abc", gd)) / (
+        3.0 * (n - 1))
+    return hook + trace_part, t_cov, gmat
+
+
+def pointwise_classification_norm(g, prolongation_fn, s_cov_fn, points):
+    return max(float(np.max(np.abs(
+        _pointwise_obstruction(g, prolongation_fn(x), s_cov_fn(x), x)[0])))
+        for x in points)
+
+
+def pointwise_extracted_T(g, prolongation_fn, s_cov_fn, x):
+    s_up = g.inverse(x) @ s_cov_fn(x)
+    return prolongation_fn(x) - np.einsum("ij,k->kij", g.value(x), s_up) / g.n
+
+
+def pointwise_beta_condition(g, conn_d, D_fn, s_cov_fn, points):
+    n = g.n
+    worst = 0.0
+    for x in points:
+        lhs = _pointwise_antisymmetrized_gradient(conn_d, g, x)
+        s_cov = s_cov_fn(x)
+        N, t_cov, gmat = _pointwise_obstruction(g, D_fn(x), s_cov, x)
+        phi = (s_cov - (n + 2) * t_cov) / n
+        rhs = (np.einsum("jki->ijk", N) - np.einsum("ikj->ijk", N)
+               + np.einsum("i,jk->ijk", phi, gmat)
+               - np.einsum("j,ik->ijk", phi, gmat))
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _pointwise_inverse_jacobian(g, x):
+    ginv = g.inverse(x)
+    return -np.einsum("ip,apq,qj->aij", ginv, g.jets(x)[1], ginv)
+
+
+def pointwise_killing(g, K, points):
+    worst = 0.0
+    for x in points:
+        # covariant derivative of the covariant 2-tensor K, slot by slot
+        gamma = g.christoffel(x)
+        vals, nk = K.jets(x)
+        nk = nk.copy()
+        for slot in range(2):
+            corr = -np.einsum("mak,m...->ak...", gamma, np.moveaxis(vals, slot, 0))
+            nk += np.moveaxis(corr, 1, slot + 1)
+        sym = (nk + np.einsum("jki->ijk", nk) + np.einsum("kij->ijk", nk)) / 3.0
+        worst = max(worst, float(np.max(np.abs(sym))))
+    return worst
+
+
+def pointwise_bertrand_darboux(g, K, V, points):
+    worst = 0.0
+    for x in points:
+        ginv = g.inverse(x)
+        dginv = _pointwise_inverse_jacobian(g, x)
+        kvals, dk = K.jets(x)
+        jet = V.jet2(x)
+        k_mixed = np.einsum("mk,kj->mj", ginv, kvals)
+        dk_mixed = (np.einsum("amk,kj->amj", dginv, kvals)
+                    + np.einsum("mk,akj->amj", ginv, dk))
+        domega = (np.einsum("imj,m->ij", dk_mixed, jet.grad)
+                  + np.einsum("mj,im->ij", k_mixed, jet.hess))
+        worst = max(worst, float(np.max(np.abs(domega - domega.T))))
+    return worst
+
+
+def pointwise_poisson(g, V, K, W, points, momenta):
+    worst = 0.0
+    for x in points:
+        ginv = g.inverse(x)
+        dginv = _pointwise_inverse_jacobian(g, x)
+        kvals, dk = K.jets(x)
+        k_up = np.einsum("ia,jb,ab->ij", ginv, ginv, kvals)
+        dk_up = (np.einsum("mia,jb,ab->mij", dginv, ginv, kvals)
+                 + np.einsum("ia,mjb,ab->mij", ginv, dginv, kvals)
+                 + np.einsum("ia,jb,mab->mij", ginv, ginv, dk))
+        dV = V.jet2(x).grad
+        dW = W.jet2(x).grad
+        for p in momenta:
+            p = np.asarray(p, dtype=float)
+            dH_dx = np.einsum("mij,i,j->m", dginv, p, p) + dV
+            dH_dp = 2.0 * ginv @ p
+            dF_dx = np.einsum("mij,i,j->m", dk_up, p, p) + dW
+            dF_dp = 2.0 * k_up @ p
+            worst = max(worst, abs(float(dH_dx @ dF_dp - dH_dp @ dF_dx)))
+    return worst

@@ -41,7 +41,7 @@ def test_criterion_1_dual_projective_algebraic(sw2):
         for i, x in enumerate(grid):
             expected = sign * 2.0 * sw2.t_covector(x)  # ((n+2)/n) t with n = 2
             worst_alpha = max(worst_alpha,
-                              float(np.max(np.abs(res.alpha_at(i) - expected))))
+                              float(np.max(np.abs(res.alpha[i] - expected))))
         assert res.equivalent
     report("criterion 1 (shared dual-geodesics, algebraic)",
            worst_res < 1e-9 and worst_alpha < 1e-9,
@@ -73,7 +73,7 @@ def test_criterion_2_dual_geodesic_pairs(sw2):
 def test_criterion_3_unique_compatible_connection(sw2):
     grid = sw2.grid(5)
     res = semi_compatibility_test(sw2.connection("+B"), sw2.metric, grid, tol=1e-9)
-    alpha_norm = max(float(np.max(np.abs(a))) for a in res.alpha.values())
+    alpha_norm = float(np.max(np.abs(res.alpha)))
     ok_compat = res.max_residual < 1e-9 and alpha_norm < 1e-9
 
     rng = np.random.default_rng(SEED)
@@ -106,7 +106,7 @@ def test_criterion_4_weak_fixture(sw2_weak):
                               grid, tol=1e-9)
     # the connection difference is T - D = -(1/n) g (x) s^sharp, so the
     # equivalence 1-form is -(1/n) s
-    alpha_err = max(float(np.max(np.abs(dp.alpha_at(i) + 0.5 * sw2_weak.s_covector(x))))
+    alpha_err = max(float(np.max(np.abs(dp.alpha[i] + 0.5 * sw2_weak.s_covector(x))))
                     for i, x in enumerate(grid))
     ok = ok and dp.equivalent and alpha_err < 1e-9
 

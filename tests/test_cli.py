@@ -119,10 +119,12 @@ def test_verify_inapplicable_suite(capsys):
     assert code == 3
 
 
-def test_verify_reports_identical_bytes(tmp_path, capsys):
+@pytest.mark.parametrize("fixture, theorem", [("sw2-weak", "2"),
+                                              ("sphere3-trivial", "digamma")])
+def test_verify_reports_identical_bytes(fixture, theorem, tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
-        code, _, _ = run(["verify", "sw2-weak", "--theorem", "2", "--grid", "3",
+        code, _, _ = run(["verify", fixture, "--theorem", theorem, "--grid", "3",
                           "--seed", "7", "--out", str(path)], capsys)
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
@@ -210,3 +212,30 @@ def test_declared_d_with_torsion_is_rejected_on_load(tmp_path, capsys, monkeypat
         code, out, err = run(argv, capsys)
         assert code == 3, argv
         assert "structure-symmetry" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--grid", "3"],
+    ["trace", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0", "--steps", "10"],
+    ["classify"],
+])
+def test_every_command_lists_every_validation_failure(command, tmp_path, capsys,
+                                                      monkeypatch):
+    # an asymmetric T fails structure-symmetry after more than four
+    # structure-closed-form failures, and moves the expected t[2] to -0.125
+    from dualgeo.fixtures import builtin_config
+    monkeypatch.chdir(tmp_path)
+    cfg = builtin_config("sw2")
+    cfg["structure"]["T"][0][0][1] = "0.5"
+    path = tmp_path / "asymmetric-t.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 3
+    assert out == ""
+    failures = [json.loads(line[len("  - "):]) for line in err.splitlines()
+                if line.startswith("  - ")]
+    checks = [f["check"] for f in failures]
+    assert checks.count("structure-closed-form") > 4
+    assert "structure-symmetry" in checks
+    spot = [f["message"] for f in failures if f["check"] == "expected-spot"]
+    assert spot == ["t[2] = -0.125, expected -0.375"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dualgeo.geometry import (
-    GeometryError, Metric, ScalarField, TensorField, TensorValue,
-    covariant_derivative, flat, grid_points, hessian, laplacian,
+    GRID_BLOCK, GeometryError, Metric, ScalarField, TensorField, TensorValue,
+    covariant_derivative, flat, grid_blocks, grid_points, hessian, laplacian,
     laplacian_divergence_form, sharp,
 )
 from oracles import fd_christoffel, fd_ricci
@@ -173,11 +173,19 @@ def test_metricity_on_grid(sw2, sphere3):
 
 def test_grid_points_shape():
     pts = grid_points([(0.0, 1.0), (2.0, 3.0)], per_axis=5)
-    assert len(pts) == 25
+    assert isinstance(pts, np.ndarray) and pts.shape == (25, 2)
     assert np.allclose(pts[0], [0.0, 2.0])
     assert np.allclose(pts[-1], [1.0, 3.0])
     shrunk = grid_points([(0.0, 1.0)], per_axis=3, margin=0.25)
     assert np.allclose([p[0] for p in shrunk], [0.25, 0.5, 0.75])
+
+
+def test_grid_blocks_cover_the_grid_in_order():
+    grid = grid_points([(0.0, 1.0), (2.0, 3.0)], per_axis=9)
+    blocks = list(grid_blocks(grid))
+    assert [len(b) for b in blocks] == [GRID_BLOCK, 81 - GRID_BLOCK]
+    assert np.concatenate(blocks).tobytes() == grid.tobytes()
+    assert all(np.shares_memory(b, grid) for b in blocks)
 
 
 @pytest.mark.parametrize("margin", [0.5, 2.0])

@@ -1,0 +1,139 @@
+"""The blocked grid checks against the per-point loops they replaced.
+
+Every check evaluates the grid ``GRID_BLOCK`` rows at a time; the result must
+equal the one-point-at-a-time reference in ``oracles`` bit for bit, on every
+built-in, on recovered sw2, and on grids of one point, of fewer than
+``GRID_BLOCK`` points and of a count that is not a multiple of it.
+"""
+
+import struct
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dualgeo.connections import (
+    compatibility_residual, connection_ricci_symmetry_check, dual_projective_test,
+    semi_compatibility_test,
+)
+from dualgeo.fixtures import builtin, builtin_config, from_config
+from dualgeo.geometry import GRID_BLOCK, ScalarField, TensorField
+from dualgeo.structure import (
+    bertrand_darboux_check, beta_condition_residual, classify, killing_check, poisson_check,
+)
+from oracles import (
+    pointwise_bertrand_darboux, pointwise_beta_condition, pointwise_classification_norm,
+    pointwise_compatibility, pointwise_dual_projective, pointwise_extracted_T,
+    pointwise_killing, pointwise_poisson, pointwise_ricci_symmetry,
+    pointwise_semi_compatibility,
+)
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _fixture(name):
+    if name == "sw2-recovered":
+        cfg = builtin_config("sw2")
+        del cfg["structure"]
+        return from_config(cfg, validate_on_load=False)
+    return builtin(name)
+
+
+def _metric_as_killing(fixture) -> TensorField:
+    """The metric itself, a Killing tensor of every metric."""
+    n = fixture.n
+    comps = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            comps[i, j] = fixture.metric.comps[i][j]
+    return TensorField(comps, ("down", "down"), n)
+
+
+def _potentials(fixture):
+    if fixture.family is not None:
+        return fixture.family.potentials
+    return (ScalarField.from_source("x1*x2 + 1/x1", fixture.n),)
+
+
+def assert_checks_equal_pointwise(fixture, grid, tags):
+    g, n = fixture.metric, fixture.n
+    for a, b in zip(tags, tags[1:]):
+        conn_a, conn_b = fixture.connection(a), fixture.connection(b)
+        res = dual_projective_test(conn_a, conn_b, g, grid)
+        worst, alphas = pointwise_dual_projective(conn_a, conn_b, g, grid)
+        assert bits(res.max_residual) == bits(worst), (a, b)
+        assert res.alpha.shape == (len(grid), n)
+        assert res.alpha.tobytes() == alphas.tobytes(), (a, b)
+    beta = None
+    if fixture.is_semidegenerate:
+        def beta(x):
+            return (fixture.s_covector(x) - (n + 2) * fixture.t_covector(x)) / n
+    for tag in tags:
+        conn = fixture.connection(tag)
+        res = semi_compatibility_test(conn, g, grid, expected_beta=beta)
+        worst, alphas, worst_beta = pointwise_semi_compatibility(conn, g, grid, beta)
+        assert bits(res.max_residual) == bits(worst), tag
+        assert res.alpha.tobytes() == alphas.tobytes(), tag
+        assert res.beta_mismatch == worst_beta, tag
+        assert (bits(compatibility_residual(conn, g, grid))
+                == bits(pointwise_compatibility(conn, g, grid))), tag
+        assert (bits(connection_ricci_symmetry_check(conn, grid))
+                == bits(pointwise_ricci_symmetry(conn, grid))), tag
+    if fixture.is_semidegenerate:
+        D, s_cov = fixture.prolongation_tensor, fixture.s_covector
+        cls = classify(g, D, s_cov, grid)
+        assert bits(cls.max_n_norm) == bits(pointwise_classification_norm(g, D, s_cov, grid))
+        if cls.extracted_T is not None:
+            stacked = cls.extracted_T(grid)
+            for x, row in zip(grid, stacked):
+                assert row.tobytes() == pointwise_extracted_T(g, D, s_cov, x).tobytes()
+        assert (bits(beta_condition_residual(g, fixture.connection("+D"), D, s_cov, grid))
+                == bits(pointwise_beta_condition(g, fixture.connection("+D"), D, s_cov,
+                                                 grid)))
+    killing = [(_metric_as_killing(fixture), None)]
+    killing += [(kd.K, kd.W) for kd in fixture.killing]
+    momenta = np.random.default_rng(5).normal(size=(4, n))
+    for K, W in killing:
+        assert bits(killing_check(g, K, grid)) == bits(pointwise_killing(g, K, grid))
+        for V in _potentials(fixture):
+            assert (bits(bertrand_darboux_check(g, K, V, grid))
+                    == bits(pointwise_bertrand_darboux(g, K, V, grid)))
+            F = W if W is not None else V
+            assert (bits(poisson_check(g, V, K, F, grid, momenta))
+                    == bits(pointwise_poisson(g, V, K, F, grid, momenta)))
+
+
+@pytest.mark.parametrize("name", ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic",
+                                  "sphere3-trivial", "sw2-recovered"])
+def test_blocked_checks_equal_pointwise_loops(name):
+    fixture = _fixture(name)
+    assert_checks_equal_pointwise(fixture, fixture.grid(3),
+                                  fixture.available_connections())
+
+
+@pytest.mark.parametrize("per_axis", [1, 7, 9])
+def test_blocked_checks_equal_pointwise_across_block_boundaries(per_axis, sw2, sw2_weak):
+    # 1, 49 < GRID_BLOCK and 81 = GRID_BLOCK + 17 points
+    assert_checks_equal_pointwise(sw2, sw2.grid(per_axis), ["+T", "+B"])
+    assert_checks_equal_pointwise(sw2_weak, sw2_weak.grid(per_axis), ["+D", "+T"])
+
+
+def test_grid_check_memory_is_bounded_by_the_block(sphere3):
+    # a check that stacked the whole grid would hold its metric jets,
+    # coefficients and residuals for every point at once
+    conn = sphere3.connection("+B")
+    small, large = sphere3.grid(4), sphere3.grid(20)
+    assert len(small) == GRID_BLOCK
+    for grid in (small, large):  # compile every program, warm every cache
+        compatibility_residual(conn, sphere3.metric, grid)
+    peaks = []
+    for grid in (small, large):
+        tracemalloc.start()
+        try:
+            compatibility_residual(conn, sphere3.metric, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= large.nbytes, peaks

@@ -271,8 +271,8 @@ def test_classify_strong(sw2_strong):
 
 def test_classify_trivial_zero():
     g = Metric.from_sources([["1", "0"], ["0", "1"]])
-    cls = classify(g, lambda x: np.zeros((2, 2, 2)), lambda x: np.zeros(2),
-                   [np.zeros(2)])
+    cls = classify(g, lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
+                   lambda x: np.zeros(np.shape(x)), [np.zeros(2)])
     assert cls.verdict == "WEAK"
     assert np.max(np.abs(cls.extracted_T(np.zeros(2)))) == 0.0
 
