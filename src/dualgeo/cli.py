@@ -37,13 +37,21 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
 DEFAULT_GRID_ENV = "DUALGEO_GRID"
+# Inputs beyond these are rejected before anything is allocated, so every
+# accepted input fits in 8 GB.  A grid of 10^6 points is 8n MB per (N, n)
+# array (a suite holds a few and evaluates them 64 rows at a time).  A trace
+# costs about 0.45 kB per step on a 2-D chart (85 MB peak RSS at 10^5 steps
+# with both exports), so 10^6 steps stay near 0.5 GB.
+MAX_GRID_POINTS = 10**6
+MAX_STEPS = 10**6
 
 
-def _default_grid() -> int:
+def _default_grid() -> int | None:
+    """$DUALGEO_GRID as an int (5 when unset), or None when it is not one."""
     try:
         return int(os.environ.get(DEFAULT_GRID_ENV, "5"))
     except ValueError:
-        return 5
+        return None
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -94,11 +102,7 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad {label}: {exc}") from exc
 
 
-def cmd_verify(args) -> int:
-    fixture = _load_fixture(args.fixture)
-    if isinstance(fixture, int):
-        return fixture
-
+def cmd_verify(args, fixture) -> int:
     wanted = applicable_suites(fixture) if args.theorem == "all" else [args.theorem]
     reports = []
     for name in wanted:
@@ -140,10 +144,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if bundle["verdict"] == "pass" else EXIT_CLAIM_FAILURE
 
 
-def cmd_trace(args) -> int:
-    fixture = _load_fixture(args.fixture)
-    if isinstance(fixture, int):
-        return fixture
+def cmd_trace(args, fixture) -> int:
     try:
         x0 = _parse_vector(args.x0, fixture.n, "--x0")
         w0 = _parse_vector(args.w0, fixture.n, "--w0")
@@ -190,10 +191,7 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    fixture = _load_fixture(args.fixture)
-    if isinstance(fixture, int):
-        return fixture
+def cmd_classify(args, fixture) -> int:
     if not fixture.is_semidegenerate:
         print(f"error: fixture {fixture.name!r} is {fixture.kind}; classification "
               "applies to semi-degenerate fixtures only", file=sys.stderr)
@@ -236,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("fixture", help="built-in name or config path")
     p_verify.add_argument("--theorem", choices=["1", "2", "weyl", "digamma", "all"],
                           default="all", help="suite selection (default: all applicable)")
-    p_verify.add_argument("--grid", type=int, default=_default_grid(),
-                          help=f"grid points per axis (default 5 or ${DEFAULT_GRID_ENV})")
+    grid_help = (f"grid points per axis (default 5 or ${DEFAULT_GRID_ENV}); at most "
+                 f"{MAX_GRID_POINTS:,} points in all")
+    p_verify.add_argument("--grid", type=int, default=_default_grid(), help=grid_help)
     p_verify.add_argument("--seed", type=int, default=20250808)
     p_verify.add_argument("--tol-algebraic", type=float, default=1e-9)
     p_verify.add_argument("--tol-curvature", type=float, default=1e-6)
@@ -252,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="start position, comma-separated, no spaces (e.g. 1,2)")
     p_trace.add_argument("--w0", required=True,
                          help="start velocity, comma-separated, no spaces")
-    p_trace.add_argument("--steps", type=int, default=1000)
+    p_trace.add_argument("--steps", type=int, default=1000,
+                         help=f"RK4 steps, 1 to {MAX_STEPS:,} (default 1000)")
     p_trace.add_argument("--h", type=float, default=1e-3, help="fixed step size")
     p_trace.add_argument("--compare", help="second connection tag for coincidence check")
     p_trace.add_argument("--tol", type=float, default=1e-6,
@@ -263,19 +263,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="weak/strong classification")
     p_classify.add_argument("fixture")
-    p_classify.add_argument("--grid", type=int, default=_default_grid())
+    p_classify.add_argument("--grid", type=int, default=_default_grid(), help=grid_help)
     p_classify.add_argument("--tol", type=float, default=1e-8)
     p_classify.add_argument("--out", help="result path (default: stdout)")
     p_classify.set_defaults(func=cmd_classify)
     return parser
 
 
-def _input_problem(args) -> str | None:
-    """Why a numeric input cannot give evidence, or None when all can."""
-    if getattr(args, "grid", 1) < 1:
-        return f"--grid (or ${DEFAULT_GRID_ENV}) must be at least 1, got {args.grid}"
-    if getattr(args, "steps", 1) < 1:
-        return f"--steps must be at least 1, got {args.steps}"
+def _input_problem(args, n: int = 1) -> str | None:
+    """Why a numeric input cannot give evidence, or would not fit in memory on
+    a chart of dimension n, or None when all can."""
+    grid = getattr(args, "grid", 1)
+    if grid is None:
+        return (f"${DEFAULT_GRID_ENV} must be an integer, "
+                f"got {os.environ.get(DEFAULT_GRID_ENV)!r}")
+    if grid < 1:
+        return f"--grid (or ${DEFAULT_GRID_ENV}) must be at least 1, got {grid}"
+    if grid > MAX_GRID_POINTS or grid**n > MAX_GRID_POINTS:
+        return (f"--grid (or ${DEFAULT_GRID_ENV}) {grid} gives {grid}^{n} points; "
+                f"at most {MAX_GRID_POINTS:,} are allowed")
+    steps = getattr(args, "steps", 1)
+    if not 1 <= steps <= MAX_STEPS:
+        return f"--steps must be between 1 and {MAX_STEPS:,}, got {steps}"
     h = getattr(args, "h", 1.0)
     if not (np.isfinite(h) and h > 0.0):
         return f"--h must be a positive finite step, got {h}"
@@ -283,13 +292,18 @@ def _input_problem(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # inputs first, then the fixture, then the grid against its dimension
     problem = _input_problem(args)
+    if problem is None:
+        fixture = _load_fixture(args.fixture)
+        if isinstance(fixture, int):
+            return fixture
+        problem = _input_problem(args, fixture.n)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args)
+    return args.func(args, fixture)
 
 
 if __name__ == "__main__":

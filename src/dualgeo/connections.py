@@ -8,10 +8,12 @@ one call.  All verdict-producing tests are grid-evidence: they evaluate pointwis
 residuals on the sample points they are given and report the maximum, so a
 "true" verdict always comes with the residual and the points that produced it.
 The points are one ``(N, n)`` array, evaluated in blocks of
-:data:`~dualgeo.geometry.GRID_BLOCK` rows (:func:`~dualgeo.geometry.grid_blocks`):
-each block is one stacked evaluation of the coefficients, Jacobians and
-metric data, its residuals are one ``...``-einsum, and ``np.max`` reduces it
-before the next block is formed, so memory is bounded by the block.
+:data:`~dualgeo.geometry.GRID_BLOCK` rows: each block is one stacked
+evaluation of the coefficients, Jacobians and metric data, its residuals are
+one ``...``-einsum, and :func:`~dualgeo.geometry.grid_max` reduces it before
+the next block is formed, so memory is bounded by the block.  Block maxima
+fold with ``np.maximum``, so a NaN residual anywhere is the result and fails
+the verdict; NaN is no torsion defect, so it is not rejected as torsion.
 
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
@@ -33,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Metric, central_difference, grid_blocks, matvec
+from .geometry import Metric, central_difference, grid_blocks, grid_max, matvec
 
 TORSION_TOL = 1e-10
 
@@ -171,7 +173,7 @@ def difference_tensor(conn_a: AffineConnection, conn_b: AffineConnection, x) -> 
 
 def _require_torsion_free(conns: Sequence[AffineConnection], points) -> None:
     for conn in conns:
-        worst = max(conn.torsion_defect(block) for block in grid_blocks(points))
+        worst = grid_max(conn.torsion_defect, points)
         if worst > TORSION_TOL:
             raise TorsionError(
                 f"connection {conn.tag!r} has torsion (defect {worst:.3e}); "
@@ -203,7 +205,7 @@ def dual_projective_test(conn_a: AffineConnection, conn_b: AffineConnection,
         gmat = g.value(block)
         alpha_up = np.einsum("...kij,...ij->...k", d, g.inverse(block)) / g.n
         resid = d - np.einsum("...k,...ij->...kij", alpha_up, gmat)
-        worst = max(worst, float(np.max(np.abs(resid))))
+        worst = float(np.maximum(worst, np.max(np.abs(resid))))
         alphas.append(matvec(gmat, alpha_up))
     return DualProjectiveResult(worst < tol, worst, np.concatenate(alphas), tol)
 
@@ -254,11 +256,11 @@ def semi_compatibility_test(conn: AffineConnection, h: Metric, points,
         alpha = np.einsum("...ik,...ijk->...j", h.inverse(block), a) / (n - 1)
         model = (np.einsum("...j,...ik->...ijk", alpha, hmat)
                  - np.einsum("...i,...jk->...ijk", alpha, hmat))
-        worst = max(worst, float(np.max(np.abs(a - model))))
+        worst = float(np.maximum(worst, np.max(np.abs(a - model))))
         alphas.append(alpha)
         if expected_beta is not None:
             beta = np.asarray(expected_beta(block), dtype=float)
-            worst_beta = max(worst_beta, float(np.max(np.abs(alpha - beta))))
+            worst_beta = float(np.maximum(worst_beta, np.max(np.abs(alpha - beta))))
     return SemiCompatibilityResult(
         worst < tol, worst, np.concatenate(alphas), tol,
         beta_mismatch=(worst_beta if expected_beta is not None else None))
@@ -266,14 +268,13 @@ def semi_compatibility_test(conn: AffineConnection, h: Metric, points,
 
 def compatibility_residual(conn: AffineConnection, h: Metric, points) -> float:
     """Maximal antisymmetrized nabla' h; zero iff (conn, h) is compatible."""
-    return max(float(np.max(np.abs(_antisymmetrized_gradient(conn, h, block))))
-               for block in grid_blocks(points))
+    return grid_max(lambda block: _antisymmetrized_gradient(conn, h, block), points)
 
 
 def connection_ricci_symmetry_check(conn: AffineConnection, points) -> float:
     """max |Ric_{ij} - Ric_{ji}| of the connection's own curvature over the grid."""
-    worst = 0.0
-    for block in grid_blocks(points):
+    def asymmetry(block):
         ric = conn.ricci(block)
-        worst = max(worst, float(np.max(np.abs(ric - np.swapaxes(ric, -1, -2)))))
-    return worst
+        return ric - np.swapaxes(ric, -1, -2)
+
+    return grid_max(asymmetry, points)

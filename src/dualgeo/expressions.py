@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log")
+# an integer exponent k costs |k| - 1 products in a jet, so |k| is bounded
+MAX_INTEGER_EXPONENT = 1000
 
 
 class ExpressionError(ValueError):
@@ -221,8 +223,14 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
+            offset = self.peek().offset
             # exponent at unary level: right-associative, allows 2^-3
-            return Pow(base, self.unary())
+            exponent = self.unary()
+            k = _literal_value(exponent)
+            if k is not None and k.is_integer() and abs(k) > MAX_INTEGER_EXPONENT:
+                raise ParseError(f"integer exponent {k!r} exceeds {MAX_INTEGER_EXPONENT} "
+                                 "in absolute value", offset)
+            return Pow(base, exponent)
         return base
 
     def atom(self) -> Expression:
@@ -256,6 +264,14 @@ class _Parser:
         if tok.kind == "eof":
             raise ParseError("unexpected end of input", tok.offset)
         raise ParseError(f"unexpected {tok.text!r}", tok.offset)
+
+
+def _literal_value(node: Expression) -> float | None:
+    """The value of a literal or named constant, negated or not, else None."""
+    if isinstance(node, Neg):
+        inner = _literal_value(node.arg)
+        return None if inner is None else -inner
+    return node.value if isinstance(node, (Num, Const)) else None
 
 
 def parse(source: str, n: int | None = None, *,

@@ -17,9 +17,9 @@ finite differences of the Christoffel symbols stay available in the test suite
 as the independent oracle.
 
 A sample grid is one ``(N, n)`` array (:func:`grid_points`).  Grid checks
-evaluate it in blocks of ``GRID_BLOCK`` rows (:func:`grid_blocks`) and reduce
-each block with ``np.max``, so their memory is bounded by the block, not by
-the grid.
+evaluate it in blocks of ``GRID_BLOCK`` rows (:func:`grid_blocks`), so memory
+is bounded by the block, and reduce it with one function, :func:`grid_max`,
+where a NaN residual gives NaN and so fails its check instead of vanishing.
 
 Expression-backed fields (:class:`ScalarField`, :class:`TensorField` and
 :class:`Metric`) compile their component trees once, on first use, into one
@@ -360,6 +360,16 @@ def grid_blocks(points):
     points = np.asarray(points, dtype=float)
     for start in range(0, len(points), GRID_BLOCK):
         yield points[start:start + GRID_BLOCK]
+
+
+def grid_max(fn, *arrays) -> float:
+    """max |fn(*blocks)| over a grid; ``fn`` gets the same ``GRID_BLOCK``-row
+    block of each array.  Blocks fold with ``np.maximum``, so a NaN residual
+    gives NaN and fails every threshold test; an empty grid raises ValueError."""
+    if len({len(a) for a in arrays}) != 1:
+        raise ValueError("grid_max needs arrays of one common length")
+    return float(np.maximum.reduce([np.max(np.abs(fn(*blocks)))
+                                    for blocks in zip(*map(grid_blocks, arrays))]))
 
 
 # --- scalar-field calculus ---------------------------------------------------

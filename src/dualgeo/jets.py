@@ -33,13 +33,15 @@ operand, the product is the same bits either way round), and a jet's
 reciprocal is computed once for every division by it.  Element-wise float
 operations never raise, so only the scalar coefficients of a rule
 (``1/u**2``, ``u**e``, ``exp(u)``, ...) can, and they are computed in the
-rule's order.  Hessians are exactly symmetric, since every
-second-order term is built from ``u_i v_j + v_i u_j`` or ``u_i u_j``; a third
-derivative is a sum like ``h_ij u_k + h_jk u_i + h_ki u_j`` whose order of
-addition differs between index permutations, so no entry is mirrored.  An
-integer exponent k is k - 1 products (unrolled when k is known and small, a
-loop otherwise) and a negative one takes the reciprocal after; a jet-valued
-exponent goes through ``exp(log(base) * exponent)`` unless all of its
+rule's order; a coefficient whose divisor underflows to zero raises
+:class:`EvalDomainError` naming the subexpression.  Hessians are exactly
+symmetric, since every second-order term is built from ``u_i v_j + v_i u_j``
+or ``u_i u_j``; a third derivative is a sum like ``h_ij u_k + h_jk u_i +
+h_ki u_j`` whose order of addition differs between index permutations, so no
+entry is mirrored.  An integer exponent k is k - 1 products (unrolled when k
+is known and small, a loop otherwise; beyond ``MAX_INTEGER_EXPONENT`` the code
+raises :class:`EvalDomainError` at the power) and a negative one takes the
+reciprocal after; a jet-valued exponent goes through ``exp(log(base) * exponent)`` unless all of its
 derivatives are zero at the point, in which case its value is used as a
 number.  The reference jet arithmetic these programs must equal bit for bit,
 numpy arrays and operator overloading, and the finite-difference stencils
@@ -58,8 +60,8 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import (
-    FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Expression, Mul, Neg,
-    Num, Pow, Sub, Var, to_source,
+    FUNCTIONS, MAX_INTEGER_EXPONENT, Add, Call, Const, Div, EvalDomainError, Expression,
+    Mul, Neg, Num, Pow, Sub, Var, to_source,
 )
 
 _DIVISION_BY_ZERO = "division by zero"
@@ -67,6 +69,8 @@ _POSITIVE_BASE = "real exponent needs a positive base"
 _NON_POSITIVE = {"sqrt": "sqrt of a non-positive value",
                  "log": "log of a non-positive value"}
 _POLE = "tan at a pole"
+_EXPONENT_BOUND = f"integer exponent beyond {MAX_INTEGER_EXPONENT} in absolute value"
+_UNDERFLOW = "derivative coefficient divides by a power that underflows to zero"
 # integer powers of a jet up to this exponent are unrolled products
 _UNROLLED_POWER = 16
 
@@ -190,22 +194,33 @@ class _Writer:
         self.count += 1
         return f"{stem}{self.count}"
 
+    def fail(self, message: str, node: Expression) -> None:
+        self.emit(f"raise _Domain({self.bind(message)}, {self.bind(to_source(node))})")
+
     def raise_if(self, condition: str, message: str, node: Expression) -> None:
         """A float domain check, right before the operation it guards."""
         with self.block(f"if {condition}:"):
-            self.emit(f"raise _Domain({self.bind(message)}, {self.bind(to_source(node))})")
+            self.fail(message, node)
 
     def checked(self, statement: str, node: Expression) -> None:
-        """An operation whose domain violation is reported as node's."""
+        """An operation whose domain violation, or division by a divisor that
+        underflowed to zero, is reported as node's."""
         self.emit("try:")
         self.emit(f"    {statement}")
         self.emit("except _Violation as exc:")
         self.emit(f"    raise _Domain(str(exc), {self.bind(to_source(node))}) from None")
+        self.emit("except ZeroDivisionError:")
+        self.emit(f"    raise _Domain({self.bind(_UNDERFLOW)}, "
+                  f"{self.bind(to_source(node))}) from None")
 
-    def scalar(self, expression: str) -> str:
-        """A float local holding expression, evaluated here."""
+    def scalar(self, expression: str, node: Expression | None = None) -> str:
+        """A float local holding expression, evaluated here; with ``node``,
+        a divisor in it that underflows to zero raises node's domain error."""
         name = self.fresh("s")
-        self.emit(f"{name} = {expression}")
+        if node is None:
+            self.emit(f"{name} = {expression}")
+        else:
+            self.checked(f"{name} = {expression}", node)
         return name
 
     # --- components -------------------------------------------------------------
@@ -353,9 +368,9 @@ class _Writer:
             return hit[1]
         u = self.text(x.v)
         self.raise_if(f"{u} == 0.0", _DIVISION_BY_ZERO, node)
-        result = self.compose(x, self.scalar(f"1.0 / {u}"), self.scalar(f"-1.0 / {u}**2"),
-                              self.scalar(f"2.0 / {u}**3"),
-                              self.scalar(f"-6.0 / {u}**4") if x.t is not None else None)
+        result = self.compose(x, self.scalar(f"1.0 / {u}"), self.scalar(f"-1.0 / {u}**2", node),
+                              self.scalar(f"2.0 / {u}**3", node),
+                              self.scalar(f"-6.0 / {u}**4", node) if x.t is not None else None)
         # the entry keeps x alive, so its id stays unique
         self.reused["reciprocal", id(x)] = (x, result)
         return result
@@ -368,15 +383,16 @@ class _Writer:
         if func == "sqrt":
             r = self.scalar(f"_float_sqrt({u})")
             return self.compose(x, r, self.scalar(f"0.5 / {r}"),
-                                self.scalar(f"-0.25 / ({r} * {u})"),
-                                self.scalar(f"0.375 / ({r} * {u} * {u})") if order3 else None)
+                                self.scalar(f"-0.25 / ({r} * {u})", node),
+                                self.scalar(f"0.375 / ({r} * {u} * {u})", node)
+                                if order3 else None)
         if func == "exp":
             e = self.scalar(f"_float_exp({u})")
             return self.compose(x, e, e, e, e)
         if func == "log":
             return self.compose(x, self.scalar(f"_float_log({u})"), self.scalar(f"1.0 / {u}"),
-                                self.scalar(f"-1.0 / {u}**2"),
-                                self.scalar(f"2.0 / {u}**3") if order3 else None)
+                                self.scalar(f"-1.0 / {u}**2", node),
+                                self.scalar(f"2.0 / {u}**3", node) if order3 else None)
         if func in ("sin", "cos"):
             s, c = self.scalar(f"_float_sin({u})"), self.scalar(f"_float_cos({u})")
             if func == "sin":
@@ -394,6 +410,9 @@ class _Writer:
         raise ValueError(f"unknown function {func!r}")
 
     def integer_power(self, x: _Sym, k: int, node: Expression) -> _Sym:
+        if abs(k) > MAX_INTEGER_EXPONENT:
+            self.fail(_EXPONENT_BOUND, node)
+            return x   # never reached at run time
         if k == 0:
             return self.constant(1.0)
         if k < 0:
@@ -439,6 +458,7 @@ class _Writer:
             with self.block(f"if {k} == 0:"):
                 self.store(out, self.constant(1.0))
             with self.block("else:"):
+                self.raise_if(f"abs({k}) > {MAX_INTEGER_EXPONENT}", _EXPONENT_BOUND, node)
                 acc = self.power_loop(x, f"abs({k}) - 1")
                 with self.block(f"if {k} < 0:"):
                     self.store(out, self.reciprocal(acc, node))

@@ -13,7 +13,10 @@ normal equations are never formed.  The solver also differentiates the
 recovered field analytically by differentiating the linear system, which is
 what the q-hat assembly and curvature-based checks consume.
 
-Slot and orientation conventions live in :mod:`dualgeo.conventions`.
+The grid checks (classification, beta condition, Killing, Bertrand-Darboux,
+Poisson) reduce through :func:`dualgeo.geometry.grid_max`, so a NaN residual
+is the result, classifies STRONG and fails every threshold.  Slot and
+orientation conventions live in :mod:`dualgeo.conventions`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import conventions as conv
 from .geometry import (
-    Metric, ScalarField, TensorField, covariant_derivative, grid_blocks, hessian, matvec,
+    Metric, ScalarField, TensorField, covariant_derivative, grid_max, hessian, matvec,
 )
 from .jets import compile
 
@@ -332,10 +335,8 @@ def decompose(T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> Decompositio
                + np.einsum("...j,...ik->...ijk", t, gmat)
                + np.einsum("...k,...ij->...ijk", t, gmat))
     S = Tc - t_terms
-    sym_defect = max(
-        float(np.max(np.abs(S - np.einsum("...ikj->...ijk", S)))),
-        float(np.max(np.abs(S - np.einsum("...jik->...ijk", S)))),
-    )
+    sym_defect = float(np.maximum(np.max(np.abs(S - np.einsum("...ikj->...ijk", S))),
+                                  np.max(np.abs(S - np.einsum("...jik->...ijk", S)))))
     trace_defect = float(np.max(np.abs(np.einsum("...ij,...ijk->...k", ginv, S))))
     return Decomposition(S, t, tau, sym_defect, trace_defect)
 
@@ -395,12 +396,13 @@ def classify(g: Metric, prolongation_fn: Callable, s_cov_fn: Callable,
     field, at a point or over a stack.
     """
     n = g.n
-    worst = 0.0
-    for block in grid_blocks(points):
+
+    def obstruction(block):
         D = prolongation_fn(block)
         s_cov = s_cov_fn(block)
-        t_cov = t_from_prolongation(D, s_cov, n)
-        worst = max(worst, float(np.max(np.abs(build_N(D, g.value(block), s_cov, t_cov)))))
+        return build_N(D, g.value(block), s_cov, t_from_prolongation(D, s_cov, n))
+
+    worst = grid_max(obstruction, points)
     if worst < tol:
         def extracted(x):
             s_up = matvec(g.inverse(x), s_cov_fn(x))
@@ -423,8 +425,8 @@ def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callabl
     from .connections import metric_gradient
 
     n = g.n
-    worst = 0.0
-    for block in grid_blocks(points):
+
+    def residual(block):
         gmat = g.value(block)
         grad_g = metric_gradient(conn_d, g, block)
         lhs = grad_g - np.einsum("...jik->...ijk", grad_g)
@@ -436,8 +438,9 @@ def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callabl
         rhs = (np.einsum("...jki->...ijk", N) - np.einsum("...ikj->...ijk", N)
                + np.einsum("...i,...jk->...ijk", phi, gmat)
                - np.einsum("...j,...ik->...ijk", phi, gmat))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+        return lhs - rhs
+
+    return grid_max(residual, points)
 
 
 # --- q-hat ingredients ---------------------------------------------------------
@@ -534,18 +537,16 @@ def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaD
 
 def killing_check(g: Metric, K: TensorField, points) -> float:
     """max over the grid of the cyclic-symmetrized covariant derivative of K."""
-    worst = 0.0
-    for block in grid_blocks(points):
+    def cyclic_sum(block):
         nk = covariant_derivative(g, K, block).components  # [..., i, j, k] = (nabla_i K)_{jk}
-        sym = (nk + np.einsum("...jki->...ijk", nk) + np.einsum("...kij->...ijk", nk)) / 3.0
-        worst = max(worst, float(np.max(np.abs(sym))))
-    return worst
+        return (nk + np.einsum("...jki->...ijk", nk) + np.einsum("...kij->...ijk", nk)) / 3.0
+
+    return grid_max(cyclic_sum, points)
 
 
 def bertrand_darboux_check(g: Metric, K: TensorField, V: ScalarField, points) -> float:
     """max ||d omega|| for omega_i = K^j_i (d_j V) dx^i."""
-    worst = 0.0
-    for block in grid_blocks(points):
+    def curl(block):
         ginv = g.inverse(block)
         kvals, dk = K.jets(block)
         grad, hess = V.derivatives(block)
@@ -554,8 +555,9 @@ def bertrand_darboux_check(g: Metric, K: TensorField, V: ScalarField, points) ->
                     + np.einsum("...mk,...akj->...amj", ginv, dk))
         domega = (np.einsum("...imj,...m->...ij", dk_mixed, grad)
                   + np.einsum("...mj,...im->...ij", k_mixed, hess))
-        worst = max(worst, float(np.max(np.abs(domega - np.swapaxes(domega, -1, -2)))))
-    return worst
+        return domega - np.swapaxes(domega, -1, -2)
+
+    return grid_max(curl, points)
 
 
 def poisson_check(g: Metric, V: ScalarField, K: TensorField, W: ScalarField,
@@ -564,8 +566,9 @@ def poisson_check(g: Metric, V: ScalarField, K: TensorField, W: ScalarField,
 
     The canonical bracket is evaluated at every (grid point, momentum) pair.
     """
-    worst = 0.0
-    for block in grid_blocks(points):
+    P = np.asarray(momenta, dtype=float)   # (q, n), one momentum per row
+
+    def brackets(block):
         ginv = g.inverse(block)
         dginv = g.inverse_jacobian(block)
         kvals, dk = K.jets(block)
@@ -573,16 +576,13 @@ def poisson_check(g: Metric, V: ScalarField, K: TensorField, W: ScalarField,
         dk_up = (np.einsum("...mia,...jb,...ab->...mij", dginv, ginv, kvals)
                  + np.einsum("...ia,...mjb,...ab->...mij", ginv, dginv, kvals)
                  + np.einsum("...ia,...jb,...mab->...mij", ginv, ginv, dk))
-        dV = V.gradient(block)
-        dW = W.gradient(block)
-        for p in momenta:
-            p = np.asarray(p, dtype=float)
-            dH_dx = np.einsum("...mij,i,j->...m", dginv, p, p) + dV
-            dH_dp = matvec(2.0 * ginv, p)
-            dF_dx = np.einsum("...mij,i,j->...m", dk_up, p, p) + dW
-            dF_dp = matvec(2.0 * k_up, p)
-            # per row (1, n) @ (n, 1), rounded as the single-point u @ v
-            bracket = (dH_dx[..., None, :] @ dF_dp[..., None]
-                       - dH_dp[..., None, :] @ dF_dx[..., None])
-            worst = max(worst, float(np.max(np.abs(bracket))))
-    return worst
+        # axes (..., q, m): every momentum row of P at every point of the block
+        dH_dx = np.einsum("...mij,qi,qj->...qm", dginv, P, P) + V.gradient(block)[..., None, :]
+        dH_dp = matvec(2.0 * ginv[..., None, :, :], P)
+        dF_dx = np.einsum("...mij,qi,qj->...qm", dk_up, P, P) + W.gradient(block)[..., None, :]
+        dF_dp = matvec(2.0 * k_up[..., None, :, :], P)
+        # per row (1, n) @ (n, 1), rounded as the single-point u @ v
+        return (dH_dx[..., None, :] @ dF_dp[..., None]
+                - dH_dp[..., None, :] @ dF_dx[..., None])
+
+    return grid_max(brackets, points)

@@ -30,7 +30,7 @@ from .connections import (
 )
 from .fixtures import Fixture
 from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
-from .geometry import ScalarField, grid_blocks
+from .geometry import ScalarField, grid_max
 from .structure import (
     beta_condition_residual, build_Z_and_digamma, classify, decompose,
     sym_product_metric_form,
@@ -172,7 +172,7 @@ def _trajectory_claim(report: VerificationReport, claim_id: str, statement: str,
             report.notes.append(f"{claim_id}: start {start} {why}, so the residual is inf")
             continue
         cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
-        worst = max(worst, cmp.dist_a_to_b, cmp.dist_b_to_a)
+        worst = np.maximum(worst, np.maximum(cmp.dist_a_to_b, cmp.dist_b_to_a))
     return report.add(claim_id, statement, worst, TOL_TRAJECTORY)
 
 
@@ -182,8 +182,7 @@ def _sign_label(sign: int) -> str:
 
 def _coefficient_gap(conn_a: AffineConnection, conn_b: AffineConnection, grid) -> float:
     """max |Gamma_a - Gamma_b| over the grid."""
-    return max(float(np.max(np.abs(difference_tensor(conn_a, conn_b, block))))
-               for block in grid_blocks(grid))
+    return grid_max(lambda block: difference_tensor(conn_a, conn_b, block), grid)
 
 
 def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
@@ -206,11 +205,11 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
 
     # measured, never asserted: symmetry/trace defects of the decomposition
     # remainder S (nonzero on concrete fixtures under the frozen conventions)
-    s_sym = s_tr = 0.0
-    for block in grid_blocks(grid):
-        dec = decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
-        s_sym = max(s_sym, dec.symmetry_defect)
-        s_tr = max(s_tr, dec.trace_defect)
+    def remainder(block):
+        return decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
+
+    s_sym = grid_max(lambda block: remainder(block).symmetry_defect, grid)
+    s_tr = grid_max(lambda block: remainder(block).trace_defect, grid)
     report.notes.append(
         f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
         f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
@@ -226,9 +225,9 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the induced and symmetrized connections differ by a pure metric "
             "multiple of one vector field (dual-projective criterion)",
             dp.max_residual, tol_algebraic)
-        alpha_err = max(
-            float(np.max(np.abs(alpha - sign * bcoef * fixture.t_covector(block))))
-            for block, alpha in zip(grid_blocks(grid), grid_blocks(dp.alpha)))
+        alpha_err = grid_max(
+            lambda block, alpha: alpha - sign * bcoef * fixture.t_covector(block),
+            grid, dp.alpha)
         report.add(
             f"t1.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals +/-((n+2)/n) t",
@@ -245,7 +244,7 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             f"t1.compatibility.{lbl}",
             "the symmetrized connection is metric-compatible "
             "(antisymmetrized metric derivative vanishes, recovered 1-form is zero)",
-            max(sc.max_residual, alpha_norm), tol_algebraic)
+            np.maximum(sc.max_residual, alpha_norm), tol_algebraic)
 
         worst_best = np.inf
         for _ in range(5):
@@ -254,7 +253,7 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             beta *= (0.5 + rng.random()) / norm
             shifted = shift_by_one_form(conn_t, g, lambda _x, _b=beta: _b,
                                         tag=f"{lbl}-shifted")
-            worst_best = min(worst_best, compatibility_residual(shifted, g, grid))
+            worst_best = np.minimum(worst_best, compatibility_residual(shifted, g, grid))
         report.add(
             f"t1.uniqueness.{lbl}",
             "every seeded 1-form shift of the induced connection other than the "
@@ -339,9 +338,8 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the prolongation connection and the extracted induced connection "
             "differ by a metric multiple of one vector field",
             dp.max_residual, tol_algebraic)
-        alpha_err = max(
-            float(np.max(np.abs(alpha + sign * fixture.s_covector(block) / n)))
-            for block, alpha in zip(grid_blocks(grid), grid_blocks(dp.alpha)))
+        alpha_err = grid_max(lambda block, alpha: alpha + sign * fixture.s_covector(block) / n,
+                             grid, dp.alpha)
         report.add(
             f"t2.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals -/+ s/n",
@@ -357,7 +355,7 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                             - (n + 2) * fixture.t_covector(x)) / n
 
         sc = semi_compatibility_test(conn_d, g, grid, tol_algebraic, expected_beta=beta)
-        value = max(sc.max_residual, sc.beta_mismatch)
+        value = np.maximum(sc.max_residual, sc.beta_mismatch)
         if weak:
             report.add(
                 f"t2.semi_compatibility.{lbl}",
@@ -436,14 +434,13 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
     conn_lc = fixture.connection("LC")
 
     def total_symmetry_defect(conn) -> float:
-        worst = 0.0
-        for block in grid_blocks(grid):
+        def asymmetry(block):
             w = metric_gradient(conn, g, block) - bcoef * np.einsum(
                 "...i,...jk->...ijk", fixture.t_covector(block), g.value(block))
-            for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-                moved = np.transpose(w, (0, *(1 + p for p in perm)))
-                worst = max(worst, float(np.max(np.abs(w - moved))))
-        return worst
+            perms = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+            return np.stack([w - np.transpose(w, (0, *(1 + p for p in perm))) for perm in perms])
+
+        return grid_max(asymmetry, grid)
 
     report.add(
         "weyl.total_symmetry",
@@ -451,9 +448,8 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
         "symmetric cubic form",
         total_symmetry_defect(conn_t), 1e-8)
 
-    t_scale = max(float(np.max(np.abs(fixture.t_covector(block))))
-                  for block in grid_blocks(grid))
-    if t_scale > 1e-6:
+    t_scale = grid_max(fixture.t_covector, grid)
+    if not t_scale <= 1e-6:
         report.add(
             "weyl.negative_control.levi_civita",
             "with the Levi-Civita connection in place of the induced one the "
@@ -489,20 +485,19 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
     # difference identity, both sign variants (the minus variants carry the
     # displayed sign; the plus variants the opposite, by the sign flip built
     # into the induced-connection convention)
-    worst = 0.0
-    for block in grid_blocks(grid):
+    def identity_gap(block):
         gmat = g.value(block)
         target = sym_product_metric_form(gmat, zeta_linear.gradient(block)) / (
             2.0 * (n - 2))
-        for s, orient in (("-", +1.0), ("+", -1.0)):
-            d_flat = np.einsum("...kl,...lij->...ijk", gmat,
-                               difference_tensor(conn_f[s], conn_b[s], block))
-            worst = max(worst, float(np.max(np.abs(d_flat - orient * target))))
+        return np.stack([np.einsum("...kl,...lij->...ijk", gmat,
+                                   difference_tensor(conn_f[s], conn_b[s], block))
+                         - orient * target for s, orient in (("-", +1.0), ("+", -1.0))])
+
     report.add(
         "rd.difference_identity",
         "the flatted connection difference equals the symmetrized metric-dzeta "
         "product with weight 1/(2(n-2))",
-        worst, 1e-9)
+        grid_max(identity_gap, grid), 1e-9)
 
     for name, conn in (("codazzi_f", conn_f["+"]), ("codazzi_b", conn_b["+"])):
         report.add(
@@ -529,9 +524,8 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
             "rd.fixture_zeta",
             "with the fixture's own zeta (trivial here) the connections coincide",
             _coefficient_gap(fixture.connection("+F"), conn_b["+"], grid), 1e-12)
-        zres = max(build_Z_and_digamma(g, fixture.structure_tensor(block),
-                                       fixture.zeta, block).zeta_residual
-                   for block in grid_blocks(grid))
+        zres = grid_max(lambda block: build_Z_and_digamma(
+            g, fixture.structure_tensor(block), fixture.zeta, block).zeta_residual, grid)
         report.notes.append(
             f"defining-equation residual of the fixture's zeta: {zres:.3e} "
             "(reported; the injected test zeta is not required to satisfy it)")

@@ -319,6 +319,10 @@ def _jet_walk(node, env, n, order):
             return base ** rhs
     except _DomainViolation as exc:
         raise EvalDomainError(str(exc), to_source(node)) from None
+    except ZeroDivisionError:
+        # only a rule coefficient c / u**k (or c / (r*u*u)) can divide by zero
+        raise EvalDomainError("derivative coefficient divides by a power that "
+                              "underflows to zero", to_source(node)) from None
     raise TypeError(f"not an expression node: {node!r}")
 
 

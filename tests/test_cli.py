@@ -172,8 +172,14 @@ _TRACE = ["trace", "sw2", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0"]
     _TRACE + ["--h=-1e-3"],
     _TRACE + ["--h", "inf"],
     _TRACE + ["--compare", "+B", "--h", "nan"],
+    _TRACE + ["--steps", str(10**6 + 1)],
+    _TRACE + ["--steps", str(10**15)],
+    ["verify", "sw2", "--grid", "1001"],
+    ["verify", "sphere3-trivial", "--grid", "101"],
+    ["classify", "sw2-strong-synthetic", "--grid", str(10**9)],
 ], ids=["classify-grid-0", "verify-grid-0", "steps-negative", "steps-0", "h-0",
-        "h-negative", "h-inf", "compare-h-nan"])
+        "h-negative", "h-inf", "compare-h-nan", "steps-above-limit", "steps-huge",
+        "verify-grid-2d-above-limit", "verify-grid-3d-above-limit", "classify-grid-huge"])
 def test_numeric_input_without_evidence_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)
@@ -187,6 +193,60 @@ def test_grid_from_environment_checked_too(capsys, monkeypatch):
     code, out, err = run(["classify", "sw2-strong-synthetic"], capsys)
     assert code == 2
     assert "DUALGEO_GRID" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "7.0", "", "1001"])
+def test_grid_from_environment_must_be_an_integer_within_the_limit(value, tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DUALGEO_GRID", value)
+    for argv in (["classify", "sw2-strong-synthetic"], ["verify", "sw2"]):
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert "DUALGEO_GRID" in err and out == ""
+    assert not list(tmp_path.iterdir())
+    # an explicit --grid does not read the variable
+    code, out, _ = run(["classify", "sw2-strong-synthetic", "--grid", "3"], capsys)
+    assert code == 0 and json.loads(out)["grid"] == 3
+
+
+def test_input_limits_hold_at_their_boundaries():
+    from argparse import Namespace
+
+    from dualgeo.cli import MAX_GRID_POINTS, MAX_STEPS, _input_problem
+    assert (MAX_GRID_POINTS, MAX_STEPS) == (10**6, 10**6)
+
+    def problem(n=1, **kw):
+        return _input_problem(Namespace(**{"grid": 5, "steps": 10, "h": 1e-3, **kw}), n)
+
+    assert problem(2, grid=1000) is None and problem(2, grid=1001) is not None
+    assert problem(3, grid=100) is None and problem(3, grid=101) is not None
+    assert problem(1, grid=10**6) is None and problem(1, grid=10**6 + 1) is not None
+    assert problem(3, grid=10**100) is not None         # no 10^300-point power formed
+    assert problem(steps=MAX_STEPS) is None and problem(steps=MAX_STEPS + 1) is not None
+
+
+def test_limits_are_stated_in_help(capsys):
+    for command, limit in (("verify", "1,000,000 points"), ("classify", "1,000,000 points"),
+                           ("trace", "1 to 1,000,000")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert limit in " ".join(capsys.readouterr().out.split())
+
+
+def test_rejected_inputs_allocate_nothing_large(tmp_path, capsys, monkeypatch):
+    import tracemalloc
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        for argv in (_TRACE + ["--steps", str(10**12)],
+                     ["verify", "sw2", "--grid", str(10**6)],
+                     ["verify", "sphere3-trivial", "--grid", "101"]):
+            assert run(argv, capsys)[0] == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20     # measured 1.3 MB; a 101^3-point 3-D grid alone is 24 MB
 
 
 def test_trace_compare_of_curves_that_stopped_early_fails(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgeo.expressions import (
-    Add, Call, Const, Div, Mul, Neg, Num, ParseError, Pow, Sub, Var,
+    MAX_INTEGER_EXPONENT, Add, Call, Const, Div, Mul, Neg, Num, ParseError, Pow, Sub, Var,
     is_constant, parse, to_source,
 )
 
@@ -49,6 +49,23 @@ def test_parse_errors_carry_offsets(source, offset_check):
     with pytest.raises(ParseError) as err:
         parse(source, 2)
     assert err.value.offset == offset_check
+
+
+@pytest.mark.parametrize("source,offset", [
+    ("x1^1e9", 3), ("x1^-1e9", 3), ("x2 + x1^(1e9)", 8), ("x1^-1001", 3), ("x1^big", 3),
+])
+def test_integer_exponents_beyond_the_bound_are_parse_errors(source, offset):
+    with pytest.raises(ParseError, match="exceeds 1000 in absolute value") as err:
+        parse(source, 2, constants={"big": 2.0**40})
+    assert err.value.offset == offset
+
+
+def test_exponents_within_the_bound_or_not_integer_parse():
+    assert MAX_INTEGER_EXPONENT == 1000
+    # a real or coordinate-dependent exponent is evaluated through u**e or
+    # exp(log(u) * e), never as products, so it is not bounded
+    for source in ("x1^1000", "x1^-1000", "x1^1000.5", "x1^1.5e-9", "x1^(x2*1e9)"):
+        parse(source, 2)
 
 
 def test_unknown_identifier_is_a_parse_error_not_a_nan():

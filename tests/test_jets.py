@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from dualgeo.expressions import (
-    FUNCTIONS, Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub,
-    Var, parse,
+    FUNCTIONS, MAX_INTEGER_EXPONENT, Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num,
+    Pow, Sub, Var, parse, to_source,
 )
 from dualgeo import jets
 from dualgeo.fixtures import builtin, builtin_names
@@ -153,6 +153,54 @@ def test_domain_violations_name_the_subexpression(source, point, fragment):
     assert fragment in str(err.value)
     with pytest.raises(EvalDomainError):
         eval_value(parse(source, 1), point)
+
+
+@pytest.mark.parametrize("source,point,order", [
+    ("x1/1e-200", (1.0,), 2),       # -1/u**2 underflows u**2
+    ("x1/1e-90", (1.0,), 3),        # -6/u**4 underflows u**4 at order 3 only
+    ("x1^-2", (1e-100,), 2),        # the reciprocal rule of an integer power
+    ("log(x1)", (1e-200,), 2),
+    ("sqrt(x1)", (1e-200,), 3),     # 0.375/(r*u*u)
+])
+def test_underflowing_coefficient_raises_domain_error(source, point, order):
+    tree = parse(source, 1)
+    evaluate = {2: eval_jet2, 3: eval_jet3}[order]
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(tree, point)
+    assert err.value.subexpression == to_source(tree)
+    assert _jet_outcome(lambda: [evaluate(tree, point)]) == \
+        _jet_outcome(lambda: [reference_jet(tree, point, order)])
+
+
+def test_coefficients_that_do_not_underflow_keep_their_bits():
+    for source, point in (("x1/1e-90", (1.0,)), ("log(x1)", (1e-100,)),
+                          ("sqrt(x1)", (1e-200,)), ("1/x1", (1e-77,))):
+        tree = parse(source, 1)
+        assert _jet_outcome(lambda: [eval_jet2(tree, point)]) == \
+            _jet_outcome(lambda: [reference_jet(tree, point, 2)]), source
+
+
+def test_integer_exponent_is_bounded_in_jets(monkeypatch):
+    import time
+
+    import oracles
+    bound = MAX_INTEGER_EXPONENT
+    # trees built directly, and a run-time exponent, get past the parser
+    for tree, x in ((Pow(Var("x1", 0), Num(1e9)), (1.0,)),
+                    (Pow(Var("x1", 0), Neg(Num(float(bound + 1)))), (1.0,)),
+                    (parse("x1^(x2 - x2 + 1e9)", 2), (1.0, 0.5))):
+        for evaluate in (eval_jet2, eval_jet3):
+            start = time.perf_counter()
+            with pytest.raises(EvalDomainError, match="integer exponent beyond"):
+                evaluate(tree, x)
+            assert time.perf_counter() - start < 1.0
+    # exponents within the bound keep the bits of k - 1 reference products
+    monkeypatch.setattr(oracles, "MAX_JET_POWER", bound)
+    for source in (f"x1^{bound}", f"x1^-{bound}", "x1^17", f"x1^(x2 - x2 + {bound})"):
+        tree = parse(source, 2)
+        for order in (2, 3):
+            assert _jet_outcome(lambda: jets.compile([tree]).jets((1.0001, 0.3), order)) == \
+                _jet_outcome(lambda: [reference_jet(tree, (1.0001, 0.3), order)]), source
 
 
 def test_integer_exponent_allows_negative_base():
