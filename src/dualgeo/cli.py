@@ -26,7 +26,8 @@ from .fixtures import (
     builtin, builtin_names, load, validate,
 )
 from .geodesics import (
-    CurveComparison, curves_coincide, integrate_dual_geodesic, short_comparison,
+    SINGULAR_HALT_MARGIN, CurveComparison, curves_coincide, integrate_dual_geodesic,
+    short_comparison,
 )
 from .structure import classify
 from .theorems import SUITES, SuiteNotApplicable, applicable_suites
@@ -68,7 +69,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_fixture(source: str):
     """The validated fixture named by ``source``, or the exit code after every
-    reason it cannot load went to stderr (each validation failure as JSON)."""
+    reason it cannot load went to stderr (each validation failure as JSON):
+    2 for a source that names nothing, 3 for a fixture that fails to load or
+    to validate."""
     try:
         if source in builtin_names():
             fixture = builtin(source)
@@ -86,9 +89,12 @@ def _load_fixture(source: str):
         for failure in exc.failures:
             print(f"  - {json.dumps(failure, sort_keys=True)}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FixtureError, ExpressionError) as exc:
+    except UnknownFixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (FixtureError, ExpressionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
@@ -144,6 +150,25 @@ def cmd_verify(args, fixture) -> int:
     return EXIT_OK if bundle["verdict"] == "pass" else EXIT_CLAIM_FAILURE
 
 
+def _start_problem(fixture, x0: np.ndarray, w0: np.ndarray) -> str | None:
+    """Why a trace from (x0, w0) cannot give evidence, or None when it can:
+    the start must be finite, inside the box and clear of the singular loci
+    by the integrator's halt margin, and the velocity finite and nonzero."""
+    if not np.isfinite(x0).all():
+        return f"--x0 must be finite, got {x0.tolist()}"
+    if not (np.isfinite(w0).all() and np.any(w0)):
+        return f"--w0 must be finite and nonzero, got {w0.tolist()}"
+    for axis, (lo, hi) in enumerate(fixture.box):
+        if not lo <= x0[axis] <= hi:
+            return (f"--x0 lies outside the domain: x{axis + 1} = {float(x0[axis])!r} is not "
+                    f"in [{lo!r}, {hi!r}]")
+    for axis, value in fixture.singular_loci:
+        if not abs(x0[axis] - value) >= SINGULAR_HALT_MARGIN:
+            return (f"--x0 lies within {SINGULAR_HALT_MARGIN} of the singular locus "
+                    f"x{axis + 1} = {value!r}")
+    return None
+
+
 def cmd_trace(args, fixture) -> int:
     try:
         x0 = _parse_vector(args.x0, fixture.n, "--x0")
@@ -152,6 +177,10 @@ def cmd_trace(args, fixture) -> int:
         compare = fixture.connection(args.compare) if args.compare else None
     except (argparse.ArgumentTypeError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    problem = _start_problem(fixture, x0, w0)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
 
     traj = integrate_dual_geodesic(conn, fixture.metric, x0, w0, args.steps, args.h,

@@ -23,6 +23,10 @@ assembly plus a symmetry check of A at every evaluation, for tensors nothing
 else has checked; fixture connections skip it, because their declared tensors
 are checked once, on the validation grid, when the fixture loads.
 
+A :class:`ConnectionTable` gives each row of a stacked state its own
+connection, so one integrator call can advance trajectories of several
+connections together (see ``Fixture.connection_table``).
+
 Torsion-freeness is a hard precondition of the dual-projective criterion (with
 torsion the criterion has easy counterexamples), so the tests check it first
 and raise instead of returning a misleading verdict.
@@ -91,6 +95,31 @@ class AffineConnection:
         return (np.einsum("...iijk->...kj", dgamma) - np.einsum("...jiik->...kj", dgamma)
                 + np.einsum("...iim,...mjk->...kj", gamma, gamma)
                 - np.einsum("...ijm,...mik->...kj", gamma, gamma))
+
+
+class ConnectionTable:
+    """The connections of the rows of a stacked state: row r follows
+    ``conns[r]``.
+
+    ``coefficients(x, rows)`` returns ``Gamma[..., k, i, j]`` of every running
+    row at once, where ``rows`` holds the running rows' indices and ``x``
+    their points.  Each row must round exactly as its own connection rounds
+    it alone, so that an integrator may evaluate any subset of rows together
+    or one row through ``conns[r]``.
+    """
+
+    def __init__(self, conns: Sequence[AffineConnection],
+                 coeff_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+        self.conns = list(conns)
+        self._coeff_fn = coeff_fn
+
+    @staticmethod
+    def uniform(conn: AffineConnection, m: int) -> "ConnectionTable":
+        """Every one of m rows follows conn."""
+        return ConnectionTable([conn] * m, lambda x, rows: conn.coefficients(x))
+
+    def coefficients(self, x, rows) -> np.ndarray:
+        return self._coeff_fn(np.asarray(x, dtype=float), rows)
 
 
 def levi_civita(g: Metric) -> AffineConnection:

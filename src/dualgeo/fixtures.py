@@ -19,6 +19,7 @@ Config schema: docs/fixture.schema.json.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import conventions as conv
 from .connections import (
-    TORSION_TOL, AffineConnection, difference_connection, levi_civita,
+    TORSION_TOL, AffineConnection, ConnectionTable, difference_connection, levi_civita,
 )
 from .expressions import ParseError
 from .geometry import (
@@ -39,6 +40,11 @@ from .structure import (
 )
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
+# largest chart dimension a config may declare.  Validation solves the
+# structure system on a 3^n grid and order-3 jet code grows as n^3 per node:
+# a flat oscillator config loads in 6 to 8 s at n = 6, 0.4 s at n = 5 and 33 s
+# at n = 7 (on a 2-vCPU Xeon)
+MAX_DIMENSION = 6
 
 
 class FixtureError(ValueError):
@@ -124,9 +130,11 @@ class Fixture:
             if self.structure_T is not None:
                 return self.structure_T.value(x).components
             return self._solved(self.solver.structure_tensor, x)
-        D = self.prolongation_tensor(x)
-        gmat = self.metric.value(x)
-        s_up = self.s_vector(x)
+        return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
+                                 self.s_vector(x))
+
+    def _extracted_t(self, D: np.ndarray, gmat: np.ndarray, s_up: np.ndarray) -> np.ndarray:
+        """D - (1/n) g (x) s_sharp from the fields' values."""
         return D - np.einsum("...ij,...k->...kij", gmat, s_up) / self.n
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
@@ -223,11 +231,13 @@ class Fixture:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
         g = self.metric
-        T = self.structure_tensor(x)
-        t_up = conv.t_coefficient(self.n) * matvec(g.inverse(x),
-                                                   np.einsum("...iij->...j", T))
-        return T + conv.b_coefficient(self.n) * np.einsum("...ij,...k->...kij",
-                                                          g.value(x), t_up)
+        return self._with_trace_term(self.structure_tensor(x), g.value(x), g.inverse(x))
+
+    def _with_trace_term(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
+                         ) -> np.ndarray:
+        """B from the values of T, g and g^-1."""
+        t_up = conv.t_coefficient(self.n) * matvec(ginv, np.einsum("...iij->...j", T))
+        return T + conv.b_coefficient(self.n) * np.einsum("...ij,...k->...kij", gmat, t_up)
 
     def _b_jacobian(self, x) -> np.ndarray:
         g = self.metric
@@ -303,6 +313,43 @@ class Fixture:
         if cache_key is not None:
             self._conn_cache[cache_key] = conn
         return conn
+
+    def connection_table(self, tags: Sequence[str]) -> ConnectionTable:
+        """Row r of a stacked state follows connection ``tags[r]``: one of
+        ``±T`` and ``±B`` on a nondegenerate fixture, ``±D`` and ``±T`` on a
+        semi-degenerate one.
+
+        A call evaluates Gamma_LC once over the running rows and each
+        structure field once over the rows that need it: T over every row of
+        a nondegenerate fixture, the B rows adding their trace term to that
+        T; D over every row of a semi-degenerate one, and s over its T rows.
+        Row r then gets ``Gamma_LC - sign_r * A_r``, rounded as
+        ``connection(tags[r])`` rounds it alone.
+        """
+        fields = ("T", "B") if self.kind == "nondegenerate" else ("D", "T")
+        for tag in tags:
+            if tag[:1] not in "+-" or tag[1:] not in fields:
+                raise FixtureError(f"a connection table of fixture {self.name!r} takes "
+                                   f"the tags +/-{' and +/-'.join(fields)}, not {tag!r}")
+        names = np.array([tag[1:] for tag in tags])
+        signs = np.array([-1.0 if tag[0] == "-" else 1.0 for tag in tags])
+        g = self.metric
+
+        def coefficients(x, rows):
+            kind = names[rows]
+            if self.kind == "nondegenerate":
+                A = self.structure_tensor(x).copy()
+                b = np.flatnonzero(kind == "B")
+                if len(b):
+                    A[b] = self._with_trace_term(A[b], g.value(x)[b], g.inverse(x)[b])
+            else:
+                A = self.prolongation_tensor(x).copy()
+                t = np.flatnonzero(kind == "T")
+                if len(t):
+                    A[t] = self._extracted_t(A[t], g.value(x)[t], self.s_vector(x[t]))
+            return g.christoffel(x) - signs[rows][:, None, None, None] * A
+
+        return ConnectionTable([self.connection(tag) for tag in tags], coefficients)
 
 
 # --- builtin registry -----------------------------------------------------------
@@ -462,11 +509,30 @@ def builtin_config(name: str) -> dict:
 # --- config loading --------------------------------------------------------------
 
 
+def _singular_locus(entry: dict, box) -> tuple[int, float]:
+    """The (0-based axis, value) of a declared locus ``x_axis = value``.
+
+    The axis must be one of 1..n, the value finite and outside the closed
+    box: the grid checks evaluate the box's edges, and a locus inside would
+    put a pole among the evidence.
+    """
+    axis, value = entry["axis"], float(entry["value"])
+    if axis != int(axis) or not 1 <= axis <= len(box):
+        raise FixtureError(f"singular locus axis {axis!r} is not one of 1..{len(box)}")
+    lo, hi = map(float, box[int(axis) - 1])
+    if not math.isfinite(value) or lo <= value <= hi:
+        raise FixtureError(f"singular locus x{int(axis)} = {value!r} is not a finite "
+                           f"value outside the domain [{lo!r}, {hi!r}]")
+    return int(axis) - 1, value
+
+
 def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = None
                 ) -> Fixture:
     """Build (and optionally validate) a fixture from a config dict."""
     try:
         n = int(cfg["dimension"])
+        if not 2 <= n <= MAX_DIMENSION:
+            raise FixtureError(f"dimension {n} is not between 2 and {MAX_DIMENSION}")
         fixture_name = name or cfg.get("name", "unnamed")
         constants = cfg.get("constants", {})
         metric = Metric.from_sources(cfg["metric"], constants=constants)
@@ -481,8 +547,7 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         box = cfg["domain"]
         if len(box) != n:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
-        loci = [(int(d["axis"]) - 1, float(d["value"]))
-                for d in cfg.get("singular_loci", [])]
+        loci = [_singular_locus(d, box) for d in cfg.get("singular_loci", [])]
         zeta = None
         if "zeta" in cfg and cfg["zeta"] is not None:
             zeta = ScalarField.from_source(cfg["zeta"], n, constants)
@@ -519,7 +584,7 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         if isinstance(exc, FixtureError):
             raise
         raise FixtureError(f"invalid fixture config: {exc}") from exc
-    except ArithmeticError as exc:   # a constant metric out of float range
+    except ArithmeticError as exc:   # an integer beyond float range
         raise FixtureError(f"invalid fixture config: {type(exc).__name__} {exc}") from exc
     if validate_on_load:
         failures = validate(fixture)

@@ -12,18 +12,23 @@ runs are reproducible bit for bit.  Integration halts early (flagged, not an
 error) when the state leaves the fixture's box, drifts within a margin of a
 declared singular locus, or stops being finite.
 
-All the starts of a trajectory claim advance together as the rows of one
-(m, n) position and covelocity state, so each RK4 stage evaluates the metric
-and the connection once for every running row.  After each step one test
-over the rows checks finiteness (of the position and the covelocity), then
-the box, then the singular margin, so a row gets the exit reason a lone run
+Many starts advance together as the rows of one (m, n) position and
+covelocity state, and each row carries its own connection: one connection
+for all of them, or a :class:`~dualgeo.connections.ConnectionTable` whose row
+r follows ``conns[r]`` (a verification suite puts all of its trajectory
+claims, both connections of both signs, in one table).  Each RK4 stage
+evaluates the metric once and the coefficients of every running row in one
+call, which gets the running rows' indices.  After each step one test over
+the rows checks finiteness (of the position and the covelocity), then the
+box, then the singular margin, so a row gets the exit reason a lone run
 would; halted rows keep the samples taken so far and drop out of the state,
 so every kept sample is finite.  If a stage raises a domain error
 (EvalDomainError, SingularMetricError or LinAlgError), that step is redone
-one row at a time: the rows that raise exit with ``domain_exit``, the others
-go on.  Every operation rounds each row as it would round a single point, so
-each row equals its single-start run bit for bit; a lone running row steps as
-a single point, which costs less per call.
+one row at a time, each row under its own connection: the rows that raise
+exit with ``domain_exit``, the others go on.  Every operation rounds each row
+as it would round a single point, so each row equals its single-start run
+under its own connection bit for bit; a lone running row steps as a single
+point, which costs less per call.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -55,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .connections import AffineConnection
+from .connections import AffineConnection, ConnectionTable
 from .expressions import EvalDomainError
 from .geometry import Metric, SingularMetricError, matvec
 
@@ -154,14 +159,16 @@ def _rk4_row(rhs, tau: float, h: float, x: np.ndarray, p: np.ndarray
     return x[None], p[None]
 
 
-def integrate_dual_geodesics(conn: AffineConnection, g: Metric, x0s, w0s,
-                             steps: int, h: float,
+def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric,
+                             x0s, w0s, steps: int, h: float,
                              q: Callable[[float], float] | None = None,
                              box=None, singular_loci=None) -> list[Trajectory]:
     """Integrate every start (x0s[r], w0s[r]) as one row of an (m, n) state.
 
-    Returns one trajectory per start, each equal bit for bit to integrating
-    that start alone.  Arguments are as for :func:`integrate_dual_geodesic`.
+    ``conn`` is one connection for every row, or a :class:`ConnectionTable`
+    whose row r follows ``conn.conns[r]``.  Returns one trajectory per start,
+    each equal bit for bit to integrating that start alone under its row's
+    connection.  Other arguments are as for :func:`integrate_dual_geodesic`.
     """
     x = np.array(x0s, dtype=float)
     w = np.array(w0s, dtype=float)
@@ -172,13 +179,22 @@ def integrate_dual_geodesics(conn: AffineConnection, g: Metric, x0s, w0s,
         raise ValueError("initial velocity must be nonzero")
     p = matvec(g.value(x), w)
     m, n = x.shape
+    table = conn if isinstance(conn, ConnectionTable) else ConnectionTable.uniform(conn, m)
+    if len(table.conns) != m:
+        raise ValueError(f"{len(table.conns)} connections for {m} starts")
 
-    def rhs(tau: float, x: np.ndarray, p: np.ndarray):
-        xdot = matvec(g.inverse(x), p)
-        pdot = np.einsum("...kji,...j,...k->...i", conn.coefficients(x), xdot, p)
-        if q is not None:
-            pdot = pdot + q(tau) * p
-        return xdot, pdot
+    def field(coefficients):
+        """The right-hand side of the rows whose coefficients these are."""
+        def rhs(tau: float, x: np.ndarray, p: np.ndarray):
+            xdot = matvec(g.inverse(x), p)
+            pdot = np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p)
+            if q is not None:
+                pdot = pdot + q(tau) * p
+            return xdot, pdot
+        return rhs
+
+    def row_field(row: int):
+        return field(table.conns[row].coefficients)
 
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -206,15 +222,17 @@ def integrate_dual_geodesics(conn: AffineConnection, g: Metric, x0s, w0s,
     for step in range(1, steps + 1):
         try:
             if len(rows) == 1:
-                x, p = _rk4_row(rhs, tau, h, x[0], p[0])
+                x, p = _rk4_row(row_field(rows[0]), tau, h, x[0], p[0])
             else:
-                x, p = _rk4_step(rhs, tau, h, x, p)
+                x, p = _rk4_step(field(lambda pts, rows=rows: table.coefficients(pts, rows)),
+                                 tau, h, x, p)
         except _DOMAIN_ERRORS:
-            # redo the step one row at a time; the rows that raise exit
+            # redo the step one row at a time, each under its own connection;
+            # the rows that raise exit
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, *_rk4_row(rhs, tau, h, x[r], p[r])))
+                    done.append((r, *_rk4_row(row_field(row), tau, h, x[r], p[r])))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
@@ -248,7 +266,7 @@ def integrate_dual_geodesics(conn: AffineConnection, g: Metric, x0s, w0s,
         else:
             xs[step, rows], ps[step, rows] = x, p
     return [Trajectory(taus[:k].copy(), xs[:k, r].copy(), ps[:k, r].copy(),
-                       conn.tag, h, exit_reason=exits[r])
+                       table.conns[r].tag, h, exit_reason=exits[r])
             for r, k in enumerate(samples)]
 
 

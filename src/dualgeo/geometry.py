@@ -445,12 +445,14 @@ class TensorField:
         return compile(self.comps.ravel())
 
     def value(self, x) -> TensorValue:
-        """Components at a point, or stacked over the leading axes of x."""
+        """Components at a point, or stacked over the leading axes of x (one
+        :meth:`Program.values <dualgeo.jets.Program.values>` call on the
+        stack, which runs it as array code from ``jets.ARRAY_ROWS`` rows)."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
-            out = np.array(self._program.values(x))
+            out = np.array(self._program.values(pts))
         else:
-            out = np.array([self._program.values(pt) for pt in pts.reshape(-1, self.n)])
+            out = self._program.values(pts.reshape(-1, self.n))
         return TensorValue(out.reshape(pts.shape[:-1] + self.comps.shape), self.variance)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:

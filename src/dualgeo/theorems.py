@@ -10,10 +10,20 @@ broken input fails loudly instead of silently.
 Verdicts are grid evidence, never proofs: every report records the grid, the
 seed, and the environment, and identical run configurations reproduce the
 report byte for byte (no timestamps).
+
+A suite's trajectory claims are integrated together.  Each claim draws its
+seeded starts, and takes its place in the report, where the claim order puts
+it; once every claim has its starts, one integrator call advances all of
+them, each start under both of the claim's connections, as the rows of one
+state over ``Fixture.connection_table``.  That call sets each claim's
+residual.  Theorem 1 thus integrates 40 rows (+T, +B, -T, -B times 10
+starts), theorem 2 another 40 (+D, +T, -D, -T), and every row equals its
+single-connection run bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import platform
 import sys
@@ -147,33 +157,53 @@ def _seeded_initial_conditions(fixture: Fixture, rng: np.random.Generator,
 
 
 def _trajectory_claim(report: VerificationReport, claim_id: str, statement: str,
-                      fixture: Fixture, conn_a: AffineConnection,
-                      conn_b: AffineConnection, rng: np.random.Generator,
-                      count: int, steps: int, h: float) -> Claim:
-    """Largest curve distance over seeded starts, as one claim of ``report``.
+                      fixture: Fixture, tag_a: str, tag_b: str,
+                      rng: np.random.Generator, count: int) -> tuple:
+    """Draw a trajectory claim's seeded starts and add the claim to ``report``.
 
-    Each connection integrates all the starts at once, as one batched state.
+    Its residual stays NaN, a failing value, until
+    :func:`_integrate_trajectory_claims` sets it.
+    """
+    starts = _seeded_initial_conditions(fixture, rng, count)
+    return report.add(claim_id, statement, np.nan, TOL_TRAJECTORY), tag_a, tag_b, starts
+
+
+def _integrate_trajectory_claims(report: VerificationReport, fixture: Fixture,
+                                 pending: list[tuple], steps: int, h: float) -> None:
+    """Set each pending claim's residual: the largest curve distance over its
+    starts between the curves of its two connections.
+
+    Every curve of every claim is one row of a single integrator call over a
+    connection table (``Fixture.connection_table``), so each RK4 stage
+    evaluates the metric and each structure field once for all of them.
 
     A start counts as evidence only if both curves keep at least half of the
     ``steps + 1`` samples asked for; otherwise the residual is infinite and a
     note names the start and both exit reasons.
     """
-    starts = _seeded_initial_conditions(fixture, rng, count)
-    x0s = [x0 for x0, _ in starts]
-    w0s = [w0 for _, w0 in starts]
-    kw = dict(box=fixture.box, singular_loci=fixture.singular_loci)
-    curves_a = integrate_dual_geodesics(conn_a, fixture.metric, x0s, w0s, steps, h, **kw)
-    curves_b = integrate_dual_geodesics(conn_b, fixture.metric, x0s, w0s, steps, h, **kw)
-    worst = 0.0
-    for start, (ta, tb) in enumerate(zip(curves_a, curves_b)):
-        why = short_comparison(ta, tb, steps)
-        if why is not None:
-            worst = np.inf
-            report.notes.append(f"{claim_id}: start {start} {why}, so the residual is inf")
-            continue
-        cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
-        worst = np.maximum(worst, np.maximum(cmp.dist_a_to_b, cmp.dist_b_to_a))
-    return report.add(claim_id, statement, worst, TOL_TRAJECTORY)
+    tags, x0s, w0s = [], [], []
+    for _, tag_a, tag_b, starts in pending:
+        for tag in (tag_a, tag_b):
+            tags += [tag] * len(starts)
+            x0s += [x0 for x0, _ in starts]
+            w0s += [w0 for _, w0 in starts]
+    curves = iter(integrate_dual_geodesics(
+        fixture.connection_table(tags), fixture.metric, x0s, w0s, steps, h,
+        box=fixture.box, singular_loci=fixture.singular_loci))
+    for claim, _, _, starts in pending:
+        curves_a = list(itertools.islice(curves, len(starts)))
+        curves_b = list(itertools.islice(curves, len(starts)))
+        worst = 0.0
+        for start, (ta, tb) in enumerate(zip(curves_a, curves_b)):
+            why = short_comparison(ta, tb, steps)
+            if why is not None:
+                worst = np.inf
+                report.notes.append(
+                    f"{claim.claim_id}: start {start} {why}, so the residual is inf")
+                continue
+            cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
+            worst = np.maximum(worst, np.maximum(cmp.dist_a_to_b, cmp.dist_b_to_a))
+        claim.residual = float(worst)
 
 
 def _sign_label(sign: int) -> str:
@@ -214,10 +244,12 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
         f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
 
+    pending = []
     for sign in (+1, -1):
         lbl = _sign_label(sign)
-        conn_t = fixture.connection("+T" if sign > 0 else "-T")
-        conn_b = fixture.connection("+B" if sign > 0 else "-B")
+        pm = "+" if sign > 0 else "-"
+        conn_t = fixture.connection(pm + "T")
+        conn_b = fixture.connection(pm + "B")
 
         dp = dual_projective_test(conn_t, conn_b, g, grid, tol_algebraic)
         report.add(
@@ -233,10 +265,10 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the recovered equivalence 1-form equals +/-((n+2)/n) t",
             alpha_err, tol_algebraic)
 
-        _trajectory_claim(report, f"t1.trajectories.{lbl}",
-                          "dual-geodesics from seeded starts coincide as point sets",
-                          fixture, conn_t, conn_b, rng, trajectory_count,
-                          trajectory_steps, trajectory_step_size)
+        pending.append(_trajectory_claim(
+            report, f"t1.trajectories.{lbl}",
+            "dual-geodesics from seeded starts coincide as point sets",
+            fixture, pm + "T", pm + "B", rng, trajectory_count))
 
         sc = semi_compatibility_test(conn_b, g, grid, tol_algebraic)
         alpha_norm = float(np.max(np.abs(sc.alpha)))
@@ -265,6 +297,9 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the induced connection is Ricci-symmetric (checked through its own "
             "curvature, extra differentiation included)",
             connection_ricci_symmetry_check(conn_t, grid), tol_curvature)
+
+    _integrate_trajectory_claims(report, fixture, pending, trajectory_steps,
+                                 trajectory_step_size)
 
     # negative control: a perturbed symmetrized tensor must break the criterion
     conn_t = fixture.connection("+T")
@@ -327,10 +362,12 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             _coefficient_gap(fixture.connection("dagger"), fixture.connection("+T"), grid),
             1e-10)
 
+    pending = []
     for sign in (+1, -1):
         lbl = _sign_label(sign)
-        conn_d = fixture.connection("+D" if sign > 0 else "-D")
-        conn_t = fixture.connection("+T" if sign > 0 else "-T")
+        pm = "+" if sign > 0 else "-"
+        conn_d = fixture.connection(pm + "D")
+        conn_t = fixture.connection(pm + "T")
 
         dp = dual_projective_test(conn_d, conn_t, g, grid, tol_algebraic)
         report.add(
@@ -345,10 +382,10 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the recovered equivalence 1-form equals -/+ s/n",
             alpha_err, tol_algebraic)
 
-        _trajectory_claim(report, f"t2.trajectories.{lbl}",
-                          "dual-geodesics of the two connections coincide as point sets",
-                          fixture, conn_d, conn_t, rng, trajectory_count,
-                          trajectory_steps, trajectory_step_size)
+        pending.append(_trajectory_claim(
+            report, f"t2.trajectories.{lbl}",
+            "dual-geodesics of the two connections coincide as point sets",
+            fixture, pm + "D", pm + "T", rng, trajectory_count))
 
         def beta(x, _sign=sign):
             return _sign * (fixture.s_covector(x)
@@ -367,6 +404,9 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                 f"t2.semi_compatibility.{lbl}",
                 "semi-compatibility via the beta formula must fail on a strong system",
                 value, 1e-2, direction="above")
+
+    _integrate_trajectory_claims(report, fixture, pending, trajectory_steps,
+                                 trajectory_step_size)
 
     report.add(
         "t2.beta_condition",

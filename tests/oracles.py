@@ -37,6 +37,12 @@ class _DomainViolation(Exception):
     pass
 
 
+# a float operation that overflows (``**``, ``exp``) or meets a math domain
+# error (``sin(inf)``) fails its subexpression with these messages
+_OVERFLOW = "result out of float range"
+_MATH_DOMAIN = "argument outside the function's float domain"
+
+
 def _float_call(func, v):
     if func == "sqrt":
         if v <= 0.0:
@@ -87,6 +93,12 @@ def _walk(node, env):
             return _float_call(node.func, _walk(node.arg, env))
     except _DomainViolation as exc:
         raise EvalDomainError(str(exc), to_source(node)) from None
+    except EvalDomainError:
+        raise
+    except OverflowError:
+        raise EvalDomainError(_OVERFLOW, to_source(node)) from None
+    except ValueError:
+        raise EvalDomainError(_MATH_DOMAIN, to_source(node)) from None
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -323,6 +335,12 @@ def _jet_walk(node, env, n, order):
         # only a rule coefficient c / u**k (or c / (r*u*u)) can divide by zero
         raise EvalDomainError("derivative coefficient divides by a power that "
                               "underflows to zero", to_source(node)) from None
+    except EvalDomainError:
+        raise
+    except OverflowError:
+        raise EvalDomainError(_OVERFLOW, to_source(node)) from None
+    except ValueError:
+        raise EvalDomainError(_MATH_DOMAIN, to_source(node)) from None
     raise TypeError(f"not an expression node: {node!r}")
 
 

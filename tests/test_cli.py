@@ -299,3 +299,34 @@ def test_every_command_lists_every_validation_failure(command, tmp_path, capsys,
     assert "structure-symmetry" in checks
     spot = [f["message"] for f in failures if f["check"] == "expected-spot"]
     assert spot == ["t[2] = -0.125, expected -0.375"]
+
+
+@pytest.mark.parametrize("start", [
+    ["--x0", "1,2", "--w0", "0,0"],
+    ["--x0", "5,5", "--w0", "0.1,0"],
+    ["--x0=nan,1", "--w0", "0.1,0"],
+    ["--x0", "1,1", "--w0=inf,0"],
+    ["--x0", "1,1", "--w0=0.1,nan"],
+], ids=["w0-zero", "x0-outside-box", "x0-nan", "w0-inf", "w0-nan"])
+def test_trace_start_without_evidence_exits_2(start, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["trace", "sw2", "--conn", "+T", "--compare", "+B", *start,
+                          "--steps", "10", "--format", "both"], capsys)
+    assert code == 2
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert out == ""
+    assert not list(tmp_path.iterdir())    # rejected before anything was written
+
+
+def test_trace_start_must_clear_the_singular_loci():
+    from dualgeo.cli import _start_problem
+    from dualgeo.fixtures import builtin_config, from_config
+    from dualgeo.geodesics import SINGULAR_HALT_MARGIN
+    cfg = builtin_config("sw2")
+    cfg["domain"] = [[0.0005, 3.0], [0.5, 3.0]]     # x1 = 0 lies just outside
+    fixture = from_config(cfg, validate_on_load=False)
+    w0 = np.array([0.1, 0.0])
+    assert _start_problem(fixture, np.array([SINGULAR_HALT_MARGIN, 1.0]), w0) is None
+    assert "singular locus x1 = 0.0" in _start_problem(fixture, np.array([0.0008, 1.0]), w0)
+    # the box edges are inside the box
+    assert _start_problem(fixture, np.array([3.0, 0.5]), w0) is None

@@ -10,6 +10,7 @@ derandomized, so the suite stays deterministic.
 
 import time
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dualgeo.expressions import EvalDomainError
@@ -130,3 +131,12 @@ def _sw2_with(where, source):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_mutated_builtin_configs_load_or_fail_in_a_documented_way(cfg):
     assert isinstance(_load(cfg), (Fixture, FixtureError, EvalDomainError))
+
+
+@pytest.mark.parametrize("where", ["metric", "potential"])
+def test_overflow_found_by_the_search_names_its_subexpression(where):
+    # the two examples above: a constant metric that overflows when the
+    # fixture is built, and a potential whose gradient overflows in validation
+    with pytest.raises(FixtureError) as err:
+        from_config(_sw2_with(where, "(1e200)^2"))
+    assert "result out of float range in subexpression '1e+200^2.0'" in str(err.value)

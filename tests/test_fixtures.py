@@ -190,3 +190,53 @@ def test_declared_structure_with_torsion_fails_validation(name, tensor):
         from_config(cfg)
     assert sym[0] in exc.value.failures
 
+
+
+@pytest.mark.parametrize("loci, domain, fragment", [
+    ([{"axis": 0, "value": 0.0}], None, "axis 0 is not one of 1..2"),
+    ([{"axis": 3, "value": 0.0}], None, "axis 3 is not one of 1..2"),
+    ([{"axis": 1.5, "value": 0.0}], None, "axis 1.5 is not one of 1..2"),
+    ([{"axis": 2, "value": float("nan")}], None, "x2 = nan is not a finite value"),
+    (None, [[-1.0, 2.0], [-1.0, 2.0]], "x1 = 0.0 is not a finite value outside"),
+    (None, [[0.0, 3.0], [0.5, 3.0]], "x1 = 0.0 is not a finite value outside"),
+], ids=["axis-0", "axis-3", "axis-fraction", "value-nan", "box-contains", "box-edge"])
+def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, capsys):
+    # sw2's loci x1 = 0 and x2 = 0: a box over [-1, 2]^2 passed every grid
+    # check on grids that miss 0, and axis 3 crashed trace with an IndexError
+    from dualgeo.cli import main
+    cfg = builtin_config("sw2")
+    if loci is not None:
+        cfg["singular_loci"] = loci
+    if domain is not None:
+        cfg["domain"] = domain
+    with pytest.raises(FixtureError, match=fragment):
+        from_config(cfg, validate_on_load=False)
+    path = tmp_path / "loci.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["trace", str(path), "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0"]) == 3
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "trajectory-sw2-pT.csv").exists()
+
+
+def test_every_builtin_declares_its_loci_outside_its_box():
+    for name in builtin_names():
+        fixture = builtin(name)
+        for axis, value in fixture.singular_loci:
+            lo, hi = fixture.box[axis]
+            assert not lo <= value <= hi, name
+
+
+def test_dimension_is_bounded_before_anything_is_built():
+    from dualgeo.fixtures import MAX_DIMENSION
+    assert MAX_DIMENSION == 6
+    # a config past the limit is rejected before its metric is read: this
+    # one has none that could be parsed
+    for n in (MAX_DIMENSION + 1, 10**9, 1, 0):
+        cfg = {"dimension": n, "metric": "not a metric", "kind": "nondegenerate",
+               "domain": []}
+        with pytest.raises(FixtureError, match=f"dimension {n} is not between 2 and 6"):
+            from_config(cfg)
+    from pathlib import Path
+    root = Path(__file__).resolve().parents[1]
+    schema = json.loads((root / "docs" / "fixture.schema.json").read_text())
+    assert schema["properties"]["dimension"]["maximum"] == MAX_DIMENSION

@@ -237,6 +237,144 @@ def test_batched_rows_halt_independently(euclid2):
         assert np.isfinite(traj.x).all() and np.isfinite(traj.p).all()
 
 
+def _assert_table_rows_equal_single_runs(table, g, x0s, w0s, steps, h, **kw):
+    """Every row of one state over a connection table equals the run of its
+    start alone under its own connection, bit for bit."""
+    batch = integrate_dual_geodesics(table, g, x0s, w0s, steps, h, **kw)
+    assert len(batch) == len(x0s)
+    for conn, row, x0, w0 in zip(table.conns, batch, x0s, w0s):
+        alone = integrate_dual_geodesic(conn, g, x0, w0, steps, h, **kw)
+        assert row.connection_tag == alone.connection_tag == conn.tag
+        assert row.exit_reason == alone.exit_reason
+        for got, want in ((row.tau, alone.tau), (row.x, alone.x), (row.p, alone.p)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return batch
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_connection_table_rows_equal_single_connection_runs(name):
+    # the rows of a theorem's suite-level state: its four connections times
+    # the seeded claim starts, plus fast starts by the box's edge that leave
+    fixture = builtin(name)
+    starts = _seeded_initial_conditions(fixture, np.random.default_rng(7), 10)
+    lo, hi = np.array(fixture.box).T
+    edge = lo + 0.01 * (hi - lo)
+    starts += [(edge, -np.ones(fixture.n)), (edge + 0.02 * (hi - lo), -np.ones(fixture.n))]
+    tags = ("+D", "+T", "-D", "-T") if fixture.is_semidegenerate else ("+T", "+B", "-T", "-B")
+    rows = [(tag, x0, w0) for tag in tags for x0, w0 in starts]
+    batch = _assert_table_rows_equal_single_runs(
+        fixture.connection_table([tag for tag, _, _ in rows]), fixture.metric,
+        [x0 for _, x0, _ in rows], [w0 for _, _, w0 in rows], 40, 1e-2,
+        box=fixture.box, singular_loci=fixture.singular_loci)
+    exits = [t.exit_reason for t in batch]
+    assert exits.count("domain_exit") == 2 * len(tags)
+    assert exits.count("completed") == 10 * len(tags)
+
+
+def _regions_config(kind: str) -> dict:
+    """A flat config whose structure tensor raises for x2 <= 0.6 (log),
+    overflows to inf without raising near x1 = 3 (a product of two exps) and
+    is near zero elsewhere, with a locus x1 = 0 just outside its box."""
+    A = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    A[0][0][0] = "log(x2 - 0.6)"
+    A[1][1][1] = "exp(1000*(x1 - 2.3))*exp(1000*(x1 - 2.3))"
+    return {"name": "regions", "dimension": 2, "metric": [["1", "0"], ["0", "1"]],
+            "kind": kind, "domain": [[0.0005, 3.0], [0.5, 3.0]],
+            "singular_loci": [{"axis": 1, "value": 0.0}],
+            "structure": {"T": A} if kind == "nondegenerate" else {"D": A, "s": ["x1", "x2"]}}
+
+
+@pytest.mark.parametrize("kind, tags", [("nondegenerate", ("+T", "+B", "-T", "-B")),
+                                        ("semidegenerate", ("+D", "+T", "-D", "-T"))])
+def test_connection_table_rows_halt_as_single_connection_runs(kind, tags):
+    # rows of all four connections that complete, reach the singular margin,
+    # raise in the log (so a mixed-tag step is redone row by row), go
+    # nonfinite, and leave the box
+    from dualgeo.fixtures import from_config
+    fixture = from_config(_regions_config(kind), validate_on_load=False)
+    starts = [([1.0, 1.5], [0.1, 0.1]), ([0.0407, 1.5], [-1.0, 0.0]),
+              ([1.0, 0.7], [0.0, -1.0]), ([2.2, 1.5], [1.0, 0.0]), ([1.0, 2.9], [0.0, 1.0])]
+    rows = [(tag, x0, w0) for tag in tags for x0, w0 in starts]
+    with np.errstate(all="ignore"):
+        batch = _assert_table_rows_equal_single_runs(
+            fixture.connection_table([tag for tag, _, _ in rows]), fixture.metric,
+            [x0 for _, x0, _ in rows], [w0 for _, _, w0 in rows], 100, 0.01,
+            box=fixture.box, singular_loci=fixture.singular_loci)
+    exits = [t.exit_reason for t in batch]
+    assert exits == ["completed", "singular_margin", "domain_exit", "nonfinite",
+                     "domain_exit"] * 4
+    # the raising rows stop at a stage point inside a step, still in the box
+    assert all(batch[r].x[-1][1] > 0.6 for r in range(2, 20, 5))
+
+
+def test_connection_table_takes_the_suites_tags_only(sw2, sw2_weak):
+    from dualgeo.fixtures import FixtureError
+    for fixture, tag in ((sw2, "+D"), (sw2, "LC"), (sw2_weak, "+B"), (sw2_weak, "T")):
+        with pytest.raises(FixtureError, match="connection table"):
+            fixture.connection_table(["+T", tag])
+
+
+def _region_connection(g, tag: str, bend: float) -> AffineConnection:
+    """A constant Gamma^1_{22} = bend, except where the coefficients are NaN
+    (x1 > 0.6) or raise (x2 < -0.6025)."""
+    def coeff(x):
+        x = np.asarray(x)
+        if np.any(x[..., 1] < -0.6025):
+            raise EvalDomainError("test region", "x2")
+        nan = np.where(x[..., 0] > 0.6, np.nan, 0.0)
+        gamma = np.zeros(x.shape + (2, 2)) + nan[..., None, None, None]
+        gamma[..., 0, 1, 1] += bend
+        return gamma
+
+    return AffineConnection(g, coeff, tag)
+
+
+def test_mixed_table_rows_halt_independently(euclid2):
+    # straight lines and bent ones in one state; each row stops for its own
+    # reason, and a step that raises on one row is redone row by row, each
+    # row under its own connection (the bent rows would change bits under
+    # the straight connection)
+    from dualgeo.connections import ConnectionTable
+    straight = _region_connection(euclid2, "straight", 0.0)
+    bent = _region_connection(euclid2, "bent", 0.3)
+    x0s = [[0.0, 0.0], [0.0, 0.5], [-0.2, 0.0], [0.3, -0.3], [0.2, -0.4]]
+    w0s = [[0.1, 0.1], [0.0, 1.0], [-1.0, 0.0], [0.5, 0.0], [0.0, -1.0]]
+    conns = [straight] * 5 + [bent] * 5
+    raised = []
+
+    def coefficients(x, rows):
+        out = np.empty(x.shape + (2, 2))
+        for conn in (straight, bent):
+            mine = np.array([conns[r] is conn for r in rows])
+            if mine.any():
+                try:
+                    out[mine] = conn.coefficients(x[mine])
+                except EvalDomainError:
+                    raised.append(len(rows))
+                    raise
+        return out
+
+    batch = _assert_table_rows_equal_single_runs(
+        ConnectionTable(conns, coefficients), euclid2, x0s * 2, w0s * 2, 100, 0.01,
+        box=[(-1.0, 1.0), (-1.0, 1.0)], singular_loci=[(0, -0.5)])
+    exits = [t.exit_reason for t in batch]
+    assert exits[:5] == ["completed", "domain_exit", "singular_margin", "nonfinite",
+                         "domain_exit"]
+    assert {"completed", "domain_exit", "singular_margin", "nonfinite"} == set(exits[5:])
+    assert exits[5] == "completed" and np.any(batch[5].x[-1] != batch[0].x[-1])
+    # a whole-state stage raised while rows of both connections were running
+    assert raised and max(raised) > 5
+    for traj in batch:
+        assert np.isfinite(traj.x).all() and np.isfinite(traj.p).all()
+
+
+def test_table_must_cover_every_start(euclid2):
+    from dualgeo.connections import ConnectionTable
+    table = ConnectionTable.uniform(levi_civita(euclid2), 3)
+    with pytest.raises(ValueError, match="3 connections for 2 starts"):
+        integrate_dual_geodesics(table, euclid2, [[0.0, 0.0]] * 2, [[1.0, 0.0]] * 2, 10, 0.01)
+
+
 def test_batched_starts_must_match(euclid2):
     conn = levi_civita(euclid2)
     with pytest.raises(ValueError, match="one shape"):

@@ -284,10 +284,10 @@ def test_compiled_values_equal_reference_walker(trees, x):
     ("x1^0.5", (-1.0,), EvalDomainError),
     ("sqrt(x1)*log(x1)", (0.0,), EvalDomainError),
     ("x1 + log(x1 - 1)", (1.0,), EvalDomainError),
-    ("exp(x1)", (1000.0,), OverflowError),
-    ("x1^2", (1e200,), OverflowError),
-    ("x1^2.5", (1e200,), OverflowError),
-    ("sin(x1)", (float("inf"),), ValueError),
+    ("exp(x1)", (1000.0,), EvalDomainError),
+    ("x1^2", (1e200,), EvalDomainError),
+    ("x1^2.5", (1e200,), EvalDomainError),
+    ("sin(x1)", (float("inf"),), EvalDomainError),
 ])
 def test_compiled_failures_equal_reference_walker(source, point, error):
     tree = parse(source, 1)
@@ -295,6 +295,103 @@ def test_compiled_failures_equal_reference_walker(source, point, error):
         reference_value(tree, point)
     assert _outcome(lambda: jets.compile([tree]).values(point)) == \
         _outcome(lambda: [reference_value(tree, point)])
+
+
+@pytest.mark.parametrize("source,point", [
+    ("exp(x1)", (1000.0,)),
+    ("x1^2.5", (1e200,)),
+    ("2^x1", (2000.0,)),
+    ("sin(x1)", (float("inf"),)),
+    ("cos(x1)", (float("-inf"),)),
+    ("tan(x1)", (float("inf"),)),
+    ("x1 + 1/(1 + x1^x1)", (200.0,)),
+])
+def test_float_errors_name_their_subexpression_in_every_kind_of_code(source, point):
+    # an OverflowError or a math ValueError is an EvalDomainError naming the
+    # subexpression, in the value code, the array code and the jet code alike
+    tree = parse(source, 1)
+    program = jets.compile([tree])
+    want = _outcome(lambda: [reference_value(tree, point)])
+    assert want[0] is EvalDomainError and "in subexpression '" in want[1]
+    assert _outcome(lambda: program.values(point)) == want
+    # a stack whose last row fails runs again row by row after the array code
+    stack = np.array([(0.5,)] * jets.ARRAY_ROWS + [point])
+    assert _outcome(lambda: program.values(stack).ravel()) == want
+    for order in (2, 3):
+        got = _jet_outcome(lambda: program.jets(point, order))
+        assert got[0] is EvalDomainError and "in subexpression '" in got[1]
+        assert got == _jet_outcome(lambda: [reference_jet(tree, point, order)])
+
+
+# --- the array function against the float function ----------------------------
+
+
+def _array_outcome(trees, points):
+    """Bit patterns of the array function's values at every row, row after
+    row, or the type and message of its exception."""
+    array = jets._generate(trees, array=True)
+    with np.errstate(all="ignore"):
+        return _outcome(lambda: array(np.asarray(points, dtype=float).T).ravel())
+
+
+def _rows_outcome(program, points):
+    """The float function's outcome at each row in turn, as one list."""
+    return _outcome(lambda: [v for pt in points for v in program.values(pt)])
+
+
+@given(st.lists(_any_tree, min_size=1, max_size=4),
+       st.lists(st.tuples(_float, _float), min_size=1, max_size=3 * jets.ARRAY_ROWS))
+@settings(max_examples=300, deadline=None)
+def test_array_values_equal_float_values(trees, rows):
+    program = jets.compile(trees)
+    want = _rows_outcome(program, rows)
+    # the stack goes through the array function from ARRAY_ROWS rows on, and
+    # row by row after it raised: values, error types and messages all match
+    assert _outcome(lambda: program.values(np.array(rows)).ravel()) == want
+    got = _array_outcome(trees, rows)
+    if isinstance(want, list):
+        assert got == want
+    else:   # a row whose float code raises makes the array function raise
+        assert not isinstance(got, list)
+
+
+@pytest.mark.parametrize("source,box", CORPUS)
+def test_corpus_array_values_equal_float_values(source, box, rng):
+    expr = parse(source, 2)
+    program = jets.compile([expr])
+    lo, hi = box
+    inside = lo + (hi - lo) * rng.random((20, 2))
+    assert _array_outcome([expr], inside) == _rows_outcome(program, inside)
+    # the whole plane around the box, domain errors included
+    plane = np.concatenate([inside, 4.0 * rng.random((20, 2)) - 2.0,
+                            [(0.0, 0.0), (-1.0, 0.5), (1.0, -0.0)]])
+    want = _outcome(lambda: [reference_value(expr, x) for x in plane])
+    assert _outcome(lambda: program.values(plane).ravel()) == want
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_fixture_component_array_values_equal_float_values(name):
+    fx = builtin(name)
+    trees, _, tensors = _fixture_trees(fx)
+    grid = fx.grid(5)
+    assert _array_outcome(trees, grid) == _rows_outcome(jets.compile(trees), grid)
+    for field in tensors:
+        stacked = field.value(grid).components
+        alone = np.array([field.value(x).components for x in grid])
+        assert stacked.shape == alone.shape and stacked.tobytes() == alone.tobytes()
+
+
+def test_stacks_choose_the_function_by_row_count(monkeypatch):
+    program = jets.compile([parse("x1*x2 + 1/x1", 2)])
+    points = np.linspace(0.5, 2.0, 2 * jets.ARRAY_ROWS).reshape(-1, 2)
+    calls = []
+    program.values((1.0, 1.0))
+    float_function = program._values
+    monkeypatch.setattr(program, "_values", lambda pt: calls.append(1) or float_function(pt))
+    program.values(points[:jets.ARRAY_ROWS - 1])
+    assert len(calls) == jets.ARRAY_ROWS - 1 and program._rows is None
+    program.values(points[:jets.ARRAY_ROWS])
+    assert len(calls) == jets.ARRAY_ROWS - 1 and program._rows is not None
 
 
 def _fixture_trees(fx):

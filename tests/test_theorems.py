@@ -181,13 +181,46 @@ def test_reports_are_deterministic(sw2_weak):
 def test_trajectory_claim_needs_half_the_samples(sw2):
     # a step of 8.0 leaves the box at once: every curve keeps one of the
     # 801 samples asked for, so no start counts as evidence
-    from dualgeo.theorems import VerificationReport, _trajectory_claim
+    from dualgeo.theorems import (
+        VerificationReport, _integrate_trajectory_claims, _trajectory_claim,
+    )
     report = VerificationReport(sw2.name, "theorem1", {}, 0)
-    claim = _trajectory_claim(report, "t1.trajectories.plus", "short curves",
-                              sw2, sw2.connection("+T"), sw2.connection("+B"),
-                              np.random.default_rng(0), count=10, steps=800, h=8.0)
+    pending = [_trajectory_claim(report, "t1.trajectories.plus", "short curves",
+                                 sw2, "+T", "+B", np.random.default_rng(0), count=10)]
+    claim = pending[0][0]
+    assert np.isnan(claim.residual) and not claim.ok
+    _integrate_trajectory_claims(report, sw2, pending, steps=800, h=8.0)
     assert claim.residual == np.inf and not claim.ok
     assert len(report.notes) == 10
     assert report.notes[3] == (
         "t1.trajectories.plus: start 3 kept 1 and 1 of 801 samples (exit reasons "
         "domain_exit, domain_exit); fewer than half, so the residual is inf")
+
+
+@pytest.mark.parametrize("suite, fixture_name, tags", [
+    ("1", "sw2", ["+T", "+B", "-T", "-B"]),
+    ("2", "sw2-weak", ["+D", "+T", "-D", "-T"]),
+])
+def test_suites_integrate_every_trajectory_in_one_call(suite, fixture_name, tags,
+                                                       monkeypatch):
+    # both signs' claims, each start under both connections, are the rows of
+    # one state: one integrator call per suite, the starts drawn as before
+    from dualgeo import theorems
+    calls = []
+    integrate = theorems.integrate_dual_geodesics
+
+    def counting(table, *args, **kwargs):
+        calls.append([conn.tag for conn in table.conns])
+        return integrate(table, *args, **kwargs)
+
+    monkeypatch.setattr(theorems, "integrate_dual_geodesics", counting)
+    fixture = builtin(fixture_name)
+    report = theorems.SUITES[suite](fixture, per_axis=3, trajectory_count=3,
+                                    trajectory_steps=60)
+    assert calls == [[tag for tag in tags for _ in range(3)]]
+    ids = [claim.claim_id for claim in report.claims]
+    for sign in ("plus", "minus"):
+        # each claim keeps its place, right after the alpha claim of its sign
+        at = ids.index(f"t{suite}.trajectories.{sign}")
+        assert ids[at - 1] == f"t{suite}.alpha_match.{sign}"
+        assert report.claims[at].ok and 0.0 <= report.claims[at].residual < 1e-6
