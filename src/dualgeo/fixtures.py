@@ -533,9 +533,14 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         n = int(cfg["dimension"])
         if not 2 <= n <= MAX_DIMENSION:
             raise FixtureError(f"dimension {n} is not between 2 and {MAX_DIMENSION}")
+        rows = cfg["metric"]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            widths = "/".join(str(w) for w in sorted({len(row) for row in rows})) or "0"
+            raise FixtureError(f"metric is {len(rows)} x {widths}, but dimension {n} "
+                               f"needs {n} x {n}")
         fixture_name = name or cfg.get("name", "unnamed")
         constants = cfg.get("constants", {})
-        metric = Metric.from_sources(cfg["metric"], constants=constants)
+        metric = Metric.from_sources(rows, constants=constants)
         kind = cfg["kind"]
         if kind not in ("nondegenerate", "semidegenerate"):
             raise FixtureError(f"unknown kind {kind!r}")
@@ -584,7 +589,7 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         if isinstance(exc, FixtureError):
             raise
         raise FixtureError(f"invalid fixture config: {exc}") from exc
-    except ArithmeticError as exc:   # an integer beyond float range
+    except (ArithmeticError, TypeError) as exc:   # beyond float range, or a wrong JSON type
         raise FixtureError(f"invalid fixture config: {type(exc).__name__} {exc}") from exc
     if validate_on_load:
         failures = validate(fixture)

@@ -38,18 +38,20 @@ fewer than MIN_OVERLAP of a curve's samples measures as an infinite distance,
 so two curves that barely meet never pass.
 
 The nearest-segment search is exact and pruned.  Segments are grouped into
-chunks of SEGMENT_CHUNK with a bounding box each; a chunk whose box lies
-farther from a block of queries than an upper bound on their nearest
-distances, plus a rounding slack, is skipped.  For curves of m samples that
-do not double back on themselves a query keeps a few chunks, so a comparison
-costs O(m^2 / SEGMENT_CHUNK) box tests and O(m * SEGMENT_CHUNK) segment
-distances instead of m^2 segment distances.  Every kept segment goes through
-the same per-pair arithmetic in ascending order, and a skipped one could only
-compute a strictly larger distance, so distances and arc coordinates equal
-the dense scan's bit for bit.  In the worst case, every segment about equally
-near (a query at the centre of a circle), nothing is skipped: time is the
-dense O(m^2), and memory stays O(QUERY_BLOCK * m) because queries run in
-blocks.
+chunks of SEGMENT_CHUNK with a bounding box each.  A query first scans the
+chunk whose box lies nearest; its best squared distance is one the dense scan
+computes too, so an exact bound on the nearest one (a distance of about 1e-8
+on coincident curves).  It then scans only the other chunks whose box lies
+within that distance plus a rounding slack.  For curves of m samples that do
+not double back on themselves a query near the curve scans a chunk or two, so
+a comparison costs O(m^2 / SEGMENT_CHUNK) box tests and O(m * SEGMENT_CHUNK)
+segment distances instead of m^2.  Every scanned pair goes through the dense
+scan's per-pair arithmetic, a skipped one could only compute a strictly larger
+distance, and ties go to the lower segment, so distances and arc coordinates
+equal the dense scan's bit for bit.  In the worst case, every segment about
+equally near (a query at the centre of a circle), nothing is skipped: the block
+goes to the dense scan, time is O(m^2), and memory stays O(QUERY_BLOCK * m)
+because queries run in blocks.
 """
 
 from __future__ import annotations
@@ -292,15 +294,26 @@ def _arc_coordinates(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
 
 
+def _segment_d2(dif: np.ndarray, ab: np.ndarray, len2: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Squared distance and nearest-point parameter of query-segment pairs,
+    from each pair's query offset, segment vector and squared length: the
+    dense scan's per-pair formula over any stack of pairs."""
+    s = np.einsum("...i,...i->...", dif, ab) / np.where(len2 == 0.0, 1.0, len2)
+    s = np.where(len2 == 0.0, 0.0, np.clip(s, 0.0, 1.0))
+    closest = dif - s[..., None] * ab
+    return np.einsum("...i,...i->...", closest, closest), s
+
+
 def _polyline_distances(queries: np.ndarray, poly: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and nearest-point arc coordinates, vectorized over queries.
 
-    For each block of QUERY_BLOCK queries, a chunk of SEGMENT_CHUNK segments
-    is skipped when its bounding box lies farther from every query than that
-    query's smallest farthest-corner distance plus the rounding slack.  The
-    kept segments go through the dense per-pair formula in ascending order,
-    which the module docstring shows gives the dense scan's results exactly.
+    Queries run in blocks of QUERY_BLOCK.  Pass 1 scans each query's nearest
+    chunk by box distance, for an exact bound; pass 2 scans the query's other
+    chunks within the bound plus the slack (see the module docstring).  A NaN
+    bound, a scale outside the slack's range, or a box test that keeps over
+    half of the block's chunks sends the block to the dense scan.
     """
     queries = np.atleast_2d(queries)
     if len(poly) == 1:
@@ -310,38 +323,54 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
     ab = poly[1:] - poly[:-1]
     seg_len, arc_starts = _arc_coordinates(poly)
     len2 = np.einsum("mi,mi->m", ab, ab)
-    safe_len2 = np.where(len2 == 0.0, 1.0, len2)
     starts = np.arange(0, len(ab), SEGMENT_CHUNK)
-    box_lo = np.minimum.reduceat(np.minimum(a, poly[1:]), starts)
-    box_hi = np.maximum.reduceat(np.maximum(a, poly[1:]), starts)
+    # chunk boxes as (n, 1, chunks), so the box test's inner axis is long
+    box_lo = np.minimum.reduceat(np.minimum(a, poly[1:]), starts).T[:, None]
+    box_hi = np.maximum.reduceat(np.maximum(a, poly[1:]), starts).T[:, None]
+    in_chunk = np.arange(SEGMENT_CHUNK)
     scale = max(np.max(np.abs(poly)), np.max(np.abs(queries), initial=0.0))
     # the rounding bound needs squared coordinates clear of underflow and
-    # overflow; outside that range, and for NaN, every chunk is kept
-    slack = PRUNE_SLACK * scale if 1e-100 <= scale <= 1e100 else np.inf
-    dists = np.empty(len(queries))
-    arcs = np.empty(len(queries))
+    # overflow; outside that range, and for NaN, every segment is scanned
+    slack = PRUNE_SLACK * scale if 1e-100 <= scale <= 1e100 else None
+    hit = np.empty(len(queries), dtype=np.intp)
+    d2_hit, s_hit = np.empty(len(queries)), np.empty(len(queries))
     for lo in range(0, len(queries), QUERY_BLOCK):
+        q = queries[lo:lo + QUERY_BLOCK]
+        rows = np.arange(len(q))
+        if slack is not None:
+            qt = q.T[:, :, None]
+            gap = np.maximum(np.maximum(box_lo - qt, qt - box_hi), 0.0)
+            lower = np.einsum("iqk,iqk->qk", gap, gap)
+            near = np.argmin(lower, axis=1)
+            seg = np.minimum(near[:, None] * SEGMENT_CHUNK + in_chunk, len(ab) - 1)
+            d2, s = _segment_d2(q[:, None] - np.take(a, seg, axis=0),
+                                np.take(ab, seg, axis=0), len2[seg])
+            best = np.argmin(d2, axis=1)
+            found = seg[rows, best], d2[rows, best], s[rows, best]
+            keep = lower <= ((np.sqrt(found[1]) + slack) ** 2)[:, None]
+            keep[rows, near] = False
+        # a NaN bound proves nothing, and when most chunks pass the box test
+        # the dense scan costs less than pass 2's flat pairs
+        if slack is None or np.isnan(found[1]).any() or keep.mean() > 0.5:
+            d2, s = _segment_d2(q[:, None] - a, ab, len2)
+            best = np.argmin(d2, axis=1)
+            found = best, d2[rows, best], s[rows, best]
+        else:
+            owner, kept = np.nonzero(keep)
+            if len(kept):
+                # each pass-1 winner and the segments of the query's other
+                # kept chunks, ordered by query, then distance, then segment
+                owner = np.concatenate([rows, np.repeat(owner, SEGMENT_CHUNK)])
+                seg = (kept[:, None] * SEGMENT_CHUNK + in_chunk).ravel()
+                seg = np.concatenate([found[0], np.minimum(seg, len(ab) - 1)])
+                d2, s = _segment_d2(np.take(q, owner, axis=0) - np.take(a, seg, axis=0),
+                                    np.take(ab, seg, axis=0), len2[seg])
+                order = np.lexsort((seg, d2, owner))
+                best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
+                found = seg[best], d2[best], s[best]
         block = slice(lo, lo + QUERY_BLOCK)
-        q = queries[block, None, :]
-        below, above = box_lo - q, q - box_hi
-        gap = np.maximum(np.maximum(below, above), 0.0)
-        far = np.maximum(-below, -above)
-        lower = np.einsum("qki,qki->qk", gap, gap)
-        upper = np.min(np.einsum("qki,qki->qk", far, far), axis=1)
-        reach = (np.sqrt(upper) + slack) ** 2
-        kept = ~np.all(lower > reach[:, None], axis=0)
-        seg = np.flatnonzero(np.repeat(kept, SEGMENT_CHUNK)[:len(ab)])
-        dif = q - a[None, seg, :]
-        s = np.clip(np.einsum("qmi,mi->qm", dif, ab[seg]) / safe_len2[seg], 0.0, 1.0)
-        s = np.where(len2[seg] == 0.0, 0.0, s)
-        closest = dif - s[:, :, None] * ab[None, seg, :]
-        d2 = np.einsum("qmi,qmi->qm", closest, closest)
-        best = np.argmin(d2, axis=1)
-        rows = np.arange(len(best))
-        hit = seg[best]
-        arcs[block] = arc_starts[hit] + s[rows, best] * seg_len[hit]
-        dists[block] = np.sqrt(d2[rows, best])
-    return dists, arcs
+        hit[block], d2_hit[block], s_hit[block] = found
+    return np.sqrt(d2_hit), arc_starts[hit] + s_hit * seg_len[hit]
 
 
 @dataclass

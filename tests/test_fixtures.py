@@ -218,6 +218,41 @@ def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, cap
     assert not (tmp_path / "trajectory-sw2-pT.csv").exists()
 
 
+@pytest.mark.parametrize("entry, value", [
+    ("dimension", None), ("domain", None), ("singular_margin", "x"), ("axis", None),
+], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null"])
+def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, tmp_path, capsys):
+    # each of these ended the CLI with a TypeError traceback and exit 1
+    from dualgeo.cli import main
+    cfg = builtin_config("sw2")
+    if entry == "axis":
+        cfg["singular_loci"][0]["axis"] = value
+    else:
+        cfg[entry] = value
+    with pytest.raises(FixtureError, match="invalid fixture config: TypeError"):
+        from_config(cfg, validate_on_load=False)
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 3
+    err = capsys.readouterr().err
+    assert "TypeError" in err and "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("metric, shape", [
+    ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "3 x 3"),
+    ([["1", "0"]], "1 x 2"),
+    ([["1", "0"], ["0"]], "2 x 1/2"),
+], ids=["3x3", "one-row", "ragged"])
+def test_metric_must_be_dimension_by_dimension(metric, shape):
+    # a 3 x 3 metric with dimension 2 used to build a 3-D metric beside 2-D
+    # potentials and fail validation with a misleading family-size message
+    cfg = builtin_config("sw2")
+    cfg["metric"] = metric
+    with pytest.raises(FixtureError, match=f"metric is {shape}, but dimension 2 needs 2 x 2"):
+        from_config(cfg)
+
+
 def test_every_builtin_declares_its_loci_outside_its_box():
     for name in builtin_names():
         fixture = builtin(name)

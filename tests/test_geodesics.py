@@ -9,7 +9,7 @@ from dualgeo.connections import AffineConnection, levi_civita
 from dualgeo.expressions import EvalDomainError
 from dualgeo.fixtures import builtin, builtin_names
 from dualgeo.geodesics import (
-    QUERY_BLOCK, Trajectory, _polyline_distances, curves_coincide,
+    QUERY_BLOCK, SEGMENT_CHUNK, Trajectory, _polyline_distances, curves_coincide,
     integrate_dual_geodesic, integrate_dual_geodesics, read_csv,
     reparametrization_check,
 )
@@ -443,9 +443,10 @@ def test_curve_comparison_memory_is_linear_in_samples():
     finally:
         tracemalloc.stop()
     assert cmp.coincide
-    # a block's dense temporaries hold at most (3n + 5) doubles per
-    # query-segment pair; allowing twice that, the bound is 113 MB, where
-    # all ~5500 overlap queries at once would take 4.8 GB
+    # a block's temporaries hold about (3n + 5) doubles per scanned
+    # query-segment pair (pass 2's flat pairs about 13 for n = 2); allowing
+    # twice (3n + 5), the bound is 113 MB, where all ~5500 overlap queries
+    # at once would take 4.8 GB
     assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
 
 
@@ -509,10 +510,11 @@ _lattice = st.integers(min_value=-3, max_value=3).map(lambda k: 0.5 * k)
 def _polyline_case(draw):
     """A polyline and queries, drawn from the shapes where a nearest-segment
     search can go wrong: repeated vertices, collinear runs, equidistant ties,
-    far-away queries and long smooth curves."""
+    far-away queries, long smooth curves and near-coincident ones."""
     n = draw(st.sampled_from([2, 3]))
     kind = draw(st.sampled_from(["lattice", "walk", "collinear", "circle", "square",
-                                 "smooth"]))
+                                 "smooth", "coincident"]))
+    extra = []
     if kind == "lattice":
         # few distinct points: repeats, zero-length segments, ties and
         # single-vertex or single-segment polylines
@@ -536,11 +538,30 @@ def _polyline_case(draw):
     elif kind == "square":
         poly = np.zeros((5, n))
         poly[:, :2] = [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 1]]
-    else:
+    elif kind == "smooth":
         t = np.linspace(0.0, 3.0, 10_000)
         freq = draw(st.floats(0.5, 8.0))
         poly = np.zeros((len(t), n))
         poly[:, 0], poly[:, 1] = t, np.sin(freq * t)
+    else:
+        # the curves a dual-geodesic claim compares: a smooth curve, queries
+        # from a window of a copy offset by about 1e-9, exact hits on the
+        # vertices where chunks meet, and points on the bisector of the last
+        # segment of one chunk and the first of the next
+        t = np.linspace(0.0, 3.0, draw(st.integers(800, 1200)))
+        poly = np.zeros((len(t), n))
+        poly[:, 0], poly[:, 1] = t, np.sin(draw(st.floats(0.5, 8.0)) * t)
+        offset = draw(st.lists(st.floats(-1.5e-9, 1.5e-9), min_size=n, max_size=n))
+        window = draw(st.integers(0, len(poly) - 96))
+        extra += list(poly[window:window + 96] + offset)
+        extra += list(poly[::SEGMENT_CHUNK])
+        joint = poly[SEGMENT_CHUNK:-1:SEGMENT_CHUNK]
+        before = poly[SEGMENT_CHUNK - 1:-2:SEGMENT_CHUNK] - joint
+        after = poly[SEGMENT_CHUNK + 1::SEGMENT_CHUNK] - joint
+        bisector = (before / np.linalg.norm(before, axis=1, keepdims=True)
+                    + after / np.linalg.norm(after, axis=1, keepdims=True))
+        length = np.linalg.norm(bisector, axis=1, keepdims=True)
+        extra += list(joint + 1e-6 * bisector / np.where(length == 0.0, 1.0, length))
     queries = [np.zeros(n)]  # the centre of the circle and the square
     queries += draw(st.lists(st.lists(_lattice, min_size=n, max_size=n), max_size=12))
     queries += draw(st.lists(st.lists(_coord, min_size=n, max_size=n), max_size=12))
@@ -548,7 +569,7 @@ def _polyline_case(draw):
     queries += [poly[i] for i in picks]  # exact vertex hits
     queries += [poly[i] + 1e-9 for i in picks]
     queries += [1e6 * np.array(draw(st.lists(_lattice, min_size=n, max_size=n)))]
-    return np.array(queries, dtype=float), poly
+    return np.array(queries + extra, dtype=float), poly
 
 
 @given(_polyline_case())
@@ -558,3 +579,18 @@ def test_pruned_distances_equal_dense_oracle(case):
     d, arcs = _polyline_distances(queries, poly)
     d_ref, arcs_ref = dense_polyline_distances(queries, poly)
     assert np.array_equal(d, d_ref) and np.array_equal(arcs, arcs_ref)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_query_coordinates_equal_dense_oracle(bad):
+    # a NaN coordinate gives a NaN pass-1 bound and an infinite one a scale
+    # beyond the slack's range: both send the search to the dense scan
+    t = np.linspace(0.0, 3.0, 801)
+    poly = np.stack([t, np.sin(2.0 * t)], axis=1)
+    queries = poly[::5] + 1e-9
+    queries[3, 1] = queries[100, 0] = bad
+    with np.errstate(invalid="ignore"):
+        d, arcs = _polyline_distances(queries, poly)
+        d_ref, arcs_ref = dense_polyline_distances(queries, poly)
+    assert np.array_equal(d, d_ref, equal_nan=True)
+    assert np.array_equal(arcs, arcs_ref, equal_nan=True)
