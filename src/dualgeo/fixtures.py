@@ -509,6 +509,14 @@ def builtin_config(name: str) -> dict:
 # --- config loading --------------------------------------------------------------
 
 
+def _number(value, what: str):
+    """A config value that must be a JSON number; null, a string, a list or a
+    boolean is a FixtureError here rather than a TypeError further in."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FixtureError(f"{what} {value!r} is not a number")
+    return value
+
+
 def _singular_locus(entry: dict, box) -> tuple[int, float]:
     """The (0-based axis, value) of a declared locus ``x_axis = value``.
 
@@ -516,7 +524,7 @@ def _singular_locus(entry: dict, box) -> tuple[int, float]:
     box: the grid checks evaluate the box's edges, and a locus inside would
     put a pole among the evidence.
     """
-    axis, value = entry["axis"], float(entry["value"])
+    axis, value = _number(entry["axis"], "singular locus axis"), float(entry["value"])
     if axis != int(axis) or not 1 <= axis <= len(box):
         raise FixtureError(f"singular locus axis {axis!r} is not one of 1..{len(box)}")
     lo, hi = map(float, box[int(axis) - 1])
@@ -530,10 +538,12 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
                 ) -> Fixture:
     """Build (and optionally validate) a fixture from a config dict."""
     try:
-        n = int(cfg["dimension"])
+        n = int(_number(cfg["dimension"], "dimension"))
         if not 2 <= n <= MAX_DIMENSION:
             raise FixtureError(f"dimension {n} is not between 2 and {MAX_DIMENSION}")
         rows = cfg["metric"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise FixtureError(f"metric {rows!r} is not a list of rows")
         if len(rows) != n or any(len(row) != n for row in rows):
             widths = "/".join(str(w) for w in sorted({len(row) for row in rows})) or "0"
             raise FixtureError(f"metric is {len(rows)} x {widths}, but dimension {n} "
@@ -550,6 +560,10 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
                 tuple(ScalarField.from_source(s, n, constants) for s in cfg["potentials"]),
                 kind)
         box = cfg["domain"]
+        if not isinstance(box, list) or any(
+                not isinstance(edge, list) or len(edge) != 2 for edge in box):
+            raise FixtureError(f"domain {box!r} is not a list of [lo, hi] pairs")
+        box = [[_number(v, "domain bound") for v in edge] for edge in box]
         if len(box) != n:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
         loci = [_singular_locus(d, box) for d in cfg.get("singular_loci", [])]
@@ -571,7 +585,8 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
                  if kd.get("potential") else None)
             killing.append(KillingData(K, W, V))
         # raises ValueError when the margin leaves no interior on some axis
-        grid_points(box, 1, cfg.get("singular_margin", 0.0))
+        margin = _number(cfg.get("singular_margin", 0.0), "singular_margin")
+        grid_points(box, 1, margin)
         structure = cfg.get("structure", {})
         structure_T = (TensorField.from_sources(structure["T"], ("up", "down", "down"),
                                                 n, constants)
@@ -582,14 +597,14 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         structure_s = (TensorField.from_sources(structure["s"], ("up",), n, constants)
                        if "s" in structure else None)
         fixture = Fixture(fixture_name, kind, metric, family, box, loci,
-                          cfg.get("singular_margin", 0.0), zeta, killing,
+                          margin, zeta, killing,
                           structure_T, structure_D, structure_s,
                           cfg.get("expected"), config=cfg)
     except (KeyError, ParseError, ValueError) as exc:
         if isinstance(exc, FixtureError):
             raise
         raise FixtureError(f"invalid fixture config: {exc}") from exc
-    except (ArithmeticError, TypeError) as exc:   # beyond float range, or a wrong JSON type
+    except ArithmeticError as exc:   # an integer beyond float range
         raise FixtureError(f"invalid fixture config: {type(exc).__name__} {exc}") from exc
     if validate_on_load:
         failures = validate(fixture)

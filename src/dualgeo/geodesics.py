@@ -41,17 +41,19 @@ The nearest-segment search is exact and pruned.  Segments are grouped into
 chunks of SEGMENT_CHUNK with a bounding box each.  A query first scans the
 chunk whose box lies nearest; its best squared distance is one the dense scan
 computes too, so an exact bound on the nearest one (a distance of about 1e-8
-on coincident curves).  It then scans only the other chunks whose box lies
-within that distance plus a rounding slack.  For curves of m samples that do
-not double back on themselves a query near the curve scans a chunk or two, so
-a comparison costs O(m^2 / SEGMENT_CHUNK) box tests and O(m * SEGMENT_CHUNK)
-segment distances instead of m^2.  Every scanned pair goes through the dense
-scan's per-pair arithmetic, a skipped one could only compute a strictly larger
-distance, and ties go to the lower segment, so distances and arc coordinates
-equal the dense scan's bit for bit.  In the worst case, every segment about
-equally near (a query at the centre of a circle), nothing is skipped: the block
-goes to the dense scan, time is O(m^2), and memory stays O(QUERY_BLOCK * m)
-because queries run in blocks.
+on coincident curves).  A chunk whose box lies farther than that distance
+plus a rounding slack is skipped.  When a block of QUERY_BLOCK queries skips
+every other chunk, the first scan is the result; otherwise the block scans,
+in ascending order, the union of the chunks its queries keep.  For curves of
+m samples that do not double back on themselves a query near the curve keeps
+only its own chunk, so a comparison costs O(m^2 / SEGMENT_CHUNK) box tests
+and O(m * SEGMENT_CHUNK) segment distances instead of m^2.  Every scanned pair
+goes through the dense scan's per-pair arithmetic, a skipped one could only
+compute a strictly larger distance, and argmin keeps the lowest segment among
+ties, so distances and arc coordinates equal the dense scan's bit for bit.
+In the worst case, every segment about equally near (a query at the centre of
+a circle), nothing is skipped: time is the dense O(m^2), and memory stays
+O(QUERY_BLOCK * m) because queries run in blocks.
 """
 
 from __future__ import annotations
@@ -310,10 +312,11 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
     """Distances and nearest-point arc coordinates, vectorized over queries.
 
     Queries run in blocks of QUERY_BLOCK.  Pass 1 scans each query's nearest
-    chunk by box distance, for an exact bound; pass 2 scans the query's other
-    chunks within the bound plus the slack (see the module docstring).  A NaN
-    bound, a scale outside the slack's range, or a box test that keeps over
-    half of the block's chunks sends the block to the dense scan.
+    chunk by box distance, for an exact bound.  When no query's box test
+    keeps another chunk within the bound plus the slack, that is the result;
+    otherwise the block scans the union of the chunks its queries keep, in
+    ascending order (see the module docstring).  A NaN bound keeps every
+    chunk, and a scale outside the slack's range scans every segment.
     """
     queries = np.atleast_2d(queries)
     if len(poly) == 1:
@@ -337,6 +340,7 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
     for lo in range(0, len(queries), QUERY_BLOCK):
         q = queries[lo:lo + QUERY_BLOCK]
         rows = np.arange(len(q))
+        seg = np.arange(len(ab))
         if slack is not None:
             qt = q.T[:, :, None]
             gap = np.maximum(np.maximum(box_lo - qt, qt - box_hi), 0.0)
@@ -347,27 +351,15 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
                                 np.take(ab, seg, axis=0), len2[seg])
             best = np.argmin(d2, axis=1)
             found = seg[rows, best], d2[rows, best], s[rows, best]
-            keep = lower <= ((np.sqrt(found[1]) + slack) ** 2)[:, None]
+            keep = ~(lower > ((np.sqrt(found[1]) + slack) ** 2)[:, None])
             keep[rows, near] = False
-        # a NaN bound proves nothing, and when most chunks pass the box test
-        # the dense scan costs less than pass 2's flat pairs
-        if slack is None or np.isnan(found[1]).any() or keep.mean() > 0.5:
-            d2, s = _segment_d2(q[:, None] - a, ab, len2)
+            kept = keep.any(axis=0)
+            kept[near] = True
+            seg = np.flatnonzero(np.repeat(kept, SEGMENT_CHUNK)[:len(ab)])
+        if slack is None or keep.any():
+            d2, s = _segment_d2(q[:, None] - a[seg], ab[seg], len2[seg])
             best = np.argmin(d2, axis=1)
-            found = best, d2[rows, best], s[rows, best]
-        else:
-            owner, kept = np.nonzero(keep)
-            if len(kept):
-                # each pass-1 winner and the segments of the query's other
-                # kept chunks, ordered by query, then distance, then segment
-                owner = np.concatenate([rows, np.repeat(owner, SEGMENT_CHUNK)])
-                seg = (kept[:, None] * SEGMENT_CHUNK + in_chunk).ravel()
-                seg = np.concatenate([found[0], np.minimum(seg, len(ab) - 1)])
-                d2, s = _segment_d2(np.take(q, owner, axis=0) - np.take(a, seg, axis=0),
-                                    np.take(ab, seg, axis=0), len2[seg])
-                order = np.lexsort((seg, d2, owner))
-                best = order[np.flatnonzero(np.diff(owner[order], prepend=-1))]
-                found = seg[best], d2[best], s[best]
+            found = seg[best], d2[rows, best], s[rows, best]
         block = slice(lo, lo + QUERY_BLOCK)
         hit[block], d2_hit[block], s_hit[block] = found
     return np.sqrt(d2_hit), arc_starts[hit] + s_hit * seg_len[hit]

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,10 +219,15 @@ def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, cap
     assert not (tmp_path / "trajectory-sw2-pT.csv").exists()
 
 
-@pytest.mark.parametrize("entry, value", [
-    ("dimension", None), ("domain", None), ("singular_margin", "x"), ("axis", None),
-], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null"])
-def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, tmp_path, capsys):
+@pytest.mark.parametrize("entry, value, fragment", [
+    ("dimension", None, "dimension None is not a number"),
+    ("domain", None, "domain None is not a list of [lo, hi] pairs"),
+    ("singular_margin", "x", "singular_margin 'x' is not a number"),
+    ("axis", None, "singular locus axis None is not a number"),
+    ("metric", 5, "metric 5 is not a list of rows"),
+], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null", "metric-number"])
+def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
+                                                            tmp_path, capsys):
     # each of these ended the CLI with a TypeError traceback and exit 1
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
@@ -229,13 +235,12 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, tmp_pa
         cfg["singular_loci"][0]["axis"] = value
     else:
         cfg[entry] = value
-    with pytest.raises(FixtureError, match="invalid fixture config: TypeError"):
+    with pytest.raises(FixtureError, match=re.escape(fragment)):
         from_config(cfg, validate_on_load=False)
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(cfg))
     assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 3
-    err = capsys.readouterr().err
-    assert "TypeError" in err and "Traceback" not in err
+    assert fragment in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

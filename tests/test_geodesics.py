@@ -443,10 +443,9 @@ def test_curve_comparison_memory_is_linear_in_samples():
     finally:
         tracemalloc.stop()
     assert cmp.coincide
-    # a block's temporaries hold about (3n + 5) doubles per scanned
-    # query-segment pair (pass 2's flat pairs about 13 for n = 2); allowing
-    # twice (3n + 5), the bound is 113 MB, where all ~5500 overlap queries
-    # at once would take 4.8 GB
+    # a block's temporaries hold at most (3n + 5) doubles per scanned
+    # query-segment pair; allowing twice that, the bound is 113 MB, where
+    # all ~5500 overlap queries at once would take 4.8 GB
     assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
 
 
@@ -583,8 +582,9 @@ def test_pruned_distances_equal_dense_oracle(case):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_query_coordinates_equal_dense_oracle(bad):
-    # a NaN coordinate gives a NaN pass-1 bound and an infinite one a scale
-    # beyond the slack's range: both send the search to the dense scan
+    # a NaN coordinate gives a NaN pass-1 bound, which keeps every chunk, and
+    # an infinite one a scale beyond the slack's range, which scans every
+    # segment
     t = np.linspace(0.0, 3.0, 801)
     poly = np.stack([t, np.sin(2.0 * t)], axis=1)
     queries = poly[::5] + 1e-9
