@@ -41,9 +41,9 @@ from .structure import (
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
 # largest chart dimension a config may declare.  Validation solves the
-# structure system on a 3^n grid and order-3 jet code grows as n^3 per node:
-# a flat oscillator config loads in 6 to 8 s at n = 6, 0.4 s at n = 5 and 33 s
-# at n = 7 (on a 2-vCPU Xeon)
+# structure system at every point of a 3^n grid, so load time grows about
+# threefold per dimension: a flat oscillator config loads in 0.06 s at n = 5,
+# 0.25 s at n = 6 and 0.64 s at n = 7 (on a 2-vCPU Xeon)
 MAX_DIMENSION = 6
 
 

@@ -7,11 +7,13 @@ family V_1..V_m determines, at each chart point, a tensor ``T[k, i, j]``
     T^k_{ij} d_k V  =  (nabla^2 V)_{ij} - (1/n) g_{ij} Laplacian(V)
 
 for every member of the family, or, for (n+1)-parameter families, the
-trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Both are overdetermined
-and solved by orthogonal factorizations (SVD least squares, rcond 1e-10);
-normal equations are never formed.  The solver also differentiates the
-recovered field analytically by differentiating the linear system, which is
-what the q-hat assembly and curvature-based checks consume.
+trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Each component pair
+``(i, j)`` is an overdetermined system with the same matrix, the family's
+gradients, so both are one SVD least-squares solve (rcond 1e-10) with n
+unknowns per right-hand side; normal equations are never formed.  The solver
+also differentiates the recovered field analytically by differentiating the
+linear system, which is what the q-hat assembly and curvature-based checks
+consume.
 
 The grid checks (classification, beta condition, Killing, Bertrand-Darboux,
 Poisson) reduce through :func:`dualgeo.geometry.grid_max`, so a NaN residual
@@ -33,7 +35,6 @@ from .geometry import (
 from .jets import compile
 
 RECOVERY_RCOND = 1e-10
-RECOVERY_RESIDUAL_TOL = 1e-8
 
 
 class StructureError(ValueError):
@@ -41,10 +42,6 @@ class StructureError(ValueError):
 
 
 class RankDeficiencyError(StructureError):
-    pass
-
-
-class ResidualError(StructureError):
     pass
 
 
@@ -68,44 +65,30 @@ class PotentialFamily:
         return int(np.linalg.matrix_rank(grads, tol=rcond * max(1.0, np.max(np.abs(grads)))))
 
 
-def _sym_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
 class StructureSolver:
     """Pointwise recovery engine for one (metric, family) pair.
 
-    Caches the symmetric-pair bookkeeping, the family's potentials compiled
-    into one program, the index arrays that scatter and gather the linear
-    system, and, for constant metrics, the trace-constraint nullspace, which
-    makes per-step recovery cheap enough to drive the geodesic integrator
-    directly.  The unknowns are ``c[k*P + p] = T[k, i_p, j_p]`` over the P
-    pairs ``i_p <= j_p``; the rows are (potential, pair).
+    The system ``T^k_{ij} d_k V_a = rhs[a, i, j]`` decouples into
+    ``grads @ C = B`` with ``C[k, p] = T[k, i_p, j_p]`` and
+    ``B[a, p] = rhs[a, i_p, j_p]`` over the P pairs ``i_p <= j_p``: one
+    least-squares solve with n unknowns per column and P right-hand sides.
+    The g-trace constraint reads ``C v = 0`` with ``v_p = g^{i_p j_p}``, doubled
+    off the diagonal.  Since every column shares the matrix ``grads``, the
+    constrained solution is the unconstrained one projected along v (the
+    weight ``grads^T grads`` drops out).  The family's potentials are compiled
+    into one program.
     """
 
     def __init__(self, g: Metric, family: PotentialFamily):
         self.g = g
         self.family = family
-        n = g.n
-        self.pairs = _sym_pairs(n)
-        self.P = len(self.pairs)
-        self.C = n * self.P
-        self._z_cache: np.ndarray | None = None
         self._program = compile([V.expr for V in family.potentials])
-        P = self.P
-        p, k = np.arange(P), np.arange(n)
-        self._pair_i, self._pair_j = np.array(self.pairs, dtype=int).reshape(P, 2).T
-        # A[a*P + p, k*P + p] = grads[a, k], indexed [a, p, k]
-        self._matrix_rows = np.arange(family.size)[:, None, None] * P + p[None, :, None]
-        self._matrix_cols = k[None, None, :] * P + p[None, :, None]
-        # T[k, i, j] = c[k*P + pair(i, j)]
-        pair = np.empty((n, n), dtype=int)
-        pair[self._pair_i, self._pair_j] = pair[self._pair_j, self._pair_i] = p
-        self._unpack_index = k[:, None, None] * P + pair[None]
-        # G[k, k*P + p] = ginv[i_p, j_p] * weight_p
-        self._trace_rows = k[:, None]
-        self._trace_cols = k[:, None] * P + p[None, :]
-        self._trace_weights = np.where(self._pair_i == self._pair_j, 1.0, 2.0)
+        n = g.n
+        self._i, self._j = np.triu_indices(n)
+        self._weights = np.where(self._i == self._j, 1.0, 2.0)
+        # T[k, i, j] = C[k, pair[i, j]]
+        self._pair = np.empty((n, n), dtype=int)
+        self._pair[self._i, self._j] = self._pair[self._j, self._i] = np.arange(len(self._i))
 
     # --- shared assembly --------------------------------------------------
 
@@ -128,66 +111,38 @@ class StructureSolver:
         hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
         return gmat, ginv, gamma, grads, hess_cov, laps
 
-    def _matrix(self, grads: np.ndarray) -> np.ndarray:
-        """Rows: (potential, pair); columns: (k, pair)."""
-        A = np.zeros((grads.shape[0] * self.P, self.C))
-        A[self._matrix_rows, self._matrix_cols] = grads[:, None, :]
-        return A
-
-    def _stack_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """rhs[a, i, j] -> vector ordered like the matrix rows (a tensor
-        T[k, i, j] -> its unknowns c)."""
-        return rhs[:, self._pair_i, self._pair_j].ravel()
-
-    def _unpack(self, c: np.ndarray) -> np.ndarray:
-        return np.take(c, self._unpack_index)
-
-    def _trace_constraint(self, ginv: np.ndarray) -> np.ndarray:
-        G = np.zeros((self.g.n, self.C))
-        G[self._trace_rows, self._trace_cols] = (ginv[self._pair_i, self._pair_j]
-                                                 * self._trace_weights)
-        return G
-
-    def _nullspace(self, ginv: np.ndarray) -> np.ndarray:
-        if self._z_cache is not None:
-            return self._z_cache
-        G = self._trace_constraint(ginv)
-        _, sing, vt = np.linalg.svd(G)
-        rank = int(np.sum(sing > RECOVERY_RCOND * sing[0]))
-        Z = vt[rank:].T
-        if self.g._constant:
-            self._z_cache = Z
-        return Z
-
-    def _check_rank(self, matrix: np.ndarray, rank: int, label: str, x) -> None:
-        if rank < matrix.shape[1]:
+    def _solve(self, grads: np.ndarray, B: np.ndarray, label: str, x) -> np.ndarray:
+        """lstsq(grads, B); the one rank check of every recovery."""
+        C, _, rank, _ = np.linalg.lstsq(grads, B, rcond=RECOVERY_RCOND)
+        if rank < self.g.n:
             raise RankDeficiencyError(
                 f"{label} recovery is rank-deficient at {np.asarray(x)} "
-                f"(rank {rank} < {matrix.shape[1]}); family degenerate there")
+                f"(rank {rank} < {self.g.n}); family degenerate there")
+        return C
+
+    def _trace_vector(self, ginv: np.ndarray) -> np.ndarray:
+        """v[..., p] with C v = g^{ij} T[k, i, j] (over leading axes of ginv)."""
+        return ginv[..., self._i, self._j] * self._weights
 
     # --- nondegenerate recovery --------------------------------------------
 
     def structure_tensor(self, x) -> tuple[np.ndarray, float]:
         """(T[k,i,j], max-abs fit residual); T is symmetric and trace-free."""
         gmat, ginv, _, grads, hess_cov, laps = self._point_data(x)
-        n = self.g.n
-        rhs = hess_cov - np.einsum("ij,a->aij", gmat, laps) / n
-        A = self._matrix(grads)
-        b = self._stack_rhs(rhs)
-        Z = self._nullspace(ginv)
-        y, _, rank, _ = np.linalg.lstsq(A @ Z, b, rcond=RECOVERY_RCOND)
-        self._check_rank(A @ Z, rank, "structure-tensor", x)
-        c = Z @ y
-        residual = float(np.max(np.abs(A @ c - b))) if b.size else 0.0
-        return self._unpack(c), residual
+        rhs = hess_cov - np.einsum("ij,a->aij", gmat, laps) / self.g.n
+        B = rhs[:, self._i, self._j]
+        C0 = self._solve(grads, B, "structure-tensor", x)
+        v = self._trace_vector(ginv)
+        C = C0 - np.outer(C0 @ v, v) / (v @ v)
+        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system.
 
         The fit residual is at roundoff for valid fixtures, so the derivative
         of the least-squares solution reduces to solving the same system with
-        differentiated data; the trace constraint becomes inhomogeneous
-        through d(g^{-1}).
+        differentiated data, for all n axes at once; the trace constraint
+        becomes inhomogeneous through d(g^{-1}): ``C' v = -C v'``.
         """
         g = self.g
         n = g.n
@@ -199,101 +154,55 @@ class StructureSolver:
         dgamma = g.christoffel_jacobian(x)
 
         T, _ = self.structure_tensor(x)
-        c = self._stack_rhs(T)
+        C = T[:, self._i, self._j]
         grads, hesses, thirds = self._family_jets(x, 3)
         hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
         # d_m of the covariant Hessian and of the Laplacian, per potential
-        dhess_cov = (np.einsum("amij->amij", thirds)
+        dhess_cov = (thirds
                      - np.einsum("mkij,ak->amij", dgamma, grads)
                      - np.einsum("kij,amk->amij", gamma, hesses))
         dlap = (np.einsum("mij,aij->am", dginv, hess_cov)
                 + np.einsum("ij,amij->am", ginv, dhess_cov))
+        drhs = (dhess_cov
+                - np.einsum("mij,a->amij", dgmat, laps) / n
+                - np.einsum("ij,am->amij", gmat, dlap) / n)
+        dC0 = self._differentiated_solve(grads, hesses, drhs, C, x)
+        v, dv = self._trace_vector(ginv), self._trace_vector(dginv)
+        dC = dC0 - np.einsum("mk,p->mkp", dC0 @ v + dv @ C.T, v) / (v @ v)
+        return dC[:, :, self._pair]
 
-        A = self._matrix(grads)
-        Z = self._nullspace(ginv)
-        AZ = A @ Z
-        G = self._trace_constraint(ginv)
-
-        out = np.zeros((n, n, n, n))
-        for m_axis in range(n):
-            dA = self._matrix(hesses[:, m_axis, :])
-            drhs = (dhess_cov[:, m_axis]
-                    - np.einsum("ij,a->aij", dgmat[m_axis], laps) / n
-                    - np.einsum("ij,a->aij", gmat, dlap[:, m_axis]) / n)
-            db = self._stack_rhs(drhs)
-            dG = self._trace_constraint(dginv[m_axis])
-            # constraint G c' = -dG c, fit A c' = db - dA c
-            c0 = np.linalg.pinv(G, rcond=RECOVERY_RCOND) @ (-dG @ c)
-            rhs_vec = (db - dA @ c) - A @ c0
-            y, _, _, _ = np.linalg.lstsq(AZ, rhs_vec, rcond=RECOVERY_RCOND)
-            out[m_axis] = self._unpack(c0 + Z @ y)
-        return out
+    def _differentiated_solve(self, grads, hesses, drhs, C, x) -> np.ndarray:
+        """dC0[m] = lstsq(grads, dB[m] - d_m(grads) C), all axes m in one call."""
+        m_pot, n = grads.shape
+        rhs = drhs[..., self._i, self._j] - np.einsum("amk,kp->amp", hesses, C)
+        dC0 = self._solve(grads, rhs.reshape(m_pot, -1), "Jacobian", x)
+        return dC0.reshape(n, n, -1).transpose(1, 0, 2)
 
     # --- semi-degenerate recovery -------------------------------------------
 
     def prolongation_tensor(self, x) -> tuple[np.ndarray, float]:
         """(D[k,i,j], residual) solving nabla^2 V = D(dV); no trace constraint."""
         _, _, _, grads, hess_cov, _ = self._point_data(x)
-        A = self._matrix(grads)
-        b = self._stack_rhs(hess_cov)
-        c, _, rank, _ = np.linalg.lstsq(A, b, rcond=RECOVERY_RCOND)
-        self._check_rank(A, rank, "prolongation-tensor", x)
-        residual = float(np.max(np.abs(A @ c - b)))
-        return self._unpack(c), residual
+        B = hess_cov[:, self._i, self._j]
+        C = self._solve(grads, B, "prolongation-tensor", x)
+        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
 
     def prolongation_jacobian(self, x) -> np.ndarray:
         g = self.g
-        n = g.n
         gamma = g.christoffel(x)
         dgamma = g.christoffel_jacobian(x)
         D, _ = self.prolongation_tensor(x)
-        c = self._stack_rhs(D)
         grads, hesses, thirds = self._family_jets(x, 3)
         dhess_cov = (thirds - np.einsum("mkij,ak->amij", dgamma, grads)
                      - np.einsum("kij,amk->amij", gamma, hesses))
-        A = self._matrix(grads)
-        out = np.zeros((n, n, n, n))
-        for m_axis in range(n):
-            dA = self._matrix(hesses[:, m_axis, :])
-            db = self._stack_rhs(dhess_cov[:, m_axis])
-            dc, _, _, _ = np.linalg.lstsq(A, db - dA @ c, rcond=RECOVERY_RCOND)
-            out[m_axis] = self._unpack(dc)
-        return out
+        dC = self._differentiated_solve(grads, hesses, dhess_cov, D[:, self._i, self._j], x)
+        return dC[:, :, self._pair]
 
     def s_vector(self, x) -> tuple[np.ndarray, float]:
         """(s^k, residual) solving Laplacian(V) = s^k d_k V over the family."""
         _, _, _, grads, _, laps = self._point_data(x)
-        rank_needed = self.g.n
-        s, _, rank, _ = np.linalg.lstsq(grads, laps, rcond=RECOVERY_RCOND)
-        if rank < rank_needed:
-            raise RankDeficiencyError(
-                f"semi-degeneracy recovery is rank-deficient at {np.asarray(x)}")
-        residual = float(np.max(np.abs(grads @ s - laps)))
-        return s, residual
-
-
-# Module-level one-shot wrappers -----------------------------------------------
-
-
-def recover_structure_tensor(g: Metric, family: PotentialFamily, x,
-                             residual_tol: float = RECOVERY_RESIDUAL_TOL
-                             ) -> tuple[np.ndarray, float]:
-    T, residual = StructureSolver(g, family).structure_tensor(x)
-    if residual > residual_tol:
-        raise ResidualError(
-            f"structure-tensor fit residual {residual:.3e} exceeds {residual_tol:.1e} "
-            f"at {np.asarray(x)}; family is not second-order superintegrable as declared")
-    return T, residual
-
-
-def recover_s(g: Metric, family: PotentialFamily, x,
-              residual_tol: float = RECOVERY_RESIDUAL_TOL) -> tuple[np.ndarray, float]:
-    s, residual = StructureSolver(g, family).s_vector(x)
-    if residual > residual_tol:
-        raise ResidualError(
-            f"semi-degeneracy fit residual {residual:.3e} exceeds {residual_tol:.1e} "
-            f"at {np.asarray(x)}; no consistent s exists")
-    return s, residual
+        s = self._solve(grads, laps, "semi-degeneracy", x)
+        return s, float(np.max(np.abs(grads @ s - laps)))
 
 
 # --- decomposition and derived tensors ----------------------------------------

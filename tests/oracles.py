@@ -444,9 +444,11 @@ def fd_ricci(metric, x, h=1e-4):
     return ric
 
 
-# --- loop-built structure-solver assembly ----------------------------------------
-# Unknowns c[k*P + p] = T[k, i_p, j_p] over the P pairs i_p <= j_p in row-major
-# order; rows (potential a, pair p).
+# --- dense reference for the structure solver -----------------------------------
+# The recovery system as one Kronecker-structured matrix A = grads (x) I_P: the
+# unknowns c[k*P + p] = T[k, i_p, j_p] run over the P pairs i_p <= j_p in
+# row-major order, the rows over (potential a, pair p).  The g-trace
+# constraint is G c = 0, solved inside an SVD nullspace basis of G.
 
 
 def loop_matrix(grads, pairs, n):
@@ -459,19 +461,6 @@ def loop_matrix(grads, pairs, n):
             for k in range(n):
                 A[row, k * P + p] = grads[a, k]
     return A
-
-
-def loop_stack_rhs(rhs, pairs):
-    return np.array([rhs[a][p] for a in range(rhs.shape[0]) for p in pairs])
-
-
-def loop_unpack(c, pairs, n):
-    P = len(pairs)
-    T = np.zeros((n, n, n))
-    for k in range(n):
-        for p, (i, j) in enumerate(pairs):
-            T[k, i, j] = T[k, j, i] = c[k * P + p]
-    return T
 
 
 def loop_trace_constraint(ginv, pairs, n):
@@ -491,6 +480,55 @@ def reference_family_jets(family, x, order):
     if order == 3:
         out.append(np.array([jet.third for jet in jets]))
     return out
+
+
+def dense_recovery(metric, family, x, trace_free):
+    """(X, residual, dX) from the dense constrained system: X = T when
+    ``trace_free`` (rhs nabla^2 V - (1/n) g Laplacian V, constraint G c = 0),
+    else X = D (rhs nabla^2 V, no constraint).  dX[m] solves the same system
+    with differentiated data, one axis at a time; the constraint becomes
+    G c' = -dG c."""
+    x = np.asarray(x, dtype=float)
+    n = metric.n
+    iu, ju = np.triu_indices(n)
+    pairs = list(zip(iu, ju))
+    gmat, dgmat, _ = metric.jets(x)
+    ginv, dginv = metric.inverse(x), metric.inverse_jacobian(x)
+    gamma, dgamma = metric.christoffel(x), metric.christoffel_jacobian(x)
+    grads, hesses, thirds = reference_family_jets(family, x, 3)
+    rhs = hesses - np.einsum("kij,ak->aij", gamma, grads)
+    drhs = (thirds - np.einsum("mkij,ak->amij", dgamma, grads)
+            - np.einsum("kij,amk->amij", gamma, hesses))
+    if trace_free:
+        lap = np.einsum("ij,aij->a", ginv, rhs)
+        dlap = np.einsum("mij,aij->am", dginv, rhs) + np.einsum("ij,amij->am", ginv, drhs)
+        drhs = drhs - (np.einsum("mij,a->amij", dgmat, lap)
+                       + np.einsum("ij,am->amij", gmat, dlap)) / n
+        rhs = rhs - np.einsum("ij,a->aij", gmat, lap) / n
+        G = loop_trace_constraint(ginv, pairs, n)
+        _, sing, vt = np.linalg.svd(G)
+        Z = vt[int(np.sum(sing > 1e-10 * sing[0])):].T
+    else:
+        Z = np.eye(n * len(pairs))
+
+    def unpacked(c):
+        T = np.zeros((n, n, n))
+        T[:, iu, ju] = T[:, ju, iu] = c.reshape(n, -1)
+        return T
+
+    A = loop_matrix(grads, pairs, n)
+    b = rhs[:, iu, ju].ravel()
+    y, _, _, _ = np.linalg.lstsq(A @ Z, b, rcond=1e-10)
+    c = Z @ y
+    dX = np.zeros((n, n, n, n))
+    for m in range(n):
+        fit = drhs[:, m, iu, ju].ravel() - loop_matrix(hesses[:, m, :], pairs, n) @ c
+        c0 = np.zeros_like(c)
+        if trace_free:
+            c0 = np.linalg.pinv(G, rcond=1e-10) @ (-loop_trace_constraint(dginv[m], pairs, n) @ c)
+        y, _, _, _ = np.linalg.lstsq(A @ Z, fit - A @ c0, rcond=1e-10)
+        dX[m] = unpacked(c0 + Z @ y)
+    return unpacked(c), float(np.max(np.abs(A @ c - b))), dX
 
 
 def brute_force_structure_tensor(metric, family, x):
