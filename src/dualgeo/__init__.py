@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .expressions import ParseError, EvalDomainError, parse, to_source
 from .jets import Jet, eval_jet2, eval_jet3, eval_value
-from .geometry import Metric, ScalarField, TensorField, TensorValue, grid_points
+from .geometry import Metric, ScalarField, TensorField, grid_points
 from .connections import (
     AffineConnection, dual_projective_test, semi_compatibility_test,
     difference_tensor, levi_civita, from_difference,

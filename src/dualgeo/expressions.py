@@ -282,7 +282,9 @@ def parse(source: str, n: int | None = None, *,
     Coordinate names default to ``x1 .. xn``.  Named constants must be bound
     here; an unbound identifier is a parse error, not a runtime NaN.
     """
-    if not source or not source.strip():
+    if not isinstance(source, str):
+        raise ParseError(f"expected an expression string, got {source!r}", 0)
+    if not source.strip():
         raise ParseError("empty expression", 0)
     if variables is None:
         if n is None:

@@ -35,8 +35,8 @@ from .geometry import (
     stack_rows,
 )
 from .structure import (
-    PotentialFamily, StructureSolver, bertrand_darboux_check, decompose,
-    killing_check, poisson_check, sym_product_metric_form, t_from_prolongation,
+    PotentialFamily, StructureSolver, bertrand_darboux_check, killing_check,
+    poisson_check, sym_product_metric_form, t_from_prolongation,
 )
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
@@ -128,7 +128,7 @@ class Fixture:
         """
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
-                return self.structure_T.value(x).components
+                return self.structure_T.value(x)
             return self._solved(self.solver.structure_tensor, x)
         return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
                                  self.s_vector(x))
@@ -151,7 +151,7 @@ class Fixture:
 
     def prolongation_tensor(self, x) -> np.ndarray:
         if self.structure_D is not None:
-            return self.structure_D.value(x).components
+            return self.structure_D.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no prolongation data")
         return self._solved(self.solver.prolongation_tensor, x)
@@ -164,7 +164,7 @@ class Fixture:
     def s_vector(self, x) -> np.ndarray:
         """Contravariant semi-degeneracy vector (declared or recovered)."""
         if self.structure_s is not None:
-            return self.structure_s.value(x).components
+            return self.structure_s.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
         return self._solved(self.solver.s_vector, x)
@@ -183,47 +183,6 @@ class Fixture:
             return conv.t_coefficient(self.n) * np.einsum("...iij->...j", T)
         D = self.prolongation_tensor(x)
         return t_from_prolongation(D, self.s_covector(x), self.n)
-
-    def structure_bundle(self, x) -> dict:
-        """JSON-ready snapshot of the structure data at a point.
-
-        Includes the measured (never asserted) symmetry and trace defects of
-        the decomposition remainder S.
-        """
-        from .structure import build_B, build_N
-
-        x = np.asarray(x, dtype=float)
-        gmat = self.metric.value(x)
-        ginv = self.metric.inverse(x)
-        T = self.structure_tensor(x)
-        dec = decompose(T, gmat, ginv)
-        Bc, _ = build_B(T, gmat, ginv, dec.t)
-
-        def arr(a):
-            return np.asarray(a).tolist()
-
-        bundle = {
-            "fixture": self.name,
-            "point": arr(x),
-            "structure_tensor": arr(T),
-            "tau": arr(dec.tau),
-            "t": arr(dec.t),
-            "S_remainder": arr(dec.S),
-            "S_symmetry_defect": float(dec.symmetry_defect),
-            "S_trace_defect": float(dec.trace_defect),
-            "B": arr(Bc),
-        }
-        if self.is_semidegenerate:
-            D = self.prolongation_tensor(x)
-            s_cov = self.s_covector(x)
-            t_cov = self.t_covector(x)
-            bundle.update({
-                "prolongation_tensor": arr(D),
-                "s": arr(s_cov),
-                "d_form": arr((self.n + 2) * t_cov - s_cov),
-                "N": arr(build_N(D, gmat, s_cov, t_cov)),
-            })
-        return bundle
 
     # --- the connection family -------------------------------------------------
 
@@ -705,7 +664,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
                         ("s-closed-form", "s", declared_s, solver.s_vector)):
                     if declared is None:
                         continue
-                    closed = declared.value(x).components
+                    closed = declared.value(x)
                     diff = float(np.max(np.abs(closed - solve(x)[0])))
                     if not diff <= 1e-8:
                         fail(check, f"declared {label} disagrees with recovery", x, diff)
@@ -718,7 +677,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
         if declared is None:
             continue
         try:
-            A = declared.value(grid).components
+            A = declared.value(grid)
         except Exception as exc:
             fail("structure-symmetry", f"declared {label}: {exc}")
             continue

@@ -130,12 +130,6 @@ class Trajectory:
             fh.write("\n")
 
 
-def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    n = (data.shape[1] - 1) // 2
-    return data[:, 0], data[:, 1:1 + n], data[:, 1 + n:]
-
-
 _DOMAIN_ERRORS = (EvalDomainError, SingularMetricError, np.linalg.LinAlgError)
 _BIG = np.finfo(float).max
 _ALL = np.logical_and.reduce

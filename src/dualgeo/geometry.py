@@ -132,33 +132,6 @@ class ScalarField:
         return self.derivatives(x)[0]
 
 
-@dataclass(frozen=True)
-class TensorValue:
-    """Dense components at a point plus explicit slot variances.
-
-    ``variance`` holds one entry per slot, "up" (contravariant) or "down"
-    (covariant), in storage order; the slots are the trailing axes of
-    ``components``, after any leading point axes.  Contractions in this
-    package name slots through these records rather than by implicit position.
-    """
-
-    components: np.ndarray
-    variance: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.components.ndim < len(self.variance):
-            raise GeometryError(
-                f"variance {self.variance} does not match array of rank "
-                f"{self.components.ndim}")
-        for v in self.variance:
-            if v not in ("up", "down"):
-                raise GeometryError(f"bad variance entry {v!r}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.variance)
-
-
 class Metric:
     """Symmetric (0,2) expression field with inverse and curvature helpers."""
 
@@ -281,12 +254,6 @@ class Metric:
         ginv = self.inverse(x)
         return -np.einsum("...ip,...apq,...qj->...aij", ginv, self.jets(x)[1], ginv)
 
-    def sqrt_det(self, x) -> float:
-        det = np.linalg.det(self.value(x))
-        if det <= 0.0:
-            raise SingularMetricError(f"non-positive metric determinant at {np.asarray(x)}")
-        return float(np.sqrt(det))
-
     # --- connection and curvature -------------------------------------------
 
     def _christoffel_uncached(self, x) -> np.ndarray:
@@ -325,9 +292,6 @@ class Metric:
         return (np.einsum("...iljk->...lkij", dgamma) - np.einsum("...jlik->...lkij", dgamma)
                 + np.einsum("...lim,...mjk->...lkij", gamma, gamma)
                 - np.einsum("...ljm,...mik->...lkij", gamma, gamma))
-
-    def riemann_covariant(self, x) -> np.ndarray:
-        return np.einsum("...pl,...lkij->...pkij", self.value(x), self.riemann(x))
 
     def ricci(self, x) -> np.ndarray:
         return np.einsum("...ikij->...kj", self.riemann(x))
@@ -381,46 +345,6 @@ def hessian(g: Metric, V: ScalarField, x) -> np.ndarray:
     return hess - np.einsum("...kij,...k->...ij", g.christoffel(x), grad)
 
 
-def laplacian(g: Metric, V: ScalarField, x) -> float:
-    return float(np.einsum("ij,ij->", g.inverse(x), hessian(g, V, x)))
-
-
-def laplacian_divergence_form(g: Metric, V: ScalarField, x) -> float:
-    """Independent Laplace-Beltrami path: (1/sqrt|g|) d_i (sqrt|g| g^{ij} d_j V)."""
-    gmat, dg, _ = g.jets(x)
-    ginv = g.inverse(x)
-    jet = V.jet2(x)
-    sqrtdet = g.sqrt_det(x)
-    dginv = g.inverse_jacobian(x)
-    # d_a sqrt(det g) = 1/2 sqrt(det g) tr(g^{-1} d_a g)
-    dsqrt = 0.5 * sqrtdet * np.einsum("ij,aji->a", ginv, dg)
-    flux_div = (np.einsum("i,ij,j->", dsqrt, ginv, jet.grad)
-                + sqrtdet * np.einsum("iij,j->", dginv, jet.grad)
-                + sqrtdet * np.einsum("ij,ij->", ginv, jet.hess))
-    return float(flux_div / sqrtdet)
-
-
-def _move_slot(matrix: np.ndarray, t: TensorValue, slot: int, to: str) -> TensorValue:
-    """Contract ``matrix`` into the given slot of t, which becomes ``to``."""
-    if not 0 <= slot < t.rank:
-        raise GeometryError(f"slot {slot} out of range for rank {t.rank}")
-    if t.variance[slot] == to:
-        raise GeometryError(f"slot {slot} is already "
-                            f"{'contravariant' if to == 'up' else 'covariant'}")
-    comps = np.moveaxis(np.tensordot(matrix, t.components, axes=([1], [slot])), 0, slot)
-    return TensorValue(comps, tuple(to if k == slot else v for k, v in enumerate(t.variance)))
-
-
-def sharp(g: Metric, x, t: TensorValue, slot: int) -> TensorValue:
-    """Raise the given covariant slot with g^{-1}."""
-    return _move_slot(g.inverse(x), t, slot, "up")
-
-
-def flat(g: Metric, x, t: TensorValue, slot: int) -> TensorValue:
-    """Lower the given contravariant slot with g."""
-    return _move_slot(g.value(x), t, slot, "down")
-
-
 @dataclass(frozen=True)
 class TensorField:
     """Expression-backed tensor field: an object array of expressions."""
@@ -444,16 +368,17 @@ class TensorField:
     def _program(self) -> Program:
         return compile(self.comps.ravel())
 
-    def value(self, x) -> TensorValue:
-        """Components at a point, or stacked over the leading axes of x (one
-        :meth:`Program.values <dualgeo.jets.Program.values>` call on the
-        stack, which runs it as array code from ``jets.ARRAY_ROWS`` rows)."""
+    def value(self, x) -> np.ndarray:
+        """Components at a point, shaped like ``comps``, or stacked over the
+        leading axes of x (one :meth:`Program.values
+        <dualgeo.jets.Program.values>` call on the stack, which runs it as
+        array code from ``jets.ARRAY_ROWS`` rows)."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
             out = np.array(self._program.values(pts))
         else:
             out = self._program.values(pts.reshape(-1, self.n))
-        return TensorValue(out.reshape(pts.shape[:-1] + self.comps.shape), self.variance)
+        return out.reshape(pts.shape[:-1] + self.comps.shape)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components, at a
@@ -465,8 +390,9 @@ class TensorField:
                 grads.T.reshape((self.n,) + self.comps.shape))
 
 
-def covariant_derivative(connection, fld: TensorField, x) -> TensorValue:
-    """Gamma-corrected derivative; the new covariant slot comes first.
+def covariant_derivative(connection, fld: TensorField, x) -> np.ndarray:
+    """Gamma-corrected derivative components; the new covariant slot comes
+    first, followed by the slots of ``fld`` in its order and variance.
 
     ``connection`` is anything with a ``coefficients(x) -> Gamma[k,i,j]``
     method (an AffineConnection) or a Metric, whose Levi-Civita coefficients
@@ -486,4 +412,4 @@ def covariant_derivative(connection, fld: TensorField, x) -> TensorValue:
         else:
             corr = -np.einsum(f"...mak,...m{rest}->...ak{rest}", gamma, moved)
         out += np.moveaxis(corr, lead + 1, lead + slot + 1)
-    return TensorValue(out, ("down",) + fld.variance)
+    return out

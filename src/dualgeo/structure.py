@@ -10,10 +10,12 @@ for every member of the family, or, for (n+1)-parameter families, the
 trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Each component pair
 ``(i, j)`` is an overdetermined system with the same matrix, the family's
 gradients, so both are one SVD least-squares solve (rcond 1e-10) with n
-unknowns per right-hand side; normal equations are never formed.  The solver
-also differentiates the recovered field analytically by differentiating the
-linear system, which is what the q-hat assembly and curvature-based checks
-consume.
+unknowns per right-hand side; normal equations are never formed.  T needs no
+trace constraint: its right-hand side is g-trace-free for every potential,
+and the least-squares solution is linear in the right-hand side, so the
+recovered T is g-trace-free too.  The solver also differentiates the
+recovered field analytically by differentiating the linear system, which is
+what the induced connections' Jacobians consume.
 
 The grid checks (classification, beta condition, Killing, Bertrand-Darboux,
 Poisson) reduce through :func:`dualgeo.geometry.grid_max`, so a NaN residual
@@ -23,7 +25,7 @@ orientation conventions live in :mod:`dualgeo.conventions`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,15 +70,17 @@ class PotentialFamily:
 class StructureSolver:
     """Pointwise recovery engine for one (metric, family) pair.
 
-    The system ``T^k_{ij} d_k V_a = rhs[a, i, j]`` decouples into
-    ``grads @ C = B`` with ``C[k, p] = T[k, i_p, j_p]`` and
+    The system ``X^k_{ij} d_k V_a = rhs[a, i, j]`` decouples into
+    ``grads @ C = B`` with ``C[k, p] = X[k, i_p, j_p]`` and
     ``B[a, p] = rhs[a, i_p, j_p]`` over the P pairs ``i_p <= j_p``: one
     least-squares solve with n unknowns per column and P right-hand sides.
-    The g-trace constraint reads ``C v = 0`` with ``v_p = g^{i_p j_p}``, doubled
-    off the diagonal.  Since every column shares the matrix ``grads``, the
-    constrained solution is the unconstrained one projected along v (the
-    weight ``grads^T grads`` drops out).  The family's potentials are compiled
-    into one program.
+    T and D are the same solve with different right-hand sides.  Recovered T
+    is g-trace-free with no constraint imposed: with ``v_p = g^{i_p j_p}``,
+    doubled off the diagonal, every right-hand side
+    ``nabla^2 V - (1/n) g Laplacian(V)`` has ``B v = 0``, so the least-squares
+    solution has ``C v = pinv(grads) B v = 0``, and its derivative keeps the
+    trace of ``dT`` at zero the same way.  The family's potentials are
+    compiled into one program.
     """
 
     def __init__(self, g: Metric, family: PotentialFamily):
@@ -85,8 +89,7 @@ class StructureSolver:
         self._program = compile([V.expr for V in family.potentials])
         n = g.n
         self._i, self._j = np.triu_indices(n)
-        self._weights = np.where(self._i == self._j, 1.0, 2.0)
-        # T[k, i, j] = C[k, pair[i, j]]
+        # X[k, i, j] = C[k, pair[i, j]]
         self._pair = np.empty((n, n), dtype=int)
         self._pair[self._i, self._j] = self._pair[self._j, self._i] = np.arange(len(self._i))
 
@@ -104,12 +107,18 @@ class StructureSolver:
 
     def _point_data(self, x):
         g = self.g
-        gmat = g.value(x)
-        ginv = g.inverse(x)
-        gamma = g.christoffel(x)
         grads, hesses = self._family_jets(x, 2)
-        hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
-        return gmat, ginv, gamma, grads, hess_cov, laps
+        hess_cov, laps = self._covariant_hessians(g.christoffel(x), g.inverse(x), grads, hesses)
+        return g.value(x), grads, hess_cov, laps
+
+    def _differentiated_hessians(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(grads, hessians, dhess_cov[a, m, i, j] = d_m of the covariant Hessian)."""
+        g = self.g
+        grads, hesses, thirds = self._family_jets(x, 3)
+        dhess_cov = (thirds
+                     - np.einsum("mkij,ak->amij", g.christoffel_jacobian(x), grads)
+                     - np.einsum("kij,amk->amij", g.christoffel(x), hesses))
+        return grads, hesses, dhess_cov
 
     def _solve(self, grads: np.ndarray, B: np.ndarray, label: str, x) -> np.ndarray:
         """lstsq(grads, B); the one rank check of every recovery."""
@@ -120,87 +129,65 @@ class StructureSolver:
                 f"(rank {rank} < {self.g.n}); family degenerate there")
         return C
 
-    def _trace_vector(self, ginv: np.ndarray) -> np.ndarray:
-        """v[..., p] with C v = g^{ij} T[k, i, j] (over leading axes of ginv)."""
-        return ginv[..., self._i, self._j] * self._weights
+    def _fit(self, grads, rhs, label: str, x) -> tuple[np.ndarray, float]:
+        """(X[k,i,j], max-abs fit residual) solving X^k_{ij} d_k V_a = rhs[a,i,j]."""
+        B = rhs[:, self._i, self._j]
+        C = self._solve(grads, B, label, x)
+        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
+
+    def _differentiated_solve(self, grads, hesses, drhs, X, x) -> np.ndarray:
+        """dX[m] = lstsq(grads, dB[m] - d_m(grads) C), all axes m in one call.
+
+        The fit residual is at roundoff for valid fixtures, so the derivative
+        of the least-squares solution reduces to solving the same system with
+        differentiated data.
+        """
+        m_pot, n = grads.shape
+        rhs = drhs[..., self._i, self._j] - np.einsum("amk,kp->amp", hesses, X[:, self._i, self._j])
+        dC = self._solve(grads, rhs.reshape(m_pot, -1), "Jacobian", x)
+        return dC.reshape(n, n, -1).transpose(1, 0, 2)[:, :, self._pair]
 
     # --- nondegenerate recovery --------------------------------------------
 
     def structure_tensor(self, x) -> tuple[np.ndarray, float]:
         """(T[k,i,j], max-abs fit residual); T is symmetric and trace-free."""
-        gmat, ginv, _, grads, hess_cov, laps = self._point_data(x)
+        gmat, grads, hess_cov, laps = self._point_data(x)
         rhs = hess_cov - np.einsum("ij,a->aij", gmat, laps) / self.g.n
-        B = rhs[:, self._i, self._j]
-        C0 = self._solve(grads, B, "structure-tensor", x)
-        v = self._trace_vector(ginv)
-        C = C0 - np.outer(C0 @ v, v) / (v @ v)
-        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
+        return self._fit(grads, rhs, "structure-tensor", x)
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
-        """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system.
-
-        The fit residual is at roundoff for valid fixtures, so the derivative
-        of the least-squares solution reduces to solving the same system with
-        differentiated data, for all n axes at once; the trace constraint
-        becomes inhomogeneous through d(g^{-1}): ``C' v = -C v'``.
-        """
+        """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system."""
         g = self.g
         n = g.n
         x = np.asarray(x, dtype=float)
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        dginv = g.inverse_jacobian(x)
-        gamma = g.christoffel(x)
-        dgamma = g.christoffel_jacobian(x)
-
         T, _ = self.structure_tensor(x)
-        C = T[:, self._i, self._j]
-        grads, hesses, thirds = self._family_jets(x, 3)
-        hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
-        # d_m of the covariant Hessian and of the Laplacian, per potential
-        dhess_cov = (thirds
-                     - np.einsum("mkij,ak->amij", dgamma, grads)
-                     - np.einsum("kij,amk->amij", gamma, hesses))
-        dlap = (np.einsum("mij,aij->am", dginv, hess_cov)
+        grads, hesses, dhess_cov = self._differentiated_hessians(x)
+        hess_cov, laps = self._covariant_hessians(g.christoffel(x), ginv, grads, hesses)
+        # d_m of the Laplacian, per potential
+        dlap = (np.einsum("mij,aij->am", g.inverse_jacobian(x), hess_cov)
                 + np.einsum("ij,amij->am", ginv, dhess_cov))
         drhs = (dhess_cov
                 - np.einsum("mij,a->amij", dgmat, laps) / n
                 - np.einsum("ij,am->amij", gmat, dlap) / n)
-        dC0 = self._differentiated_solve(grads, hesses, drhs, C, x)
-        v, dv = self._trace_vector(ginv), self._trace_vector(dginv)
-        dC = dC0 - np.einsum("mk,p->mkp", dC0 @ v + dv @ C.T, v) / (v @ v)
-        return dC[:, :, self._pair]
-
-    def _differentiated_solve(self, grads, hesses, drhs, C, x) -> np.ndarray:
-        """dC0[m] = lstsq(grads, dB[m] - d_m(grads) C), all axes m in one call."""
-        m_pot, n = grads.shape
-        rhs = drhs[..., self._i, self._j] - np.einsum("amk,kp->amp", hesses, C)
-        dC0 = self._solve(grads, rhs.reshape(m_pot, -1), "Jacobian", x)
-        return dC0.reshape(n, n, -1).transpose(1, 0, 2)
+        return self._differentiated_solve(grads, hesses, drhs, T, x)
 
     # --- semi-degenerate recovery -------------------------------------------
 
     def prolongation_tensor(self, x) -> tuple[np.ndarray, float]:
         """(D[k,i,j], residual) solving nabla^2 V = D(dV); no trace constraint."""
-        _, _, _, grads, hess_cov, _ = self._point_data(x)
-        B = hess_cov[:, self._i, self._j]
-        C = self._solve(grads, B, "prolongation-tensor", x)
-        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
+        _, grads, hess_cov, _ = self._point_data(x)
+        return self._fit(grads, hess_cov, "prolongation-tensor", x)
 
     def prolongation_jacobian(self, x) -> np.ndarray:
-        g = self.g
-        gamma = g.christoffel(x)
-        dgamma = g.christoffel_jacobian(x)
         D, _ = self.prolongation_tensor(x)
-        grads, hesses, thirds = self._family_jets(x, 3)
-        dhess_cov = (thirds - np.einsum("mkij,ak->amij", dgamma, grads)
-                     - np.einsum("kij,amk->amij", gamma, hesses))
-        dC = self._differentiated_solve(grads, hesses, dhess_cov, D[:, self._i, self._j], x)
-        return dC[:, :, self._pair]
+        grads, hesses, dhess_cov = self._differentiated_hessians(x)
+        return self._differentiated_solve(grads, hesses, dhess_cov, D, x)
 
     def s_vector(self, x) -> tuple[np.ndarray, float]:
         """(s^k, residual) solving Laplacian(V) = s^k d_k V over the family."""
-        _, _, _, grads, _, laps = self._point_data(x)
+        _, grads, _, laps = self._point_data(x)
         s = self._solve(grads, laps, "semi-degeneracy", x)
         return s, float(np.max(np.abs(grads @ s - laps)))
 
@@ -352,42 +339,6 @@ def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callabl
     return grid_max(residual, points)
 
 
-# --- q-hat ingredients ---------------------------------------------------------
-
-
-@dataclass
-class QHatData:
-    theta: np.ndarray      # Theta[k,i,j,l] = T^m_{ij} T^k_{ml}
-    script_t: np.ndarray   # scrT[k,i] = g^{jl} Theta[k,i,j,l]
-    q_hat: np.ndarray      # q_hat[k,i]
-    q_symmetry_defect: float
-
-
-def q_hat_ingredients(g: Metric, T: np.ndarray, dT: np.ndarray, x) -> QHatData:
-    """Assemble Theta, its trace, and q-hat = tr_g(nabla T)(X) + scrT(X) - Ric^sharp(X).
-
-    ``dT[a,k,i,j]`` holds the partial derivatives of the recovered field; the
-    covariant derivative adds the usual three Gamma corrections.  The trace
-    pairs the derivative slot with the first covariant slot of T.
-    """
-    gmat = g.value(x)
-    ginv = g.inverse(x)
-    gamma = g.christoffel(x)
-    covT = (dT + np.einsum("kam,mij->akij", gamma, T)
-            - np.einsum("mai,kmj->akij", gamma, T)
-            - np.einsum("maj,kim->akij", gamma, T))
-    theta = np.einsum("mij,kml->kijl", T, T)
-    script_t = np.einsum("jl,kijl->ki", ginv, theta)
-    ric = g.ricci(x)
-    ric_sharp = ginv @ ric
-    div_t = np.einsum("ai,akij->kj", ginv, covT)
-    q_hat = div_t + script_t - ric_sharp
-    # q_{ij} = g_{kj} q_hat^k_i
-    q_cov = np.einsum("kj,ki->ij", gmat, q_hat)
-    defect = float(np.max(np.abs(q_cov - q_cov.T)))
-    return QHatData(theta, script_t, q_hat, defect)
-
-
 # --- curvature correction Z and the Codazzi completion ------------------------
 
 
@@ -447,7 +398,7 @@ def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaD
 def killing_check(g: Metric, K: TensorField, points) -> float:
     """max over the grid of the cyclic-symmetrized covariant derivative of K."""
     def cyclic_sum(block):
-        nk = covariant_derivative(g, K, block).components  # [..., i, j, k] = (nabla_i K)_{jk}
+        nk = covariant_derivative(g, K, block)  # [..., i, j, k] = (nabla_i K)_{jk}
         return (nk + np.einsum("...jki->...ijk", nk) + np.einsum("...kij->...ijk", nk)) / 3.0
 
     return grid_max(cyclic_sum, points)

@@ -4,14 +4,15 @@ Everything here deliberately avoids the library's own code paths: a plain
 recursive walk over expression trees for values, the same walk over jets with
 numpy-array Taylor arithmetic (the rules the compiled jet programs unroll, in
 the same float operations and order), finite differences of those values, the
-loop-built assembly of the structure solver's linear system, a brute-force
-recovery that
-parametrizes the full unconstrained tensor with symmetry and trace conditions
-appended as extra equations, a dense nearest-segment scan over every
-query-segment pair at once, the connection family written out tag by tag
-on a fixture's structure data, and the grid checks evaluated one point at a
-time.  Expected values asserted in the tests were
-computed with these oracles (or by hand) before being frozen.
+Laplace-Beltrami operator in divergence form (beside the g-trace of the
+library's covariant Hessian that it checks), the loop-built assembly of the
+structure solver's linear system, a brute-force recovery that parametrizes
+the full unconstrained tensor with symmetry and trace conditions appended as
+extra equations, a dense nearest-segment scan over every query-segment pair
+at once, the connection family written out tag by tag on a fixture's
+structure data, and the grid checks evaluated one point at a time.  Expected
+values asserted in the tests were computed with these oracles (or by hand)
+before being frozen.
 """
 
 import math
@@ -24,6 +25,7 @@ from dualgeo.expressions import (
     Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub, Var,
     to_source,
 )
+from dualgeo.geometry import hessian
 from dualgeo.structure import sym_product_metric_form
 
 # finite-difference steps are scale * (1 + |x_i|) per axis: cbrt(eps) for a
@@ -442,6 +444,26 @@ def fd_ricci(metric, x, h=1e-4):
                     val += gamma[i, i, m] * gamma[m, j, k] - gamma[i, j, m] * gamma[m, i, k]
             ric[k, j] = val
     return ric
+
+
+def laplacian(g, V, x):
+    """Laplace-Beltrami operator as the g-trace of the library's covariant Hessian."""
+    return float(np.einsum("ij,ij->", g.inverse(x), hessian(g, V, x)))
+
+
+def laplacian_divergence_form(g, V, x):
+    """Independent Laplace-Beltrami path: (1/sqrt|g|) d_i (sqrt|g| g^{ij} d_j V)."""
+    gmat, dg, _ = g.jets(x)
+    ginv = g.inverse(x)
+    jet = V.jet2(x)
+    sqrtdet = np.sqrt(np.linalg.det(gmat))
+    dginv = g.inverse_jacobian(x)
+    # d_a sqrt(det g) = 1/2 sqrt(det g) tr(g^{-1} d_a g)
+    dsqrt = 0.5 * sqrtdet * np.einsum("ij,aji->a", ginv, dg)
+    flux_div = (np.einsum("i,ij,j->", dsqrt, ginv, jet.grad)
+                + sqrtdet * np.einsum("iij,j->", dginv, jet.grad)
+                + sqrtdet * np.einsum("ij,ij->", ginv, jet.hess))
+    return float(flux_div / sqrtdet)
 
 
 # --- dense reference for the structure solver -----------------------------------

@@ -256,7 +256,7 @@ def test_criterion_10_numerics_hygiene(sw2):
         fld = TensorField(comps, ("down", "down"), g.n)
         for x in fx.grid(5):
             worst_metricity = max(worst_metricity, float(np.max(np.abs(
-                covariant_derivative(g, fld, x).components))))
+                covariant_derivative(g, fld, x)))))
     ok_metricity = worst_metricity < 1e-9
 
     report("criterion 10 (numerics hygiene)",

@@ -68,6 +68,13 @@ def test_exponents_within_the_bound_or_not_integer_parse():
         parse(source, 2)
 
 
+@pytest.mark.parametrize("source", [5, 1.5, None, ["x1"]])
+def test_non_string_sources_are_parse_errors(source):
+    with pytest.raises(ParseError, match="expected an expression string") as err:
+        parse(source, 2)
+    assert err.value.offset == 0
+
+
 def test_unknown_identifier_is_a_parse_error_not_a_nan():
     with pytest.raises(ParseError, match="unknown identifier"):
         parse("x3 + 1", 2)

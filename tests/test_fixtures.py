@@ -143,18 +143,6 @@ def test_classification_expected_mismatch_detected():
     assert any(f["check"] == "classification" for f in validate(fixture))
 
 
-def test_structure_bundle_export(sw2, sw2_weak):
-    bundle = sw2.structure_bundle([1.0, 2.0])
-    json.dumps(bundle)  # JSON-ready
-    assert bundle["structure_tensor"][0][0][0] == pytest.approx(-1.5)
-    assert bundle["t"] == pytest.approx([-0.75, -0.375])
-    # remainder defects are reported, and they are genuinely nonzero here
-    assert bundle["S_symmetry_defect"] > 1.0
-    weak = sw2_weak.structure_bundle([1.0, 2.0])
-    assert {"prolongation_tensor", "s", "d_form", "N"} <= set(weak)
-    assert np.max(np.abs(np.asarray(weak["N"]))) < 1e-12
-
-
 def test_schema_documents_exist():
     from pathlib import Path
     root = Path(__file__).resolve().parents[1]
@@ -225,10 +213,20 @@ def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, cap
     ("singular_margin", "x", "singular_margin 'x' is not a number"),
     ("axis", None, "singular locus axis None is not a number"),
     ("metric", 5, "metric 5 is not a list of rows"),
-], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null", "metric-number"])
+    ("metric", [[1, 0], [0, 1]], "expected an expression string, got 1"),
+    ("zeta", 5, "expected an expression string, got 5"),
+    ("potentials", [5], "expected an expression string, got 5"),
+    ("structure", {"T": 5}, "expected an expression string, got 5"),
+    ("killing", [{"components": [[1, 0], [0, 0]], "scalar": "x1^2 + 1/x1^2",
+                  "potential": "x1^2 + x2^2 + 1/x1^2 + 1/x2^2"}],
+     "expected an expression string, got 1"),
+], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null", "metric-number",
+        "metric-numeric-components", "zeta-number", "potential-number", "structure-T-number",
+        "killing-numeric-components"])
 def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
                                                             tmp_path, capsys):
-    # each of these ended the CLI with a TypeError traceback and exit 1
+    # each of these ended the CLI with a TypeError or AttributeError traceback
+    # and exit 1
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     if entry == "axis":

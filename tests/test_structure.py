@@ -5,7 +5,7 @@ from dualgeo.geometry import Metric, ScalarField, TensorField
 from dualgeo.structure import (
     PotentialFamily, RankDeficiencyError, StructureSolver, bertrand_darboux_check,
     beta_condition_residual, build_B, build_N, build_Z_and_digamma, classify,
-    decompose, killing_check, poisson_check, q_hat_ingredients, t_from_prolongation,
+    decompose, killing_check, poisson_check, t_from_prolongation,
 )
 from dualgeo.fixtures import builtin_config, from_config
 from dualgeo.geometry import central_difference
@@ -282,46 +282,6 @@ def test_beta_condition_identity(sw2_weak, sw2_strong):
         assert res < 1e-8, fx.name
 
 
-# --- q-hat -----------------------------------------------------------------------
-
-
-def test_q_hat_zero_structure_flat(euclid2):
-    fam = family(HO_SOURCES, "nondegenerate")
-    solver = StructureSolver(euclid2, fam)
-    x = np.array([0.8, 0.5])
-    data = q_hat_ingredients(euclid2, solver.structure_tensor(x)[0],
-                             solver.structure_tensor_jacobian(x), x)
-    assert np.max(np.abs(data.theta)) < 1e-12
-    assert np.max(np.abs(data.script_t)) < 1e-12
-    assert np.max(np.abs(data.q_hat)) < 1e-9
-
-
-def test_q_hat_zero_structure_sphere(sphere3):
-    x = np.array([0.2, -0.1, 0.25])
-    T = sphere3.structure_tensor(x)
-    dT = np.zeros((3, 3, 3, 3))
-    data = q_hat_ingredients(sphere3.metric, T, dT, x)
-    ginv = sphere3.metric.inverse(x)
-    ric_sharp = ginv @ sphere3.metric.ricci(x)
-    # only the curvature term survives: q = -Ric^sharp = -(n-1) id on the unit sphere
-    assert np.max(np.abs(data.q_hat + ric_sharp)) < 1e-10
-    assert np.max(np.abs(data.q_hat + 2.0 * np.eye(3))) < 1e-9
-
-
-def test_script_t_matches_brute_force(sw2):
-    x = np.array([1.0, 2.0])
-    T = sw2.structure_tensor(x)
-    dT = sw2.structure_tensor_jacobian(x)
-    data = q_hat_ingredients(sw2.metric, T, dT, x)
-    brute = np.zeros((2, 2))
-    for k in range(2):
-        for i in range(2):
-            brute[k, i] = sum(T[m, i, j] * T[k, m, l] * np.eye(2)[j, l]
-                              for m in range(2) for j in range(2) for l in range(2))
-    assert np.max(np.abs(data.script_t - brute)) < 1e-13
-    assert data.q_symmetry_defect < 1e-9
-
-
 # --- Z and the Codazzi completion ---------------------------------------------
 
 
@@ -475,9 +435,18 @@ def test_recovery_equals_dense_reference(name):
                 (False, solver.prolongation_tensor, solver.prolongation_jacobian)):
             X, res = solve(x)
             X_ref, res_ref, dX_ref = dense_recovery(fx.metric, fx.family, x, trace_free)
-            for got, want in ((X, X_ref), (res, res_ref), (jacobian(x), dX_ref)):
+            dX = jacobian(x)
+            for got, want in ((X, X_ref), (res, res_ref), (dX, dX_ref)):
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (x, trace_free)
+        # T is g-trace-free through its right-hand side alone, and so is dT
+        T, dT = solver.structure_tensor(x)[0], solver.structure_tensor_jacobian(x)
+        ginv = fx.metric.inverse(x)
+        trace = np.einsum("ij,kij->k", ginv, T)
+        dtrace = (np.einsum("aij,kij->ak", fx.metric.inverse_jacobian(x), T)
+                  + np.einsum("ij,akij->ak", ginv, dT))
+        for got, tensor in ((trace, T), (dtrace, dT)):
+            assert np.max(np.abs(got)) <= 1e-12 * max(1.0, np.max(np.abs(tensor))), x
 
 
 def test_structure_jacobian_polar_sw():
