@@ -9,7 +9,8 @@ from disk, so the loading path is exercised on every construction.
 Closed-form structure data, when a fixture carries it, is never trusted:
 validation cross-checks it against the pointwise least-squares recovery on the
 sample grid and fails the fixture on disagreement.  Fixtures without closed
-forms recover everything per point.  A declared T or D must also be symmetric
+forms recover every field from the family, at a point or over a stack of
+points in one solver call.  A declared T or D must also be symmetric
 in its covariant pair on that grid: every induced connection is Gamma_LC minus
 a tensor built from it, evaluated with no torsion check of its own.
 
@@ -32,7 +33,6 @@ from .connections import (
 from .expressions import ParseError
 from .geometry import (
     Metric, ScalarField, TensorField, central_difference, grid_points, matvec,
-    stack_rows,
 )
 from .structure import (
     PotentialFamily, StructureSolver, bertrand_darboux_check, killing_check,
@@ -114,12 +114,6 @@ class Fixture:
 
     # --- structure fields -----------------------------------------------------
 
-    def _solved(self, solve, x) -> np.ndarray:
-        """A recovered field at a point, or at each point of a (..., n) stack."""
-        if np.ndim(x) == 1:
-            return solve(x)[0]
-        return stack_rows(lambda pt: (solve(pt)[0],), x)[0]
-
     def structure_tensor(self, x) -> np.ndarray:
         """T[k,i,j]; for semi-degenerate fixtures the extracted D - (1/n) g (x) s_sharp.
 
@@ -129,7 +123,7 @@ class Fixture:
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.value(x)
-            return self._solved(self.solver.structure_tensor, x)
+            return self.solver.structure_tensor(x)[0]
         return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
                                  self.s_vector(x))
 
@@ -141,7 +135,7 @@ class Fixture:
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.jets(x)[1]
-            return self._solved(lambda pt: (self.solver.structure_tensor_jacobian(pt),), x)
+            return self.solver.structure_tensor_jacobian(x)
         dD = self.prolongation_jacobian(x)
         gmat, dgmat, _ = self.metric.jets(x)
         s_up = self.s_vector(x)
@@ -154,12 +148,12 @@ class Fixture:
             return self.structure_D.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no prolongation data")
-        return self._solved(self.solver.prolongation_tensor, x)
+        return self.solver.prolongation_tensor(x)[0]
 
     def prolongation_jacobian(self, x) -> np.ndarray:
         if self.structure_D is not None:
             return self.structure_D.jets(x)[1]
-        return self._solved(lambda pt: (self.solver.prolongation_jacobian(pt),), x)
+        return self.solver.prolongation_jacobian(x)
 
     def s_vector(self, x) -> np.ndarray:
         """Contravariant semi-degeneracy vector (declared or recovered)."""
@@ -167,12 +161,12 @@ class Fixture:
             return self.structure_s.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
-        return self._solved(self.solver.s_vector, x)
+        return self.solver.s_vector(x)[0]
 
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
             return self.structure_s.jets(x)[1]
-        return central_difference(lambda pt: self._solved(self.solver.s_vector, pt), x)
+        return central_difference(lambda pt: self.solver.s_vector(pt)[0], x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -493,6 +487,15 @@ def _singular_locus(entry: dict, box) -> tuple[int, float]:
     return int(axis) - 1, value
 
 
+def _parsed(entry: str, build, source, *args):
+    """``build(source, *args)``; a ParseError names the config entry and
+    quotes its source, which the error's offset points into."""
+    try:
+        return build(source, *args)
+    except ParseError as exc:
+        raise FixtureError(f"invalid fixture config: {entry} {source!r}: {exc}") from exc
+
+
 def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = None
                 ) -> Fixture:
     """Build (and optionally validate) a fixture from a config dict."""
@@ -509,15 +512,15 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
                                f"needs {n} x {n}")
         fixture_name = name or cfg.get("name", "unnamed")
         constants = cfg.get("constants", {})
-        metric = Metric.from_sources(rows, constants=constants)
+        metric = _parsed("metric", Metric.from_sources, rows, constants)
         kind = cfg["kind"]
         if kind not in ("nondegenerate", "semidegenerate"):
             raise FixtureError(f"unknown kind {kind!r}")
         family = None
         if "potentials" in cfg and cfg["potentials"]:
             family = PotentialFamily(
-                tuple(ScalarField.from_source(s, n, constants) for s in cfg["potentials"]),
-                kind)
+                tuple(_parsed(f"potentials[{i}]", ScalarField.from_source, s, n, constants)
+                      for i, s in enumerate(cfg["potentials"])), kind)
         box = cfg["domain"]
         if not isinstance(box, list) or any(
                 not isinstance(edge, list) or len(edge) != 2 for edge in box):
@@ -528,33 +531,30 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         loci = [_singular_locus(d, box) for d in cfg.get("singular_loci", [])]
         zeta = None
         if "zeta" in cfg and cfg["zeta"] is not None:
-            zeta = ScalarField.from_source(cfg["zeta"], n, constants)
+            zeta = _parsed("zeta", ScalarField.from_source, cfg["zeta"], n, constants)
         killing = []
-        for kd in cfg.get("killing", []):
-            K = TensorField.from_sources(kd["components"], ("down", "down"), n, constants)
+        for idx, kd in enumerate(cfg.get("killing", [])):
+            K = _parsed(f"killing[{idx}].components", TensorField.from_sources,
+                        kd["components"], ("down", "down"), n, constants)
             kvals = K.comps
             for i in range(n):
                 for j in range(i + 1, n):
                     if kvals[i, j] != kvals[j, i]:
                         raise FixtureError(
                             "killing tensor components are not structurally symmetric")
-            W = (ScalarField.from_source(kd["scalar"], n, constants)
-                 if kd.get("scalar") else None)
-            V = (ScalarField.from_source(kd["potential"], n, constants)
-                 if kd.get("potential") else None)
+            W, V = (_parsed(f"killing[{idx}].{key}", ScalarField.from_source, kd[key], n,
+                            constants) if kd.get(key) else None
+                    for key in ("scalar", "potential"))
             killing.append(KillingData(K, W, V))
         # raises ValueError when the margin leaves no interior on some axis
         margin = _number(cfg.get("singular_margin", 0.0), "singular_margin")
         grid_points(box, 1, margin)
         structure = cfg.get("structure", {})
-        structure_T = (TensorField.from_sources(structure["T"], ("up", "down", "down"),
-                                                n, constants)
-                       if "T" in structure else None)
-        structure_D = (TensorField.from_sources(structure["D"], ("up", "down", "down"),
-                                                n, constants)
-                       if "D" in structure else None)
-        structure_s = (TensorField.from_sources(structure["s"], ("up",), n, constants)
-                       if "s" in structure else None)
+        structure_T, structure_D, structure_s = (
+            _parsed(f"structure.{key}", TensorField.from_sources, structure[key], variance,
+                    n, constants) if key in structure else None
+            for key, variance in (("T", ("up", "down", "down")), ("D", ("up", "down", "down")),
+                                  ("s", ("up",))))
         fixture = Fixture(fixture_name, kind, metric, family, box, loci,
                           margin, zeta, killing,
                           structure_T, structure_D, structure_s,

@@ -5,9 +5,10 @@ over a stack of points.  The metric's jets, inverse, Christoffel symbols,
 their Jacobians and curvature, the fields' values, jets and derivatives,
 :func:`hessian` and :func:`covariant_derivative` take a point of shape
 ``(n,)`` or a stack of shape ``(..., n)`` and return arrays with the same
-leading axes: each point runs through the same compiled program, the rows are
-stacked once, and the tensor algebra is one ``...``-einsum over the stack,
-which rounds every row as the single-point call does.
+leading axes.  A field hands the whole stack to one call of its compiled
+program, which alone decides how the rows run (:mod:`dualgeo.jets`), and the
+tensor algebra is one ``...``-einsum over the stack, which rounds every row
+as the single-point call does.
 
 Christoffel symbols are stored as ``Gamma[k, i, j]`` = Gamma^k_{ij}, curvature
 as ``R[l, k, i, j]`` = R^l_{kij} (so ``Ric_{kj} = R[i, k, i, j]``), and
@@ -54,16 +55,6 @@ class GeometryError(ValueError):
 
 class SingularMetricError(GeometryError):
     pass
-
-
-def stack_rows(fn, x) -> list[np.ndarray]:
-    """``fn`` at each point of a ``(..., n)`` stack, every output stacked once.
-
-    ``fn`` maps one point to a tuple of arrays.
-    """
-    pts = np.asarray(x, dtype=float)
-    rows = [fn(pt) for pt in pts.reshape(-1, pts.shape[-1])]
-    return [np.stack(col).reshape(pts.shape[:-1] + col[0].shape) for col in zip(*rows)]
 
 
 def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -123,9 +114,8 @@ class ScalarField:
 
     def derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_a V, d_a d_b V) at a point, or stacked over the leading axes of x."""
-        if np.ndim(x) == 1:
-            return tuple(part[0] for part in self._program.jet_arrays(x)[1:])
-        return tuple(stack_rows(self.derivatives, x))
+        grads, hesses = self._program.jet_arrays(x)[1:]
+        return grads[..., 0, :], hesses[..., 0, :, :]
 
     def gradient(self, x) -> np.ndarray:
         """d_a of the field at a point, or stacked over the leading axes of x."""
@@ -173,14 +163,13 @@ class Metric:
     # --- pointwise evaluation ------------------------------------------------
 
     def _eval_jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(g, dg, d2g) with dg[a,i,j] = d_a g_ij and d2g[a,b,i,j]."""
-        if np.ndim(x) > 1:
-            return tuple(stack_rows(self._eval_jets, x))
+        """(g, dg, d2g) with dg[a,i,j] = d_a g_ij and d2g[a,b,i,j], over the
+        leading axes of x."""
         if self._program is None:
             self._program = compile([self.comps[i][j] for i, j in self._pairs])
             self._jet_index = self._jet_positions()
         flat = self._program.jet_flat(x)
-        return tuple(flat.take(index) for index in self._jet_index)
+        return tuple(flat.take(index, axis=-1) for index in self._jet_index)
 
     def _jet_positions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where g[i,j], dg[a,i,j] and d2g[a,b,i,j] sit in the flat jet array
@@ -383,11 +372,10 @@ class TensorField:
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components, at a
         point or stacked over the leading axes of x."""
-        if np.ndim(x) > 1:
-            return tuple(stack_rows(self.jets, x))
         values, grads, _ = self._program.jet_arrays(x)
-        return (values.reshape(self.comps.shape),
-                grads.T.reshape((self.n,) + self.comps.shape))
+        lead = values.shape[:-1]
+        return (values.reshape(lead + self.comps.shape),
+                grads.swapaxes(-1, -2).reshape(lead + (self.n,) + self.comps.shape))
 
 
 def covariant_derivative(connection, fld: TensorField, x) -> np.ndarray:

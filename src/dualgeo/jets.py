@@ -30,6 +30,9 @@ component of a subtree's jet is its own float local: the value, ``grad_i``,
 ``hess_ij`` for i <= j, and at order 3 every one of the n^3 entries of
 ``third``.  Subtrees without coordinates stay floats.  The arrays are built
 once per call, at return, where ``hess_ji`` repeats ``hess_ij``.
+:meth:`Program.jet_flat` and :meth:`Program.jet_arrays` run a ``(..., n)``
+stack through the jet function row by row into one array, so the first
+failing row raises: the one place a stack of jets is split into rows.
 
 Bit identity with plain jet arithmetic.  Every component is the float
 expression the array arithmetic of a jet class would evaluate for that entry,
@@ -759,39 +762,44 @@ class Program:
         return np.array([self._values(pt) for pt in points],
                         dtype=float).reshape(len(points), len(self.exprs))
 
-    def _jet_list(self, point, order: int) -> tuple[list[float], list]:
-        """The flat component list of every tree's jet, and its layout."""
-        n = len(point)
+    def _flat(self, point, order: int) -> tuple[np.ndarray, list]:
+        """:meth:`jet_flat` of the point or stack, and its layout."""
+        stack = np.ndim(point) > 1
+        if stack:
+            point = np.asarray(point, dtype=float)
+        n = point.shape[-1] if stack else len(point)
         hit = self._jets.get((n, order))
         if hit is None:
             if order not in (2, 3):
                 raise ValueError(f"jet order must be 2 or 3, not {order!r}")
             hit = self._jets[n, order] = (_generate(self.exprs, n, order),
                                           _layout(len(self.exprs), n, order))
-        return hit[0](point), hit[1]
+        fn, layout = hit
+        if not stack:
+            return np.array(fn(point)), layout
+        rows = [fn(pt) for pt in point.reshape(-1, n)]
+        return np.array(rows, dtype=float).reshape(point.shape[:-1] + (layout[-1][1],)), layout
 
     def jet_flat(self, point, order: int = 2) -> np.ndarray:
         """Every tree's jet components in one array: all values, then all
         gradients, all Hessians and, at order 3, all third arrays, tree after
-        tree, each in C order (see :func:`flat_index`)."""
-        return np.array(self._jet_list(point, order)[0])
-
-    @staticmethod
-    def _stacked(flat: list[float], layout) -> list[np.ndarray]:
-        flat = np.array(flat)
-        return [flat[start:stop].reshape(shape) for start, stop, shape in layout]
+        tree, each in C order (see :func:`flat_index`); over a ``(..., n)``
+        stack, along the last axis of each point's row."""
+        return self._flat(point, order)[0]
 
     def jet_arrays(self, point, order: int = 2) -> list[np.ndarray]:
         """(values, grads, hessians[, thirds]) of every tree, stacked along a
-        leading tree axis."""
-        return self._stacked(*self._jet_list(point, order))
+        tree axis that follows the leading axes of a stack."""
+        flat, layout = self._flat(point, order)
+        lead = flat.shape[:-1]
+        return [flat[..., start:stop].reshape(lead + shape) for start, stop, shape in layout]
 
     def jets(self, point, order: int = 2) -> list[Jet]:
         """The jet of the given order (2 or 3) of every tree at the point."""
-        flat, layout = self._jet_list(point, order)
-        _, grads, hesses, *thirds = self._stacked(flat, layout)
+        values, grads, hesses, *thirds = self.jet_arrays(point, order)
         thirds = thirds[0] if thirds else [None] * len(grads)
-        return [Jet(value, *parts) for value, *parts in zip(flat, grads, hesses, thirds)]
+        return [Jet(value, *parts)
+                for value, *parts in zip(values.tolist(), grads, hesses, thirds)]
 
 
 def compile(exprs: Sequence[Expression]) -> Program:

@@ -15,7 +15,9 @@ trace constraint: its right-hand side is g-trace-free for every potential,
 and the least-squares solution is linear in the right-hand side, so the
 recovered T is g-trace-free too.  The solver also differentiates the
 recovered field analytically by differentiating the linear system, which is
-what the induced connections' Jacobians consume.
+what the induced connections' Jacobians consume.  It takes a point or a
+``(..., n)`` stack: the assembly is ``...``-einsums, only ``lstsq`` runs row
+by row, and each field comes with one fit residual per point.
 
 The grid checks (classification, beta condition, Killing, Bertrand-Darboux,
 Poisson) reduce through :func:`dualgeo.geometry.grid_max`, so a NaN residual
@@ -68,7 +70,7 @@ class PotentialFamily:
 
 
 class StructureSolver:
-    """Pointwise recovery engine for one (metric, family) pair.
+    """Recovery engine for one (metric, family) pair, at a point or a stack.
 
     The system ``X^k_{ij} d_k V_a = rhs[a, i, j]`` decouples into
     ``grads @ C = B`` with ``C[k, p] = X[k, i_p, j_p]`` and
@@ -95,33 +97,33 @@ class StructureSolver:
 
     # --- shared assembly --------------------------------------------------
 
-    def _family_jets(self, x, order: int) -> list[np.ndarray]:
-        """(grads, hessians[, thirds]) of every potential, stacked."""
-        return self._program.jet_arrays(x, order)[1:]
-
     @staticmethod
     def _covariant_hessians(gamma, ginv, grads, hesses) -> tuple[np.ndarray, np.ndarray]:
         """Covariant Hessian and Laplacian of every potential, stacked."""
-        hess_cov = hesses - np.einsum("kij,ak->aij", gamma, grads)
-        return hess_cov, np.einsum("ij,aij->a", ginv, hess_cov)
+        hess_cov = hesses - np.einsum("...kij,...ak->...aij", gamma, grads)
+        return hess_cov, np.einsum("...ij,...aij->...a", ginv, hess_cov)
 
     def _point_data(self, x):
         g = self.g
-        grads, hesses = self._family_jets(x, 2)
+        grads, hesses = self._program.jet_arrays(x, 2)[1:]
         hess_cov, laps = self._covariant_hessians(g.christoffel(x), g.inverse(x), grads, hesses)
         return g.value(x), grads, hess_cov, laps
 
     def _differentiated_hessians(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grads, hessians, dhess_cov[a, m, i, j] = d_m of the covariant Hessian)."""
         g = self.g
-        grads, hesses, thirds = self._family_jets(x, 3)
+        grads, hesses, thirds = self._program.jet_arrays(x, 3)[1:]
         dhess_cov = (thirds
-                     - np.einsum("mkij,ak->amij", g.christoffel_jacobian(x), grads)
-                     - np.einsum("kij,amk->amij", g.christoffel(x), hesses))
+                     - np.einsum("...mkij,...ak->...amij", g.christoffel_jacobian(x), grads)
+                     - np.einsum("...kij,...amk->...amij", g.christoffel(x), hesses))
         return grads, hesses, dhess_cov
 
     def _solve(self, grads: np.ndarray, B: np.ndarray, label: str, x) -> np.ndarray:
-        """lstsq(grads, B); the one rank check of every recovery."""
+        """lstsq(grads, B) at each point, row by row over a stack; the one rank
+        check of every recovery, which names the failing row's point."""
+        if grads.ndim > 2:
+            return np.array([self._solve(*row, label, pt)
+                             for *row, pt in zip(grads, B, np.asarray(x, dtype=float))])
         C, _, rank, _ = np.linalg.lstsq(grads, B, rcond=RECOVERY_RCOND)
         if rank < self.g.n:
             raise RankDeficiencyError(
@@ -129,11 +131,11 @@ class StructureSolver:
                 f"(rank {rank} < {self.g.n}); family degenerate there")
         return C
 
-    def _fit(self, grads, rhs, label: str, x) -> tuple[np.ndarray, float]:
-        """(X[k,i,j], max-abs fit residual) solving X^k_{ij} d_k V_a = rhs[a,i,j]."""
-        B = rhs[:, self._i, self._j]
+    def _fit(self, grads, rhs, label: str, x) -> tuple[np.ndarray, np.ndarray]:
+        """(X[k,i,j], max-abs fit residual per point) solving X^k_{ij} d_k V_a = rhs[a,i,j]."""
+        B = rhs[..., self._i, self._j]
         C = self._solve(grads, B, label, x)
-        return C[:, self._pair], float(np.max(np.abs(grads @ C - B)))
+        return C[..., self._pair], np.max(np.abs(grads @ C - B), axis=(-2, -1))
 
     def _differentiated_solve(self, grads, hesses, drhs, X, x) -> np.ndarray:
         """dX[m] = lstsq(grads, dB[m] - d_m(grads) C), all axes m in one call.
@@ -142,40 +144,40 @@ class StructureSolver:
         of the least-squares solution reduces to solving the same system with
         differentiated data.
         """
-        m_pot, n = grads.shape
-        rhs = drhs[..., self._i, self._j] - np.einsum("amk,kp->amp", hesses, X[:, self._i, self._j])
-        dC = self._solve(grads, rhs.reshape(m_pot, -1), "Jacobian", x)
-        return dC.reshape(n, n, -1).transpose(1, 0, 2)[:, :, self._pair]
+        lead, (m_pot, n) = grads.shape[:-2], grads.shape[-2:]
+        rhs = (drhs[..., self._i, self._j]
+               - np.einsum("...amk,...kp->...amp", hesses, X[..., self._i, self._j]))
+        dC = self._solve(grads, rhs.reshape(lead + (m_pot, -1)), "Jacobian", x)
+        return dC.reshape(lead + (n, n, -1)).swapaxes(-3, -2)[..., self._pair]
 
     # --- nondegenerate recovery --------------------------------------------
 
-    def structure_tensor(self, x) -> tuple[np.ndarray, float]:
+    def structure_tensor(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(T[k,i,j], max-abs fit residual); T is symmetric and trace-free."""
         gmat, grads, hess_cov, laps = self._point_data(x)
-        rhs = hess_cov - np.einsum("ij,a->aij", gmat, laps) / self.g.n
+        rhs = hess_cov - np.einsum("...ij,...a->...aij", gmat, laps) / self.g.n
         return self._fit(grads, rhs, "structure-tensor", x)
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system."""
         g = self.g
         n = g.n
-        x = np.asarray(x, dtype=float)
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
         T, _ = self.structure_tensor(x)
         grads, hesses, dhess_cov = self._differentiated_hessians(x)
         hess_cov, laps = self._covariant_hessians(g.christoffel(x), ginv, grads, hesses)
         # d_m of the Laplacian, per potential
-        dlap = (np.einsum("mij,aij->am", g.inverse_jacobian(x), hess_cov)
-                + np.einsum("ij,amij->am", ginv, dhess_cov))
+        dlap = (np.einsum("...mij,...aij->...am", g.inverse_jacobian(x), hess_cov)
+                + np.einsum("...ij,...amij->...am", ginv, dhess_cov))
         drhs = (dhess_cov
-                - np.einsum("mij,a->amij", dgmat, laps) / n
-                - np.einsum("ij,am->amij", gmat, dlap) / n)
+                - np.einsum("...mij,...a->...amij", dgmat, laps) / n
+                - np.einsum("...ij,...am->...amij", gmat, dlap) / n)
         return self._differentiated_solve(grads, hesses, drhs, T, x)
 
     # --- semi-degenerate recovery -------------------------------------------
 
-    def prolongation_tensor(self, x) -> tuple[np.ndarray, float]:
+    def prolongation_tensor(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(D[k,i,j], residual) solving nabla^2 V = D(dV); no trace constraint."""
         _, grads, hess_cov, _ = self._point_data(x)
         return self._fit(grads, hess_cov, "prolongation-tensor", x)
@@ -185,11 +187,11 @@ class StructureSolver:
         grads, hesses, dhess_cov = self._differentiated_hessians(x)
         return self._differentiated_solve(grads, hesses, dhess_cov, D, x)
 
-    def s_vector(self, x) -> tuple[np.ndarray, float]:
+    def s_vector(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(s^k, residual) solving Laplacian(V) = s^k d_k V over the family."""
         _, grads, _, laps = self._point_data(x)
         s = self._solve(grads, laps, "semi-degeneracy", x)
-        return s, float(np.max(np.abs(grads @ s - laps)))
+        return s, np.max(np.abs(matvec(grads, s) - laps), axis=-1)
 
 
 # --- decomposition and derived tensors ----------------------------------------

@@ -240,17 +240,24 @@ def test_ricci_symmetry_broken_by_nonclosed_trace(euclid2):
     assert connection_ricci_symmetry_check(conn, pts) > 1e-3
 
 
-def _recovered_sw2():
+def _stack_fixture(name):
+    """A built-in, or with the suffix -recovered the built-in without its
+    structure block, so every structure field is recovered."""
     from dualgeo.fixtures import builtin_config, from_config
-    cfg = builtin_config("sw2")
+    if not name.endswith("-recovered"):
+        return builtin(name)
+    cfg = builtin_config(name.removesuffix("-recovered"))
     del cfg["structure"]
     return from_config(cfg, validate_on_load=False)
 
 
-@pytest.mark.parametrize("name", ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic",
-                                  "sphere3-trivial", "sw2-recovered"])
+STACK_FIXTURES = ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic", "sphere3-trivial",
+                  "sw2-recovered", "sw2-weak-recovered", "sphere3-trivial-recovered"]
+
+
+@pytest.mark.parametrize("name", STACK_FIXTURES)
 def test_coefficients_on_stacked_points_equal_single_points(name):
-    fixture = _recovered_sw2() if name == "sw2-recovered" else builtin(name)
+    fixture = _stack_fixture(name)
     points = np.stack(fixture.grid(3))
     for tag in fixture.available_connections():
         conn = fixture.connection(tag)
@@ -262,11 +269,10 @@ def test_coefficients_on_stacked_points_equal_single_points(name):
         assert conn.coefficients(points[:1]).shape == (1,) + single.shape[1:]
 
 
-@pytest.mark.parametrize("name", ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic",
-                                  "sphere3-trivial", "sw2-recovered"])
+@pytest.mark.parametrize("name", STACK_FIXTURES)
 def test_jacobians_on_stacked_points_equal_single_points(name):
     # analytic Jacobians row by row, central differences with each row's step
-    fixture = _recovered_sw2() if name == "sw2-recovered" else builtin(name)
+    fixture = _stack_fixture(name)
     points = fixture.grid(3)
     zeta = ScalarField.from_source("x1*x2 + x3^2", 3) if fixture.n == 3 else None
     for tag in fixture.available_connections():
@@ -318,11 +324,9 @@ BUILTINS = ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic", "sphere3-trivial"]
 
 
 def _table_fixture(name):
-    if name == "sw2-recovered":
-        return _recovered_sw2()
     if name in CURVED:
         return from_config(CURVED[name], validate_on_load=False)
-    return builtin(name)
+    return _stack_fixture(name)
 
 
 def _table_cases(fixture):

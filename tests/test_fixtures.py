@@ -242,6 +242,33 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragme
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("potentials", 1), 5, "potentials[1] 5: expected an expression string, got 5 (at offset 0)"),
+    (("metric", 0, 0), 5, "metric [[5, '0'], ['0', '1']]: expected an expression string, "
+                          "got 5 (at offset 0)"),
+    (("potentials", 1), "x1 +", "potentials[1] 'x1 +': unexpected end of input (at offset 4)"),
+    (("killing", 0, "components", 0, 0), "x1 +",
+     "killing[0].components [['x1 +', '0'], ['0', '0']]: unexpected end of input (at offset 4)"),
+], ids=["potential-number", "metric-number", "potential-syntax", "killing-syntax"])
+def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path, capsys):
+    # each pair of these read the same, with an offset into a string the
+    # message did not show
+    from dualgeo.cli import main
+    cfg = builtin_config("sw2")
+    *parents, last = path
+    entry = cfg
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(FixtureError) as err:
+        from_config(cfg, validate_on_load=False)
+    assert str(err.value) == f"invalid fixture config: {message}"
+    config = tmp_path / "expression.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("metric, shape", [
     ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "3 x 3"),
     ([["1", "0"]], "1 x 2"),

@@ -545,3 +545,35 @@ def test_order3_code_is_generated_on_first_order3_call():
     assert list(program._jets) == [(2, 2)]
     program.jets((0.3, 0.7), 3)
     assert sorted(program._jets) == [(2, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_jet_functions_on_stacks_equal_rows(order):
+    program = jets.compile([parse(s, 2) for s in ("x1^2*sin(x2)", "sqrt(x1)/x2",
+                                                 "exp(x1*x2) - 3", "2")])
+    rows = np.random.default_rng(3).uniform(0.5, 2.0, (6, 2))
+    for points in (rows, rows.reshape(2, 3, 2)):
+        flat = program.jet_flat(points, order)
+        want = np.array([program.jet_flat(x, order) for x in rows])
+        assert flat.shape == points.shape[:-1] + want.shape[1:]
+        assert flat.tobytes() == want.tobytes()
+        for k, part in enumerate(program.jet_arrays(points, order)):
+            want = np.array([program.jet_arrays(x, order)[k] for x in rows])
+            assert part.shape == points.shape[:-1] + want.shape[1:]
+            assert part.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_jet_stack_raises_what_its_first_failing_row_raises(order):
+    # the second row divides by zero, the third takes sqrt of a negative value
+    program = jets.compile([parse("sqrt(x1)", 2), parse("1/x2", 2)])
+    points = np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 1.0]])
+    with pytest.raises(EvalDomainError) as per_row:
+        for x in points:
+            program.jet_flat(x, order)
+    for evaluate in (program.jet_flat, program.jet_arrays):
+        for stack in (points, points.reshape(1, 3, 2)):
+            with pytest.raises(EvalDomainError) as stacked:
+                evaluate(stack, order)
+            assert str(stacked.value) == str(per_row.value) == (
+                "division by zero in subexpression '1.0/x2'")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -99,11 +101,21 @@ def test_trace_identity_on_grid(sw2):
 
 
 @pytest.mark.parametrize("method", ["structure_tensor", "structure_tensor_jacobian",
-                                    "prolongation_tensor", "prolongation_jacobian"])
+                                    "prolongation_tensor", "prolongation_jacobian", "s_vector"])
 def test_rank_deficiency_raises(euclid2, method):
     fam = family(["1", "2", "x1", "3"], "nondegenerate")
     with pytest.raises(RankDeficiencyError):
         getattr(StructureSolver(euclid2, fam), method)((0.5, 0.5))
+    # in a stack the error names the failing row's point: this family has
+    # rank 1 on x1 = 0 and rank 2 elsewhere
+    solve = getattr(StructureSolver(euclid2, family(
+        ["x1^2 + x2^2", "x1^2", "x2^2", "1"], "nondegenerate")), method)
+    solve((0.5, 0.5))
+    label = {"structure": "structure-tensor", "prolongation": "prolongation-tensor",
+             "s": "semi-degeneracy"}[method.split("_")[0]]
+    with pytest.raises(RankDeficiencyError,
+                       match=re.escape(f"{label} recovery is rank-deficient at [0.  0.5]")):
+        solve(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
 def test_bad_family_residual_raises(euclid2):
@@ -376,8 +388,8 @@ def test_poisson_check_sw_integral(euclid2, rng):
 # --- the decoupled solve against the dense constrained system -------------------
 
 
-def _recovered_sw2_config():
-    cfg = builtin_config("sw2")
+def _without_structure(name):
+    cfg = builtin_config(name)
     del cfg["structure"]
     return cfg
 
@@ -413,7 +425,7 @@ def _inconsistent_config():
 
 
 REFERENCE_CASES = {
-    "sw2-recovered": _recovered_sw2_config,
+    "sw2-recovered": lambda: _without_structure("sw2"),
     "ho2": lambda: builtin_config("ho2"),
     "sphere3-trivial": lambda: builtin_config("sphere3-trivial"),
     "sw2-weak": lambda: builtin_config("sw2-weak"),
@@ -447,6 +459,33 @@ def test_recovery_equals_dense_reference(name):
                   + np.einsum("ij,akij->ak", ginv, dT))
         for got, tensor in ((trace, T), (dtrace, dT)):
             assert np.max(np.abs(got)) <= 1e-12 * max(1.0, np.max(np.abs(tensor))), x
+
+
+STACK_CASES = {
+    "sw2": lambda: _without_structure("sw2"),
+    "sw2-weak": lambda: _without_structure("sw2-weak"),
+    "sphere3-trivial": lambda: _without_structure("sphere3-trivial"),
+    "kc2": _kc2_config,
+}
+
+
+@pytest.mark.parametrize("name", list(STACK_CASES))
+def test_solver_on_stacks_equals_single_points(name):
+    # every row of a stacked recovery, residuals too, is its single-point call
+    fx = from_config(STACK_CASES[name](), validate_on_load=False)
+    lo, hi = np.array(fx.box).T
+    block = lo + (hi - lo) * np.random.default_rng(11).random((2, 3, fx.n))
+    for method in ("structure_tensor", "structure_tensor_jacobian", "prolongation_tensor",
+                   "prolongation_jacobian", "s_vector"):
+        solve = getattr(fx.solver, method)
+        for points in (fx.grid(3), block):
+            batch = solve(points)
+            single = [solve(x) for x in points.reshape(-1, fx.n)]
+            if not isinstance(batch, tuple):
+                batch, single = (batch,), [(row,) for row in single]
+            for got, want in zip(batch, map(np.array, zip(*single))):
+                assert got.shape == points.shape[:-1] + want.shape[1:], method
+                assert got.tobytes() == want.tobytes(), method
 
 
 def test_structure_jacobian_polar_sw():
