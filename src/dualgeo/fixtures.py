@@ -713,10 +713,17 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
             fail("killing", f"entry {idx}: {exc}")
 
     # expected-results block
-    for spot in fixture.expected.get("spots", []):
-        x = np.asarray(spot["point"], dtype=float)
-        tensor = spot["tensor"]
-        index = tuple(int(i) - 1 for i in spot["index"])
+    for k, spot in enumerate(fixture.expected.get("spots", [])):
+        try:
+            x = np.asarray(spot["point"], dtype=float)
+            if x.shape != (n,):
+                raise ValueError(f"point has shape {x.shape}, not ({n},)")
+            tensor = spot["tensor"]
+            index = tuple(int(i) - 1 for i in spot["index"])
+            want, tol = float(spot["value"]), float(spot["tol"])
+        except (KeyError, TypeError, ValueError) as exc:
+            fail("expected-spot", f"spots[{k}] is malformed: {type(exc).__name__}: {exc}")
+            continue
         try:
             if tensor == "T":
                 value = fixture.structure_tensor(x)[index]
@@ -729,13 +736,14 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
             else:
                 fail("expected-spot", f"unknown tensor {tensor!r}")
                 continue
+            value = float(value)
         except Exception as exc:
             fail("expected-spot", str(exc), x)
             continue
-        err = abs(value - float(spot["value"]))
-        if not err <= float(spot["tol"]):
+        err = abs(value - want)
+        if not err <= tol:
             fail("expected-spot",
-                 f"{tensor}{list(spot['index'])} = {float(value)!r}, "
+                 f"{tensor}{list(spot['index'])} = {value!r}, "
                  f"expected {spot['value']!r}", x, err)
 
     if "classification" in fixture.expected:

@@ -28,7 +28,8 @@ one row at a time, each row under its own connection: the rows that raise
 exit with ``domain_exit``, the others go on.  Every operation rounds each row
 as it would round a single point, so each row equals its single-start run
 under its own connection bit for bit; a lone running row steps as a single
-point, which costs less per call.
+point, which costs less per call.  The CSV and JSON exports format and write
+EXPORT_BLOCK samples at a time, so their memory does not grow with length.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -80,6 +81,8 @@ SEGMENT_CHUNK = 32
 # it exceeds the rounding error of the box bounds and of the per-pair
 # distances (a few hundred ulps of that magnitude for n <= 10) by far
 PRUNE_SLACK = 1e-9
+# samples per block of the trajectory exports, whose memory is O(block), not O(m)
+EXPORT_BLOCK = 256
 
 
 @dataclass
@@ -100,34 +103,33 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         n = self.x.shape[1]
-        header = "tau," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(
-            f"p{i+1}" for i in range(n))
         with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in range(len(self.tau)):
-                vals = [self.tau[row], *self.x[row], *self.p[row]]
-                fh.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-
-    def to_json_dict(self) -> dict:
-        n = self.x.shape[1]
-        return {
-            "metadata": {
-                "method": self.method,
-                "step": f"{self.step:.17g}",
-                "connection": self.connection_tag,
-                "exit_reason": self.exit_reason,
-                "samples": int(len(self.tau)),
-                "dimension": int(n),
-            },
-            "tau": [f"{v:.17g}" for v in self.tau],
-            "x": [[f"{v:.17g}" for v in row] for row in self.x],
-            "p": [[f"{v:.17g}" for v in row] for row in self.p],
-        }
+            fh.write("tau," + ",".join(f"x{i+1}" for i in range(n)) + "," + ",".join(
+                f"p{i+1}" for i in range(n)) + "\n")
+            _write_rows(fh, ",".join(["{:.17g}"] * (2 * n + 1)) + "\n", "",
+                        self.tau[:, None], self.x, self.p)
 
     def write_json(self, path) -> None:
+        """``json.dump(..., indent=2)`` of the metadata and samples, plus a newline."""
+        meta = {"method": self.method, "step": f"{self.step:.17g}",
+                "connection": self.connection_tag, "exit_reason": self.exit_reason,
+                "samples": len(self.tau), "dimension": self.x.shape[1]}
+        row = "\n    [" + ",".join(['\n      "{:.17g}"'] * self.x.shape[1]) + "\n    ]"
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write('{\n  "metadata": ' + json.dumps(meta, indent=2).replace("\n", "\n  "))
+            for name, template, values in (("tau", '\n    "{:.17g}"', self.tau[:, None]),
+                                           ("x", row, self.x), ("p", row, self.p)):
+                fh.write(f',\n  "{name}": [')
+                _write_rows(fh, template, ",", values)
+                fh.write("\n  ]")
+            fh.write("\n}\n")
+
+
+def _write_rows(fh, template: str, sep: str, *cols: np.ndarray) -> None:
+    """Write ``template.format(*row)``, joined by sep, per row of the columns side by side."""
+    for k in range(0, len(cols[0]), EXPORT_BLOCK):
+        rows = np.concatenate([c[k:k + EXPORT_BLOCK] for c in cols], axis=1).tolist()
+        fh.write((sep if k else "") + sep.join(template.format(*row) for row in rows))
 
 
 _DOMAIN_ERRORS = (EvalDomainError, SingularMetricError, np.linalg.LinAlgError)
@@ -284,10 +286,23 @@ def integrate_dual_geodesic(conn: AffineConnection, g: Metric, x0, w0,
 # --- polyline comparison -------------------------------------------------------
 
 
-def _arc_coordinates(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Segment lengths of a polyline and the arc coordinate of each vertex."""
-    seg_len = np.linalg.norm(np.diff(poly, axis=0), axis=1)
-    return seg_len, np.concatenate([[0.0], np.cumsum(seg_len)])
+class _Polyline:
+    """A curve's vertices and search data, built once per comparison, with their len and shape."""
+
+    def __init__(self, points: np.ndarray):
+        self.points, self.shape = points, points.shape
+        self.a, self.ab = points[:-1], points[1:] - points[:-1]
+        self.seg_len = np.linalg.norm(self.ab, axis=1)
+        self.arcs = np.concatenate([[0.0], np.cumsum(self.seg_len)])
+        self.len2 = np.einsum("mi,mi->m", self.ab, self.ab)
+        starts = np.arange(0, len(self.ab), SEGMENT_CHUNK)
+        # chunk boxes as (n, 1, chunks), so the box test's inner axis is long
+        self.box_lo = np.minimum.reduceat(np.minimum(self.a, points[1:]), starts).T[:, None]
+        self.box_hi = np.maximum.reduceat(np.maximum(self.a, points[1:]), starts).T[:, None]
+        self.scale = np.max(np.abs(points))
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 def _segment_d2(dif: np.ndarray, ab: np.ndarray, len2: np.ndarray
@@ -301,31 +316,18 @@ def _segment_d2(dif: np.ndarray, ab: np.ndarray, len2: np.ndarray
     return np.einsum("...i,...i->...", closest, closest), s
 
 
-def _polyline_distances(queries: np.ndarray, poly: np.ndarray
+def _polyline_distances(queries: np.ndarray, poly: np.ndarray | _Polyline
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Distances and nearest-point arc coordinates, vectorized over queries.
-
-    Queries run in blocks of QUERY_BLOCK.  Pass 1 scans each query's nearest
-    chunk by box distance, for an exact bound.  When no query's box test
-    keeps another chunk within the bound plus the slack, that is the result;
-    otherwise the block scans the union of the chunks its queries keep, in
-    ascending order (see the module docstring).  A NaN bound keeps every
-    chunk, and a scale outside the slack's range scans every segment.
-    """
+    """Distances and nearest-point arc coordinates of the queries on ``poly``, a
+    vertex array or its :class:`_Polyline`, by the pruned scan of the module
+    docstring; a NaN bound or a scale outside the slack's range scans all."""
     queries = np.atleast_2d(queries)
+    poly = poly if isinstance(poly, _Polyline) else _Polyline(poly)
     if len(poly) == 1:
-        d = np.linalg.norm(queries - poly[0], axis=1)
-        return d, np.zeros(len(queries))
-    a = poly[:-1]
-    ab = poly[1:] - poly[:-1]
-    seg_len, arc_starts = _arc_coordinates(poly)
-    len2 = np.einsum("mi,mi->m", ab, ab)
-    starts = np.arange(0, len(ab), SEGMENT_CHUNK)
-    # chunk boxes as (n, 1, chunks), so the box test's inner axis is long
-    box_lo = np.minimum.reduceat(np.minimum(a, poly[1:]), starts).T[:, None]
-    box_hi = np.maximum.reduceat(np.maximum(a, poly[1:]), starts).T[:, None]
+        return np.linalg.norm(queries - poly.points[0], axis=1), np.zeros(len(queries))
+    a, ab, len2 = poly.a, poly.ab, poly.len2
     in_chunk = np.arange(SEGMENT_CHUNK)
-    scale = max(np.max(np.abs(poly)), np.max(np.abs(queries), initial=0.0))
+    scale = max(poly.scale, np.max(np.abs(queries), initial=0.0))
     # the rounding bound needs squared coordinates clear of underflow and
     # overflow; outside that range, and for NaN, every segment is scanned
     slack = PRUNE_SLACK * scale if 1e-100 <= scale <= 1e100 else None
@@ -337,7 +339,7 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
         seg = np.arange(len(ab))
         if slack is not None:
             qt = q.T[:, :, None]
-            gap = np.maximum(np.maximum(box_lo - qt, qt - box_hi), 0.0)
+            gap = np.maximum(np.maximum(poly.box_lo - qt, qt - poly.box_hi), 0.0)
             lower = np.einsum("iqk,iqk->qk", gap, gap)
             near = np.argmin(lower, axis=1)
             seg = np.minimum(near[:, None] * SEGMENT_CHUNK + in_chunk, len(ab) - 1)
@@ -356,7 +358,7 @@ def _polyline_distances(queries: np.ndarray, poly: np.ndarray
             found = seg[best], d2[rows, best], s[rows, best]
         block = slice(lo, lo + QUERY_BLOCK)
         hit[block], d2_hit[block], s_hit[block] = found
-    return np.sqrt(d2_hit), arc_starts[hit] + s_hit * seg_len[hit]
+    return np.sqrt(d2_hit), poly.arcs[hit] + s_hit * poly.seg_len[hit]
 
 
 @dataclass
@@ -376,20 +378,18 @@ def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveCom
     bracket that holds fewer than MIN_OVERLAP of the curve's samples gives an
     infinite distance.
     """
-    pa, pb = a.x, b.x
+    pa, pb = _Polyline(a.x), _Polyline(b.x)
 
-    def one_sided(src: np.ndarray, dst: np.ndarray) -> float:
-        _, arcs = _arc_coordinates(src)
-        _, ends = _polyline_distances(np.array([dst[0], dst[-1]]), src)
+    def one_sided(src: _Polyline, dst: _Polyline) -> float:
+        _, ends = _polyline_distances(np.array([dst.points[0], dst.points[-1]]), src)
         lo, hi = min(ends), max(ends)
-        mask = (arcs >= lo - 1e-12) & (arcs <= hi + 1e-12)
+        mask = (src.arcs >= lo - 1e-12) & (src.arcs <= hi + 1e-12)
         if np.count_nonzero(mask) < MIN_OVERLAP * len(src):
             return np.inf
-        d, _ = _polyline_distances(src[mask], dst)
+        d, _ = _polyline_distances(src.points[mask], dst)
         return float(np.max(d))
 
-    dab = one_sided(pa, pb)
-    dba = one_sided(pb, pa)
+    dab, dba = one_sided(pa, pb), one_sided(pb, pa)
     return CurveComparison(dab < tol and dba < tol, dab, dba, tol)
 
 

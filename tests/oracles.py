@@ -10,11 +10,13 @@ structure solver's linear system, a brute-force recovery that parametrizes
 the full unconstrained tensor with symmetry and trace conditions appended as
 extra equations, a dense nearest-segment scan over every query-segment pair
 at once, the connection family written out tag by tag on a fixture's
-structure data, and the grid checks evaluated one point at a time.  Expected
-values asserted in the tests were computed with these oracles (or by hand)
-before being frozen.
+structure data, the grid checks evaluated one point at a time, and the
+trajectory exports written whole: one ``json.dump`` of every sample, and the
+CSV row by row.  Expected values asserted in the tests were computed with
+these oracles (or by hand) before being frozen.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -637,6 +639,36 @@ def dense_polyline_distances(queries, poly):
     rows = np.arange(len(queries))
     arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
     return np.sqrt(d2[rows, best]), arc_starts[best] + s[rows, best] * seg_len[best]
+
+
+def reference_json(traj) -> str:
+    """A trajectory's JSON export as one ``json.dump(..., indent=2)`` of the
+    whole document, every sample a 17-digit string, plus a newline."""
+    doc = {
+        "metadata": {
+            "method": traj.method,
+            "step": f"{traj.step:.17g}",
+            "connection": traj.connection_tag,
+            "exit_reason": traj.exit_reason,
+            "samples": int(len(traj.tau)),
+            "dimension": int(traj.x.shape[1]),
+        },
+        "tau": [f"{v:.17g}" for v in traj.tau],
+        "x": [[f"{v:.17g}" for v in row] for row in traj.x],
+        "p": [[f"{v:.17g}" for v in row] for row in traj.p],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_csv(traj) -> str:
+    """A trajectory's CSV export, written one row at a time."""
+    n = traj.x.shape[1]
+    lines = ["tau," + ",".join(f"x{i+1}" for i in range(n)) + ","
+             + ",".join(f"p{i+1}" for i in range(n))]
+    for row in range(len(traj.tau)):
+        vals = [traj.tau[row], *traj.x[row], *traj.p[row]]
+        lines.append(",".join(f"{v:.17g}" for v in vals))
+    return "\n".join(lines) + "\n"
 
 
 # --- the connection family, tag by tag -------------------------------------------

@@ -269,6 +269,40 @@ def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spot, message", [
+    (5, "spots[0] is malformed: TypeError: 'int' object is not subscriptable"),
+    ({"point": [1.0, 1.0]}, "spots[0] is malformed: KeyError: 'tensor'"),
+    ({"point": [[1.0, 2.0]], "tensor": "T", "index": [1, 1, 1], "value": 0.0, "tol": 1.0},
+     "spots[0] is malformed: ValueError: point has shape (1, 2), not (2,)"),
+], ids=["not-an-object", "no-tensor", "stacked-point"])
+def test_a_malformed_spot_is_a_validation_failure(spot, message, tmp_path, capsys):
+    # each used to escape validate as a traceback: the spot's entries were
+    # read outside its try, and a stacked point failed in the failure entry
+    from dualgeo.cli import main
+    cfg = builtin_config("sw2")
+    cfg["expected"] = {"spots": [spot]}
+    with pytest.raises(FixtureValidationError) as err:
+        from_config(cfg)
+    assert err.value.failures == [{"check": "expected-spot", "message": message}]
+    config = tmp_path / "spot.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
+    stderr = capsys.readouterr().err
+    assert message in stderr and "Traceback" not in stderr
+
+
+def test_a_spot_index_short_of_the_tensor_rank_fails_at_its_point():
+    # T[1, 1] is a row of T, not one component; comparing it with the value
+    # used to raise numpy's "truth value ... is ambiguous" outside the try
+    cfg = builtin_config("sw2")
+    cfg["expected"] = {"spots": [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1],
+                                  "value": 0.0, "tol": 1.0}]}
+    with pytest.raises(FixtureValidationError) as err:
+        from_config(cfg)
+    [failure] = err.value.failures
+    assert failure["check"] == "expected-spot" and failure["point"] == [1.0, 2.0]
+
+
 @pytest.mark.parametrize("metric, shape", [
     ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], "3 x 3"),
     ([["1", "0"]], "1 x 2"),

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -9,13 +10,13 @@ from dualgeo.connections import AffineConnection, levi_civita
 from dualgeo.expressions import EvalDomainError
 from dualgeo.fixtures import builtin, builtin_names
 from dualgeo.geodesics import (
-    QUERY_BLOCK, SEGMENT_CHUNK, Trajectory, _polyline_distances, curves_coincide,
+    EXPORT_BLOCK, QUERY_BLOCK, SEGMENT_CHUNK, Trajectory, _polyline_distances, curves_coincide,
     integrate_dual_geodesic, integrate_dual_geodesics,
     reparametrization_check,
 )
 from dualgeo.geometry import Metric
 from dualgeo.theorems import _seeded_initial_conditions
-from oracles import dense_polyline_distances
+from oracles import dense_polyline_distances, reference_csv, reference_json
 
 
 def test_straight_line_euclidean(euclid2):
@@ -406,7 +407,6 @@ def test_csv_round_trip_bit_exact(tmp_path, sw2):
 
 
 def test_json_export(tmp_path, euclid2):
-    import json
     traj = integrate_dual_geodesic(levi_civita(euclid2), euclid2, [0.0, 0.0],
                                    [1.0, 0.0], 5, 0.1)
     path = tmp_path / "traj.json"
@@ -415,6 +415,55 @@ def test_json_export(tmp_path, euclid2):
     assert data["metadata"]["method"] == "rk4"
     assert data["metadata"]["samples"] == 6
     assert float(data["x"][-1][0]) == traj.x[-1][0]
+
+
+def test_json_round_trip_bit_exact(tmp_path, sw2):
+    traj = integrate_dual_geodesic(sw2.connection("+T"), sw2.metric, [1.0, 2.0],
+                                   [0.3, 0.1], 50, 1e-3,
+                                   box=sw2.box, singular_loci=sw2.singular_loci)
+    path = tmp_path / "traj.json"
+    traj.write_json(path)
+    data = json.loads(path.read_text())
+    assert np.array([float(v) for v in data["tau"]]).tobytes() == traj.tau.tobytes()
+    for name in ("x", "p"):
+        parsed = np.array([[float(v) for v in row] for row in data[name]])
+        assert parsed.tobytes() == getattr(traj, name).tobytes(), name
+
+
+def _synthetic_trajectory(samples, n, exit_reason="completed"):
+    """Random samples over 600 decades, led by inf, -inf, nan and -0.0."""
+    rng = np.random.default_rng(1000 * samples + n)
+    xp = rng.normal(size=(samples, 2 * n)) * 10.0 ** rng.integers(-300, 300, (samples, 2 * n))
+    xp.flat[:4] = [np.inf, -np.inf, np.nan, -0.0]
+    tau = np.cumsum(rng.uniform(0.5, 1.5, samples)) - 0.5
+    return Trajectory(tau, xp[:, :n].copy(), xp[:, n:].copy(), "+T", 1e-3,
+                      exit_reason=exit_reason)
+
+
+@pytest.mark.parametrize("exit_reason", ["completed", "domain_exit"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("samples", [1, 2, EXPORT_BLOCK, EXPORT_BLOCK + 1,
+                                     2 * EXPORT_BLOCK + 1])
+def test_streamed_exports_equal_whole_document_writers(tmp_path, samples, n, exit_reason):
+    traj = _synthetic_trajectory(samples, n, exit_reason)
+    traj.write_json(tmp_path / "traj.json")
+    traj.write_csv(tmp_path / "traj.csv")
+    assert (tmp_path / "traj.json").read_bytes() == reference_json(traj).encode()
+    assert (tmp_path / "traj.csv").read_bytes() == reference_csv(traj).encode()
+
+
+def test_export_memory_does_not_grow_with_samples(tmp_path):
+    # a json.dump of the whole document peaked at about 2 MB here, and grows
+    # linearly with the samples; a block of strings takes about 0.1 MB
+    traj = _synthetic_trajectory(4097, 2)
+    for write in (traj.write_json, traj.write_csv):
+        tracemalloc.start()
+        try:
+            write(tmp_path / "traj")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6, (write.__name__, peak)
 
 
 @pytest.mark.parametrize("queries,segments,n", [(1, 7, 2), (QUERY_BLOCK, 40, 2),
