@@ -5,11 +5,14 @@
 
 import numpy as np
 
-from dualgeo.fixtures import builtin
-from dualgeo.structure import build_B, classify, decompose
+from dualgeo.fixtures import builtin, builtin_config, from_config
+from dualgeo.structure import classify, decompose, lower_output
 
 # The sw2 fixture: flat 2D metric, potentials {x1^2+x2^2, 1/x1^2, 1/x2^2, 1}.
-sw2 = builtin("sw2")
+# Without its closed-form T, every structure field below is recovered.
+cfg = builtin_config("sw2")
+del cfg["structure"]
+sw2 = from_config(cfg)
 x = np.array([1.0, 2.0])
 
 # The pointwise least-squares recovery solves, over all basis potentials,
@@ -27,7 +30,8 @@ print("\ntau =", dec.tau, "  t =", dec.t)
 print("S symmetry defect (reported):", dec.symmetry_defect)
 
 # B = T + ((n+2)/n) g (x) t is totally symmetric even though T alone is not.
-Bc, Bh = build_B(T, sw2.metric.value(x), sw2.metric.inverse(x), dec.t)
+Bh = sw2.b_tensor(x)
+Bc = lower_output(Bh, sw2.metric.value(x))
 defect = max(np.max(np.abs(Bc - np.transpose(Bc, p)))
              for p in ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
 print("\nB^1_11 =", Bh[0, 0, 0], " total-symmetry defect:", defect)
@@ -39,7 +43,7 @@ weak = builtin("sw2-weak")
 cls = classify(weak.metric, weak.prolongation_tensor, weak.s_covector, weak.grid(5))
 print("\nrestricted family:", cls.verdict, " max |N| =", cls.max_n_norm)
 print("extracted T matches the full recovery:",
-      np.max(np.abs(cls.extracted_T(x) - T)))
+      np.max(np.abs(weak.structure_tensor(x) - T)))
 
 # A synthetic tensor-level fixture with a mixed-symmetry injection cannot
 # extend: N stays an order-one obstruction.

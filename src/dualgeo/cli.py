@@ -23,7 +23,7 @@ import numpy as np
 from .expressions import ExpressionError
 from .fixtures import (
     CONNECTION_TAGS, FixtureError, FixtureValidationError, UnknownFixtureError,
-    builtin, builtin_names, load, validate,
+    builtin, builtin_names, load,
 )
 from .geodesics import (
     SINGULAR_HALT_MARGIN, CurveComparison, curves_coincide, integrate_dual_geodesic,
@@ -74,11 +74,7 @@ def _load_fixture(source: str):
     to validate."""
     try:
         if source in builtin_names():
-            fixture = builtin(source)
-            failures = validate(fixture)
-            if failures:
-                raise FixtureValidationError(fixture.name, failures)
-            return fixture
+            return builtin(source, validate_on_load=True)
         if os.path.exists(source):
             return load(source)
         raise UnknownFixtureError(
@@ -238,7 +234,7 @@ def cmd_classify(args, fixture) -> int:
     }
     if cls.verdict == "WEAK":
         x = np.array([0.5 * (lo + hi) for lo, hi in fixture.box])
-        T = cls.extracted_T(x)
+        T = fixture.structure_tensor(x)
         out["extracted_structure_tensor"] = {
             "point": [f"{v:.17g}" for v in x],
             "components": [[[f"{T[k, i, j]:.17g}" for j in range(fixture.n)]

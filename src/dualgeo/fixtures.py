@@ -8,11 +8,17 @@ from disk, so the loading path is exercised on every construction.
 
 Closed-form structure data, when a fixture carries it, is never trusted:
 validation cross-checks it against the pointwise least-squares recovery on the
-sample grid and fails the fixture on disagreement.  Fixtures without closed
-forms recover every field from the family, at a point or over a stack of
-points in one solver call.  A declared T or D must also be symmetric
-in its covariant pair on that grid: every induced connection is Gamma_LC minus
-a tensor built from it, evaluated with no torsion check of its own.
+sample grid and fails the fixture on disagreement.  Validation is one stacked
+pass over that 3^n grid: one metric inverse, one solver call per field,
+feeding both the residual check and the closed-form comparison, and one
+evaluation of each declared field; the solver's rank check is the only rank
+check.  A stacked call that raises is one failure of its check (a singular
+metric or a rank-deficient family names its first failing point), and the
+checks that need its values are skipped.  Fixtures without closed forms
+recover every field from the family, at a point or over a stack of points in
+one solver call.  A declared T or D must also be symmetric in its covariant
+pair on that grid: every induced connection is Gamma_LC minus a tensor built
+from it, evaluated with no torsion check of its own.
 
 Config schema: docs/fixture.schema.json.
 """
@@ -40,10 +46,12 @@ from .structure import (
 )
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
+CLOSED_FORM_CHECKS = {"T": "structure-closed-form", "D": "prolongation-closed-form",
+                      "s": "s-closed-form"}
 # largest chart dimension a config may declare.  Validation solves the
-# structure system at every point of a 3^n grid, so load time grows about
-# threefold per dimension: a flat oscillator config loads in 0.06 s at n = 5,
-# 0.25 s at n = 6 and 0.64 s at n = 7 (on a 2-vCPU Xeon)
+# structure system at every point of a 3^n grid, so load time grows two- to
+# threefold per dimension: a flat oscillator config loads in 0.04 s at n = 5,
+# 0.09 s at n = 6 and 0.25 s at n = 7 (on a 2-vCPU Xeon)
 MAX_DIMENSION = 6
 
 
@@ -180,7 +188,7 @@ class Fixture:
 
     # --- the connection family -------------------------------------------------
 
-    def _b_tensor(self, x) -> np.ndarray:
+    def b_tensor(self, x) -> np.ndarray:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
         g = self.metric
@@ -214,7 +222,7 @@ class Fixture:
     def _f_tensor(self, x, zeta: ScalarField) -> np.ndarray:
         """B plus the symmetrized metric-dzeta product, weight 1/(2(n-2))."""
         g = self.metric
-        return self._b_tensor(x) + np.einsum(
+        return self.b_tensor(x) + np.einsum(
             "...kl,...ijl->...kij", g.inverse(x),
             sym_product_metric_form(g.value(x), zeta.gradient(x))) / (2.0 * (self.n - 2))
 
@@ -256,7 +264,7 @@ class Fixture:
             zfield = zeta if zeta is not None else self.zeta
             tensor_fn, tensor_jac_fn = {
                 "T": (self.structure_tensor, self.structure_tensor_jacobian),
-                "B": (self._b_tensor, self._b_jacobian),
+                "B": (self.b_tensor, self._b_jacobian),
                 "D": (self.prolongation_tensor, None),
                 "dagger": (self._dagger_tensor, None),
                 "F": (lambda x: self._f_tensor(x, zfield), None),
@@ -620,56 +628,50 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
     elif fixture.structure_D is None:
         fail("family-missing", "fixture declares no potentials and no tensor data")
 
-    for x in grid:
-        # metric condition number
-        try:
-            g.inverse(x)
-        except Exception as exc:
-            fail("metric-conditioning", str(exc), x)
-            continue
+    # conditioning, recovery and closed forms: one stacked call each over the
+    # grid.  A call that raises is one failure, and the checks that need its
+    # values are skipped; the rest fail once per failing point, in grid order.
+    per_point = []   # (check, message, residual at each grid point)
+    try:
+        g.inverse(grid)
+    except Exception as exc:
+        fail("metric-conditioning", str(exc))
+    else:
         if fixture.family is not None:
-            try:
-                rank = fixture.family.gradient_rank(x)
-            except Exception as exc:
-                fail("family-span", str(exc), x)
-                continue
-            if rank < n:
-                fail("family-span",
-                     f"potential gradients span only {rank} of {n} directions", x)
-                continue
-            try:
-                if fixture.kind == "nondegenerate":
-                    _, residual = fixture.solver.structure_tensor(x)
-                else:
-                    _, residual = fixture.solver.prolongation_tensor(x)
-                    _, s_res = fixture.solver.s_vector(x)
-                    residual = np.maximum(residual, s_res)
-            except Exception as exc:
-                fail("recovery", str(exc), x)
-                continue
-            if not residual <= 1e-8:
-                fail("recovery-residual",
-                     "fit residual exceeds 1e-8; system is not second-order "
-                     "superintegrable as declared", x, residual)
-        # closed-form structure data against recovery
-        if fixture.family is not None:
+            semi = fixture.is_semidegenerate
             solver = fixture.solver
-            declared_s = fixture.structure_s if fixture.is_semidegenerate else None
+            solve = {"T": solver.structure_tensor, "D": solver.prolongation_tensor,
+                     "s": solver.s_vector}
+            closed_forms = {"T": fixture.structure_T, "D": fixture.structure_D,
+                            "s": fixture.structure_s if semi else None}
+            recovered = ("D", "s") if semi else ("T",)
             try:
-                for check, label, declared, solve in (
-                        ("structure-closed-form", "T", fixture.structure_T,
-                         solver.structure_tensor),
-                        ("prolongation-closed-form", "D", fixture.structure_D,
-                         solver.prolongation_tensor),
-                        ("s-closed-form", "s", declared_s, solver.s_vector)):
-                    if declared is None:
-                        continue
-                    closed = declared.value(x)
-                    diff = float(np.max(np.abs(closed - solve(x)[0])))
-                    if not diff <= 1e-8:
-                        fail(check, f"declared {label} disagrees with recovery", x, diff)
+                solved = {label: solve[label](grid) for label in (
+                    *recovered, *(label for label, field in closed_forms.items()
+                                  if field is not None and label not in recovered))}
             except Exception as exc:
-                fail("structure-closed-form", str(exc), x)
+                fail("recovery", str(exc))
+            else:
+                per_point.append((
+                    "recovery-residual", "fit residual exceeds 1e-8; system is not "
+                    "second-order superintegrable as declared",
+                    np.max([solved[label][1] for label in recovered], axis=0)))
+                for label, field in closed_forms.items():
+                    if field is None:
+                        continue
+                    try:
+                        closed = field.value(grid)
+                    except Exception as exc:
+                        fail("structure-closed-form", f"declared {label}: {exc}")
+                        continue
+                    diff = np.max(np.abs(closed - solved[label][0]),
+                                  axis=tuple(range(1, closed.ndim)))
+                    per_point.append((CLOSED_FORM_CHECKS[label],
+                                      f"declared {label} disagrees with recovery", diff))
+    for i, c in sorted((i, c) for c, (_, _, residual) in enumerate(per_point)
+                       for i in np.flatnonzero(~(residual <= 1e-8))):
+        check, message, residual = per_point[c]
+        fail(check, message, grid[i], residual[i])
 
     # declared T and D must be symmetric in their covariant pair: the induced
     # connections Gamma_LC -/+ A are evaluated without a torsion check
@@ -713,7 +715,15 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
             fail("killing", f"entry {idx}: {exc}")
 
     # expected-results block
-    for k, spot in enumerate(fixture.expected.get("spots", [])):
+    expected = fixture.expected
+    if not isinstance(expected, dict):
+        fail("expected", f"expected block {expected!r} is not an object")
+        expected = {}
+    spots = expected.get("spots", [])
+    if not isinstance(spots, list):
+        fail("expected-spot", f"spots {spots!r} is not a list")
+        spots = []
+    for k, spot in enumerate(spots):
         try:
             x = np.asarray(spot["point"], dtype=float)
             if x.shape != (n,):
@@ -746,14 +756,13 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
                  f"{tensor}{list(spot['index'])} = {value!r}, "
                  f"expected {spot['value']!r}", x, err)
 
-    if "classification" in fixture.expected:
+    if "classification" in expected:
         from .structure import classify
         try:
             cls = classify(g, fixture.prolongation_tensor, fixture.s_covector, grid)
-            if cls.verdict != fixture.expected["classification"]:
+            if cls.verdict != expected["classification"]:
                 fail("classification",
-                     f"classified {cls.verdict}, expected "
-                     f"{fixture.expected['classification']}",
+                     f"classified {cls.verdict}, expected {expected['classification']}",
                      residual=cls.max_n_norm)
         except Exception as exc:
             fail("classification", str(exc))

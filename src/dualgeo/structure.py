@@ -64,10 +64,6 @@ class PotentialFamily:
     def size(self) -> int:
         return len(self.potentials)
 
-    def gradient_rank(self, x, rcond: float = RECOVERY_RCOND) -> int:
-        grads = np.array([V.gradient(x) for V in self.potentials])
-        return int(np.linalg.matrix_rank(grads, tol=rcond * max(1.0, np.max(np.abs(grads)))))
-
 
 class StructureSolver:
     """Recovery engine for one (metric, family) pair, at a point or a stack.
@@ -202,10 +198,6 @@ def lower_output(T: np.ndarray, gmat: np.ndarray) -> np.ndarray:
     return np.einsum("...kl,...lij->...ijk", gmat, T)
 
 
-def raise_output(Tc: np.ndarray, ginv: np.ndarray) -> np.ndarray:
-    return np.einsum("...kl,...ijl->...kij", ginv, Tc)
-
-
 @dataclass
 class Decomposition:
     S: np.ndarray           # remainder after removing the three t-terms
@@ -237,14 +229,6 @@ def decompose(T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray) -> Decompositio
                                   np.max(np.abs(S - np.einsum("...jik->...ijk", S)))))
     trace_defect = float(np.max(np.abs(np.einsum("...ij,...ijk->...k", ginv, S))))
     return Decomposition(S, t, tau, sym_defect, trace_defect)
-
-
-def build_B(T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray,
-            t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B covariant, B with raised output): B = T_flat + ((n+2)/n) g (x) t."""
-    n = gmat.shape[0]
-    Bc = lower_output(T, gmat) + conv.b_coefficient(n) * np.einsum("ij,k->ijk", gmat, t)
-    return Bc, raise_output(Bc, ginv)
 
 
 def t_from_prolongation(D: np.ndarray, s_cov: np.ndarray, n: int) -> np.ndarray:
@@ -280,7 +264,6 @@ class Classification:
     verdict: str                    # "WEAK" | "STRONG"
     max_n_norm: float
     tol: float
-    extracted_T: Callable | None    # x -> T[k,i,j], only for WEAK
 
 
 def classify(g: Metric, prolongation_fn: Callable, s_cov_fn: Callable,
@@ -289,9 +272,9 @@ def classify(g: Metric, prolongation_fn: Callable, s_cov_fn: Callable,
 
     ``prolongation_fn(x) -> D[..., k,i,j]`` and ``s_cov_fn(x) -> s[..., i]``
     supply the system data (recovered for family fixtures, declared for
-    tensor-level ones); both receive a block of points.  For WEAK systems the
-    extracted structure tensor ``T = D - (1/n) g (x) s_sharp`` is returned as a
-    field, at a point or over a stack.
+    tensor-level ones); both receive a block of points.  The structure tensor
+    a WEAK system extracts, ``D - (1/n) g (x) s_sharp``, is
+    :meth:`dualgeo.fixtures.Fixture.structure_tensor`.
     """
     n = g.n
 
@@ -301,13 +284,7 @@ def classify(g: Metric, prolongation_fn: Callable, s_cov_fn: Callable,
         return build_N(D, g.value(block), s_cov, t_from_prolongation(D, s_cov, n))
 
     worst = grid_max(obstruction, points)
-    if worst < tol:
-        def extracted(x):
-            s_up = matvec(g.inverse(x), s_cov_fn(x))
-            return prolongation_fn(x) - np.einsum("...ij,...k->...kij", g.value(x), s_up) / n
-
-        return Classification("WEAK", worst, tol, extracted)
-    return Classification("STRONG", worst, tol, None)
+    return Classification("WEAK" if worst < tol else "STRONG", worst, tol)
 
 
 def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callable,
@@ -357,17 +334,15 @@ class ZetaData:
     Z: np.ndarray
     Z_tracefree: np.ndarray
     zeta_residual: float      # || tracefree(Z) - tracefree(nabla^2 zeta) ||
-    F_cov: np.ndarray         # the Codazzi completion (covariant)
-    F_hat: np.ndarray         # output slot raised
 
 
 def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaData:
-    """Curvature correction Z = SS - (n-2)(S(t) + t (x) t) - Ric and the
-    Codazzi completion F = T_flat + ((n+2)/n) g (x) t + (1/(2(n-2))) Pi_sym(g (x) d zeta).
+    """Curvature correction Z = SS - (n-2)(S(t) + t (x) t) - Ric.
 
     Only defined for n >= 3; zeta is fixture data (solving for it is out of
     scope), so the defining equation for zeta is only ever reported as a
-    residual.
+    residual.  The Codazzi completion F that zeta enters is
+    :meth:`dualgeo.fixtures.Fixture._f_tensor`.
     """
     n = g.n
     if n < 3:
@@ -387,11 +362,7 @@ def build_Z_and_digamma(g: Metric, T: np.ndarray, zeta: ScalarField, x) -> ZetaD
 
     Z0 = tracefree(Z)
     zeta_residual = float(np.max(np.abs(Z0 - tracefree(hessian(g, zeta, x)))))
-    dzeta = zeta.gradient(x)
-    F_cov = (lower_output(T, gmat)
-             + conv.b_coefficient(n) * np.einsum("...ij,...k->...ijk", gmat, dec.t)
-             + sym_product_metric_form(gmat, dzeta) / (2.0 * (n - 2)))
-    return ZetaData(Z, Z0, zeta_residual, F_cov, raise_output(F_cov, ginv))
+    return ZetaData(Z, Z0, zeta_residual)
 
 
 # --- fixture validation checks -------------------------------------------------

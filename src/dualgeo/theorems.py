@@ -428,7 +428,7 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         big = builtin(enlarging)
         pts = np.array([[lo + (hi - lo) * rng.random() for lo, hi in fixture.box]
                         for _ in range(10)])
-        err = float(np.max(np.abs(cls.extracted_T(pts) - big.structure_tensor(pts))))
+        err = float(np.max(np.abs(fixture.structure_tensor(pts) - big.structure_tensor(pts))))
         report.add(
             "t2.extraction_cross_check",
             "the extracted structure tensor matches the independent recovery from "

@@ -816,9 +816,10 @@ def pointwise_classification_norm(g, prolongation_fn, s_cov_fn, points):
         for x in points)
 
 
-def pointwise_extracted_T(g, prolongation_fn, s_cov_fn, x):
-    s_up = g.inverse(x) @ s_cov_fn(x)
-    return prolongation_fn(x) - np.einsum("ij,k->kij", g.value(x), s_up) / g.n
+def pointwise_extracted_T(fixture, x):
+    g = fixture.metric
+    return fixture.prolongation_tensor(x) - np.einsum("ij,k->kij", g.value(x),
+                                                      fixture.s_vector(x)) / g.n
 
 
 def pointwise_beta_condition(g, conn_d, D_fn, s_cov_fn, points):

@@ -269,21 +269,30 @@ def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path,
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spot, message", [
-    (5, "spots[0] is malformed: TypeError: 'int' object is not subscriptable"),
-    ({"point": [1.0, 1.0]}, "spots[0] is malformed: KeyError: 'tensor'"),
-    ({"point": [[1.0, 2.0]], "tensor": "T", "index": [1, 1, 1], "value": 0.0, "tol": 1.0},
+@pytest.mark.parametrize("expected, check, message", [
+    ({"spots": [5]}, "expected-spot",
+     "spots[0] is malformed: TypeError: 'int' object is not subscriptable"),
+    ({"spots": [{"point": [1.0, 1.0]}]}, "expected-spot",
+     "spots[0] is malformed: KeyError: 'tensor'"),
+    ({"spots": [{"point": [[1.0, 2.0]], "tensor": "T", "index": [1, 1, 1], "value": 0.0,
+                 "tol": 1.0}]}, "expected-spot",
      "spots[0] is malformed: ValueError: point has shape (1, 2), not (2,)"),
-], ids=["not-an-object", "no-tensor", "stacked-point"])
-def test_a_malformed_spot_is_a_validation_failure(spot, message, tmp_path, capsys):
+    ({"spots": 5}, "expected-spot", "spots 5 is not a list"),
+    ({"spots": None}, "expected-spot", "spots None is not a list"),
+    (5, "expected", "expected block 5 is not an object"),
+], ids=["not-an-object", "no-tensor", "stacked-point", "spots-number", "spots-null",
+        "expected-number"])
+def test_a_malformed_spot_is_a_validation_failure(expected, check, message, tmp_path,
+                                                  capsys):
     # each used to escape validate as a traceback: the spot's entries were
-    # read outside its try, and a stacked point failed in the failure entry
+    # read outside its try, a stacked point failed in the failure entry, and
+    # the spots and the block were iterated and read with no type check
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
-    cfg["expected"] = {"spots": [spot]}
+    cfg["expected"] = expected
     with pytest.raises(FixtureValidationError) as err:
         from_config(cfg)
-    assert err.value.failures == [{"check": "expected-spot", "message": message}]
+    assert err.value.failures == [{"check": check, "message": message}]
     config = tmp_path / "spot.json"
     config.write_text(json.dumps(cfg))
     assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
@@ -339,3 +348,47 @@ def test_dimension_is_bounded_before_anything_is_built():
     root = Path(__file__).resolve().parents[1]
     schema = json.loads((root / "docs" / "fixture.schema.json").read_text())
     assert schema["properties"]["dimension"]["maximum"] == MAX_DIMENSION
+
+
+@pytest.mark.parametrize("entry, value, check, point", [
+    # g_11 vanishes at the grid's centre only
+    ("metric", [["x1^2 + x2^2", "0"], ["0", "1"]], "metric-conditioning", [0.0, 0.0]),
+    # the gradients span one direction where x1 or x2 vanishes
+    ("potentials", ["x1^2 + x2^2", "x1^2", "x2^2", "1"], "recovery", [-1.0, 0.0]),
+], ids=["singular-metric", "rank-deficient-family"])
+def test_a_stacked_check_that_raises_is_one_failure_at_its_first_row(entry, value, check,
+                                                                     point, tmp_path, capsys):
+    # conditioning and recovery each run once over the whole grid, so either
+    # fails once, naming its first failing row; the checks that need its
+    # values (recovery, the closed-form comparison) are skipped
+    from dualgeo.cli import main
+    cfg = builtin_config("ho2")
+    cfg[entry] = value
+    cfg["domain"] = [[-1.0, 1.0], [-1.0, 1.0]]
+    cfg["killing"], cfg["expected"] = [], {}
+    failures = validate(from_config(cfg, validate_on_load=False))
+    assert [f["check"] for f in failures] == [check]
+    assert f"at {np.array(point)}" in failures[0]["message"]
+    config = tmp_path / "stacked.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
+    stderr = capsys.readouterr().err
+    assert failures[0]["message"] in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("name, solves", [("sw2", 9), ("sw2-weak", 18)])
+def test_validation_solves_each_recovered_field_once_per_grid_row(name, solves,
+                                                                  monkeypatch):
+    # the residual check and the closed-form comparison share one solve per
+    # field and row of the 3^2 grid: T on sw2, D and s on sw2-weak
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    fixture = builtin(name)
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    assert validate(fixture) == []
+    assert len(calls) == solves

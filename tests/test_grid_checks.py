@@ -85,10 +85,8 @@ def assert_checks_equal_pointwise(fixture, grid, tags):
         D, s_cov = fixture.prolongation_tensor, fixture.s_covector
         cls = classify(g, D, s_cov, grid)
         assert bits(cls.max_n_norm) == bits(pointwise_classification_norm(g, D, s_cov, grid))
-        if cls.extracted_T is not None:
-            stacked = cls.extracted_T(grid)
-            for x, row in zip(grid, stacked):
-                assert row.tobytes() == pointwise_extracted_T(g, D, s_cov, x).tobytes()
+        for x, row in zip(grid, fixture.structure_tensor(grid)):
+            assert row.tobytes() == pointwise_extracted_T(fixture, x).tobytes()
         assert (bits(beta_condition_residual(g, fixture.connection("+D"), D, s_cov, grid))
                 == bits(pointwise_beta_condition(g, fixture.connection("+D"), D, s_cov,
                                                  grid)))

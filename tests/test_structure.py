@@ -6,8 +6,8 @@ import pytest
 from dualgeo.geometry import Metric, ScalarField, TensorField
 from dualgeo.structure import (
     PotentialFamily, RankDeficiencyError, StructureSolver, bertrand_darboux_check,
-    beta_condition_residual, build_B, build_N, build_Z_and_digamma, classify,
-    decompose, killing_check, poisson_check, t_from_prolongation,
+    beta_condition_residual, build_N, build_Z_and_digamma, classify,
+    decompose, killing_check, lower_output, poisson_check, t_from_prolongation,
 )
 from dualgeo.fixtures import builtin_config, from_config
 from dualgeo.geometry import central_difference
@@ -176,9 +176,8 @@ def test_decompose_sw(sw2):
 
 def test_build_B_values_and_symmetry(sw2):
     x = np.array([1.0, 2.0])
-    T = sw2.structure_tensor(x)
-    dec = decompose(T, np.eye(2), np.eye(2))
-    Bc, Bh = build_B(T, np.eye(2), np.eye(2), dec.t)
+    Bh = sw2.b_tensor(x)
+    Bc = lower_output(Bh, np.eye(2))
     assert np.isclose(Bh[0, 0, 0], -3.0, atol=1e-12)
     for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
         assert np.max(np.abs(Bc - np.transpose(Bc, perm))) < 1e-12
@@ -189,7 +188,7 @@ def test_b_minus_t_identity(sw2):
     for x in sw2.grid(3):
         T = sw2.structure_tensor(x)
         dec = decompose(T, np.eye(2), np.eye(2))
-        Bc, _ = build_B(T, np.eye(2), np.eye(2), dec.t)
+        Bc = lower_output(sw2.b_tensor(x), np.eye(2))
         Tc = np.einsum("kl,lij->ijk", np.eye(2), T)
         assert np.max(np.abs((Bc - Tc) - 2.0 * np.einsum("ij,k->ijk", np.eye(2),
                                                          dec.t))) < 1e-14
@@ -267,7 +266,7 @@ def test_classify_weak_and_extraction(sw2_weak, sw2, rng):
     # cross-path consistency: extraction equals the enlarging-family recovery
     for _ in range(10):
         x = 0.6 + 2.0 * rng.random(2)
-        assert np.max(np.abs(cls.extracted_T(x) - sw2.structure_tensor(x))) < 1e-8
+        assert np.max(np.abs(sw2_weak.structure_tensor(x) - sw2.structure_tensor(x))) < 1e-8
 
 
 def test_classify_strong(sw2_strong):
@@ -275,7 +274,6 @@ def test_classify_strong(sw2_strong):
     cls = classify(sw2_strong.metric, sw2_strong.prolongation_tensor,
                    sw2_strong.s_covector, grid)
     assert cls.verdict == "STRONG"
-    assert cls.extracted_T is None
 
 
 def test_classify_trivial_zero():
@@ -283,7 +281,6 @@ def test_classify_trivial_zero():
     cls = classify(g, lambda x: np.zeros(np.shape(x)[:-1] + (2, 2, 2)),
                    lambda x: np.zeros(np.shape(x)), [np.zeros(2)])
     assert cls.verdict == "WEAK"
-    assert np.max(np.abs(cls.extracted_T(np.zeros(2)))) == 0.0
 
 
 def test_beta_condition_identity(sw2_weak, sw2_strong):
@@ -303,7 +300,6 @@ def test_z_flat_3d_trivial():
     data = build_Z_and_digamma(g, np.zeros((3, 3, 3)), zeta, np.array([0.1, 0.2, 0.3]))
     assert np.max(np.abs(data.Z)) < 1e-12
     assert data.zeta_residual < 1e-12
-    assert np.max(np.abs(data.F_cov)) < 1e-12
 
 
 def test_z_round_sphere_is_minus_ricci(sphere3):
@@ -325,13 +321,7 @@ def test_z_requires_three_dimensions(euclid2):
 def test_digamma_reduces_to_b_for_constant_zeta(sphere3):
     x = np.array([0.2, 0.1, -0.1])
     zeta = ScalarField.from_source("7", 3)
-    data = build_Z_and_digamma(sphere3.metric, sphere3.structure_tensor(x), zeta, x)
-    gmat = sphere3.metric.value(x)
-    ginv = sphere3.metric.inverse(x)
-    T = sphere3.structure_tensor(x)
-    dec = decompose(T, gmat, ginv)
-    Bc, _ = build_B(T, gmat, ginv, dec.t)
-    assert np.max(np.abs(data.F_cov - Bc)) < 1e-12
+    assert np.max(np.abs(sphere3._f_tensor(x, zeta) - sphere3.b_tensor(x))) < 1e-12
 
 
 # --- fixture validation checks ----------------------------------------------------
