@@ -9,7 +9,7 @@ from .jets import Jet, eval_jet2, eval_jet3, eval_value
 from .geometry import Metric, ScalarField, TensorField, grid_points
 from .connections import (
     AffineConnection, dual_projective_test, semi_compatibility_test,
-    difference_tensor, levi_civita, from_difference,
+    difference_tensor, levi_civita,
 )
 from .structure import PotentialFamily, StructureSolver, classify, decompose
 from .geodesics import Trajectory, curves_coincide, integrate_dual_geodesic

@@ -18,10 +18,9 @@ the verdict; NaN is no torsion defect, so it is not rejected as torsion.
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
 :func:`difference_connection` is the one place that assembles it (and its
-Jacobian, when A has an analytic one).  :func:`from_difference` is that
-assembly plus a symmetry check of A at every evaluation, for tensors nothing
-else has checked; fixture connections skip it, because their declared tensors
-are checked once, on the validation grid, when the fixture loads.
+Jacobian, when A has an analytic one).  It does not check that A is
+symmetric: a fixture's declared tensors are checked once, on the validation
+grid, when the fixture loads.
 
 A :class:`ConnectionTable` gives each row of a stacked state its own
 connection, so one integrator call can advance trajectories of several
@@ -145,40 +144,6 @@ def difference_connection(g: Metric, sign: int,
             return g.christoffel_jacobian(x) - sign * tensor_jac_fn(x)
 
     return AffineConnection(g, coeff, tag, jac_fn=jac)
-
-
-def from_difference(g: Metric, sign: int,
-                    tensor_fn: Callable[[np.ndarray], np.ndarray],
-                    tag: str | None = None,
-                    tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                    probe_point=None) -> AffineConnection:
-    """:func:`difference_connection` for a tensor nothing has checked yet.
-
-    ``tensor_fn(x)`` must return ``A[k, i, j]`` symmetric in ``(i, j)``, for a
-    point or over the leading axes of a stack of points; an asymmetric tensor
-    is rejected, at the probe point immediately and at every later evaluation,
-    and the error names the first point of a stack that fails.
-    """
-    if sign not in (+1, -1):
-        raise ConnectionError_(f"sign must be +1 or -1, got {sign}")
-
-    def check(a: np.ndarray, x) -> np.ndarray:
-        asym = np.max(np.abs(a - np.einsum("...kji->...kij", a)), axis=(-3, -2, -1))
-        bad = asym > TORSION_TOL
-        if np.any(bad):
-            first = int(np.argmax(bad.ravel()))
-            point = np.asarray(x).reshape(-1, g.n)[first] if np.ndim(bad) else x
-            raise TorsionError(
-                f"difference tensor asymmetric in its covariant pair "
-                f"(defect {asym.ravel()[first]:.3e} at {point})")
-        return a
-
-    if probe_point is not None:
-        check(tensor_fn(np.asarray(probe_point, dtype=float)), probe_point)
-    if tag is None:
-        tag = f"{'plus' if sign > 0 else 'minus'}A"
-    return difference_connection(g, sign, lambda x: check(tensor_fn(x), x), tag,
-                                 tensor_jac_fn)
 
 
 def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,

@@ -20,14 +20,22 @@ one solver call.  A declared T or D must also be symmetric in its covariant
 pair on that grid: every induced connection is Gamma_LC minus a tensor built
 from it, evaluated with no torsion check of its own.
 
-Config schema: docs/fixture.schema.json.
+Config schema: ``fixture.schema.json`` beside this module, read once into
+:data:`SCHEMA`.  :func:`check_config` is the only check of a config's types
+and shapes, and :func:`from_config` runs it before it builds anything; what
+depends on values or on the dimension (n x n metric and Killing tensors,
+n x n x n structure tensors, n domain axes, finite bounds and margin, loci
+outside the box, parsable expressions, a spot's point of shape (n,)) is
+checked in code.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,11 +56,9 @@ from .structure import (
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
 CLOSED_FORM_CHECKS = {"T": "structure-closed-form", "D": "prolongation-closed-form",
                       "s": "s-closed-form"}
-# largest chart dimension a config may declare.  Validation solves the
-# structure system at every point of a 3^n grid, so load time grows two- to
-# threefold per dimension: a flat oscillator config loads in 0.04 s at n = 5,
-# 0.09 s at n = 6 and 0.25 s at n = 7 (on a 2-vCPU Xeon)
-MAX_DIMENSION = 6
+SCHEMA = json.loads(Path(__file__).with_name("fixture.schema.json").read_text())
+# largest chart dimension a config may declare; the schema says why
+MAX_DIMENSION = SCHEMA["properties"]["dimension"]["maximum"]
 
 
 class FixtureError(ValueError):
@@ -239,9 +245,6 @@ class Fixture:
         if name == "F" and zeta is None and self.zeta is None:
             return f"fixture {self.name!r} carries no zeta"
         return None
-
-    def available_connections(self) -> list[str]:
-        return [tag for tag in CONNECTION_TAGS if self._unavailable(tag) is None]
 
     def connection(self, tag: str, zeta: ScalarField | None = None) -> AffineConnection:
         """Named member of the fixture's connection family.
@@ -470,12 +473,79 @@ def builtin_config(name: str) -> dict:
 # --- config loading --------------------------------------------------------------
 
 
-def _number(value, what: str):
-    """A config value that must be a JSON number; null, a string, a list or a
-    boolean is a FixtureError here rather than a TypeError further in."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FixtureError(f"{what} {value!r} is not a number")
-    return value
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    # JSON Schema 2020-12: a boolean is not a number, and 2.0 is an integer
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+_BOUNDS = (("minimum", operator.lt, "below the minimum"),
+           ("maximum", operator.gt, "above the maximum"),
+           ("exclusiveMinimum", operator.le, "not above"))
+
+
+def check_config(value, schema: dict = SCHEMA, path: str = "") -> None:
+    """Raise FixtureError naming the JSON path of the first place where
+    ``value`` breaks ``schema``.
+
+    Knows the keywords the fixture schema uses: type, enum, minimum, maximum,
+    exclusiveMinimum, minItems, maxItems, items, required, properties and
+    additionalProperties, each applied to values of its own JSON type.
+    """
+    def fail(problem: str, where: str = path):
+        raise FixtureError(f"invalid fixture config: {where or 'config'}: {problem}")
+
+    kind = schema.get("type")
+    if kind is not None and not _IS_TYPE[kind](value):
+        fail(f"{value!r} is not {'an' if kind[0] in 'aeiou' else 'a'} {kind}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {', '.join(map(repr, schema['enum']))}")
+    if _IS_TYPE["number"](value):
+        for key, breaks, words in _BOUNDS:
+            if key in schema and breaks(value, schema[key]):
+                fail(f"{value!r} is {words} {schema[key]!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} has fewer than {schema['minItems']} items")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} has more than {schema['maxItems']} items")
+        if "items" in schema:
+            for i, item in enumerate(value):
+                check_config(item, schema["items"], f"{path}[{i}]")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"required key {key!r} is missing")
+        known, other = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, item in value.items():
+            where = f"{path}.{key}" if path else str(key)
+            if key in known:
+                check_config(item, known[key], where)
+            elif other is False:
+                fail(f"unknown key; known keys: {', '.join(known)}", where)
+            elif isinstance(other, dict):
+                check_config(item, other, where)
+
+
+def _check_shape(entry: str, rows: list, n: int, rank: int) -> None:
+    """Raise FixtureError unless ``rows``, lists nested ``rank`` deep as the
+    schema has checked, is n x ... x n."""
+    level, widths = [rows], []
+    for _ in range(rank):
+        widths.append("/".join(str(w) for w in sorted({len(x) for x in level})) or "0")
+        level = [y for x in level for y in x]
+    if widths != [str(n)] * rank:
+        raise FixtureError(f"{entry} is {' x '.join(widths)}, but dimension {n} needs "
+                           f"{' x '.join([str(n)] * rank)}")
+
+
+def _tensor_field(entry: str, rows: list, variance: tuple[str, ...], n: int,
+                  constants) -> TensorField:
+    _check_shape(entry, rows, n, len(variance))
+    return _parsed(entry, TensorField.from_sources, rows, variance, n, constants)
 
 
 def _singular_locus(entry: dict, box) -> tuple[int, float]:
@@ -485,14 +555,14 @@ def _singular_locus(entry: dict, box) -> tuple[int, float]:
     box: the grid checks evaluate the box's edges, and a locus inside would
     put a pole among the evidence.
     """
-    axis, value = _number(entry["axis"], "singular locus axis"), float(entry["value"])
-    if axis != int(axis) or not 1 <= axis <= len(box):
+    axis, value = int(entry["axis"]), float(entry["value"])
+    if axis > len(box):
         raise FixtureError(f"singular locus axis {axis!r} is not one of 1..{len(box)}")
-    lo, hi = map(float, box[int(axis) - 1])
+    lo, hi = map(float, box[axis - 1])
     if not math.isfinite(value) or lo <= value <= hi:
-        raise FixtureError(f"singular locus x{int(axis)} = {value!r} is not a finite "
+        raise FixtureError(f"singular locus x{axis} = {value!r} is not a finite "
                            f"value outside the domain [{lo!r}, {hi!r}]")
-    return int(axis) - 1, value
+    return axis - 1, value
 
 
 def _parsed(entry: str, build, source, *args):
@@ -506,68 +576,54 @@ def _parsed(entry: str, build, source, *args):
 
 def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = None
                 ) -> Fixture:
-    """Build (and optionally validate) a fixture from a config dict."""
+    """Build (and optionally validate) a fixture from a config dict, which
+    :func:`check_config` checks against :data:`SCHEMA` first."""
+    check_config(cfg)
     try:
-        n = int(_number(cfg["dimension"], "dimension"))
-        if not 2 <= n <= MAX_DIMENSION:
-            raise FixtureError(f"dimension {n} is not between 2 and {MAX_DIMENSION}")
-        rows = cfg["metric"]
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise FixtureError(f"metric {rows!r} is not a list of rows")
-        if len(rows) != n or any(len(row) != n for row in rows):
-            widths = "/".join(str(w) for w in sorted({len(row) for row in rows})) or "0"
-            raise FixtureError(f"metric is {len(rows)} x {widths}, but dimension {n} "
-                               f"needs {n} x {n}")
-        fixture_name = name or cfg.get("name", "unnamed")
-        constants = cfg.get("constants", {})
-        metric = _parsed("metric", Metric.from_sources, rows, constants)
-        kind = cfg["kind"]
-        if kind not in ("nondegenerate", "semidegenerate"):
-            raise FixtureError(f"unknown kind {kind!r}")
-        family = None
-        if "potentials" in cfg and cfg["potentials"]:
-            family = PotentialFamily(
-                tuple(_parsed(f"potentials[{i}]", ScalarField.from_source, s, n, constants)
-                      for i, s in enumerate(cfg["potentials"])), kind)
-        box = cfg["domain"]
-        if not isinstance(box, list) or any(
-                not isinstance(edge, list) or len(edge) != 2 for edge in box):
-            raise FixtureError(f"domain {box!r} is not a list of [lo, hi] pairs")
-        box = [[_number(v, "domain bound") for v in edge] for edge in box]
+        n, box = int(cfg["dimension"]), cfg["domain"]
+        _check_shape("metric", cfg["metric"], n, 2)
         if len(box) != n:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
+        margin = cfg.get("singular_margin", 0.0)
+        numbers = {"singular_margin": margin, **{
+            f"domain[{i}][{j}]": v for i, edge in enumerate(box) for j, v in enumerate(edge)}}
+        for entry, value in numbers.items():
+            if not math.isfinite(value):
+                raise FixtureError(f"invalid fixture config: {entry}: {value!r} is not finite")
+        # raises ValueError when the margin leaves no interior on some axis
+        grid_points(box, 1, margin)
         loci = [_singular_locus(d, box) for d in cfg.get("singular_loci", [])]
+        constants = cfg.get("constants", {})
+        metric = _parsed("metric", Metric.from_sources, cfg["metric"], constants)
+        family = None
+        if cfg.get("potentials"):
+            family = PotentialFamily(
+                tuple(_parsed(f"potentials[{i}]", ScalarField.from_source, s, n, constants)
+                      for i, s in enumerate(cfg["potentials"])), cfg["kind"])
         zeta = None
-        if "zeta" in cfg and cfg["zeta"] is not None:
+        if "zeta" in cfg:
             zeta = _parsed("zeta", ScalarField.from_source, cfg["zeta"], n, constants)
         killing = []
         for idx, kd in enumerate(cfg.get("killing", [])):
-            K = _parsed(f"killing[{idx}].components", TensorField.from_sources,
-                        kd["components"], ("down", "down"), n, constants)
-            kvals = K.comps
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if kvals[i, j] != kvals[j, i]:
-                        raise FixtureError(
-                            "killing tensor components are not structurally symmetric")
+            K = _tensor_field(f"killing[{idx}].components", kd["components"],
+                              ("down", "down"), n, constants)
+            if any(K.comps[i, j] != K.comps[j, i] for i in range(n) for j in range(i)):
+                raise FixtureError("killing tensor components are not structurally symmetric")
             W, V = (_parsed(f"killing[{idx}].{key}", ScalarField.from_source, kd[key], n,
                             constants) if kd.get(key) else None
                     for key in ("scalar", "potential"))
             killing.append(KillingData(K, W, V))
-        # raises ValueError when the margin leaves no interior on some axis
-        margin = _number(cfg.get("singular_margin", 0.0), "singular_margin")
-        grid_points(box, 1, margin)
         structure = cfg.get("structure", {})
         structure_T, structure_D, structure_s = (
-            _parsed(f"structure.{key}", TensorField.from_sources, structure[key], variance,
-                    n, constants) if key in structure else None
+            _tensor_field(f"structure.{key}", structure[key], variance, n, constants)
+            if key in structure else None
             for key, variance in (("T", ("up", "down", "down")), ("D", ("up", "down", "down")),
                                   ("s", ("up",))))
-        fixture = Fixture(fixture_name, kind, metric, family, box, loci,
-                          margin, zeta, killing,
+        fixture = Fixture(name or cfg.get("name", "unnamed"), cfg["kind"], metric, family,
+                          box, loci, margin, zeta, killing,
                           structure_T, structure_D, structure_s,
                           cfg.get("expected"), config=cfg)
-    except (KeyError, ParseError, ValueError) as exc:
+    except ValueError as exc:
         if isinstance(exc, FixtureError):
             raise
         raise FixtureError(f"invalid fixture config: {exc}") from exc
@@ -581,7 +637,7 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
 
 
 def load(path, validate_on_load: bool = True) -> Fixture:
-    """Load a fixture from a JSON config file; see docs/fixture.schema.json."""
+    """Load a fixture from a JSON config file; see :data:`SCHEMA`."""
     with open(path) as fh:
         try:
             cfg = json.load(fh)
@@ -714,44 +770,24 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
         except Exception as exc:
             fail("killing", f"entry {idx}: {exc}")
 
-    # expected-results block
+    # expected-results block; check_config has checked its types and keys
     expected = fixture.expected
-    if not isinstance(expected, dict):
-        fail("expected", f"expected block {expected!r} is not an object")
-        expected = {}
-    spots = expected.get("spots", [])
-    if not isinstance(spots, list):
-        fail("expected-spot", f"spots {spots!r} is not a list")
-        spots = []
-    for k, spot in enumerate(spots):
-        try:
-            x = np.asarray(spot["point"], dtype=float)
-            if x.shape != (n,):
-                raise ValueError(f"point has shape {x.shape}, not ({n},)")
-            tensor = spot["tensor"]
-            index = tuple(int(i) - 1 for i in spot["index"])
-            want, tol = float(spot["value"]), float(spot["tol"])
-        except (KeyError, TypeError, ValueError) as exc:
-            fail("expected-spot", f"spots[{k}] is malformed: {type(exc).__name__}: {exc}")
+    evaluate = {"T": fixture.structure_tensor, "D": fixture.prolongation_tensor,
+                "s": fixture.s_vector, "t": fixture.t_covector}
+    for k, spot in enumerate(expected.get("spots", [])):
+        x = np.asarray(spot["point"], dtype=float)
+        if x.shape != (n,):
+            fail("expected-spot", f"spots[{k}] is malformed: point has shape {x.shape}, "
+                 f"not ({n},)")
             continue
+        tensor, index = spot["tensor"], tuple(int(i) - 1 for i in spot["index"])
         try:
-            if tensor == "T":
-                value = fixture.structure_tensor(x)[index]
-            elif tensor == "D":
-                value = fixture.prolongation_tensor(x)[index]
-            elif tensor == "s":
-                value = fixture.s_vector(x)[index]
-            elif tensor == "t":
-                value = fixture.t_covector(x)[index]
-            else:
-                fail("expected-spot", f"unknown tensor {tensor!r}")
-                continue
-            value = float(value)
+            value = float(evaluate[tensor](x)[index])
         except Exception as exc:
             fail("expected-spot", str(exc), x)
             continue
-        err = abs(value - want)
-        if not err <= tol:
+        err = abs(value - spot["value"])
+        if not err <= spot["tol"]:
             fail("expected-spot",
                  f"{tensor}{list(spot['index'])} = {value!r}, "
                  f"expected {spot['value']!r}", x, err)

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .expressions import Expression, is_constant, parse
-from .jets import Jet, Program, compile, flat_index
+from .jets import Program, compile, flat_index
 
 
 class GeometryError(ValueError):
@@ -108,9 +108,6 @@ class ScalarField:
 
     def value(self, x) -> float:
         return self._program.values(x)[0]
-
-    def jet2(self, x) -> Jet:
-        return self._program.jets(x, 2)[0]
 
     def derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_a V, d_a d_b V) at a point, or stacked over the leading axes of x."""

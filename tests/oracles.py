@@ -27,7 +27,9 @@ from dualgeo.expressions import (
     Add, Call, Const, Div, EvalDomainError, Mul, Neg, Num, Pow, Sub, Var,
     to_source,
 )
+from dualgeo.fixtures import CONNECTION_TAGS, FixtureError
 from dualgeo.geometry import hessian
+from dualgeo.jets import eval_jet2
 from dualgeo.structure import sym_product_metric_form
 
 # finite-difference steps are scale * (1 + |x_i|) per axis: cbrt(eps) for a
@@ -457,7 +459,7 @@ def laplacian_divergence_form(g, V, x):
     """Independent Laplace-Beltrami path: (1/sqrt|g|) d_i (sqrt|g| g^{ij} d_j V)."""
     gmat, dg, _ = g.jets(x)
     ginv = g.inverse(x)
-    jet = V.jet2(x)
+    jet = eval_jet2(V.expr, x)
     sqrtdet = np.sqrt(np.linalg.det(gmat))
     dginv = g.inverse_jacobian(x)
     # d_a sqrt(det g) = 1/2 sqrt(det g) tr(g^{-1} d_a g)
@@ -569,7 +571,7 @@ def brute_force_structure_tensor(metric, family, x):
         return (k * n + i) * n + j
 
     for V in family.potentials:
-        jet = V.jet2(x)
+        jet = eval_jet2(V.expr, x)
         hess_cov = jet.hess - np.einsum("kij,k->ij", gamma, jet.grad)
         lap = float(np.einsum("ij,ij->", ginv, hess_cov))
         target = hess_cov - metric.value(x) * lap / n
@@ -609,7 +611,7 @@ def brute_force_s(metric, family, x):
     gamma = metric.christoffel(x)
     rows, rhs = [], []
     for V in family.potentials:
-        jet = V.jet2(x)
+        jet = eval_jet2(V.expr, x)
         hess_cov = jet.hess - np.einsum("kij,k->ij", gamma, jet.grad)
         rows.append(jet.grad)
         rhs.append(float(np.einsum("ij,ij->", ginv, hess_cov)))
@@ -677,6 +679,20 @@ def reference_csv(traj) -> str:
 # companion (Gamma - D) plus the trace shift; F = B plus the metric-dzeta
 # product.  T and B have the analytic Jacobian dGamma - sign * dT, minus sign *
 # the derivative of the B term; D, dagger and F are central differences.
+
+
+def buildable_tags(fixture):
+    """The tags of CONNECTION_TAGS whose connection the fixture builds, in
+    that order: every tag for which ``fixture.connection`` raises no
+    FixtureError."""
+    buildable = []
+    for tag in CONNECTION_TAGS:
+        try:
+            fixture.connection(tag)
+        except FixtureError:
+            continue
+        buildable.append(tag)
+    return buildable
 
 
 def reference_coefficients(fixture, tag, x, zeta=None):
@@ -863,7 +879,7 @@ def pointwise_bertrand_darboux(g, K, V, points):
         ginv = g.inverse(x)
         dginv = _pointwise_inverse_jacobian(g, x)
         kvals, dk = K.jets(x)
-        jet = V.jet2(x)
+        jet = eval_jet2(V.expr, x)
         k_mixed = np.einsum("mk,kj->mj", ginv, kvals)
         dk_mixed = (np.einsum("amk,kj->amj", dginv, kvals)
                     + np.einsum("mk,akj->amj", ginv, dk))
@@ -883,8 +899,8 @@ def pointwise_poisson(g, V, K, W, points, momenta):
         dk_up = (np.einsum("mia,jb,ab->mij", dginv, ginv, kvals)
                  + np.einsum("ia,mjb,ab->mij", ginv, dginv, kvals)
                  + np.einsum("ia,jb,mab->mij", ginv, ginv, dk))
-        dV = V.jet2(x).grad
-        dW = W.jet2(x).grad
+        dV = eval_jet2(V.expr, x).grad
+        dW = eval_jet2(W.expr, x).grad
         for p in momenta:
             p = np.asarray(p, dtype=float)
             dH_dx = np.einsum("mij,i,j->m", dginv, p, p) + dV

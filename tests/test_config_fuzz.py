@@ -6,15 +6,23 @@ failures included), or raise :class:`EvalDomainError` naming the offending
 subexpression.  Anything else, say a ``ZeroDivisionError``, an
 ``OverflowError``, a numpy ``LinAlgError`` or a hang, is a bug.  The search is
 derandomized, so the suite stays deterministic.
+
+Every config the search draws, ill-typed ones included, must also get the
+same accept or reject from ``fixtures.check_config`` as from ``jsonschema``
+against the packaged schema, and a config the schema rejects must fail to
+load.
 """
 
+import copy
 import time
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from dualgeo.expressions import EvalDomainError
-from dualgeo.fixtures import Fixture, FixtureError, builtin_config, from_config
+from dualgeo.fixtures import (
+    SCHEMA, Fixture, FixtureError, builtin_config, builtin_names, check_config, from_config,
+)
 
 _NUMBERS = ["0", "1", "2", "3", "0.5", "-1", "1e-200", "1e-90", "1e200", "1e308",
             "1e999"]
@@ -75,7 +83,22 @@ def configs(draw):
     return cfg
 
 
+def _schema_accepts(cfg) -> bool:
+    """check_config's verdict on cfg, asserted equal to jsonschema's."""
+    import jsonschema
+    try:
+        check_config(cfg)
+        accepted = True
+    except FixtureError:
+        accepted = False
+    assert accepted == jsonschema.Draft202012Validator(SCHEMA).is_valid(cfg), cfg
+    return accepted
+
+
 def _load(cfg):
+    if not _schema_accepts(cfg):
+        with pytest.raises(FixtureError):
+            from_config(cfg)
     try:
         return from_config(cfg)
     except FixtureError as exc:
@@ -140,3 +163,108 @@ def test_overflow_found_by_the_search_names_its_subexpression(where):
     with pytest.raises(FixtureError) as err:
         from_config(_sw2_with(where, "(1e200)^2"))
     assert "result out of float range in subexpression '1e+200^2.0'" in str(err.value)
+
+
+# --- ill-typed configs and the schema checker -------------------------------------
+
+_JSON_VALUES = st.sampled_from([
+    None, True, False, 0, 1, 2, 7, -1, 2.0, 1.5, -0.45, 1e300, float("nan"), float("inf"),
+    "", "x1", "T", "nondegenerate", [], [5], ["x1"], [[0.5, 3.0]], [1.0, 2.0], {},
+    {"axis": 1, "value": 0.0}, {"k": 1}])
+# misspelled or misplaced keys, and known keys in the wrong object
+_KEYS = st.sampled_from(["spot", "singular_locus", "axis", "tol", "T", "name", "zeta", "k"])
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON document, the root's () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def ill_typed_configs(draw):
+    """A built-in config with one node replaced by a JSON value of any type,
+    one key deleted, or one key added."""
+    cfg = builtin_config(draw(st.sampled_from(builtin_names())))
+    path = draw(st.sampled_from(list(_paths(cfg))))
+    value = copy.deepcopy(draw(_JSON_VALUES))
+    if not path:
+        return value
+    *parents, last = path
+    parent = cfg
+    for key in parents:
+        parent = parent[key]
+    how = draw(st.sampled_from(["replace", "delete", "add"]))
+    if how == "replace" or not isinstance(parent, dict):
+        parent[last] = value
+    elif how == "delete":
+        del parent[last]
+    else:
+        parent[draw(_KEYS)] = value
+    return cfg
+
+
+@given(ill_typed_configs())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_ill_typed_configs_agree_with_jsonschema_and_fail_in_a_documented_way(cfg):
+    assert isinstance(_load(cfg), (Fixture, FixtureError, EvalDomainError))
+
+
+# keyword -> (schema, an instance it accepts, one it rejects)
+KEYWORD_CASES = [
+    ("type", {"type": "integer"}, 2.0, True),
+    ("type", {"type": "number"}, 0.5, False),
+    ("type", {"type": "string"}, "x1", 1),
+    ("type", {"type": "array"}, [], {}),
+    ("type", {"type": "object"}, {}, []),
+    ("enum", {"enum": ["T", "D"]}, "D", "t"),
+    ("minimum", {"minimum": 0}, 0, -1e-300),
+    ("maximum", {"maximum": 6}, 6.0, 7),
+    ("exclusiveMinimum", {"exclusiveMinimum": 0}, 1e-300, 0),
+    ("minItems", {"minItems": 2}, [1, 2], [1]),
+    ("maxItems", {"maxItems": 2}, [1, 2], [1, 2, 3]),
+    ("items", {"items": {"type": "string"}}, ["a"], ["a", 5]),
+    ("required", {"required": ["axis"]}, {"axis": 1}, {"value": 1}),
+    ("properties", {"properties": {"axis": {"type": "integer"}}}, {"axis": 1}, {"axis": 1.5}),
+    ("additionalProperties", {"properties": {"a": {}}, "additionalProperties": False},
+     {"a": 1}, {"b": 1}),
+    ("additionalProperties", {"additionalProperties": {"type": "number"}}, {"k": 2},
+     {"k": "a"}),
+]
+ANNOTATIONS = {"$schema", "title", "description"}
+
+
+@pytest.mark.parametrize("keyword, schema, good, bad", KEYWORD_CASES,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(KEYWORD_CASES)])
+def test_checker_keywords_agree_with_jsonschema(keyword, schema, good, bad):
+    import jsonschema
+    assert keyword in schema
+    check_config(good, schema)
+    with pytest.raises(FixtureError):
+        check_config(bad, schema)
+    validator = jsonschema.Draft202012Validator(schema)
+    assert validator.is_valid(good) and not validator.is_valid(bad)
+
+
+def test_every_keyword_of_the_schema_is_one_the_checker_handles():
+    # a keyword the checker does not know would be silently ignored
+    keywords, types = set(), set()
+
+    def walk(schema):
+        keywords.update(schema)
+        types.add(schema.get("type"))
+        for sub in schema.get("properties", {}).values():
+            walk(sub)
+        for key in ("items", "additionalProperties"):
+            if isinstance(schema.get(key), dict):
+                walk(schema[key])
+
+    walk(SCHEMA)
+    handled = {case[0] for case in KEYWORD_CASES}
+    assert keywords - ANNOTATIONS <= handled, keywords - ANNOTATIONS - handled
+    tested = {case[1]["type"] for case in KEYWORD_CASES if case[0] == "type"}
+    assert types - {None} <= tested, types - {None} - tested

@@ -1,13 +1,18 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dualgeo import fixtures
 from dualgeo.fixtures import (
     FixtureError, FixtureValidationError, UnknownFixtureError, builtin,
     builtin_config, builtin_names, from_config, load, validate,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGED_SCHEMA = Path(fixtures.__file__).with_name("fixture.schema.json")
 
 
 def test_builtin_names():
@@ -144,21 +149,20 @@ def test_classification_expected_mismatch_detected():
 
 
 def test_schema_documents_exist():
-    from pathlib import Path
-    root = Path(__file__).resolve().parents[1]
-    for rel in ("docs/fixture.schema.json", "docs/report.schema.json",
-                "docs/expression-grammar.ebnf"):
-        assert (root / rel).exists(), rel
-    schema = json.loads((root / "docs/fixture.schema.json").read_text())
+    for path in (PACKAGED_SCHEMA, ROOT / "docs/report.schema.json",
+                 ROOT / "docs/expression-grammar.ebnf"):
+        assert path.exists(), path
+    # the packaged fixture schema is the only copy, and the one the loader uses
+    assert not (ROOT / "docs/fixture.schema.json").exists()
+    schema = json.loads(PACKAGED_SCHEMA.read_text())
+    assert schema == fixtures.SCHEMA
     assert schema.get("type") == "object"
     for key in ("dimension", "metric", "kind", "domain"):
         assert key in schema["properties"]
 
 
 def test_example_config_loads_and_validates():
-    from pathlib import Path
-    root = Path(__file__).resolve().parents[1]
-    fixture = load(root / "docs" / "example-fixture.json")
+    fixture = load(ROOT / "docs" / "example-fixture.json")
     assert fixture.name == "example-oscillator"
     # named constant bound at load time: k = 2 scales the quadratic potential
     V = fixture.family.potentials[0]
@@ -182,9 +186,9 @@ def test_declared_structure_with_torsion_fails_validation(name, tensor):
 
 
 @pytest.mark.parametrize("loci, domain, fragment", [
-    ([{"axis": 0, "value": 0.0}], None, "axis 0 is not one of 1..2"),
+    ([{"axis": 0, "value": 0.0}], None, "singular_loci[0].axis: 0 is below the minimum 1"),
     ([{"axis": 3, "value": 0.0}], None, "axis 3 is not one of 1..2"),
-    ([{"axis": 1.5, "value": 0.0}], None, "axis 1.5 is not one of 1..2"),
+    ([{"axis": 1.5, "value": 0.0}], None, "singular_loci[0].axis: 1.5 is not an integer"),
     ([{"axis": 2, "value": float("nan")}], None, "x2 = nan is not a finite value"),
     (None, [[-1.0, 2.0], [-1.0, 2.0]], "x1 = 0.0 is not a finite value outside"),
     (None, [[0.0, 3.0], [0.5, 3.0]], "x1 = 0.0 is not a finite value outside"),
@@ -198,7 +202,7 @@ def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, cap
         cfg["singular_loci"] = loci
     if domain is not None:
         cfg["domain"] = domain
-    with pytest.raises(FixtureError, match=fragment):
+    with pytest.raises(FixtureError, match=re.escape(fragment)):
         from_config(cfg, validate_on_load=False)
     path = tmp_path / "loci.json"
     path.write_text(json.dumps(cfg))
@@ -207,26 +211,54 @@ def test_singular_loci_are_checked_at_load(loci, domain, fragment, tmp_path, cap
     assert not (tmp_path / "trajectory-sw2-pT.csv").exists()
 
 
+_WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value": 99.0,
+                "tol": 1e-9}]
+
+
 @pytest.mark.parametrize("entry, value, fragment", [
-    ("dimension", None, "dimension None is not a number"),
-    ("domain", None, "domain None is not a list of [lo, hi] pairs"),
-    ("singular_margin", "x", "singular_margin 'x' is not a number"),
-    ("axis", None, "singular locus axis None is not a number"),
-    ("metric", 5, "metric 5 is not a list of rows"),
-    ("metric", [[1, 0], [0, 1]], "expected an expression string, got 1"),
-    ("zeta", 5, "expected an expression string, got 5"),
-    ("potentials", [5], "expected an expression string, got 5"),
-    ("structure", {"T": 5}, "expected an expression string, got 5"),
+    ("dimension", None, "dimension: None is not an integer"),
+    ("domain", None, "domain: None is not an array"),
+    ("singular_margin", "x", "singular_margin: 'x' is not a number"),
+    ("axis", None, "singular_loci[0].axis: None is not an integer"),
+    ("metric", 5, "metric: 5 is not an array"),
+    ("metric", [[1, 0], [0, 1]], "metric[0][0]: 1 is not a string"),
+    ("zeta", 5, "zeta: 5 is not a string"),
+    ("potentials", [5], "potentials[0]: 5 is not a string"),
+    ("structure", {"T": 5}, "structure.T: 5 is not an array"),
     ("killing", [{"components": [[1, 0], [0, 0]], "scalar": "x1^2 + 1/x1^2",
                   "potential": "x1^2 + x2^2 + 1/x1^2 + 1/x2^2"}],
-     "expected an expression string, got 1"),
+     "killing[0].components[0][0]: 1 is not a string"),
+    ("potentials", 5, "potentials: 5 is not an array"),
+    ("killing", 5, "killing: 5 is not an array"),
+    ("killing", [5], "killing[0]: 5 is not an object"),
+    ("singular_loci", [5], "singular_loci[0]: 5 is not an object"),
+    ("singular_loci", None, "singular_loci: None is not an array"),
+    ("structure", 5, "structure: 5 is not an object"),
+    ("constants", 5, "constants: 5 is not an object"),
+    ("constants", {"k": "a"}, "constants.k: 'a' is not a number"),
+    ("singular_margin", -0.45, "singular_margin: -0.45 is below the minimum 0"),
+    ("singular_margin", float("nan"), "singular_margin: nan is not finite"),
+    ("domain", [[0.5, float("nan")], [0.5, 3.0]], "domain[0][1]: nan is not finite"),
+    ("domain", [[0.5, 3.0], [float("-inf"), 3.0]], "domain[1][0]: -inf is not finite"),
+    ("expected", {"spot": _WRONG_SPOT}, "expected.spot: unknown key; known keys: "
+                                        "classification, enlarging, spots"),
+    ("singular_locus", [{"axis": 1, "value": 0.0}], "singular_locus: unknown key"),
+    ("name", 5, "name: 5 is not a string"),
 ], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null", "metric-number",
         "metric-numeric-components", "zeta-number", "potential-number", "structure-T-number",
-        "killing-numeric-components"])
+        "killing-numeric-components", "potentials-number", "killing-number",
+        "killing-entry-number", "locus-number", "loci-null", "structure-number",
+        "constants-number", "constant-string", "margin-negative", "margin-nan",
+        "domain-bound-nan", "domain-bound-inf", "expected-misspelled", "loci-misspelled",
+        "name-number"])
 def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
                                                             tmp_path, capsys):
-    # each of these ended the CLI with a TypeError or AttributeError traceback
-    # and exit 1
+    # the first ten ended the CLI with a TypeError or AttributeError traceback
+    # and exit 1, and so did the next seven.  A string constant, a negative
+    # margin (whose grid reached outside the box), a misspelled key and a
+    # numeric name (which broke the report schema) loaded and passed; a NaN
+    # margin or bound failed validation with misleading messages.  Each is
+    # now rejected at load, and the message names the entry's JSON path.
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     if entry == "axis":
@@ -238,21 +270,22 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragme
     path = tmp_path / "typed.json"
     path.write_text(json.dumps(cfg))
     assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 3
-    assert fragment in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert fragment in stderr and "Traceback" not in stderr
     assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("path, value, message", [
-    (("potentials", 1), 5, "potentials[1] 5: expected an expression string, got 5 (at offset 0)"),
-    (("metric", 0, 0), 5, "metric [[5, '0'], ['0', '1']]: expected an expression string, "
-                          "got 5 (at offset 0)"),
+    (("potentials", 1), 5, "potentials[1]: 5 is not a string"),
+    (("metric", 0, 0), 5, "metric[0][0]: 5 is not a string"),
     (("potentials", 1), "x1 +", "potentials[1] 'x1 +': unexpected end of input (at offset 4)"),
     (("killing", 0, "components", 0, 0), "x1 +",
      "killing[0].components [['x1 +', '0'], ['0', '0']]: unexpected end of input (at offset 4)"),
 ], ids=["potential-number", "metric-number", "potential-syntax", "killing-syntax"])
 def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path, capsys):
     # each pair of these read the same, with an offset into a string the
-    # message did not show
+    # message did not show; a number in place of an expression now fails the
+    # schema check, which names its JSON path
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     *parents, last = path
@@ -270,29 +303,39 @@ def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path,
 
 
 @pytest.mark.parametrize("expected, check, message", [
-    ({"spots": [5]}, "expected-spot",
-     "spots[0] is malformed: TypeError: 'int' object is not subscriptable"),
-    ({"spots": [{"point": [1.0, 1.0]}]}, "expected-spot",
-     "spots[0] is malformed: KeyError: 'tensor'"),
+    ({"spots": [5]}, None, "expected.spots[0]: 5 is not an object"),
+    ({"spots": [{"point": [1.0, 1.0]}]}, None,
+     "expected.spots[0]: required key 'tensor' is missing"),
     ({"spots": [{"point": [[1.0, 2.0]], "tensor": "T", "index": [1, 1, 1], "value": 0.0,
+                 "tol": 1.0}]}, None, "expected.spots[0].point[0]: [1.0, 2.0] is not a number"),
+    ({"spots": 5}, None, "expected.spots: 5 is not an array"),
+    ({"spots": None}, None, "expected.spots: None is not an array"),
+    (5, None, "expected: 5 is not an object"),
+    ({"spots": [{"point": [1.0], "tensor": "T", "index": [1, 1, 1], "value": 0.0,
                  "tol": 1.0}]}, "expected-spot",
-     "spots[0] is malformed: ValueError: point has shape (1, 2), not (2,)"),
-    ({"spots": 5}, "expected-spot", "spots 5 is not a list"),
-    ({"spots": None}, "expected-spot", "spots None is not a list"),
-    (5, "expected", "expected block 5 is not an object"),
+     "spots[0] is malformed: point has shape (1,), not (2,)"),
 ], ids=["not-an-object", "no-tensor", "stacked-point", "spots-number", "spots-null",
-        "expected-number"])
+        "expected-number", "short-point"])
 def test_a_malformed_spot_is_a_validation_failure(expected, check, message, tmp_path,
                                                   capsys):
     # each used to escape validate as a traceback: the spot's entries were
     # read outside its try, a stacked point failed in the failure entry, and
-    # the spots and the block were iterated and read with no type check
+    # the spots and the block were iterated and read with no type check.
+    # The schema check now rejects all but a point of the wrong length before
+    # the fixture is built (check None); that one, which depends on the
+    # dimension, stays a validation failure.
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     cfg["expected"] = expected
-    with pytest.raises(FixtureValidationError) as err:
-        from_config(cfg)
-    assert err.value.failures == [{"check": check, "message": message}]
+    if check is None:
+        with pytest.raises(FixtureError) as err:
+            from_config(cfg)
+        assert not isinstance(err.value, FixtureValidationError)
+        assert str(err.value) == f"invalid fixture config: {message}"
+    else:
+        with pytest.raises(FixtureValidationError) as err:
+            from_config(cfg)
+        assert err.value.failures == [{"check": check, "message": message}]
     config = tmp_path / "spot.json"
     config.write_text(json.dumps(cfg))
     assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
@@ -326,6 +369,42 @@ def test_metric_must_be_dimension_by_dimension(metric, shape):
         from_config(cfg)
 
 
+@pytest.mark.parametrize("name, path, value, message", [
+    ("sw2-weak", ("structure", "D"), [], "structure.D is 0 x 0 x 0, but dimension 2 "
+                                         "needs 2 x 2 x 2"),
+    ("sw2", ("structure", "T"), [[["0", "0"], ["0", "0"]]],
+     "structure.T is 1 x 2 x 2, but dimension 2 needs 2 x 2 x 2"),
+    ("sw2-weak", ("structure", "s"), ["-3/x1"], "structure.s is 1, but dimension 2 needs 2"),
+    ("sw2", ("killing", 0, "components"), [["1"]],
+     "killing[0].components is 1 x 1, but dimension 2 needs 2 x 2"),
+    ("sw2", ("expected", "spots", 0, "index"), [0, 1, 1],
+     "invalid fixture config: expected.spots[0].index[0]: 0 is below the minimum 1"),
+    ("sw2", ("killing", 0, "scalr"), "x1",
+     "invalid fixture config: killing[0].scalr: unknown key; known keys: components, "
+     "scalar, potential"),
+], ids=["D-empty", "T-one-row", "s-short", "killing-1x1", "spot-index-0",
+        "killing-misspelled"])
+def test_tensor_entries_are_checked_at_load(name, path, value, message, tmp_path, capsys):
+    # an empty D and a 1 x 1 Killing tensor ended in a traceback, a short T
+    # or s failed validation with numpy's shape errors, a spot index 0 read
+    # the last component, and a misspelled Killing key was ignored
+    from dualgeo.cli import main
+    cfg = builtin_config(name)
+    *parents, last = path
+    entry = cfg
+    for key in parents:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(FixtureError) as err:
+        from_config(cfg, validate_on_load=False)
+    assert str(err.value) == message
+    config = tmp_path / "shape.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
+    stderr = capsys.readouterr().err
+    assert message in stderr and "Traceback" not in stderr
+
+
 def test_every_builtin_declares_its_loci_outside_its_box():
     for name in builtin_names():
         fixture = builtin(name)
@@ -339,14 +418,14 @@ def test_dimension_is_bounded_before_anything_is_built():
     assert MAX_DIMENSION == 6
     # a config past the limit is rejected before its metric is read: this
     # one has none that could be parsed
-    for n in (MAX_DIMENSION + 1, 10**9, 1, 0):
+    for n, bound in ((MAX_DIMENSION + 1, "above the maximum 6"),
+                     (10**9, "above the maximum 6"), (1, "below the minimum 2"),
+                     (0, "below the minimum 2")):
         cfg = {"dimension": n, "metric": "not a metric", "kind": "nondegenerate",
                "domain": []}
-        with pytest.raises(FixtureError, match=f"dimension {n} is not between 2 and 6"):
+        with pytest.raises(FixtureError, match=f"dimension: {n} is {bound}"):
             from_config(cfg)
-    from pathlib import Path
-    root = Path(__file__).resolve().parents[1]
-    schema = json.loads((root / "docs" / "fixture.schema.json").read_text())
+    schema = json.loads(PACKAGED_SCHEMA.read_text())
     assert schema["properties"]["dimension"]["maximum"] == MAX_DIMENSION
 
 

@@ -22,7 +22,7 @@ from dualgeo.structure import (
     bertrand_darboux_check, beta_condition_residual, classify, killing_check, poisson_check,
 )
 from oracles import (
-    pointwise_bertrand_darboux, pointwise_beta_condition, pointwise_classification_norm,
+    buildable_tags, pointwise_bertrand_darboux, pointwise_beta_condition, pointwise_classification_norm,
     pointwise_compatibility, pointwise_dual_projective, pointwise_extracted_T,
     pointwise_killing, pointwise_poisson, pointwise_ricci_symmetry,
     pointwise_semi_compatibility,
@@ -108,7 +108,7 @@ def assert_checks_equal_pointwise(fixture, grid, tags):
 def test_blocked_checks_equal_pointwise_loops(name):
     fixture = _fixture(name)
     assert_checks_equal_pointwise(fixture, fixture.grid(3),
-                                  fixture.available_connections())
+                                  buildable_tags(fixture))
 
 
 @pytest.mark.parametrize("per_axis", [1, 7, 9])
