@@ -14,6 +14,10 @@ one ``...``-einsum, and :func:`~dualgeo.geometry.grid_max` reduces it before
 the next block is formed, so memory is bounded by the block.  Block maxima
 fold with ``np.maximum``, so a NaN residual anywhere is the result and fails
 the verdict; NaN is no torsion defect, so it is not rejected as torsion.
+:func:`antisymmetrized_gradient` and :func:`ricci_asymmetry` are the
+per-block residuals of the compatibility and Ricci-symmetry checks, so a
+suite can reduce them in its own single pass over the grid
+(:func:`~dualgeo.geometry.grid_maxima`).
 
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
@@ -221,8 +225,10 @@ def metric_gradient(conn: AffineConnection, h: Metric, x) -> np.ndarray:
     return dh - corr - np.einsum("...ikj->...ijk", corr)
 
 
-def _antisymmetrized_gradient(conn: AffineConnection, h: Metric, x) -> np.ndarray:
-    """(nabla'_i h)_{jk} - (nabla'_j h)_{ik}; zero iff (conn, h) is compatible."""
+def antisymmetrized_gradient(conn: AffineConnection, h: Metric, x) -> np.ndarray:
+    """(nabla'_i h)_{jk} - (nabla'_j h)_{ik}; zero iff (conn, h) is compatible.
+
+    The per-block residual of :func:`compatibility_residual`."""
     grad_h = metric_gradient(conn, h, x)
     return grad_h - np.einsum("...jik->...ijk", grad_h)
 
@@ -245,7 +251,7 @@ def semi_compatibility_test(conn: AffineConnection, h: Metric, points,
     worst_beta = 0.0
     alphas = []
     for block in grid_blocks(points):
-        a = _antisymmetrized_gradient(conn, h, block)
+        a = antisymmetrized_gradient(conn, h, block)
         hmat = h.value(block)
         alpha = np.einsum("...ik,...ijk->...j", h.inverse(block), a) / (n - 1)
         model = (np.einsum("...j,...ik->...ijk", alpha, hmat)
@@ -262,13 +268,16 @@ def semi_compatibility_test(conn: AffineConnection, h: Metric, points,
 
 def compatibility_residual(conn: AffineConnection, h: Metric, points) -> float:
     """Maximal antisymmetrized nabla' h; zero iff (conn, h) is compatible."""
-    return grid_max(lambda block: _antisymmetrized_gradient(conn, h, block), points)
+    return grid_max(lambda block: antisymmetrized_gradient(conn, h, block), points)
+
+
+def ricci_asymmetry(conn: AffineConnection, x) -> np.ndarray:
+    """Ric_{ij} - Ric_{ji} of the connection's own curvature; the per-block
+    residual of :func:`connection_ricci_symmetry_check`."""
+    ric = conn.ricci(x)
+    return ric - np.swapaxes(ric, -1, -2)
 
 
 def connection_ricci_symmetry_check(conn: AffineConnection, points) -> float:
     """max |Ric_{ij} - Ric_{ji}| of the connection's own curvature over the grid."""
-    def asymmetry(block):
-        ric = conn.ricci(block)
-        return ric - np.swapaxes(ric, -1, -2)
-
-    return grid_max(asymmetry, points)
+    return grid_max(lambda block: ricci_asymmetry(conn, block), points)

@@ -13,12 +13,13 @@ pass over that 3^n grid: one metric inverse, one solver call per field,
 feeding both the residual check and the closed-form comparison, and one
 evaluation of each declared field; the solver's rank check is the only rank
 check.  A stacked call that raises is one failure of its check (a singular
-metric or a rank-deficient family names its first failing point), and the
-checks that need its values are skipped.  Fixtures without closed forms
-recover every field from the family, at a point or over a stack of points in
-one solver call.  A declared T or D must also be symmetric in its covariant
-pair on that grid: every induced connection is Gamma_LC minus a tensor built
-from it, evaluated with no torsion check of its own.
+metric, a rank-deficient family or an expression error names its first
+failing point), and the checks that need its values are skipped.  Fixtures
+without closed forms recover every field from the family, at a point or over
+a stack of points in one solver call.  A declared T or D must also be
+symmetric in its covariant pair on that grid: every induced connection is
+Gamma_LC minus a tensor built from it, evaluated with no torsion check of its
+own.
 
 Config schema: ``fixture.schema.json`` beside this module, read once into
 :data:`SCHEMA`.  :func:`check_config` is the only check of a config's types
@@ -588,7 +589,12 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         numbers = {"singular_margin": margin, **{
             f"domain[{i}][{j}]": v for i, edge in enumerate(box) for j, v in enumerate(edge)}}
         for entry, value in numbers.items():
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                raise FixtureError(f"invalid fixture config: {entry}: an integer of "
+                                   f"{value.bit_length()} bits is beyond float range") from None
+            if not finite:
                 raise FixtureError(f"invalid fixture config: {entry}: {value!r} is not finite")
         # raises ValueError when the margin leaves no interior on some axis
         grid_points(box, 1, margin)
@@ -645,6 +651,8 @@ def load(path, validate_on_load: bool = True) -> Fixture:
             raise FixtureError(
                 f"config {path} is not valid JSON: {exc.msg} "
                 f"(line {exc.lineno}, column {exc.colno})") from exc
+        except ValueError as exc:   # e.g. an integer literal of too many digits
+            raise FixtureError(f"config {path} cannot be read: {exc}") from exc
     return from_config(cfg, validate_on_load=validate_on_load)
 
 

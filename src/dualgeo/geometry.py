@@ -19,8 +19,10 @@ as the independent oracle.
 
 A sample grid is one ``(N, n)`` array (:func:`grid_points`).  Grid checks
 evaluate it in blocks of ``GRID_BLOCK`` rows (:func:`grid_blocks`), so memory
-is bounded by the block, and reduce it with one function, :func:`grid_max`,
-where a NaN residual gives NaN and so fails its check instead of vanishing.
+is bounded by the block, and reduce it with one loop, :func:`grid_maxima`,
+which runs several residual functions on each block before it forms the next
+(:func:`grid_max` is its one-function case).  A NaN residual gives NaN and so
+fails its check instead of vanishing.
 
 Expression-backed fields (:class:`ScalarField`, :class:`TensorField` and
 :class:`Metric`) compile their component trees once, on first use, into one
@@ -312,14 +314,25 @@ def grid_blocks(points):
         yield points[start:start + GRID_BLOCK]
 
 
-def grid_max(fn, *arrays) -> float:
-    """max |fn(*blocks)| over a grid; ``fn`` gets the same ``GRID_BLOCK``-row
-    block of each array.  Blocks fold with ``np.maximum``, so a NaN residual
-    gives NaN and fails every threshold test; an empty grid raises ValueError."""
+def grid_maxima(fns, *arrays) -> list[float]:
+    """max |fn(*blocks)| over a grid for each fn of ``fns``, in one pass:
+    every fn gets the same ``GRID_BLOCK``-row block of each array before the
+    next block is formed, so the metric data of a block, memoized by
+    :class:`Metric`, is computed once for all of them.  Each fn's block maxima
+    fold with ``np.maximum`` in grid order, so a NaN residual gives NaN and
+    fails every threshold test; an empty grid raises ValueError."""
     if len({len(a) for a in arrays}) != 1:
-        raise ValueError("grid_max needs arrays of one common length")
-    return float(np.maximum.reduce([np.max(np.abs(fn(*blocks)))
-                                    for blocks in zip(*map(grid_blocks, arrays))]))
+        raise ValueError("grid_maxima needs arrays of one common length")
+    maxima = [[] for _ in fns]
+    for blocks in zip(*map(grid_blocks, arrays)):
+        for fn, found in zip(fns, maxima):
+            found.append(np.max(np.abs(fn(*blocks))))
+    return [float(np.maximum.reduce(found)) for found in maxima]
+
+
+def grid_max(fn, *arrays) -> float:
+    """:func:`grid_maxima` of the one function ``fn``."""
+    return grid_maxima([fn], *arrays)[0]
 
 
 # --- scalar-field calculus ---------------------------------------------------

@@ -18,7 +18,8 @@ do; ``**`` and every other ``math`` call are mapped element by element
 through the float operation.  So each row is the float function's result bit
 for bit.  A domain check tests the whole row.  Any exception in the array
 function evaluates the stack again row by row through the float function,
-so a failing stack raises exactly what the per-row loop raises.
+so a failing stack raises what the per-row loop raises at its first failing
+row, with that row's point added to the message.
 :meth:`Program.values` picks the function by row count; below
 ``ARRAY_ROWS`` rows the per-row float function costs less.
 
@@ -32,7 +33,8 @@ component of a subtree's jet is its own float local: the value, ``grad_i``,
 once per call, at return, where ``hess_ji`` repeats ``hess_ij``.
 :meth:`Program.jet_flat` and :meth:`Program.jet_arrays` run a ``(..., n)``
 stack through the jet function row by row into one array, so the first
-failing row raises: the one place a stack of jets is split into rows.
+failing row raises, naming its point: the one place a stack of jets is split
+into rows.
 
 Bit identity with plain jet arithmetic.  Every component is the float
 expression the array arithmetic of a jet class would evaluate for that entry,
@@ -138,6 +140,20 @@ def _float_pow(base: float, e: float) -> float:
     if base <= 0.0:
         raise _DomainViolation(_POSITIVE_BASE)
     return base**e
+
+
+def _by_row(fn, points) -> list:
+    """fn at each row of an (m, n) stack, in order.  The first row whose code
+    raises EvalDomainError raises it with the row's point added, as in
+    ``division by zero in subexpression '1.0/x1' at [0. 1.]``."""
+    out = []
+    for pt in points:
+        try:
+            out.append(fn(pt))
+        except EvalDomainError as exc:
+            exc.args = (f"{exc} at {pt}",)
+            raise
+    return out
 
 
 # --- Compiler ---------------------------------------------------------------
@@ -744,7 +760,8 @@ class Program:
 
         A stack of ``ARRAY_ROWS`` or more points goes through the array
         function.  If that raises, the stack is evaluated again row by row
-        through the float function, whose first failing row raises.
+        through the float function, whose first failing row raises, naming
+        its point.
         """
         if self._values is None:
             self._values = _generate(self.exprs)
@@ -759,7 +776,7 @@ class Program:
                     return self._rows(points.T)
             except _FLOAT_FAILURES:
                 pass
-        return np.array([self._values(pt) for pt in points],
+        return np.array(_by_row(self._values, points),
                         dtype=float).reshape(len(points), len(self.exprs))
 
     def _flat(self, point, order: int) -> tuple[np.ndarray, list]:
@@ -777,7 +794,7 @@ class Program:
         fn, layout = hit
         if not stack:
             return np.array(fn(point)), layout
-        rows = [fn(pt) for pt in point.reshape(-1, n)]
+        rows = _by_row(fn, point.reshape(-1, n))
         return np.array(rows, dtype=float).reshape(point.shape[:-1] + (layout[-1][1],)), layout
 
     def jet_flat(self, point, order: int = 2) -> np.ndarray:

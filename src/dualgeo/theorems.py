@@ -19,6 +19,18 @@ state over ``Fixture.connection_table``.  That call sets each claim's
 residual.  Theorem 1 thus integrates 40 rows (+T, +B, -T, -B times 10
 starts), theorem 2 another 40 (+D, +T, -D, -T), and every row equals its
 single-connection run bit for bit.
+
+The digamma, Weyl and theorem-1 suites reduce their plain grid claims in one
+pass over the grid as well: one :func:`~dualgeo.geometry.grid_maxima` call
+runs every claim's residual function on a block of ``GRID_BLOCK`` points
+before it forms the next, so the metric's jets, inverse and Christoffel
+symbols of each block are computed once (``Metric`` memoizes the most recent
+block) for all of them.  A claim whose inputs come from an earlier loop over
+the grid (the recovered 1-form of a dual-projective or semi-compatibility
+test, or a classification verdict) keeps its own reduction, as do Weyl's
+Levi-Civita control, run only where t does not vanish, and theorem 2's two
+checks.  Theorem 1 adds a claim computed in the pass where the claim order
+puts it, with a NaN residual that the pass then sets.
 """
 
 from __future__ import annotations
@@ -34,13 +46,13 @@ import numpy as np
 from . import __version__
 from . import conventions as conv
 from .connections import (
-    AffineConnection, compatibility_residual, connection_ricci_symmetry_check,
-    difference_tensor, dual_projective_test, metric_gradient, semi_compatibility_test,
-    shift_by_one_form,
+    AffineConnection, antisymmetrized_gradient, connection_ricci_symmetry_check,
+    difference_tensor, dual_projective_test, metric_gradient, ricci_asymmetry,
+    semi_compatibility_test, shift_by_one_form,
 )
 from .fixtures import Fixture
 from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
-from .geometry import ScalarField, grid_max
+from .geometry import ScalarField, grid_max, grid_maxima
 from .structure import (
     beta_condition_residual, build_Z_and_digamma, classify, decompose,
     sym_product_metric_form,
@@ -210,9 +222,9 @@ def _sign_label(sign: int) -> str:
     return "plus" if sign > 0 else "minus"
 
 
-def _coefficient_gap(conn_a: AffineConnection, conn_b: AffineConnection, grid) -> float:
-    """max |Gamma_a - Gamma_b| over the grid."""
-    return grid_max(lambda block: difference_tensor(conn_a, conn_b, block), grid)
+def _coefficient_gap(conn_a: AffineConnection, conn_b: AffineConnection):
+    """The per-block residual Gamma_a - Gamma_b."""
+    return lambda block: difference_tensor(conn_a, conn_b, block)
 
 
 def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
@@ -238,12 +250,9 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
     def remainder(block):
         return decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
 
-    s_sym = grid_max(lambda block: remainder(block).symmetry_defect, grid)
-    s_tr = grid_max(lambda block: remainder(block).trace_defect, grid)
-    report.notes.append(
-        f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
-        f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
-
+    # claims set by the grid pass after the loop: (claim, its residual
+    # functions, how their maxima combine into its residual)
+    in_pass = []
     pending = []
     for sign in (+1, -1):
         lbl = _sign_label(sign)
@@ -278,25 +287,37 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "(antisymmetrized metric derivative vanishes, recovered 1-form is zero)",
             np.maximum(sc.max_residual, alpha_norm), tol_algebraic)
 
-        worst_best = np.inf
+        shifted_residuals = []
         for _ in range(5):
             beta = rng.normal(size=n)
             norm = np.linalg.norm(beta)
             beta *= (0.5 + rng.random()) / norm
             shifted = shift_by_one_form(conn_t, g, lambda _x, _b=beta: _b,
                                         tag=f"{lbl}-shifted")
-            worst_best = np.minimum(worst_best, compatibility_residual(shifted, g, grid))
-        report.add(
+            shifted_residuals.append(
+                lambda block, _c=shifted: antisymmetrized_gradient(_c, g, block))
+        in_pass.append((report.add(
             f"t1.uniqueness.{lbl}",
             "every seeded 1-form shift of the induced connection other than the "
             "symmetrized one breaks metric compatibility",
-            worst_best, 1e-3, direction="above")
-
-        report.add(
+            np.nan, 1e-3, direction="above"), shifted_residuals, np.min))
+        in_pass.append((report.add(
             f"t1.ricci_symmetry.{lbl}",
             "the induced connection is Ricci-symmetric (checked through its own "
             "curvature, extra differentiation included)",
-            connection_ricci_symmetry_check(conn_t, grid), tol_curvature)
+            np.nan, tol_curvature),
+            [lambda block, _c=conn_t: ricci_asymmetry(_c, block)], np.max))
+
+    maxima = iter(grid_maxima(
+        [lambda block: remainder(block).symmetry_defect,
+         lambda block: remainder(block).trace_defect,
+         *(fn for _, fns, _ in in_pass for fn in fns)], grid))
+    s_sym, s_tr = next(maxima), next(maxima)
+    report.notes.append(
+        f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
+        f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
+    for claim, fns, combine in in_pass:
+        claim.residual = float(combine([next(maxima) for _ in fns]))
 
     _integrate_trajectory_claims(report, fixture, pending, trajectory_steps,
                                  trajectory_step_size)
@@ -359,7 +380,8 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "t2.dagger_equals_induced",
             "the trace-shifted companion equals the induced connection of the "
             "extracted structure tensor, coefficientwise",
-            _coefficient_gap(fixture.connection("dagger"), fixture.connection("+T"), grid),
+            grid_max(_coefficient_gap(fixture.connection("dagger"), fixture.connection("+T")),
+                     grid),
             1e-10)
 
     pending = []
@@ -473,28 +495,30 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
     conn_t = fixture.connection("+T")
     conn_lc = fixture.connection("LC")
 
-    def total_symmetry_defect(conn) -> float:
+    def total_symmetry_defect(conn):
         def asymmetry(block):
             w = metric_gradient(conn, g, block) - bcoef * np.einsum(
                 "...i,...jk->...ijk", fixture.t_covector(block), g.value(block))
             perms = ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
             return np.stack([w - np.transpose(w, (0, *(1 + p for p in perm))) for perm in perms])
 
-        return grid_max(asymmetry, grid)
+        return asymmetry
 
+    # the Levi-Civita defect takes its own pass, and only where t does not vanish
+    defect_t, t_scale = grid_maxima([total_symmetry_defect(conn_t), fixture.t_covector],
+                                    grid)
     report.add(
         "weyl.total_symmetry",
         "the t-corrected metric derivative of the induced connection is a totally "
         "symmetric cubic form",
-        total_symmetry_defect(conn_t), 1e-8)
+        defect_t, 1e-8)
 
-    t_scale = grid_max(fixture.t_covector, grid)
     if not t_scale <= 1e-6:
         report.add(
             "weyl.negative_control.levi_civita",
             "with the Levi-Civita connection in place of the induced one the "
             "corrected form must lose total symmetry",
-            total_symmetry_defect(conn_lc), 1e-3, direction="above",
+            grid_max(total_symmetry_defect(conn_lc), grid), 1e-3, direction="above",
             negative_control=True)
     else:
         report.notes.append(
@@ -533,39 +557,52 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
                                    difference_tensor(conn_f[s], conn_b[s], block))
                          - orient * target for s, orient in (("-", +1.0), ("+", -1.0))])
 
+    conn_const = fixture.connection("+F", zeta=zeta_const)
+    # one pass over the grid for every claim, in claim order
+    residuals = [identity_gap,
+                 lambda block: antisymmetrized_gradient(conn_f["+"], g, block),
+                 lambda block: antisymmetrized_gradient(conn_b["+"], g, block),
+                 _coefficient_gap(conn_const, conn_b["+"]),
+                 _coefficient_gap(conn_f["+"], conn_b["+"])]
+    if fixture.zeta is not None:
+        residuals += [_coefficient_gap(fixture.connection("+F"), conn_b["+"]),
+                      lambda block: build_Z_and_digamma(
+                          g, fixture.structure_tensor(block), fixture.zeta,
+                          block).zeta_residual]
+    identity, codazzi_f, codazzi_b, const_gap, nonconst_gap, *own_zeta = grid_maxima(
+        residuals, grid)
+
     report.add(
         "rd.difference_identity",
         "the flatted connection difference equals the symmetrized metric-dzeta "
         "product with weight 1/(2(n-2))",
-        grid_max(identity_gap, grid), 1e-9)
+        identity, 1e-9)
 
-    for name, conn in (("codazzi_f", conn_f["+"]), ("codazzi_b", conn_b["+"])):
+    for name, residual in (("codazzi_f", codazzi_f), ("codazzi_b", codazzi_b)):
         report.add(
             f"rd.{name}",
             "the connection is metric-compatible (Codazzi: antisymmetrized metric "
             "derivative vanishes)",
-            compatibility_residual(conn, g, grid), 1e-9)
+            residual, 1e-9)
 
     report.add(
         "rd.constant_zeta_coincidence",
         "with locally constant zeta the completion connection coincides with the "
         "symmetrized connection coefficientwise",
-        _coefficient_gap(fixture.connection("+F", zeta=zeta_const), conn_b["+"], grid),
-        1e-12)
+        const_gap, 1e-12)
 
     report.add(
         "rd.negative_control.nonconstant_zeta",
         "with non-constant zeta the two connections must differ",
-        _coefficient_gap(conn_f["+"], conn_b["+"], grid), 1e-6, direction="above",
+        nonconst_gap, 1e-6, direction="above",
         negative_control=True)
 
-    if fixture.zeta is not None:
+    if own_zeta:
+        own_gap, zres = own_zeta
         report.add(
             "rd.fixture_zeta",
             "with the fixture's own zeta (trivial here) the connections coincide",
-            _coefficient_gap(fixture.connection("+F"), conn_b["+"], grid), 1e-12)
-        zres = grid_max(lambda block: build_Z_and_digamma(
-            g, fixture.structure_tensor(block), fixture.zeta, block).zeta_residual, grid)
+            own_gap, 1e-12)
         report.notes.append(
             f"defining-equation residual of the fixture's zeta: {zres:.3e} "
             "(reported; the injected test zeta is not required to satisfy it)")

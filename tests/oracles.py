@@ -10,7 +10,8 @@ structure solver's linear system, a brute-force recovery that parametrizes
 the full unconstrained tensor with symmetry and trace conditions appended as
 extra equations, a dense nearest-segment scan over every query-segment pair
 at once, the connection family written out tag by tag on a fixture's
-structure data, the grid checks evaluated one point at a time, and the
+structure data, the grid checks evaluated one point at a time, the digamma
+suite's residuals reduced one claim per pass over the grid, and the
 trajectory exports written whole: one ``json.dump`` of every sample, and the
 CSV row by row.  Expected values asserted in the tests were computed with
 these oracles (or by hand) before being frozen.
@@ -28,9 +29,9 @@ from dualgeo.expressions import (
     to_source,
 )
 from dualgeo.fixtures import CONNECTION_TAGS, FixtureError
-from dualgeo.geometry import hessian
+from dualgeo.geometry import ScalarField, grid_max, hessian
 from dualgeo.jets import eval_jet2
-from dualgeo.structure import sym_product_metric_form
+from dualgeo.structure import build_Z_and_digamma, decompose, sym_product_metric_form
 
 # finite-difference steps are scale * (1 + |x_i|) per axis: cbrt(eps) for a
 # first difference; stencils that divide by h^2 take the fourth root instead,
@@ -909,3 +910,81 @@ def pointwise_poisson(g, V, K, W, points, momenta):
             dF_dp = 2.0 * k_up @ p
             worst = max(worst, abs(float(dH_dx @ dF_dp - dH_dp @ dF_dx)))
     return worst
+
+
+def digamma_residuals_claim_by_claim(fixture, per_axis):
+    """The digamma suite's residuals by claim id, plus its fixture-zeta note
+    value under ``"zeta_residual"``, each reduced by its own ``grid_max``
+    pass over the grid, with the suite's test zetas (``x1`` and ``5``)."""
+    g, n = fixture.metric, fixture.n
+    grid = fixture.grid(per_axis)
+    zeta_linear = ScalarField.from_source("x1", n)
+    conn_b = {s: fixture.connection(f"{s}B") for s in "+-"}
+    conn_f = {s: fixture.connection(f"{s}F", zeta=zeta_linear) for s in "+-"}
+
+    def gap(conn_a, conn_c):
+        return grid_max(lambda x: conn_a.coefficients(x) - conn_c.coefficients(x), grid)
+
+    def codazzi(conn):
+        def defect(x):
+            gamma = conn.coefficients(x)
+            hmat, dh, _ = g.jets(x)
+            corr = np.einsum("...mij,...mk->...ijk", gamma, hmat)
+            grad = dh - corr - np.einsum("...ikj->...ijk", corr)
+            return grad - np.einsum("...jik->...ijk", grad)
+
+        return grid_max(defect, grid)
+
+    def identity(x):
+        gmat = g.value(x)
+        target = sym_product_metric_form(gmat, zeta_linear.gradient(x)) / (2.0 * (n - 2))
+        return np.stack([np.einsum("...kl,...lij->...ijk", gmat,
+                                   conn_f[s].coefficients(x) - conn_b[s].coefficients(x))
+                         - orient * target for s, orient in (("-", +1.0), ("+", -1.0))])
+
+    out = {
+        "rd.difference_identity": grid_max(identity, grid),
+        "rd.codazzi_f": codazzi(conn_f["+"]),
+        "rd.codazzi_b": codazzi(conn_b["+"]),
+        "rd.constant_zeta_coincidence": gap(
+            fixture.connection("+F", zeta=ScalarField.from_source("5", n)), conn_b["+"]),
+        "rd.negative_control.nonconstant_zeta": gap(conn_f["+"], conn_b["+"]),
+    }
+    if fixture.zeta is not None:
+        out["rd.fixture_zeta"] = gap(fixture.connection("+F"), conn_b["+"])
+        out["zeta_residual"] = grid_max(lambda x: build_Z_and_digamma(
+            g, fixture.structure_tensor(x), fixture.zeta, x).zeta_residual, grid)
+    return out
+
+
+def theorem1_grid_residuals_claim_by_claim(fixture, per_axis, seed, trajectory_count):
+    """The residuals of theorem 1's uniqueness and Ricci claims by claim id,
+    plus its remainder-defect note values under ``"s_sym"`` and ``"s_tr"``,
+    each reduced by its own pass over the grid (the shifted connections and
+    the starts drawn from ``seed`` in the suite's order)."""
+    from dualgeo.connections import (
+        compatibility_residual, connection_ricci_symmetry_check, shift_by_one_form,
+    )
+    from dualgeo.theorems import _seeded_initial_conditions
+
+    rng = np.random.default_rng(seed)
+    g, n = fixture.metric, fixture.n
+    grid = fixture.grid(per_axis)
+
+    def remainder(x):
+        return decompose(fixture.structure_tensor(x), g.value(x), g.inverse(x))
+
+    out = {"s_sym": grid_max(lambda x: remainder(x).symmetry_defect, grid),
+           "s_tr": grid_max(lambda x: remainder(x).trace_defect, grid)}
+    for pm, lbl in (("+", "plus"), ("-", "minus")):
+        conn_t = fixture.connection(pm + "T")
+        _seeded_initial_conditions(fixture, rng, trajectory_count)
+        worst_best = np.inf
+        for _ in range(5):
+            beta = rng.normal(size=n)
+            beta *= (0.5 + rng.random()) / np.linalg.norm(beta)
+            shifted = shift_by_one_form(conn_t, g, lambda _x, _b=beta: _b)
+            worst_best = min(worst_best, compatibility_residual(shifted, g, grid))
+        out[f"t1.uniqueness.{lbl}"] = worst_best
+        out[f"t1.ricci_symmetry.{lbl}"] = connection_ricci_symmetry_check(conn_t, grid)
+    return out

@@ -240,6 +240,8 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
     ("singular_margin", float("nan"), "singular_margin: nan is not finite"),
     ("domain", [[0.5, float("nan")], [0.5, 3.0]], "domain[0][1]: nan is not finite"),
     ("domain", [[0.5, 3.0], [float("-inf"), 3.0]], "domain[1][0]: -inf is not finite"),
+    ("singular_margin", 10**400,
+     "singular_margin: an integer of 1329 bits is beyond float range"),
     ("expected", {"spot": _WRONG_SPOT}, "expected.spot: unknown key; known keys: "
                                         "classification, enlarging, spots"),
     ("singular_locus", [{"axis": 1, "value": 0.0}], "singular_locus: unknown key"),
@@ -249,8 +251,8 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
         "killing-numeric-components", "potentials-number", "killing-number",
         "killing-entry-number", "locus-number", "loci-null", "structure-number",
         "constants-number", "constant-string", "margin-negative", "margin-nan",
-        "domain-bound-nan", "domain-bound-inf", "expected-misspelled", "loci-misspelled",
-        "name-number"])
+        "domain-bound-nan", "domain-bound-inf", "margin-beyond-float", "expected-misspelled",
+        "loci-misspelled", "name-number"])
 def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
                                                             tmp_path, capsys):
     # the first ten ended the CLI with a TypeError or AttributeError traceback
@@ -272,6 +274,24 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragme
     assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 3
     stderr = capsys.readouterr().err
     assert fragment in stderr and "Traceback" not in stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_an_integer_literal_too_long_to_convert_is_a_fixture_error(tmp_path, capsys):
+    # json.load raises a plain ValueError for an integer literal beyond
+    # Python's 4300-digit conversion limit, which escaped with a traceback
+    # and exit 1.  (The wrong-type table above cannot hold this case:
+    # json.dumps cannot write such an integer either.)
+    from dualgeo.cli import main
+    cfg = json.loads((ROOT / "docs" / "example-fixture.json").read_text())
+    cfg["singular_margin"] = "MARGIN"
+    path = tmp_path / "long-literal.json"
+    path.write_text(json.dumps(cfg).replace('"MARGIN"', "1" * 5000))
+    with pytest.raises(FixtureError, match=re.escape(f"config {path} cannot be read: ")):
+        load(path)
+    assert main(["verify", str(path), "--out", str(tmp_path / "report.json")]) == 3
+    stderr = capsys.readouterr().err
+    assert f"config {path} cannot be read" in stderr and "Traceback" not in stderr
     assert not (tmp_path / "report.json").exists()
 
 
@@ -455,6 +475,18 @@ def test_a_stacked_check_that_raises_is_one_failure_at_its_first_row(entry, valu
     assert failures[0]["message"] in stderr and "Traceback" not in stderr
 
 
+def test_an_expression_error_in_a_declared_field_names_its_point():
+    # ho2's declared T^1_11 = 1/x1 divides by zero on the line x1 = 0 of the
+    # 3 x 3 validation grid over [-2, 2]^2; the stacked evaluation raised the
+    # first failing row's error without saying where it failed
+    cfg = builtin_config("ho2")
+    cfg["structure"]["T"][0][0][0] = "1/x1"
+    failures = validate(from_config(cfg, validate_on_load=False))
+    message = f"declared T: division by zero in subexpression '1.0/x1' at {np.array([0.0, -2.0])}"
+    assert [(f["check"], f["message"]) for f in failures if "point" not in f] == [
+        ("structure-closed-form", message), ("structure-symmetry", message)]
+
+
 @pytest.mark.parametrize("name, solves", [("sw2", 9), ("sw2-weak", 18)])
 def test_validation_solves_each_recovered_field_once_per_grid_row(name, solves,
                                                                   monkeypatch):
@@ -471,3 +503,19 @@ def test_validation_solves_each_recovered_field_once_per_grid_row(name, solves,
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     assert validate(fixture) == []
     assert len(calls) == solves
+
+
+def test_each_expected_spot_is_checked_at_its_own_point():
+    # a spot whose tensor raises fails alone, with its point; the other spots
+    # of that tensor still pass or fail on their own values
+    cfg = builtin_config("ho2")
+    cfg["structure"]["T"][0][0][0] = "1/x1"
+    spot = {"tensor": "T", "index": [1, 1, 1], "value": 3.0, "tol": 1e-9}
+    cfg["expected"]["spots"] = [
+        {**spot, "point": [0.5, -1.0], "value": 2.0}, {**spot, "point": [0.0, 1.0]},
+        {**spot, "point": [1.0, 1.0]},
+        {**spot, "point": [1.0, 1.0], "tensor": "t", "index": [2], "value": 0.0}]
+    failures = validate(from_config(cfg, validate_on_load=False))
+    assert [(f["message"], f["point"]) for f in failures if f["check"] == "expected-spot"] == [
+        ("division by zero in subexpression '1.0/x1'", [0.0, 1.0]),
+        ("T[1, 1, 1] = 1.0, expected 3.0", [1.0, 1.0])]

@@ -17,7 +17,7 @@ from dualgeo.connections import (
     semi_compatibility_test,
 )
 from dualgeo.fixtures import builtin, builtin_config, from_config
-from dualgeo.geometry import GRID_BLOCK, ScalarField, TensorField
+from dualgeo.geometry import GRID_BLOCK, ScalarField, TensorField, grid_max, grid_maxima
 from dualgeo.structure import (
     bertrand_darboux_check, beta_condition_residual, classify, killing_check, poisson_check,
 )
@@ -116,6 +116,39 @@ def test_blocked_checks_equal_pointwise_across_block_boundaries(per_axis, sw2, s
     # 1, 49 < GRID_BLOCK and 81 = GRID_BLOCK + 17 points
     assert_checks_equal_pointwise(sw2, sw2.grid(per_axis), ["+T", "+B"])
     assert_checks_equal_pointwise(sw2_weak, sw2_weak.grid(per_axis), ["+D", "+T"])
+
+
+@pytest.mark.parametrize("rows", [1, GRID_BLOCK - 1, GRID_BLOCK, 3 * GRID_BLOCK + 5])
+def test_one_pass_maxima_equal_one_grid_max_per_function(rows):
+    # random values, a NaN row in the last block, and two arrays in lockstep
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-300, 300, size=(rows, 1))
+    weights = rng.normal(size=(rows,))
+    poisoned = values.copy()
+    poisoned[-1, 1] = np.nan
+    fns = [lambda v, w, p: v, lambda v, w, p: v * w[:, None], lambda v, w, p: p,
+           lambda v, w, p: np.einsum("...i,...->...", v, w), lambda v, w, p: w.sum()]
+    maxima = grid_maxima(fns, values, weights, poisoned)
+    assert len(maxima) == len(fns)
+    for fn, found in zip(fns, maxima):
+        assert bits(found) == bits(grid_max(fn, values, weights, poisoned))
+    assert np.isnan(maxima[2]) and not np.isnan(maxima[0])
+
+
+def test_one_pass_maxima_run_every_function_on_a_block_before_the_next():
+    seen = []
+    values = np.arange(2 * GRID_BLOCK + 1.0)[:, None]
+    grid_maxima([lambda v: seen.append(("a", v[0, 0])) or v,
+                 lambda v: seen.append(("b", v[0, 0])) or v], values)
+    assert seen == [(name, start) for start in (0.0, GRID_BLOCK, 2.0 * GRID_BLOCK)
+                    for name in "ab"]
+
+
+def test_one_pass_maxima_of_an_empty_grid_raise():
+    with pytest.raises(ValueError):
+        grid_maxima([lambda v: v, lambda v: 2 * v], np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        grid_maxima([lambda v, w: v], np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 def test_grid_check_memory_is_bounded_by_the_block(sphere3):

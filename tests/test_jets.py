@@ -314,9 +314,11 @@ def test_float_errors_name_their_subexpression_in_every_kind_of_code(source, poi
     want = _outcome(lambda: [reference_value(tree, point)])
     assert want[0] is EvalDomainError and "in subexpression '" in want[1]
     assert _outcome(lambda: program.values(point)) == want
-    # a stack whose last row fails runs again row by row after the array code
+    # a stack whose last row fails runs again row by row after the array
+    # code, and the error names the row's point
     stack = np.array([(0.5,)] * jets.ARRAY_ROWS + [point])
-    assert _outcome(lambda: program.values(stack).ravel()) == want
+    assert _outcome(lambda: program.values(stack).ravel()) == (
+        want[0], f"{want[1]} at {stack[-1]}")
     for order in (2, 3):
         got = _jet_outcome(lambda: program.jets(point, order))
         assert got[0] is EvalDomainError and "in subexpression '" in got[1]
@@ -335,8 +337,21 @@ def _array_outcome(trees, points):
 
 
 def _rows_outcome(program, points):
-    """The float function's outcome at each row in turn, as one list."""
-    return _outcome(lambda: [v for pt in points for v in program.values(pt)])
+    """The float function's outcome at each row in turn, as one list; a
+    stack's error adds the first failing row's point to its message."""
+    return _named_row_outcome(lambda pt: program.values(pt), points)
+
+
+def _named_row_outcome(evaluate, points):
+    """``_outcome`` of evaluate at each row in turn, as one list, with the
+    point of the first failing row added to the error's message."""
+    values = []
+    for pt in np.asarray(points, dtype=float):
+        got = _outcome(lambda: evaluate(pt))
+        if not isinstance(got, list):
+            return got[0], f"{got[1]} at {pt}"
+        values += got
+    return values
 
 
 @given(st.lists(_any_tree, min_size=1, max_size=4),
@@ -365,7 +380,7 @@ def test_corpus_array_values_equal_float_values(source, box, rng):
     # the whole plane around the box, domain errors included
     plane = np.concatenate([inside, 4.0 * rng.random((20, 2)) - 2.0,
                             [(0.0, 0.0), (-1.0, 0.5), (1.0, -0.0)]])
-    want = _outcome(lambda: [reference_value(expr, x) for x in plane])
+    want = _named_row_outcome(lambda x: [reference_value(expr, x)], plane)
     assert _outcome(lambda: program.values(plane).ravel()) == want
 
 
@@ -571,9 +586,12 @@ def test_jet_stack_raises_what_its_first_failing_row_raises(order):
     with pytest.raises(EvalDomainError) as per_row:
         for x in points:
             program.jet_flat(x, order)
+    assert str(per_row.value) == "division by zero in subexpression '1.0/x2'"
     for evaluate in (program.jet_flat, program.jet_arrays):
         for stack in (points, points.reshape(1, 3, 2)):
             with pytest.raises(EvalDomainError) as stacked:
                 evaluate(stack, order)
-            assert str(stacked.value) == str(per_row.value) == (
-                "division by zero in subexpression '1.0/x2'")
+            # the stack's error adds the failing row's point
+            assert str(stacked.value) == (
+                "division by zero in subexpression '1.0/x2' at [1. 0.]")
+            assert stacked.value.subexpression == "1.0/x2"

@@ -9,6 +9,7 @@ from dualgeo.theorems import (
     SuiteNotApplicable, applicable_suites, verify_remark_digamma,
     verify_theorem1, verify_theorem2, verify_weyl_symmetry,
 )
+from oracles import digamma_residuals_claim_by_claim, theorem1_grid_residuals_claim_by_claim
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -116,6 +117,58 @@ def test_digamma_suite(sphere3):
     assert ids["rd.constant_zeta_coincidence"].residual < 1e-12
     assert ids["rd.fixture_zeta"].residual < 1e-12
     assert ids["rd.negative_control.nonconstant_zeta"].residual > 1e-6
+
+
+@pytest.mark.parametrize("per_axis", [3, 9])
+def test_digamma_claims_equal_one_pass_per_claim(sphere3, per_axis):
+    # the suite reduces its claims in one pass over the grid; each residual
+    # must be the one a separate pass per claim finds, bit for bit
+    report = verify_remark_digamma(sphere3, per_axis=per_axis)
+    expected = digamma_residuals_claim_by_claim(sphere3, per_axis)
+    zeta_residual = expected.pop("zeta_residual")
+    assert {c.claim_id: c.residual.hex() for c in report.claims} == {
+        claim_id: residual.hex() for claim_id, residual in expected.items()}
+    assert [c.claim_id for c in report.claims] == list(expected)   # claim order kept
+    assert report.notes == [
+        f"defining-equation residual of the fixture's zeta: {zeta_residual:.3e} "
+        "(reported; the injected test zeta is not required to satisfy it)"]
+
+
+def test_digamma_computes_the_metric_jets_once_per_block(monkeypatch):
+    # 9^3 = 729 points are 12 blocks of GRID_BLOCK = 64 rows; the parent's
+    # seven passes over them computed the metric jets 84 times
+    from dualgeo.geometry import GRID_BLOCK, Metric
+    fixture = builtin("sphere3-trivial")
+    calls = []
+    eval_jets = Metric._eval_jets
+
+    def counting(self, x):
+        calls.append(len(x))
+        return eval_jets(self, x)
+
+    monkeypatch.setattr(Metric, "_eval_jets", counting)
+    verify_remark_digamma(fixture, per_axis=9)
+    assert -(-9**3 // GRID_BLOCK) == 12
+    assert len(calls) <= 12, calls
+
+
+@pytest.mark.parametrize("name", ["sphere3-trivial", "sw2"])
+def test_theorem1_pass_claims_equal_one_pass_per_claim(name):
+    # theorem 1 reduces its uniqueness and Ricci claims and its remainder
+    # defects in one pass after its sign loop; each must be the value a
+    # separate pass per claim finds, bit for bit (12 and 10 grid blocks)
+    fixture = builtin(name)
+    per_axis = 9 if fixture.n == 3 else 25
+    report = verify_theorem1(fixture, per_axis=per_axis, seed=11, trajectory_count=2,
+                             trajectory_steps=20)
+    expected = theorem1_grid_residuals_claim_by_claim(fixture, per_axis, 11, 2)
+    s_sym, s_tr = expected.pop("s_sym"), expected.pop("s_tr")
+    ids = {c.claim_id: c for c in report.claims}
+    assert {k: ids[k].residual.hex() for k in expected} == {
+        k: v.hex() for k, v in expected.items()}
+    assert (f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
+            f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)"
+            in report.notes)
 
 
 def test_digamma_needs_n3(sw2):
