@@ -49,10 +49,6 @@ Scalar conventions
 * The composed-operator trace is ``scrT^k_i = g^{jl} T^m_{ij} T^k_{ml}``.
 """
 
-# Sign applied to the difference tensor when building a "plus" connection:
-# Gamma(plus-A) = Gamma_LC + INDUCED_CONNECTION_SIGN * A  (for the plus variant).
-INDUCED_CONNECTION_SIGN = -1.0
-
 # Orientation of the trilinear form D inside the N formula, relative to the
 # prolongation tensor D_hat:  D_in_N = N_DIFFERENCE_ORIENTATION * flat(D_hat).
 N_DIFFERENCE_ORIENTATION = -1.0

@@ -95,8 +95,7 @@ class Fixture:
                  structure_T: TensorField | None = None,
                  structure_D: TensorField | None = None,
                  structure_s: TensorField | None = None,
-                 expected: dict | None = None,
-                 config: dict | None = None):
+                 expected: dict | None = None):
         self.name = name
         self.kind = kind
         self.metric = metric
@@ -110,9 +109,7 @@ class Fixture:
         self.structure_D = structure_D
         self.structure_s = structure_s
         self.expected = expected or {}
-        self.config = config
         self.solver = StructureSolver(metric, family) if family is not None else None
-        self._conn_cache: dict[str, AffineConnection] = {}
 
     # --- basic data ---------------------------------------------------------
 
@@ -256,28 +253,21 @@ class Fixture:
         ``zeta`` overrides the fixture's own zeta for the F-connections (used
         by the remark suite to inject test functions).
         """
-        cache_key = tag if zeta is None else None
-        if cache_key in self._conn_cache:
-            return self._conn_cache[cache_key]
         reason = self._unavailable(tag, zeta)
         if reason is not None:
             raise FixtureError(reason)
         if tag == "LC":
-            conn = levi_civita(self.metric)
-        else:
-            zfield = zeta if zeta is not None else self.zeta
-            tensor_fn, tensor_jac_fn = {
-                "T": (self.structure_tensor, self.structure_tensor_jacobian),
-                "B": (self.b_tensor, self._b_jacobian),
-                "D": (self.prolongation_tensor, None),
-                "dagger": (self._dagger_tensor, None),
-                "F": (lambda x: self._f_tensor(x, zfield), None),
-            }[tag.lstrip("+-")]
-            sign = -1 if tag[0] == "-" else +1
-            conn = difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn)
-        if cache_key is not None:
-            self._conn_cache[cache_key] = conn
-        return conn
+            return levi_civita(self.metric)
+        zfield = zeta if zeta is not None else self.zeta
+        tensor_fn, tensor_jac_fn = {
+            "T": (self.structure_tensor, self.structure_tensor_jacobian),
+            "B": (self.b_tensor, self._b_jacobian),
+            "D": (self.prolongation_tensor, None),
+            "dagger": (self._dagger_tensor, None),
+            "F": (lambda x: self._f_tensor(x, zfield), None),
+        }[tag.lstrip("+-")]
+        sign = -1 if tag[0] == "-" else +1
+        return difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn)
 
     def connection_table(self, tags: Sequence[str]) -> ConnectionTable:
         """Row r of a stacked state follows connection ``tags[r]``: one of
@@ -552,15 +542,16 @@ def _tensor_field(entry: str, rows: list, variance: tuple[str, ...], n: int,
 def _singular_locus(entry: dict, box) -> tuple[int, float]:
     """The (0-based axis, value) of a declared locus ``x_axis = value``.
 
-    The axis must be one of 1..n, the value finite and outside the closed
-    box: the grid checks evaluate the box's edges, and a locus inside would
-    put a pole among the evidence.
+    The axis must be one of 1..n, and the value, which :func:`from_config`
+    has checked to be finite, outside the closed box: the grid checks
+    evaluate the box's edges, and a locus inside would put a pole among the
+    evidence.
     """
     axis, value = int(entry["axis"]), float(entry["value"])
     if axis > len(box):
         raise FixtureError(f"singular locus axis {axis!r} is not one of 1..{len(box)}")
     lo, hi = map(float, box[axis - 1])
-    if not math.isfinite(value) or lo <= value <= hi:
+    if lo <= value <= hi:
         raise FixtureError(f"singular locus x{axis} = {value!r} is not a finite "
                            f"value outside the domain [{lo!r}, {hi!r}]")
     return axis - 1, value
@@ -575,8 +566,7 @@ def _parsed(entry: str, build, source, *args):
         raise FixtureError(f"invalid fixture config: {entry} {source!r}: {exc}") from exc
 
 
-def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = None
-                ) -> Fixture:
+def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
     """Build (and optionally validate) a fixture from a config dict, which
     :func:`check_config` checks against :data:`SCHEMA` first."""
     check_config(cfg)
@@ -586,8 +576,13 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         if len(box) != n:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
         margin = cfg.get("singular_margin", 0.0)
-        numbers = {"singular_margin": margin, **{
-            f"domain[{i}][{j}]": v for i, edge in enumerate(box) for j, v in enumerate(edge)}}
+        constants = cfg.get("constants", {})
+        numbers = {
+            "singular_margin": margin,
+            **{f"domain[{i}][{j}]": v for i, edge in enumerate(box) for j, v in enumerate(edge)},
+            **{f"singular_loci[{i}].value": d["value"]
+               for i, d in enumerate(cfg.get("singular_loci", []))},
+            **{f"constants.{key}": v for key, v in constants.items()}}
         for entry, value in numbers.items():
             try:
                 finite = math.isfinite(value)
@@ -599,7 +594,6 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
         # raises ValueError when the margin leaves no interior on some axis
         grid_points(box, 1, margin)
         loci = [_singular_locus(d, box) for d in cfg.get("singular_loci", [])]
-        constants = cfg.get("constants", {})
         metric = _parsed("metric", Metric.from_sources, cfg["metric"], constants)
         family = None
         if cfg.get("potentials"):
@@ -625,10 +619,9 @@ def from_config(cfg: dict, validate_on_load: bool = True, name: str | None = Non
             if key in structure else None
             for key, variance in (("T", ("up", "down", "down")), ("D", ("up", "down", "down")),
                                   ("s", ("up",))))
-        fixture = Fixture(name or cfg.get("name", "unnamed"), cfg["kind"], metric, family,
+        fixture = Fixture(cfg.get("name", "unnamed"), cfg["kind"], metric, family,
                           box, loci, margin, zeta, killing,
-                          structure_T, structure_D, structure_s,
-                          cfg.get("expected"), config=cfg)
+                          structure_T, structure_D, structure_s, cfg.get("expected"))
     except ValueError as exc:
         if isinstance(exc, FixtureError):
             raise
@@ -659,7 +652,11 @@ def load(path, validate_on_load: bool = True) -> Fixture:
 # --- validation -------------------------------------------------------------------
 
 
-def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[dict]:
+VALIDATION_GRID = 3   # points per axis of the grid validation checks
+POISSON_SEED = 20250808   # seed of the random momenta of the Poisson-bracket check
+
+
+def validate(fixture: Fixture) -> list[dict]:
     """Run every structural and numerical check; return a failure report.
 
     Total by design: every failure lands in the report (check name, point,
@@ -678,7 +675,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
             entry["residual"] = residual if np.isfinite(residual) else f"{residual:.17g}"
         failures.append(entry)
 
-    grid = fixture.grid(per_axis)
+    grid = fixture.grid(VALIDATION_GRID)
     g = fixture.metric
     n = fixture.n
 
@@ -755,7 +752,7 @@ def validate(fixture: Fixture, per_axis: int = 3, seed: int = 20250808) -> list[
                  "(the connection would have torsion)", grid[worst], asym[worst])
 
     # Killing data
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POISSON_SEED)
     momenta = [rng.normal(size=n) for _ in range(4)]
     for idx, kd in enumerate(fixture.killing):
         try:

@@ -33,10 +33,14 @@ output.
 Everything is observably pure in (field, point), so grid sweeps may run in
 parallel workers as long as reductions keep a fixed order.  The internal state
 is each field's compiled program, which is built at most once per worker and
-never changes after, and a most-recent-point (or most-recent-batch) memo on
-Metric (constant metrics cache everything); the memo swaps an immutable tuple
-atomically, so concurrent readers see either the old or the new entry, never
-a mix.
+never changes after, and :class:`Metric`'s one record of the most recent
+point or stack, which every caller of that stack shares (the integrator's
+right-hand side, the connection table, the structure solver, a grid pass's
+residual functions), so none passes metric data on.  A new stack replaces
+the record, a ``(key, parts)`` pair, as a whole, and a part is written
+through the requester's own reference to its pair, so concurrent readers see
+either the old or the new record, never a mix, and a part never lands under
+another stack's key.
 """
 
 from __future__ import annotations
@@ -122,7 +126,15 @@ class ScalarField:
 
 
 class Metric:
-    """Symmetric (0,2) expression field with inverse and curvature helpers."""
+    """Symmetric (0,2) expression field with inverse and curvature helpers.
+
+    The jets, inverse, inverse Jacobian, Christoffel symbols and their
+    Jacobian of the most recent point or stack are the parts of one record,
+    each computed on its first request there and stored read-only.  A
+    constant metric fills its origin's record when built, so a singular one
+    fails there, and broadcasts those parts over any stack as read-only
+    views, keyed on the stack's lead shape alone.
+    """
 
     def __init__(self, comps: Sequence[Sequence[Expression]],
                  condition_bound: float = 1e8):
@@ -138,18 +150,17 @@ class Metric:
         self.n = n
         self.comps = [[comps[i][j] for j in range(n)] for i in range(n)]
         self.condition_bound = condition_bound
-        self._constant = all(is_constant(comps[i][j]) for i in range(n) for j in range(n))
         self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self._program: Program | None = None
-        self._cache: dict = {}
-        self._broadcasts: dict = {}
-        if self._constant:
-            # every derived pointwise quantity is position-independent
+        self._origin: dict | None = None
+        self._record: tuple = (None, {})
+        if all(is_constant(comps[i][j]) for i in range(n) for j in range(n)):
+            # every part is position-independent: these two requests fill all five
             x0 = np.zeros(n)
-            self._cache["g"], self._cache["dg"], self._cache["d2g"] = self._eval_jets(x0)
-            self._cache["inverse"] = self._checked_inverse(x0)
-            self._cache["christoffel"] = self._christoffel_uncached(x0)
-            self._cache["christoffel_jacobian"] = self._christoffel_jacobian_uncached(x0)
+            self.christoffel(x0)
+            self.christoffel_jacobian(x0)
+            self._origin = self._record[1]
+            self._record = ((), self._origin)
 
     @staticmethod
     def from_sources(rows: Sequence[Sequence[str]], constants=None,
@@ -183,41 +194,36 @@ class Metric:
                 flat_index(count, n, 2, pair[None, None], a[:, None, None, None],
                            a[None, :, None, None]))
 
-    def _memo(self, name: str, fn, x):
-        # memoize the most recent point or batch: one integrator step touches
-        # the same points through value/inverse/christoffel several times
-        pts = np.asarray(x, dtype=float)
-        key = (pts.shape, pts.tobytes())
-        hit = self._cache.get(name)
-        if hit is not None and hit[0] == key:
-            return hit[1]
-        result = fn(pts)
-        self._cache[name] = (key, result)
-        return result
-
-    def _fixed(self, name: str, x) -> np.ndarray:
-        """A cached quantity of a constant metric, over the leading axes of x.
-
-        The read-only broadcast view of the most recent batch shape is kept.
-        """
-        fixed = self._cache[name]
-        lead = (x.shape if isinstance(x, np.ndarray) else np.shape(x))[:-1]
-        if not lead:
-            return fixed
-        shape = lead + fixed.shape
-        view = self._broadcasts.get(name)
-        if view is None or view.shape != shape:
-            view = self._broadcasts[name] = np.broadcast_to(fixed, shape)
-        return view
+    def _part(self, name: str, x, compute):
+        """The part ``name`` of the record of the point or stack x, from
+        ``compute(points)`` on its first request there."""
+        origin = self._origin
+        if origin is None:
+            pts = np.asarray(x, dtype=float)
+            key = (pts.shape, pts.tobytes())
+        else:
+            key = (x.shape if isinstance(x, np.ndarray) else np.shape(x))[:-1]
+        record = self._record
+        if record[0] != key:
+            record = self._record = (key, {})
+        parts = record[1]   # written through this reference, never through self
+        part = parts.get(name)
+        if part is None:
+            if origin is None:
+                part = compute(pts)
+                for a in part if isinstance(part, tuple) else (part,):
+                    a.flags.writeable = False
+            else:
+                part = origin[name]
+                part = (tuple(np.broadcast_to(a, key + a.shape) for a in part)
+                        if isinstance(part, tuple) else np.broadcast_to(part, key + part.shape))
+            parts[name] = part
+        return part
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._constant:
-            return self._fixed("g", x), self._fixed("dg", x), self._fixed("d2g", x)
-        return self._memo("last_jets", self._eval_jets, x)
+        return self._part("jets", x, self._eval_jets)
 
     def value(self, x) -> np.ndarray:
-        if self._constant:
-            return self._fixed("g", x)
         return self.jets(x)[0]
 
     def _checked_inverse(self, x) -> np.ndarray:
@@ -233,45 +239,38 @@ class Metric:
         return np.linalg.inv(g)
 
     def inverse(self, x) -> np.ndarray:
-        if self._constant:
-            return self._fixed("inverse", x)
-        return self._memo("last_inverse", self._checked_inverse, x)
+        return self._part("inverse", x, self._checked_inverse)
 
     def inverse_jacobian(self, x) -> np.ndarray:
         """dginv[a,i,j] = d_a g^{ij} = -(g^{-1} (d_a g) g^{-1})^{ij}."""
-        ginv = self.inverse(x)
-        return -np.einsum("...ip,...apq,...qj->...aij", ginv, self.jets(x)[1], ginv)
+        def compute(pts):
+            ginv = self.inverse(pts)
+            return -np.einsum("...ip,...apq,...qj->...aij", ginv, self.jets(pts)[1], ginv)
+        return self._part("inverse_jacobian", x, compute)
 
     # --- connection and curvature -------------------------------------------
 
-    def _christoffel_uncached(self, x) -> np.ndarray:
-        _, dg, _ = self.jets(x)
-        ginv = self.inverse(x)
-        bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
-                   - dg)
-        return 0.5 * np.einsum("...kl,...lij->...kij", ginv, bracket)
-
     def christoffel(self, x) -> np.ndarray:
         """Gamma[k,i,j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
-        if self._constant:
-            return self._fixed("christoffel", x)
-        return self._christoffel_uncached(x)
-
-    def _christoffel_jacobian_uncached(self, x) -> np.ndarray:
-        _, dg, d2g = self.jets(x)
-        ginv = self.inverse(x)
-        dginv = self.inverse_jacobian(x)
-        bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
-        dbracket = (np.einsum("...aijl->...alij", d2g) + np.einsum("...ajil->...alij", d2g)
-                    - d2g)
-        return 0.5 * (np.einsum("...akl,...lij->...akij", dginv, bracket)
-                      + np.einsum("...kl,...alij->...akij", ginv, dbracket))
+        def compute(pts):
+            dg = self.jets(pts)[1]
+            bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+                       - dg)
+            return 0.5 * np.einsum("...kl,...lij->...kij", self.inverse(pts), bracket)
+        return self._part("christoffel", x, compute)
 
     def christoffel_jacobian(self, x) -> np.ndarray:
         """dGamma[a,k,i,j] = d_a Gamma^k_{ij}, from analytic d2g."""
-        if self._constant:
-            return self._fixed("christoffel_jacobian", x)
-        return self._christoffel_jacobian_uncached(x)
+        def compute(pts):
+            _, dg, d2g = self.jets(pts)
+            bracket = (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg)
+                       - dg)
+            dbracket = (np.einsum("...aijl->...alij", d2g)
+                        + np.einsum("...ajil->...alij", d2g) - d2g)
+            return 0.5 * (np.einsum("...akl,...lij->...akij", self.inverse_jacobian(pts),
+                                    bracket)
+                          + np.einsum("...kl,...alij->...akij", self.inverse(pts), dbracket))
+        return self._part("christoffel_jacobian", x, compute)
 
     def riemann(self, x) -> np.ndarray:
         """R[l,k,i,j] = d_i Gamma^l_{jk} - d_j Gamma^l_{ik} + Gamma^l_{im}Gamma^m_{jk} - Gamma^l_{jm}Gamma^m_{ik}."""
@@ -317,10 +316,11 @@ def grid_blocks(points):
 def grid_maxima(fns, *arrays) -> list[float]:
     """max |fn(*blocks)| over a grid for each fn of ``fns``, in one pass:
     every fn gets the same ``GRID_BLOCK``-row block of each array before the
-    next block is formed, so the metric data of a block, memoized by
-    :class:`Metric`, is computed once for all of them.  Each fn's block maxima
-    fold with ``np.maximum`` in grid order, so a NaN residual gives NaN and
-    fails every threshold test; an empty grid raises ValueError."""
+    next block is formed, so the metric data of a block, the parts of
+    :class:`Metric`'s record, is computed once for all of them.  Each fn's
+    block maxima fold with ``np.maximum`` in grid order, so a NaN residual
+    gives NaN and fails every threshold test; an empty grid raises
+    ValueError."""
     if len({len(a) for a in arrays}) != 1:
         raise ValueError("grid_maxima needs arrays of one common length")
     maxima = [[] for _ in fns]

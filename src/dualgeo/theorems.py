@@ -24,8 +24,8 @@ The digamma, Weyl and theorem-1 suites reduce their plain grid claims in one
 pass over the grid as well: one :func:`~dualgeo.geometry.grid_maxima` call
 runs every claim's residual function on a block of ``GRID_BLOCK`` points
 before it forms the next, so the metric's jets, inverse and Christoffel
-symbols of each block are computed once (``Metric`` memoizes the most recent
-block) for all of them.  A claim whose inputs come from an earlier loop over
+symbols of each block are computed once (they are the parts of ``Metric``'s
+record of the most recent stack) for all of them.  A claim whose inputs come from an earlier loop over
 the grid (the recovered 1-form of a dual-projective or semi-compatibility
 test, or a classification verdict) keeps its own reduction, as do Weyl's
 Levi-Civita control, run only where t does not vanish, and theorem 2's two

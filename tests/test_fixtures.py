@@ -189,7 +189,7 @@ def test_declared_structure_with_torsion_fails_validation(name, tensor):
     ([{"axis": 0, "value": 0.0}], None, "singular_loci[0].axis: 0 is below the minimum 1"),
     ([{"axis": 3, "value": 0.0}], None, "axis 3 is not one of 1..2"),
     ([{"axis": 1.5, "value": 0.0}], None, "singular_loci[0].axis: 1.5 is not an integer"),
-    ([{"axis": 2, "value": float("nan")}], None, "x2 = nan is not a finite value"),
+    ([{"axis": 2, "value": float("nan")}], None, "singular_loci[0].value: nan is not finite"),
     (None, [[-1.0, 2.0], [-1.0, 2.0]], "x1 = 0.0 is not a finite value outside"),
     (None, [[0.0, 3.0], [0.5, 3.0]], "x1 = 0.0 is not a finite value outside"),
 ], ids=["axis-0", "axis-3", "axis-fraction", "value-nan", "box-contains", "box-edge"])
@@ -242,6 +242,10 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
     ("domain", [[0.5, 3.0], [float("-inf"), 3.0]], "domain[1][0]: -inf is not finite"),
     ("singular_margin", 10**400,
      "singular_margin: an integer of 1329 bits is beyond float range"),
+    ("value", 10**400, "singular_loci[0].value: an integer of 1329 bits is beyond float range"),
+    ("value", float("inf"), "singular_loci[0].value: inf is not finite"),
+    ("constants", {"k": 10**400}, "constants.k: an integer of 1329 bits is beyond float range"),
+    ("constants", {"k": float("inf")}, "constants.k: inf is not finite"),
     ("expected", {"spot": _WRONG_SPOT}, "expected.spot: unknown key; known keys: "
                                         "classification, enlarging, spots"),
     ("singular_locus", [{"axis": 1, "value": 0.0}], "singular_locus: unknown key"),
@@ -251,7 +255,8 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
         "killing-numeric-components", "potentials-number", "killing-number",
         "killing-entry-number", "locus-number", "loci-null", "structure-number",
         "constants-number", "constant-string", "margin-negative", "margin-nan",
-        "domain-bound-nan", "domain-bound-inf", "margin-beyond-float", "expected-misspelled",
+        "domain-bound-nan", "domain-bound-inf", "margin-beyond-float", "locus-beyond-float",
+        "locus-inf", "constant-beyond-float", "constant-inf", "expected-misspelled",
         "loci-misspelled", "name-number"])
 def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
                                                             tmp_path, capsys):
@@ -259,12 +264,14 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragme
     # and exit 1, and so did the next seven.  A string constant, a negative
     # margin (whose grid reached outside the box), a misspelled key and a
     # numeric name (which broke the report schema) loaded and passed; a NaN
-    # margin or bound failed validation with misleading messages.  Each is
-    # now rejected at load, and the message names the entry's JSON path.
+    # margin or bound failed validation with misleading messages.  A locus
+    # value or a constant beyond float range raised an OverflowError that
+    # named no entry, and an infinite constant loaded.  Each is now rejected
+    # at load, and the message names the entry's JSON path.
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
-    if entry == "axis":
-        cfg["singular_loci"][0]["axis"] = value
+    if entry in ("axis", "value"):
+        cfg["singular_loci"][0][entry] = value
     else:
         cfg[entry] = value
     with pytest.raises(FixtureError, match=re.escape(fragment)):

@@ -203,3 +203,53 @@ def test_tensor_field_on_stacked_points_equals_single_points():
     assert batch.shape == (3, 2, 2, 2)
     single = np.stack([T.value(x) for x in points])
     assert batch.tobytes() == single.tobytes()
+
+
+def test_metric_parts_are_read_only(sphere2, euclid2):
+    # Metric keeps each part of a stack's record and hands it out again, and
+    # a constant metric hands out broadcast views of its origin's parts: a
+    # write into either would change what every later caller reads
+    stack = np.array([[1.0, 0.5], [1.2, -0.3]])
+    before = sphere2.christoffel(stack).copy()
+    with pytest.raises(ValueError, match="read-only"):
+        sphere2.christoffel(stack)[0, 1, 0, 1] = 7.0
+    assert sphere2.christoffel(stack).tobytes() == before.tobytes()
+    for x in (stack, stack[0]):
+        for part in (euclid2.value(x), euclid2.inverse(x), euclid2.christoffel(x)):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 7.0
+    assert np.all(euclid2.value(stack) == np.eye(2))
+
+
+def test_a_table_step_computes_the_metric_data_once_per_stage(monkeypatch):
+    # sphere3-trivial without its structure block recovers T in every stage,
+    # and the solver and the table both ask for Gamma at the stage's rows, so
+    # a Gamma computed on every call is computed twice per stage.  Each
+    # computation makes a new array, so the distinct arrays christoffel
+    # returns count them (all are kept alive, so no id is reused).
+    from dualgeo.fixtures import builtin_config, from_config
+    from dualgeo.geodesics import integrate_dual_geodesics
+    cfg = builtin_config("sphere3-trivial")
+    del cfg["structure"]
+    fixture = from_config(cfg)
+    table = fixture.connection_table(["+T", "+B", "-T", "-B"])
+    jets, gammas = [], []
+    eval_jets, christoffel = Metric._eval_jets, Metric.christoffel
+
+    def counting_jets(self, x):
+        jets.append(len(x))
+        return eval_jets(self, x)
+
+    def keeping_christoffel(self, x):
+        gammas.append(christoffel(self, x))
+        return gammas[-1]
+
+    monkeypatch.setattr(Metric, "_eval_jets", counting_jets)
+    monkeypatch.setattr(Metric, "christoffel", keeping_christoffel)
+    x0s = [[0.1, 0.2, 0.0], [0.0, 0.1, -0.2], [-0.1, 0.0, 0.1], [0.2, -0.1, 0.05]]
+    w0s = [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, -0.3], [-0.2, 0.1, 0.1]]
+    (traj, *_) = integrate_dual_geodesics(table, fixture.metric, x0s, w0s, steps=1, h=1e-3)
+    assert len(traj.tau) == 2
+    # the first stage runs at the starts, where the initial momenta read g
+    assert jets == [4] * 4
+    assert len({id(gamma) for gamma in gammas}) == 4 < len(gammas)
