@@ -8,13 +8,22 @@ Exit codes: 0 all claims pass, 1 claim failure, 2 usage error, 3 fixture or
 input validation failure.  Reports embed every numeric input, so a report file
 plus the package version pins the run; identical invocations write identical
 bytes.  Output files are written atomically (temp file then rename).
+
+``trace --compare`` integrates the compare curve in a forked worker process
+while this one integrates and exports the first curve; the worker runs the
+same code on the same inputs, so every output is bit-identical to integrating
+both curves in one process.  The worker's memory is not part of this
+process's ``ru_maxrss`` (``RUSAGE_SELF``); it shows in ``RUSAGE_CHILDREN``.
+Without ``os.fork`` both curves run in this process, one after the other.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import pickle
 import sys
 import tempfile
 
@@ -65,6 +74,58 @@ def _atomic_write(path: str, text: str) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+@contextlib.contextmanager
+def _forked(fn, *args):
+    """Start ``fn(*args)`` in a forked worker; yield a function that waits for
+    its result and returns it, or re-raises the worker's exception (as a
+    RuntimeError carrying its traceback when it does not pickle).  Leaving the
+    block kills and reaps the worker.  Without ``os.fork``, the yielded
+    function calls ``fn(*args)`` in this process.
+
+    The package starts no thread, and numpy's OpenBLAS stops its thread pool
+    across a fork (``pthread_atfork``), so the worker inherits no lock that
+    another thread holds."""
+    if not hasattr(os, "fork"):
+        yield lambda: fn(*args)
+        return
+    # imported here, so that no other command pays their 1.5–2.5 ms of import time
+    import signal
+    import traceback
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:   # the worker leaves only through os._exit: no return, no stdio flush
+        try:
+            os.close(read_fd)   # so a write fails, not blocks, once the parent is gone
+            try:
+                payload = pickle.dumps((True, fn(*args)))
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps((False, exc))
+                    pickle.loads(payload)
+                except Exception:
+                    text = "".join(traceback.format_exception(exc))
+                    payload = pickle.dumps((False, RuntimeError(f"worker failed:\n{text}")))
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as reader:
+            def result():
+                data = reader.read()
+                if not data:
+                    raise RuntimeError("worker exited without a result")
+                ok, value = pickle.loads(data)
+                if not ok:
+                    raise value
+                return value
+            yield result
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _load_fixture(source: str):
@@ -179,41 +240,50 @@ def cmd_trace(args, fixture) -> int:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
 
-    traj = integrate_dual_geodesic(conn, fixture.metric, x0, w0, args.steps, args.h,
-                                   box=fixture.box, singular_loci=fixture.singular_loci)
-    if traj.exit_reason != "completed":
-        print(f"note: integration halted early ({traj.exit_reason}) after "
-              f"{len(traj.tau) - 1} steps; last state tau={traj.tau[-1]:.17g} "
-              f"x={[f'{v:.17g}' for v in traj.x[-1]]}", file=sys.stderr)
+    def integrate(connection):
+        return integrate_dual_geodesic(connection, fixture.metric, x0, w0, args.steps, args.h,
+                                       box=fixture.box, singular_loci=fixture.singular_loci)
 
-    base = args.out or f"trajectory-{fixture.name}-{args.conn.replace('+', 'p').replace('-', 'm')}"
-    if args.format in ("csv", "both"):
-        traj.write_csv(base + ".csv")
-        print(f"wrote {base}.csv", file=sys.stderr)
-    if args.format in ("json", "both"):
-        traj.write_json(base + ".json")
-        print(f"wrote {base}.json", file=sys.stderr)
+    def trace_and_export():
+        traj = integrate(conn)
+        if traj.exit_reason != "completed":
+            print(f"note: integration halted early ({traj.exit_reason}) after "
+                  f"{len(traj.tau) - 1} steps; last state tau={traj.tau[-1]:.17g} "
+                  f"x={[f'{v:.17g}' for v in traj.x[-1]]}", file=sys.stderr)
 
-    if compare is not None:
-        other = integrate_dual_geodesic(compare, fixture.metric, x0, w0, args.steps,
-                                        args.h, box=fixture.box,
-                                        singular_loci=fixture.singular_loci)
-        why = short_comparison(traj, other, args.steps)
-        if why is None:
-            cmp = curves_coincide(traj, other, args.tol)
-        else:
-            print(f"note: no evidence of coincidence: the curves {why}", file=sys.stderr)
-            cmp = CurveComparison(False, np.inf, np.inf, args.tol)
-        result = {
-            "coincide": cmp.coincide,
-            "hausdorff_a_to_b": f"{cmp.dist_a_to_b:.17g}",
-            "hausdorff_b_to_a": f"{cmp.dist_b_to_a:.17g}",
-            "tolerance": f"{cmp.tol:.17g}",
-            "connections": [args.conn, args.compare],
-        }
-        print(json.dumps(result, indent=2, sort_keys=True))
-        return EXIT_OK if cmp.coincide else EXIT_CLAIM_FAILURE
-    return EXIT_OK
+        base = args.out or f"trajectory-{fixture.name}-{args.conn.replace('+', 'p').replace('-', 'm')}"
+        if args.format in ("csv", "both"):
+            traj.write_csv(base + ".csv")
+            print(f"wrote {base}.csv", file=sys.stderr)
+        if args.format in ("json", "both"):
+            traj.write_json(base + ".json")
+            print(f"wrote {base}.json", file=sys.stderr)
+        return traj
+
+    if compare is None:
+        trace_and_export()
+        return EXIT_OK
+    # the compare curve runs in a forked worker while this process integrates
+    # and exports the first one
+    with _forked(integrate, compare) as compare_result:
+        traj = trace_and_export()
+        other = compare_result()
+
+    why = short_comparison(traj, other, args.steps)
+    if why is None:
+        cmp = curves_coincide(traj, other, args.tol)
+    else:
+        print(f"note: no evidence of coincidence: the curves {why}", file=sys.stderr)
+        cmp = CurveComparison(False, np.inf, np.inf, args.tol)
+    result = {
+        "coincide": cmp.coincide,
+        "hausdorff_a_to_b": f"{cmp.dist_a_to_b:.17g}",
+        "hausdorff_b_to_a": f"{cmp.dist_b_to_a:.17g}",
+        "tolerance": f"{cmp.tol:.17g}",
+        "connections": [args.conn, args.compare],
+    }
+    print(json.dumps(result, indent=2, sort_keys=True))
+    return EXIT_OK if cmp.coincide else EXIT_CLAIM_FAILURE
 
 
 def cmd_classify(args, fixture) -> int:

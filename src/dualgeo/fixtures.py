@@ -577,12 +577,16 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
         margin = cfg.get("singular_margin", 0.0)
         constants = cfg.get("constants", {})
+        spots = cfg.get("expected", {}).get("spots", [])
         numbers = {
             "singular_margin": margin,
             **{f"domain[{i}][{j}]": v for i, edge in enumerate(box) for j, v in enumerate(edge)},
             **{f"singular_loci[{i}].value": d["value"]
                for i, d in enumerate(cfg.get("singular_loci", []))},
-            **{f"constants.{key}": v for key, v in constants.items()}}
+            **{f"constants.{key}": v for key, v in constants.items()},
+            **{f"expected.spots[{k}].value": spot["value"] for k, spot in enumerate(spots)},
+            **{f"expected.spots[{k}].point[{i}]": c
+               for k, spot in enumerate(spots) for i, c in enumerate(spot["point"])}}
         for entry, value in numbers.items():
             try:
                 finite = math.isfinite(value)
