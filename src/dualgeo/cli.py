@@ -7,7 +7,7 @@ connections), ``classify`` (weak/strong verdict of a semi-degenerate fixture).
 Exit codes: 0 all claims pass, 1 claim failure, 2 usage error, 3 fixture or
 input validation failure.  Reports embed every numeric input, so a report file
 plus the package version pins the run; identical invocations write identical
-bytes.  Output files are written atomically (temp file then rename).
+bytes.  Reports and classify results are written atomically; trace exports stream.
 
 ``trace --compare`` integrates the compare curve in a forked worker process
 while this one integrates and exports the first curve; the worker runs the
@@ -81,8 +81,9 @@ def _forked(fn, *args):
     """Start ``fn(*args)`` in a forked worker; yield a function that waits for
     its result and returns it, or re-raises the worker's exception (as a
     RuntimeError carrying its traceback when it does not pickle).  Leaving the
-    block kills and reaps the worker.  Without ``os.fork``, the yielded
-    function calls ``fn(*args)`` in this process.
+    block kills and reaps the worker; on Linux the worker also dies with this
+    process when a signal ends it.  Without ``os.fork``, the yielded function
+    calls ``fn(*args)`` in this process.
 
     The package starts no thread, and numpy's OpenBLAS stops its thread pool
     across a fork (``pthread_atfork``), so the worker inherits no lock that
@@ -94,9 +95,18 @@ def _forked(fn, *args):
     import signal
     import traceback
     read_fd, write_fd = os.pipe()
+    parent = os.getpid()
     pid = os.fork()
     if pid == 0:   # the worker leaves only through os._exit: no return, no stdio flush
         try:
+            if sys.platform.startswith("linux"):   # SIGKILL this worker when the parent dies
+                import ctypes
+                prctl = ctypes.CDLL(None).prctl
+                prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+                prctl.restype = ctypes.c_int
+                prctl(1, signal.SIGKILL, 0, 0, 0)   # 1 = PR_SET_PDEATHSIG
+            if os.getppid() != parent:   # the parent died before the prctl: no signal comes
+                os._exit(0)
             os.close(read_fd)   # so a write fails, not blocks, once the parent is gone
             try:
                 payload = pickle.dumps((True, fn(*args)))
@@ -380,9 +390,10 @@ def _input_problem(args, n: int = 1) -> str | None:
     steps = getattr(args, "steps", 1)
     if not 1 <= steps <= MAX_STEPS:
         return f"--steps must be between 1 and {MAX_STEPS:,}, got {steps}"
-    h = getattr(args, "h", 1.0)
-    if not (np.isfinite(h) and h > 0.0):
-        return f"--h must be a positive finite step, got {h}"
+    for name in ("h", "tol", "tol_algebraic", "tol_curvature"):
+        value = getattr(args, name, 1.0)
+        if not (np.isfinite(value) and value > 0.0):
+            return f"--{name.replace('_', '-')} must be a positive finite number, got {value}"
     return None
 
 

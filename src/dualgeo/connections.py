@@ -10,14 +10,14 @@ residuals on the sample points they are given and report the maximum, so a
 The points are one ``(N, n)`` array, evaluated in blocks of
 :data:`~dualgeo.geometry.GRID_BLOCK` rows: each block is one stacked
 evaluation of the coefficients, Jacobians and metric data, its residuals are
-one ``...``-einsum, and :func:`~dualgeo.geometry.grid_max` reduces it before
-the next block is formed, so memory is bounded by the block.  Block maxima
+one ``...``-einsum, and each test is one :func:`~dualgeo.geometry.grid_maxima`
+pass, so memory is bounded by the block; a test that recovers a 1-form
+reduces its mismatch from an expected one in the same pass.  Block maxima
 fold with ``np.maximum``, so a NaN residual anywhere is the result and fails
 the verdict; NaN is no torsion defect, so it is not rejected as torsion.
 :func:`antisymmetrized_gradient` and :func:`ricci_asymmetry` are the
 per-block residuals of the compatibility and Ricci-symmetry checks, so a
-suite can reduce them in its own single pass over the grid
-(:func:`~dualgeo.geometry.grid_maxima`).
+suite can reduce them in its own single pass over the grid.
 
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
@@ -31,8 +31,8 @@ connection, so one integrator call can advance trajectories of several
 connections together (see ``Fixture.connection_table``).
 
 Torsion-freeness is a hard precondition of the dual-projective criterion (with
-torsion the criterion has easy counterexamples), so the tests check it first
-and raise instead of returning a misleading verdict.
+torsion the criterion has easy counterexamples), so the tests check it in
+their pass and raise instead of returning a misleading verdict.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Metric, central_difference, grid_blocks, grid_max, matvec
+from .geometry import Metric, central_difference, grid_max, grid_maxima, matvec
 
 TORSION_TOL = 1e-10
 
@@ -169,52 +169,60 @@ def difference_tensor(conn_a: AffineConnection, conn_b: AffineConnection, x) -> 
     return conn_a.coefficients(x) - conn_b.coefficients(x)
 
 
-def _require_torsion_free(conns: Sequence[AffineConnection], points) -> None:
-    for conn in conns:
-        worst = grid_max(conn.torsion_defect, points)
+def _torsion_free_maxima(conns: Sequence[AffineConnection], residuals, points) -> list[float]:
+    """``grid_maxima([residuals], points)``, with each connection's torsion
+    defect reduced in the same pass; the first one above TORSION_TOL raises
+    TorsionError."""
+    maxima = grid_maxima([*(conn.torsion_defect for conn in conns), residuals], points)
+    for conn, worst in zip(conns, maxima):
         if worst > TORSION_TOL:
             raise TorsionError(
                 f"connection {conn.tag!r} has torsion (defect {worst:.3e}); "
                 "the dual-projective criterion needs torsion-free input")
+    return maxima[len(conns):]
+
+
+def _mismatch(form: np.ndarray, expected, block) -> tuple:
+    """``(form - expected(block),)``, or ``()`` without an expected 1-form."""
+    return () if expected is None else (form - np.asarray(expected(block), dtype=float),)
 
 
 @dataclass
 class DualProjectiveResult:
     equivalent: bool
     max_residual: float
-    alpha: np.ndarray  # (N, n): covariant alpha components in grid order
     tol: float
+    alpha_mismatch: float | None = None  # max |alpha - expected alpha|
 
 
 def dual_projective_test(conn_a: AffineConnection, conn_b: AffineConnection,
-                         g: Metric, points, tol: float = 1e-9
+                         g: Metric, points, tol: float = 1e-9, expected_alpha=None
                          ) -> DualProjectiveResult:
     """Test Gamma_a = Gamma_b + alpha^sharp (x) g for a single 1-form alpha.
 
     The candidate is the unique trace fit ``alpha^k = (1/n) D^k_{ij} g^{ij}``;
     the verdict is true iff ``D^k_{ij} - alpha^k g_{ij}`` stays below ``tol``
-    on every sample point.  Returns alpha lowered with g per point.
+    on every sample point.  With an ``expected_alpha`` callable, which
+    receives a block of points, the maximal ``|alpha - expected|`` of alpha
+    lowered with g is reported as well.
     """
-    _require_torsion_free((conn_a, conn_b), points)
-    worst = 0.0
-    alphas = []
-    for block in grid_blocks(points):
+    def residuals(block):
         d = difference_tensor(conn_a, conn_b, block)
         gmat = g.value(block)
         alpha_up = np.einsum("...kij,...ij->...k", d, g.inverse(block)) / g.n
-        resid = d - np.einsum("...k,...ij->...kij", alpha_up, gmat)
-        worst = float(np.maximum(worst, np.max(np.abs(resid))))
-        alphas.append(matvec(gmat, alpha_up))
-    return DualProjectiveResult(worst < tol, worst, np.concatenate(alphas), tol)
+        return (d - np.einsum("...k,...ij->...kij", alpha_up, gmat),
+                *_mismatch(matvec(gmat, alpha_up), expected_alpha, block))
+
+    worst, *mismatch = _torsion_free_maxima((conn_a, conn_b), residuals, points)
+    return DualProjectiveResult(worst < tol, worst, tol, *mismatch)
 
 
 @dataclass
 class SemiCompatibilityResult:
     semi_compatible: bool
     max_residual: float
-    alpha: np.ndarray  # (N, n): covariant alpha components in grid order
     tol: float
-    beta_mismatch: float | None = None  # max ||alpha - expected beta||
+    beta_mismatch: float | None = None  # max |alpha - expected beta|
 
 
 def metric_gradient(conn: AffineConnection, h: Metric, x) -> np.ndarray:
@@ -241,29 +249,22 @@ def semi_compatibility_test(conn: AffineConnection, h: Metric, points,
     The candidate comes from contracting the defining identity with h^{ik},
     which isolates (n-1) alpha_j; no least squares is needed.  With an
     ``expected_beta`` callable, which receives a block of points, the maximal
-    ``||alpha - beta||`` over the grid is reported as well.
+    ``|alpha - beta|`` over the grid is reported as well.
     """
-    _require_torsion_free((conn,), points)
     n = h.n
     if n < 2:
         raise ConnectionError_("semi-compatibility needs n >= 2")
-    worst = 0.0
-    worst_beta = 0.0
-    alphas = []
-    for block in grid_blocks(points):
+
+    def residuals(block):
         a = antisymmetrized_gradient(conn, h, block)
         hmat = h.value(block)
         alpha = np.einsum("...ik,...ijk->...j", h.inverse(block), a) / (n - 1)
         model = (np.einsum("...j,...ik->...ijk", alpha, hmat)
                  - np.einsum("...i,...jk->...ijk", alpha, hmat))
-        worst = float(np.maximum(worst, np.max(np.abs(a - model))))
-        alphas.append(alpha)
-        if expected_beta is not None:
-            beta = np.asarray(expected_beta(block), dtype=float)
-            worst_beta = float(np.maximum(worst_beta, np.max(np.abs(alpha - beta))))
-    return SemiCompatibilityResult(
-        worst < tol, worst, np.concatenate(alphas), tol,
-        beta_mismatch=(worst_beta if expected_beta is not None else None))
+        return a - model, *_mismatch(alpha, expected_beta, block)
+
+    worst, *mismatch = _torsion_free_maxima((conn,), residuals, points)
+    return SemiCompatibilityResult(worst < tol, worst, tol, *mismatch)
 
 
 def compatibility_residual(conn: AffineConnection, h: Metric, points) -> float:

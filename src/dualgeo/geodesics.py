@@ -22,14 +22,14 @@ call, which gets the running rows' indices.  After each step one test over
 the rows checks finiteness (of the position and the covelocity), then the
 box, then the singular margin, so a row gets the exit reason a lone run
 would; halted rows keep the samples taken so far and drop out of the state,
-so every kept sample is finite.  If a stage raises a domain error
-(EvalDomainError, SingularMetricError or LinAlgError), that step is redone
-one row at a time, each row under its own connection: the rows that raise
-exit with ``domain_exit``, the others go on.  Every operation rounds each row
-as it would round a single point, so each row equals its single-start run
-under its own connection bit for bit; a lone running row steps as a single
-point, which costs less per call.  The CSV and JSON exports format and write
-EXPORT_BLOCK samples at a time, so their memory does not grow with length.
+so every kept sample is finite.  If a stage raises a domain error (an
+EvalDomainError, SingularMetricError, RankDeficiencyError or LinAlgError),
+that step is redone one row at a time, each under its own connection: the
+rows that raise exit with ``domain_exit``, the others go on.  Every operation
+rounds each row as it would round a single point, so each row equals its
+single-start run under its own connection bit for bit; a lone running row
+steps as a single point, which costs less per call.  The exports format and
+write EXPORT_BLOCK samples at a time, so their memory does not grow.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -68,6 +68,7 @@ import numpy as np
 from .connections import AffineConnection, ConnectionTable
 from .expressions import EvalDomainError
 from .geometry import Metric, SingularMetricError, matvec
+from .structure import RankDeficiencyError
 
 SINGULAR_HALT_MARGIN = 1e-3
 # queries per block of the curve comparison: its temporaries hold at most
@@ -132,7 +133,8 @@ def _write_rows(fh, template: str, sep: str, *cols: np.ndarray) -> None:
         fh.write((sep if k else "") + sep.join(template.format(*row) for row in rows))
 
 
-_DOMAIN_ERRORS = (EvalDomainError, SingularMetricError, np.linalg.LinAlgError)
+_DOMAIN_ERRORS = (EvalDomainError, SingularMetricError, RankDeficiencyError,
+                  np.linalg.LinAlgError)
 _BIG = np.finfo(float).max
 _ALL = np.logical_and.reduce
 

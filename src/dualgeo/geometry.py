@@ -75,6 +75,7 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
+CONDITION_BOUND = 1e8  # the largest metric condition number an inverse accepts
 
 
 def central_difference(fn, x) -> np.ndarray:
@@ -112,8 +113,12 @@ class ScalarField:
     def _program(self) -> Program:
         return compile([self.expr])
 
-    def value(self, x) -> float:
-        return self._program.values(x)[0]
+    def value(self, x):
+        """The value at a point, or stacked over the leading axes of x."""
+        if np.ndim(x) < 2:
+            return self._program.values(x)[0]
+        pts = np.asarray(x, dtype=float)
+        return self._program.values(pts.reshape(-1, self.n))[:, 0].reshape(pts.shape[:-1])
 
     def derivatives(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(d_a V, d_a d_b V) at a point, or stacked over the leading axes of x."""
@@ -136,8 +141,7 @@ class Metric:
     views, keyed on the stack's lead shape alone.
     """
 
-    def __init__(self, comps: Sequence[Sequence[Expression]],
-                 condition_bound: float = 1e8):
+    def __init__(self, comps: Sequence[Sequence[Expression]]):
         n = len(comps)
         if any(len(row) != n for row in comps):
             raise GeometryError("metric component matrix must be square")
@@ -149,7 +153,6 @@ class Metric:
                         "are not structurally symmetric")
         self.n = n
         self.comps = [[comps[i][j] for j in range(n)] for i in range(n)]
-        self.condition_bound = condition_bound
         self._pairs = [(i, j) for i in range(n) for j in range(i, n)]
         self._program: Program | None = None
         self._origin: dict | None = None
@@ -163,12 +166,11 @@ class Metric:
             self._record = ((), self._origin)
 
     @staticmethod
-    def from_sources(rows: Sequence[Sequence[str]], constants=None,
-                     condition_bound: float = 1e8) -> "Metric":
+    def from_sources(rows: Sequence[Sequence[str]], constants=None) -> "Metric":
         n = len(rows)
         comps = [[parse(rows[i][j], n, constants=constants) for j in range(n)]
                  for i in range(n)]
-        return Metric(comps, condition_bound)
+        return Metric(comps)
 
     # --- pointwise evaluation ------------------------------------------------
 
@@ -229,12 +231,12 @@ class Metric:
     def _checked_inverse(self, x) -> np.ndarray:
         g = self.value(x)
         cond = np.linalg.cond(g)
-        bad = ~np.isfinite(cond) | (cond > self.condition_bound)
+        bad = ~np.isfinite(cond) | (cond > CONDITION_BOUND)
         if bad.any():
             first = int(np.argmax(bad.ravel()))
             raise SingularMetricError(
                 f"metric condition number {cond.ravel()[first]:.3e} exceeds bound "
-                f"{self.condition_bound:.1e} at "
+                f"{CONDITION_BOUND:.1e} at "
                 f"{np.asarray(x, dtype=float).reshape(-1, self.n)[first]}")
         return np.linalg.inv(g)
 
@@ -307,32 +309,30 @@ def grid_points(box: Sequence[tuple[float, float]], per_axis: int = 5,
 
 def grid_blocks(points):
     """Consecutive slices of at most ``GRID_BLOCK`` rows of an ``(N, n)``
-    array of points (or of anything else laid out in grid order)."""
+    array of points."""
     points = np.asarray(points, dtype=float)
     for start in range(0, len(points), GRID_BLOCK):
         yield points[start:start + GRID_BLOCK]
 
 
-def grid_maxima(fns, *arrays) -> list[float]:
-    """max |fn(*blocks)| over a grid for each fn of ``fns``, in one pass:
-    every fn gets the same ``GRID_BLOCK``-row block of each array before the
-    next block is formed, so the metric data of a block, the parts of
-    :class:`Metric`'s record, is computed once for all of them.  Each fn's
-    block maxima fold with ``np.maximum`` in grid order, so a NaN residual
-    gives NaN and fails every threshold test; an empty grid raises
-    ValueError."""
-    if len({len(a) for a in arrays}) != 1:
-        raise ValueError("grid_maxima needs arrays of one common length")
-    maxima = [[] for _ in fns]
-    for blocks in zip(*map(grid_blocks, arrays)):
-        for fn, found in zip(fns, maxima):
-            found.append(np.max(np.abs(fn(*blocks))))
-    return [float(np.maximum.reduce(found)) for found in maxima]
+def grid_maxima(fns, points) -> list[float]:
+    """max |fn(block)| over a grid for each fn of ``fns``, in one pass: every
+    fn gets the same ``GRID_BLOCK``-row block of the ``(N, n)`` points before
+    the next block is formed, so the metric data of a block, the parts of
+    :class:`Metric`'s record, is computed once for all of them.  A fn may
+    return a tuple of arrays computed from one evaluation; each array gets
+    its own maximum, in order.  Block maxima fold with ``np.maximum`` in grid
+    order, so a NaN residual gives NaN and fails every threshold test; an
+    empty grid raises ValueError."""
+    found = [[np.max(np.abs(a)) for out in (fn(block) for fn in fns)
+              for a in (out if isinstance(out, tuple) else (out,))]
+             for block in grid_blocks(points)]
+    return [float(m) for m in np.maximum.reduce(np.array(found), axis=0)]
 
 
-def grid_max(fn, *arrays) -> float:
+def grid_max(fn, points) -> float:
     """:func:`grid_maxima` of the one function ``fn``."""
-    return grid_maxima([fn], *arrays)[0]
+    return grid_maxima([fn], points)[0]
 
 
 # --- scalar-field calculus ---------------------------------------------------

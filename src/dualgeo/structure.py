@@ -297,14 +297,13 @@ def beta_condition_residual(g: Metric, conn_d, D_fn: Callable, s_cov_fn: Callabl
     independent code paths (connection algebra vs tensor assembly).
     ``D_fn`` and ``s_cov_fn`` receive a block of points.
     """
-    from .connections import metric_gradient
+    from .connections import antisymmetrized_gradient
 
     n = g.n
 
     def residual(block):
         gmat = g.value(block)
-        grad_g = metric_gradient(conn_d, g, block)
-        lhs = grad_g - np.einsum("...jik->...ijk", grad_g)
+        lhs = antisymmetrized_gradient(conn_d, g, block)
         D = D_fn(block)
         s_cov = s_cov_fn(block)
         t_cov = t_from_prolongation(D, s_cov, n)

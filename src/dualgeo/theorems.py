@@ -25,12 +25,14 @@ pass over the grid as well: one :func:`~dualgeo.geometry.grid_maxima` call
 runs every claim's residual function on a block of ``GRID_BLOCK`` points
 before it forms the next, so the metric's jets, inverse and Christoffel
 symbols of each block are computed once (they are the parts of ``Metric``'s
-record of the most recent stack) for all of them.  A claim whose inputs come from an earlier loop over
-the grid (the recovered 1-form of a dual-projective or semi-compatibility
-test, or a classification verdict) keeps its own reduction, as do Weyl's
-Levi-Civita control, run only where t does not vanish, and theorem 2's two
-checks.  Theorem 1 adds a claim computed in the pass where the claim order
-puts it, with a NaN residual that the pass then sets.
+record of the most recent stack) for all of them.  Each dual-projective and
+semi-compatibility test is one pass of its own, which also compares the
+recovered 1-form with the expected one (the alpha-match claims, and the zero
+1-form of theorem 1's compatibility claims).  A claim that depends on a
+classification verdict keeps its own reduction, as do Weyl's Levi-Civita
+control, run only where t does not vanish, and theorem 2's two checks.
+Theorem 1 adds a claim computed in the pass where the claim order puts it,
+with a NaN residual that the pass then sets.
 """
 
 from __future__ import annotations
@@ -248,7 +250,8 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
     # measured, never asserted: symmetry/trace defects of the decomposition
     # remainder S (nonzero on concrete fixtures under the frozen conventions)
     def remainder(block):
-        return decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
+        parts = decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
+        return parts.symmetry_defect, parts.trace_defect
 
     # claims set by the grid pass after the loop: (claim, its residual
     # functions, how their maxima combine into its residual)
@@ -260,32 +263,31 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         conn_t = fixture.connection(pm + "T")
         conn_b = fixture.connection(pm + "B")
 
-        dp = dual_projective_test(conn_t, conn_b, g, grid, tol_algebraic)
+        dp = dual_projective_test(
+            conn_t, conn_b, g, grid, tol_algebraic,
+            expected_alpha=lambda block: sign * bcoef * fixture.t_covector(block))
         report.add(
             f"t1.dual_projective.{lbl}",
             "the induced and symmetrized connections differ by a pure metric "
             "multiple of one vector field (dual-projective criterion)",
             dp.max_residual, tol_algebraic)
-        alpha_err = grid_max(
-            lambda block, alpha: alpha - sign * bcoef * fixture.t_covector(block),
-            grid, dp.alpha)
         report.add(
             f"t1.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals +/-((n+2)/n) t",
-            alpha_err, tol_algebraic)
+            dp.alpha_mismatch, tol_algebraic)
 
         pending.append(_trajectory_claim(
             report, f"t1.trajectories.{lbl}",
             "dual-geodesics from seeded starts coincide as point sets",
             fixture, pm + "T", pm + "B", rng, trajectory_count))
 
-        sc = semi_compatibility_test(conn_b, g, grid, tol_algebraic)
-        alpha_norm = float(np.max(np.abs(sc.alpha)))
+        sc = semi_compatibility_test(conn_b, g, grid, tol_algebraic,
+                                     expected_beta=lambda block: 0.0)
         report.add(
             f"t1.compatibility.{lbl}",
             "the symmetrized connection is metric-compatible "
             "(antisymmetrized metric derivative vanishes, recovered 1-form is zero)",
-            np.maximum(sc.max_residual, alpha_norm), tol_algebraic)
+            np.maximum(sc.max_residual, sc.beta_mismatch), tol_algebraic)
 
         shifted_residuals = []
         for _ in range(5):
@@ -308,10 +310,8 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             np.nan, tol_curvature),
             [lambda block, _c=conn_t: ricci_asymmetry(_c, block)], np.max))
 
-    maxima = iter(grid_maxima(
-        [lambda block: remainder(block).symmetry_defect,
-         lambda block: remainder(block).trace_defect,
-         *(fn for _, fns, _ in in_pass for fn in fns)], grid))
+    maxima = iter(grid_maxima([remainder, *(fn for _, fns, _ in in_pass for fn in fns)],
+                              grid))
     s_sym, s_tr = next(maxima), next(maxima)
     report.notes.append(
         f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
@@ -391,29 +391,27 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         conn_d = fixture.connection(pm + "D")
         conn_t = fixture.connection(pm + "T")
 
-        dp = dual_projective_test(conn_d, conn_t, g, grid, tol_algebraic)
+        dp = dual_projective_test(
+            conn_d, conn_t, g, grid, tol_algebraic,
+            expected_alpha=lambda block: -sign * fixture.s_covector(block) / n)
         report.add(
             f"t2.dual_projective.{lbl}",
             "the prolongation connection and the extracted induced connection "
             "differ by a metric multiple of one vector field",
             dp.max_residual, tol_algebraic)
-        alpha_err = grid_max(lambda block, alpha: alpha + sign * fixture.s_covector(block) / n,
-                             grid, dp.alpha)
         report.add(
             f"t2.alpha_match.{lbl}",
             "the recovered equivalence 1-form equals -/+ s/n",
-            alpha_err, tol_algebraic)
+            dp.alpha_mismatch, tol_algebraic)
 
         pending.append(_trajectory_claim(
             report, f"t2.trajectories.{lbl}",
             "dual-geodesics of the two connections coincide as point sets",
             fixture, pm + "D", pm + "T", rng, trajectory_count))
 
-        def beta(x, _sign=sign):
-            return _sign * (fixture.s_covector(x)
-                            - (n + 2) * fixture.t_covector(x)) / n
-
-        sc = semi_compatibility_test(conn_d, g, grid, tol_algebraic, expected_beta=beta)
+        sc = semi_compatibility_test(
+            conn_d, g, grid, tol_algebraic, expected_beta=lambda block: sign * (
+                fixture.s_covector(block) - (n + 2) * fixture.t_covector(block)) / n)
         value = np.maximum(sc.max_residual, sc.beta_mismatch)
         if weak:
             report.add(

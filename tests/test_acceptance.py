@@ -35,13 +35,12 @@ def test_criterion_1_dual_projective_algebraic(sw2):
     grid = sw2.grid(5)
     worst_res, worst_alpha = 0.0, 0.0
     for sign, t_tag, b_tag in ((+1, "+T", "+B"), (-1, "-T", "-B")):
+        # expected alpha: ((n+2)/n) t with n = 2
         res = dual_projective_test(sw2.connection(t_tag), sw2.connection(b_tag),
-                                   sw2.metric, grid, tol=1e-9)
+                                   sw2.metric, grid, tol=1e-9,
+                                   expected_alpha=lambda x: sign * 2.0 * sw2.t_covector(x))
         worst_res = max(worst_res, res.max_residual)
-        for i, x in enumerate(grid):
-            expected = sign * 2.0 * sw2.t_covector(x)  # ((n+2)/n) t with n = 2
-            worst_alpha = max(worst_alpha,
-                              float(np.max(np.abs(res.alpha[i] - expected))))
+        worst_alpha = max(worst_alpha, res.alpha_mismatch)
         assert res.equivalent
     report("criterion 1 (shared dual-geodesics, algebraic)",
            worst_res < 1e-9 and worst_alpha < 1e-9,
@@ -72,8 +71,9 @@ def test_criterion_2_dual_geodesic_pairs(sw2):
 
 def test_criterion_3_unique_compatible_connection(sw2):
     grid = sw2.grid(5)
-    res = semi_compatibility_test(sw2.connection("+B"), sw2.metric, grid, tol=1e-9)
-    alpha_norm = float(np.max(np.abs(res.alpha)))
+    res = semi_compatibility_test(sw2.connection("+B"), sw2.metric, grid, tol=1e-9,
+                                  expected_beta=lambda x: 0.0)
+    alpha_norm = res.beta_mismatch
     ok_compat = res.max_residual < 1e-9 and alpha_norm < 1e-9
 
     rng = np.random.default_rng(SEED)
@@ -102,12 +102,12 @@ def test_criterion_4_weak_fixture(sw2_weak):
                   for x in grid)
     ok = ok and dag_err < 1e-10
 
-    dp = dual_projective_test(sw2_weak.connection("+D"), conn_t, sw2_weak.metric,
-                              grid, tol=1e-9)
     # the connection difference is T - D = -(1/n) g (x) s^sharp, so the
     # equivalence 1-form is -(1/n) s
-    alpha_err = max(float(np.max(np.abs(dp.alpha[i] + 0.5 * sw2_weak.s_covector(x))))
-                    for i, x in enumerate(grid))
+    dp = dual_projective_test(sw2_weak.connection("+D"), conn_t, sw2_weak.metric,
+                              grid, tol=1e-9,
+                              expected_alpha=lambda x: -0.5 * sw2_weak.s_covector(x))
+    alpha_err = dp.alpha_mismatch
     ok = ok and dp.equivalent and alpha_err < 1e-9
 
     def beta(x):

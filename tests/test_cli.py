@@ -177,9 +177,18 @@ _TRACE = ["trace", "sw2", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0"]
     ["verify", "sw2", "--grid", "1001"],
     ["verify", "sphere3-trivial", "--grid", "101"],
     ["classify", "sw2-strong-synthetic", "--grid", str(10**9)],
+    ["classify", "sw2-weak", "--tol", "nan"],
+    ["classify", "sw2-strong-synthetic", "--tol", "inf"],
+    ["classify", "sw2-weak", "--tol", "0"],
+    ["verify", "sw2", "--tol-algebraic", "inf"],
+    ["verify", "sw2", "--tol-algebraic=-1e-9"],
+    ["verify", "sw2", "--tol-curvature", "nan"],
+    _TRACE + ["--compare", "+B", "--tol", "inf"],
 ], ids=["classify-grid-0", "verify-grid-0", "steps-negative", "steps-0", "h-0",
         "h-negative", "h-inf", "compare-h-nan", "steps-above-limit", "steps-huge",
-        "verify-grid-2d-above-limit", "verify-grid-3d-above-limit", "classify-grid-huge"])
+        "verify-grid-2d-above-limit", "verify-grid-3d-above-limit", "classify-grid-huge",
+        "classify-tol-nan", "classify-tol-inf", "classify-tol-0", "verify-tol-algebraic-inf",
+        "verify-tol-algebraic-negative", "verify-tol-curvature-nan", "compare-tol-inf"])
 def test_numeric_input_without_evidence_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)

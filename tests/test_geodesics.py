@@ -238,6 +238,29 @@ def test_batched_rows_halt_independently(euclid2):
         assert np.isfinite(traj.x).all() and np.isfinite(traj.p).all()
 
 
+def test_rank_deficient_structure_recovery_is_a_domain_exit():
+    # the generic system on S^2 in stereographic coordinates, with T recovered
+    # from its potentials: the third is infinite on the circle x1^2 + x2^2 = 1
+    # inside the box, where the recovery is rank deficient.  The config is
+    # not validated, since its box crosses that circle.
+    from dualgeo.fixtures import from_config
+    q = "(1 + x1^2 + x2^2)"
+    fixture = from_config({
+        "name": "s2-circle", "dimension": 2, "kind": "nondegenerate",
+        "metric": [[f"4/{q}^2", "0"], ["0", f"4/{q}^2"]],
+        "potentials": [f"{q}^2/(4*x1^2)", f"{q}^2/(4*x2^2)",
+                       f"{q}^2/(1 - x1^2 - x2^2)^2", "1"],
+        "domain": [[0.3, 2.0], [0.3, 2.0]],
+        "singular_loci": [{"axis": 1, "value": 0.0}, {"axis": 2, "value": 0.0}]},
+        validate_on_load=False)
+    batch = _assert_rows_equal_single_runs(
+        fixture.connection("+T"), fixture.metric, [[0.7, 0.7], [1.5, 1.5]],
+        [[1.0, 1.0], [0.1, 0.1]], 200, 1e-3, box=fixture.box,
+        singular_loci=fixture.singular_loci)
+    assert [t.exit_reason for t in batch] == ["domain_exit", "completed"]
+    assert len(batch[0].tau) < 100 and len(batch[1].tau) == 201
+
+
 def _assert_table_rows_equal_single_runs(table, g, x0s, w0s, steps, h, **kw):
     """Every row of one state over a connection table equals the run of its
     start alone under its own connection, bit for bit."""

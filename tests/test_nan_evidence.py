@@ -32,15 +32,12 @@ def test_grid_max_folds_blocks_and_keeps_nan():
     assert GRID_BLOCK == 64
     values = np.arange(81.0)[:, None] - 40.0
     assert grid_max(lambda v: v, values) == 40.0
-    assert grid_max(lambda v, w: v * w, values, values) == 1600.0   # lockstep
     for row in ROWS:
         poisoned = values.copy()
         poisoned[row] = np.nan
         assert np.isnan(grid_max(lambda v: v, poisoned))
     with pytest.raises(ValueError):
         grid_max(lambda v: v, np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        grid_max(lambda v, w: v, values, values[:80])
 
 
 def _nan_row_grid(fixture, row):

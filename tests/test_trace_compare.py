@@ -4,6 +4,7 @@ reaches the caller, and no worker outlives the command."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -169,3 +170,47 @@ def test_only_trace_compare_forks(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(os, "fork", fork)
     assert cli.main(argv) == 0
+
+
+def _alive(pid):
+    """Whether pid runs: it exists and is no zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+@pytest.mark.parametrize("sig", [signal.SIGKILL, signal.SIGTERM], ids=["SIGKILL", "SIGTERM"])
+def test_worker_dies_with_a_command_killed_by_a_signal(sig, tmp_path):
+    # both curves would take seconds; the signal ends the command while its
+    # worker integrates
+    argv = ["trace", "sw2", "--conn", "+T", "--compare", "+B", "--x0=1.3,1.4",
+            "--w0=-0.01,-0.005", "--steps", "100000", "--h", "1e-4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    command = subprocess.Popen([sys.executable, "-m", "dualgeo.cli", *argv], cwd=tmp_path,
+                               env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{command.pid}/task/{command.pid}/children")
+    worker = None
+    try:
+        if not children.exists():
+            pytest.skip("the kernel does not list a task's children")
+        deadline = time.monotonic() + 60
+        while worker is None and time.monotonic() < deadline:
+            found = children.read_text().split()
+            worker = int(found[0]) if found else None
+            time.sleep(0.01)
+        assert worker is not None, "no worker started"
+        command.send_signal(sig)
+        assert command.wait(timeout=10) == -sig
+        deadline = time.monotonic() + 2
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(worker)
+    finally:
+        if command.poll() is None:
+            command.kill()
+            command.wait()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
