@@ -18,8 +18,10 @@ x = np.array([1.0, 2.0])
 # The pointwise least-squares recovery solves, over all basis potentials,
 #   T^k_ij d_k V = (hessian V)_ij - (1/n) g_ij Laplacian(V)
 # for the symmetric, trace-free unknown T.
-T, residual = sw2.solver.structure_tensor(x)
-print("fit residual:", residual)
+# The solve returns T alone; the fit residual is a separate call, the one
+# that validation makes over its grid.
+T = sw2.solver.structure_tensor(x)
+print("fit residual:", sw2.solver.fit_residual(x, {"T": T}))
 print("T[k,i,j] at (1,2):\n", T)
 print("closed form: T^1_11 = -3/(2 x1) =", -1.5, " T^2_11 = 3/(2 x2) =", 0.75)
 

@@ -46,7 +46,6 @@ EXIT_CLAIM_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 
-DEFAULT_GRID_ENV = "DUALGEO_GRID"
 # Inputs beyond these are rejected before anything is allocated, so every
 # accepted input fits in 8 GB.  A grid of 10^6 points is 8n MB per (N, n)
 # array (a suite holds a few and evaluates them 64 rows at a time).  A trace
@@ -54,14 +53,6 @@ DEFAULT_GRID_ENV = "DUALGEO_GRID"
 # with both exports), so 10^6 steps stay near 0.5 GB.
 MAX_GRID_POINTS = 10**6
 MAX_STEPS = 10**6
-
-
-def _default_grid() -> int | None:
-    """$DUALGEO_GRID as an int (5 when unset), or None when it is not one."""
-    try:
-        return int(os.environ.get(DEFAULT_GRID_ENV, "5"))
-    except ValueError:
-        return None
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -339,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("fixture", help="built-in name or config path")
     p_verify.add_argument("--theorem", choices=["1", "2", "weyl", "digamma", "all"],
                           default="all", help="suite selection (default: all applicable)")
-    grid_help = (f"grid points per axis (default 5 or ${DEFAULT_GRID_ENV}); at most "
-                 f"{MAX_GRID_POINTS:,} points in all")
-    p_verify.add_argument("--grid", type=int, default=_default_grid(), help=grid_help)
+    grid_help = f"grid points per axis (default 5); at most {MAX_GRID_POINTS:,} points in all"
+    p_verify.add_argument("--grid", type=int, default=5, help=grid_help)
     p_verify.add_argument("--seed", type=int, default=20250808)
     p_verify.add_argument("--tol-algebraic", type=float, default=1e-9)
     p_verify.add_argument("--tol-curvature", type=float, default=1e-6)
@@ -368,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="weak/strong classification")
     p_classify.add_argument("fixture")
-    p_classify.add_argument("--grid", type=int, default=_default_grid(), help=grid_help)
+    p_classify.add_argument("--grid", type=int, default=5, help=grid_help)
     p_classify.add_argument("--tol", type=float, default=1e-8)
     p_classify.add_argument("--out", help="result path (default: stdout)")
     p_classify.set_defaults(func=cmd_classify)
@@ -379,14 +369,12 @@ def _input_problem(args, n: int = 1) -> str | None:
     """Why a numeric input cannot give evidence, or would not fit in memory on
     a chart of dimension n, or None when all can."""
     grid = getattr(args, "grid", 1)
-    if grid is None:
-        return (f"${DEFAULT_GRID_ENV} must be an integer, "
-                f"got {os.environ.get(DEFAULT_GRID_ENV)!r}")
     if grid < 1:
-        return f"--grid (or ${DEFAULT_GRID_ENV}) must be at least 1, got {grid}"
+        return f"--grid must be at least 1, got {grid}"
     if grid > MAX_GRID_POINTS or grid**n > MAX_GRID_POINTS:
-        return (f"--grid (or ${DEFAULT_GRID_ENV}) {grid} gives {grid}^{n} points; "
-                f"at most {MAX_GRID_POINTS:,} are allowed")
+        return f"--grid {grid} gives {grid}^{n} points; at most {MAX_GRID_POINTS:,} are allowed"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be a non-negative integer, got {args.seed}"
     steps = getattr(args, "steps", 1)
     if not 1 <= steps <= MAX_STEPS:
         return f"--steps must be between 1 and {MAX_STEPS:,}, got {steps}"
@@ -409,7 +397,11 @@ def main(argv=None) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
-    return args.func(args, fixture)
+    try:
+        return args.func(args, fixture)
+    except OSError as exc:   # an --out (or default export path) that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -10,16 +10,16 @@ Closed-form structure data, when a fixture carries it, is never trusted:
 validation cross-checks it against the pointwise least-squares recovery on the
 sample grid and fails the fixture on disagreement.  Validation is one stacked
 pass over that 3^n grid: one metric inverse, one solver call per field,
-feeding both the residual check and the closed-form comparison, and one
-evaluation of each declared field; the solver's rank check is the only rank
-check.  A stacked call that raises is one failure of its check (a singular
-metric, a rank-deficient family or an expression error names its first
-failing point), and the checks that need its values are skipped.  Fixtures
-without closed forms recover every field from the family, at a point or over
-a stack of points in one solver call.  A declared T or D must also be
-symmetric in its covariant pair on that grid: every induced connection is
-Gamma_LC minus a tensor built from it, evaluated with no torsion check of its
-own.
+feeding the closed-form comparison, one solver call for the fit residual of
+the recovered fields, and one evaluation of each declared field; the solver's
+rank check is the only rank check.  A stacked call that raises is one failure
+of its check (a singular metric, a rank-deficient family or an expression
+error names its first failing point), and the checks that need its values are
+skipped.  Fixtures without closed forms recover every field from the family,
+at a point or over a stack of points in one solver call.  A declared T or D
+must also be symmetric in its covariant pair on that grid: every induced
+connection is Gamma_LC minus a tensor built from it, evaluated with no torsion
+check of its own.
 
 Config schema: ``fixture.schema.json`` beside this module, read once into
 :data:`SCHEMA`.  :func:`check_config` is the only check of a config's types
@@ -135,7 +135,7 @@ class Fixture:
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.value(x)
-            return self.solver.structure_tensor(x)[0]
+            return self.solver.structure_tensor(x)
         return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
                                  self.s_vector(x))
 
@@ -160,7 +160,7 @@ class Fixture:
             return self.structure_D.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no prolongation data")
-        return self.solver.prolongation_tensor(x)[0]
+        return self.solver.prolongation_tensor(x)
 
     def prolongation_jacobian(self, x) -> np.ndarray:
         if self.structure_D is not None:
@@ -173,12 +173,12 @@ class Fixture:
             return self.structure_s.value(x)
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
-        return self.solver.s_vector(x)[0]
+        return self.solver.s_vector(x)
 
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
             return self.structure_s.jets(x)[1]
-        return central_difference(lambda pt: self.solver.s_vector(pt)[0], x)
+        return central_difference(self.solver.s_vector, x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -714,13 +714,14 @@ def validate(fixture: Fixture) -> list[dict]:
                 solved = {label: solve[label](grid) for label in (
                     *recovered, *(label for label, field in closed_forms.items()
                                   if field is not None and label not in recovered))}
+                residual = solver.fit_residual(grid, {label: solved[label]
+                                                      for label in recovered})
             except Exception as exc:
                 fail("recovery", str(exc))
             else:
                 per_point.append((
                     "recovery-residual", "fit residual exceeds 1e-8; system is not "
-                    "second-order superintegrable as declared",
-                    np.max([solved[label][1] for label in recovered], axis=0)))
+                    "second-order superintegrable as declared", residual))
                 for label, field in closed_forms.items():
                     if field is None:
                         continue
@@ -729,7 +730,7 @@ def validate(fixture: Fixture) -> list[dict]:
                     except Exception as exc:
                         fail("structure-closed-form", f"declared {label}: {exc}")
                         continue
-                    diff = np.max(np.abs(closed - solved[label][0]),
+                    diff = np.max(np.abs(closed - solved[label]),
                                   axis=tuple(range(1, closed.ndim)))
                     per_point.append((CLOSED_FORM_CHECKS[label],
                                       f"declared {label} disagrees with recovery", diff))

@@ -10,14 +10,12 @@ for every member of the family, or, for (n+1)-parameter families, the
 trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Each component pair
 ``(i, j)`` is an overdetermined system with the same matrix, the family's
 gradients, so both are one SVD least-squares solve (rcond 1e-10) with n
-unknowns per right-hand side; normal equations are never formed.  T needs no
-trace constraint: its right-hand side is g-trace-free for every potential,
-and the least-squares solution is linear in the right-hand side, so the
-recovered T is g-trace-free too.  The solver also differentiates the
-recovered field analytically by differentiating the linear system, which is
-what the induced connections' Jacobians consume.  It takes a point or a
-``(..., n)`` stack: the assembly is ``...``-einsums, only ``lstsq`` runs row
-by row, and each field comes with one fit residual per point.
+unknowns per right-hand side; normal equations are never formed, and T needs
+no trace constraint (see :class:`StructureSolver`).  The solver also
+differentiates the recovered field analytically by differentiating the linear
+system, which is what the induced connections' Jacobians consume.  A point or
+a ``(..., n)`` stack is one ``np.linalg.svd`` call, and a solve returns its
+field alone: validation asks :meth:`StructureSolver.fit_residual` for the fit.
 
 The grid checks (classification, beta condition, Killing, Bertrand-Darboux,
 Poisson) reduce through :func:`dualgeo.geometry.grid_max`, so a NaN residual
@@ -99,11 +97,17 @@ class StructureSolver:
         hess_cov = hesses - np.einsum("...kij,...ak->...aij", gamma, grads)
         return hess_cov, np.einsum("...ij,...aij->...a", ginv, hess_cov)
 
-    def _point_data(self, x):
+    def _system(self, field: str, x) -> tuple[np.ndarray, np.ndarray]:
+        """(grads, B) of field "T", "D" or "s" in grads @ C = B at x: one column
+        of B per index pair i <= j for T and D, the Laplacians for s."""
         g = self.g
         grads, hesses = self._program.jet_arrays(x, 2)[1:]
         hess_cov, laps = self._covariant_hessians(g.christoffel(x), g.inverse(x), grads, hesses)
-        return g.value(x), grads, hess_cov, laps
+        if field == "s":
+            return grads, laps[..., None]
+        if field == "T":
+            hess_cov = hess_cov - np.einsum("...ij,...a->...aij", g.value(x), laps) / g.n
+        return grads, hess_cov[..., self._i, self._j]
 
     def _differentiated_hessians(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grads, hessians, dhess_cov[a, m, i, j] = d_m of the covariant Hessian)."""
@@ -115,44 +119,35 @@ class StructureSolver:
         return grads, hesses, dhess_cov
 
     def _solve(self, grads: np.ndarray, B: np.ndarray, label: str, x) -> np.ndarray:
-        """lstsq(grads, B) at each point, row by row over a stack; the one rank
-        check of every recovery, which names the failing row's point."""
-        if grads.ndim > 2:
-            return np.array([self._solve(*row, label, pt)
-                             for *row, pt in zip(grads, B, np.asarray(x, dtype=float))])
-        C, _, rank, _ = np.linalg.lstsq(grads, B, rcond=RECOVERY_RCOND)
-        if rank < self.g.n:
+        """Least-squares C of grads @ C = B at a point or over a stack, by one SVD;
+        the one rank check of every recovery: a singular value at or below
+        RECOVERY_RCOND times the largest fails it at the first such row's point."""
+        n = self.g.n
+        u, s, vt = np.linalg.svd(grads, full_matrices=False)
+        if s.shape[-1] < n or not (s[..., -1] > RECOVERY_RCOND * s[..., 0]).all():
+            rank = np.count_nonzero(s > RECOVERY_RCOND * s[..., :1], axis=-1)
+            row = np.unravel_index(np.argmax(rank < n), rank.shape)
             raise RankDeficiencyError(
-                f"{label} recovery is rank-deficient at {np.asarray(x)} "
-                f"(rank {rank} < {self.g.n}); family degenerate there")
-        return C
-
-    def _fit(self, grads, rhs, label: str, x) -> tuple[np.ndarray, np.ndarray]:
-        """(X[k,i,j], max-abs fit residual per point) solving X^k_{ij} d_k V_a = rhs[a,i,j]."""
-        B = rhs[..., self._i, self._j]
-        C = self._solve(grads, B, label, x)
-        return C[..., self._pair], np.max(np.abs(grads @ C - B), axis=(-2, -1))
+                f"{label} recovery is rank-deficient at {np.asarray(x)[row]} "
+                f"(rank {rank[row]} < {n}); family degenerate there")
+        return vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ B) / s[..., None])
 
     def _differentiated_solve(self, grads, hesses, drhs, X, x) -> np.ndarray:
-        """dX[m] = lstsq(grads, dB[m] - d_m(grads) C), all axes m in one call.
-
-        The fit residual is at roundoff for valid fixtures, so the derivative
-        of the least-squares solution reduces to solving the same system with
-        differentiated data.
-        """
+        """dX[m] solves grads @ dX[m] = dB[m] - d_m(grads) C, all axes m in one
+        call: the fit residual is at roundoff for valid fixtures, so the
+        derivative of the least-squares solution solves the same system with
+        differentiated data."""
         lead, (m_pot, n) = grads.shape[:-2], grads.shape[-2:]
         rhs = (drhs[..., self._i, self._j]
                - np.einsum("...amk,...kp->...amp", hesses, X[..., self._i, self._j]))
         dC = self._solve(grads, rhs.reshape(lead + (m_pot, -1)), "Jacobian", x)
         return dC.reshape(lead + (n, n, -1)).swapaxes(-3, -2)[..., self._pair]
 
-    # --- nondegenerate recovery --------------------------------------------
+    # --- recovery: T of nondegenerate families, D and s of semi-degenerate ones
 
-    def structure_tensor(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(T[k,i,j], max-abs fit residual); T is symmetric and trace-free."""
-        gmat, grads, hess_cov, laps = self._point_data(x)
-        rhs = hess_cov - np.einsum("...ij,...a->...aij", gmat, laps) / self.g.n
-        return self._fit(grads, rhs, "structure-tensor", x)
+    def structure_tensor(self, x) -> np.ndarray:
+        """T[k,i,j], symmetric and trace-free."""
+        return self._solve(*self._system("T", x), "structure-tensor", x)[..., self._pair]
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system."""
@@ -160,7 +155,7 @@ class StructureSolver:
         n = g.n
         gmat, dgmat, _ = g.jets(x)
         ginv = g.inverse(x)
-        T, _ = self.structure_tensor(x)
+        T = self.structure_tensor(x)
         grads, hesses, dhess_cov = self._differentiated_hessians(x)
         hess_cov, laps = self._covariant_hessians(g.christoffel(x), ginv, grads, hesses)
         # d_m of the Laplacian, per potential
@@ -171,23 +166,28 @@ class StructureSolver:
                 - np.einsum("...ij,...am->...amij", gmat, dlap) / n)
         return self._differentiated_solve(grads, hesses, drhs, T, x)
 
-    # --- semi-degenerate recovery -------------------------------------------
-
-    def prolongation_tensor(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(D[k,i,j], residual) solving nabla^2 V = D(dV); no trace constraint."""
-        _, grads, hess_cov, _ = self._point_data(x)
-        return self._fit(grads, hess_cov, "prolongation-tensor", x)
+    def prolongation_tensor(self, x) -> np.ndarray:
+        """D[k,i,j] solving nabla^2 V = D(dV); no trace constraint."""
+        return self._solve(*self._system("D", x), "prolongation-tensor", x)[..., self._pair]
 
     def prolongation_jacobian(self, x) -> np.ndarray:
-        D, _ = self.prolongation_tensor(x)
+        D = self.prolongation_tensor(x)
         grads, hesses, dhess_cov = self._differentiated_hessians(x)
         return self._differentiated_solve(grads, hesses, dhess_cov, D, x)
 
-    def s_vector(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """(s^k, residual) solving Laplacian(V) = s^k d_k V over the family."""
-        _, grads, _, laps = self._point_data(x)
-        s = self._solve(grads, laps, "semi-degeneracy", x)
-        return s, np.max(np.abs(matvec(grads, s) - laps), axis=-1)
+    def s_vector(self, x) -> np.ndarray:
+        """s^k solving Laplacian(V) = s^k d_k V over the family."""
+        return self._solve(*self._system("s", x), "semi-degeneracy", x)[..., 0]
+
+    def fit_residual(self, x, fields: dict) -> np.ndarray:
+        """Largest |grads @ C - B| per point over solved fields keyed "T", "D" or
+        "s", as the solve methods return them at x; only validation asks for it."""
+        worst = []
+        for field, X in fields.items():
+            grads, B = self._system(field, x)
+            C = X[..., None] if field == "s" else X[..., self._i, self._j]
+            worst.append(np.max(np.abs(grads @ C - B), axis=(-2, -1)))
+        return np.max(worst, axis=0)
 
 
 # --- decomposition and derived tensors ----------------------------------------

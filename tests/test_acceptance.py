@@ -152,7 +152,7 @@ def test_criterion_6_beta_condition_identity(sw2_weak, sw2_strong):
 def test_criterion_7_recovery_oracle_equivalence(sw2):
     worst = 0.0
     for x in sw2.grid(5):
-        T = sw2.solver.structure_tensor(x)[0]
+        T = sw2.solver.structure_tensor(x)
         T_oracle, res = brute_force_structure_tensor(sw2.metric, sw2.family, x)
         assert res < 1e-9
         worst = max(worst, float(np.max(np.abs(T - T_oracle))))

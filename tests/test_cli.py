@@ -184,11 +184,13 @@ _TRACE = ["trace", "sw2", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0"]
     ["verify", "sw2", "--tol-algebraic=-1e-9"],
     ["verify", "sw2", "--tol-curvature", "nan"],
     _TRACE + ["--compare", "+B", "--tol", "inf"],
+    ["verify", "sw2", "--seed", "-1", "--theorem", "1"],
 ], ids=["classify-grid-0", "verify-grid-0", "steps-negative", "steps-0", "h-0",
         "h-negative", "h-inf", "compare-h-nan", "steps-above-limit", "steps-huge",
         "verify-grid-2d-above-limit", "verify-grid-3d-above-limit", "classify-grid-huge",
         "classify-tol-nan", "classify-tol-inf", "classify-tol-0", "verify-tol-algebraic-inf",
-        "verify-tol-algebraic-negative", "verify-tol-curvature-nan", "compare-tol-inf"])
+        "verify-tol-algebraic-negative", "verify-tol-curvature-nan", "compare-tol-inf",
+        "verify-seed-negative"])
 def test_numeric_input_without_evidence_exits_2(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, err = run(argv, capsys)
@@ -197,26 +199,20 @@ def test_numeric_input_without_evidence_exits_2(argv, tmp_path, capsys, monkeypa
     assert not list(tmp_path.iterdir())    # rejected before anything ran
 
 
-def test_grid_from_environment_checked_too(capsys, monkeypatch):
-    monkeypatch.setenv("DUALGEO_GRID", "0")
-    code, out, err = run(["classify", "sw2-strong-synthetic"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["verify", "sw2", "--theorem", "1", "--grid", "3"],
+    ["classify", "sw2-weak", "--grid", "3"],
+    _TRACE + ["--steps", "20"],
+    _TRACE + ["--steps", "20", "--compare", "+B"],
+], ids=["verify", "classify", "trace", "trace-compare"])
+def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # the command runs, then cannot write its output: exit 2, not the
+    # claim-failure code, and one error line instead of a traceback
+    out_path = tmp_path / "missing" / "out"
+    code, out, err = run(argv + ["--out", str(out_path)], capsys)
     assert code == 2
-    assert "DUALGEO_GRID" in err and out == ""
-
-
-@pytest.mark.parametrize("value", ["abc", "7.0", "", "1001"])
-def test_grid_from_environment_must_be_an_integer_within_the_limit(value, tmp_path, capsys,
-                                                                   monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("DUALGEO_GRID", value)
-    for argv in (["classify", "sw2-strong-synthetic"], ["verify", "sw2"]):
-        code, out, err = run(argv, capsys)
-        assert code == 2, argv
-        assert "DUALGEO_GRID" in err and out == ""
+    assert err.splitlines()[-1].startswith("error: ") and str(out_path.parent) in err
     assert not list(tmp_path.iterdir())
-    # an explicit --grid does not read the variable
-    code, out, _ = run(["classify", "sw2-strong-synthetic", "--grid", "3"], capsys)
-    assert code == 0 and json.loads(out)["grid"] == 3
 
 
 def test_input_limits_hold_at_their_boundaries():

@@ -505,18 +505,19 @@ def test_an_expression_error_in_a_declared_field_names_its_point():
 def test_validation_solves_each_recovered_field_once_per_grid_row(name, solves,
                                                                   monkeypatch):
     # the residual check and the closed-form comparison share one solve per
-    # field and row of the 3^2 grid: T on sw2, D and s on sw2-weak
-    calls = []
-    lstsq = np.linalg.lstsq
+    # field and row of the 3^2 grid, T on sw2, D and s on sw2-weak, and each
+    # field's rows are one SVD call
+    stacks = []
+    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lstsq(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        stacks.append(a.shape[:-2])
+        return svd(a, *args, **kwargs)
 
     fixture = builtin(name)
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    monkeypatch.setattr(np.linalg, "svd", counting)
     assert validate(fixture) == []
-    assert len(calls) == solves
+    assert stacks == [(9,)] * (solves // 9)
 
 
 def test_each_expected_spot_is_checked_at_its_own_point():

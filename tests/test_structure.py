@@ -9,7 +9,7 @@ from dualgeo.structure import (
     beta_condition_residual, build_N, build_Z_and_digamma, classify,
     decompose, killing_check, lower_output, poisson_check, t_from_prolongation,
 )
-from dualgeo.fixtures import builtin_config, from_config
+from dualgeo.fixtures import VALIDATION_GRID, builtin_config, from_config, validate
 from dualgeo.geometry import central_difference
 from oracles import brute_force_s, brute_force_structure_tensor, dense_recovery
 
@@ -30,21 +30,23 @@ def test_harmonic_oscillator_recovers_zero(euclid2, rng):
     fam = family(HO_SOURCES, "nondegenerate")
     for _ in range(5):
         x = 0.5 + rng.random(2)
-        T, res = StructureSolver(euclid2, fam).structure_tensor(x)
-        assert res < 1e-12
+        solver = StructureSolver(euclid2, fam)
+        T = solver.structure_tensor(x)
+        assert solver.fit_residual(x, {"T": T}) < 1e-12
         assert np.max(np.abs(T)) < 1e-10
 
 
 def test_affine_family_recovers_zero(euclid2):
     fam = family(["x1", "x2", "x1 + 2*x2", "1"], "nondegenerate")
-    T, res = StructureSolver(euclid2, fam).structure_tensor((0.4, 0.9))
+    T = StructureSolver(euclid2, fam).structure_tensor((0.4, 0.9))
     assert np.max(np.abs(T)) < 1e-12
 
 
 def test_sw_spot_values(euclid2):
     fam = family(SW_SOURCES, "nondegenerate")
-    T, res = StructureSolver(euclid2, fam).structure_tensor((1.0, 2.0))
-    assert res < 1e-12
+    solver = StructureSolver(euclid2, fam)
+    T = solver.structure_tensor((1.0, 2.0))
+    assert solver.fit_residual((1.0, 2.0), {"T": T}) < 1e-12
     # hand-derived closed form: T^1_11 = -3/(2 x1), T^2_11 = 3/(2 x2), ...
     assert np.isclose(T[0, 0, 0], -1.5, atol=1e-12)
     assert np.isclose(T[0, 1, 1], 1.5, atol=1e-12)
@@ -57,7 +59,7 @@ def test_recovery_matches_brute_force_oracle(euclid2, sw2, rng):
     fam = family(SW_SOURCES, "nondegenerate")
     solver = StructureSolver(euclid2, fam)
     for x in sw2.grid(5):
-        T, _ = solver.structure_tensor(x)
+        T = solver.structure_tensor(x)
         T_oracle, res_oracle = brute_force_structure_tensor(euclid2, fam, x)
         assert res_oracle < 1e-9
         assert np.max(np.abs(T - T_oracle)) < 1e-9
@@ -66,9 +68,9 @@ def test_recovery_matches_brute_force_oracle(euclid2, sw2, rng):
 def test_recovery_brute_force_oracle_sphere3(sphere3, rng):
     for _ in range(3):
         x = -0.4 + 0.8 * rng.random(3)
-        T, res = sphere3.solver.structure_tensor(x)
+        T = sphere3.solver.structure_tensor(x)
         T_oracle, _ = brute_force_structure_tensor(sphere3.metric, sphere3.family, x)
-        assert res < 1e-9
+        assert sphere3.solver.fit_residual(x, {"T": T}) < 1e-9
         assert np.max(np.abs(T)) < 1e-9
         assert np.max(np.abs(T - T_oracle)) < 1e-8
 
@@ -76,7 +78,7 @@ def test_recovery_brute_force_oracle_sphere3(sphere3, rng):
 def test_recovery_invariant_under_basis_change(euclid2, rng):
     fam = family(SW_SOURCES, "nondegenerate")
     x = np.array([1.3, 0.8])
-    T_ref, _ = StructureSolver(euclid2, fam).structure_tensor(x)
+    T_ref = StructureSolver(euclid2, fam).structure_tensor(x)
     base = [ScalarField.from_source(s, 2) for s in SW_SOURCES]
     for _ in range(3):
         M = rng.normal(size=(4, 4))
@@ -88,8 +90,9 @@ def test_recovery_invariant_under_basis_change(euclid2, rng):
             terms = " + ".join(f"({float(c)!r})*({s})" for c, s in zip(row, SW_SOURCES))
             mixed.append(ScalarField.from_source(terms, 2))
         fam_mixed = PotentialFamily(tuple(mixed), "nondegenerate")
-        T_mix, res = StructureSolver(euclid2, fam_mixed).structure_tensor(x)
-        assert res < 1e-9
+        solver = StructureSolver(euclid2, fam_mixed)
+        T_mix = solver.structure_tensor(x)
+        assert solver.fit_residual(x, {"T": T_mix}) < 1e-9
         assert np.max(np.abs(T_mix - T_ref)) < 1e-9
 
 
@@ -118,12 +121,18 @@ def test_rank_deficiency_raises(euclid2, method):
         solve(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
 
-def test_bad_family_residual_raises(euclid2):
+def test_bad_family_residual_raises():
     # quartic potential is not in any second-order prolongation of this family;
-    # the residual is far above validation's 1e-8 recovery threshold
-    fam = family(["x1^4", "1/x1^2", "1/x2^2", "1"], "nondegenerate")
-    _, res = StructureSolver(euclid2, fam).structure_tensor((1.1, 0.7))
-    assert res > 0.1
+    # the residual is far above validation's 1e-8 recovery threshold everywhere
+    fx = from_config(_inconsistent_config(), validate_on_load=False)
+    assert_recovery_residual_fails_everywhere(fx)
+
+
+def assert_recovery_residual_fails_everywhere(fx):
+    failures = validate(fx)
+    assert [f["check"] for f in failures] == ["recovery-residual"] * VALIDATION_GRID**fx.n
+    assert [f["point"] for f in failures] == fx.grid(VALIDATION_GRID).tolist()
+    assert min(f["residual"] for f in failures) > 0.05
 
 
 def test_structure_jacobian_matches_closed_form(euclid2):
@@ -147,7 +156,7 @@ def test_structure_jacobian_curved_metric_fd(sphere3):
         up, dn = x.copy(), x.copy()
         up[a] += h
         dn[a] -= h
-        fd = (solver.structure_tensor(up)[0] - solver.structure_tensor(dn)[0]) / (2 * h)
+        fd = (solver.structure_tensor(up) - solver.structure_tensor(dn)) / (2 * h)
         assert np.max(np.abs(dT[a] - fd)) < 1e-6
 
 
@@ -199,8 +208,9 @@ def test_b_minus_t_identity(sw2):
 
 def test_recover_s_weak_family(euclid2):
     fam = family(WEAK_SOURCES, "semidegenerate")
-    s, res = StructureSolver(euclid2, fam).s_vector((1.0, 2.0))
-    assert res < 1e-12
+    solver = StructureSolver(euclid2, fam)
+    s = solver.s_vector((1.0, 2.0))
+    assert solver.fit_residual((1.0, 2.0), {"s": s}) < 1e-12
     assert np.allclose(s, [-3.0, -1.5], atol=1e-12)
     s_oracle, _ = brute_force_s(euclid2, fam, (1.0, 2.0))
     assert np.allclose(s, s_oracle, atol=1e-12)
@@ -208,26 +218,32 @@ def test_recover_s_weak_family(euclid2):
 
 def test_recover_s_harmonic_polynomials(euclid2):
     fam = family(["x1", "x2", "1"], "semidegenerate")
-    s, res = StructureSolver(euclid2, fam).s_vector((0.7, 0.4))
-    assert res < 1e-13
+    solver = StructureSolver(euclid2, fam)
+    s = solver.s_vector((0.7, 0.4))
+    assert solver.fit_residual((0.7, 0.4), {"s": s}) < 1e-13
     assert np.max(np.abs(s)) < 1e-13
 
 
-def test_recover_s_inconsistent_family(euclid2):
-    fam = family(["x1^2 + x2^2", "1/x1^2", "1/x2^2"], "semidegenerate")
-    _, res = StructureSolver(euclid2, fam).s_vector((1.0, 1.0))
-    assert res > 0.1
+def test_recover_s_inconsistent_family():
+    # no s fits Laplacian(V) = s(dV) for the oscillator and both inverse squares
+    fx = from_config({**_inconsistent_config(), "kind": "semidegenerate",
+                      "potentials": ["x1^2 + x2^2", "1/x1^2", "1/x2^2"]},
+                     validate_on_load=False)
+    assert_recovery_residual_fails_everywhere(fx)
+    # s's residual fails alone too, not only through D's
+    grid = fx.grid(VALIDATION_GRID)
+    assert np.min(fx.solver.fit_residual(grid, {"s": fx.s_vector(grid)})) > 0.05
 
 
 def test_prolongation_recovery_weak(euclid2):
     fam = family(WEAK_SOURCES, "semidegenerate")
     solver = StructureSolver(euclid2, fam)
-    D, res = solver.prolongation_tensor((1.0, 2.0))
-    assert res < 1e-12
+    D = solver.prolongation_tensor((1.0, 2.0))
+    assert solver.fit_residual((1.0, 2.0), {"D": D}) < 1e-12
     assert np.isclose(D[0, 0, 0], -3.0) and np.isclose(D[1, 1, 1], -1.5)
     assert np.max(np.abs(D[0, 1, 1])) < 1e-13
     # pair trace of D equals s
-    s, _ = solver.s_vector((1.0, 2.0))
+    s = solver.s_vector((1.0, 2.0))
     assert np.allclose(np.einsum("ij,kij->k", np.eye(2), D), s, atol=1e-12)
 
 
@@ -435,14 +451,15 @@ def test_recovery_equals_dense_reference(name):
         for trace_free, solve, jacobian in (
                 (True, solver.structure_tensor, solver.structure_tensor_jacobian),
                 (False, solver.prolongation_tensor, solver.prolongation_jacobian)):
-            X, res = solve(x)
+            X = solve(x)
+            res = solver.fit_residual(x, {"T" if trace_free else "D": X})
             X_ref, res_ref, dX_ref = dense_recovery(fx.metric, fx.family, x, trace_free)
             dX = jacobian(x)
             for got, want in ((X, X_ref), (res, res_ref), (dX, dX_ref)):
                 scale = max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= 1e-12 * scale, (x, trace_free)
         # T is g-trace-free through its right-hand side alone, and so is dT
-        T, dT = solver.structure_tensor(x)[0], solver.structure_tensor_jacobian(x)
+        T, dT = solver.structure_tensor(x), solver.structure_tensor_jacobian(x)
         ginv = fx.metric.inverse(x)
         trace = np.einsum("ij,kij->k", ginv, T)
         dtrace = (np.einsum("aij,kij->ak", fx.metric.inverse_jacobian(x), T)
@@ -463,19 +480,23 @@ STACK_CASES = {
 def test_solver_on_stacks_equals_single_points(name):
     # every row of a stacked recovery, residuals too, is its single-point call
     fx = from_config(STACK_CASES[name](), validate_on_load=False)
+    solver = fx.solver
     lo, hi = np.array(fx.box).T
     block = lo + (hi - lo) * np.random.default_rng(11).random((2, 3, fx.n))
-    for method in ("structure_tensor", "structure_tensor_jacobian", "prolongation_tensor",
-                   "prolongation_jacobian", "s_vector"):
-        solve = getattr(fx.solver, method)
+
+    def residual(x):
+        return solver.fit_residual(x, {"T": solver.structure_tensor(x),
+                                       "D": solver.prolongation_tensor(x),
+                                       "s": solver.s_vector(x)})
+
+    for solve in (solver.structure_tensor, solver.structure_tensor_jacobian,
+                  solver.prolongation_tensor, solver.prolongation_jacobian, solver.s_vector,
+                  residual):
         for points in (fx.grid(3), block):
             batch = solve(points)
-            single = [solve(x) for x in points.reshape(-1, fx.n)]
-            if not isinstance(batch, tuple):
-                batch, single = (batch,), [(row,) for row in single]
-            for got, want in zip(batch, map(np.array, zip(*single))):
-                assert got.shape == points.shape[:-1] + want.shape[1:], method
-                assert got.tobytes() == want.tobytes(), method
+            single = np.array([solve(x) for x in points.reshape(-1, fx.n)])
+            assert batch.shape == points.shape[:-1] + single.shape[1:], solve
+            assert batch.tobytes() == single.tobytes(), solve
 
 
 def test_structure_jacobian_polar_sw():

@@ -129,8 +129,7 @@ def test_parent_failure_leaves_no_worker(tmp_path, monkeypatch):
     # as soon as the parent's own curve is exported
     _in_worker_only(monkeypatch, lambda: time.sleep(30))
     start = time.monotonic()
-    with pytest.raises(FileNotFoundError):
-        cli.main(_TRACE + ["--out", str(tmp_path / "missing" / "trace")])
+    assert cli.main(_TRACE + ["--out", str(tmp_path / "missing" / "trace")]) == 2
     assert time.monotonic() - start < 15
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
