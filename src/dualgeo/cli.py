@@ -55,16 +55,25 @@ MAX_GRID_POINTS = 10**6
 MAX_STEPS = 10**6
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dualgeo-")
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Where a command writes its result: stdout without ``path``; otherwise a
+    temporary file beside ``path``, created before the command does any work
+    (so an unwritable ``path`` fails at once), which replaces ``path`` once the
+    command has written to it and is removed if it has not."""
+    if not path:
+        yield sys.stdout
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".dualgeo-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+            yield fh
+            wrote = fh.tell() > 0
+        if wrote:
+            os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
 
 
 @contextlib.contextmanager
@@ -169,35 +178,32 @@ def _parse_vector(text: str, n: int, label: str) -> np.ndarray:
 def cmd_verify(args, fixture) -> int:
     wanted = applicable_suites(fixture) if args.theorem == "all" else [args.theorem]
     reports = []
-    for name in wanted:
-        suite = SUITES[name]
-        kwargs = {"per_axis": args.grid, "seed": args.seed}
-        if name in ("1", "2"):
-            kwargs["tol_algebraic"] = args.tol_algebraic
-            kwargs["tol_curvature"] = args.tol_curvature
-        try:
-            reports.append(suite(fixture, **kwargs))
-        except SuiteNotApplicable as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+    with _output(args.out) as out:
+        for name in wanted:
+            suite = SUITES[name]
+            kwargs = {"per_axis": args.grid, "seed": args.seed}
+            if name in ("1", "2"):
+                kwargs["tol_algebraic"] = args.tol_algebraic
+                kwargs["tol_curvature"] = args.tol_curvature
+            try:
+                reports.append(suite(fixture, **kwargs))
+            except SuiteNotApplicable as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_VALIDATION
 
-    bundle = {
-        "fixture": fixture.name,
-        "requested": args.theorem,
-        "inputs": {
-            "grid": args.grid,
-            "seed": args.seed,
-            "tol_algebraic": f"{args.tol_algebraic:.17g}",
-            "tol_curvature": f"{args.tol_curvature:.17g}",
-        },
-        "reports": [r.to_dict() for r in reports],
-        "verdict": "pass" if all(r.all_ok for r in reports) else "fail",
-    }
-    text = json.dumps(bundle, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        bundle = {
+            "fixture": fixture.name,
+            "requested": args.theorem,
+            "inputs": {
+                "grid": args.grid,
+                "seed": args.seed,
+                "tol_algebraic": f"{args.tol_algebraic:.17g}",
+                "tol_curvature": f"{args.tol_curvature:.17g}",
+            },
+            "reports": [r.to_dict() for r in reports],
+            "verdict": "pass" if all(r.all_ok for r in reports) else "fail",
+        }
+        out.write(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
 
     for report in reports:
         for claim in sorted(report.claims, key=lambda c: c.claim_id):
@@ -293,29 +299,25 @@ def cmd_classify(args, fixture) -> int:
               "applies to semi-degenerate fixtures only", file=sys.stderr)
         return EXIT_VALIDATION
 
-    grid = fixture.grid(args.grid)
-    cls = classify(fixture.metric, fixture.prolongation_tensor, fixture.s_covector,
-                   grid, tol=args.tol)
-    out = {
-        "fixture": fixture.name,
-        "classification": cls.verdict,
-        "max_obstruction_norm": f"{cls.max_n_norm:.17g}",
-        "tolerance": f"{cls.tol:.17g}",
-        "grid": args.grid,
-    }
-    if cls.verdict == "WEAK":
-        x = np.array([0.5 * (lo + hi) for lo, hi in fixture.box])
-        T = fixture.structure_tensor(x)
-        out["extracted_structure_tensor"] = {
-            "point": [f"{v:.17g}" for v in x],
-            "components": [[[f"{T[k, i, j]:.17g}" for j in range(fixture.n)]
-                            for i in range(fixture.n)] for k in range(fixture.n)],
+    with _output(args.out) as out:
+        cls = classify(fixture.metric, fixture.prolongation_tensor, fixture.s_covector,
+                       fixture.grid(args.grid), tol=args.tol)
+        result = {
+            "fixture": fixture.name,
+            "classification": cls.verdict,
+            "max_obstruction_norm": f"{cls.max_n_norm:.17g}",
+            "tolerance": f"{cls.tol:.17g}",
+            "grid": args.grid,
         }
-    text = json.dumps(out, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+        if cls.verdict == "WEAK":
+            x = np.array([0.5 * (lo + hi) for lo, hi in fixture.box])
+            T = fixture.structure_tensor(x)
+            result["extracted_structure_tensor"] = {
+                "point": [f"{v:.17g}" for v in x],
+                "components": [[[f"{T[k, i, j]:.17g}" for j in range(fixture.n)]
+                                for i in range(fixture.n)] for k in range(fixture.n)],
+            }
+        out.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -21,6 +21,9 @@ from typing import Mapping, Sequence
 FUNCTIONS = ("sqrt", "sin", "cos", "tan", "exp", "log")
 # an integer exponent k costs |k| - 1 products in a jet, so |k| is bounded
 MAX_INTEGER_EXPONENT = 1000
+# deepest tree, and deepest nesting of groups, calls and exponents, a source
+# may parse to: every walk of a tree recurses once per level
+MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
@@ -163,10 +166,16 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent that tracks each subtree's depth (a leaf is 1) and the
+    nesting of groups, calls and exponents it recurses into, so a source
+    deeper than MAX_DEPTH fails at the token that goes too deep, before the
+    parser, or any later walk of the tree, runs out of stack."""
+
     def __init__(self, tokens: list[_Token], variables: Sequence[str],
                  constants: Mapping[str, float]):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0
         self.variables = {name: i for i, name in enumerate(variables)}
         self.constants = dict(constants)
 
@@ -186,8 +195,22 @@ class _Parser:
             raise ParseError(f"expected {text!r}", tok.offset)
         return self.advance()
 
+    @staticmethod
+    def deeper(depth: int, tok: _Token) -> int:
+        """depth + 1, or a ParseError at tok beyond MAX_DEPTH."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nests more than {MAX_DEPTH} levels deep", tok.offset)
+        return depth + 1
+
+    def nested(self, tok: _Token, rule) -> tuple[Expression, int]:
+        """``rule()`` for the group, call or exponent opened at tok."""
+        self.nesting = self.deeper(self.nesting, tok)
+        result = rule()
+        self.nesting -= 1
+        return result
+
     def parse(self) -> Expression:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok.kind != "eof":
             if tok.kind == "op" and tok.text == ")":
@@ -195,70 +218,73 @@ class _Parser:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self) -> tuple[Expression, int]:
+        node, depth = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.term()
+            node = Add(node, rhs) if op.text == "+" else Sub(node, rhs)
+            depth = self.deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def term(self) -> Expression:
-        node = self.unary()
+    def term(self) -> tuple[Expression, int]:
+        node, depth = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
+            op = self.advance()
+            rhs, rhs_depth = self.unary()
+            node = Mul(node, rhs) if op.text == "*" else Div(node, rhs)
+            depth = self.deeper(max(depth, rhs_depth), op)
+        return node, depth
 
-    def unary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self) -> tuple[Expression, int]:
+        signs = []
+        while self.peek().kind == "op" and self.peek().text == "-":
+            signs.append(self.advance())
+        node, depth = self.power()
+        for tok in reversed(signs):
+            node, depth = Neg(node), self.deeper(depth, tok)
+        return node, depth
 
-    def power(self) -> Expression:
-        base = self.atom()
+    def power(self) -> tuple[Expression, int]:
+        base, depth = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             self.advance()
             offset = self.peek().offset
             # exponent at unary level: right-associative, allows 2^-3
-            exponent = self.unary()
+            exponent, exp_depth = self.nested(tok, self.unary)
             k = _literal_value(exponent)
             if k is not None and k.is_integer() and abs(k) > MAX_INTEGER_EXPONENT:
                 raise ParseError(f"integer exponent {k!r} exceeds {MAX_INTEGER_EXPONENT} "
                                  "in absolute value", offset)
-            return Pow(base, exponent)
-        return base
+            return Pow(base, exponent), self.deeper(max(depth, exp_depth), tok)
+        return base, depth
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "ident":
             name = tok.text
             if name in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.nested(self.expect_op("("), self.expr)
                 nxt = self.peek()
                 if nxt.kind == "op" and nxt.text == ",":
                     raise ParseError(f"{name} takes exactly one argument", nxt.offset)
                 self.expect_op(")")
-                return Call(name, arg)
+                return Call(name, arg), self.deeper(depth, tok)
             if name in self.variables:
-                return Var(name, self.variables[name])
+                return Var(name, self.variables[name]), 1
             if name in self.constants:
-                return Const(name, float(self.constants[name]))
+                return Const(name, float(self.constants[name])), 1
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
                 raise ParseError(f"unknown function {name!r}", tok.offset)
             raise ParseError(f"unknown identifier {name!r}", tok.offset)
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            result = self.nested(tok, self.expr)
             self.expect_op(")")
-            return node
+            return result
         if tok.kind == "op" and tok.text == ",":
             raise ParseError("unexpected ','", tok.offset)
         if tok.kind == "eof":

@@ -46,9 +46,7 @@ from .connections import (
     TORSION_TOL, AffineConnection, ConnectionTable, difference_connection, levi_civita,
 )
 from .expressions import ParseError
-from .geometry import (
-    Metric, ScalarField, TensorField, central_difference, grid_points, matvec,
-)
+from .geometry import Metric, ScalarField, TensorField, grid_points, matvec
 from .structure import (
     PotentialFamily, StructureSolver, bertrand_darboux_check, killing_check,
     poisson_check, sym_product_metric_form, t_from_prolongation,
@@ -178,7 +176,7 @@ class Fixture:
     def s_vector_jacobian(self, x) -> np.ndarray:
         if self.structure_s is not None:
             return self.structure_s.jets(x)[1]
-        return central_difference(self.solver.s_vector, x)
+        return self.solver.s_vector_jacobian(x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -248,8 +246,9 @@ class Fixture:
         """Named member of the fixture's connection family.
 
         Every member but LC is ``Gamma_LC - sign * A`` for the difference
-        tensor A named by the tag (``dagger`` has sign +1).  T and B carry
-        analytic Jacobians; D, dagger and F are differentiated numerically.
+        tensor A named by the tag (``dagger`` has sign +1).  T, B and D carry
+        analytic Jacobians; dagger and F, which no suite differentiates, fall
+        back to central differences of their coefficients.
         ``zeta`` overrides the fixture's own zeta for the F-connections (used
         by the remark suite to inject test functions).
         """
@@ -262,7 +261,7 @@ class Fixture:
         tensor_fn, tensor_jac_fn = {
             "T": (self.structure_tensor, self.structure_tensor_jacobian),
             "B": (self.b_tensor, self._b_jacobian),
-            "D": (self.prolongation_tensor, None),
+            "D": (self.prolongation_tensor, self.prolongation_jacobian),
             "dagger": (self._dagger_tensor, None),
             "F": (lambda x: self._f_tensor(x, zfield), None),
         }[tag.lstrip("+-")]
@@ -641,15 +640,17 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
 
 def load(path, validate_on_load: bool = True) -> Fixture:
     """Load a fixture from a JSON config file; see :data:`SCHEMA`."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FixtureError(
-                f"config {path} is not valid JSON: {exc.msg} "
-                f"(line {exc.lineno}, column {exc.colno})") from exc
-        except ValueError as exc:   # e.g. an integer literal of too many digits
-            raise FixtureError(f"config {path} cannot be read: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise FixtureError(
+            f"config {path} is not valid JSON: {exc.msg} "
+            f"(line {exc.lineno}, column {exc.colno})") from exc
+    # a directory or an unreadable file, an integer literal of too many digits,
+    # arrays or objects nested too deep for the decoder
+    except (OSError, ValueError, RecursionError) as exc:
+        raise FixtureError(f"config {path} cannot be read: {exc}") from exc
     return from_config(cfg, validate_on_load=validate_on_load)
 
 

@@ -11,9 +11,9 @@ trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Each component pair
 ``(i, j)`` is an overdetermined system with the same matrix, the family's
 gradients, so both are one SVD least-squares solve (rcond 1e-10) with n
 unknowns per right-hand side; normal equations are never formed, and T needs
-no trace constraint (see :class:`StructureSolver`).  The solver also
-differentiates the recovered field analytically by differentiating the linear
-system, which is what the induced connections' Jacobians consume.  A point or
+no trace constraint (see :class:`StructureSolver`).  T, D and s have one
+derivative each: the field's linear system differentiated and solved for every
+chart axis at once, which the induced connections' Jacobians consume.  A point or
 a ``(..., n)`` stack is one ``np.linalg.svd`` call, and a solve returns its
 field alone: validation asks :meth:`StructureSolver.fit_residual` for the fit.
 
@@ -109,14 +109,28 @@ class StructureSolver:
             hess_cov = hess_cov - np.einsum("...ij,...a->...aij", g.value(x), laps) / g.n
         return grads, hess_cov[..., self._i, self._j]
 
-    def _differentiated_hessians(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(grads, hessians, dhess_cov[a, m, i, j] = d_m of the covariant Hessian)."""
+    def _differentiated_system(self, field: str, x) -> tuple[np.ndarray, ...]:
+        """(grads, hessians, dB[a, m, p] = d_m B[a, p]) of field "T", "D" or "s":
+        :meth:`_system` differentiated along every chart axis m."""
         g = self.g
         grads, hesses, thirds = self._program.jet_arrays(x, 3)[1:]
+        gamma = g.christoffel(x)
         dhess_cov = (thirds
                      - np.einsum("...mkij,...ak->...amij", g.christoffel_jacobian(x), grads)
-                     - np.einsum("...kij,...amk->...amij", g.christoffel(x), hesses))
-        return grads, hesses, dhess_cov
+                     - np.einsum("...kij,...amk->...amij", gamma, hesses))
+        if field == "D":
+            return grads, hesses, dhess_cov[..., self._i, self._j]
+        ginv = g.inverse(x)
+        hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
+        dlap = (np.einsum("...mij,...aij->...am", g.inverse_jacobian(x), hess_cov)
+                + np.einsum("...ij,...amij->...am", ginv, dhess_cov))
+        if field == "s":
+            return grads, hesses, dlap[..., None]
+        gmat, dgmat, _ = g.jets(x)
+        drhs = (dhess_cov
+                - np.einsum("...mij,...a->...amij", dgmat, laps) / g.n
+                - np.einsum("...ij,...am->...amij", gmat, dlap) / g.n)
+        return grads, hesses, drhs[..., self._i, self._j]
 
     def _solve(self, grads: np.ndarray, B: np.ndarray, label: str, x) -> np.ndarray:
         """Least-squares C of grads @ C = B at a point or over a stack, by one SVD;
@@ -132,16 +146,20 @@ class StructureSolver:
                 f"(rank {rank[row]} < {n}); family degenerate there")
         return vt.swapaxes(-1, -2) @ ((u.swapaxes(-1, -2) @ B) / s[..., None])
 
-    def _differentiated_solve(self, grads, hesses, drhs, X, x) -> np.ndarray:
-        """dX[m] solves grads @ dX[m] = dB[m] - d_m(grads) C, all axes m in one
-        call: the fit residual is at roundoff for valid fixtures, so the
-        derivative of the least-squares solution solves the same system with
-        differentiated data."""
+    def _columns(self, field: str, X: np.ndarray) -> np.ndarray:
+        """C of grads @ C = B from field X as the solve methods return it."""
+        return X[..., None] if field == "s" else X[..., self._i, self._j]
+
+    def _jacobian(self, field: str, X: np.ndarray, x) -> np.ndarray:
+        """dC[m, k, p] solving grads @ dC[m] = dB[m] - d_m(grads) C, all axes m in
+        one call, for the solved field X; exact where the fit residual is at
+        roundoff (T of nondegenerate families, D and s of semi-degenerate ones), not
+        for s of a nondegenerate family, a fit with a residual never differentiated."""
+        grads, hesses, dB = self._differentiated_system(field, x)
         lead, (m_pot, n) = grads.shape[:-2], grads.shape[-2:]
-        rhs = (drhs[..., self._i, self._j]
-               - np.einsum("...amk,...kp->...amp", hesses, X[..., self._i, self._j]))
+        rhs = dB - np.einsum("...amk,...kp->...amp", hesses, self._columns(field, X))
         dC = self._solve(grads, rhs.reshape(lead + (m_pot, -1)), "Jacobian", x)
-        return dC.reshape(lead + (n, n, -1)).swapaxes(-3, -2)[..., self._pair]
+        return dC.reshape(lead + (n, n, -1)).swapaxes(-3, -2)
 
     # --- recovery: T of nondegenerate families, D and s of semi-degenerate ones
 
@@ -151,33 +169,22 @@ class StructureSolver:
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         """dT[a, k, i, j] = d_a T^k_{ij}, by differentiating the linear system."""
-        g = self.g
-        n = g.n
-        gmat, dgmat, _ = g.jets(x)
-        ginv = g.inverse(x)
-        T = self.structure_tensor(x)
-        grads, hesses, dhess_cov = self._differentiated_hessians(x)
-        hess_cov, laps = self._covariant_hessians(g.christoffel(x), ginv, grads, hesses)
-        # d_m of the Laplacian, per potential
-        dlap = (np.einsum("...mij,...aij->...am", g.inverse_jacobian(x), hess_cov)
-                + np.einsum("...ij,...amij->...am", ginv, dhess_cov))
-        drhs = (dhess_cov
-                - np.einsum("...mij,...a->...amij", dgmat, laps) / n
-                - np.einsum("...ij,...am->...amij", gmat, dlap) / n)
-        return self._differentiated_solve(grads, hesses, drhs, T, x)
+        return self._jacobian("T", self.structure_tensor(x), x)[..., self._pair]
 
     def prolongation_tensor(self, x) -> np.ndarray:
         """D[k,i,j] solving nabla^2 V = D(dV); no trace constraint."""
         return self._solve(*self._system("D", x), "prolongation-tensor", x)[..., self._pair]
 
     def prolongation_jacobian(self, x) -> np.ndarray:
-        D = self.prolongation_tensor(x)
-        grads, hesses, dhess_cov = self._differentiated_hessians(x)
-        return self._differentiated_solve(grads, hesses, dhess_cov, D, x)
+        return self._jacobian("D", self.prolongation_tensor(x), x)[..., self._pair]
 
     def s_vector(self, x) -> np.ndarray:
         """s^k solving Laplacian(V) = s^k d_k V over the family."""
         return self._solve(*self._system("s", x), "semi-degeneracy", x)[..., 0]
+
+    def s_vector_jacobian(self, x) -> np.ndarray:
+        """ds[a, k] = d_a s^k, by differentiating the linear system."""
+        return self._jacobian("s", self.s_vector(x), x)[..., 0]
 
     def fit_residual(self, x, fields: dict) -> np.ndarray:
         """Largest |grads @ C - B| per point over solved fields keyed "T", "D" or
@@ -185,8 +192,7 @@ class StructureSolver:
         worst = []
         for field, X in fields.items():
             grads, B = self._system(field, x)
-            C = X[..., None] if field == "s" else X[..., self._i, self._j]
-            worst.append(np.max(np.abs(grads @ C - B), axis=(-2, -1)))
+            worst.append(np.max(np.abs(grads @ self._columns(field, X) - B), axis=(-2, -1)))
         return np.max(worst, axis=0)
 
 

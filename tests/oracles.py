@@ -728,9 +728,11 @@ def reference_jacobian(fixture, tag, x, zeta=None):
     g = fixture.metric
     if tag == "LC":
         return g.christoffel_jacobian(x)
-    if tag[1:] not in ("T", "B"):
+    if tag[1:] not in ("T", "B", "D"):
         return fd_derivative(lambda p: reference_coefficients(fixture, tag, p, zeta), x)
     sign = +1.0 if tag[0] == "+" else -1.0
+    if tag[1:] == "D":
+        return g.christoffel_jacobian(x) - sign * fixture.prolongation_jacobian(x)
     dT = fixture.structure_tensor_jacobian(x)
     out = g.christoffel_jacobian(x) - sign * dT
     if tag[1:] == "B":

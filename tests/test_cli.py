@@ -215,6 +215,72 @@ def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_an_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    # the output file is created before any suite or classification runs
+    import dualgeo.cli as cli
+
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("ran before --out was checked")
+
+    for name in cli.SUITES:
+        monkeypatch.setitem(cli.SUITES, name, work)
+    monkeypatch.setattr(cli, "classify", work)
+    out_path = str(tmp_path / "missing" / "out")
+    for argv in (["verify", "sw2", "--out", out_path],
+                 ["classify", "sw2-weak", "--out", out_path]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and err.startswith("error: "), argv
+    assert calls == [] and not list(tmp_path.iterdir())
+
+
+def test_a_command_that_writes_nothing_leaves_no_file(tmp_path, capsys, monkeypatch):
+    import dualgeo.cli as cli
+
+    def not_applicable(*args, **kwargs):
+        raise cli.SuiteNotApplicable("not applicable here")
+
+    monkeypatch.setitem(cli.SUITES, "1", not_applicable)
+    code, out, err = run(["verify", "sw2", "--theorem", "1",
+                          "--out", str(tmp_path / "report.json")], capsys)
+    assert code == 3 and "not applicable here" in err
+    assert not list(tmp_path.iterdir())     # no report and no temporary file
+
+
+def _config_with_potential(tmp_path, source):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "metric": [["1", "0"], ["0", "1"]], "kind": "semidegenerate",
+        "domain": [[0.5, 3.0], [0.5, 3.0]], "potentials": [source, "1/x2^2", "1"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 200 + "x1" + ")" * 200,
+    "-" * 3000 + "x1",
+    " + ".join(["x1"] * 20000),
+], ids=["parentheses", "unary-minus", "sum"])
+def test_a_potential_nested_too_deep_exits_3(source, tmp_path, capsys):
+    code, out, err = run(["verify", _config_with_potential(tmp_path, source)], capsys)
+    assert code == 3
+    assert "potentials[0]" in err and "100 levels deep" in err
+
+
+@pytest.mark.parametrize("case", ["directory", "nested-json"])
+def test_a_config_that_cannot_be_read_exits_3(case, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_text("[" * 200000)
+    # an unreadable file would be a third case, but root reads every file
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 3
+    assert err.startswith(f"error: config {path} cannot be read: ")
+
+
 def test_input_limits_hold_at_their_boundaries():
     from argparse import Namespace
 

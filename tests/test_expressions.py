@@ -1,10 +1,12 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgeo.expressions import (
-    MAX_INTEGER_EXPONENT, Add, Call, Const, Div, Mul, Neg, Num, ParseError, Pow, Sub, Var,
+    MAX_DEPTH, MAX_INTEGER_EXPONENT, Add, Call, Const, Div, Mul, Neg, Num, ParseError, Pow, Sub, Var,
     is_constant, parse, to_source,
 )
+from dualgeo.jets import compile
 
 
 def test_basic_arithmetic_tree():
@@ -66,6 +68,38 @@ def test_exponents_within_the_bound_or_not_integer_parse():
     # exp(log(u) * e), never as products, so it is not bounded
     for source in ("x1^1000", "x1^-1000", "x1^1000.5", "x1^1.5e-9", "x1^(x2*1e9)"):
         parse(source, 2)
+
+
+DEPTH_100 = {   # sources whose tree, or whose nesting, is exactly MAX_DEPTH deep
+    "sum": " + ".join(["x1"] * 100),
+    "unary-minus": "-" * 99 + "x1",
+    "calls": "sin(" * 99 + "x1" + ")" * 99,
+    "parentheses": "(" * 100 + "x1" + ")" * 100,
+    "powers": "^".join(["x1"] * 100),
+}
+
+
+@pytest.mark.parametrize("name", list(DEPTH_100))
+def test_depth_bound(name):
+    assert MAX_DEPTH == 100
+    source = DEPTH_100[name]
+    jets = compile([parse(source, 1)]).jet_arrays(np.array([0.9]), 3)
+    assert all(np.isfinite(j).all() for j in jets)
+    one_deeper = {"sum": source + " + x1", "unary-minus": "-" + source,
+                  "calls": f"sin({source})", "parentheses": f"({source})",
+                  "powers": f"{source}^x1"}[name]
+    with pytest.raises(ParseError, match="more than 100 levels deep"):
+        parse(one_deeper, 1)
+
+
+def test_depth_errors_carry_offsets():
+    # a chain fails at the operator that makes it 101 levels deep
+    with pytest.raises(ParseError) as exc:
+        parse(" + ".join(["x1"] * 20000), 1)
+    assert exc.value.offset == len(" + ".join(["x1"] * 100)) + 1
+    with pytest.raises(ParseError) as exc:
+        parse("(" * 200 + "x1" + ")" * 200, 1)
+    assert exc.value.offset == 100
 
 
 @pytest.mark.parametrize("source", [5, 1.5, None, ["x1"]])

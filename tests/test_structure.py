@@ -11,7 +11,7 @@ from dualgeo.structure import (
 )
 from dualgeo.fixtures import VALIDATION_GRID, builtin_config, from_config, validate
 from dualgeo.geometry import central_difference
-from oracles import brute_force_s, brute_force_structure_tensor, dense_recovery
+from oracles import brute_force_s, brute_force_structure_tensor, dense_recovery, fd_derivative
 
 
 def family(sources, kind, n=2):
@@ -104,7 +104,8 @@ def test_trace_identity_on_grid(sw2):
 
 
 @pytest.mark.parametrize("method", ["structure_tensor", "structure_tensor_jacobian",
-                                    "prolongation_tensor", "prolongation_jacobian", "s_vector"])
+                                    "prolongation_tensor", "prolongation_jacobian", "s_vector",
+                                    "s_vector_jacobian"])
 def test_rank_deficiency_raises(euclid2, method):
     fam = family(["1", "2", "x1", "3"], "nondegenerate")
     with pytest.raises(RankDeficiencyError):
@@ -423,6 +424,13 @@ def _polar_sw_config():
             "kind": "nondegenerate", "domain": [[1.0, 2.0], [0.3, 1.2]]}
 
 
+def _polar_sw_weak_config():
+    """sw2-weak's family in polar coordinates: a semi-degenerate family on a
+    chart whose metric depends on x."""
+    return {**_polar_sw_config(), "kind": "semidegenerate",
+            "potentials": ["1/(x1^2*cos(x2)^2)", "1/(x1^2*sin(x2)^2)", "1"]}
+
+
 def _inconsistent_config():
     """No T fits the quartic potential: a least-squares fit with residual of order 1."""
     return {"dimension": 2, "metric": [["1", "0"], ["0", "1"]],
@@ -491,12 +499,27 @@ def test_solver_on_stacks_equals_single_points(name):
 
     for solve in (solver.structure_tensor, solver.structure_tensor_jacobian,
                   solver.prolongation_tensor, solver.prolongation_jacobian, solver.s_vector,
-                  residual):
+                  solver.s_vector_jacobian, residual):
         for points in (fx.grid(3), block):
             batch = solve(points)
             single = np.array([solve(x) for x in points.reshape(-1, fx.n)])
             assert batch.shape == points.shape[:-1] + single.shape[1:], solve
             assert batch.tobytes() == single.tobytes(), solve
+
+
+@pytest.mark.parametrize("config", [lambda: _without_structure("sw2-weak"),
+                                    _polar_sw_weak_config], ids=["sw2-weak", "polar"])
+def test_s_jacobian_matches_central_differences(config):
+    # s of a semi-degenerate family fits with a residual at roundoff, so the
+    # differentiated system gives its derivative; measured gap 3.9e-9 at
+    # |ds| = 12 (sw2-weak) and 2.9e-8 at |ds| = 38 (polar)
+    fx = from_config(config())
+    grid = fx.grid(4)
+    ds = fx.s_vector_jacobian(grid)
+    fd = np.array([fd_derivative(fx.solver.s_vector, x) for x in grid])
+    scale = np.max(np.abs(ds))
+    assert scale > 1.0
+    assert np.max(np.abs(ds - fd)) < 1e-8 * scale
 
 
 def test_structure_jacobian_polar_sw():
