@@ -60,13 +60,17 @@ def _output(path: str | None):
     """Where a command writes its result: stdout without ``path``; otherwise a
     temporary file beside ``path``, created before the command does any work
     (so an unwritable ``path`` fails at once), which replaces ``path`` once the
-    command has written to it and is removed if it has not."""
+    command has written to it and is removed if it has not.  The file gets the
+    mode ``open()`` would give it, not ``mkstemp``'s 0600."""
     if not path:
         yield sys.stdout
         return
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".dualgeo-")
     try:
         with os.fdopen(fd, "w") as fh:
+            os.chmod(tmp, 0o666 & ~umask)
             yield fh
             wrote = fh.tell() > 0
         if wrote:

@@ -22,7 +22,9 @@ suite can reduce them in its own single pass over the grid.
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
 :func:`difference_connection` is the one place that assembles it (and its
-Jacobian, when A has an analytic one).  It does not check that A is
+Jacobian, when A has an analytic one).  Derivatives are analytic or absent:
+a connection built without a Jacobian (dagger, F, a 1-form shift) raises
+when asked for one, and so for its Ricci tensor.  It does not check that A is
 symmetric: a fixture's declared tensors are checked once, on the validation
 grid, when the fixture loads.
 
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import Metric, central_difference, grid_max, grid_maxima, matvec
+from .geometry import Metric, grid_max, grid_maxima, matvec
 
 TORSION_TOL = 1e-10
 
@@ -60,9 +62,8 @@ class AffineConnection:
 
     ``coefficients(x)`` returns ``Gamma[k, i, j]``; for points of shape
     ``(..., n)`` it returns ``(..., n, n, n)``.  ``jacobian(x)`` returns
-    ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}``; when no analytic jacobian is
-    supplied it falls back to central differences of the coefficients
-    (:func:`dualgeo.geometry.central_difference`).
+    ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}`` from the analytic ``jac_fn``;
+    a connection built without one raises ConnectionError_ naming its tag.
     """
 
     def __init__(self, metric: Metric, coeff_fn: Callable[[np.ndarray], np.ndarray],
@@ -77,10 +78,9 @@ class AffineConnection:
         return self._coeff_fn(np.asarray(x, dtype=float))
 
     def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self._jac_fn is not None:
-            return self._jac_fn(x)
-        return central_difference(self._coeff_fn, x)
+        if self._jac_fn is None:
+            raise ConnectionError_(f"connection {self.tag!r} has no analytic Jacobian")
+        return self._jac_fn(np.asarray(x, dtype=float))
 
     def torsion_defect(self, x) -> float:
         """max |Gamma^k_{ij} - Gamma^k_{ji}| at a point, or over a stack."""
@@ -135,8 +135,8 @@ def difference_connection(g: Metric, sign: int,
                           ) -> AffineConnection:
     """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``.
 
-    Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA,
-    and central differences of the coefficients otherwise.  A is trusted to be
+    Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA;
+    without one the connection has no Jacobian.  A is trusted to be
     symmetric in its covariant pair; nothing here checks it.
     """
     def coeff(x):
@@ -152,7 +152,8 @@ def difference_connection(g: Metric, sign: int,
 
 def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,
                       tag: str = "shifted") -> AffineConnection:
-    """The dual-projectively equivalent connection Gamma + beta^sharp (x) g."""
+    """The dual-projectively equivalent connection Gamma + beta^sharp (x) g,
+    which has no Jacobian."""
 
     def coeff(x):
         beta_sharp = matvec(g.inverse(x), np.asarray(beta_fn(x), dtype=float))

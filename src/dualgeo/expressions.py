@@ -34,6 +34,7 @@ class ParseError(ExpressionError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
+        self.source = None  # the string parse() was given, which offset points into
 
 
 class EvalDomainError(ExpressionError):
@@ -316,7 +317,11 @@ def parse(source: str, n: int | None = None, *,
         if n is None:
             raise ValueError("parse() needs either n or an explicit variable list")
         variables = tuple(f"x{i + 1}" for i in range(n))
-    return _Parser(_tokenize(source), variables, constants or {}).parse()
+    try:
+        return _Parser(_tokenize(source), variables, constants or {}).parse()
+    except ParseError as exc:
+        exc.source = source
+        raise
 
 
 # --- Pretty printer --------------------------------------------------------

@@ -48,7 +48,7 @@ from .connections import (
 from .expressions import ParseError
 from .geometry import Metric, ScalarField, TensorField, grid_points, matvec
 from .structure import (
-    PotentialFamily, StructureSolver, bertrand_darboux_check, killing_check,
+    PotentialFamily, StructureSolver, bertrand_darboux_check, classify, killing_check,
     poisson_check, sym_product_metric_form, t_from_prolongation,
 )
 
@@ -58,6 +58,8 @@ CLOSED_FORM_CHECKS = {"T": "structure-closed-form", "D": "prolongation-closed-fo
 SCHEMA = json.loads(Path(__file__).with_name("fixture.schema.json").read_text())
 # largest chart dimension a config may declare; the schema says why
 MAX_DIMENSION = SCHEMA["properties"]["dimension"]["maximum"]
+# a parse error quotes at most this many source characters on each side of its offset
+QUOTE_CHARS = 100
 
 
 class FixtureError(ValueError):
@@ -247,8 +249,8 @@ class Fixture:
 
         Every member but LC is ``Gamma_LC - sign * A`` for the difference
         tensor A named by the tag (``dagger`` has sign +1).  T, B and D carry
-        analytic Jacobians; dagger and F, which no suite differentiates, fall
-        back to central differences of their coefficients.
+        analytic Jacobians; dagger and F, which no suite differentiates, have
+        none, and their ``jacobian`` and ``ricci`` raise.
         ``zeta`` overrides the fixture's own zeta for the F-connections (used
         by the remark suite to inject test functions).
         """
@@ -558,11 +560,16 @@ def _singular_locus(entry: dict, box) -> tuple[int, float]:
 
 def _parsed(entry: str, build, source, *args):
     """``build(source, *args)``; a ParseError names the config entry and
-    quotes its source, which the error's offset points into."""
+    quotes its source, or, when that is long, the characters of the failing
+    expression around the error's offset."""
     try:
         return build(source, *args)
     except ParseError as exc:
-        raise FixtureError(f"invalid fixture config: {entry} {source!r}: {exc}") from exc
+        quoted, text = repr(source), exc.source
+        if len(quoted) > 2 * QUOTE_CHARS and text is not None:
+            lo, hi = max(0, exc.offset - QUOTE_CHARS), exc.offset + QUOTE_CHARS
+            quoted = f"{text[lo:hi]!r} (characters {lo}-{min(hi, len(text))} of {len(text)})"
+        raise FixtureError(f"invalid fixture config: {entry} {quoted}: {exc}") from exc
 
 
 def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
@@ -583,7 +590,8 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
             **{f"singular_loci[{i}].value": d["value"]
                for i, d in enumerate(cfg.get("singular_loci", []))},
             **{f"constants.{key}": v for key, v in constants.items()},
-            **{f"expected.spots[{k}].value": spot["value"] for k, spot in enumerate(spots)},
+            **{f"expected.spots[{k}].{key}": spot[key]
+               for k, spot in enumerate(spots) for key in ("value", "tol")},
             **{f"expected.spots[{k}].point[{i}]": c
                for k, spot in enumerate(spots) for i, c in enumerate(spot["point"])}}
         for entry, value in numbers.items():
@@ -804,7 +812,6 @@ def validate(fixture: Fixture) -> list[dict]:
                  f"expected {spot['value']!r}", x, err)
 
     if "classification" in expected:
-        from .structure import classify
         try:
             cls = classify(g, fixture.prolongation_tensor, fixture.s_covector, grid)
             if cls.verdict != expected["classification"]:

@@ -13,9 +13,9 @@ as the single-point call does.
 Christoffel symbols are stored as ``Gamma[k, i, j]`` = Gamma^k_{ij}, curvature
 as ``R[l, k, i, j]`` = R^l_{kij} (so ``Ric_{kj} = R[i, k, i, j]``), and
 covariant derivatives prepend the derivative index.  Curvature is assembled
-from analytic second derivatives of the metric components (jet arithmetic);
-finite differences of the Christoffel symbols stay available in the test suite
-as the independent oracle.
+from analytic second derivatives of the metric components (jet arithmetic).
+The package computes no finite differences; they live in the test suite, as
+the independent oracle.
 
 A sample grid is one ``(N, n)`` array (:func:`grid_points`).  Grid checks
 evaluate it in blocks of ``GRID_BLOCK`` rows (:func:`grid_blocks`), so memory
@@ -74,28 +74,7 @@ def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (a @ v[..., None])[..., 0]
 
 
-FD_STEP_SCALE = float(np.cbrt(np.finfo(float).eps))  # ~6.06e-6
 CONDITION_BOUND = 1e8  # the largest metric condition number an inverse accepts
-
-
-def central_difference(fn, x) -> np.ndarray:
-    """``d_a fn`` at a point as ``out[a]``, by central differences; over a
-    ``(..., n)`` stack as ``out[..., a]``, with each row's own step.
-
-    The step ``cbrt(eps) * (1 + |x_a|)`` balances truncation against roundoff
-    for a first difference.  Used where no analytic derivative exists.
-    """
-    x = np.asarray(x, dtype=float)
-    lead = x.ndim - 1
-    rows = []
-    for a in range(x.shape[-1]):
-        h = FD_STEP_SCALE * (1.0 + np.abs(x[..., a]))
-        up, dn = x.copy(), x.copy()
-        up[..., a] += h
-        dn[..., a] -= h
-        diff = fn(up) - fn(dn)
-        rows.append(diff / (2.0 * h).reshape(h.shape + (1,) * (diff.ndim - lead)))
-    return np.stack(rows, axis=lead)
 
 
 @dataclass(frozen=True)
@@ -388,16 +367,12 @@ class TensorField:
                 grads.swapaxes(-1, -2).reshape(lead + (self.n,) + self.comps.shape))
 
 
-def covariant_derivative(connection, fld: TensorField, x) -> np.ndarray:
-    """Gamma-corrected derivative components; the new covariant slot comes
-    first, followed by the slots of ``fld`` in its order and variance.
-
-    ``connection`` is anything with a ``coefficients(x) -> Gamma[k,i,j]``
-    method (an AffineConnection) or a Metric, whose Levi-Civita coefficients
-    are used.
+def covariant_derivative(g: Metric, fld: TensorField, x) -> np.ndarray:
+    """Levi-Civita derivative components of ``fld`` for the metric g; the new
+    covariant slot comes first, followed by the slots of ``fld`` in its order
+    and variance.
     """
-    gamma = (connection.christoffel(x) if isinstance(connection, Metric)
-             else connection.coefficients(x))
+    gamma = g.christoffel(x)
     vals, partials = fld.jets(x)
     out = partials.copy()
     lead = np.ndim(x) - 1

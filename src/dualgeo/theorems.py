@@ -52,7 +52,7 @@ from .connections import (
     difference_tensor, dual_projective_test, metric_gradient, ricci_asymmetry,
     semi_compatibility_test, shift_by_one_form,
 )
-from .fixtures import Fixture
+from .fixtures import Fixture, builtin
 from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
 from .geometry import ScalarField, grid_max, grid_maxima
 from .structure import (
@@ -444,7 +444,6 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
 
     enlarging = fixture.expected.get("enlarging")
     if weak and enlarging:
-        from .fixtures import builtin
         big = builtin(enlarging)
         pts = np.array([[lo + (hi - lo) * rng.random() for lo, hi in fixture.box]
                         for _ in range(10)])

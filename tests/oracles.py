@@ -679,7 +679,10 @@ def reference_csv(traj) -> str:
 # symbols minus sign * T, B = T + ((n+2)/n) g (x) t^sharp, D; the dagger
 # companion (Gamma - D) plus the trace shift; F = B plus the metric-dzeta
 # product.  T and B have the analytic Jacobian dGamma - sign * dT, minus sign *
-# the derivative of the B term; D, dagger and F are central differences.
+# the derivative of the B term, and D the solver's dD; dagger and F have none.
+
+# the connections a fixture builds without a Jacobian, whose jacobian() raises
+TAGS_WITHOUT_JACOBIAN = ("dagger", "+F", "-F")
 
 
 def buildable_tags(fixture):
@@ -723,13 +726,12 @@ def reference_coefficients(fixture, tag, x, zeta=None):
     return gamma - sign * A
 
 
-def reference_jacobian(fixture, tag, x, zeta=None):
-    """dGamma[a, k, i, j] of connection ``tag`` at one point."""
+def reference_jacobian(fixture, tag, x):
+    """dGamma[a, k, i, j] of connection ``tag`` at one point; the tags of
+    TAGS_WITHOUT_JACOBIAN have none."""
     g = fixture.metric
     if tag == "LC":
         return g.christoffel_jacobian(x)
-    if tag[1:] not in ("T", "B", "D"):
-        return fd_derivative(lambda p: reference_coefficients(fixture, tag, p, zeta), x)
     sign = +1.0 if tag[0] == "+" else -1.0
     if tag[1:] == "D":
         return g.christoffel_jacobian(x) - sign * fixture.prolongation_jacobian(x)

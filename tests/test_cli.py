@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -49,6 +51,21 @@ def test_trace_domain_exit_reports_last_state(tmp_path, capsys, monkeypatch):
                           "--w0", "1,0", "--steps", "500", "--h", "0.01"], capsys)
     assert code == 0
     assert "halted early" in err and "domain_exit" in err
+
+
+@pytest.mark.parametrize("fixture, tag, x0, w0", [
+    ("sw2-weak", "dagger", "1.3,1.4", "0.1,-0.05"),
+    ("sphere3-trivial", "+F", "0.2,0.3,0.1", "0.1,-0.05,0.02"),
+], ids=["dagger", "F"])
+def test_trace_a_connection_without_a_jacobian(fixture, tag, x0, w0, tmp_path, capsys,
+                                               monkeypatch):
+    # dagger and F have no Jacobian; a trajectory needs their coefficients only
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["trace", fixture, "--conn", tag, "--x0", x0, "--w0", w0,
+                          "--steps", "200"], capsys)
+    assert code == 0 and "halted early" not in err
+    [csv] = tmp_path.glob("*.csv")
+    assert len(csv.read_text().splitlines()) == 1 + 201
 
 
 def test_trace_bad_vector_arity(capsys):
@@ -236,6 +253,25 @@ def test_an_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch):
     assert calls == [] and not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "sw2", "--theorem", "weyl", "--grid", "3"],
+    ["classify", "sw2-weak", "--grid", "3"],
+], ids=["verify", "classify"])
+def test_out_gets_the_mode_open_gives(argv, tmp_path, capsys):
+    # the report gets the mode open() gives, as a trace export does; under
+    # umask 022 that is 0644, where mkstemp's file is 0600
+    umask = os.umask(0o022)
+    try:
+        out_path = tmp_path / "out.json"
+        assert run(argv + ["--out", str(out_path)], capsys)[0] == 0
+        reference = tmp_path / "reference"
+        with open(reference, "w"):
+            pass
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(out_path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
 def test_a_command_that_writes_nothing_leaves_no_file(tmp_path, capsys, monkeypatch):
     import dualgeo.cli as cli
 
@@ -263,9 +299,12 @@ def _config_with_potential(tmp_path, source):
     " + ".join(["x1"] * 20000),
 ], ids=["parentheses", "unary-minus", "sum"])
 def test_a_potential_nested_too_deep_exits_3(source, tmp_path, capsys):
+    # the error line quotes the characters around the offset, not all of a
+    # long source
     code, out, err = run(["verify", _config_with_potential(tmp_path, source)], capsys)
     assert code == 3
-    assert "potentials[0]" in err and "100 levels deep" in err
+    assert "potentials[0]" in err and "100 levels deep" in err and "(at offset " in err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
 
 
 @pytest.mark.parametrize("case", ["directory", "nested-json"])

@@ -1,15 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgeo.connections import (
-    AffineConnection, TorsionError, compatibility_residual,
+    AffineConnection, ConnectionError_, TorsionError, compatibility_residual,
     connection_ricci_symmetry_check, difference_connection, difference_tensor,
     dual_projective_test, levi_civita, semi_compatibility_test, shift_by_one_form,
 )
 from dualgeo.fixtures import builtin, from_config
 from dualgeo.geometry import Metric, ScalarField
-from oracles import buildable_tags, reference_coefficients, reference_jacobian
+from oracles import (
+    TAGS_WITHOUT_JACOBIAN, buildable_tags, reference_coefficients, reference_jacobian,
+)
 
 
 @pytest.fixture(scope="module")
@@ -231,9 +235,37 @@ def test_ricci_symmetry_broken_by_nonclosed_trace(euclid2):
         return 0.5 * (np.einsum("ki,...j->...kij", eye, w)
                       + np.einsum("kj,...i->...kij", eye, w))
 
-    conn = AffineConnection(euclid2, coeff, "nonclosed")
+    # dGamma[a, k, i, j] = (delta^k_i d_a w_j + delta^k_j d_a w_i) / 2, where
+    # only d_2 w_1 = 1
+    dw = np.array([[0.0, 0.0], [1.0, 0.0]])
+    dgamma = 0.5 * (np.einsum("ki,aj->akij", np.eye(2), dw)
+                    + np.einsum("kj,ai->akij", np.eye(2), dw))
+
+    def jac(x):
+        return np.broadcast_to(dgamma, x.shape[:-1] + dgamma.shape)
+
+    conn = AffineConnection(euclid2, coeff, "nonclosed", jac_fn=jac)
     pts = [np.array([0.3, 0.7]), np.array([-0.2, 0.4])]
     assert connection_ricci_symmetry_check(conn, pts) > 1e-3
+
+
+def test_a_connection_without_a_jacobian_raises_naming_its_tag(sw2, sw2_weak, sphere3):
+    # the package has no finite-difference fallback: dagger, F, a 1-form shift
+    # and a connection built from coefficients alone (theorem 1's perturbed
+    # control) have no derivative, and so no Ricci tensor
+    x2, x3 = sw2.grid(3)[4], sphere3.grid(3)[4]
+    cases = [(sw2_weak.connection("dagger"), x2), (sphere3.connection("+F"), x3),
+             (sphere3.connection("-F"), x3),
+             (shift_by_one_form(sw2.connection("+T"), sw2.metric,
+                                lambda _x: np.array([0.4, 0.1]), tag="plus-shifted"), x2),
+             (AffineConnection(sw2.metric, sw2.connection("+B").coefficients,
+                               "B-perturbed"), x2)]
+    for conn, x in cases:
+        for derived in (conn.jacobian, conn.ricci):
+            with pytest.raises(ConnectionError_, match=f"connection '{re.escape(conn.tag)}' "
+                                                       "has no analytic Jacobian"):
+                derived(x)
+        assert np.isfinite(conn.coefficients(x)).all()
 
 
 def _stack_fixture(name):
@@ -267,12 +299,16 @@ def test_coefficients_on_stacked_points_equal_single_points(name):
 
 @pytest.mark.parametrize("name", STACK_FIXTURES)
 def test_jacobians_on_stacked_points_equal_single_points(name):
-    # analytic Jacobians row by row, central differences with each row's step
+    # analytic Jacobians row by row; dagger and F have none
     fixture = _stack_fixture(name)
     points = fixture.grid(3)
     zeta = ScalarField.from_source("x1*x2 + x3^2", 3) if fixture.n == 3 else None
     for tag in buildable_tags(fixture):
         conn = fixture.connection(tag, zeta=zeta if tag[1:] == "F" else None)
+        if tag in TAGS_WITHOUT_JACOBIAN:
+            with pytest.raises(ConnectionError_, match=re.escape(repr(tag))):
+                conn.jacobian(points)
+            continue
         single = np.stack([conn.jacobian(x) for x in points])
         batch = conn.jacobian(points)
         assert batch.shape == single.shape, tag
@@ -322,6 +358,16 @@ def _table_cases(fixture):
     return cases
 
 
+def _assert_jacobian(fixture, conn, tag, x, equal):
+    """conn's Jacobian at x equals the reference formula's by ``equal``, or,
+    for dagger and F, which have none, raises."""
+    if tag in TAGS_WITHOUT_JACOBIAN:
+        with pytest.raises(ConnectionError_, match=re.escape(repr(tag))):
+            conn.jacobian(x)
+    else:
+        assert equal(conn.jacobian(x), reference_jacobian(fixture, tag, x)), (tag, x)
+
+
 @pytest.mark.parametrize("name", BUILTINS + ["sw2-recovered"])
 def test_connection_table_equals_reference_formulas_bytes(name):
     fixture = _table_fixture(name)
@@ -334,16 +380,14 @@ def test_connection_table_equals_reference_formulas_bytes(name):
         for x in points:
             assert (conn.coefficients(x).tobytes()
                     == reference_coefficients(fixture, tag, x, zeta).tobytes()), (tag, x)
-            assert (conn.jacobian(x).tobytes()
-                    == reference_jacobian(fixture, tag, x, zeta).tobytes()), (tag, x)
+            _assert_jacobian(fixture, conn, tag, x, lambda a, b: a.tobytes() == b.tobytes())
 
 
 @pytest.mark.parametrize("name", sorted(CURVED))
 def test_connection_table_matches_reference_formulas_on_curved_metrics(name):
     # B = T + b g (x) t subtracted as one tensor, and dagger as Gamma - (D - shift),
     # round differently from the reference's two subtractions; measured drift
-    # is at most 2e-16 relative in coefficients and analytic Jacobians (T, B
-    # and D), and 1.2e-11 in dagger's central-difference Jacobian
+    # is at most 2e-16 relative in coefficients and Jacobians (T, B and D)
     fixture = _table_fixture(name)
     points = fixture.grid(3)
     stack = np.stack(points)
@@ -358,5 +402,4 @@ def test_connection_table_matches_reference_formulas_on_curved_metrics(name):
         for x in points:
             assert close(conn.coefficients(x),
                          reference_coefficients(fixture, tag, x, zeta), 1e-15), tag
-            assert close(conn.jacobian(x), reference_jacobian(fixture, tag, x, zeta),
-                         1e-15 if tag[1:] in ("T", "B", "D") else 1e-10), tag
+            _assert_jacobian(fixture, conn, tag, x, lambda a, b: close(a, b, 1e-15))

@@ -254,6 +254,8 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
      "expected.spots[0].value: an integer of 1329 bits is beyond float range"),
     ("expected", {"spots": [{**_WRONG_SPOT[0], "point": [1.0, 10**400]}]},
      "expected.spots[0].point[1]: an integer of 1329 bits is beyond float range"),
+    ("expected", {"spots": [{**_WRONG_SPOT[0], "tol": float("inf")}]},
+     "expected.spots[0].tol: inf is not finite"),
 ], ids=["dimension-null", "domain-null", "margin-string", "locus-axis-null", "metric-number",
         "metric-numeric-components", "zeta-number", "potential-number", "structure-T-number",
         "killing-numeric-components", "potentials-number", "killing-number",
@@ -262,7 +264,7 @@ _WRONG_SPOT = [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1, 1], "value":
         "domain-bound-nan", "domain-bound-inf", "margin-beyond-float", "locus-beyond-float",
         "locus-inf", "constant-beyond-float", "constant-inf", "expected-misspelled",
         "loci-misspelled", "name-number", "spot-value-beyond-float",
-        "spot-point-beyond-float"])
+        "spot-point-beyond-float", "spot-tol-inf"])
 def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragment,
                                                             tmp_path, capsys):
     # the first ten ended the CLI with a TypeError or AttributeError traceback
@@ -273,8 +275,9 @@ def test_config_values_of_the_wrong_type_are_fixture_errors(entry, value, fragme
     # value or a constant beyond float range raised an OverflowError that
     # named no entry, and an infinite constant loaded.  An expected spot's
     # value or point beyond float range ended validation in an OverflowError
-    # traceback.  Each is now rejected at load, and the message names the
-    # entry's JSON path.
+    # traceback, and an infinite spot tolerance made the spot impossible to
+    # fail.  Each is now rejected at load, and the message names the entry's
+    # JSON path.
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     if entry in ("axis", "value"):
