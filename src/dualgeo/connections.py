@@ -133,19 +133,26 @@ def difference_connection(g: Metric, sign: int,
                           tensor_fn: Callable[[np.ndarray], np.ndarray], tag: str,
                           tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None
                           ) -> AffineConnection:
-    """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``.
+    """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``, for sign
+    +1 or -1.
 
     Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA;
-    without one the connection has no Jacobian.  A is trusted to be
+    without one the connection has no Jacobian.  Both are formed as
+    ``Gamma - A`` or ``Gamma + A``, which round as ``Gamma - sign * A`` does
+    (``-1 * A`` is ``-A`` and subtracting ``-A`` adds A).  A is trusted to be
     symmetric in its covariant pair; nothing here checks it.
     """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, not {sign!r}")
+    combine = np.subtract if sign == 1 else np.add
+
     def coeff(x):
-        return g.christoffel(x) - sign * tensor_fn(x)
+        return combine(g.christoffel(x), tensor_fn(x))
 
     jac = None
     if tensor_jac_fn is not None:
         def jac(x):
-            return g.christoffel_jacobian(x) - sign * tensor_jac_fn(x)
+            return combine(g.christoffel_jacobian(x), tensor_jac_fn(x))
 
     return AffineConnection(g, coeff, tag, jac_fn=jac)
 

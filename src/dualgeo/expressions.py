@@ -24,6 +24,9 @@ MAX_INTEGER_EXPONENT = 1000
 # deepest tree, and deepest nesting of groups, calls and exponents, a source
 # may parse to: every walk of a tree recurses once per level
 MAX_DEPTH = 100
+# a parse error quotes at most this many characters of a long token, and a
+# fixture's error this many source characters on each side of its offset
+QUOTE_CHARS = 100
 
 
 class ExpressionError(ValueError):
@@ -35,6 +38,15 @@ class ParseError(ExpressionError):
         super().__init__(f"{message} (at offset {offset})")
         self.offset = offset
         self.source = None  # the string parse() was given, which offset points into
+
+
+def _quoted(text: str) -> str:
+    """``repr(text)``, or for a token whose repr exceeds 2 * QUOTE_CHARS
+    characters, the repr of its first QUOTE_CHARS characters and its length."""
+    quoted = repr(text)
+    if len(quoted) <= 2 * QUOTE_CHARS:
+        return quoted
+    return f"{text[:QUOTE_CHARS]!r} (the first {QUOTE_CHARS} of {len(text)} characters)"
 
 
 class EvalDomainError(ExpressionError):
@@ -216,7 +228,7 @@ class _Parser:
         if tok.kind != "eof":
             if tok.kind == "op" and tok.text == ")":
                 raise ParseError("unbalanced parentheses: unmatched ')'", tok.offset)
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.offset)
+            raise ParseError(f"unexpected trailing input {_quoted(tok.text)}", tok.offset)
         return node
 
     def expr(self) -> tuple[Expression, int]:
@@ -280,8 +292,8 @@ class _Parser:
                 return Const(name, float(self.constants[name])), 1
             nxt = self.peek()
             if nxt.kind == "op" and nxt.text == "(":
-                raise ParseError(f"unknown function {name!r}", tok.offset)
-            raise ParseError(f"unknown identifier {name!r}", tok.offset)
+                raise ParseError(f"unknown function {_quoted(name)}", tok.offset)
+            raise ParseError(f"unknown identifier {_quoted(name)}", tok.offset)
         if tok.kind == "op" and tok.text == "(":
             result = self.nested(tok, self.expr)
             self.expect_op(")")
@@ -290,7 +302,7 @@ class _Parser:
             raise ParseError("unexpected ','", tok.offset)
         if tok.kind == "eof":
             raise ParseError("unexpected end of input", tok.offset)
-        raise ParseError(f"unexpected {tok.text!r}", tok.offset)
+        raise ParseError(f"unexpected {_quoted(tok.text)}", tok.offset)
 
 
 def _literal_value(node: Expression) -> float | None:

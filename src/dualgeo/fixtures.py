@@ -45,7 +45,7 @@ from . import conventions as conv
 from .connections import (
     TORSION_TOL, AffineConnection, ConnectionTable, difference_connection, levi_civita,
 )
-from .expressions import ParseError
+from .expressions import QUOTE_CHARS, ParseError
 from .geometry import Metric, ScalarField, TensorField, grid_points, matvec
 from .structure import (
     PotentialFamily, StructureSolver, bertrand_darboux_check, classify, killing_check,
@@ -58,8 +58,6 @@ CLOSED_FORM_CHECKS = {"T": "structure-closed-form", "D": "prolongation-closed-fo
 SCHEMA = json.loads(Path(__file__).with_name("fixture.schema.json").read_text())
 # largest chart dimension a config may declare; the schema says why
 MAX_DIMENSION = SCHEMA["properties"]["dimension"]["maximum"]
-# a parse error quotes at most this many source characters on each side of its offset
-QUOTE_CHARS = 100
 
 
 class FixtureError(ValueError):
@@ -110,6 +108,8 @@ class Fixture:
         self.structure_s = structure_s
         self.expected = expected or {}
         self.solver = StructureSolver(metric, family) if family is not None else None
+        self._t_coefficient = conv.t_coefficient(metric.n)
+        self._b_coefficient = conv.b_coefficient(metric.n)
 
     # --- basic data ---------------------------------------------------------
 
@@ -186,7 +186,7 @@ class Fixture:
     def t_covector(self, x) -> np.ndarray:
         if self.kind == "nondegenerate":
             T = self.structure_tensor(x)
-            return conv.t_coefficient(self.n) * np.einsum("...iij->...j", T)
+            return self._t_coefficient * np.einsum("...iij->...j", T)
         D = self.prolongation_tensor(x)
         return t_from_prolongation(D, self.s_covector(x), self.n)
 
@@ -196,13 +196,16 @@ class Fixture:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
         g = self.metric
-        return self._with_trace_term(self.structure_tensor(x), g.value(x), g.inverse(x))
+        return self._with_trace_term(self.structure_tensor(x), g.jets(x)[0], g.inverse(x))
 
     def _with_trace_term(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
                          ) -> np.ndarray:
-        """B from the values of T, g and g^-1."""
-        t_up = conv.t_coefficient(self.n) * matvec(ginv, np.einsum("...iij->...j", T))
-        return T + conv.b_coefficient(self.n) * np.einsum("...ij,...k->...kij", gmat, t_up)
+        """B from the values of T, g and g^-1, rounded as the einsum form of
+        ``tests/oracles.py`` rounds it: the trace sums from +0 as einsum does,
+        and ``0.0 +`` turns a -0 in the outer product into the +0 that
+        einsum's accumulation gives."""
+        t_up = self._t_coefficient * matvec(ginv, T.trace(axis1=-3, axis2=-2))
+        return T + self._b_coefficient * (0.0 + gmat[..., None, :, :] * t_up[..., None, None])
 
     def _b_jacobian(self, x) -> np.ndarray:
         g = self.metric
@@ -211,7 +214,7 @@ class Fixture:
         ginv = g.inverse(x)
         tau = np.einsum("...iij->...j", self.structure_tensor(x))
         dtau = np.einsum("...aiij->...aj", dT)
-        coef = conv.t_coefficient(self.n) * conv.b_coefficient(self.n)
+        coef = self._t_coefficient * self._b_coefficient
         t_up = matvec(coef * ginv, tau)
         dt_up = coef * (np.einsum("...akm,...m->...ak", g.inverse_jacobian(x), tau)
                         + np.einsum("...km,...am->...ak", ginv, dtau))

@@ -12,24 +12,34 @@ runs are reproducible bit for bit.  Integration halts early (flagged, not an
 error) when the state leaves the fixture's box, drifts within a margin of a
 declared singular locus, or stops being finite.
 
-Many starts advance together as the rows of one (m, n) position and
-covelocity state, and each row carries its own connection: one connection
-for all of them, or a :class:`~dualgeo.connections.ConnectionTable` whose row
-r follows ``conns[r]`` (a verification suite puts all of its trajectory
-claims, both connections of both signs, in one table).  Each RK4 stage
-evaluates the metric once and the coefficients of every running row in one
-call, which gets the running rows' indices.  After each step one test over
-the rows checks finiteness (of the position and the covelocity), then the
-box, then the singular margin, so a row gets the exit reason a lone run
-would; halted rows keep the samples taken so far and drop out of the state,
-so every kept sample is finite.  If a stage raises a domain error (an
-EvalDomainError, SingularMetricError, RankDeficiencyError or LinAlgError),
-that step is redone one row at a time, each under its own connection: the
-rows that raise exit with ``domain_exit``, the others go on.  Every operation
-rounds each row as it would round a single point, so each row equals its
-single-start run under its own connection bit for bit; a lone running row
-steps as a single point, which costs less per call.  The exports format and
-write EXPORT_BLOCK samples at a time, so their memory does not grow.
+Many starts advance together as the rows of one (m, 2, n) state, whose row
+r holds the position ``s[r, 0]`` and the covelocity ``s[r, 1]``, and each row
+carries its own connection: one connection for all of them, or a
+:class:`~dualgeo.connections.ConnectionTable` whose row r follows
+``conns[r]`` (a verification suite puts all of its trajectory claims, both
+connections of both signs, in one table).  Each RK4 stage evaluates the
+metric once and the coefficients of every running row in one call, which
+gets the running rows' indices; the right-hand side writes xdot and pdot
+into one array, so every RK4 combination is one array operation on the whole
+state, and each step stores one sample of it.  After each step one test of
+the whole state against the box (for the position) and against the float
+range (for the covelocity), plus the singular margin, tells whether any row
+halts.  Only then are the failing rows triaged, in the order nonfinite (the
+position or the covelocity), box, singular margin, so a row gets the exit
+reason a lone run would; halted rows keep the samples taken so far and drop
+out of the state, so every kept sample is finite.  If a stage raises a
+domain error (an EvalDomainError, SingularMetricError, RankDeficiencyError
+or LinAlgError), that step is redone one row at a time, each under its own
+connection: the rows that raise exit with ``domain_exit``, the others go on.
+Every operation rounds each row as it would round a single point, so each
+row equals its single-start run under its own connection bit for bit.  A
+lone running row steps as a single (2, n) point, which costs less per call:
+its metric, coefficient and tensor calls take a point's path, which skips
+the stack's reshapes, and each call of numpy on a few numbers costs about a
+microsecond however small it is, so the state's one operation per RK4
+combination and its one halt test save calls where they matter most.  The
+exports format and write EXPORT_BLOCK samples at a time, so their memory
+does not grow.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -39,22 +49,24 @@ fewer than MIN_OVERLAP of a curve's samples measures as an infinite distance,
 so two curves that barely meet never pass.
 
 The nearest-segment search is exact and pruned.  Segments are grouped into
-chunks of SEGMENT_CHUNK with a bounding box each.  A query first scans the
-chunk whose box lies nearest; its best squared distance is one the dense scan
-computes too, so an exact bound on the nearest one (a distance of about 1e-8
-on coincident curves).  A chunk whose box lies farther than that distance
-plus a rounding slack is skipped.  When a block of QUERY_BLOCK queries skips
-every other chunk, the first scan is the result; otherwise the block scans,
-in ascending order, the union of the chunks its queries keep.  For curves of
-m samples that do not double back on themselves a query near the curve keeps
-only its own chunk, so a comparison costs O(m^2 / SEGMENT_CHUNK) box tests
-and O(m * SEGMENT_CHUNK) segment distances instead of m^2.  Every scanned pair
-goes through the dense scan's per-pair arithmetic, a skipped one could only
-compute a strictly larger distance, and argmin keeps the lowest segment among
-ties, so distances and arc coordinates equal the dense scan's bit for bit.
-In the worst case, every segment about equally near (a query at the centre of
-a circle), nothing is skipped: time is the dense O(m^2), and memory stays
-O(QUERY_BLOCK * m) because queries run in blocks.
+chunks of SEGMENT_CHUNK with a bounding box each, stored C-contiguous with
+shape (n, 1, chunks), so a block's box test runs over memory in order (as
+strided views they made a 5000-step comparison take twice as long).  A query first
+scans the chunk whose box lies nearest; its best squared distance is one the
+dense scan computes too, so an exact bound on the nearest one (a distance of
+about 1e-8 on coincident curves).  A chunk whose box lies farther than that
+distance plus a rounding slack is skipped.  When a block of QUERY_BLOCK
+queries skips every other chunk, the first scan is the result; otherwise the
+block scans, in ascending order, the union of the chunks its queries keep.
+For curves of m samples that do not double back on themselves a query near the
+curve keeps only its own chunk, so a comparison costs O(m^2 / SEGMENT_CHUNK)
+box tests and O(m * SEGMENT_CHUNK) segment distances instead of m^2.  Every
+scanned pair goes through the dense scan's per-pair arithmetic, a skipped one
+could only compute a strictly larger distance, and argmin keeps the lowest
+segment among ties, so distances and arc coordinates equal the dense scan's
+bit for bit.  In the worst case, every segment about equally near (a query at
+the centre of a circle), nothing is skipped: time is the dense O(m^2), and
+memory stays O(QUERY_BLOCK * m) because queries run in blocks.
 """
 
 from __future__ import annotations
@@ -136,36 +148,25 @@ def _write_rows(fh, template: str, sep: str, *cols: np.ndarray) -> None:
 _DOMAIN_ERRORS = (EvalDomainError, SingularMetricError, RankDeficiencyError,
                   np.linalg.LinAlgError)
 _BIG = np.finfo(float).max
-_ALL = np.logical_and.reduce
 
 
-def _rk4_step(rhs, tau: float, h: float, x: np.ndarray, p: np.ndarray
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """One classical RK4 step of every row of the (m, n) state (x, p)."""
-    k1x, k1p = rhs(tau, x, p)
-    k2x, k2p = rhs(tau + 0.5 * h, x + 0.5 * h * k1x, p + 0.5 * h * k1p)
-    k3x, k3p = rhs(tau + 0.5 * h, x + 0.5 * h * k2x, p + 0.5 * h * k2p)
-    k4x, k4p = rhs(tau + h, x + h * k3x, p + h * k3p)
-    return (x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
-
-
-def _rk4_row(rhs, tau: float, h: float, x: np.ndarray, p: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """One RK4 step of a single row, returned as a (1, n) state.
-
-    It runs on the unbatched point, whose arithmetic rounds exactly as a row
-    of the batch does, at a fraction of the per-call overhead.
-    """
-    x, p = _rk4_step(rhs, tau, h, x, p)
-    return x[None], p[None]
+def _rk4_step(rhs, tau: float, h: float, s: np.ndarray) -> np.ndarray:
+    """One classical RK4 step of the state s, (x, p) of one point as a (2, n)
+    array or of every row of an (m, 2, n) stack; ``rhs(tau, s, out)`` writes
+    the derivative of s into out."""
+    k1, k2, k3, k4 = k = np.empty((4,) + s.shape)
+    rhs(tau, s, k1)
+    rhs(tau + 0.5 * h, s + 0.5 * h * k1, k2)
+    rhs(tau + 0.5 * h, s + 0.5 * h * k2, k3)
+    rhs(tau + h, s + h * k3, k4)
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric,
                              x0s, w0s, steps: int, h: float,
                              q: Callable[[float], float] | None = None,
                              box=None, singular_loci=None) -> list[Trajectory]:
-    """Integrate every start (x0s[r], w0s[r]) as one row of an (m, n) state.
+    """Integrate every start (x0s[r], w0s[r]) as one row of an (m, 2, n) state.
 
     ``conn`` is one connection for every row, or a :class:`ConnectionTable`
     whose row r follows ``conn.conns[r]``.  Returns one trajectory per start,
@@ -179,32 +180,42 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                          f"{x.shape} and {w.shape}")
     if not np.all(np.any(w, axis=1)):
         raise ValueError("initial velocity must be nonzero")
-    p = matvec(g.value(x), w)
     m, n = x.shape
+    s = np.stack([x, matvec(g.value(x), w)], axis=1)
     table = conn if isinstance(conn, ConnectionTable) else ConnectionTable.uniform(conn, m)
     if len(table.conns) != m:
         raise ValueError(f"{len(table.conns)} connections for {m} starts")
 
     def field(coefficients):
         """The right-hand side of the rows whose coefficients these are."""
-        def rhs(tau: float, x: np.ndarray, p: np.ndarray):
-            xdot = matvec(g.inverse(x), p)
-            pdot = np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p)
-            if q is not None:
-                pdot = pdot + q(tau) * p
-            return xdot, pdot
+        def rhs(tau: float, s: np.ndarray, out: np.ndarray) -> None:
+            x, p = s[..., 0, :], s[..., 1, :]
+            xdot, pdot = out[..., 0, :], out[..., 1, :]
+            np.matmul(g.inverse(x), p[..., None], out=xdot[..., None])
+            if q is None:
+                np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p, out=pdot)
+            else:
+                np.add(np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p),
+                       q(tau) * p, out=pdot)
         return rhs
 
     def row_field(row: int):
         return field(table.conns[row].coefficients)
 
+    def running_field(rows: np.ndarray):
+        """The right-hand side of the running rows; a lone row's is its own."""
+        if len(rows) == 1:
+            return row_field(rows[0])
+        return field(lambda pts: table.coefficients(pts, rows))
+
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     if box is not None:
         lo, hi = np.array(box, dtype=float).T
-    # a finite state passes the clamped box test iff it passes the box test;
-    # a nonfinite one never does, so one test finds every row to halt
-    lo_fast, hi_fast = np.maximum(lo, -_BIG), np.minimum(hi, _BIG)
+    # a state passes the clamped test iff its position is finite and in the
+    # box and its covelocity is finite, so one test finds every row to halt
+    lo_fast = np.stack([np.maximum(lo, -_BIG), np.full(n, -_BIG)])
+    hi_fast = np.stack([np.minimum(hi, _BIG), np.full(n, _BIG)])
     # rounding is monotone, so a locus whose margin the box keeps clear can
     # never halt a row inside the box, and its test is left out
     loci = [(axis, value) for axis, value in singular_loci or ()
@@ -214,60 +225,61 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     values = np.array([value for _, value in loci], dtype=float)
 
     taus = np.empty(steps + 1)
-    xs = np.empty((steps + 1, m, n))
-    ps = np.empty((steps + 1, m, n))
-    taus[0], xs[0], ps[0] = 0.0, x, p
+    states = np.empty((steps + 1, m, 2, n))
+    taus[0], states[0] = 0.0, s
     samples = [steps + 1] * m   # until a row exits
     exits = ["completed"] * m
     rows = np.arange(m)         # the rows still running, in order
     tau = 0.0
+    rhs = running_field(rows)
     for step in range(1, steps + 1):
         try:
-            if len(rows) == 1:
-                x, p = _rk4_row(row_field(rows[0]), tau, h, x[0], p[0])
+            if len(rows) == 1:   # stepped as a point
+                s = _rk4_step(rhs, tau, h, s[0])[None]
             else:
-                x, p = _rk4_step(field(lambda pts, rows=rows: table.coefficients(pts, rows)),
-                                 tau, h, x, p)
+                s = _rk4_step(rhs, tau, h, s)
         except _DOMAIN_ERRORS:
             # redo the step one row at a time, each under its own connection;
             # the rows that raise exit
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, *_rk4_row(row_field(row), tau, h, x[r], p[r])))
+                    done.append((r, _rk4_step(row_field(row), tau, h, s[r])))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
                 break
-            rows = rows[[r for r, _, _ in done]]
-            x = np.concatenate([xr for _, xr, _ in done])
-            p = np.concatenate([pr for _, _, pr in done])
+            rows = rows[[r for r, _ in done]]
+            s = np.stack([sr for _, sr in done])
+            rhs = running_field(rows)
         tau += h
         taus[step] = tau
-        # x + 0.0 * p equals x where p is finite and is NaN where it is not,
-        # so the same test halts a row whose covelocity stopped being finite
-        xp = x + 0.0 * p
-        go = _ALL((xp >= lo_fast) & (xp <= hi_fast), axis=1)
-        if len(axes):
-            go &= _ALL(np.abs(x.take(axes, axis=1) - values) >= SINGULAR_HALT_MARGIN,
-                       axis=1)
-        if not _ALL(go):
+        inside = (s >= lo_fast) & (s <= hi_fast)
+        near = (np.abs(s[:, 0].take(axes, axis=1) - values) < SINGULAR_HALT_MARGIN
+                if len(axes) else None)
+        # the whole state passes, or the rows that fail are triaged in the
+        # order nonfinite, box, margin, so a row gets a lone run's exit reason
+        if not inside.all() or near is not None and near.any():
+            go = inside.all(axis=(1, 2))
+            if near is not None:
+                go &= ~near.any(axis=1)
             for r in np.flatnonzero(~go):
-                if not np.isfinite(xp[r]).all():
+                if not np.isfinite(s[r]).all():
                     exits[rows[r]] = "nonfinite"
-                elif not ((lo <= x[r]) & (x[r] <= hi)).all():
+                elif not ((lo <= s[r, 0]) & (s[r, 0] <= hi)).all():
                     exits[rows[r]] = "domain_exit"
                 else:
                     exits[rows[r]] = "singular_margin"
                 samples[rows[r]] = step
-            rows, x, p = rows[go], x[go], p[go]
+            rows, s = rows[go], s[go]
             if not len(rows):
                 break
+            rhs = running_field(rows)
         if len(rows) == m:
-            xs[step], ps[step] = x, p
+            states[step] = s
         else:
-            xs[step, rows], ps[step, rows] = x, p
-    return [Trajectory(taus[:k].copy(), xs[:k, r].copy(), ps[:k, r].copy(),
+            states[step, rows] = s
+    return [Trajectory(taus[:k].copy(), states[:k, r, 0].copy(), states[:k, r, 1].copy(),
                        table.conns[r].tag, h, exit_reason=exits[r])
             for r, k in enumerate(samples)]
 
@@ -298,9 +310,12 @@ class _Polyline:
         self.arcs = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.len2 = np.einsum("mi,mi->m", self.ab, self.ab)
         starts = np.arange(0, len(self.ab), SEGMENT_CHUNK)
-        # chunk boxes as (n, 1, chunks), so the box test's inner axis is long
-        self.box_lo = np.minimum.reduceat(np.minimum(self.a, points[1:]), starts).T[:, None]
-        self.box_hi = np.maximum.reduceat(np.maximum(self.a, points[1:]), starts).T[:, None]
+        # chunk boxes as C-contiguous (n, 1, chunks), so the box test's inner
+        # axis is long and walks memory in order
+        self.box_lo = np.ascontiguousarray(
+            np.minimum.reduceat(np.minimum(self.a, points[1:]), starts).T[:, None])
+        self.box_hi = np.ascontiguousarray(
+            np.maximum.reduceat(np.maximum(self.a, points[1:]), starts).T[:, None])
         self.scale = np.max(np.abs(points))
 
     def __len__(self) -> int:

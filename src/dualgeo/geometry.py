@@ -353,9 +353,8 @@ class TensorField:
         array code from ``jets.ARRAY_ROWS`` rows)."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
-            out = np.array(self._program.values(pts))
-        else:
-            out = self._program.values(pts.reshape(-1, self.n))
+            return np.array(self._program.values(pts)).reshape(self.comps.shape)
+        out = self._program.values(pts.reshape(-1, self.n))
         return out.reshape(pts.shape[:-1] + self.comps.shape)
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:

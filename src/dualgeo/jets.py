@@ -765,7 +765,7 @@ class Program:
         """
         if self._values is None:
             self._values = _generate(self.exprs)
-        if np.ndim(point) < 2:
+        if (point.ndim if isinstance(point, np.ndarray) else np.ndim(point)) < 2:
             return self._values(point)
         points = np.asarray(point, dtype=float)
         if len(points) >= ARRAY_ROWS:

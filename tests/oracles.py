@@ -699,6 +699,13 @@ def buildable_tags(fixture):
     return buildable
 
 
+def reference_b_tensor(T, gmat, ginv, n):
+    """B = T + b * g (x) t^sharp from the values of T, g and g^-1 at a point
+    or over a stack, in einsum form."""
+    t_up = conv.t_coefficient(n) * (ginv @ np.einsum("...iij->...j", T)[..., None])[..., 0]
+    return T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij", gmat, t_up)
+
+
 def reference_coefficients(fixture, tag, x, zeta=None):
     """Gamma[k, i, j] of connection ``tag`` at a point or a (..., n) stack."""
     g = fixture.metric
@@ -714,11 +721,8 @@ def reference_coefficients(fixture, tag, x, zeta=None):
         return gamma - sign * fixture.structure_tensor(x)
     if tag[1:] == "D":
         return gamma - sign * fixture.prolongation_tensor(x)
-    T = fixture.structure_tensor(x)
     gmat = g.value(x)
-    tau = np.einsum("...iij->...j", T)
-    t_up = conv.t_coefficient(n) * (g.inverse(x) @ tau[..., None])[..., 0]
-    A = T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij", gmat, t_up)
+    A = reference_b_tensor(fixture.structure_tensor(x), gmat, g.inverse(x), n)
     if tag[1:] == "F":
         zfield = zeta if zeta is not None else fixture.zeta
         A = A + np.einsum("...kl,...ijl->...kij", g.inverse(x),

@@ -307,6 +307,26 @@ def test_a_potential_nested_too_deep_exits_3(source, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
 
 
+@pytest.mark.parametrize("potential, message", [
+    ("x1 + " + "a" * 100_000, "unknown identifier"),
+    ("x1 + " + "a" * 100_000 + "(x1)", "unknown function"),
+    ("x1 " + "1" * 100_000, "unexpected trailing input"),
+], ids=["identifier", "function", "trailing-input"])
+def test_a_long_offending_token_is_quoted_in_part(potential, message, tmp_path, capsys):
+    # the parse error quotes the start of the token, not all of it
+    from dualgeo.fixtures import builtin_config
+    cfg = builtin_config("sw2")
+    del cfg["structure"]
+    cfg["potentials"][1] = potential
+    path = tmp_path / "long-token.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 3
+    assert "potentials[1]" in err and message in err
+    assert "(the first 100 of 100000 characters)" in err and "(at offset " in err
+    assert len(err.splitlines()) == 1 and len(err.encode()) < 1000
+
+
 @pytest.mark.parametrize("case", ["directory", "nested-json"])
 def test_a_config_that_cannot_be_read_exits_3(case, tmp_path, capsys):
     path = tmp_path / "config.json"

@@ -35,6 +35,19 @@ def test_difference_connection_constant_tensor(euclid2):
     # the plus connection subtracts the tensor
     assert np.allclose(plus.coefficients((0.1, 0.2)), -A)
     assert np.allclose(minus.coefficients((0.1, 0.2)), +A)
+    # Gamma - A and Gamma + A are Gamma - sign * A only for sign +1 and -1
+    for sign in (0, 2, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="sign must be"):
+            difference_connection(euclid2, sign, lambda x: A, "bad")
+
+
+def test_difference_connection_rounds_as_gamma_minus_sign_times_a(sphere2):
+    A = np.array([[[0.7, -0.0], [-0.0, 1e-300]], [[-0.0, 0.0], [0.0, -3.1]]])
+    for x in [(0.8, 0.3), np.array([[0.8, 0.3], [2.0, -0.0], [1.1, 2.0]])]:
+        gamma = sphere2.christoffel(x)
+        for sign in (+1, -1):
+            conn = difference_connection(sphere2, sign, lambda x: A, "A")
+            assert conn.coefficients(x).tobytes() == (gamma - sign * A).tobytes()
 
 
 def test_difference_connection_sw_value(sw2):

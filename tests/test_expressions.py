@@ -116,6 +116,22 @@ def test_unknown_identifier_is_a_parse_error_not_a_nan():
         parse("k*x1", 1)  # unbound constant
 
 
+@pytest.mark.parametrize("source, message", [
+    ("x1 + foo", "unknown identifier 'foo' (at offset 5)"),
+    ("x1 + foo(x1)", "unknown function 'foo' (at offset 5)"),
+    ("x1 x2", "unexpected trailing input 'x2' (at offset 3)"),
+    ("x1 + *", "unexpected '*' (at offset 5)"),
+    # a token whose repr has 2 * 100 characters is still quoted whole
+    ("x1 + " + "a" * 198, f"unknown identifier '{'a' * 198}' (at offset 5)"),
+    ("x1 + " + "a" * 199, f"unknown identifier '{'a' * 100}' (the first 100 of 199 "
+                          "characters) (at offset 5)"),
+])
+def test_a_parse_error_quotes_a_short_token_whole_and_a_long_one_in_part(source, message):
+    with pytest.raises(ParseError) as exc:
+        parse(source, 2)
+    assert str(exc.value) == message
+
+
 def test_round_trip_fixed_corpus():
     corpus = [
         "x1^2 + x2^2",

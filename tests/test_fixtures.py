@@ -4,12 +4,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dualgeo import fixtures
 from dualgeo.fixtures import (
     FixtureError, FixtureValidationError, UnknownFixtureError, builtin,
     builtin_config, builtin_names, from_config, load, validate,
 )
+from oracles import reference_b_tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGED_SCHEMA = Path(fixtures.__file__).with_name("fixture.schema.json")
@@ -537,3 +540,23 @@ def test_each_expected_spot_is_checked_at_its_own_point():
     assert [(f["message"], f["point"]) for f in failures if f["check"] == "expected-spot"] == [
         ("division by zero in subexpression '1.0/x1'", [0.0, 1.0]),
         ("T[1, 1, 1] = 1.0, expected 3.0", [1.0, 1.0])]
+
+
+# tensor entries with signed zeros among them, so a -0 the einsum form turns
+# into +0 (or keeps) shows in the bytes
+_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+@given(st.sampled_from([2, 3]), st.sampled_from([(), (1,), (5,), (40,)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_b_tensor_rounds_as_its_einsum_form(n, lead, data):
+    fixture = _B_FIXTURES[n]
+    T = data.draw(arrays(float, lead + (n, n, n), elements=_ENTRIES), label="T")
+    gmat = data.draw(arrays(float, lead + (n, n), elements=_ENTRIES), label="g")
+    ginv = data.draw(arrays(float, lead + (n, n), elements=_ENTRIES), label="ginv")
+    got = fixture._with_trace_term(T, gmat, ginv)
+    assert got.tobytes() == reference_b_tensor(T, gmat, ginv, n).tobytes()
+
+
+_B_FIXTURES = {2: builtin("sw2"), 3: builtin("sphere3-trivial")}

@@ -15,7 +15,7 @@ import pytest
 
 from dualgeo import cli
 from dualgeo.expressions import EvalDomainError
-from dualgeo.fixtures import builtin, builtin_config, load
+from dualgeo.fixtures import builtin, builtin_config, builtin_names, load
 from dualgeo.geodesics import curves_coincide, integrate_dual_geodesic, short_comparison
 from dualgeo.geometry import SingularMetricError
 
@@ -24,6 +24,8 @@ _CASES = {
     "sw2-recovered": ("recovered", "1.3,1.4", "-0.08,-0.05", "150", "1e-3"),
     # +T leaves the box after 184 steps and +B after 300: both keep over half
     "halts-early": ("sw2", "1,2", "-0.5,0.1", "320", "1e-2"),
+    # a metric that is not constant: each lone-row stage computes its record
+    "sphere3-trivial": ("sphere3-trivial", "0.1,0.2,-0.1", "0.3,-0.2,0.1", "100", "1e-2"),
 }
 
 
@@ -40,7 +42,7 @@ def _fixture_source(name, tmp_path):
 def _expected(source, x0, w0, steps, h, out):
     """The comparison's stdout when both curves are integrated in this
     process, with the +T curve's CSV and JSON exported to ``out``."""
-    fixture = builtin(source) if source == "sw2" else load(source)
+    fixture = builtin(source) if source in builtin_names() else load(source)
     x0, w0 = (np.array([float(v) for v in s.split(",")]) for s in (x0, w0))
     a, b = (integrate_dual_geodesic(fixture.connection(tag), fixture.metric, x0, w0,
                                     int(steps), float(h), box=fixture.box,
