@@ -546,6 +546,8 @@ def test_each_expected_spot_is_checked_at_its_own_point():
 # into +0 (or keeps) shows in the bytes
 _ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]),
                      st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+# the fixtures whose t and b coefficients B uses, by dimension
+_B_FIXTURES = {2: builtin("sw2"), 3: builtin("sphere3-trivial")}
 
 
 @given(st.sampled_from([2, 3]), st.sampled_from([(), (1,), (5,), (40,)]), st.data())
@@ -558,5 +560,3 @@ def test_b_tensor_rounds_as_its_einsum_form(n, lead, data):
     got = fixture._with_trace_term(T, gmat, ginv)
     assert got.tobytes() == reference_b_tensor(T, gmat, ginv, n).tobytes()
 
-
-_B_FIXTURES = {2: builtin("sw2"), 3: builtin("sphere3-trivial")}
