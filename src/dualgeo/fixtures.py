@@ -584,6 +584,16 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
         _check_shape("metric", cfg["metric"], n, 2)
         if len(box) != n:
             raise FixtureError(f"domain box has {len(box)} axes, expected {n}")
+        # theorem 2 compares the extracted T with the T the enlarging built-in
+        # recovers at points of this box: it must be nondegenerate, of dimension n
+        enlarging = cfg.get("expected", {}).get("enlarging")
+        if enlarging is not None:
+            peers = sorted(k for k, c in ((k, build()) for k, build in _BUILTIN_CONFIGS.items())
+                           if c["dimension"] == n and c["kind"] == "nondegenerate")
+            if enlarging not in peers:
+                raise FixtureError(f"invalid fixture config: expected.enlarging {enlarging!r} "
+                                   f"is not a nondegenerate built-in fixture of dimension {n} "
+                                   f"({', '.join(peers)})")
         margin = cfg.get("singular_margin", 0.0)
         constants = cfg.get("constants", {})
         spots = cfg.get("expected", {}).get("spots", [])

@@ -420,15 +420,3 @@ def short_comparison(a: Trajectory, b: Trajectory, steps: int) -> str | None:
         return None
     return (f"kept {len(a.tau)} and {len(b.tau)} of {steps + 1} samples (exit "
             f"reasons {a.exit_reason}, {b.exit_reason}); fewer than half")
-
-
-def reparametrization_check(conn: AffineConnection, g: Metric, x0, w0,
-                            q: Callable[[float], float], steps: int, h: float,
-                            tol: float = 1e-6, box=None, singular_loci=None
-                            ) -> CurveComparison:
-    """Integrate once with the given q and once affinely; same point set expected."""
-    affine = integrate_dual_geodesic(conn, g, x0, w0, steps, h,
-                                     box=box, singular_loci=singular_loci)
-    scaled = integrate_dual_geodesic(conn, g, x0, w0, steps, h, q=q,
-                                     box=box, singular_loci=singular_loci)
-    return curves_coincide(affine, scaled, tol)

@@ -11,28 +11,23 @@ Verdicts are grid evidence, never proofs: every report records the grid, the
 seed, and the environment, and identical run configurations reproduce the
 report byte for byte (no timestamps).
 
-A suite's trajectory claims are integrated together.  Each claim draws its
-seeded starts, and takes its place in the report, where the claim order puts
-it; once every claim has its starts, one integrator call advances all of
-them, each start under both of the claim's connections, as the rows of one
-state over ``Fixture.connection_table``.  That call sets each claim's
-residual.  Theorem 1 thus integrates 40 rows (+T, +B, -T, -B times 10
-starts), theorem 2 another 40 (+D, +T, -D, -T), and every row equals its
-single-connection run bit for bit.
-
-The digamma, Weyl and theorem-1 suites reduce their plain grid claims in one
-pass over the grid as well: one :func:`~dualgeo.geometry.grid_maxima` call
-runs every claim's residual function on a block of ``GRID_BLOCK`` points
-before it forms the next, so the metric's jets, inverse and Christoffel
-symbols of each block are computed once (they are the parts of ``Metric``'s
-record of the most recent stack) for all of them.  Each dual-projective and
-semi-compatibility test is one pass of its own, which also compares the
-recovered 1-form with the expected one (the alpha-match claims, and the zero
-1-form of theorem 1's compatibility claims).  A claim that depends on a
-classification verdict keeps its own reduction, as do Weyl's Levi-Civita
-control, run only where t does not vanish, and theorem 2's two checks.
-Theorem 1 adds a claim computed in the pass where the claim order puts it,
-with a NaN residual that the pass then sets.
+A suite adds each claim once, at its place in the report, through
+:meth:`VerificationReport.add`.  The residual is a number, a :class:`GridRow`
+(per-block functions, and how their grid maxima combine) or a
+:class:`CurveRow` (two connection tags, and seeded starts drawn at the
+claim's place, so every draw keeps its order).  One runner,
+:func:`_run_claims`, then sets every pending residual: one
+:func:`~dualgeo.geometry.grid_maxima` pass runs every grid row on a block of
+``GRID_BLOCK`` points before it forms the next, so each block's metric jets,
+inverse and Christoffel symbols are computed once for all of them; then one
+integrator call advances every start of every curve row under both of its
+connections, as the rows of one state over ``Fixture.connection_table``
+(theorem 1: +T, +B, -T, -B times 10 starts; theorem 2: +D, +T, -D, -T), each
+row equal to its single-connection run bit for bit.  The dual-projective and
+semi-compatibility tests (one pass each, which also compares the recovered
+1-form with the expected one), claims that depend on a classification
+verdict, Weyl's Levi-Civita control (run only where t does not vanish) and
+theorem 2's two checks are plain computed rows.
 """
 
 from __future__ import annotations
@@ -97,6 +92,24 @@ class Claim:
         }
 
 
+class GridRow:
+    """A residual to come: ``combine`` of the grid maxima of the per-block
+    functions ``fns``, each returning one array."""
+
+    def __init__(self, *fns, combine=np.max):
+        self.fns, self.combine = fns, combine
+
+
+@dataclass(frozen=True)
+class CurveRow:
+    """A residual to come: the largest curve distance, over ``starts``,
+    between the dual-geodesics of the connections tagged ``tag_a`` and
+    ``tag_b``."""
+    tag_a: str
+    tag_b: str
+    starts: list
+
+
 @dataclass
 class VerificationReport:
     fixture: str
@@ -106,15 +119,23 @@ class VerificationReport:
     claims: list[Claim] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     inputs: dict = field(default_factory=dict)
+    # (claim, row) of every claim whose residual :func:`_run_claims` sets
+    pending: list[tuple[Claim, GridRow | CurveRow]] = field(default_factory=list, repr=False)
 
     @property
     def all_ok(self) -> bool:
         return all(c.ok for c in self.claims)
 
-    def add(self, claim_id: str, statement: str, residual: float, tolerance: float,
-            direction: str = "below", negative_control: bool = False) -> Claim:
-        claim = Claim(claim_id, statement, float(residual), float(tolerance),
-                      direction, negative_control)
+    def add(self, claim_id: str, statement: str, residual: float | GridRow | CurveRow,
+            tolerance: float, direction: str = "below",
+            negative_control: bool = False) -> Claim:
+        """Add a claim; a :class:`GridRow` or :class:`CurveRow` residual stays
+        NaN, a failing value, until :func:`_run_claims` sets it."""
+        row = residual if isinstance(residual, (GridRow, CurveRow)) else None
+        claim = Claim(claim_id, statement, np.nan if row is not None else float(residual),
+                      float(tolerance), direction, negative_control)
+        if row is not None:
+            self.pending.append((claim, row))
         self.claims.append(claim)
         return claim
 
@@ -170,43 +191,35 @@ def _seeded_initial_conditions(fixture: Fixture, rng: np.random.Generator,
     return out
 
 
-def _trajectory_claim(report: VerificationReport, claim_id: str, statement: str,
-                      fixture: Fixture, tag_a: str, tag_b: str,
-                      rng: np.random.Generator, count: int) -> tuple:
-    """Draw a trajectory claim's seeded starts and add the claim to ``report``.
+def _run_claims(report: VerificationReport, fixture: Fixture, grid, *measures,
+                steps: int = 0, h: float = 0.0) -> list[float]:
+    """Set every pending residual of ``report``; return the grid maxima of
+    the per-block ``measures`` (values a suite reports or gates on, never
+    asserts), found in the same pass as the grid rows.
 
-    Its residual stays NaN, a failing value, until
-    :func:`_integrate_trajectory_claims` sets it.
+    A curve row's start counts as evidence only if both curves keep at least
+    half of the ``steps + 1`` samples asked for; otherwise the residual is
+    infinite and a note names the start and both exit reasons.
     """
-    starts = _seeded_initial_conditions(fixture, rng, count)
-    return report.add(claim_id, statement, np.nan, TOL_TRAJECTORY), tag_a, tag_b, starts
-
-
-def _integrate_trajectory_claims(report: VerificationReport, fixture: Fixture,
-                                 pending: list[tuple], steps: int, h: float) -> None:
-    """Set each pending claim's residual: the largest curve distance over its
-    starts between the curves of its two connections.
-
-    Every curve of every claim is one row of a single integrator call over a
-    connection table (``Fixture.connection_table``), so each RK4 stage
-    evaluates the metric and each structure field once for all of them.
-
-    A start counts as evidence only if both curves keep at least half of the
-    ``steps + 1`` samples asked for; otherwise the residual is infinite and a
-    note names the start and both exit reasons.
-    """
-    tags, x0s, w0s = [], [], []
-    for _, tag_a, tag_b, starts in pending:
-        for tag in (tag_a, tag_b):
-            tags += [tag] * len(starts)
-            x0s += [x0 for x0, _ in starts]
-            w0s += [w0 for _, w0 in starts]
-    curves = iter(integrate_dual_geodesics(
-        fixture.connection_table(tags), fixture.metric, x0s, w0s, steps, h,
+    grids = [(claim, row) for claim, row in report.pending if isinstance(row, GridRow)]
+    curves = [(claim, row) for claim, row in report.pending if isinstance(row, CurveRow)]
+    report.pending.clear()
+    fns = [fn for _, row in grids for fn in row.fns] + list(measures)
+    maxima = iter(grid_maxima(fns, grid) if fns else [])
+    for claim, row in grids:
+        claim.residual = float(row.combine([next(maxima) for _ in row.fns]))
+    measured = list(maxima)
+    if not curves:
+        return measured
+    rows = [(tag, start) for _, row in curves for tag in (row.tag_a, row.tag_b)
+            for start in row.starts]
+    out = iter(integrate_dual_geodesics(
+        fixture.connection_table([tag for tag, _ in rows]), fixture.metric,
+        [x0 for _, (x0, _) in rows], [w0 for _, (_, w0) in rows], steps, h,
         box=fixture.box, singular_loci=fixture.singular_loci))
-    for claim, _, _, starts in pending:
-        curves_a = list(itertools.islice(curves, len(starts)))
-        curves_b = list(itertools.islice(curves, len(starts)))
+    for claim, row in curves:
+        curves_a = list(itertools.islice(out, len(row.starts)))
+        curves_b = list(itertools.islice(out, len(row.starts)))
         worst = 0.0
         for start, (ta, tb) in enumerate(zip(curves_a, curves_b)):
             why = short_comparison(ta, tb, steps)
@@ -218,10 +231,7 @@ def _integrate_trajectory_claims(report: VerificationReport, fixture: Fixture,
             cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
             worst = np.maximum(worst, np.maximum(cmp.dist_a_to_b, cmp.dist_b_to_a))
         claim.residual = float(worst)
-
-
-def _sign_label(sign: int) -> str:
-    return "plus" if sign > 0 else "minus"
+    return measured
 
 
 def _coefficient_gap(conn_a: AffineConnection, conn_b: AffineConnection):
@@ -247,19 +257,7 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
     n = fixture.n
     bcoef = conv.b_coefficient(n)
 
-    # measured, never asserted: symmetry/trace defects of the decomposition
-    # remainder S (nonzero on concrete fixtures under the frozen conventions)
-    def remainder(block):
-        parts = decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
-        return parts.symmetry_defect, parts.trace_defect
-
-    # claims set by the grid pass after the loop: (claim, its residual
-    # functions, how their maxima combine into its residual)
-    in_pass = []
-    pending = []
-    for sign in (+1, -1):
-        lbl = _sign_label(sign)
-        pm = "+" if sign > 0 else "-"
+    for sign, pm, lbl in ((+1, "+", "plus"), (-1, "-", "minus")):
         conn_t = fixture.connection(pm + "T")
         conn_b = fixture.connection(pm + "B")
 
@@ -276,10 +274,12 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the recovered equivalence 1-form equals +/-((n+2)/n) t",
             dp.alpha_mismatch, tol_algebraic)
 
-        pending.append(_trajectory_claim(
-            report, f"t1.trajectories.{lbl}",
+        report.add(
+            f"t1.trajectories.{lbl}",
             "dual-geodesics from seeded starts coincide as point sets",
-            fixture, pm + "T", pm + "B", rng, trajectory_count))
+            CurveRow(pm + "T", pm + "B",
+                     _seeded_initial_conditions(fixture, rng, trajectory_count)),
+            TOL_TRAJECTORY)
 
         sc = semi_compatibility_test(conn_b, g, grid, tol_algebraic,
                                      expected_beta=lambda block: 0.0)
@@ -292,35 +292,21 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         shifted_residuals = []
         for _ in range(5):
             beta = rng.normal(size=n)
-            norm = np.linalg.norm(beta)
-            beta *= (0.5 + rng.random()) / norm
+            beta *= (0.5 + rng.random()) / np.linalg.norm(beta)
             shifted = shift_by_one_form(conn_t, g, lambda _x, _b=beta: _b,
                                         tag=f"{lbl}-shifted")
             shifted_residuals.append(
                 lambda block, _c=shifted: antisymmetrized_gradient(_c, g, block))
-        in_pass.append((report.add(
+        report.add(
             f"t1.uniqueness.{lbl}",
             "every seeded 1-form shift of the induced connection other than the "
             "symmetrized one breaks metric compatibility",
-            np.nan, 1e-3, direction="above"), shifted_residuals, np.min))
-        in_pass.append((report.add(
+            GridRow(*shifted_residuals, combine=np.min), 1e-3, direction="above")
+        report.add(
             f"t1.ricci_symmetry.{lbl}",
             "the induced connection is Ricci-symmetric (checked through its own "
             "curvature, extra differentiation included)",
-            np.nan, tol_curvature),
-            [lambda block, _c=conn_t: ricci_asymmetry(_c, block)], np.max))
-
-    maxima = iter(grid_maxima([remainder, *(fn for _, fns, _ in in_pass for fn in fns)],
-                              grid))
-    s_sym, s_tr = next(maxima), next(maxima)
-    report.notes.append(
-        f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
-        f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
-    for claim, fns, combine in in_pass:
-        claim.residual = float(combine([next(maxima) for _ in fns]))
-
-    _integrate_trajectory_claims(report, fixture, pending, trajectory_steps,
-                                 trajectory_step_size)
+            GridRow(lambda block, _c=conn_t: ricci_asymmetry(_c, block)), tol_curvature)
 
     # negative control: a perturbed symmetrized tensor must break the criterion
     conn_t = fixture.connection("+T")
@@ -339,6 +325,18 @@ def verify_theorem1(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
         "t1.negative_control.perturbed_b",
         "a perturbed symmetrized connection must fail the dual-projective criterion",
         dp_broken.max_residual, 1e-3, direction="above", negative_control=True)
+
+    # measured, never asserted: symmetry/trace defects of the decomposition
+    # remainder S (nonzero on concrete fixtures under the frozen conventions)
+    def remainder(block):
+        parts = decompose(fixture.structure_tensor(block), g.value(block), g.inverse(block))
+        return parts.symmetry_defect, parts.trace_defect
+
+    s_sym, s_tr = _run_claims(report, fixture, grid, remainder, steps=trajectory_steps,
+                              h=trajectory_step_size)
+    # ahead of the runner's notes on short curves
+    report.notes.insert(0, f"decomposition remainder S: max symmetry defect {s_sym:.3e}, "
+                           f"max trace defect {s_tr:.3e} over the grid (reported, not asserted)")
     return report
 
 
@@ -384,10 +382,7 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                      grid),
             1e-10)
 
-    pending = []
-    for sign in (+1, -1):
-        lbl = _sign_label(sign)
-        pm = "+" if sign > 0 else "-"
+    for sign, pm, lbl in ((+1, "+", "plus"), (-1, "-", "minus")):
         conn_d = fixture.connection(pm + "D")
         conn_t = fixture.connection(pm + "T")
 
@@ -404,10 +399,12 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "the recovered equivalence 1-form equals -/+ s/n",
             dp.alpha_mismatch, tol_algebraic)
 
-        pending.append(_trajectory_claim(
-            report, f"t2.trajectories.{lbl}",
+        report.add(
+            f"t2.trajectories.{lbl}",
             "dual-geodesics of the two connections coincide as point sets",
-            fixture, pm + "D", pm + "T", rng, trajectory_count))
+            CurveRow(pm + "D", pm + "T",
+                     _seeded_initial_conditions(fixture, rng, trajectory_count)),
+            TOL_TRAJECTORY)
 
         sc = semi_compatibility_test(
             conn_d, g, grid, tol_algebraic, expected_beta=lambda block: sign * (
@@ -424,9 +421,6 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
                 f"t2.semi_compatibility.{lbl}",
                 "semi-compatibility via the beta formula must fail on a strong system",
                 value, 1e-2, direction="above")
-
-    _integrate_trajectory_claims(report, fixture, pending, trajectory_steps,
-                                 trajectory_step_size)
 
     report.add(
         "t2.beta_condition",
@@ -475,6 +469,7 @@ def verify_theorem2(fixture: Fixture, per_axis: int = 5, seed: int = 20250808,
             "a synthetic mixed-symmetry perturbation of the prolongation tensor "
             "must move the obstruction norm out of the weak regime",
             flipped_cls.max_n_norm, 0.1, direction="above", negative_control=True)
+    _run_claims(report, fixture, grid, steps=trajectory_steps, h=trajectory_step_size)
     return report
 
 
@@ -501,15 +496,14 @@ def verify_weyl_symmetry(fixture: Fixture, per_axis: int = 5,
 
         return asymmetry
 
-    # the Levi-Civita defect takes its own pass, and only where t does not vanish
-    defect_t, t_scale = grid_maxima([total_symmetry_defect(conn_t), fixture.t_covector],
-                                    grid)
     report.add(
         "weyl.total_symmetry",
         "the t-corrected metric derivative of the induced connection is a totally "
         "symmetric cubic form",
-        defect_t, 1e-8)
+        GridRow(total_symmetry_defect(conn_t)), 1e-8)
 
+    # the Levi-Civita defect takes its own pass, and only where t does not vanish
+    (t_scale,) = _run_claims(report, fixture, grid, fixture.t_covector)
     if not t_scale <= 1e-6:
         report.add(
             "weyl.negative_control.levi_civita",
@@ -554,52 +548,41 @@ def verify_remark_digamma(fixture: Fixture, per_axis: int = 3,
                                    difference_tensor(conn_f[s], conn_b[s], block))
                          - orient * target for s, orient in (("-", +1.0), ("+", -1.0))])
 
-    conn_const = fixture.connection("+F", zeta=zeta_const)
-    # one pass over the grid for every claim, in claim order
-    residuals = [identity_gap,
-                 lambda block: antisymmetrized_gradient(conn_f["+"], g, block),
-                 lambda block: antisymmetrized_gradient(conn_b["+"], g, block),
-                 _coefficient_gap(conn_const, conn_b["+"]),
-                 _coefficient_gap(conn_f["+"], conn_b["+"])]
-    if fixture.zeta is not None:
-        residuals += [_coefficient_gap(fixture.connection("+F"), conn_b["+"]),
-                      lambda block: build_Z_and_digamma(
-                          g, fixture.structure_tensor(block), fixture.zeta,
-                          block).zeta_residual]
-    identity, codazzi_f, codazzi_b, const_gap, nonconst_gap, *own_zeta = grid_maxima(
-        residuals, grid)
-
     report.add(
         "rd.difference_identity",
         "the flatted connection difference equals the symmetrized metric-dzeta "
         "product with weight 1/(2(n-2))",
-        identity, 1e-9)
+        GridRow(identity_gap), 1e-9)
 
-    for name, residual in (("codazzi_f", codazzi_f), ("codazzi_b", codazzi_b)):
+    for name, conn in (("codazzi_f", conn_f["+"]), ("codazzi_b", conn_b["+"])):
         report.add(
             f"rd.{name}",
             "the connection is metric-compatible (Codazzi: antisymmetrized metric "
             "derivative vanishes)",
-            residual, 1e-9)
+            GridRow(lambda block, _c=conn: antisymmetrized_gradient(_c, g, block)), 1e-9)
 
     report.add(
         "rd.constant_zeta_coincidence",
         "with locally constant zeta the completion connection coincides with the "
         "symmetrized connection coefficientwise",
-        const_gap, 1e-12)
+        GridRow(_coefficient_gap(fixture.connection("+F", zeta=zeta_const), conn_b["+"])),
+        1e-12)
 
     report.add(
         "rd.negative_control.nonconstant_zeta",
         "with non-constant zeta the two connections must differ",
-        nonconst_gap, 1e-6, direction="above",
+        GridRow(_coefficient_gap(conn_f["+"], conn_b["+"])), 1e-6, direction="above",
         negative_control=True)
 
-    if own_zeta:
-        own_gap, zres = own_zeta
+    zeta_residual = []
+    if fixture.zeta is not None:
         report.add(
             "rd.fixture_zeta",
             "with the fixture's own zeta (trivial here) the connections coincide",
-            own_gap, 1e-12)
+            GridRow(_coefficient_gap(fixture.connection("+F"), conn_b["+"])), 1e-12)
+        zeta_residual.append(lambda block: build_Z_and_digamma(
+            g, fixture.structure_tensor(block), fixture.zeta, block).zeta_residual)
+    for zres in _run_claims(report, fixture, grid, *zeta_residual):
         report.notes.append(
             f"defining-equation residual of the fixture's zeta: {zres:.3e} "
             "(reported; the injected test zeta is not required to satisfy it)")

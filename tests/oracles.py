@@ -965,6 +965,33 @@ def digamma_residuals_claim_by_claim(fixture, per_axis):
     return out
 
 
+def weyl_residuals_claim_by_claim(fixture, per_axis):
+    """The Weyl suite's residuals by claim id, plus the t scale that gates its
+    Levi-Civita control under ``"t_scale"``, each reduced by its own
+    ``grid_max`` pass over the grid."""
+    g = fixture.metric
+    grid = fixture.grid(per_axis)
+    bcoef = conv.b_coefficient(fixture.n)
+
+    def total_symmetry_defect(conn):
+        def asymmetry(x):
+            hmat, dh, _ = g.jets(x)
+            corr = np.einsum("...mij,...mk->...ijk", conn.coefficients(x), hmat)
+            w = (dh - corr - np.einsum("...ikj->...ijk", corr)
+                 - bcoef * np.einsum("...i,...jk->...ijk", fixture.t_covector(x), g.value(x)))
+            return np.stack([w - np.einsum(f"...{perm}->...ijk", w)
+                             for perm in ("ikj", "jik", "jki", "kij", "kji")])
+
+        return grid_max(asymmetry, grid)
+
+    out = {"weyl.total_symmetry": total_symmetry_defect(fixture.connection("+T")),
+           "t_scale": grid_max(fixture.t_covector, grid)}
+    if not out["t_scale"] <= 1e-6:
+        out["weyl.negative_control.levi_civita"] = total_symmetry_defect(
+            fixture.connection("LC"))
+    return out
+
+
 def theorem1_grid_residuals_claim_by_claim(fixture, per_axis, seed, trajectory_count):
     """The residuals of theorem 1's uniqueness and Ricci claims by claim id,
     plus its remainder-defect note values under ``"s_sym"`` and ``"s_tr"``,

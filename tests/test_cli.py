@@ -460,3 +460,19 @@ def test_trace_start_must_clear_the_singular_loci():
     assert "singular locus x1 = 0.0" in _start_problem(fixture, np.array([0.0008, 1.0]), w0)
     # the box edges are inside the box
     assert _start_problem(fixture, np.array([3.0, 0.5]), w0) is None
+
+
+@pytest.mark.parametrize("enlarging", ["nope", "sphere3-trivial", "sw2-weak"])
+def test_an_enlarging_fixture_of_no_use_exits_3(enlarging, tmp_path, capsys):
+    # an unknown built-in, or one of another dimension, fails to load: before
+    # the check, theorem 2 built it and died with a traceback and exit 1; a
+    # semi-degenerate one made the cross-check compare the extraction with itself
+    from dualgeo.fixtures import builtin_config
+    cfg = builtin_config("sw2-weak")
+    cfg["expected"]["enlarging"] = enlarging
+    path = tmp_path / "enlarging.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(["verify", str(path), "--theorem", "2", "--grid", "3"], capsys)
+    assert code == 3 and out == ""
+    assert err == (f"error: invalid fixture config: expected.enlarging {enlarging!r} is "
+                   "not a nondegenerate built-in fixture of dimension 2 (ho2, sw2)\n")

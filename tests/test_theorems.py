@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 
 from dualgeo.fixtures import builtin, from_config, builtin_config
 from dualgeo.theorems import (
-    SuiteNotApplicable, applicable_suites, verify_remark_digamma,
+    SUITES, SuiteNotApplicable, applicable_suites, verify_remark_digamma,
     verify_theorem1, verify_theorem2, verify_weyl_symmetry,
 )
-from oracles import digamma_residuals_claim_by_claim, theorem1_grid_residuals_claim_by_claim
+from oracles import (
+    digamma_residuals_claim_by_claim, theorem1_grid_residuals_claim_by_claim,
+    weyl_residuals_claim_by_claim,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -171,6 +175,53 @@ def test_theorem1_pass_claims_equal_one_pass_per_claim(name):
             in report.notes)
 
 
+@pytest.mark.parametrize("name", ["sw2", "ho2"])
+def test_weyl_claims_equal_one_pass_per_claim(name):
+    # the total-symmetry defect and the t scale that gates the Levi-Civita
+    # control come from one pass; each must be the value a separate pass per
+    # quantity finds, bit for bit (10 grid blocks)
+    fixture = builtin(name)
+    report = verify_weyl_symmetry(fixture, per_axis=25)
+    expected = weyl_residuals_claim_by_claim(fixture, 25)
+    t_scale = expected.pop("t_scale")
+    assert {c.claim_id: c.residual.hex() for c in report.claims} == {
+        claim_id: residual.hex() for claim_id, residual in expected.items()}
+    assert [c.claim_id for c in report.claims] == list(expected)   # claim order kept
+    skipped = ("trace 1-form vanishes on this fixture; Levi-Civita negative control "
+               "is not discriminating and was skipped")
+    if name == "ho2":
+        assert t_scale == 0.0 and report.notes == [skipped]
+    else:
+        assert t_scale > 1e-6 and report.notes == []
+
+
+def test_runner_notes_the_remainder_first_then_short_curves_in_claim_order(sw2):
+    # a step of 8.0 leaves the box at once, so every start of both trajectory
+    # claims gets a note; the remainder note, set in the grid pass, comes first
+    report = verify_theorem1(sw2, per_axis=3, trajectory_step_size=8.0)
+    assert report.notes[0].startswith("decomposition remainder S: max symmetry defect ")
+    # a curve keeps 2 samples where its first step stays in the box, else 1
+    assert [re.sub(r"kept \d and \d of", "kept _ and _ of", note)
+            for note in report.notes[1:]] == [
+        f"t1.trajectories.{sign}: start {start} kept _ and _ of 801 samples (exit reasons "
+        "domain_exit, domain_exit); fewer than half, so the residual is inf"
+        for sign in ("plus", "minus") for start in range(10)]
+    ids = claims_by_id(report)
+    assert ids["t1.trajectories.plus"].residual == ids["t1.trajectories.minus"].residual == np.inf
+
+
+@pytest.mark.parametrize("name", ["ho2", "sw2", "sw2-weak", "sw2-strong-synthetic",
+                                  "sphere3-trivial"])
+def test_runner_settles_every_claim(name):
+    # no suite leaves a claim pending: a pending residual is NaN
+    fixture = builtin(name)
+    for suite in applicable_suites(fixture):
+        kw = {"trajectory_count": 2, "trajectory_steps": 20} if suite in ("1", "2") else {}
+        report = SUITES[suite](fixture, per_axis=3, **kw)
+        assert report.claims and report.pending == []
+        assert not [c.claim_id for c in report.claims if np.isnan(c.residual)]
+
+
 def test_digamma_needs_n3(sw2):
     with pytest.raises(SuiteNotApplicable):
         verify_remark_digamma(sw2)
@@ -235,14 +286,14 @@ def test_trajectory_claim_needs_half_the_samples(sw2):
     # a step of 8.0 leaves the box at once: every curve keeps one of the
     # 801 samples asked for, so no start counts as evidence
     from dualgeo.theorems import (
-        VerificationReport, _integrate_trajectory_claims, _trajectory_claim,
+        TOL_TRAJECTORY, CurveRow, VerificationReport, _run_claims, _seeded_initial_conditions,
     )
     report = VerificationReport(sw2.name, "theorem1", {}, 0)
-    pending = [_trajectory_claim(report, "t1.trajectories.plus", "short curves",
-                                 sw2, "+T", "+B", np.random.default_rng(0), count=10)]
-    claim = pending[0][0]
+    starts = _seeded_initial_conditions(sw2, np.random.default_rng(0), 10)
+    claim = report.add("t1.trajectories.plus", "short curves", CurveRow("+T", "+B", starts),
+                       TOL_TRAJECTORY)
     assert np.isnan(claim.residual) and not claim.ok
-    _integrate_trajectory_claims(report, sw2, pending, steps=800, h=8.0)
+    _run_claims(report, sw2, None, steps=800, h=8.0)
     assert claim.residual == np.inf and not claim.ok
     assert len(report.notes) == 10
     assert report.notes[3] == (
