@@ -34,10 +34,7 @@ from .fixtures import (
     CONNECTION_TAGS, FixtureError, FixtureValidationError, UnknownFixtureError,
     builtin, builtin_names, load,
 )
-from .geodesics import (
-    SINGULAR_HALT_MARGIN, CurveComparison, curves_coincide, integrate_dual_geodesic,
-    short_comparison,
-)
+from .geodesics import SINGULAR_HALT_MARGIN, curves_coincide, integrate_dual_geodesic
 from .structure import classify
 from .theorems import SUITES, SuiteNotApplicable, applicable_suites
 
@@ -280,12 +277,9 @@ def cmd_trace(args, fixture) -> int:
         traj = trace_and_export()
         other = compare_result()
 
-    why = short_comparison(traj, other, args.steps)
-    if why is None:
-        cmp = curves_coincide(traj, other, args.tol)
-    else:
-        print(f"note: no evidence of coincidence: the curves {why}", file=sys.stderr)
-        cmp = CurveComparison(False, np.inf, np.inf, args.tol)
+    cmp = curves_coincide(traj, other, args.tol, args.steps)
+    if cmp.short is not None:
+        print(f"note: no evidence of coincidence: the curves {cmp.short}", file=sys.stderr)
     result = {
         "coincide": cmp.coincide,
         "hausdorff_a_to_b": f"{cmp.dist_a_to_b:.17g}",

@@ -22,9 +22,11 @@ suite can reduce them in its own single pass over the grid.
 Every connection other than Levi-Civita is ``Gamma_LC - sign * A`` for a
 difference tensor A symmetric in its covariant pair, and
 :func:`difference_connection` is the one place that assembles it (and its
-Jacobian, when A has an analytic one).  Derivatives are analytic or absent:
-a connection built without a Jacobian (dagger, F, a 1-form shift) raises
-when asked for one, and so for its Ricci tensor.  It does not check that A is
+Jacobian, when A has an analytic one).  Derivatives are analytic or absent,
+and present only where a suite differentiates: LC, ±D and the ±T of a
+nondegenerate fixture carry a Jacobian.  A connection built without one (±B,
+a semi-degenerate fixture's ±T, dagger, ±F, a 1-form shift) raises when asked
+for one, and so for its Ricci tensor.  It does not check that A is
 symmetric: a fixture's declared tensors are checked once, on the validation
 grid, when the fixture loads.
 

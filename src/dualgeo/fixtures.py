@@ -144,16 +144,14 @@ class Fixture:
         return D - np.einsum("...ij,...k->...kij", gmat, s_up) / self.n
 
     def structure_tensor_jacobian(self, x) -> np.ndarray:
-        if self.kind == "nondegenerate":
-            if self.structure_T is not None:
-                return self.structure_T.jets(x)[1]
-            return self.solver.structure_tensor_jacobian(x)
-        dD = self.prolongation_jacobian(x)
-        gmat, dgmat, _ = self.metric.jets(x)
-        s_up = self.s_vector(x)
-        ds_up = self.s_vector_jacobian(x)
-        return dD - (np.einsum("...aij,...k->...akij", dgmat, s_up)
-                     + np.einsum("...ij,...ak->...akij", gmat, ds_up)) / self.n
+        """dT[a, k, i, j] = d_a T^k_{ij} of a nondegenerate fixture; no suite
+        differentiates the T a semi-degenerate fixture extracts."""
+        if self.is_semidegenerate:
+            raise FixtureError(f"fixture {self.name!r} is {self.kind}; only the T of a "
+                               "nondegenerate fixture has a Jacobian")
+        if self.structure_T is not None:
+            return self.structure_T.jets(x)[1]
+        return self.solver.structure_tensor_jacobian(x)
 
     def prolongation_tensor(self, x) -> np.ndarray:
         if self.structure_D is not None:
@@ -174,11 +172,6 @@ class Fixture:
         if self.solver is None:
             raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
         return self.solver.s_vector(x)
-
-    def s_vector_jacobian(self, x) -> np.ndarray:
-        if self.structure_s is not None:
-            return self.structure_s.jets(x)[1]
-        return self.solver.s_vector_jacobian(x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -206,20 +199,6 @@ class Fixture:
         einsum's accumulation gives."""
         t_up = self._t_coefficient * matvec(ginv, T.trace(axis1=-3, axis2=-2))
         return T + self._b_coefficient * (0.0 + gmat[..., None, :, :] * t_up[..., None, None])
-
-    def _b_jacobian(self, x) -> np.ndarray:
-        g = self.metric
-        dT = self.structure_tensor_jacobian(x)
-        gmat, dgmat, _ = g.jets(x)
-        ginv = g.inverse(x)
-        tau = np.einsum("...iij->...j", self.structure_tensor(x))
-        dtau = np.einsum("...aiij->...aj", dT)
-        coef = self._t_coefficient * self._b_coefficient
-        t_up = matvec(coef * ginv, tau)
-        dt_up = coef * (np.einsum("...akm,...m->...ak", g.inverse_jacobian(x), tau)
-                        + np.einsum("...km,...am->...ak", ginv, dtau))
-        return dT + (np.einsum("...aij,...k->...akij", dgmat, t_up)
-                     + np.einsum("...ij,...ak->...akij", gmat, dt_up))
 
     def _dagger_tensor(self, x) -> np.ndarray:
         """D minus the trace shift that makes the dagger companion."""
@@ -251,9 +230,11 @@ class Fixture:
         """Named member of the fixture's connection family.
 
         Every member but LC is ``Gamma_LC - sign * A`` for the difference
-        tensor A named by the tag (``dagger`` has sign +1).  T, B and D carry
-        analytic Jacobians; dagger and F, which no suite differentiates, have
-        none, and their ``jacobian`` and ``ricci`` raise.
+        tensor A named by the tag (``dagger`` has sign +1).  Only the
+        connections a suite differentiates carry analytic Jacobians: LC, ±D
+        and the ±T of a nondegenerate fixture.  B, the T a semi-degenerate
+        fixture extracts, dagger and F have none, and their ``jacobian`` and
+        ``ricci`` raise.
         ``zeta`` overrides the fixture's own zeta for the F-connections (used
         by the remark suite to inject test functions).
         """
@@ -264,8 +245,9 @@ class Fixture:
             return levi_civita(self.metric)
         zfield = zeta if zeta is not None else self.zeta
         tensor_fn, tensor_jac_fn = {
-            "T": (self.structure_tensor, self.structure_tensor_jacobian),
-            "B": (self.b_tensor, self._b_jacobian),
+            "T": (self.structure_tensor,
+                  None if self.is_semidegenerate else self.structure_tensor_jacobian),
+            "B": (self.b_tensor, None),
             "D": (self.prolongation_tensor, self.prolongation_jacobian),
             "dagger": (self._dagger_tensor, None),
             "F": (lambda x: self._f_tensor(x, zfield), None),
@@ -712,8 +694,10 @@ def validate(fixture: Fixture) -> list[dict]:
             fail("family-size",
                  f"{fixture.kind} family should have {want} potentials, "
                  f"found {fixture.family.size}")
-    elif fixture.structure_D is None:
-        fail("family-missing", "fixture declares no potentials and no tensor data")
+    elif not (fixture.is_semidegenerate and fixture.structure_D is not None
+              and fixture.structure_s is not None):
+        fail("family-missing", "fixture declares no potentials; without them it must be "
+             "semi-degenerate and declare structure.D and structure.s")
 
     # conditioning, recovery and closed forms: one stacked call each over the
     # grid.  A call that raises is one failure, and the checks that need its
@@ -808,11 +792,14 @@ def validate(fixture: Fixture) -> list[dict]:
                 "s": fixture.s_vector, "t": fixture.t_covector}
     for k, spot in enumerate(expected.get("spots", [])):
         x = np.asarray(spot["point"], dtype=float)
-        if x.shape != (n,):
-            fail("expected-spot", f"spots[{k}] is malformed: point has shape {x.shape}, "
-                 f"not ({n},)")
-            continue
         tensor, index = spot["tensor"], tuple(int(i) - 1 for i in spot["index"])
+        rank = 1 if tensor in ("s", "t") else 3
+        if x.shape != (n,) or len(index) != rank or max(index) >= n:
+            fail("expected-spot", f"spots[{k}] is malformed: " + (
+                f"point has shape {x.shape}, not ({n},)" if x.shape != (n,) else
+                f"{tensor} takes an index of length {rank} with entries in 1..{n}, "
+                f"not {spot['index']}"))
+            continue
         try:
             value = float(evaluate[tensor](x)[index])
         except Exception as exc:

@@ -384,17 +384,26 @@ class CurveComparison:
     dist_a_to_b: float
     dist_b_to_a: float
     tol: float
+    short: str | None = None   # why the curves are no evidence, when they are not
 
 
-def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveComparison:
+def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6,
+                    steps: int | None = None) -> CurveComparison:
     """Discrete one-sided Hausdorff distances on the overlapping arc.
 
     The overlap of each curve is bracketed by projecting the other curve's
     endpoints onto it; samples outside that bracket (the part of a longer arc
     the other curve never reaches) do not count against coincidence.  A
     bracket that holds fewer than MIN_OVERLAP of the curve's samples gives an
-    infinite distance.
+    infinite distance.  Given the ``steps`` both integrations were asked for,
+    each curve must keep at least half of the ``steps + 1`` samples: curves
+    that stopped earlier can coincide without showing anything, so both
+    distances are infinite and ``short`` says why.
     """
+    if steps is not None and 2 * min(len(a.tau), len(b.tau)) < steps + 1:
+        return CurveComparison(False, np.inf, np.inf, tol, (
+            f"kept {len(a.tau)} and {len(b.tau)} of {steps + 1} samples (exit "
+            f"reasons {a.exit_reason}, {b.exit_reason}); fewer than half"))
     pa, pb = _Polyline(a.x), _Polyline(b.x)
 
     def one_sided(src: _Polyline, dst: _Polyline) -> float:
@@ -408,15 +417,3 @@ def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6) -> CurveCom
 
     dab, dba = one_sided(pa, pb), one_sided(pb, pa)
     return CurveComparison(dab < tol and dba < tol, dab, dba, tol)
-
-
-def short_comparison(a: Trajectory, b: Trajectory, steps: int) -> str | None:
-    """Why comparing ``a`` and ``b`` is no evidence, or None when it is.
-
-    Each curve must keep at least half of the ``steps + 1`` samples asked for;
-    curves that stopped earlier can coincide without showing anything.
-    """
-    if 2 * min(len(a.tau), len(b.tau)) >= steps + 1:
-        return None
-    return (f"kept {len(a.tau)} and {len(b.tau)} of {steps + 1} samples (exit "
-            f"reasons {a.exit_reason}, {b.exit_reason}); fewer than half")

@@ -11,9 +11,10 @@ trace-unconstrained analogue ``nabla^2 V = D(dV)``.  Each component pair
 ``(i, j)`` is an overdetermined system with the same matrix, the family's
 gradients, so both are one SVD least-squares solve (rcond 1e-10) with n
 unknowns per right-hand side; normal equations are never formed, and T needs
-no trace constraint (see :class:`StructureSolver`).  T, D and s have one
-derivative each: the field's linear system differentiated and solved for every
-chart axis at once, which the induced connections' Jacobians consume.  A point or
+no trace constraint (see :class:`StructureSolver`).  T and D, whose connections
+the suites differentiate (the Ricci symmetry of +-T and +D), have one derivative
+each: the field's linear system differentiated and solved for every chart axis
+at once.  s, which only first-order claims use, has none.  A point or
 a ``(..., n)`` stack is one ``np.linalg.svd`` call, and a solve returns its
 field alone: validation asks :meth:`StructureSolver.fit_residual` for the fit.
 
@@ -110,7 +111,7 @@ class StructureSolver:
         return grads, hess_cov[..., self._i, self._j]
 
     def _differentiated_system(self, field: str, x) -> tuple[np.ndarray, ...]:
-        """(grads, hessians, dB[a, m, p] = d_m B[a, p]) of field "T", "D" or "s":
+        """(grads, hessians, dB[a, m, p] = d_m B[a, p]) of field "T" or "D":
         :meth:`_system` differentiated along every chart axis m."""
         g = self.g
         grads, hesses, thirds = self._program.jet_arrays(x, 3)[1:]
@@ -124,8 +125,6 @@ class StructureSolver:
         hess_cov, laps = self._covariant_hessians(gamma, ginv, grads, hesses)
         dlap = (np.einsum("...mij,...aij->...am", g.inverse_jacobian(x), hess_cov)
                 + np.einsum("...ij,...amij->...am", ginv, dhess_cov))
-        if field == "s":
-            return grads, hesses, dlap[..., None]
         gmat, dgmat, _ = g.jets(x)
         drhs = (dhess_cov
                 - np.einsum("...mij,...a->...amij", dgmat, laps) / g.n
@@ -152,9 +151,10 @@ class StructureSolver:
 
     def _jacobian(self, field: str, X: np.ndarray, x) -> np.ndarray:
         """dC[m, k, p] solving grads @ dC[m] = dB[m] - d_m(grads) C, all axes m in
-        one call, for the solved field X; exact where the fit residual is at
-        roundoff (T of nondegenerate families, D and s of semi-degenerate ones), not
-        for s of a nondegenerate family, a fit with a residual never differentiated."""
+        one call, for the solved field X, "T" or "D": the fields whose connections
+        a suite differentiates, T of a nondegenerate family (+-T) and D of a
+        semi-degenerate one (+D).  Exact where the fit residual is at roundoff,
+        as it is for those; s, which feeds first-order claims only, has none."""
         grads, hesses, dB = self._differentiated_system(field, x)
         lead, (m_pot, n) = grads.shape[:-2], grads.shape[-2:]
         rhs = dB - np.einsum("...amk,...kp->...amp", hesses, self._columns(field, X))
@@ -181,10 +181,6 @@ class StructureSolver:
     def s_vector(self, x) -> np.ndarray:
         """s^k solving Laplacian(V) = s^k d_k V over the family."""
         return self._solve(*self._system("s", x), "semi-degeneracy", x)[..., 0]
-
-    def s_vector_jacobian(self, x) -> np.ndarray:
-        """ds[a, k] = d_a s^k, by differentiating the linear system."""
-        return self._jacobian("s", self.s_vector(x), x)[..., 0]
 
     def fit_residual(self, x, fields: dict) -> np.ndarray:
         """Largest |grads @ C - B| per point over solved fields keyed "T", "D" or

@@ -48,7 +48,7 @@ from .connections import (
     semi_compatibility_test, shift_by_one_form,
 )
 from .fixtures import Fixture, builtin
-from .geodesics import curves_coincide, integrate_dual_geodesics, short_comparison
+from .geodesics import curves_coincide, integrate_dual_geodesics
 from .geometry import ScalarField, grid_max, grid_maxima
 from .structure import (
     beta_condition_residual, build_Z_and_digamma, classify, decompose,
@@ -198,8 +198,9 @@ def _run_claims(report: VerificationReport, fixture: Fixture, grid, *measures,
     asserts), found in the same pass as the grid rows.
 
     A curve row's start counts as evidence only if both curves keep at least
-    half of the ``steps + 1`` samples asked for; otherwise the residual is
-    infinite and a note names the start and both exit reasons.
+    half of the ``steps + 1`` samples asked for (:func:`curves_coincide`'s
+    rule); otherwise the residual is infinite and a note names the start and
+    both exit reasons.
     """
     grids = [(claim, row) for claim, row in report.pending if isinstance(row, GridRow)]
     curves = [(claim, row) for claim, row in report.pending if isinstance(row, CurveRow)]
@@ -222,13 +223,10 @@ def _run_claims(report: VerificationReport, fixture: Fixture, grid, *measures,
         curves_b = list(itertools.islice(out, len(row.starts)))
         worst = 0.0
         for start, (ta, tb) in enumerate(zip(curves_a, curves_b)):
-            why = short_comparison(ta, tb, steps)
-            if why is not None:
-                worst = np.inf
+            cmp = curves_coincide(ta, tb, TOL_TRAJECTORY, steps)
+            if cmp.short is not None:
                 report.notes.append(
-                    f"{claim.claim_id}: start {start} {why}, so the residual is inf")
-                continue
-            cmp = curves_coincide(ta, tb, TOL_TRAJECTORY)
+                    f"{claim.claim_id}: start {start} {cmp.short}, so the residual is inf")
             worst = np.maximum(worst, np.maximum(cmp.dist_a_to_b, cmp.dist_b_to_a))
         claim.residual = float(worst)
     return measured

@@ -678,11 +678,16 @@ def reference_csv(traj) -> str:
 # One formula per tag, each with its own operation order: the Levi-Civita
 # symbols minus sign * T, B = T + ((n+2)/n) g (x) t^sharp, D; the dagger
 # companion (Gamma - D) plus the trace shift; F = B plus the metric-dzeta
-# product.  T and B have the analytic Jacobian dGamma - sign * dT, minus sign *
-# the derivative of the B term, and D the solver's dD; dagger and F have none.
+# product.  Only the connections a suite differentiates have a Jacobian: LC,
+# dGamma - sign * dT for the T of a nondegenerate fixture and dGamma - sign *
+# dD; B, a semi-degenerate fixture's extracted T, dagger and F have none.
 
-# the connections a fixture builds without a Jacobian, whose jacobian() raises
-TAGS_WITHOUT_JACOBIAN = ("dagger", "+F", "-F")
+
+def tags_without_jacobian(fixture):
+    """The tags of the connections ``fixture`` builds without a Jacobian,
+    whose jacobian() and ricci() raise."""
+    extracted = ("+T", "-T") if fixture.is_semidegenerate else ()
+    return ("+B", "-B", *extracted, "dagger", "+F", "-F")
 
 
 def buildable_tags(fixture):
@@ -732,27 +737,14 @@ def reference_coefficients(fixture, tag, x, zeta=None):
 
 def reference_jacobian(fixture, tag, x):
     """dGamma[a, k, i, j] of connection ``tag`` at one point; the tags of
-    TAGS_WITHOUT_JACOBIAN have none."""
+    tags_without_jacobian(fixture) have none."""
     g = fixture.metric
     if tag == "LC":
         return g.christoffel_jacobian(x)
     sign = +1.0 if tag[0] == "+" else -1.0
     if tag[1:] == "D":
         return g.christoffel_jacobian(x) - sign * fixture.prolongation_jacobian(x)
-    dT = fixture.structure_tensor_jacobian(x)
-    out = g.christoffel_jacobian(x) - sign * dT
-    if tag[1:] == "B":
-        gmat, dgmat, _ = g.jets(x)
-        ginv = g.inverse(x)
-        tau = np.einsum("iij->j", fixture.structure_tensor(x))
-        dtau = np.einsum("aiij->aj", dT)
-        coef = conv.t_coefficient(fixture.n) * conv.b_coefficient(fixture.n)
-        t_up = coef * ginv @ tau
-        dt_up = coef * (np.einsum("akm,m->ak", g.inverse_jacobian(x), tau)
-                        + np.einsum("km,am->ak", ginv, dtau))
-        out -= sign * (np.einsum("aij,k->akij", dgmat, t_up)
-                       + np.einsum("ij,ak->akij", gmat, dt_up))
-    return out
+    return g.christoffel_jacobian(x) - sign * fixture.structure_tensor_jacobian(x)
 
 
 # The grid checks one point at a time: the loops the package's blocked checks

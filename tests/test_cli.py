@@ -476,3 +476,39 @@ def test_an_enlarging_fixture_of_no_use_exits_3(enlarging, tmp_path, capsys):
     assert code == 3 and out == ""
     assert err == (f"error: invalid fixture config: expected.enlarging {enlarging!r} is "
                    "not a nondegenerate built-in fixture of dimension 2 (ho2, sw2)\n")
+
+
+def _without_family(name, keep):
+    """Built-in ``name`` with no potentials, declaring only the ``keep``
+    structure fields (sw2's T as D when it has no D) and no expected block."""
+    from dualgeo.fixtures import builtin_config
+    cfg = builtin_config(name)
+    cfg.pop("potentials", None)
+    fields = {"D": cfg["structure"].get("D", cfg["structure"].get("T")),
+              "s": cfg["structure"].get("s")}
+    cfg["structure"] = {key: fields[key] for key in keep}
+    cfg["expected"] = {}
+    return cfg
+
+
+@pytest.mark.parametrize("cfg", [_without_family("sw2", ["D"]),
+                                 _without_family("sw2-strong-synthetic", ["D"])],
+                         ids=["nondegenerate-d-only", "semidegenerate-without-s"])
+@pytest.mark.parametrize("command", [
+    ["verify", "--grid", "3"],
+    ["classify"],
+    ["trace", "--conn", "+T", "--x0", "1,2", "--w0", "0.1,0", "--steps", "10"],
+], ids=["verify", "classify", "trace"])
+def test_a_config_without_potentials_needs_semidegenerate_d_and_s(cfg, command, tmp_path,
+                                                                 capsys, monkeypatch):
+    # both loaded before: verify and trace then died with a traceback and
+    # exit 1 (an AttributeError on the missing solver, or "no semi-degeneracy
+    # data"), and so did classify on the semi-degenerate one
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "no-family.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 3 and out == ""
+    assert ("family-missing: fixture declares no potentials; without them it must be "
+            "semi-degenerate and declare structure.D and structure.s") in err
+    assert not list(tmp_path.glob("trajectory*"))

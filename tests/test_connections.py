@@ -12,7 +12,7 @@ from dualgeo.connections import (
 from dualgeo.fixtures import builtin, from_config
 from dualgeo.geometry import Metric, ScalarField
 from oracles import (
-    TAGS_WITHOUT_JACOBIAN, buildable_tags, reference_coefficients, reference_jacobian,
+    buildable_tags, reference_coefficients, reference_jacobian, tags_without_jacobian,
 )
 
 
@@ -312,13 +312,13 @@ def test_coefficients_on_stacked_points_equal_single_points(name):
 
 @pytest.mark.parametrize("name", STACK_FIXTURES)
 def test_jacobians_on_stacked_points_equal_single_points(name):
-    # analytic Jacobians row by row; dagger and F have none
+    # analytic Jacobians row by row; B, an extracted T, dagger and F have none
     fixture = _stack_fixture(name)
     points = fixture.grid(3)
     zeta = ScalarField.from_source("x1*x2 + x3^2", 3) if fixture.n == 3 else None
     for tag in buildable_tags(fixture):
         conn = fixture.connection(tag, zeta=zeta if tag[1:] == "F" else None)
-        if tag in TAGS_WITHOUT_JACOBIAN:
+        if tag in tags_without_jacobian(fixture):
             with pytest.raises(ConnectionError_, match=re.escape(repr(tag))):
                 conn.jacobian(points)
             continue
@@ -373,8 +373,8 @@ def _table_cases(fixture):
 
 def _assert_jacobian(fixture, conn, tag, x, equal):
     """conn's Jacobian at x equals the reference formula's by ``equal``, or,
-    for dagger and F, which have none, raises."""
-    if tag in TAGS_WITHOUT_JACOBIAN:
+    for the tags without one (B, an extracted T, dagger and F), raises."""
+    if tag in tags_without_jacobian(fixture):
         with pytest.raises(ConnectionError_, match=re.escape(repr(tag))):
             conn.jacobian(x)
     else:
@@ -400,7 +400,7 @@ def test_connection_table_equals_reference_formulas_bytes(name):
 def test_connection_table_matches_reference_formulas_on_curved_metrics(name):
     # B = T + b g (x) t subtracted as one tensor, and dagger as Gamma - (D - shift),
     # round differently from the reference's two subtractions; measured drift
-    # is at most 2e-16 relative in coefficients and Jacobians (T, B and D)
+    # is at most 2e-16 relative in coefficients and in the Jacobians of T and D
     fixture = _table_fixture(name)
     points = fixture.grid(3)
     stack = np.stack(points)

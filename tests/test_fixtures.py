@@ -354,16 +354,25 @@ def test_a_bad_expression_names_its_config_entry(path, value, message, tmp_path,
     ({"spots": [{"point": [1.0], "tensor": "T", "index": [1, 1, 1], "value": 0.0,
                  "tol": 1.0}]}, "expected-spot",
      "spots[0] is malformed: point has shape (1,), not (2,)"),
+    *(({"spots": [{"point": [1.0, 2.0], "tensor": tensor, "index": index, "value": 0.0,
+                   "tol": 1.0}]}, "expected-spot",
+       f"spots[0] is malformed: {tensor} takes an index of length {rank} with entries "
+       f"in 1..2, not {index}")
+      for tensor, rank, index in (("T", 3, [1]), ("T", 3, [1, 1]), ("D", 3, [1, 1, 1, 1]),
+                                  ("T", 3, [1, 3, 1]), ("s", 1, [1, 2]), ("t", 1, [3]))),
 ], ids=["not-an-object", "no-tensor", "stacked-point", "spots-number", "spots-null",
-        "expected-number", "short-point"])
+        "expected-number", "short-point", "T-index-1", "T-index-2", "D-index-4",
+        "T-entry-3", "s-index-2", "t-entry-3"])
 def test_a_malformed_spot_is_a_validation_failure(expected, check, message, tmp_path,
                                                   capsys):
     # each used to escape validate as a traceback: the spot's entries were
     # read outside its try, a stacked point failed in the failure entry, and
     # the spots and the block were iterated and read with no type check.
-    # The schema check now rejects all but a point of the wrong length before
-    # the fixture is built (check None); that one, which depends on the
-    # dimension, stays a validation failure.
+    # The schema check now rejects the first six before the fixture is built
+    # (check None).  A point of the wrong length and an index that names no
+    # one component depend on the dimension and stay validation failures; the
+    # index ones used to fail with numpy's text, such as "only 0-dimensional
+    # arrays can be converted to Python scalars" for T[1].
     from dualgeo.cli import main
     cfg = builtin_config("sw2")
     cfg["expected"] = expected
@@ -381,18 +390,6 @@ def test_a_malformed_spot_is_a_validation_failure(expected, check, message, tmp_
     assert main(["verify", str(config), "--out", str(tmp_path / "report.json")]) == 3
     stderr = capsys.readouterr().err
     assert message in stderr and "Traceback" not in stderr
-
-
-def test_a_spot_index_short_of_the_tensor_rank_fails_at_its_point():
-    # T[1, 1] is a row of T, not one component; comparing it with the value
-    # used to raise numpy's "truth value ... is ambiguous" outside the try
-    cfg = builtin_config("sw2")
-    cfg["expected"] = {"spots": [{"point": [1.0, 2.0], "tensor": "T", "index": [1, 1],
-                                  "value": 0.0, "tol": 1.0}]}
-    with pytest.raises(FixtureValidationError) as err:
-        from_config(cfg)
-    [failure] = err.value.failures
-    assert failure["check"] == "expected-spot" and failure["point"] == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("metric, shape", [

@@ -9,7 +9,9 @@ from dualgeo.structure import (
     beta_condition_residual, build_N, build_Z_and_digamma, classify,
     decompose, killing_check, lower_output, poisson_check, t_from_prolongation,
 )
-from dualgeo.fixtures import VALIDATION_GRID, builtin_config, from_config, validate
+from dualgeo.fixtures import (
+    VALIDATION_GRID, FixtureError, builtin_config, from_config, validate,
+)
 from oracles import brute_force_s, brute_force_structure_tensor, dense_recovery, fd_derivative
 
 
@@ -103,8 +105,7 @@ def test_trace_identity_on_grid(sw2):
 
 
 @pytest.mark.parametrize("method", ["structure_tensor", "structure_tensor_jacobian",
-                                    "prolongation_tensor", "prolongation_jacobian", "s_vector",
-                                    "s_vector_jacobian"])
+                                    "prolongation_tensor", "prolongation_jacobian", "s_vector"])
 def test_rank_deficiency_raises(euclid2, method):
     fam = family(["1", "2", "x1", "3"], "nondegenerate")
     with pytest.raises(RankDeficiencyError):
@@ -498,7 +499,7 @@ def test_solver_on_stacks_equals_single_points(name):
 
     for solve in (solver.structure_tensor, solver.structure_tensor_jacobian,
                   solver.prolongation_tensor, solver.prolongation_jacobian, solver.s_vector,
-                  solver.s_vector_jacobian, residual):
+                  residual):
         for points in (fx.grid(3), block):
             batch = solve(points)
             single = np.array([solve(x) for x in points.reshape(-1, fx.n)])
@@ -508,17 +509,21 @@ def test_solver_on_stacks_equals_single_points(name):
 
 @pytest.mark.parametrize("config", [lambda: _without_structure("sw2-weak"),
                                     _polar_sw_weak_config], ids=["sw2-weak", "polar"])
-def test_s_jacobian_matches_central_differences(config):
-    # s of a semi-degenerate family fits with a residual at roundoff, so the
-    # differentiated system gives its derivative; measured gap 3.9e-9 at
-    # |ds| = 12 (sw2-weak) and 2.9e-8 at |ds| = 38 (polar)
+def test_d_jacobian_matches_central_differences(config):
+    # D of a semi-degenerate family fits with a residual at roundoff, so the
+    # differentiated system gives its derivative, which +D's Ricci tensor
+    # needs; measured gap 3.9e-9 at |dD| = 12 (sw2-weak) and 2.9e-8 at
+    # |dD| = 38 (polar).  The T such a fixture extracts has no Jacobian.
     fx = from_config(config())
     grid = fx.grid(4)
-    ds = fx.s_vector_jacobian(grid)
-    fd = np.array([fd_derivative(fx.solver.s_vector, x) for x in grid])
-    scale = np.max(np.abs(ds))
+    dD = fx.prolongation_jacobian(grid)
+    fd = np.array([fd_derivative(fx.solver.prolongation_tensor, x) for x in grid])
+    scale = np.max(np.abs(dD))
     assert scale > 1.0
-    assert np.max(np.abs(ds - fd)) < 1e-8 * scale
+    assert np.max(np.abs(dD - fd)) < 1e-8 * scale
+    with pytest.raises(FixtureError, match="is semidegenerate; only the T of a "
+                                           "nondegenerate fixture has a Jacobian"):
+        fx.structure_tensor_jacobian(grid)
 
 
 def test_structure_jacobian_polar_sw():
