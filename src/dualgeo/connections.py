@@ -31,8 +31,8 @@ symmetric: a fixture's declared tensors are checked once, on the validation
 grid, when the fixture loads.
 
 A :class:`ConnectionTable` gives each row of a stacked state its own
-connection, so one integrator call can advance trajectories of several
-connections together (see ``Fixture.connection_table``).
+connection, bound once per running set, so one integrator call can advance
+trajectories of several connections together (``Fixture.connection_table``).
 
 Torsion-freeness is a hard precondition of the dual-projective criterion (with
 torsion the criterion has easy counterexamples), so the tests check it in
@@ -106,25 +106,27 @@ class ConnectionTable:
     """The connections of the rows of a stacked state: row r follows
     ``conns[r]``.
 
-    ``coefficients(x, rows)`` returns ``Gamma[..., k, i, j]`` of every running
-    row at once, where ``rows`` holds the running rows' indices and ``x``
-    their points.  Each row must round exactly as its own connection rounds
-    it alone, so that an integrator may evaluate any subset of rows together
-    or one row through ``conns[r]``.
+    ``bind(rows)`` returns the coefficient function of the running rows whose
+    indices ``rows`` holds: a lone row's own ``conns[r].coefficients``, or
+    ``binder(rows)``, which builds the set's per-row data once.  Each row
+    must round exactly as its own connection rounds it alone, so that any
+    subset of rows may be evaluated together.
     """
 
     def __init__(self, conns: Sequence[AffineConnection],
-                 coeff_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
+                 binder: Callable[[np.ndarray], Callable]):
         self.conns = list(conns)
-        self._coeff_fn = coeff_fn
+        self._binder = binder
 
     @staticmethod
     def uniform(conn: AffineConnection, m: int) -> "ConnectionTable":
         """Every one of m rows follows conn."""
-        return ConnectionTable([conn] * m, lambda x, rows: conn.coefficients(x))
+        return ConnectionTable([conn] * m, lambda rows: conn.coefficients)
 
-    def coefficients(self, x, rows) -> np.ndarray:
-        return self._coeff_fn(np.asarray(x, dtype=float), rows)
+    def bind(self, rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        if len(rows) == 1:
+            return self.conns[rows[0]].coefficients
+        return self._binder(rows)
 
 
 def levi_civita(g: Metric) -> AffineConnection:

@@ -135,7 +135,7 @@ class Fixture:
         if self.kind == "nondegenerate":
             if self.structure_T is not None:
                 return self.structure_T.value(x)
-            return self.solver.structure_tensor(x)
+            return self._solver("structure-tensor").structure_tensor(x)
         return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
                                  self.s_vector(x))
 
@@ -151,27 +151,29 @@ class Fixture:
                                "nondegenerate fixture has a Jacobian")
         if self.structure_T is not None:
             return self.structure_T.jets(x)[1]
-        return self.solver.structure_tensor_jacobian(x)
+        return self._solver("structure-tensor").structure_tensor_jacobian(x)
+
+    def _solver(self, data: str) -> StructureSolver:
+        """The family's solver; without a family, FixtureError naming the data."""
+        if self.solver is None:
+            raise FixtureError(f"fixture {self.name!r} has no {data} data")
+        return self.solver
 
     def prolongation_tensor(self, x) -> np.ndarray:
         if self.structure_D is not None:
             return self.structure_D.value(x)
-        if self.solver is None:
-            raise FixtureError(f"fixture {self.name!r} has no prolongation data")
-        return self.solver.prolongation_tensor(x)
+        return self._solver("prolongation").prolongation_tensor(x)
 
     def prolongation_jacobian(self, x) -> np.ndarray:
         if self.structure_D is not None:
             return self.structure_D.jets(x)[1]
-        return self.solver.prolongation_jacobian(x)
+        return self._solver("prolongation").prolongation_jacobian(x)
 
     def s_vector(self, x) -> np.ndarray:
         """Contravariant semi-degeneracy vector (declared or recovered)."""
         if self.structure_s is not None:
             return self.structure_s.value(x)
-        if self.solver is None:
-            raise FixtureError(f"fixture {self.name!r} has no semi-degeneracy data")
-        return self.solver.s_vector(x)
+        return self._solver("semi-degeneracy").s_vector(x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -260,37 +262,39 @@ class Fixture:
         ``±T`` and ``±B`` on a nondegenerate fixture, ``±D`` and ``±T`` on a
         semi-degenerate one.
 
-        A call evaluates Gamma_LC once over the running rows and each
-        structure field once over the rows that need it: T over every row of
-        a nondegenerate fixture, the B rows adding their trace term to that
-        T; D over every row of a semi-degenerate one, and s over its T rows.
+        Binding a running set finds its rows of the derived tensor and its
+        sign column once.  A call evaluates Gamma_LC and the base field (T,
+        or D) over every running row, and the derived tensor (B from T's
+        trace term, or T extracted from D and s) on the rows that use it.
         Row r then gets ``Gamma_LC - sign_r * A_r``, rounded as
         ``connection(tags[r])`` rounds it alone.
         """
-        fields = ("T", "B") if self.kind == "nondegenerate" else ("D", "T")
+        g = self.metric
+        fields, base, derive = {
+            "nondegenerate": (("T", "B"), self.structure_tensor, lambda A, x, sel:
+                              self._with_trace_term(A, g.value(x)[sel], g.inverse(x)[sel])),
+            "semidegenerate": (("D", "T"), self.prolongation_tensor, lambda A, x, sel:
+                               self._extracted_t(A, g.value(x)[sel], self.s_vector(x[sel]))),
+        }[self.kind]
         for tag in tags:
             if tag[:1] not in "+-" or tag[1:] not in fields:
                 raise FixtureError(f"a connection table of fixture {self.name!r} takes "
                                    f"the tags +/-{' and +/-'.join(fields)}, not {tag!r}")
-        names = np.array([tag[1:] for tag in tags])
+        derived = np.array([tag[1:] == fields[1] for tag in tags])
         signs = np.array([-1.0 if tag[0] == "-" else 1.0 for tag in tags])
-        g = self.metric
 
-        def coefficients(x, rows):
-            kind = names[rows]
-            if self.kind == "nondegenerate":
-                A = self.structure_tensor(x).copy()
-                b = np.flatnonzero(kind == "B")
-                if len(b):
-                    A[b] = self._with_trace_term(A[b], g.value(x)[b], g.inverse(x)[b])
-            else:
-                A = self.prolongation_tensor(x).copy()
-                t = np.flatnonzero(kind == "T")
-                if len(t):
-                    A[t] = self._extracted_t(A[t], g.value(x)[t], self.s_vector(x[t]))
-            return g.christoffel(x) - signs[rows][:, None, None, None] * A
+        def bind(rows):
+            sel, sign = np.flatnonzero(derived[rows]), signs[rows][:, None, None, None]
 
-        return ConnectionTable([self.connection(tag) for tag in tags], coefficients)
+            def coefficients(x):
+                A = base(x)
+                if len(sel):
+                    A = A.copy()
+                    A[sel] = derive(A[sel], x, sel)
+                return g.christoffel(x) - sign * A
+            return coefficients
+
+        return ConnectionTable([self.connection(tag) for tag in tags], bind)
 
 
 # --- builtin registry -----------------------------------------------------------
@@ -698,6 +702,9 @@ def validate(fixture: Fixture) -> list[dict]:
               and fixture.structure_s is not None):
         fail("family-missing", "fixture declares no potentials; without them it must be "
              "semi-degenerate and declare structure.D and structure.s")
+    if fixture.structure_s is not None and not fixture.is_semidegenerate:
+        fail("s-closed-form", "structure.s is declared, but a nondegenerate fixture has no "
+             "semi-degeneracy vector to check it against")
 
     # conditioning, recovery and closed forms: one stacked call each over the
     # grid.  A call that raises is one failure, and the checks that need its

@@ -18,8 +18,8 @@ carries its own connection: one connection for all of them, or a
 :class:`~dualgeo.connections.ConnectionTable` whose row r follows
 ``conns[r]`` (a verification suite puts all of its trajectory claims, both
 connections of both signs, in one table).  Each RK4 stage evaluates the
-metric once and the coefficients of every running row in one call, which
-gets the running rows' indices; the right-hand side writes xdot and pdot
+metric once and the coefficients of every running row in one call of the
+function bound once per running set; the right-hand side writes xdot and pdot
 into one array, so every RK4 combination is one array operation on the whole
 state, and each step stores one sample of it.  After each step one test of
 the whole state against the box (for the position) and against the float
@@ -186,27 +186,18 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     if len(table.conns) != m:
         raise ValueError(f"{len(table.conns)} connections for {m} starts")
 
-    def field(coefficients):
-        """The right-hand side of the rows whose coefficients these are."""
+    def field(rows: np.ndarray):
+        """The right-hand side of the running rows, bound once per set."""
+        coefficients = table.bind(rows)
+
         def rhs(tau: float, s: np.ndarray, out: np.ndarray) -> None:
             x, p = s[..., 0, :], s[..., 1, :]
             xdot, pdot = out[..., 0, :], out[..., 1, :]
             np.matmul(g.inverse(x), p[..., None], out=xdot[..., None])
-            if q is None:
-                np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p, out=pdot)
-            else:
-                np.add(np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p),
-                       q(tau) * p, out=pdot)
+            np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p, out=pdot)
+            if q is not None:
+                pdot += q(tau) * p
         return rhs
-
-    def row_field(row: int):
-        return field(table.conns[row].coefficients)
-
-    def running_field(rows: np.ndarray):
-        """The right-hand side of the running rows; a lone row's is its own."""
-        if len(rows) == 1:
-            return row_field(rows[0])
-        return field(lambda pts: table.coefficients(pts, rows))
 
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -231,8 +222,10 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     exits = ["completed"] * m
     rows = np.arange(m)         # the rows still running, in order
     tau = 0.0
-    rhs = running_field(rows)
+    rhs = None                  # bound on the first step of each running set
     for step in range(1, steps + 1):
+        if rhs is None:
+            rhs = field(rows)
         try:
             if len(rows) == 1:   # stepped as a point
                 s = _rk4_step(rhs, tau, h, s[0])[None]
@@ -244,14 +237,14 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, _rk4_step(row_field(row), tau, h, s[r])))
+                    done.append((r, _rk4_step(field(rows[r:r + 1]), tau, h, s[r])))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
                 break
             rows = rows[[r for r, _ in done]]
             s = np.stack([sr for _, sr in done])
-            rhs = running_field(rows)
+            rhs = None
         tau += h
         taus[step] = tau
         inside = (s >= lo_fast) & (s <= hi_fast)
@@ -271,10 +264,9 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                 else:
                     exits[rows[r]] = "singular_margin"
                 samples[rows[r]] = step
-            rows, s = rows[go], s[go]
+            rows, s, rhs = rows[go], s[go], None
             if not len(rows):
                 break
-            rhs = running_field(rows)
         if len(rows) == m:
             states[step] = s
         else:

@@ -143,15 +143,16 @@ def _float_pow(base: float, e: float) -> float:
 
 
 def _by_row(fn, points) -> list:
-    """fn at each row of an (m, n) stack, in order.  The first row whose code
-    raises EvalDomainError raises it with the row's point added, as in
+    """fn at each row of an (m, n) stack, in order, the row as a list of
+    Python floats.  The first row whose code raises EvalDomainError raises it
+    with the row's point added, as in
     ``division by zero in subexpression '1.0/x1' at [0. 1.]``."""
     out = []
-    for pt in points:
+    for pt in points.tolist():
         try:
             out.append(fn(pt))
         except EvalDomainError as exc:
-            exc.args = (f"{exc} at {pt}",)
+            exc.args = (f"{exc} at {np.array(pt)}",)
             raise
     return out
 

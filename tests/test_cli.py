@@ -512,3 +512,18 @@ def test_a_config_without_potentials_needs_semidegenerate_d_and_s(cfg, command, 
     assert ("family-missing: fixture declares no potentials; without them it must be "
             "semi-degenerate and declare structure.D and structure.s") in err
     assert not list(tmp_path.glob("trajectory*"))
+
+
+def test_a_nondegenerate_config_declaring_s_fails_validation(tmp_path, capsys):
+    # a nondegenerate fixture has no semi-degeneracy vector to recover, so a
+    # declared s could not be cross-checked; it loaded and verified before
+    from dualgeo.fixtures import builtin_config
+    cfg = builtin_config("sw2")
+    cfg["structure"]["s"] = ["1", "sin(x1)"]
+    path = tmp_path / "sw2-with-s.json"
+    path.write_text(json.dumps(cfg))
+    report = tmp_path / "report.json"
+    code, out, err = run(["verify", str(path), "--grid", "3", "--out", str(report)], capsys)
+    assert code == 3 and out == "" and not report.exists()
+    assert ("s-closed-form: structure.s is declared, but a nondegenerate fixture has no "
+            "semi-degeneracy vector to check it against") in err

@@ -139,6 +139,25 @@ def test_semidegenerate_connections_require_data(sw2):
         sw2.connection("+D")  # nondegenerate fixture carries no prolongation data
 
 
+@pytest.mark.parametrize("name, call", [
+    *(("sw2", call) for call in ("structure_tensor", "structure_tensor_jacobian", "t_covector",
+                                 "b_tensor", "+T", "-T", "+B", "-B")),
+    ("sw2-strong-synthetic", "prolongation_jacobian"),
+])
+def test_a_fixture_without_a_family_names_the_data_it_lacks(name, call):
+    # loaded without validation, potentials or structure block, these reached
+    # for the missing solver and raised AttributeError on None
+    cfg = builtin_config(name)
+    cfg.pop("potentials", None)
+    del cfg["structure"]
+    fixture = from_config(cfg, validate_on_load=False)
+    evaluate = (fixture.connection(call).coefficients if call[0] in "+-"
+                else getattr(fixture, call))
+    data = "structure-tensor" if name == "sw2" else "prolongation"
+    with pytest.raises(FixtureError, match=f"fixture {name!r} has no {data} data"):
+        evaluate(np.array([1.0, 2.0]))
+
+
 def test_digamma_needs_dimension(sw2):
     with pytest.raises(FixtureError, match="n >= 3"):
         sw2.connection("+F")

@@ -336,6 +336,49 @@ def test_connection_table_rows_halt_as_single_connection_runs(kind, tags):
     assert all(batch[r].x[-1][1] > 0.6 for r in range(2, 20, 5))
 
 
+def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
+    # rows that complete, raise in the log (a mixed-tag step redone row by
+    # row), leave the box and reach the singular margin, each at its own step
+    from dualgeo.connections import ConnectionTable
+    from dualgeo.fixtures import from_config
+    fixture = from_config(_regions_config("nondegenerate"), validate_on_load=False)
+    rows = [("+T", [1.0, 1.5], [0.1, 0.1]), ("+B", [1.0, 0.7], [0.0, -1.0]),
+            ("-T", [1.0, 2.9], [0.0, 1.0]), ("-B", [0.0407, 1.5], [-1.0, 0.0])]
+    table = fixture.connection_table([tag for tag, _, _ in rows])
+    binds = []
+    bind = ConnectionTable.bind
+
+    def recording(self, running):
+        binds.append((tuple(running), bind(self, running)))
+        return binds[-1][1]
+
+    monkeypatch.setattr(ConnectionTable, "bind", recording)
+    steps = 100
+    batch = integrate_dual_geodesics(table, fixture.metric, [x0 for _, x0, _ in rows],
+                                     [w0 for _, _, w0 in rows], steps, 0.01,
+                                     box=fixture.box, singular_loci=fixture.singular_loci)
+    assert [t.exit_reason for t in batch] == ["completed", "domain_exit", "domain_exit",
+                                              "singular_margin"]
+    # a row that halts in step k keeps k samples; a completed row runs every step
+    last = [min(len(t.tau), steps) for t in batch]
+    redone = last[1]   # the step whose stage raised on row 1
+    expected, previous = [], None
+    for step in range(1, steps + 1):
+        running = tuple(r for r in range(len(rows)) if last[r] >= step)
+        if running != previous:
+            expected.append(running)
+            previous = running
+        if step == redone:
+            expected.extend((r,) for r in running)
+    assert [running for running, _ in binds] == expected
+    assert len(expected) == 4 + 3   # four running sets, three rows redone at step 10
+    for running, coefficients in binds:
+        if len(running) == 1:
+            assert coefficients == table.conns[running[0]].coefficients
+        else:
+            assert all(coefficients != conn.coefficients for conn in table.conns)
+
+
 def test_connection_table_takes_the_suites_tags_only(sw2, sw2_weak):
     from dualgeo.fixtures import FixtureError
     for fixture, tag in ((sw2, "+D"), (sw2, "LC"), (sw2_weak, "+B"), (sw2_weak, "T")):
@@ -371,20 +414,23 @@ def test_mixed_table_rows_halt_independently(euclid2):
     conns = [straight] * 5 + [bent] * 5
     raised = []
 
-    def coefficients(x, rows):
-        out = np.empty(x.shape + (2, 2))
-        for conn in (straight, bent):
-            mine = np.array([conns[r] is conn for r in rows])
-            if mine.any():
-                try:
-                    out[mine] = conn.coefficients(x[mine])
-                except EvalDomainError:
-                    raised.append(len(rows))
-                    raise
-        return out
+    def bind(rows):
+        mine = [(conn, np.array([conns[r] is conn for r in rows])) for conn in (straight, bent)]
+
+        def coefficients(x):
+            out = np.empty(x.shape + (2, 2))
+            for conn, rows_of_conn in mine:
+                if rows_of_conn.any():
+                    try:
+                        out[rows_of_conn] = conn.coefficients(x[rows_of_conn])
+                    except EvalDomainError:
+                        raised.append(len(rows))
+                        raise
+            return out
+        return coefficients
 
     batch = _assert_table_rows_equal_single_runs(
-        ConnectionTable(conns, coefficients), euclid2, x0s * 2, w0s * 2, 100, 0.01,
+        ConnectionTable(conns, bind), euclid2, x0s * 2, w0s * 2, 100, 0.01,
         box=[(-1.0, 1.0), (-1.0, 1.0)], singular_loci=[(0, -0.5)])
     exits = [t.exit_reason for t in batch]
     assert exits[:5] == ["completed", "domain_exit", "singular_margin", "nonfinite",
