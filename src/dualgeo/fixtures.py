@@ -6,20 +6,27 @@ loci, optional Killing data, and an expected-results block.  Built-ins are
 expressed through the same JSON-shaped config dicts that :func:`load` accepts
 from disk, so the loading path is exercised on every construction.
 
+Each kind of fixture has its own structure fields (:data:`FIELDS`): a
+nondegenerate one (n+2 potentials) has the structure tensor T, a
+semi-degenerate one (n+1 potentials) the prolongation tensor D and the vector
+s, from which its T is extracted.  ``Fixture._field`` is the one accessor of
+a field: the declared closed form if the config has one, else the solver's
+recovery, at a point or over a stack of points in one solver call.  A config
+that declares a field its kind does not have, or expects spots, a
+classification or an enlarging fixture its kind never reads, fails to load.
+
 Closed-form structure data, when a fixture carries it, is never trusted:
 validation cross-checks it against the pointwise least-squares recovery on the
 sample grid and fails the fixture on disagreement.  Validation is one stacked
-pass over that 3^n grid: one metric inverse, one solver call per field,
-feeding the closed-form comparison, one solver call for the fit residual of
-the recovered fields, and one evaluation of each declared field; the solver's
-rank check is the only rank check.  A stacked call that raises is one failure
-of its check (a singular metric, a rank-deficient family or an expression
-error names its first failing point), and the checks that need its values are
-skipped.  Fixtures without closed forms recover every field from the family,
-at a point or over a stack of points in one solver call.  A declared T or D
-must also be symmetric in its covariant pair on that grid: every induced
-connection is Gamma_LC minus a tensor built from it, evaluated with no torsion
-check of its own.
+pass over that 3^n grid: one metric inverse, one solver call per field of the
+kind, feeding the closed-form comparison and the fit residual, and one
+evaluation of each declared field; the solver's rank check is the only rank
+check.  A stacked call that raises is one failure of its check (a singular
+metric, a rank-deficient family or an expression error names its first
+failing point), and the checks that need its values are skipped.  A declared
+T or D must also be symmetric in its covariant pair on that grid: every
+induced connection is Gamma_LC minus a tensor built from it, evaluated with no
+torsion check of its own.
 
 Config schema: ``fixture.schema.json`` beside this module, read once into
 :data:`SCHEMA`.  :func:`check_config` is the only check of a config's types
@@ -53,8 +60,18 @@ from .structure import (
 )
 
 CONNECTION_TAGS = ("LC", "+T", "-T", "+B", "-B", "+D", "-D", "dagger", "+F", "-F")
+# the structure fields of each kind, declared in a config's structure block or
+# recovered from its family; a semi-degenerate fixture extracts its T from D and s
+FIELDS = {"nondegenerate": ("T",), "semidegenerate": ("D", "s")}
 CLOSED_FORM_CHECKS = {"T": "structure-closed-form", "D": "prolongation-closed-form",
                       "s": "s-closed-form"}
+# per field: the data a fixture lacks without a family; the solver's value and Jacobian
+_RECOVERY = {"T": ("structure-tensor", "structure_tensor", "structure_tensor_jacobian"),
+             "D": ("prolongation", "prolongation_tensor", "prolongation_jacobian"),
+             "s": ("semi-degeneracy", "s_vector", None)}
+# per field: what a fixture of the other kind lacks to check a declared one against
+_UNCHECKED = {"T": "recovered structure tensor", "D": "prolongation tensor",
+              "s": "semi-degeneracy vector"}
 SCHEMA = json.loads(Path(__file__).with_name("fixture.schema.json").read_text())
 # largest chart dimension a config may declare; the schema says why
 MAX_DIMENSION = SCHEMA["properties"]["dimension"]["maximum"]
@@ -90,9 +107,7 @@ class Fixture:
                  singular_margin: float = 0.0,
                  zeta: ScalarField | None = None,
                  killing: Sequence[KillingData] = (),
-                 structure_T: TensorField | None = None,
-                 structure_D: TensorField | None = None,
-                 structure_s: TensorField | None = None,
+                 declared: dict[str, TensorField] | None = None,
                  expected: dict | None = None):
         self.name = name
         self.kind = kind
@@ -103,9 +118,7 @@ class Fixture:
         self.singular_margin = float(singular_margin)
         self.zeta = zeta
         self.killing = list(killing)
-        self.structure_T = structure_T
-        self.structure_D = structure_D
-        self.structure_s = structure_s
+        self.declared = declared or {}   # closed-form structure fields by label
         self.expected = expected or {}
         self.solver = StructureSolver(metric, family) if family is not None else None
         self._t_coefficient = conv.t_coefficient(metric.n)
@@ -126,18 +139,35 @@ class Fixture:
 
     # --- structure fields -----------------------------------------------------
 
+    def _field(self, label: str, x, jacobian: bool = False) -> np.ndarray:
+        """Structure field ``label`` (its Jacobian with ``jacobian``) at a point or
+        a (..., n) stack: the declared closed form, else the solver's value; a
+        field outside the fixture's kind, or with neither, raises FixtureError."""
+        if label not in FIELDS[self.kind]:
+            owner = next(kind for kind, labels in FIELDS.items() if label in labels)
+            raise FixtureError(f"fixture {self.name!r} is {self.kind}; only the {label} of a "
+                               f"{owner} fixture " + ("has a Jacobian" if jacobian else
+                                                      "is declared or recovered"))
+        declared = self.declared.get(label)
+        if declared is not None:
+            return declared.jets(x)[1] if jacobian else declared.value(x)
+        data, value, derivative = _RECOVERY[label]
+        if self.solver is None:
+            raise FixtureError(f"fixture {self.name!r} has no {data} data")
+        return getattr(self.solver, derivative if jacobian else value)(x)
+
     def structure_tensor(self, x) -> np.ndarray:
-        """T[k,i,j]; for semi-degenerate fixtures the extracted D - (1/n) g (x) s_sharp.
+        """T[k,i,j]: a nondegenerate fixture's field; a semi-degenerate fixture
+        has no T of its own (a config declaring one fails to load) and extracts
+        D - (1/n) g (x) s_sharp.
 
         Like every structure accessor here, it also takes a (..., n) stack of
         points and returns the stacked values.
         """
         if self.kind == "nondegenerate":
-            if self.structure_T is not None:
-                return self.structure_T.value(x)
-            return self._solver("structure-tensor").structure_tensor(x)
-        return self._extracted_t(self.prolongation_tensor(x), self.metric.value(x),
-                                 self.s_vector(x))
+            return self._field("T", x)
+        return self._extracted_t(self._field("D", x), self.metric.value(x),
+                                 self._field("s", x))
 
     def _extracted_t(self, D: np.ndarray, gmat: np.ndarray, s_up: np.ndarray) -> np.ndarray:
         """D - (1/n) g (x) s_sharp from the fields' values."""
@@ -146,34 +176,17 @@ class Fixture:
     def structure_tensor_jacobian(self, x) -> np.ndarray:
         """dT[a, k, i, j] = d_a T^k_{ij} of a nondegenerate fixture; no suite
         differentiates the T a semi-degenerate fixture extracts."""
-        if self.is_semidegenerate:
-            raise FixtureError(f"fixture {self.name!r} is {self.kind}; only the T of a "
-                               "nondegenerate fixture has a Jacobian")
-        if self.structure_T is not None:
-            return self.structure_T.jets(x)[1]
-        return self._solver("structure-tensor").structure_tensor_jacobian(x)
-
-    def _solver(self, data: str) -> StructureSolver:
-        """The family's solver; without a family, FixtureError naming the data."""
-        if self.solver is None:
-            raise FixtureError(f"fixture {self.name!r} has no {data} data")
-        return self.solver
+        return self._field("T", x, jacobian=True)
 
     def prolongation_tensor(self, x) -> np.ndarray:
-        if self.structure_D is not None:
-            return self.structure_D.value(x)
-        return self._solver("prolongation").prolongation_tensor(x)
+        return self._field("D", x)
 
     def prolongation_jacobian(self, x) -> np.ndarray:
-        if self.structure_D is not None:
-            return self.structure_D.jets(x)[1]
-        return self._solver("prolongation").prolongation_jacobian(x)
+        return self._field("D", x, jacobian=True)
 
     def s_vector(self, x) -> np.ndarray:
         """Contravariant semi-degeneracy vector (declared or recovered)."""
-        if self.structure_s is not None:
-            return self.structure_s.value(x)
-        return self._solver("semi-degeneracy").s_vector(x)
+        return self._field("s", x)
 
     def s_covector(self, x) -> np.ndarray:
         return matvec(self.metric.value(x), self.s_vector(x))
@@ -219,7 +232,7 @@ class Fixture:
         name = tag.lstrip("+-")
         if tag not in CONNECTION_TAGS:
             return f"unknown connection tag {tag!r}; known: {', '.join(CONNECTION_TAGS)}"
-        if name in ("D", "dagger") and not self.is_semidegenerate:
+        if name in ("D", "dagger") and "D" not in FIELDS[self.kind]:
             return (f"fixture {self.name!r} is {self.kind}; the {name} connection "
                     "exists for semi-degenerate fixtures only")
         if name == "F" and self.n < 3:
@@ -573,6 +586,10 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
         # theorem 2 compares the extracted T with the T the enlarging built-in
         # recovers at points of this box: it must be nondegenerate, of dimension n
         enlarging = cfg.get("expected", {}).get("enlarging")
+        if enlarging is not None and cfg["kind"] != "semidegenerate":
+            raise FixtureError(f"invalid fixture config: expected.enlarging {enlarging!r} is "
+                               f"declared, but only theorem 2 reads it, and the fixture is "
+                               f"{cfg['kind']}, not semidegenerate")
         if enlarging is not None:
             peers = sorted(k for k, c in ((k, build()) for k, build in _BUILTIN_CONFIGS.items())
                            if c["dimension"] == n and c["kind"] == "nondegenerate")
@@ -624,14 +641,12 @@ def from_config(cfg: dict, validate_on_load: bool = True) -> Fixture:
                     for key in ("scalar", "potential"))
             killing.append(KillingData(K, W, V))
         structure = cfg.get("structure", {})
-        structure_T, structure_D, structure_s = (
-            _tensor_field(f"structure.{key}", structure[key], variance, n, constants)
-            if key in structure else None
-            for key, variance in (("T", ("up", "down", "down")), ("D", ("up", "down", "down")),
-                                  ("s", ("up",))))
+        declared = {key: _tensor_field(f"structure.{key}", structure[key],
+                                       ("up",) if key == "s" else ("up", "down", "down"),
+                                       n, constants)
+                    for key in CLOSED_FORM_CHECKS if key in structure}
         fixture = Fixture(cfg.get("name", "unnamed"), cfg["kind"], metric, family,
-                          box, loci, margin, zeta, killing,
-                          structure_T, structure_D, structure_s, cfg.get("expected"))
+                          box, loci, margin, zeta, killing, declared, cfg.get("expected"))
     except ValueError as exc:
         if isinstance(exc, FixtureError):
             raise
@@ -691,20 +706,22 @@ def validate(fixture: Fixture) -> list[dict]:
     g = fixture.metric
     n = fixture.n
 
-    # family arity
+    # family arity; a declared field outside the fixture's kind is never read
+    own = FIELDS[fixture.kind]
+    closed_forms = {label: field for label, field in fixture.declared.items() if label in own}
     if fixture.family is not None:
         want = n + 2 if fixture.kind == "nondegenerate" else n + 1
         if fixture.family.size != want:
             fail("family-size",
                  f"{fixture.kind} family should have {want} potentials, "
                  f"found {fixture.family.size}")
-    elif not (fixture.is_semidegenerate and fixture.structure_D is not None
-              and fixture.structure_s is not None):
+    elif not (fixture.is_semidegenerate and len(closed_forms) == len(own)):
         fail("family-missing", "fixture declares no potentials; without them it must be "
              "semi-degenerate and declare structure.D and structure.s")
-    if fixture.structure_s is not None and not fixture.is_semidegenerate:
-        fail("s-closed-form", "structure.s is declared, but a nondegenerate fixture has no "
-             "semi-degeneracy vector to check it against")
+    for label in fixture.declared:
+        if label not in own:
+            fail(CLOSED_FORM_CHECKS[label], f"structure.{label} is declared, but a "
+                 f"{fixture.kind} fixture has no {_UNCHECKED[label]} to check it against")
 
     # conditioning, recovery and closed forms: one stacked call each over the
     # grid.  A call that raises is one failure, and the checks that need its
@@ -716,19 +733,10 @@ def validate(fixture: Fixture) -> list[dict]:
         fail("metric-conditioning", str(exc))
     else:
         if fixture.family is not None:
-            semi = fixture.is_semidegenerate
-            solver = fixture.solver
-            solve = {"T": solver.structure_tensor, "D": solver.prolongation_tensor,
-                     "s": solver.s_vector}
-            closed_forms = {"T": fixture.structure_T, "D": fixture.structure_D,
-                            "s": fixture.structure_s if semi else None}
-            recovered = ("D", "s") if semi else ("T",)
             try:
-                solved = {label: solve[label](grid) for label in (
-                    *recovered, *(label for label, field in closed_forms.items()
-                                  if field is not None and label not in recovered))}
-                residual = solver.fit_residual(grid, {label: solved[label]
-                                                      for label in recovered})
+                solved = {label: getattr(fixture.solver, _RECOVERY[label][1])(grid)
+                          for label in own}
+                residual = fixture.solver.fit_residual(grid, solved)
             except Exception as exc:
                 fail("recovery", str(exc))
             else:
@@ -736,8 +744,6 @@ def validate(fixture: Fixture) -> list[dict]:
                     "recovery-residual", "fit residual exceeds 1e-8; system is not "
                     "second-order superintegrable as declared", residual))
                 for label, field in closed_forms.items():
-                    if field is None:
-                        continue
                     try:
                         closed = field.value(grid)
                     except Exception as exc:
@@ -754,11 +760,11 @@ def validate(fixture: Fixture) -> list[dict]:
 
     # declared T and D must be symmetric in their covariant pair: the induced
     # connections Gamma_LC -/+ A are evaluated without a torsion check
-    for label, declared in (("T", fixture.structure_T), ("D", fixture.structure_D)):
-        if declared is None:
+    for label, field in closed_forms.items():
+        if label == "s":
             continue
         try:
-            A = declared.value(grid)
+            A = field.value(grid)
         except Exception as exc:
             fail("structure-symmetry", f"declared {label}: {exc}")
             continue

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dualgeo.cli import main
+from dualgeo.fixtures import builtin_config
 
 
 def run(argv, capsys):
@@ -514,16 +515,50 @@ def test_a_config_without_potentials_needs_semidegenerate_d_and_s(cfg, command, 
     assert not list(tmp_path.glob("trajectory*"))
 
 
-def test_a_nondegenerate_config_declaring_s_fails_validation(tmp_path, capsys):
-    # a nondegenerate fixture has no semi-degeneracy vector to recover, so a
-    # declared s could not be cross-checked; it loaded and verified before
-    from dualgeo.fixtures import builtin_config
-    cfg = builtin_config("sw2")
-    cfg["structure"]["s"] = ["1", "sin(x1)"]
-    path = tmp_path / "sw2-with-s.json"
+def _with(name, change):
+    """Built-in ``name``'s config after ``change(cfg)``."""
+    cfg = builtin_config(name)
+    change(cfg)
+    return cfg
+
+
+def _spot(tensor, index):
+    # a tolerance that accepts whatever value a least-squares solve reads there
+    return {"point": [1.0, 2.0], "tensor": tensor, "index": index, "value": 0.0, "tol": 100.0}
+
+
+_ONLY_SEMIDEGENERATE = "fixture 'sw2' is nondegenerate; only the {} of a semidegenerate fixture"
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (_with("sw2", lambda c: c["structure"].update(s=["1", "sin(x1)"])),
+     "s-closed-form: structure.s is declared, but a nondegenerate fixture has no "
+     "semi-degeneracy vector to check it against"),
+    (_with("sw2-weak", lambda c: c["structure"].update(T=builtin_config("sw2")["structure"]["T"])),
+     "structure-closed-form: structure.T is declared, but a semidegenerate fixture has no "
+     "recovered structure tensor to check it against"),
+    (_with("sw2", lambda c: c["structure"].update(D=builtin_config("sw2-weak")["structure"]["D"])),
+     "prolongation-closed-form: structure.D is declared, but a nondegenerate fixture has no "
+     "prolongation tensor to check it against"),
+    (_with("sw2", lambda c: c["expected"]["spots"].append(_spot("s", [1]))),
+     "expected-spot: " + _ONLY_SEMIDEGENERATE.format("s")),
+    (_with("sw2", lambda c: c["expected"]["spots"].append(_spot("D", [1, 1, 1]))),
+     "expected-spot: " + _ONLY_SEMIDEGENERATE.format("D")),
+    (_with("sw2", lambda c: c["expected"].update(classification="STRONG")),
+     "classification: " + _ONLY_SEMIDEGENERATE.format("D")),
+    (_with("sw2", lambda c: c["expected"].update(enlarging="sw2")),
+     "invalid fixture config: expected.enlarging 'sw2' is declared, but only theorem 2 "
+     "reads it, and the fixture is nondegenerate, not semidegenerate"),
+], ids=["nondegenerate-structure.s", "semidegenerate-structure.T", "nondegenerate-structure.D",
+        "nondegenerate-spot-s", "nondegenerate-spot-D", "nondegenerate-classification",
+        "nondegenerate-enlarging"])
+def test_a_config_with_data_its_kind_never_reads_is_refused(cfg, message, tmp_path, capsys):
+    # each loaded and verified before: the data was never read (a declared T
+    # of a semi-degenerate fixture, enlarging without theorem 2), or was
+    # checked against least-squares solves of fields the kind does not have
+    path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     report = tmp_path / "report.json"
     code, out, err = run(["verify", str(path), "--grid", "3", "--out", str(report)], capsys)
     assert code == 3 and out == "" and not report.exists()
-    assert ("s-closed-form: structure.s is declared, but a nondegenerate fixture has no "
-            "semi-degeneracy vector to check it against") in err
+    assert message in err

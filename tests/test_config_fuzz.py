@@ -74,10 +74,13 @@ def configs(draw):
         "singular_margin": draw(st.sampled_from([0.0, 0.1, 10.0])),
     }
     if draw(st.booleans()):
-        key = "T" if kind == "nondegenerate" else "D"
-        cfg["structure"] = {key: [[[draw(st.one_of(st.just("0"), source))
-                                    for _ in range(n)] for _ in range(n)]
-                                  for _ in range(n)]}
+        # any of T, D and s under any kind: loading refuses those the kind never reads
+        entry = st.one_of(st.just("0"), source)
+        cfg["structure"] = {key: [draw(entry) for _ in range(n)] if key == "s" else
+                            [[[draw(entry) for _ in range(n)] for _ in range(n)]
+                             for _ in range(n)]
+                            for key in draw(st.lists(st.sampled_from(["T", "D", "s"]),
+                                                     min_size=1, unique=True))}
     if draw(st.integers(0, 9)) == 0:
         cfg["domain"] = cfg["domain"][1:]
     return cfg

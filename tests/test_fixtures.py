@@ -139,6 +139,15 @@ def test_semidegenerate_connections_require_data(sw2):
         sw2.connection("+D")  # nondegenerate fixture carries no prolongation data
 
 
+@pytest.mark.parametrize("call", ["prolongation_tensor", "prolongation_jacobian", "s_vector",
+                                  "s_covector"])
+def test_a_nondegenerate_fixture_has_no_semidegenerate_fields(sw2, call):
+    # these returned least-squares solves of a system sw2 does not have
+    with pytest.raises(FixtureError, match="fixture 'sw2' is nondegenerate; only the [Ds] "
+                                           "of a semidegenerate fixture"):
+        getattr(sw2, call)(np.array([1.0, 2.0]))
+
+
 @pytest.mark.parametrize("name, call", [
     *(("sw2", call) for call in ("structure_tensor", "structure_tensor_jacobian", "t_covector",
                                  "b_tensor", "+T", "-T", "+B", "-B")),
