@@ -252,12 +252,16 @@ def cmd_trace(args, fixture) -> int:
         return integrate_dual_geodesic(connection, fixture.metric, x0, w0, args.steps, args.h,
                                        box=fixture.box, singular_loci=fixture.singular_loci)
 
+    def note_halt(traj):
+        if traj.exit_reason != "completed":
+            print(f"note: integration of {traj.connection_tag} halted early "
+                  f"({traj.exit_reason}) after {len(traj.tau) - 1} steps; last state "
+                  f"tau={traj.tau[-1]:.17g} x={[f'{v:.17g}' for v in traj.x[-1]]}",
+                  file=sys.stderr)
+
     def trace_and_export():
         traj = integrate(conn)
-        if traj.exit_reason != "completed":
-            print(f"note: integration halted early ({traj.exit_reason}) after "
-                  f"{len(traj.tau) - 1} steps; last state tau={traj.tau[-1]:.17g} "
-                  f"x={[f'{v:.17g}' for v in traj.x[-1]]}", file=sys.stderr)
+        note_halt(traj)
 
         base = args.out or f"trajectory-{fixture.name}-{args.conn.replace('+', 'p').replace('-', 'm')}"
         if args.format in ("csv", "both"):
@@ -276,6 +280,7 @@ def cmd_trace(args, fixture) -> int:
     with _forked(integrate, compare) as compare_result:
         traj = trace_and_export()
         other = compare_result()
+    note_halt(other)
 
     cmp = curves_coincide(traj, other, args.tol, args.steps)
     if cmp.short is not None:

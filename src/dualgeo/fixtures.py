@@ -204,7 +204,10 @@ class Fixture:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
         g = self.metric
-        return self._with_trace_term(self.structure_tensor(x), g.jets(x)[0], g.inverse(x))
+        T, gmat, ginv = self.structure_tensor(x), g.jets(x)[0], g.inverse(x)
+        if T.ndim == 3:
+            return self._with_trace_term_at_point(T, gmat, ginv)
+        return self._with_trace_term(T, gmat, ginv)
 
     def _with_trace_term(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
                          ) -> np.ndarray:
@@ -214,6 +217,34 @@ class Fixture:
         einsum's accumulation gives."""
         t_up = self._t_coefficient * matvec(ginv, T.trace(axis1=-3, axis2=-2))
         return T + self._b_coefficient * (0.0 + gmat[..., None, :, :] * t_up[..., None, None])
+
+    def _with_trace_term_at_point(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
+                                  ) -> np.ndarray:
+        """:meth:`_with_trace_term` at one point, in float arithmetic on the
+        flat values, each operation in the order and with the operands of the
+        stack's numpy calls, which cost more than the arithmetic on a few
+        numbers.  Every finite, infinite or zero entry equals the stack's bit
+        for bit; a NaN entry is NaN there too, but its sign bit may differ,
+        as CPython's float add keeps one operand's NaN before it specializes
+        the instruction and the other's after."""
+        n, nn = self.n, self.n * self.n
+        t, g, gi = T.ravel().tolist(), gmat.ravel().tolist(), ginv.ravel().tolist()
+        trace = []
+        for j in range(n):
+            acc = 0.0
+            for tkkj in t[j::nn + n]:
+                acc += tkkj
+            trace.append(acc)
+        b, out, at = self._b_coefficient, [], 0
+        for row in range(0, nn, n):
+            acc = gi[row] * trace[0]
+            for j in range(1, n):
+                acc += gi[row + j] * trace[j]
+            tk = self._t_coefficient * acc
+            for gij in g:
+                out.append(t[at] + b * (0.0 + gij * tk))
+                at += 1
+        return np.array(out).reshape(n, n, n)
 
     def _dagger_tensor(self, x) -> np.ndarray:
         """D minus the trace shift that makes the dagger companion."""

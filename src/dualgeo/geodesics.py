@@ -32,14 +32,21 @@ domain error (an EvalDomainError, SingularMetricError, RankDeficiencyError
 or LinAlgError), that step is redone one row at a time, each under its own
 connection: the rows that raise exit with ``domain_exit``, the others go on.
 Every operation rounds each row as it would round a single point, so each
-row equals its single-start run under its own connection bit for bit.  A
-lone running row steps as a single (2, n) point, which costs less per call:
-its metric, coefficient and tensor calls take a point's path, which skips
-the stack's reshapes, and each call of numpy on a few numbers costs about a
-microsecond however small it is, so the state's one operation per RK4
-combination and its one halt test save calls where they matter most.  The
-exports format and write EXPORT_BLOCK samples at a time, so their memory
-does not grow.
+row equals its single-start run under its own connection bit for bit.
+
+A lone running row (a start integrated alone, or the last row of a stack)
+and each row of a redone step go through one float kernel instead, since a
+numpy call on a few numbers costs about a microsecond however small it is,
+more than the arithmetic.  Its x and p are Python floats; per RK4 stage only
+the metric record and the connection's coefficients are numpy calls, each
+read once with ``.ravel().tolist()``.  Each float operation rounds as the
+stack's numpy call rounds that row: the RK4 combinations, xdot summed over j
+as :func:`~dualgeo.geometry.matvec` sums it, pdot_i summed from +0 with k
+outer and j inner as the einsum sums it, the q term, and the halt test,
+triaged in the same order.  So the number of running rows picks the path,
+and neither path changes a bit.  A lone row keeps its samples as floats and
+stores them in the state array STORE_BLOCK at a time.  The exports format
+and write EXPORT_BLOCK samples at a time, so their memory does not grow.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -72,6 +79,7 @@ memory stays O(QUERY_BLOCK * m) because queries run in blocks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,6 +104,8 @@ SEGMENT_CHUNK = 32
 PRUNE_SLACK = 1e-9
 # samples per block of the trajectory exports, whose memory is O(block), not O(m)
 EXPORT_BLOCK = 256
+# samples a lone row keeps as floats before it stores them in the state array
+STORE_BLOCK = 256
 
 
 @dataclass
@@ -151,15 +161,62 @@ _BIG = np.finfo(float).max
 
 
 def _rk4_step(rhs, tau: float, h: float, s: np.ndarray) -> np.ndarray:
-    """One classical RK4 step of the state s, (x, p) of one point as a (2, n)
-    array or of every row of an (m, 2, n) stack; ``rhs(tau, s, out)`` writes
-    the derivative of s into out."""
+    """One classical RK4 step of every row of an (m, 2, n) state s;
+    ``rhs(tau, s, out)`` writes the derivative of s into out."""
     k1, k2, k3, k4 = k = np.empty((4,) + s.shape)
     rhs(tau, s, k1)
     rhs(tau + 0.5 * h, s + 0.5 * h * k1, k2)
     rhs(tau + 0.5 * h, s + 0.5 * h * k2, k3)
     rhs(tau + h, s + h * k3, k4)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _lone_field(g: Metric, coefficients: Callable, q, n: int):
+    """The right-hand side of one row as float arithmetic on its state
+    ``[x_1, ..., x_n, p_1, ..., p_n]``, rounded as the stack's numpy calls
+    round each row: xdot as :func:`~dualgeo.geometry.matvec` sums it, and
+    pdot_i from +0 over k, then j, of ``(Gamma^k_{ji} xdot^j) p_k``, the
+    order of the stack's einsum."""
+    nn = n * n
+    # per i, the (Gamma index, j, k) of each pdot term in summation order
+    terms = [[(k * nn + j * n + i, j, k) for k in range(n) for j in range(n)]
+             for i in range(n)]
+
+    def rhs(tau: float, s: list) -> list:
+        x = np.array(s[:n])
+        p = s[n:]
+        ginv = g.inverse(x).ravel().tolist()
+        gamma = coefficients(x).ravel().tolist()
+        xdot = []
+        for row in range(0, nn, n):
+            acc = ginv[row] * p[0]
+            for j in range(1, n):
+                acc += ginv[row + j] * p[j]
+            xdot.append(acc)
+        pdot = []
+        for row_terms in terms:
+            acc = 0.0
+            for at, j, k in row_terms:
+                acc += gamma[at] * xdot[j] * p[k]
+            pdot.append(acc)
+        if q is not None:
+            qt = float(q(tau))
+            pdot = [a + qt * b for a, b in zip(pdot, p)]
+        return xdot + pdot
+    return rhs
+
+
+def _lone_step(rhs, tau: float, h: float, s: list) -> list:
+    """One classical RK4 step of a lone row's state s in float arithmetic,
+    each combination rounded as :func:`_rk4_step` rounds it."""
+    half = 0.5 * h
+    k1 = rhs(tau, s)
+    k2 = rhs(tau + half, [a + half * b for a, b in zip(s, k1)])
+    k3 = rhs(tau + half, [a + half * b for a, b in zip(s, k2)])
+    k4 = rhs(tau + h, [a + h * b for a, b in zip(s, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
 
 
 def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric,
@@ -171,8 +228,13 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     ``conn`` is one connection for every row, or a :class:`ConnectionTable`
     whose row r follows ``conn.conns[r]``.  Returns one trajectory per start,
     each equal bit for bit to integrating that start alone under its row's
-    connection.  Other arguments are as for :func:`integrate_dual_geodesic`.
+    connection.  ``steps`` must be at least 0 and ``h`` positive and finite.
+    Other arguments are as for :func:`integrate_dual_geodesic`.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps!r}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     x = np.array(x0s, dtype=float)
     w = np.array(w0s, dtype=float)
     if x.ndim != 2 or w.shape != x.shape:
@@ -191,13 +253,16 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
         coefficients = table.bind(rows)
 
         def rhs(tau: float, s: np.ndarray, out: np.ndarray) -> None:
-            x, p = s[..., 0, :], s[..., 1, :]
-            xdot, pdot = out[..., 0, :], out[..., 1, :]
-            np.matmul(g.inverse(x), p[..., None], out=xdot[..., None])
+            x, p = s[:, 0], s[:, 1]
+            xdot, pdot = out[:, 0], out[:, 1]
+            matvec(g.inverse(x), p, out=xdot)
             np.einsum("...kji,...j,...k->...i", coefficients(x), xdot, p, out=pdot)
             if q is not None:
                 pdot += q(tau) * p
         return rhs
+
+    def lone_field(rows: np.ndarray):
+        return _lone_field(g, table.bind(rows), q, n)
 
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
@@ -223,27 +288,27 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     rows = np.arange(m)         # the rows still running, in order
     tau = 0.0
     rhs = None                  # bound on the first step of each running set
-    for step in range(1, steps + 1):
+    step = 0
+    while len(rows) > 1 and step < steps:
+        step += 1
         if rhs is None:
             rhs = field(rows)
         try:
-            if len(rows) == 1:   # stepped as a point
-                s = _rk4_step(rhs, tau, h, s[0])[None]
-            else:
-                s = _rk4_step(rhs, tau, h, s)
+            s = _rk4_step(rhs, tau, h, s)
         except _DOMAIN_ERRORS:
             # redo the step one row at a time, each under its own connection;
             # the rows that raise exit
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, _rk4_step(field(rows[r:r + 1]), tau, h, s[r])))
+                    done.append((r, _lone_step(lone_field(rows[r:r + 1]), tau, h,
+                                               s[r].ravel().tolist())))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
                 break
             rows = rows[[r for r, _ in done]]
-            s = np.stack([sr for _, sr in done])
+            s = np.array([sr for _, sr in done]).reshape(-1, 2, n)
             rhs = None
         tau += h
         taus[step] = tau
@@ -265,12 +330,38 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                     exits[rows[r]] = "singular_margin"
                 samples[rows[r]] = step
             rows, s, rhs = rows[go], s[go], None
-            if not len(rows):
-                break
         if len(rows) == m:
             states[step] = s
-        else:
+        elif len(rows):
             states[step, rows] = s
+    if len(rows) == 1 and step < steps:
+        # the last running row steps on floats, with the same halt triage
+        row, first = rows[0], step + 1
+        rhs, state, kept = lone_field(rows), s[0].ravel().tolist(), []
+        box_bounds = list(zip(lo.tolist(), hi.tolist()))
+        for step in range(first, steps + 1):
+            try:
+                state = _lone_step(rhs, tau, h, state)
+            except _DOMAIN_ERRORS:
+                exits[row], samples[row] = "domain_exit", step
+                break
+            tau += h
+            taus[step] = tau
+            if not all(map(math.isfinite, state)):
+                exits[row] = "nonfinite"
+            elif not all(a <= v <= b for v, (a, b) in zip(state, box_bounds)):
+                exits[row] = "domain_exit"
+            elif any(abs(state[axis] - value) < SINGULAR_HALT_MARGIN for axis, value in loci):
+                exits[row] = "singular_margin"
+            else:
+                kept.append(state)
+                if len(kept) == STORE_BLOCK:
+                    states[first:step + 1, row] = np.reshape(kept, (-1, 2, n))
+                    first, kept = step + 1, []
+                continue
+            samples[row] = step
+            break
+        states[first:first + len(kept), row] = np.reshape(kept, (-1, 2, n))
     return [Trajectory(taus[:k].copy(), states[:k, r, 0].copy(), states[:k, r, 1].copy(),
                        table.conns[r].tag, h, exit_reason=exits[r])
             for r, k in enumerate(samples)]

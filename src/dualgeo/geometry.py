@@ -63,15 +63,21 @@ class SingularMetricError(GeometryError):
     pass
 
 
-def matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``a @ v`` over stacks of matrices and vectors (both numpy arrays).
+def matvec(a: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ v`` over stacks of n x n matrices and n-vectors (both numpy
+    arrays, n >= 2, as on every chart), written into ``out`` when given.
 
-    A stack goes through ``matmul`` as ``(..., n, 1)`` columns, which rounds
-    each row exactly as the single-point ``a @ v`` does.
+    Entry i is ``a[i, 0] * v[0] + a[i, 1] * v[1] + ...`` summed left to
+    right, in one elementwise product and one add per further column, so
+    every row of a stack rounds as float arithmetic in that order does.
+    ``matmul`` hands a small product to BLAS, whose summation order and use
+    of fused multiply-add depend on the kernel the CPU selects.
     """
-    if a.ndim == 2 and v.ndim == 1:
-        return a @ v
-    return (a @ v[..., None])[..., 0]
+    terms = a * v[..., None, :]
+    out = np.add(terms[..., 0], terms[..., 1], out=out)
+    for j in range(2, a.shape[-1]):
+        out += terms[..., j]
+    return out
 
 
 CONDITION_BOUND = 1e8  # the largest metric condition number an inverse accepts

@@ -706,8 +706,14 @@ def buildable_tags(fixture):
 
 def reference_b_tensor(T, gmat, ginv, n):
     """B = T + b * g (x) t^sharp from the values of T, g and g^-1 at a point
-    or over a stack, in einsum form."""
-    t_up = conv.t_coefficient(n) * (ginv @ np.einsum("...iij->...j", T)[..., None])[..., 0]
+    or over a stack, in einsum form.  g^-1 tau sums over j from left to
+    right, as float arithmetic does: matmul leaves the order, and the use of
+    fused multiply-add, to the BLAS kernel the CPU selects."""
+    tau = np.einsum("...iij->...j", T)
+    raised = ginv[..., 0] * tau[..., :1]
+    for j in range(1, n):
+        raised = raised + ginv[..., j] * tau[..., j:j + 1]
+    t_up = conv.t_coefficient(n) * raised
     return T + conv.b_coefficient(n) * np.einsum("...ij,...k->...kij", gmat, t_up)
 
 

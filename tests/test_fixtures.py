@@ -585,3 +585,43 @@ def test_b_tensor_rounds_as_its_einsum_form(n, lead, data):
     got = fixture._with_trace_term(T, gmat, ginv)
     assert got.tobytes() == reference_b_tensor(T, gmat, ginv, n).tobytes()
 
+
+
+# T entries with every IEEE special among them; g and g^-1 with signed zeros
+_SPECIAL_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                             st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+
+
+def _flat_config(n: int) -> dict:
+    zero = np.full((n, n, n), "0", dtype=object).tolist()
+    return {"name": f"flat{n}", "dimension": n, "kind": "nondegenerate",
+            "metric": np.where(np.eye(n, dtype=bool), "1", "0").tolist(),
+            "domain": [[-1.0, 1.0]] * n, "structure": {"T": zero}}
+
+
+@given(st.sampled_from([2, 3, 4]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_b_tensor_at_a_point_rounds_as_the_stack(n, data):
+    # the float arithmetic at one point against the stack's numpy calls:
+    # every entry bit for bit, except that a NaN is compared by class only
+    # (with two NaN operands, which one's sign CPython's float add keeps
+    # changes once the interpreter specializes the add)
+    fixture = from_config(_flat_config(n), validate_on_load=False)
+    T = data.draw(arrays(float, (n, n, n), elements=_SPECIAL_ENTRIES), label="T")
+    gmat = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="g")
+    ginv = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="ginv")
+    got = fixture._with_trace_term_at_point(T, gmat, ginv)
+    with np.errstate(invalid="ignore"):
+        want = fixture._with_trace_term(T, gmat, ginv)
+    assert got.shape == want.shape == (n, n, n)
+    assert (np.where(np.isnan(got), np.nan, got).tobytes()
+            == np.where(np.isnan(want), np.nan, want).tobytes())
+
+
+@pytest.mark.parametrize("name", ["sw2", "sphere3-trivial"])
+def test_b_tensor_at_a_point_equals_its_row_of_a_stack(name):
+    fixture = builtin(name)
+    points = fixture.grid(3)
+    stacked = fixture.b_tensor(points)
+    for x, row in zip(points, stacked):
+        assert fixture.b_tensor(x).tobytes() == row.tobytes()

@@ -33,6 +33,15 @@ def test_zero_velocity_rejected(euclid2):
                                 [0.0, 0.0], 10, 0.01)
 
 
+@pytest.mark.parametrize("steps, h, name", [
+    (-1, 1e-3, "steps"), (10, 0.0, "h"), (10, -1e-3, "h"), (10, math.nan, "h"),
+    (10, math.inf, "h")], ids=["negative-steps", "zero-h", "negative-h", "nan-h", "inf-h"])
+def test_bad_steps_or_h_fail_before_anything_else(steps, h, name):
+    # no connection, metric or starts: the check comes before any of them is read
+    with pytest.raises(ValueError, match=rf"^{name} must be"):
+        integrate_dual_geodesics(None, None, None, None, steps, h)
+
+
 def test_velocity_rescaling_same_point_set(sw2):
     conn = sw2.connection("+T")
     kw = dict(box=sw2.box, singular_loci=sw2.singular_loci)
@@ -211,6 +220,37 @@ def test_batched_rows_equal_single_runs_on_claim_starts(name):
             [w0 for _, w0 in starts], 40, 1e-3, box=fixture.box,
             singular_loci=fixture.singular_loci)
         assert all(t.exit_reason == "completed" for t in batch)
+
+
+# a non-constant metric with off-diagonal entries and a nonzero T, loaded
+# without validation (it has no potentials), so that every sum of xdot, pdot
+# and B's trace term adds terms that all round
+_SHEARED = {
+    "name": "sheared", "dimension": 2, "kind": "nondegenerate",
+    "metric": [["2 + x2", "x1/4"], ["x1/4", "1 + x1^2"]], "domain": [[0.5, 1.5], [0.5, 1.5]],
+    "structure": {"T": [[["x1*x2", "x2^2/3"], ["x2^2/3", "1/(1 + x2)"]],
+                        [["sin(x1)", "x1 - x2"], ["x1 - x2", "x1^2*x2"]]]}}
+
+
+def test_a_stack_with_q_equals_each_row_alone():
+    # rows of all four connections, with a reparametrization q, on a metric
+    # whose every sum rounds; four rows leave the box, each at its own step,
+    # so the stack narrows to one +B row, which goes on alone on floats
+    from dualgeo.fixtures import from_config
+    fixture = from_config(_SHEARED, validate_on_load=False)
+    rows = [("+B", [1.0, 1.0], [0.3, -0.2]), ("+T", [0.7, 1.2], [-1.5, 0.4]),
+            ("-T", [1.2, 0.8], [0.2, 3.0]), ("-B", [0.8, 1.1], [-2.0, -1.0]),
+            ("+B", [1.2, 0.8], [2.0, 0.5])]
+    x0s, w0s = [x0 for _, x0, _ in rows], [w0 for _, _, w0 in rows]
+    batch = _assert_table_rows_equal_single_runs(
+        fixture.connection_table([tag for tag, _, _ in rows]), fixture.metric, x0s, w0s,
+        400, 1e-3, q=math.sin, box=fixture.box)
+    assert [(len(t.tau), t.exit_reason) for t in batch] == [
+        (401, "completed"), (127, "domain_exit"), (143, "domain_exit"),
+        (195, "domain_exit"), (259, "domain_exit")]
+    # and one connection for every row, through the uniform table
+    _assert_rows_equal_single_runs(fixture.connection("+B"), fixture.metric, x0s, w0s,
+                                   400, 1e-3, q=math.sin, box=fixture.box)
 
 
 def test_batched_rows_halt_independently(euclid2):

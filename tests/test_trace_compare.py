@@ -24,6 +24,9 @@ _CASES = {
     "sw2-recovered": ("recovered", "1.3,1.4", "-0.08,-0.05", "150", "1e-3"),
     # +T leaves the box after 184 steps and +B after 300: both keep over half
     "halts-early": ("sw2", "1,2", "-0.5,0.1", "320", "1e-2"),
+    # +T completes and +B leaves the box after 1257 of 2400 steps
+    "compare-halts-early": ("sw2", "1.0,1.0", "0.35355339059327373,0.35355339059327373",
+                            "2400", "1e-3"),
     # a metric that is not constant: each lone-row stage computes its record
     "sphere3-trivial": ("sphere3-trivial", "0.1,0.2,-0.1", "0.3,-0.2,0.1", "100", "1e-2"),
 }
@@ -41,7 +44,8 @@ def _fixture_source(name, tmp_path):
 
 def _expected(source, x0, w0, steps, h, out):
     """The comparison's stdout when both curves are integrated in this
-    process, with the +T curve's CSV and JSON exported to ``out``."""
+    process, with the +T curve's CSV and JSON exported to ``out``, and the
+    notes of the curves that halt early, each with its tag."""
     fixture = builtin(source) if source in builtin_names() else load(source)
     x0, w0 = (np.array([float(v) for v in s.split(",")]) for s in (x0, w0))
     a, b = (integrate_dual_geodesic(fixture.connection(tag), fixture.metric, x0, w0,
@@ -58,7 +62,9 @@ def _expected(source, x0, w0, steps, h, out):
         "hausdorff_b_to_a": f"{cmp.dist_b_to_a:.17g}",
         "tolerance": f"{cmp.tol:.17g}",
         "connections": ["+T", "+B"],
-    }, indent=2, sort_keys=True) + "\n", a.exit_reason
+    }, indent=2, sort_keys=True) + "\n", [
+        f"note: integration of {t.connection_tag} halted early ({t.exit_reason}) after "
+        f"{len(t.tau) - 1} steps" for t in (a, b) if t.exit_reason != "completed"]
 
 
 @pytest.mark.parametrize("fork", [True, False], ids=["forked", "without-fork"])
@@ -73,9 +79,10 @@ def test_trace_compare_matches_an_in_process_run(case, fork, tmp_path, capsys, m
                      f"--x0={x0}", f"--w0={w0}", "--steps", steps, "--h", h,
                      "--out", str(out)])
     captured = capsys.readouterr()
-    want, exit_reason = _expected(source, x0, w0, steps, h, tmp_path / "reference")
-    assert (exit_reason != "completed") == (case == "halts-early")
-    assert ("halted early" in captured.err) == (case == "halts-early")
+    want, notes = _expected(source, x0, w0, steps, h, tmp_path / "reference")
+    assert len(notes) == {"halts-early": 2, "compare-halts-early": 1}.get(case, 0)
+    assert [line.split(";")[0] for line in captured.err.splitlines()
+            if "halted early" in line] == notes
     assert captured.out == want
     assert code == (0 if json.loads(want)["coincide"] else 1)
     for ext in (".csv", ".json"):
