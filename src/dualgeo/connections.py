@@ -41,6 +41,7 @@ their pass and raise instead of returning a misleading verdict.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,18 +64,23 @@ class AffineConnection:
     """Coefficient-function-backed connection on the chart of ``metric``.
 
     ``coefficients(x)`` returns ``Gamma[k, i, j]``; for points of shape
-    ``(..., n)`` it returns ``(..., n, n, n)``.  ``jacobian(x)`` returns
-    ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}`` from the analytic ``jac_fn``;
-    a connection built without one raises ConnectionError_ naming its tag.
+    ``(..., n)`` it returns ``(..., n, n, n)``.  ``point(x)`` returns them at
+    one point as a flat list of floats: ``point_fn(x)``, which must equal
+    ``coefficients(x).ravel().tolist()`` bit for bit, or without one that
+    list.  ``jacobian(x)`` returns ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}``
+    from the analytic ``jac_fn``; a connection built without one raises
+    ConnectionError_ naming its tag.
     """
 
     def __init__(self, metric: Metric, coeff_fn: Callable[[np.ndarray], np.ndarray],
                  tag: str = "custom",
-                 jac_fn: Callable[[np.ndarray], np.ndarray] | None = None):
+                 jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                 point_fn: Callable[[list], list] | None = None):
         self.metric = metric
         self._coeff_fn = coeff_fn
         self._jac_fn = jac_fn
         self.tag = tag
+        self.point = point_fn or (lambda x: self.coefficients(x).ravel().tolist())
 
     def coefficients(self, x) -> np.ndarray:
         return self._coeff_fn(np.asarray(x, dtype=float))
@@ -106,27 +112,22 @@ class ConnectionTable:
     """The connections of the rows of a stacked state: row r follows
     ``conns[r]``.
 
-    ``bind(rows)`` returns the coefficient function of the running rows whose
-    indices ``rows`` holds: a lone row's own ``conns[r].coefficients``, or
-    ``binder(rows)``, which builds the set's per-row data once.  Each row
-    must round exactly as its own connection rounds it alone, so that any
-    subset of rows may be evaluated together.
+    ``bind(rows)`` returns the coefficient function of the two or more
+    running rows whose indices ``rows`` holds, building the set's per-row
+    data once; a lone row reads its own ``conns[r].point``.  Each row must
+    round exactly as its own connection rounds it alone, so that any subset
+    of rows may be evaluated together.
     """
 
     def __init__(self, conns: Sequence[AffineConnection],
-                 binder: Callable[[np.ndarray], Callable]):
+                 bind: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]):
         self.conns = list(conns)
-        self._binder = binder
+        self.bind = bind
 
     @staticmethod
     def uniform(conn: AffineConnection, m: int) -> "ConnectionTable":
         """Every one of m rows follows conn."""
         return ConnectionTable([conn] * m, lambda rows: conn.coefficients)
-
-    def bind(self, rows: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        if len(rows) == 1:
-            return self.conns[rows[0]].coefficients
-        return self._binder(rows)
 
 
 def levi_civita(g: Metric) -> AffineConnection:
@@ -135,7 +136,8 @@ def levi_civita(g: Metric) -> AffineConnection:
 
 def difference_connection(g: Metric, sign: int,
                           tensor_fn: Callable[[np.ndarray], np.ndarray], tag: str,
-                          tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None
+                          tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
+                          tensor_point_fn: Callable[[list], list] | None = None
                           ) -> AffineConnection:
     """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``, for sign
     +1 or -1.
@@ -143,22 +145,26 @@ def difference_connection(g: Metric, sign: int,
     Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA;
     without one the connection has no Jacobian.  Both are formed as
     ``Gamma - A`` or ``Gamma + A``, which round as ``Gamma - sign * A`` does
-    (``-1 * A`` is ``-A`` and subtracting ``-A`` adds A).  A is trusted to be
-    symmetric in its covariant pair; nothing here checks it.
+    (``-1 * A`` is ``-A`` and subtracting ``-A`` adds A); so does the point
+    path from ``tensor_point_fn``, A's flat list, in float arithmetic.  A is
+    trusted to be symmetric in its covariant pair; nothing here checks it.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, not {sign!r}")
-    combine = np.subtract if sign == 1 else np.add
+    combine, op = (np.subtract, operator.sub) if sign == 1 else (np.add, operator.add)
 
     def coeff(x):
         return combine(g.christoffel(x), tensor_fn(x))
 
-    jac = None
+    jac = point = None
     if tensor_jac_fn is not None:
         def jac(x):
             return combine(g.christoffel_jacobian(x), tensor_jac_fn(x))
+    if tensor_point_fn is not None:
+        def point(x):
+            return list(map(op, g.flat("christoffel", x), tensor_point_fn(x)))
 
-    return AffineConnection(g, coeff, tag, jac_fn=jac)
+    return AffineConnection(g, coeff, tag, jac_fn=jac, point_fn=point)
 
 
 def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,

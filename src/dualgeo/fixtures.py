@@ -39,6 +39,7 @@ checked in code.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -99,6 +100,24 @@ class KillingData:
     V: ScalarField | None = None  # potential whose integral the pair (K, W) closes
 
 
+@functools.cache
+def _trace_term_at_point(n: int) -> Callable[[list, list, list], list]:
+    """``Fixture._with_trace_term`` at one point on an n-dimensional chart, as
+    straight-line float code from the flat lists of T, g and g^-1 to B's: each
+    operation as the stack's numpy calls order it, so every entry is the stack's
+    bit for bit, but for a NaN's sign (CPython's float add picks its NaN)."""
+    nn, tc, bc = n * n, conv.t_coefficient(n), conv.b_coefficient(n)
+    lines = [f"    r{j} = 0.0 + {' + '.join(f't[{k * (nn + n) + j}]' for k in range(n))}"
+             for j in range(n)]
+    lines += [f"    k{i} = ({tc!r}) * ({' + '.join(f'gi[{i * n + j}] * r{j}' for j in range(n))})"
+              for i in range(n)]
+    entries = [f"t[{i * nn + a}] + ({bc!r}) * (0.0 + g[{a}] * k{i})"
+               for i in range(n) for a in range(nn)]
+    exec("\n".join(["def trace_term(t, g, gi):", *lines,
+                     f"    return [{', '.join(entries)}]"]), namespace := {})
+    return namespace["trace_term"]
+
+
 class Fixture:
     """A validated example system on a fixed chart."""
 
@@ -123,6 +142,7 @@ class Fixture:
         self.solver = StructureSolver(metric, family) if family is not None else None
         self._t_coefficient = conv.t_coefficient(metric.n)
         self._b_coefficient = conv.b_coefficient(metric.n)
+        self._with_trace_term_at_point = _trace_term_at_point(metric.n)
 
     # --- basic data ---------------------------------------------------------
 
@@ -200,14 +220,30 @@ class Fixture:
 
     # --- the connection family -------------------------------------------------
 
+    def _point_fn(self, label: str) -> Callable[[list], list] | None:
+        """Field ``label`` at one point as a flat list of floats (a declared field's
+        float function, else the recovery's ``.tolist()``); None outside the kind."""
+        if label not in FIELDS[self.kind]:
+            return None
+        declared = self.declared.get(label)
+        return declared.point if declared is not None else (
+            lambda x: self._field(label, np.array(x)).ravel().tolist())
+
+    @functools.cached_property
+    def _b_point(self) -> Callable[[list], list]:
+        """B at one point as a flat list of floats."""
+        flat, trace_term = self.metric.flat, self._with_trace_term_at_point
+        t_point = self._point_fn("T") or (
+            lambda x: self.structure_tensor(np.array(x)).ravel().tolist())
+        return lambda x: trace_term(t_point(x), flat("value", x), flat("inverse", x))
+
     def b_tensor(self, x) -> np.ndarray:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
+        if np.ndim(x) == 1:
+            return np.array(self._b_point(x)).reshape((self.n,) * 3)
         g = self.metric
-        T, gmat, ginv = self.structure_tensor(x), g.jets(x)[0], g.inverse(x)
-        if T.ndim == 3:
-            return self._with_trace_term_at_point(T, gmat, ginv)
-        return self._with_trace_term(T, gmat, ginv)
+        return self._with_trace_term(self.structure_tensor(x), g.value(x), g.inverse(x))
 
     def _with_trace_term(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
                          ) -> np.ndarray:
@@ -217,34 +253,6 @@ class Fixture:
         einsum's accumulation gives."""
         t_up = self._t_coefficient * matvec(ginv, T.trace(axis1=-3, axis2=-2))
         return T + self._b_coefficient * (0.0 + gmat[..., None, :, :] * t_up[..., None, None])
-
-    def _with_trace_term_at_point(self, T: np.ndarray, gmat: np.ndarray, ginv: np.ndarray
-                                  ) -> np.ndarray:
-        """:meth:`_with_trace_term` at one point, in float arithmetic on the
-        flat values, each operation in the order and with the operands of the
-        stack's numpy calls, which cost more than the arithmetic on a few
-        numbers.  Every finite, infinite or zero entry equals the stack's bit
-        for bit; a NaN entry is NaN there too, but its sign bit may differ,
-        as CPython's float add keeps one operand's NaN before it specializes
-        the instruction and the other's after."""
-        n, nn = self.n, self.n * self.n
-        t, g, gi = T.ravel().tolist(), gmat.ravel().tolist(), ginv.ravel().tolist()
-        trace = []
-        for j in range(n):
-            acc = 0.0
-            for tkkj in t[j::nn + n]:
-                acc += tkkj
-            trace.append(acc)
-        b, out, at = self._b_coefficient, [], 0
-        for row in range(0, nn, n):
-            acc = gi[row] * trace[0]
-            for j in range(1, n):
-                acc += gi[row + j] * trace[j]
-            tk = self._t_coefficient * acc
-            for gij in g:
-                out.append(t[at] + b * (0.0 + gij * tk))
-                at += 1
-        return np.array(out).reshape(n, n, n)
 
     def _dagger_tensor(self, x) -> np.ndarray:
         """D minus the trace shift that makes the dagger companion."""
@@ -290,16 +298,18 @@ class Fixture:
         if tag == "LC":
             return levi_civita(self.metric)
         zfield = zeta if zeta is not None else self.zeta
-        tensor_fn, tensor_jac_fn = {
+        tensor_fn, tensor_jac_fn, point_fn = {
             "T": (self.structure_tensor,
-                  None if self.is_semidegenerate else self.structure_tensor_jacobian),
-            "B": (self.b_tensor, None),
-            "D": (self.prolongation_tensor, self.prolongation_jacobian),
-            "dagger": (self._dagger_tensor, None),
-            "F": (lambda x: self._f_tensor(x, zfield), None),
+                  None if self.is_semidegenerate else self.structure_tensor_jacobian,
+                  self._point_fn("T")),
+            "B": (self.b_tensor, None, self._b_point),
+            "D": (self.prolongation_tensor, self.prolongation_jacobian, self._point_fn("D")),
+            "dagger": (self._dagger_tensor, None, None),
+            "F": (lambda x: self._f_tensor(x, zfield), None, None),
         }[tag.lstrip("+-")]
         sign = -1 if tag[0] == "-" else +1
-        return difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn)
+        return difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn,
+                                     point_fn)
 
     def connection_table(self, tags: Sequence[str]) -> ConnectionTable:
         """Row r of a stacked state follows connection ``tags[r]``: one of

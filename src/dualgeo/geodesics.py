@@ -34,19 +34,20 @@ connection: the rows that raise exit with ``domain_exit``, the others go on.
 Every operation rounds each row as it would round a single point, so each
 row equals its single-start run under its own connection bit for bit.
 
-A lone running row (a start integrated alone, or the last row of a stack)
-and each row of a redone step go through one float kernel instead, since a
-numpy call on a few numbers costs about a microsecond however small it is,
-more than the arithmetic.  Its x and p are Python floats; per RK4 stage only
-the metric record and the connection's coefficients are numpy calls, each
-read once with ``.ravel().tolist()``.  Each float operation rounds as the
-stack's numpy call rounds that row: the RK4 combinations, xdot summed over j
-as :func:`~dualgeo.geometry.matvec` sums it, pdot_i summed from +0 with k
-outer and j inner as the einsum sums it, the q term, and the halt test,
-triaged in the same order.  So the number of running rows picks the path,
-and neither path changes a bit.  A lone row keeps its samples as floats and
-stores them in the state array STORE_BLOCK at a time.  The exports format
-and write EXPORT_BLOCK samples at a time, so their memory does not grow.
+A lone running row (a start integrated alone, or the last row of a stack) and
+each row of a redone step go through one float kernel instead, since a numpy
+call on a few numbers costs about a microsecond however small it is, more
+than the arithmetic.  Its x and p are Python floats, and per RK4 stage it
+reads g^-1 and the connection as flat lists of floats (``Metric.flat``,
+``AffineConnection.point``), so a built-in's stage makes no numpy call on a
+few numbers.  Each float operation rounds as the stack's numpy call rounds
+that row: the RK4 combinations, xdot summed over j as
+:func:`~dualgeo.geometry.matvec` sums it, pdot_i summed from +0 with k outer
+and j inner as the einsum sums it, the q term, and the halt test, triaged in
+the same order.  So the number of running rows picks the path, and neither
+path changes a bit.  A lone row keeps its samples as floats and stores them
+in the state array STORE_BLOCK at a time.  The exports format and write
+EXPORT_BLOCK samples at a time, so their memory does not grow.
 
 Curves are compared as unparametrized point sets with a discrete one-sided
 Hausdorff distance restricted to the overlapping arc, overlap being defined by
@@ -171,7 +172,7 @@ def _rk4_step(rhs, tau: float, h: float, s: np.ndarray) -> np.ndarray:
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _lone_field(g: Metric, coefficients: Callable, q, n: int):
+def _lone_field(g: Metric, conn: AffineConnection, q, n: int):
     """The right-hand side of one row as float arithmetic on its state
     ``[x_1, ..., x_n, p_1, ..., p_n]``, rounded as the stack's numpy calls
     round each row: xdot as :func:`~dualgeo.geometry.matvec` sums it, and
@@ -181,12 +182,13 @@ def _lone_field(g: Metric, coefficients: Callable, q, n: int):
     # per i, the (Gamma index, j, k) of each pdot term in summation order
     terms = [[(k * nn + j * n + i, j, k) for k in range(n) for j in range(n)]
              for i in range(n)]
+    flat, point = g.flat, conn.point
 
     def rhs(tau: float, s: list) -> list:
-        x = np.array(s[:n])
+        x = s[:n]
         p = s[n:]
-        ginv = g.inverse(x).ravel().tolist()
-        gamma = coefficients(x).ravel().tolist()
+        ginv = flat("inverse", x)
+        gamma = point(x)
         xdot = []
         for row in range(0, nn, n):
             acc = ginv[row] * p[0]
@@ -261,9 +263,6 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                 pdot += q(tau) * p
         return rhs
 
-    def lone_field(rows: np.ndarray):
-        return _lone_field(g, table.bind(rows), q, n)
-
     lo = np.full(n, -np.inf)
     hi = np.full(n, np.inf)
     if box is not None:
@@ -301,8 +300,8 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, _lone_step(lone_field(rows[r:r + 1]), tau, h,
-                                               s[r].ravel().tolist())))
+                    done.append((r, _lone_step(_lone_field(g, table.conns[row], q, n),
+                                               tau, h, s[r].ravel().tolist())))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
@@ -337,7 +336,7 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     if len(rows) == 1 and step < steps:
         # the last running row steps on floats, with the same halt triage
         row, first = rows[0], step + 1
-        rhs, state, kept = lone_field(rows), s[0].ravel().tolist(), []
+        rhs, state, kept = _lone_field(g, table.conns[row], q, n), s[0].ravel().tolist(), []
         box_bounds = list(zip(lo.tolist(), hi.tolist()))
         for step in range(first, steps + 1):
             try:

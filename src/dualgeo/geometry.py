@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -149,6 +149,8 @@ class Metric:
             self.christoffel_jacobian(x0)
             self._origin = self._record[1]
             self._record = ((), self._origin)
+            self._flats = {name: getattr(self, name)(x0).ravel().tolist()
+                           for name in ("value", "inverse", "christoffel")}
 
     @staticmethod
     def from_sources(rows: Sequence[Sequence[str]], constants=None) -> "Metric":
@@ -199,7 +201,8 @@ class Metric:
             if origin is None:
                 part = compute(pts)
                 for a in part if isinstance(part, tuple) else (part,):
-                    a.flags.writeable = False
+                    if isinstance(a, np.ndarray):
+                        a.flags.writeable = False
             else:
                 part = origin[name]
                 part = (tuple(np.broadcast_to(a, key + a.shape) for a in part)
@@ -212,6 +215,14 @@ class Metric:
 
     def value(self, x) -> np.ndarray:
         return self.jets(x)[0]
+
+    def flat(self, name: str, x) -> list:
+        """Part ``name`` ("value", "inverse" or "christoffel") at one point as a
+        flat list of floats, which callers only read; kept beside its array."""
+        if self._origin is not None:   # a constant metric's, made when built
+            return self._flats[name]
+        return self._part(name + "-flat", x,
+                          lambda pts: getattr(self, name)(pts).ravel().tolist())
 
     def _checked_inverse(self, x) -> np.ndarray:
         g = self.value(x)
@@ -359,9 +370,14 @@ class TensorField:
         array code from ``jets.ARRAY_ROWS`` rows)."""
         pts = np.asarray(x, dtype=float)
         if pts.ndim == 1:
-            return np.array(self._program.values(pts)).reshape(self.comps.shape)
+            return np.array(self.point(pts)).reshape(self.comps.shape)
         out = self._program.values(pts.reshape(-1, self.n))
         return out.reshape(pts.shape[:-1] + self.comps.shape)
+
+    @cached_property
+    def point(self) -> Callable[[Sequence[float]], list]:
+        """The compiled float function: the flat components at one point."""
+        return self._program.point
 
     def jets(self, x) -> tuple[np.ndarray, np.ndarray]:
         """(values, partials) with partials[a, ...] = d_a components, at a

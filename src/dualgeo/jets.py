@@ -764,10 +764,8 @@ class Program:
         through the float function, whose first failing row raises, naming
         its point.
         """
-        if self._values is None:
-            self._values = _generate(self.exprs)
         if (point.ndim if isinstance(point, np.ndarray) else np.ndim(point)) < 2:
-            return self._values(point)
+            return self.point(point)
         points = np.asarray(point, dtype=float)
         if len(points) >= ARRAY_ROWS:
             if self._rows is None:
@@ -777,8 +775,14 @@ class Program:
                     return self._rows(points.T)
             except _FLOAT_FAILURES:
                 pass
-        return np.array(_by_row(self._values, points),
+        return np.array(_by_row(self.point, points),
                         dtype=float).reshape(len(points), len(self.exprs))
+
+    def point(self, point) -> list:
+        """:meth:`values` at one point, a sequence of n floats, unchecked."""
+        if self._values is None:
+            self._values = _generate(self.exprs)
+        return self._values(point)
 
     def _flat(self, point, order: int) -> tuple[np.ndarray, list]:
         """:meth:`jet_flat` of the point or stack, and its layout."""

@@ -9,7 +9,7 @@ from dualgeo.connections import (
     connection_ricci_symmetry_check, difference_connection, difference_tensor,
     dual_projective_test, levi_civita, semi_compatibility_test, shift_by_one_form,
 )
-from dualgeo.fixtures import builtin, from_config
+from dualgeo.fixtures import builtin, builtin_names, from_config
 from dualgeo.geometry import Metric, ScalarField
 from oracles import (
     buildable_tags, reference_coefficients, reference_jacobian, tags_without_jacobian,
@@ -308,6 +308,19 @@ def test_coefficients_on_stacked_points_equal_single_points(name):
         assert batch.tobytes() == single.tobytes(), tag
         # a (1, n) stack is a batch too
         assert conn.coefficients(points[:1]).shape == (1,) + single.shape[1:]
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["sw2-recovered", "sw2-weak-recovered"])
+def test_point_path_equals_the_coefficients_at_each_point(name):
+    # the flat list a lone integrator row reads, against the array path, on
+    # every connection the fixture builds; NaNs compare by class only
+    fixture = _stack_fixture(name)
+    for tag in buildable_tags(fixture):
+        conn = fixture.connection(tag)
+        for x in fixture.grid(5):
+            got, want = np.array(conn.point(x.tolist())), conn.coefficients(x).ravel()
+            assert (np.where(np.isnan(got), np.nan, got).tobytes()
+                    == np.where(np.isnan(want), np.nan, want).tobytes()), (tag, x)
 
 
 @pytest.mark.parametrize("name", STACK_FIXTURES)

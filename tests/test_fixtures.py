@@ -610,7 +610,8 @@ def test_b_tensor_at_a_point_rounds_as_the_stack(n, data):
     T = data.draw(arrays(float, (n, n, n), elements=_SPECIAL_ENTRIES), label="T")
     gmat = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="g")
     ginv = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="ginv")
-    got = fixture._with_trace_term_at_point(T, gmat, ginv)
+    got = np.array(fixture._with_trace_term_at_point(
+        T.ravel().tolist(), gmat.ravel().tolist(), ginv.ravel().tolist())).reshape(n, n, n)
     with np.errstate(invalid="ignore"):
         want = fixture._with_trace_term(T, gmat, ginv)
     assert got.shape == want.shape == (n, n, n)

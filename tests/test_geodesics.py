@@ -320,11 +320,22 @@ def _assert_table_rows_equal_single_runs(table, g, x0s, w0s, steps, h, **kw):
     return batch
 
 
-@pytest.mark.parametrize("name", builtin_names())
+def _without_structure(name):
+    """The built-in ``name`` with its structure block deleted, so every
+    structure field is recovered."""
+    from dualgeo.fixtures import builtin_config, from_config
+    cfg = builtin_config(name)
+    del cfg["structure"]
+    return from_config(cfg, validate_on_load=False)
+
+
+@pytest.mark.parametrize("name", builtin_names() + ["sw2-recovered", "sw2-weak-recovered"])
 def test_connection_table_rows_equal_single_connection_runs(name):
     # the rows of a theorem's suite-level state: its four connections times
-    # the seeded claim starts, plus fast starts by the box's edge that leave
-    fixture = builtin(name)
+    # the seeded claim starts, plus fast starts by the box's edge that leave;
+    # a -recovered fixture's lone rows read their recovered fields' lists
+    fixture = (_without_structure(name.removesuffix("-recovered"))
+               if name.endswith("-recovered") else builtin(name))
     starts = _seeded_initial_conditions(fixture, np.random.default_rng(7), 10)
     lo, hi = np.array(fixture.box).T
     edge = lo + 0.01 * (hi - lo)
@@ -338,6 +349,64 @@ def test_connection_table_rows_equal_single_connection_runs(name):
     exits = [t.exit_reason for t in batch]
     assert exits.count("domain_exit") == 2 * len(tags)
     assert exits.count("completed") == 10 * len(tags)
+
+
+def _ho2_variant(**changes):
+    """ho2's config with its entries replaced by ``changes``, loaded without
+    validation."""
+    from dualgeo.fixtures import builtin_config, from_config
+    return from_config({**builtin_config("ho2"), **changes}, validate_on_load=False)
+
+
+def _raising(monkeypatch, error):
+    """Make ``error`` escape the integrator instead of ending a row."""
+    from dualgeo import geodesics
+    monkeypatch.setattr(geodesics, "_DOMAIN_ERRORS",
+                        tuple(e for e in geodesics._DOMAIN_ERRORS if e is not error))
+
+
+def test_a_declared_field_that_divides_by_zero_ends_a_lone_row(monkeypatch):
+    # T^1_11 = 1/x1 on a lone +B row, whose point path runs T's compiled
+    # float function.  From x1 = 0.5 the row jumps over the pole and leaves
+    # the box after 168 samples, with no error swallowed on the way; from
+    # x1 = 0 the first stage's division check raises and ends the row there
+    from dualgeo.expressions import EvalDomainError
+    T = [[["1/x1", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+    fixture = _ho2_variant(structure={"T": T})
+
+    def run(x1):
+        return integrate_dual_geodesic(fixture.connection("+B"), fixture.metric, [x1, 0.3],
+                                       [-1.0, 0.0], 1000, 1e-3, box=fixture.box,
+                                       singular_loci=fixture.singular_loci)
+    assert [(t.exit_reason, len(t.tau)) for t in (run(0.5), run(0.0))] == [
+        ("domain_exit", 168), ("domain_exit", 1)]
+    _raising(monkeypatch, EvalDomainError)
+    assert len(run(0.5).tau) == 168
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        run(0.0)
+
+
+def test_a_metric_that_turns_singular_ends_lone_and_stacked_rows(monkeypatch):
+    # g_11 = exp(-40 x1) grows past the condition bound as x1 falls: every
+    # +-T and +-B row, alone or in a 4-row table state, ends after 51
+    # samples, where the metric's condition check raises
+    from dualgeo.geometry import SingularMetricError
+    fixture = _ho2_variant(metric=[["exp(-40*x1)", "0"], ["0", "1"]])
+    tags = ["+T", "+B", "-T", "-B"]
+    kw = dict(box=fixture.box, singular_loci=fixture.singular_loci)
+
+    def runs():
+        table = integrate_dual_geodesics(fixture.connection_table(tags), fixture.metric,
+                                         [[0.0, 0.3]] * 4, [[1.0, 0.1]] * 4, 1000, 1e-3, **kw)
+        return table + [integrate_dual_geodesic(fixture.connection(tag), fixture.metric,
+                                                [0.0, 0.3], [1.0, 0.1], 1000, 1e-3, **kw)
+                        for tag in tags]
+    assert [(t.exit_reason, len(t.tau)) for t in runs()] == [("domain_exit", 51)] * 8
+    _raising(monkeypatch, SingularMetricError)
+    for tag in tags:
+        with pytest.raises(SingularMetricError, match="condition number"):
+            integrate_dual_geodesic(fixture.connection(tag), fixture.metric, [0.0, 0.3],
+                                    [1.0, 0.1], 1000, 1e-3, **kw)
 
 
 def _regions_config(kind: str) -> dict:
@@ -378,21 +447,27 @@ def test_connection_table_rows_halt_as_single_connection_runs(kind, tags):
 
 def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
     # rows that complete, raise in the log (a mixed-tag step redone row by
-    # row), leave the box and reach the singular margin, each at its own step
-    from dualgeo.connections import ConnectionTable
+    # row), leave the box and reach the singular margin, each at its own step;
+    # a stack of rows binds the table, and a lone row takes its own connection
+    from dualgeo import geodesics
     from dualgeo.fixtures import from_config
     fixture = from_config(_regions_config("nondegenerate"), validate_on_load=False)
     rows = [("+T", [1.0, 1.5], [0.1, 0.1]), ("+B", [1.0, 0.7], [0.0, -1.0]),
             ("-T", [1.0, 2.9], [0.0, 1.0]), ("-B", [0.0407, 1.5], [-1.0, 0.0])]
     table = fixture.connection_table([tag for tag, _, _ in rows])
     binds = []
-    bind = ConnectionTable.bind
+    bind, lone_field = table.bind, geodesics._lone_field
 
-    def recording(self, running):
-        binds.append((tuple(running), bind(self, running)))
+    def recording(running):
+        binds.append((tuple(running), bind(running)))
         return binds[-1][1]
 
-    monkeypatch.setattr(ConnectionTable, "bind", recording)
+    def recording_lone(g, conn, q, n):
+        binds.append(((table.conns.index(conn),), conn))
+        return lone_field(g, conn, q, n)
+
+    monkeypatch.setattr(table, "bind", recording)
+    monkeypatch.setattr(geodesics, "_lone_field", recording_lone)
     steps = 100
     batch = integrate_dual_geodesics(table, fixture.metric, [x0 for _, x0, _ in rows],
                                      [w0 for _, _, w0 in rows], steps, 0.01,
@@ -414,7 +489,7 @@ def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
     assert len(expected) == 4 + 3   # four running sets, three rows redone at step 10
     for running, coefficients in binds:
         if len(running) == 1:
-            assert coefficients == table.conns[running[0]].coefficients
+            assert coefficients is table.conns[running[0]]
         else:
             assert all(coefficients != conn.coefficients for conn in table.conns)
 

@@ -486,9 +486,11 @@ def test_corpus_derivatives_match_sympy(rng):
 
 def _nan_class_bits(a) -> bytes:
     """Bit pattern of a float or an array with every NaN made the one quiet
-    NaN: IEEE 754 leaves a NaN result's sign and payload unspecified, and with
-    two NaN operands CPython's float add keeps the right one's and numpy's
-    array add the left one's.  Every other entry keeps its bits."""
+    NaN: IEEE 754 leaves a NaN result's sign and payload unspecified.  With
+    two NaN operands numpy's array add keeps the left one's, and CPython's
+    float add keeps the right one's until the interpreter specializes the
+    instruction and the left one's after, so the same line of float code
+    can give either.  Every other entry keeps its bits."""
     return np.where(np.isnan(a), np.nan, a).tobytes()
 
 
