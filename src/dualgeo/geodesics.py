@@ -43,46 +43,37 @@ reads g^-1 and the connection as flat lists of floats (``Metric.flat``,
 few numbers.  Each float operation rounds as the stack's numpy call rounds
 that row: the RK4 combinations, xdot summed over j as
 :func:`~dualgeo.geometry.matvec` sums it, pdot_i summed from +0 with k outer
-and j inner as the einsum sums it, the q term, and the halt test, triaged in
-the same order.  So the number of running rows picks the path, and neither
-path changes a bit.  A lone row keeps its samples as floats and stores them
-in the state array STORE_BLOCK at a time.  The exports format and write
+and j inner as the einsum sums it, and the q term; the stack's failing rows
+go through its halt triage.  So the number of running rows picks the path,
+and neither path changes a bit.  A lone row keeps its samples as floats and
+stores them in the state array STORE_BLOCK at a time.  The exports format and write
 EXPORT_BLOCK samples at a time, so their memory does not grow.
 
-Curves are compared as unparametrized point sets with a discrete one-sided
-Hausdorff distance restricted to the overlapping arc, overlap being defined by
-nearest-endpoint projection.  That makes the comparison insensitive to the
-reparametrizations that dual-projective shifts induce.  An overlap that holds
-fewer than MIN_OVERLAP of a curve's samples measures as an infinite distance,
-so two curves that barely meet never pass.
-
-The nearest-segment search is exact and pruned.  Segments are grouped into
-chunks of SEGMENT_CHUNK with a bounding box each, stored C-contiguous with
-shape (n, 1, chunks), so a block's box test runs over memory in order (as
-strided views they made a 5000-step comparison take twice as long).  A query first
-scans the chunk whose box lies nearest; its best squared distance is one the
-dense scan computes too, so an exact bound on the nearest one (a distance of
-about 1e-8 on coincident curves).  A chunk whose box lies farther than that
-distance plus a rounding slack is skipped.  When a block of QUERY_BLOCK
-queries skips every other chunk, the first scan is the result; otherwise the
-block scans, in ascending order, the union of the chunks its queries keep.
-For curves of m samples that do not double back on themselves a query near the
-curve keeps only its own chunk, so a comparison costs O(m^2 / SEGMENT_CHUNK)
-box tests and O(m * SEGMENT_CHUNK) segment distances instead of m^2.  Every
-scanned pair goes through the dense scan's per-pair arithmetic, a skipped one
-could only compute a strictly larger distance, and argmin keeps the lowest
-segment among ties, so distances and arc coordinates equal the dense scan's
-bit for bit.  In the worst case, every segment about equally near (a query at
-the centre of a circle), nothing is skipped: time is the dense O(m^2), and
-memory stays O(QUERY_BLOCK * m) because queries run in blocks.
+Curves are compared as unparametrized point sets, by arc position.  Two
+dual-geodesics from one start are one curve run one way, so a sample at arc s
+lies near arc s' = s + offset of the other (the arc on one curve of the
+other's first sample, less the converse: 0 for a common start).  It counts if
+s' lies on the other curve, and it is measured to that curve's segments whose
+arc meets [s' - w, s' + w]; with fewer than MIN_OVERLAP of a curve's samples
+counted, the distance is infinite.  The window bounds the drift of the two arc
+coordinates apart: a chord of length D at curvature kappa falls short of its
+arc by kappa^2 D^3 / 24, and a normal distance d stretches arc by a factor of
+at most 1 + kappa d, so w = WINDOW_DRIFT s + WINDOW_REACH D (D the longest
+segment of either curve) holds the drift while kappa D <= 0.15 and
+kappa d <= 6e-5.  A window only removes candidates, so it never lowers a
+distance, and a sample whose nearest segment is an inner edge of its window
+(not an end of the curve) makes that direction's distance infinite: a curve
+that doubles back, or a failed bound, never passes.  This approximates Alt &
+Godau's order-respecting distance (1995) in O(m (WINDOW_REACH + WINDOW_DRIFT
+m)) pairs for m samples, in O(QUERY_BLOCK * window) memory.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -93,16 +84,14 @@ from .structure import RankDeficiencyError
 
 SINGULAR_HALT_MARGIN = 1e-3
 # queries per block of the curve comparison: its temporaries hold at most
-# block x segments x n doubles, so memory grows linearly in curve length
+# block x window x n doubles, however many queries there are
 QUERY_BLOCK = 64
-# least share of a curve's samples its overlap bracket must hold to count
+# least share of a curve's samples whose shifted arc must lie on the other curve
 MIN_OVERLAP = 0.5
-# consecutive segments that share one bounding box in the comparison's pruning
-SEGMENT_CHUNK = 32
-# pruning margin in distance, relative to the largest coordinate magnitude;
-# it exceeds the rounding error of the box bounds and of the per-pair
-# distances (a few hundred ulps of that magnitude for n <= 10) by far
-PRUNE_SLACK = 1e-9
+# the arc window of a sample at arc s is WINDOW_DRIFT * s plus WINDOW_REACH of
+# the longest segment of either curve (the module docstring derives both)
+WINDOW_DRIFT = 1e-3
+WINDOW_REACH = 8
 # samples per block of the trajectory exports, whose memory is O(block), not O(m)
 EXPORT_BLOCK = 256
 # samples a lone row keeps as floats before it stores them in the state array
@@ -278,6 +267,18 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                     or value > hi[axis] and value - hi[axis] >= SINGULAR_HALT_MARGIN)]
     axes = np.array([axis for axis, _ in loci], dtype=int)
     values = np.array([value for _, value in loci], dtype=float)
+    box_bounds = list(zip(lo.tolist(), hi.tolist()))
+
+    def halt(state: list) -> str | None:
+        """The exit reason of a row's flat state [x, p], tested in the order
+        nonfinite, box, singular margin, or None if the row goes on."""
+        if not all(map(math.isfinite, state)):
+            return "nonfinite"
+        if not all(a <= v <= b for v, (a, b) in zip(state, box_bounds)):
+            return "domain_exit"
+        if any(abs(state[axis] - value) < SINGULAR_HALT_MARGIN for axis, value in loci):
+            return "singular_margin"
+        return None
 
     taus = np.empty(steps + 1)
     states = np.empty((steps + 1, m, 2, n))
@@ -314,20 +315,14 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
         inside = (s >= lo_fast) & (s <= hi_fast)
         near = (np.abs(s[:, 0].take(axes, axis=1) - values) < SINGULAR_HALT_MARGIN
                 if len(axes) else None)
-        # the whole state passes, or the rows that fail are triaged in the
-        # order nonfinite, box, margin, so a row gets a lone run's exit reason
+        # the whole state passes, or the rows that fail are triaged as a lone
+        # row is, so a row gets a lone run's exit reason
         if not inside.all() or near is not None and near.any():
             go = inside.all(axis=(1, 2))
             if near is not None:
                 go &= ~near.any(axis=1)
             for r in np.flatnonzero(~go):
-                if not np.isfinite(s[r]).all():
-                    exits[rows[r]] = "nonfinite"
-                elif not ((lo <= s[r, 0]) & (s[r, 0] <= hi)).all():
-                    exits[rows[r]] = "domain_exit"
-                else:
-                    exits[rows[r]] = "singular_margin"
-                samples[rows[r]] = step
+                exits[rows[r]], samples[rows[r]] = halt(s[r].ravel().tolist()), step
             rows, s, rhs = rows[go], s[go], None
         if len(rows) == m:
             states[step] = s
@@ -337,7 +332,6 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
         # the last running row steps on floats, with the same halt triage
         row, first = rows[0], step + 1
         rhs, state, kept = _lone_field(g, table.conns[row], q, n), s[0].ravel().tolist(), []
-        box_bounds = list(zip(lo.tolist(), hi.tolist()))
         for step in range(first, steps + 1):
             try:
                 state = _lone_step(rhs, tau, h, state)
@@ -346,20 +340,14 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                 break
             tau += h
             taus[step] = tau
-            if not all(map(math.isfinite, state)):
-                exits[row] = "nonfinite"
-            elif not all(a <= v <= b for v, (a, b) in zip(state, box_bounds)):
-                exits[row] = "domain_exit"
-            elif any(abs(state[axis] - value) < SINGULAR_HALT_MARGIN for axis, value in loci):
-                exits[row] = "singular_margin"
-            else:
-                kept.append(state)
-                if len(kept) == STORE_BLOCK:
-                    states[first:step + 1, row] = np.reshape(kept, (-1, 2, n))
-                    first, kept = step + 1, []
-                continue
-            samples[row] = step
-            break
+            reason = halt(state)
+            if reason is not None:
+                exits[row], samples[row] = reason, step
+                break
+            kept.append(state)
+            if len(kept) == STORE_BLOCK:
+                states[first:step + 1, row] = np.reshape(kept, (-1, 2, n))
+                first, kept = step + 1, []
         states[first:first + len(kept), row] = np.reshape(kept, (-1, 2, n))
     return [Trajectory(taus[:k].copy(), states[:k, r, 0].copy(), states[:k, r, 1].copy(),
                        table.conns[r].tag, h, exit_reason=exits[r])
@@ -383,7 +371,7 @@ def integrate_dual_geodesic(conn: AffineConnection, g: Metric, x0, w0,
 
 
 class _Polyline:
-    """A curve's vertices and search data, built once per comparison, with their len and shape."""
+    """A curve's vertices, segments and arc coordinates, with their len and shape."""
 
     def __init__(self, points: np.ndarray):
         self.points, self.shape = points, points.shape
@@ -391,14 +379,6 @@ class _Polyline:
         self.seg_len = np.linalg.norm(self.ab, axis=1)
         self.arcs = np.concatenate([[0.0], np.cumsum(self.seg_len)])
         self.len2 = np.einsum("mi,mi->m", self.ab, self.ab)
-        starts = np.arange(0, len(self.ab), SEGMENT_CHUNK)
-        # chunk boxes as C-contiguous (n, 1, chunks), so the box test's inner
-        # axis is long and walks memory in order
-        self.box_lo = np.ascontiguousarray(
-            np.minimum.reduceat(np.minimum(self.a, points[1:]), starts).T[:, None])
-        self.box_hi = np.ascontiguousarray(
-            np.maximum.reduceat(np.maximum(self.a, points[1:]), starts).T[:, None])
-        self.scale = np.max(np.abs(points))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -415,49 +395,40 @@ def _segment_d2(dif: np.ndarray, ab: np.ndarray, len2: np.ndarray
     return np.einsum("...i,...i->...", closest, closest), s
 
 
+def _window_distances(queries: np.ndarray, lo: np.ndarray, hi: np.ndarray, poly: _Polyline
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distance and arc coordinate of each query's nearest point on the segments
+    of ``poly`` whose arc meets ``[lo[k], hi[k]]`` (ties go to the lowest), and
+    whether its segment is an inner edge of that window (not an end of poly)."""
+    if len(poly) == 1:
+        zeros = np.zeros(len(queries))
+        return np.linalg.norm(queries - poly.points[0], axis=1), zeros, zeros.astype(bool)
+    first = np.searchsorted(poly.arcs[1:], lo)
+    last = np.searchsorted(poly.arcs[:-1], hi, "right") - 1
+    hit = np.empty(len(queries), dtype=np.intp)
+    d2, s = np.empty(len(queries)), np.empty(len(queries))
+    for k in range(0, len(queries), QUERY_BLOCK):
+        block = slice(k, k + QUERY_BLOCK)
+        start, stop = first[block], last[block]
+        # each row runs over its own window's segments, padded with its last
+        seg = np.minimum(start[:, None] + np.arange(np.max(stop - start) + 1), stop[:, None])
+        d2_seg, s_seg = _segment_d2(queries[block, None] - poly.a[seg], poly.ab[seg],
+                                    poly.len2[seg])
+        best = np.argmin(d2_seg, axis=1)
+        rows = np.arange(len(seg))
+        hit[block], d2[block], s[block] = seg[rows, best], d2_seg[rows, best], s_seg[rows, best]
+    edge = (hit == first) & (first > 0) | (hit == last) & (last < len(poly) - 2)
+    return np.sqrt(d2), poly.arcs[hit] + s * poly.seg_len[hit], edge
+
+
 def _polyline_distances(queries: np.ndarray, poly: np.ndarray | _Polyline
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Distances and nearest-point arc coordinates of the queries on ``poly``, a
-    vertex array or its :class:`_Polyline`, by the pruned scan of the module
-    docstring; a NaN bound or a scale outside the slack's range scans all."""
+    vertex array or its :class:`_Polyline`, over every segment."""
     queries = np.atleast_2d(queries)
     poly = poly if isinstance(poly, _Polyline) else _Polyline(poly)
-    if len(poly) == 1:
-        return np.linalg.norm(queries - poly.points[0], axis=1), np.zeros(len(queries))
-    a, ab, len2 = poly.a, poly.ab, poly.len2
-    in_chunk = np.arange(SEGMENT_CHUNK)
-    scale = max(poly.scale, np.max(np.abs(queries), initial=0.0))
-    # the rounding bound needs squared coordinates clear of underflow and
-    # overflow; outside that range, and for NaN, every segment is scanned
-    slack = PRUNE_SLACK * scale if 1e-100 <= scale <= 1e100 else None
-    hit = np.empty(len(queries), dtype=np.intp)
-    d2_hit, s_hit = np.empty(len(queries)), np.empty(len(queries))
-    for lo in range(0, len(queries), QUERY_BLOCK):
-        q = queries[lo:lo + QUERY_BLOCK]
-        rows = np.arange(len(q))
-        seg = np.arange(len(ab))
-        if slack is not None:
-            qt = q.T[:, :, None]
-            gap = np.maximum(np.maximum(poly.box_lo - qt, qt - poly.box_hi), 0.0)
-            lower = np.einsum("iqk,iqk->qk", gap, gap)
-            near = np.argmin(lower, axis=1)
-            seg = np.minimum(near[:, None] * SEGMENT_CHUNK + in_chunk, len(ab) - 1)
-            d2, s = _segment_d2(q[:, None] - np.take(a, seg, axis=0),
-                                np.take(ab, seg, axis=0), len2[seg])
-            best = np.argmin(d2, axis=1)
-            found = seg[rows, best], d2[rows, best], s[rows, best]
-            keep = ~(lower > ((np.sqrt(found[1]) + slack) ** 2)[:, None])
-            keep[rows, near] = False
-            kept = keep.any(axis=0)
-            kept[near] = True
-            seg = np.flatnonzero(np.repeat(kept, SEGMENT_CHUNK)[:len(ab)])
-        if slack is None or keep.any():
-            d2, s = _segment_d2(q[:, None] - a[seg], ab[seg], len2[seg])
-            best = np.argmin(d2, axis=1)
-            found = seg[best], d2[rows, best], s[rows, best]
-        block = slice(lo, lo + QUERY_BLOCK)
-        hit[block], d2_hit[block], s_hit[block] = found
-    return np.sqrt(d2_hit), poly.arcs[hit] + s_hit * poly.seg_len[hit]
+    every = np.full(len(queries), np.inf)
+    return _window_distances(queries, -every, every, poly)[:2]
 
 
 @dataclass
@@ -471,31 +442,30 @@ class CurveComparison:
 
 def curves_coincide(a: Trajectory, b: Trajectory, tol: float = 1e-6,
                     steps: int | None = None) -> CurveComparison:
-    """Discrete one-sided Hausdorff distances on the overlapping arc.
+    """One-sided distances by arc position, as the module docstring says.
 
-    The overlap of each curve is bracketed by projecting the other curve's
-    endpoints onto it; samples outside that bracket (the part of a longer arc
-    the other curve never reaches) do not count against coincidence.  A
-    bracket that holds fewer than MIN_OVERLAP of the curve's samples gives an
-    infinite distance.  Given the ``steps`` both integrations were asked for,
-    each curve must keep at least half of the ``steps + 1`` samples: curves
-    that stopped earlier can coincide without showing anything, so both
-    distances are infinite and ``short`` says why.
+    Given the ``steps`` both integrations were asked for, each curve must keep
+    at least half of the ``steps + 1`` samples: curves that stopped earlier can
+    coincide without showing anything, so both distances are infinite and
+    ``short`` says why.
     """
     if steps is not None and 2 * min(len(a.tau), len(b.tau)) < steps + 1:
         return CurveComparison(False, np.inf, np.inf, tol, (
             f"kept {len(a.tau)} and {len(b.tau)} of {steps + 1} samples (exit "
             f"reasons {a.exit_reason}, {b.exit_reason}); fewer than half"))
     pa, pb = _Polyline(a.x), _Polyline(b.x)
+    offset = (_polyline_distances(pb.points[:1], pa)[1][0]
+              - _polyline_distances(pa.points[:1], pb)[1][0])
+    reach = WINDOW_REACH * np.max(np.concatenate([pa.seg_len, pb.seg_len]), initial=0.0)
 
-    def one_sided(src: _Polyline, dst: _Polyline) -> float:
-        _, ends = _polyline_distances(np.array([dst.points[0], dst.points[-1]]), src)
-        lo, hi = min(ends), max(ends)
-        mask = (src.arcs >= lo - 1e-12) & (src.arcs <= hi + 1e-12)
-        if np.count_nonzero(mask) < MIN_OVERLAP * len(src):
+    def one_sided(src: _Polyline, dst: _Polyline, shift: float) -> float:
+        arc = src.arcs + shift
+        on = (arc >= 0.0) & (arc <= dst.arcs[-1])
+        if np.count_nonzero(on) < MIN_OVERLAP * len(src):
             return np.inf
-        d, _ = _polyline_distances(src.points[mask], dst)
-        return float(np.max(d))
+        w = WINDOW_DRIFT * src.arcs[on] + reach
+        d, _, edge = _window_distances(src.points[on], arc[on] - w, arc[on] + w, dst)
+        return np.inf if edge.any() else float(np.max(d))
 
-    dab, dba = one_sided(pa, pb), one_sided(pb, pa)
+    dab, dba = one_sided(pa, pb, -offset), one_sided(pb, pa, offset)
     return CurveComparison(dab < tol and dba < tol, dab, dba, tol)

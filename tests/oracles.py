@@ -644,6 +644,36 @@ def dense_polyline_distances(queries, poly):
     return np.sqrt(d2[rows, best]), arc_starts[best] + s[rows, best] * seg_len[best]
 
 
+def window_polyline_distances(queries, lo, hi, poly):
+    """Distance and nearest-point arc coordinate of each query over only the
+    segments whose arc meets [lo[k], hi[k]], one query at a time by the
+    per-pair formula of :func:`dense_polyline_distances`, and whether the
+    nearest is the window's first or last segment but not the polyline's."""
+    queries = np.atleast_2d(queries)
+    if len(poly) == 1:
+        d, arcs = dense_polyline_distances(queries, poly)
+        return d, arcs, np.zeros(len(queries), dtype=bool)
+    ab = poly[1:] - poly[:-1]
+    seg_len = np.linalg.norm(ab, axis=1)
+    len2 = np.einsum("mi,mi->m", ab, ab)
+    arc_starts = np.concatenate([[0.0], np.cumsum(seg_len)])
+    d, arcs, edge = [], [], []
+    for q, a, b in zip(queries, lo, hi):
+        window = np.flatnonzero((arc_starts[:-1] <= b) & (arc_starts[1:] >= a))
+        dif = q - poly[window]
+        safe_len2 = np.where(len2[window] == 0.0, 1.0, len2[window])
+        s = np.clip(np.einsum("mi,mi->m", dif, ab[window]) / safe_len2, 0.0, 1.0)
+        s = np.where(len2[window] == 0.0, 0.0, s)
+        closest = dif - s[:, None] * ab[window]
+        d2 = np.einsum("mi,mi->m", closest, closest)
+        best = np.argmin(d2)
+        j = window[best]
+        d.append(np.sqrt(d2[best]))
+        arcs.append(arc_starts[j] + s[best] * seg_len[j])
+        edge.append(j == window[0] > 0 or j == window[-1] < len(ab) - 1)
+    return np.array(d), np.array(arcs), np.array(edge, dtype=bool)
+
+
 def reference_json(traj) -> str:
     """A trajectory's JSON export as one ``json.dump(..., indent=2)`` of the
     whole document, every sample a 17-digit string, plus a newline."""

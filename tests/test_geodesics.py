@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualgeo import geodesics
 from dualgeo.connections import AffineConnection, levi_civita
 from dualgeo.expressions import EvalDomainError
-from dualgeo.fixtures import builtin, builtin_names
+from dualgeo.fixtures import builtin, builtin_config, builtin_names, from_config
 from dualgeo.geodesics import (
-    EXPORT_BLOCK, QUERY_BLOCK, SEGMENT_CHUNK, Trajectory, _polyline_distances, curves_coincide,
-    integrate_dual_geodesic, integrate_dual_geodesics,
+    EXPORT_BLOCK, QUERY_BLOCK, WINDOW_DRIFT, WINDOW_REACH, Trajectory, _Polyline,
+    _polyline_distances, _window_distances, curves_coincide, integrate_dual_geodesic,
+    integrate_dual_geodesics,
 )
 from dualgeo.geometry import Metric
 from dualgeo.theorems import _seeded_initial_conditions
-from oracles import dense_polyline_distances, reference_csv, reference_json
+from oracles import (
+    dense_polyline_distances, reference_csv, reference_json, window_polyline_distances,
+)
 
 
 def test_straight_line_euclidean(euclid2):
@@ -669,7 +673,7 @@ def test_blocked_distances_equal_dense_formula(rng, queries, segments, n):
 def test_curve_comparison_memory_is_linear_in_samples():
     # two 10^4-sample collinear segments overlapping on 55 % of their length
     # (a smaller share fails by MIN_OVERLAP): each direction compares ~5500
-    # overlap samples with 10^4 segments
+    # overlap samples, each with the segments of its arc window
     m = 10_000
     t = np.linspace(0.0, 1.0, m)
     line = np.stack([t, np.zeros(m)], axis=1)
@@ -683,14 +687,15 @@ def test_curve_comparison_memory_is_linear_in_samples():
         tracemalloc.stop()
     assert cmp.coincide
     # a block's temporaries hold at most (3n + 5) doubles per scanned
-    # query-segment pair; allowing twice that, the bound is 113 MB, where
-    # all ~5500 overlap queries at once would take 4.8 GB
+    # query-segment pair; allowing twice that for a block against every
+    # segment, the bound is 113 MB, where all ~5500 overlap queries against
+    # every segment at once would take 4.8 GB
     assert peak < 2 * 8 * (3 * 2 + 5) * QUERY_BLOCK * m, peak
 
 
 def test_curve_comparison_memory_is_bounded_when_nothing_is_pruned():
-    # every segment of a circle is equally near its centre, so no chunk is
-    # skipped and the search falls back to the full blocked scan
+    # every segment of a circle is equally near its centre, and the scan of
+    # every segment runs QUERY_BLOCK queries at a time
     m = 10_000
     t = np.linspace(0.0, 2.0 * np.pi, m)
     circle = np.stack([np.cos(t), np.sin(t)], axis=1)
@@ -707,16 +712,17 @@ def test_curve_comparison_memory_is_bounded_when_nothing_is_pruned():
 
 
 def test_empty_overlap_fails():
-    # b's endpoints project into the interior of a's only segment, so a's
-    # overlap bracket holds no sample of a; b still runs through a's first
-    # vertex, so measuring from that vertex alone would read distance 0
+    # b runs back over a's start and out again, ending inside a's only
+    # segment; both curves are 1 long and each start lies on the other at
+    # arc 0.4, so the offset is 0 and every sample counts.  Every sample of b
+    # lies on a, but a's end is 0.4 from b
     a = Trajectory(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]),
                    np.zeros((2, 2)), "a", 1.0)
     b = Trajectory(np.array([0.0, 1.0, 2.0]),
                    np.array([[0.4, 0.0], [0.0, 0.0], [0.6, 0.0]]),
                    np.zeros((3, 2)), "b", 1.0)
     cmp = curves_coincide(a, b, 1e-6)
-    assert cmp.dist_a_to_b == math.inf and cmp.dist_b_to_a == 0.0
+    assert cmp.dist_a_to_b == 0.4 and cmp.dist_b_to_a == 0.0
     assert not cmp.coincide
 
 
@@ -738,6 +744,103 @@ def test_overlap_of_most_samples_passes():
     # sharing 60 of 101 samples clears the MIN_OVERLAP share
     cmp = curves_coincide(_segment_trajectory(0.0), _segment_trajectory(0.4), 1e-6)
     assert cmp.coincide and cmp.dist_a_to_b == 0.0 and cmp.dist_b_to_a == 0.0
+
+
+def _curve(x: np.ndarray) -> Trajectory:
+    return Trajectory(np.arange(len(x), dtype=float), x, np.zeros_like(x), "curve", 1.0)
+
+
+def _circle(samples: int, laps: float) -> Trajectory:
+    t = np.linspace(0.0, 2.0 * np.pi * laps, samples)
+    return _curve(np.stack([np.cos(t), np.sin(t)], axis=1))
+
+
+@pytest.mark.parametrize("laps", [1, 5])
+def test_one_closed_orbit_sampled_two_ways_coincides(laps):
+    # 1000 samples a lap from (1, 0) against 700 a lap over 0.999 of the laps:
+    # a closes on its own start, which lies on b's start too.  Each distance
+    # is the other polyline's chord error, 1 - cos(dtheta / 2)
+    a, b = _circle(1000 * laps, laps), _circle(700 * laps, 0.999 * laps)
+    chord_a = 1.0 - np.cos(np.pi * laps / (1000 * laps - 1))
+    chord_b = 1.0 - np.cos(np.pi * 0.999 * laps / (700 * laps - 1))
+    cmp = curves_coincide(a, b, 2e-5)
+    assert cmp.coincide, (cmp.dist_a_to_b, cmp.dist_b_to_a)
+    assert math.isclose(cmp.dist_a_to_b, chord_b, rel_tol=1e-3)
+    assert chord_a * 0.99 < cmp.dist_b_to_a <= chord_a * (1.0 + 1e-6)
+
+
+def test_a_curve_that_doubles_back_fails():
+    # a runs 0 -> 1 along a line, b runs 0 -> 0.9 and then back to 0.6 over
+    # it, so every point of each lies on the other.  By arc position a's
+    # samples near its end fall on b's way back and the other way round, so
+    # their nearest point lies behind their arc window, at its first segment
+    line = np.linspace(0.0, 1.0, 101)
+    back = np.concatenate([line[:91], line[89:59:-1]])
+    a = _curve(np.stack([line, np.zeros_like(line)], axis=1))
+    b = _curve(np.stack([back, np.zeros_like(back)], axis=1))
+    cmp = curves_coincide(a, b, 1e-6)
+    assert cmp.dist_a_to_b == math.inf and cmp.dist_b_to_a == math.inf
+    assert not cmp.coincide
+
+
+def test_a_curve_that_leaves_the_other_by_a_bump_fails():
+    # b follows a along a line but for a smooth bump of height 1e-4, whose
+    # extra arc (about 1e-7) is far inside the window
+    x = np.linspace(0.0, 1.0, 1001)
+    y = np.where(np.abs(x - 0.5) < 0.1, 1e-4 * np.cos(5.0 * np.pi * (x - 0.5)) ** 2, 0.0)
+    a = _curve(np.stack([x, np.zeros_like(x)], axis=1))
+    cmp = curves_coincide(a, _curve(np.stack([x, y], axis=1)), 1e-6)
+    assert math.isclose(cmp.dist_a_to_b, 1e-4, rel_tol=1e-6)
+    assert math.isclose(cmp.dist_b_to_a, 1e-4, rel_tol=1e-6)
+    assert not cmp.coincide
+
+
+def test_the_retracing_probe_runs_round_the_unit_circle():
+    # the retracing probe is sphere3-trivial's config on [-1.5, 1.5]^3, LC
+    # (T = 0, so +B is LC) from x0 = (1, 0, 0) with w0 = (0, 1, 0) and h = 0.01:
+    # the unit circle in the x1-x2 plane at unit coordinate speed
+    cfg = builtin_config("sphere3-trivial")
+    cfg["domain"] = [[-1.5, 1.5]] * 3
+    del cfg["expected"]
+    fx = from_config(cfg)
+    traj = integrate_dual_geodesic(fx.connection("LC"), fx.metric, [1.0, 0.0, 0.0],
+                                   [0.0, 1.0, 0.0], 700, 0.01, box=fx.box)
+    t = 0.01 * np.arange(701)
+    assert np.max(np.abs(traj.x - np.stack([np.cos(t), np.sin(t), 0.0 * t], axis=1))) < 1e-8
+
+
+@pytest.mark.parametrize("steps", [4000, 16_000])
+def test_retracing_probe_comparison_scans_only_arc_windows(steps, monkeypatch):
+    # the probe's two curves, as the test above pins them: one circle, about
+    # 25 laps at 16,000 steps.  Every lap passes near every sample, so a
+    # nearest-segment search over the whole curve evaluates about m^2 pairs
+    # (78.6 million at 16,000 steps, in 4.5 s), where a sample at step k scans
+    # its window's 2 (WINDOW_REACH + WINDOW_DRIFT k) + 1 segments, each way
+    t = 0.01 * np.arange(steps + 1)
+    x = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
+    segment_d2 = geodesics._segment_d2
+    pairs = []
+
+    def counted(dif, ab, len2):
+        d2, s = segment_d2(dif, ab, len2)
+        pairs.append(d2.size)
+        return d2, s
+
+    a, b = _curve(x), _curve(x.copy())
+    monkeypatch.setattr(geodesics, "_segment_d2", counted)
+    tracemalloc.start()
+    try:
+        cmp = curves_coincide(a, b, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cmp.coincide and cmp.dist_a_to_b == 0.0 and cmp.dist_b_to_a == 0.0
+    m = steps + 1
+    # both ways, plus block padding and the two offset scans of m pairs each
+    assert sum(pairs) < 2 * m * (2 * WINDOW_REACH + 4 + WINDOW_DRIFT * m), sum(pairs)
+    # O(m) arrays of about 30 doubles per sample; a scan of every segment in
+    # blocks of QUERY_BLOCK took 4.4 MB at 4,000 steps and 16.3 MB at 16,000
+    assert peak < 40 * 8 * m, peak
 
 
 _coord = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
@@ -783,19 +886,20 @@ def _polyline_case(draw):
         poly[:, 0], poly[:, 1] = t, np.sin(freq * t)
     else:
         # the curves a dual-geodesic claim compares: a smooth curve, queries
-        # from a window of a copy offset by about 1e-9, exact hits on the
-        # vertices where chunks meet, and points on the bisector of the last
-        # segment of one chunk and the first of the next
+        # from a window of a copy offset by about 1e-9, exact hits on every
+        # 32nd vertex, and points on the bisector of the two segments that
+        # meet there
         t = np.linspace(0.0, 3.0, draw(st.integers(800, 1200)))
         poly = np.zeros((len(t), n))
         poly[:, 0], poly[:, 1] = t, np.sin(draw(st.floats(0.5, 8.0)) * t)
         offset = draw(st.lists(st.floats(-1.5e-9, 1.5e-9), min_size=n, max_size=n))
         window = draw(st.integers(0, len(poly) - 96))
         extra += list(poly[window:window + 96] + offset)
-        extra += list(poly[::SEGMENT_CHUNK])
-        joint = poly[SEGMENT_CHUNK:-1:SEGMENT_CHUNK]
-        before = poly[SEGMENT_CHUNK - 1:-2:SEGMENT_CHUNK] - joint
-        after = poly[SEGMENT_CHUNK + 1::SEGMENT_CHUNK] - joint
+        every = 32
+        extra += list(poly[::every])
+        joint = poly[every:-1:every]
+        before = poly[every - 1:-2:every] - joint
+        after = poly[every + 1::every] - joint
         bisector = (before / np.linalg.norm(before, axis=1, keepdims=True)
                     + after / np.linalg.norm(after, axis=1, keepdims=True))
         length = np.linalg.norm(bisector, axis=1, keepdims=True)
@@ -812,18 +916,37 @@ def _polyline_case(draw):
 
 @given(_polyline_case())
 @settings(max_examples=300, deadline=None)
-def test_pruned_distances_equal_dense_oracle(case):
+def test_polyline_distances_equal_dense_oracle(case):
     queries, poly = case
     d, arcs = _polyline_distances(queries, poly)
     d_ref, arcs_ref = dense_polyline_distances(queries, poly)
     assert np.array_equal(d, d_ref) and np.array_equal(arcs, arcs_ref)
 
 
+@given(_polyline_case(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_window_distances_equal_window_oracle(case, seed):
+    # windows centred anywhere on the curve or on a vertex's arc, from a
+    # single arc to the whole curve
+    queries, poly = case
+    line = _Polyline(poly)
+    rng = np.random.default_rng(seed)
+    k = len(queries)
+    centre = np.where(rng.random(k) < 0.5, rng.uniform(0.0, line.arcs[-1], k),
+                      rng.choice(line.arcs, k))
+    half = np.choose(rng.integers(0, 4, k), [np.zeros(k), np.full(k, 1e-9),
+                                             rng.uniform(0.0, 0.05 * line.arcs[-1], k),
+                                             rng.uniform(0.0, line.arcs[-1], k)])
+    got = _window_distances(queries, centre - half, centre + half, line)
+    want = window_polyline_distances(queries, centre - half, centre + half, poly)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_query_coordinates_equal_dense_oracle(bad):
-    # a NaN coordinate gives a NaN pass-1 bound, which keeps every chunk, and
-    # an infinite one a scale beyond the slack's range, which scans every
-    # segment
+    # a NaN or infinite coordinate gives NaN or infinite distances to every
+    # segment, and argmin and the arc coordinate must treat them as the
+    # dense scan does
     t = np.linspace(0.0, 3.0, 801)
     poly = np.stack([t, np.sin(2.0 * t)], axis=1)
     queries = poly[::5] + 1e-9
