@@ -35,9 +35,10 @@ Every operation rounds each row as it would round a single point, so each
 row equals its single-start run under its own connection bit for bit.
 
 A lone running row (a start integrated alone, or the last row of a stack) and
-each row of a redone step go through one float kernel instead, since a numpy
-call on a few numbers costs about a microsecond however small it is, more
-than the arithmetic.  Its x and p are Python floats, and per RK4 stage it
+each row of a redone step go through one RK4 step generated per dimension
+(and per whether q is given) as straight-line float code instead, since a
+numpy call on a few numbers costs about a microsecond however small it is,
+more than the arithmetic.  Its x and p are Python floats, and per RK4 stage it
 reads g^-1 and the connection as flat lists of floats (``Metric.flat``,
 ``AffineConnection.point``), so a built-in's stage makes no numpy call on a
 few numbers.  Each float operation rounds as the stack's numpy call rounds
@@ -70,6 +71,7 @@ m)) pairs for m samples, in O(QUERY_BLOCK * window) memory.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -161,53 +163,38 @@ def _rk4_step(rhs, tau: float, h: float, s: np.ndarray) -> np.ndarray:
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _lone_field(g: Metric, conn: AffineConnection, q, n: int):
-    """The right-hand side of one row as float arithmetic on its state
-    ``[x_1, ..., x_n, p_1, ..., p_n]``, rounded as the stack's numpy calls
-    round each row: xdot as :func:`~dualgeo.geometry.matvec` sums it, and
-    pdot_i from +0 over k, then j, of ``(Gamma^k_{ji} xdot^j) p_k``, the
-    order of the stack's einsum."""
-    nn = n * n
-    # per i, the (Gamma index, j, k) of each pdot term in summation order
-    terms = [[(k * nn + j * n + i, j, k) for k in range(n) for j in range(n)]
-             for i in range(n)]
-    flat, point = g.flat, conn.point
-
-    def rhs(tau: float, s: list) -> list:
-        x = s[:n]
-        p = s[n:]
-        ginv = flat("inverse", x)
-        gamma = point(x)
-        xdot = []
-        for row in range(0, nn, n):
-            acc = ginv[row] * p[0]
-            for j in range(1, n):
-                acc += ginv[row + j] * p[j]
-            xdot.append(acc)
-        pdot = []
-        for row_terms in terms:
-            acc = 0.0
-            for at, j, k in row_terms:
-                acc += gamma[at] * xdot[j] * p[k]
-            pdot.append(acc)
-        if q is not None:
-            qt = float(q(tau))
-            pdot = [a + qt * b for a, b in zip(pdot, p)]
-        return xdot + pdot
-    return rhs
-
-
-def _lone_step(rhs, tau: float, h: float, s: list) -> list:
-    """One classical RK4 step of a lone row's state s in float arithmetic,
-    each combination rounded as :func:`_rk4_step` rounds it."""
-    half = 0.5 * h
-    k1 = rhs(tau, s)
-    k2 = rhs(tau + half, [a + half * b for a, b in zip(s, k1)])
-    k3 = rhs(tau + half, [a + half * b for a, b in zip(s, k2)])
-    k4 = rhs(tau + h, [a + h * b for a, b in zip(s, k3)])
-    sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)]
+@functools.cache
+def _lone_rk4(n: int, with_q: bool) -> Callable:
+    """``make(flat, point, q)``, whose ``step(tau, h, s)`` is one RK4 step of a
+    row's state ``s = [x_1..x_n, p_1..p_n]`` as straight-line float code.
+    Stage m reads ``flat("inverse", x)`` and ``point(x)`` once and sets xdot
+    ``a{m}_i`` as :func:`~dualgeo.geometry.matvec` sums it and pdot ``b{m}_i``
+    from +0 over k, then j, of ``(Gamma^k_{ji} xdot^j) p_k``, as the stack's
+    einsum does; each combination rounds as :func:`_rk4_step` rounds it."""
+    nn, ix = n * n, range(n)
+    lines = [", ".join([f"x1_{i}" for i in ix] + [f"p1_{i}" for i in ix]) + ", = s",
+             "half = 0.5 * h"]
+    for m, (time, shift) in enumerate((("tau", ""), ("tau + half", "half"),
+                                       ("tau + half", "half"), ("tau + h", "h")), 1):
+        if shift:
+            lines += [f"{v}{m}_{i} = {v}1_{i} + {shift} * {d}{m - 1}_{i}"
+                      for v, d in (("x", "a"), ("p", "b")) for i in ix]
+        x = ", ".join(f"x{m}_{i}" for i in ix)
+        lines += [f"gi = flat('inverse', [{x}])", f"G = point([{x}])"]
+        lines += [f"a{m}_{i} = " + " + ".join(f"gi[{i * n + j}] * p{m}_{j}" for j in ix)
+                  for i in ix]
+        lines += [f"b{m}_{i} = 0.0 + " + " + ".join(
+            f"G[{k * nn + j * n + i}] * a{m}_{j} * p{m}_{k}" for k in ix for j in ix)
+            for i in ix]
+        if with_q:
+            lines += [f"qt = float(q({time}))"]
+            lines += [f"b{m}_{i} = b{m}_{i} + qt * p{m}_{i}" for i in ix]
+    lines += ["sixth = h / 6.0", "return [" + ", ".join(
+        f"{v}1_{i} + sixth * ({d}1_{i} + 2.0 * {d}2_{i} + 2.0 * {d}3_{i} + {d}4_{i})"
+        for v, d in (("x", "a"), ("p", "b")) for i in ix) + "]"]
+    exec("def make(flat, point, q):\n    def step(tau, h, s):\n        "
+         + "\n        ".join(lines) + "\n    return step", namespace := {})
+    return namespace["make"]
 
 
 def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric,
@@ -301,8 +288,8 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, _lone_step(_lone_field(g, table.conns[row], q, n),
-                                               tau, h, s[r].ravel().tolist())))
+                    done.append((r, _lone_rk4(n, q is not None)(
+                        g.flat, table.conns[row].point, q)(tau, h, s[r].ravel().tolist())))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
@@ -331,10 +318,11 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     if len(rows) == 1 and step < steps:
         # the last running row steps on floats, with the same halt triage
         row, first = rows[0], step + 1
-        rhs, state, kept = _lone_field(g, table.conns[row], q, n), s[0].ravel().tolist(), []
+        advance = _lone_rk4(n, q is not None)(g.flat, table.conns[row].point, q)
+        state, kept = s[0].ravel().tolist(), []
         for step in range(first, steps + 1):
             try:
-                state = _lone_step(rhs, tau, h, state)
+                state = advance(tau, h, state)
             except _DOMAIN_ERRORS:
                 exits[row], samples[row] = "domain_exit", step
                 break

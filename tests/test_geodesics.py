@@ -257,6 +257,37 @@ def test_a_stack_with_q_equals_each_row_alone():
                                    400, 1e-3, q=math.sin, box=fixture.box)
 
 
+def test_a_4d_stack_equals_each_row_alone_and_generates_one_step_per_case():
+    # a non-constant metric with off-diagonal entries and a connection whose
+    # coefficients vary with x, at n = 4; two rows leave the box, so the stack
+    # narrows to one row, which goes on alone on floats
+    g = Metric.from_sources([["2 + x1^2", "x2/5", "0", "x1*x4/10"],
+                             ["x2/5", "3 + sin(x3)", "x3/7", "0"],
+                             ["0", "x3/7", "2 + x2*x4", "1/(4 + x1)"],
+                             ["x1*x4/10", "0", "1/(4 + x1)", "2.5 + x4^2/3"]])
+    c = np.random.default_rng(4).uniform(-0.5, 0.5, (4, 4, 4))
+    c = c + c.transpose(0, 2, 1)
+
+    def coeff(x):
+        # Gamma^k_{ij} = c[k, i, j] (x_i + x_j) / 4 + x_k^2 / 20
+        x = np.asarray(x, dtype=float)
+        return (c * (x[..., None, :, None] + x[..., None, None, :]) / 4
+                + x[..., :, None, None] ** 2 / 20)
+
+    conn = AffineConnection(g, coeff, "bent")
+    x0s = [[1.0, 1.0, 1.0, 1.0], [0.9, 1.2, 0.8, 1.1], [1.3, 0.7, 1.1, 0.9]]
+    w0s = [[0.3, -0.2, 0.1, 0.4], [-1.0, 0.5, 0.8, -0.3], [0.4, 1.5, -0.6, 0.2]]
+    geodesics._lone_rk4.cache_clear()
+    for q, samples in ((None, [601, 322, 317]), (math.sin, [601, 317, 311])):
+        batch = _assert_rows_equal_single_runs(conn, g, x0s, w0s, 600, 1e-3, q=q,
+                                               box=[(0.5, 1.5)] * 4)
+        assert [len(t.tau) for t in batch] == samples
+    # per q, the narrowed stack and three lone runs each make a step, from
+    # one generated source per (n, q given)
+    info = geodesics._lone_rk4.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+
 def test_batched_rows_halt_independently(euclid2):
     # straight lines (zero coefficients) except where a test region makes the
     # coefficients NaN (x1 > 0.6) or raise (x2 < -0.6025); every row stops
@@ -460,18 +491,21 @@ def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
             ("-T", [1.0, 2.9], [0.0, 1.0]), ("-B", [0.0407, 1.5], [-1.0, 0.0])]
     table = fixture.connection_table([tag for tag, _, _ in rows])
     binds = []
-    bind, lone_field = table.bind, geodesics._lone_field
+    bind, lone_rk4 = table.bind, geodesics._lone_rk4
 
     def recording(running):
         binds.append((tuple(running), bind(running)))
         return binds[-1][1]
 
-    def recording_lone(g, conn, q, n):
-        binds.append(((table.conns.index(conn),), conn))
-        return lone_field(g, conn, q, n)
+    def recording_lone(n, with_q):
+        def make(flat, point, q):
+            row = next(r for r, conn in enumerate(table.conns) if conn.point is point)
+            binds.append(((row,), table.conns[row]))
+            return lone_rk4(n, with_q)(flat, point, q)
+        return make
 
     monkeypatch.setattr(table, "bind", recording)
-    monkeypatch.setattr(geodesics, "_lone_field", recording_lone)
+    monkeypatch.setattr(geodesics, "_lone_rk4", recording_lone)
     steps = 100
     batch = integrate_dual_geodesics(table, fixture.metric, [x0 for _, x0, _ in rows],
                                      [w0 for _, _, w0 in rows], steps, 0.01,
