@@ -41,7 +41,7 @@ their pass and raise instead of returning a misleading verdict.
 
 from __future__ import annotations
 
-import operator
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,27 +60,72 @@ class TorsionError(ConnectionError_):
     pass
 
 
+@functools.cache
+def template_source(n: int, sign: int | None, trace, constant: bool) -> tuple:
+    """The float code at the point ``x`` of a template's shape ``(sign, trace)``
+    (:class:`AffineConnection`; sign None for a connection without one): the
+    lines run once (a constant metric's reads) and per point (the other reads:
+    g^-1, Gamma_LC, g and ``tp(x)`` into ``gi0..``, ``c0..``, ``g0..``,
+    ``t0..``; B's trace term), and each Gamma entry's expression in ravel
+    order, rounded as ``combine(christoffel, A)`` and
+    ``Fixture._with_trace_term`` round it."""
+    nn, ix, size = n * n, range(n), n ** 3
+    reads = [", ".join(f"{name}{e}" for e in range(count)) + f", = flat({part!r}, "
+             + ("None)" if constant else "x)") for name, part, count in
+             [("gi", "inverse", nn), ("c", "christoffel", size), ("g", "value", nn)]
+             [:1 if sign is None else 2 if trace is None else 3]]
+    once, lines = (reads, []) if constant else ([], reads)
+    if sign is None:
+        return once, lines + ["G = point(x)"], [f"G[{e}]" for e in range(size)]
+    a = [f"t{e}" for e in range(size)]
+    lines += [", ".join(a) + ", = tp(x)"] * bool(sign)
+    if trace is not None:
+        lines += [f"r{j} = 0.0 + " + " + ".join(f"t{k * (nn + n) + j}" for k in ix)
+                  for j in ix] + [f"k{i} = ({trace[0]!r}) * (" + " + ".join(
+                      f"gi{i * n + j} * r{j}" for j in ix) + ")" for i in ix]
+        a = [f"(t{e} + ({trace[1]!r}) * (0.0 + g{e % nn} * k{e // nn}))" for e in range(size)]
+    op = " - " if sign == 1 else " + "
+    return once, lines, [f"(c{e}{op}{t})" if sign else f"c{e}" for e, t in enumerate(a)]
+
+
+@functools.cache
+def _template_point(n: int, sign: int, trace, constant: bool) -> Callable:
+    """``make(flat, tp)``, whose ``point(x)`` is a template's flat list."""
+    once, lines, entries = template_source(n, sign, trace, constant)
+    exec("def make(flat, tp):\n" + "".join(f"    {line}\n" for line in once)
+         + "    def point(x):\n" + "".join(f"        {line}\n" for line in lines)
+         + f"        return [{', '.join(entries)}]\n    return point", namespace := {})
+    return namespace["make"]
+
+
 class AffineConnection:
     """Coefficient-function-backed connection on the chart of ``metric``.
 
     ``coefficients(x)`` returns ``Gamma[k, i, j]``; for points of shape
     ``(..., n)`` it returns ``(..., n, n, n)``.  ``point(x)`` returns them at
-    one point as a flat list of floats: ``point_fn(x)``, which must equal
-    ``coefficients(x).ravel().tolist()`` bit for bit, or without one that
-    list.  ``jacobian(x)`` returns ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}``
-    from the analytic ``jac_fn``; a connection built without one raises
+    one point as a flat list of floats, equal to
+    ``coefficients(x).ravel().tolist()`` bit for bit: that list, or generated
+    from the connection's point template ``(sign, trace, tensor)``, the one
+    source of its float code (:func:`template_source`).  It gives Gamma_LC
+    alone for sign 0, else Gamma_LC - sign * A for A the flat list
+    ``tensor(x)``, or with ``trace = (t, b)`` for A = B = T + b g (x) t g^-1 tr T
+    of T = ``tensor(x)``.
+    ``jacobian(x)`` returns ``dGamma[a, k, i, j] = d_a Gamma^k_{ij}`` from the
+    analytic ``jac_fn``; a connection built without one raises
     ConnectionError_ naming its tag.
     """
 
     def __init__(self, metric: Metric, coeff_fn: Callable[[np.ndarray], np.ndarray],
                  tag: str = "custom",
                  jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                 point_fn: Callable[[list], list] | None = None):
+                 template: tuple | None = None):
         self.metric = metric
         self._coeff_fn = coeff_fn
         self._jac_fn = jac_fn
         self.tag = tag
-        self.point = point_fn or (lambda x: self.coefficients(x).ravel().tolist())
+        self.template = template
+        self.point = (lambda x: self.coefficients(x).ravel().tolist()) if template is None else (
+            _template_point(metric.n, *template[:2], metric.constant)(metric.flat, template[2]))
 
     def coefficients(self, x) -> np.ndarray:
         return self._coeff_fn(np.asarray(x, dtype=float))
@@ -114,7 +159,7 @@ class ConnectionTable:
 
     ``bind(rows)`` returns the coefficient function of the two or more
     running rows whose indices ``rows`` holds, building the set's per-row
-    data once; a lone row reads its own ``conns[r].point``.  Each row must
+    data once; a lone row inlines ``conns[r]``'s template.  Each row must
     round exactly as its own connection rounds it alone, so that any subset
     of rows may be evaluated together.
     """
@@ -131,40 +176,38 @@ class ConnectionTable:
 
 
 def levi_civita(g: Metric) -> AffineConnection:
-    return AffineConnection(g, g.christoffel, "LC", jac_fn=g.christoffel_jacobian)
+    return AffineConnection(g, g.christoffel, "LC", g.christoffel_jacobian, (0, None, None))
 
 
 def difference_connection(g: Metric, sign: int,
                           tensor_fn: Callable[[np.ndarray], np.ndarray], tag: str,
                           tensor_jac_fn: Callable[[np.ndarray], np.ndarray] | None = None,
-                          tensor_point_fn: Callable[[list], list] | None = None
-                          ) -> AffineConnection:
+                          tensor_point_fn: Callable[[list], list] | None = None,
+                          trace: tuple[float, float] | None = None) -> AffineConnection:
     """Connection ``Gamma_LC - sign * A`` with ``A = tensor_fn(x)``, for sign
     +1 or -1.
 
     Its Jacobian is ``dGamma_LC - sign * dA`` when ``tensor_jac_fn`` gives dA;
     without one the connection has no Jacobian.  Both are formed as
     ``Gamma - A`` or ``Gamma + A``, which round as ``Gamma - sign * A`` does
-    (``-1 * A`` is ``-A`` and subtracting ``-A`` adds A); so does the point
-    path from ``tensor_point_fn``, A's flat list, in float arithmetic.  A is
-    trusted to be symmetric in its covariant pair; nothing here checks it.
+    (``-1 * A`` is ``-A`` and subtracting ``-A`` adds A); so does its point
+    template, given ``tensor_point_fn`` (A's flat list, or with ``trace`` the T
+    of B's), in float arithmetic.  A is trusted to be symmetric in its
+    covariant pair; nothing here checks it.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, not {sign!r}")
-    combine, op = (np.subtract, operator.sub) if sign == 1 else (np.add, operator.add)
+    combine = np.subtract if sign == 1 else np.add
 
     def coeff(x):
         return combine(g.christoffel(x), tensor_fn(x))
 
-    jac = point = None
+    jac = None
     if tensor_jac_fn is not None:
         def jac(x):
             return combine(g.christoffel_jacobian(x), tensor_jac_fn(x))
-    if tensor_point_fn is not None:
-        def point(x):
-            return list(map(op, g.flat("christoffel", x), tensor_point_fn(x)))
-
-    return AffineConnection(g, coeff, tag, jac_fn=jac, point_fn=point)
+    return AffineConnection(g, coeff, tag, jac, None if tensor_point_fn is None else (
+        sign, trace, tensor_point_fn))
 
 
 def shift_by_one_form(conn: AffineConnection, g: Metric, beta_fn,

@@ -39,7 +39,6 @@ checked in code.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -100,24 +99,6 @@ class KillingData:
     V: ScalarField | None = None  # potential whose integral the pair (K, W) closes
 
 
-@functools.cache
-def _trace_term_at_point(n: int) -> Callable[[list, list, list], list]:
-    """``Fixture._with_trace_term`` at one point on an n-dimensional chart, as
-    straight-line float code from the flat lists of T, g and g^-1 to B's: each
-    operation as the stack's numpy calls order it, so every entry is the stack's
-    bit for bit, but for a NaN's sign (CPython's float add picks its NaN)."""
-    nn, tc, bc = n * n, conv.t_coefficient(n), conv.b_coefficient(n)
-    lines = [f"    r{j} = 0.0 + {' + '.join(f't[{k * (nn + n) + j}]' for k in range(n))}"
-             for j in range(n)]
-    lines += [f"    k{i} = ({tc!r}) * ({' + '.join(f'gi[{i * n + j}] * r{j}' for j in range(n))})"
-              for i in range(n)]
-    entries = [f"t[{i * nn + a}] + ({bc!r}) * (0.0 + g[{a}] * k{i})"
-               for i in range(n) for a in range(nn)]
-    exec("\n".join(["def trace_term(t, g, gi):", *lines,
-                     f"    return [{', '.join(entries)}]"]), namespace := {})
-    return namespace["trace_term"]
-
-
 class Fixture:
     """A validated example system on a fixed chart."""
 
@@ -142,7 +123,6 @@ class Fixture:
         self.solver = StructureSolver(metric, family) if family is not None else None
         self._t_coefficient = conv.t_coefficient(metric.n)
         self._b_coefficient = conv.b_coefficient(metric.n)
-        self._with_trace_term_at_point = _trace_term_at_point(metric.n)
 
     # --- basic data ---------------------------------------------------------
 
@@ -220,28 +200,17 @@ class Fixture:
 
     # --- the connection family -------------------------------------------------
 
-    def _point_fn(self, label: str) -> Callable[[list], list] | None:
-        """Field ``label`` at one point as a flat list of floats (a declared field's
-        float function, else the recovery's ``.tolist()``); None outside the kind."""
-        if label not in FIELDS[self.kind]:
-            return None
-        declared = self.declared.get(label)
+    def _point_fn(self, label: str) -> Callable[[list], list]:
+        """T (extracted on a semi-degenerate fixture) or D at one point as a flat list
+        of floats: a declared field's float function, else its accessor's list."""
+        declared = self.declared.get(label) if label in FIELDS[self.kind] else None
+        accessor = self.structure_tensor if label == "T" else self.prolongation_tensor
         return declared.point if declared is not None else (
-            lambda x: self._field(label, np.array(x)).ravel().tolist())
-
-    @functools.cached_property
-    def _b_point(self) -> Callable[[list], list]:
-        """B at one point as a flat list of floats."""
-        flat, trace_term = self.metric.flat, self._with_trace_term_at_point
-        t_point = self._point_fn("T") or (
-            lambda x: self.structure_tensor(np.array(x)).ravel().tolist())
-        return lambda x: trace_term(t_point(x), flat("value", x), flat("inverse", x))
+            lambda x: accessor(np.array(x)).ravel().tolist())
 
     def b_tensor(self, x) -> np.ndarray:
         """B = T + ((n+2)/n) g (x) t^sharp; tau of the (possibly extracted)
         structure tensor gives t for both fixture kinds, so T is evaluated once."""
-        if np.ndim(x) == 1:
-            return np.array(self._b_point(x)).reshape((self.n,) * 3)
         g = self.metric
         return self._with_trace_term(self.structure_tensor(x), g.value(x), g.inverse(x))
 
@@ -302,14 +271,15 @@ class Fixture:
             "T": (self.structure_tensor,
                   None if self.is_semidegenerate else self.structure_tensor_jacobian,
                   self._point_fn("T")),
-            "B": (self.b_tensor, None, self._b_point),
+            "B": (self.b_tensor, None, self._point_fn("T")),
             "D": (self.prolongation_tensor, self.prolongation_jacobian, self._point_fn("D")),
             "dagger": (self._dagger_tensor, None, None),
             "F": (lambda x: self._f_tensor(x, zfield), None, None),
         }[tag.lstrip("+-")]
         sign = -1 if tag[0] == "-" else +1
-        return difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn,
-                                     point_fn)
+        return difference_connection(self.metric, sign, tensor_fn, tag, tensor_jac_fn, point_fn,
+                                     (self._t_coefficient, self._b_coefficient)
+                                     if tag[1:] == "B" else None)
 
     def connection_table(self, tags: Sequence[str]) -> ConnectionTable:
         """Row r of a stacked state follows connection ``tags[r]``: one of

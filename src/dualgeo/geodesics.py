@@ -35,20 +35,21 @@ Every operation rounds each row as it would round a single point, so each
 row equals its single-start run under its own connection bit for bit.
 
 A lone running row (a start integrated alone, or the last row of a stack) and
-each row of a redone step go through one RK4 step generated per dimension
-(and per whether q is given) as straight-line float code instead, since a
-numpy call on a few numbers costs about a microsecond however small it is,
-more than the arithmetic.  Its x and p are Python floats, and per RK4 stage it
-reads g^-1 and the connection as flat lists of floats (``Metric.flat``,
-``AffineConnection.point``), so a built-in's stage makes no numpy call on a
-few numbers.  Each float operation rounds as the stack's numpy call rounds
-that row: the RK4 combinations, xdot summed over j as
-:func:`~dualgeo.geometry.matvec` sums it, pdot_i summed from +0 with k outer
-and j inner as the einsum sums it, and the q term; the stack's failing rows
-go through its halt triage.  So the number of running rows picks the path,
-and neither path changes a bit.  A lone row keeps its samples as floats and
-stores them in the state array STORE_BLOCK at a time.  The exports format and write
-EXPORT_BLOCK samples at a time, so their memory does not grow.
+each row of a redone step go through one RK4 step generated as straight-line
+float code instead, since a numpy call on a few numbers costs about a
+microsecond, more than the arithmetic.  Its x and p are Python floats, and it
+inlines the connection's point template (``connections.template_source``):
+each stage reads g^-1 and the flat lists the template needs (a constant
+metric's once per bound step) and computes each Gamma entry as a local
+expression; a connection without a template reads its ``point``.  Each float
+operation rounds as the stack's numpy call rounds that row: the RK4
+combinations, xdot summed over j as :func:`~dualgeo.geometry.matvec` sums it,
+pdot_i summed from +0 with k outer and j inner as the einsum sums it, and the
+q term.  After each step one chain of comparisons tests the state as the
+stack's clamped test does; only a failing row goes through the halt triage.
+So the number of running rows picks the path, and neither path changes a
+bit.  A lone row stores its float samples STORE_BLOCK at a time; the exports
+format and write EXPORT_BLOCK samples at a time, so their memory does not grow.
 
 Curves are compared as unparametrized point sets, by arc position.  Two
 dual-geodesics from one start are one curve run one way, so a sample at arc s
@@ -79,7 +80,7 @@ from typing import Callable
 
 import numpy as np
 
-from .connections import AffineConnection, ConnectionTable
+from .connections import AffineConnection, ConnectionTable, template_source
 from .expressions import EvalDomainError
 from .geometry import Metric, SingularMetricError, matvec
 from .structure import RankDeficiencyError
@@ -164,14 +165,16 @@ def _rk4_step(rhs, tau: float, h: float, s: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _lone_rk4(n: int, with_q: bool) -> Callable:
-    """``make(flat, point, q)``, whose ``step(tau, h, s)`` is one RK4 step of a
-    row's state ``s = [x_1..x_n, p_1..p_n]`` as straight-line float code.
-    Stage m reads ``flat("inverse", x)`` and ``point(x)`` once and sets xdot
-    ``a{m}_i`` as :func:`~dualgeo.geometry.matvec` sums it and pdot ``b{m}_i``
-    from +0 over k, then j, of ``(Gamma^k_{ji} xdot^j) p_k``, as the stack's
-    einsum does; each combination rounds as :func:`_rk4_step` rounds it."""
+def _lone_rk4(n: int, with_q: bool, sign: int | None, trace, constant: bool) -> Callable:
+    """``make(flat, tp, point, q)``, whose ``step(tau, h, s)`` is one RK4 step
+    of a row's state ``s = [x_1..x_n, p_1..p_n]`` for a connection whose
+    template has this shape.  ``make`` runs the template's once-lines; stage m
+    its per-point lines at its ``x``, then xdot ``a{m}_i`` as
+    :func:`~dualgeo.geometry.matvec` sums it and pdot ``b{m}_i`` from +0 over
+    k, then j, of ``(Gamma^k_{ji} xdot^j) p_k``, as the stack's einsum does;
+    each combination rounds as :func:`_rk4_step` rounds it."""
     nn, ix = n * n, range(n)
+    once, body, entries = template_source(n, sign, trace, constant)
     lines = [", ".join([f"x1_{i}" for i in ix] + [f"p1_{i}" for i in ix]) + ", = s",
              "half = 0.5 * h"]
     for m, (time, shift) in enumerate((("tau", ""), ("tau + half", "half"),
@@ -179,12 +182,11 @@ def _lone_rk4(n: int, with_q: bool) -> Callable:
         if shift:
             lines += [f"{v}{m}_{i} = {v}1_{i} + {shift} * {d}{m - 1}_{i}"
                       for v, d in (("x", "a"), ("p", "b")) for i in ix]
-        x = ", ".join(f"x{m}_{i}" for i in ix)
-        lines += [f"gi = flat('inverse', [{x}])", f"G = point([{x}])"]
-        lines += [f"a{m}_{i} = " + " + ".join(f"gi[{i * n + j}] * p{m}_{j}" for j in ix)
+        lines += ["x = [" + ", ".join(f"x{m}_{i}" for i in ix) + "]"] + body
+        lines += [f"a{m}_{i} = " + " + ".join(f"gi{i * n + j} * p{m}_{j}" for j in ix)
                   for i in ix]
         lines += [f"b{m}_{i} = 0.0 + " + " + ".join(
-            f"G[{k * nn + j * n + i}] * a{m}_{j} * p{m}_{k}" for k in ix for j in ix)
+            f"{entries[k * nn + j * n + i]} * a{m}_{j} * p{m}_{k}" for k in ix for j in ix)
             for i in ix]
         if with_q:
             lines += [f"qt = float(q({time}))"]
@@ -192,9 +194,16 @@ def _lone_rk4(n: int, with_q: bool) -> Callable:
     lines += ["sixth = h / 6.0", "return [" + ", ".join(
         f"{v}1_{i} + sixth * ({d}1_{i} + 2.0 * {d}2_{i} + 2.0 * {d}3_{i} + {d}4_{i})"
         for v, d in (("x", "a"), ("p", "b")) for i in ix) + "]"]
-    exec("def make(flat, point, q):\n    def step(tau, h, s):\n        "
-         + "\n        ".join(lines) + "\n    return step", namespace := {})
+    exec("def make(flat, tp, point, q):\n" + "".join(f"    {line}\n" for line in once)
+         + "    def step(tau, h, s):\n        " + "\n        ".join(lines)
+         + "\n    return step", namespace := {})
     return namespace["make"]
+
+
+def _lone_step(conn: AffineConnection, g: Metric, q) -> Callable:
+    """The generated RK4 step of a lone row under conn, bound to its template."""
+    sign, trace, tensor = conn.template or (None, None, None)
+    return _lone_rk4(g.n, q is not None, sign, trace, g.constant)(g.flat, tensor, conn.point, q)
 
 
 def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric,
@@ -239,10 +248,8 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                 pdot += q(tau) * p
         return rhs
 
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    if box is not None:
-        lo, hi = np.array(box, dtype=float).T
+    lo, hi = (np.full(n, -np.inf), np.full(n, np.inf)) if box is None else np.array(
+        box, dtype=float).T
     # a state passes the clamped test iff its position is finite and in the
     # box and its covelocity is finite, so one test finds every row to halt
     lo_fast = np.stack([np.maximum(lo, -_BIG), np.full(n, -_BIG)])
@@ -288,8 +295,8 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
             done = []
             for r, row in enumerate(rows):
                 try:
-                    done.append((r, _lone_rk4(n, q is not None)(
-                        g.flat, table.conns[row].point, q)(tau, h, s[r].ravel().tolist())))
+                    done.append((r, _lone_step(table.conns[row], g, q)(
+                        tau, h, s[r].ravel().tolist())))
                 except _DOMAIN_ERRORS:
                     exits[row], samples[row] = "domain_exit", step
             if not done:
@@ -318,7 +325,13 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
     if len(rows) == 1 and step < steps:
         # the last running row steps on floats, with the same halt triage
         row, first = rows[0], step + 1
-        advance = _lone_rk4(n, q is not None)(g.flat, table.conns[row].point, q)
+        advance = _lone_step(table.conns[row], g, q)
+        # the clamped test and the kept loci as one chain of comparisons
+        exec("def passes(s):\n    return " + " and ".join([f"{a!r} <= s[{i}] <= {b!r}" for i, (
+            a, b) in enumerate(zip(lo_fast.ravel().tolist(), hi_fast.ravel().tolist()))] + [
+            f"{SINGULAR_HALT_MARGIN!r} <= abs(s[{a}] - {v!r})"
+            for a, v in zip(axes.tolist(), values.tolist())]), namespace := {})
+        passes = namespace["passes"]
         state, kept = s[0].ravel().tolist(), []
         for step in range(first, steps + 1):
             try:
@@ -328,9 +341,8 @@ def integrate_dual_geodesics(conn: AffineConnection | ConnectionTable, g: Metric
                 break
             tau += h
             taus[step] = tau
-            reason = halt(state)
-            if reason is not None:
-                exits[row], samples[row] = reason, step
+            if not passes(state):
+                exits[row], samples[row] = halt(state), step
                 break
             kept.append(state)
             if len(kept) == STORE_BLOCK:

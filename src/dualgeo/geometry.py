@@ -142,7 +142,8 @@ class Metric:
         self._program: Program | None = None
         self._origin: dict | None = None
         self._record: tuple = (None, {})
-        if all(is_constant(comps[i][j]) for i in range(n) for j in range(n)):
+        self.constant = all(is_constant(comps[i][j]) for i in range(n) for j in range(n))
+        if self.constant:
             # every part is position-independent: these two requests fill all five
             x0 = np.zeros(n)
             self.christoffel(x0)
@@ -225,9 +226,13 @@ class Metric:
                           lambda pts: getattr(self, name)(pts).ravel().tolist())
 
     def _checked_inverse(self, x) -> np.ndarray:
+        """g^-1, once g's condition max|lambda| / min|lambda| (NaN if not finite) is in bound."""
         g = self.value(x)
-        cond = np.linalg.cond(g)
-        bad = ~np.isfinite(cond) | (cond > CONDITION_BOUND)
+        finite = np.isfinite(g).all(axis=(-2, -1))
+        lam = np.abs(np.linalg.eigvalsh(np.where(finite[..., None, None], g, 1.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(finite, lam.max(axis=-1) / lam.min(axis=-1), np.nan)
+        bad = ~(cond <= CONDITION_BOUND)
         if bad.any():
             first = int(np.argmax(bad.ravel()))
             raise SingularMetricError(

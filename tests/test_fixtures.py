@@ -602,18 +602,25 @@ def _flat_config(n: int) -> dict:
 @given(st.sampled_from([2, 3, 4]), st.data())
 @settings(max_examples=120, deadline=None)
 def test_b_tensor_at_a_point_rounds_as_the_stack(n, data):
-    # the float arithmetic at one point against the stack's numpy calls:
+    # the float arithmetic of the -B template at one point, from drawn flat
+    # lists of T, g, g^-1 and Gamma_LC, against the stack's numpy calls:
     # every entry bit for bit, except that a NaN is compared by class only
     # (with two NaN operands, which one's sign CPython's float add keeps
     # changes once the interpreter specializes the add)
+    from dualgeo.connections import _template_point
     fixture = from_config(_flat_config(n), validate_on_load=False)
     T = data.draw(arrays(float, (n, n, n), elements=_SPECIAL_ENTRIES), label="T")
-    gmat = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="g")
-    ginv = data.draw(arrays(float, (n, n), elements=_ENTRIES), label="ginv")
-    got = np.array(fixture._with_trace_term_at_point(
-        T.ravel().tolist(), gmat.ravel().tolist(), ginv.ravel().tolist())).reshape(n, n, n)
+    parts = {"value": data.draw(arrays(float, (n, n), elements=_ENTRIES), label="g"),
+             "inverse": data.draw(arrays(float, (n, n), elements=_ENTRIES), label="ginv"),
+             "christoffel": data.draw(arrays(float, (n, n, n), elements=_ENTRIES),
+                                      label="christoffel")}
+    sign, trace, _ = fixture.connection("-B").template
+    point = _template_point(n, sign, trace, False)(
+        lambda name, x: parts[name].ravel().tolist(), lambda x: T.ravel().tolist())
+    got = np.array(point([0.0] * n)).reshape(n, n, n)
     with np.errstate(invalid="ignore"):
-        want = fixture._with_trace_term(T, gmat, ginv)
+        want = parts["christoffel"] + fixture._with_trace_term(T, parts["value"],
+                                                                parts["inverse"])
     assert got.shape == want.shape == (n, n, n)
     assert (np.where(np.isnan(got), np.nan, got).tobytes()
             == np.where(np.isnan(want), np.nan, want).tobytes())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualgeo import geodesics
-from dualgeo.connections import AffineConnection, levi_civita
+from dualgeo.connections import AffineConnection, levi_civita, shift_by_one_form
 from dualgeo.expressions import EvalDomainError
 from dualgeo.fixtures import builtin, builtin_config, builtin_names, from_config
 from dualgeo.geodesics import (
@@ -497,11 +497,11 @@ def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
         binds.append((tuple(running), bind(running)))
         return binds[-1][1]
 
-    def recording_lone(n, with_q):
-        def make(flat, point, q):
+    def recording_lone(*shape):
+        def make(flat, tp, point, q):
             row = next(r for r, conn in enumerate(table.conns) if conn.point is point)
             binds.append(((row,), table.conns[row]))
-            return lone_rk4(n, with_q)(flat, point, q)
+            return lone_rk4(*shape)(flat, tp, point, q)
         return make
 
     monkeypatch.setattr(table, "bind", recording)
@@ -530,6 +530,116 @@ def test_a_table_binds_once_per_running_set_and_per_redone_row(monkeypatch):
             assert coefficients is table.conns[running[0]]
         else:
             assert all(coefficients != conn.coefficients for conn in table.conns)
+
+
+# the metrics of the lone-row kernel tests: a constant one, whose parts a
+# bound step reads once, and one that varies; both off-diagonal, so every sum
+# of the kernel adds terms that all round
+_KERNEL_METRICS = {"constant": [["1.5", "0.3"], ["0.3", "0.8"]],
+                   "varying": [["2 + x2/4", "x1/8"], ["x1/8", "1 + x1^2/5"]]}
+# starts that complete, reach the singular margin, raise in the log, go
+# nonfinite (0 * inf past x1 = 2.655) and leave the box
+_KERNEL_STARTS = [([1.0, 1.5], [0.1, 0.1]), ([0.0407, 1.5], [-1.0, 0.0]),
+                  ([1.0, 0.7], [0.0, -1.0]), ([2.6, 1.5], [1.0, 0.0]),
+                  ([1.0, 2.9], [0.0, 1.0])]
+
+
+def _kernel_connections(kind: str, metric: str):
+    """_regions_config on one of _KERNEL_METRICS, its overflowing entry made a
+    NaN past the overflow, and every kind of connection it has: with a
+    template (LC, +-T and +-B, or +-D, +-T), and without (dagger, a 1-form
+    shift and a custom connection)."""
+    cfg = _regions_config(kind)
+    cfg["metric"] = _KERNEL_METRICS[metric]
+    A = cfg["structure"]["T" if kind == "nondegenerate" else "D"]
+    A[1][1][1] = f"0*({A[1][1][1]})"
+    fixture = from_config(cfg, validate_on_load=False)
+    g = fixture.metric
+    tags = ("LC", "+T", "-T", "+B", "-B") if kind == "nondegenerate" else (
+        "LC", "+D", "-D", "+T", "-T", "dagger")
+    conns = [fixture.connection(tag) for tag in tags]
+
+    def bent(x):
+        x = np.asarray(x, dtype=float)
+        return np.einsum("...i,...j,...k->...kij", x, x, x) / 50
+    conns += [shift_by_one_form(conns[1], g, lambda x: np.asarray(x)[..., ::-1] / 10),
+              AffineConnection(g, bent, "bent")]
+    return fixture, conns
+
+
+@pytest.mark.parametrize("q", [None, math.sin], ids=["q=0", "q=sin"])
+@pytest.mark.parametrize("metric", sorted(_KERNEL_METRICS))
+@pytest.mark.parametrize("kind", ["nondegenerate", "semidegenerate"])
+def test_every_connection_kind_steps_alone_as_in_a_stack(kind, metric, q):
+    # each row of a stack under each kind of connection equals its lone run,
+    # which takes the generated step: a template's inlined coefficients, on a
+    # constant metric its parts bound once, or the point of a connection
+    # without one; the rows exit in every way a row can
+    fixture, conns = _kernel_connections(kind, metric)
+    assert fixture.metric.constant == (metric == "constant")
+    assert [conn.template is None for conn in conns] == [False] * 5 + [True] * (len(conns) - 5)
+    exits = set()
+    for conn in conns:
+        with np.errstate(all="ignore"):
+            batch = _assert_rows_equal_single_runs(
+                conn, fixture.metric, [x0 for x0, _ in _KERNEL_STARTS],
+                [w0 for _, w0 in _KERNEL_STARTS], 100, 0.01, q=q, box=fixture.box,
+                singular_loci=fixture.singular_loci)
+        exits.update(t.exit_reason for t in batch)
+        if conn.tag[1:] in ("T", "B", "D"):
+            # the log raises inside a step, whose row keeps its samples in the box
+            assert batch[2].exit_reason == "domain_exit" and batch[2].x[-1][1] > 0.6
+    assert exits == {"completed", "singular_margin", "domain_exit", "nonfinite"}
+
+
+# sw2 in the chart (x1 - x2/2, x2): a constant, off-diagonal metric whose
+# family recovers T
+_SHEARED_SW2 = {"name": "sw2-sheared", "dimension": 2, "kind": "nondegenerate",
+                "metric": [["1", "-0.5"], ["-0.5", "1.25"]],
+                "potentials": ["(x1 - x2/2)^2 + x2^2", "1/(x1 - x2/2)^2", "1/x2^2", "1"],
+                "domain": [[1.5, 3.0], [0.5, 2.0]],
+                "singular_loci": [{"axis": 2, "value": 0.0}]}
+
+
+@pytest.mark.parametrize("q", [None, math.sin], ids=["q=0", "q=sin"])
+@pytest.mark.parametrize("name", ["sw2-sheared", "sphere3-trivial"])
+def test_recovered_t_and_b_rows_step_alone_as_in_a_stack(name, q):
+    # +-T and +-B with T recovered at every stage point, on a constant and on
+    # a varying metric; one row of each tag leaves the box
+    cfg = _SHEARED_SW2 if name == "sw2-sheared" else builtin_config(name)
+    fixture = from_config({key: v for key, v in cfg.items() if key != "structure"},
+                          validate_on_load=False)
+    assert fixture.metric.constant == (name == "sw2-sheared")
+    rng = np.random.default_rng(3)
+    lo, hi = np.array(fixture.box).T
+    starts = [(lo + (hi - lo) * rng.uniform(0.4, 0.6, fixture.n),
+               rng.normal(scale=0.2, size=fixture.n))
+              for _ in range(2)] + [(lo + 0.01 * (hi - lo), -np.ones(fixture.n))]
+    rows = [(tag, x0, w0) for tag in ("+T", "-T", "+B", "-B") for x0, w0 in starts]
+    batch = _assert_table_rows_equal_single_runs(
+        fixture.connection_table([tag for tag, _, _ in rows]), fixture.metric,
+        [x0 for _, x0, _ in rows], [w0 for _, _, w0 in rows], 40, 1e-2, q=q,
+        box=fixture.box, singular_loci=fixture.singular_loci)
+    assert [t.exit_reason for t in batch] == ["completed", "completed", "domain_exit"] * 4
+
+
+def test_forty_rows_of_four_tags_generate_one_step_per_shape_and_q():
+    # a raising stage redoes each of 40 running rows alone, and each runs
+    # alone again: both bind the step generated once per (sign, whether B)
+    # and q, and no further source is generated
+    fixture = from_config(_regions_config("nondegenerate"), validate_on_load=False)
+    starts = [([1.0, 0.7], [0.0, -1.0])] + [([1.0 + 0.1 * k, 1.5], [0.1, 0.05 * k])
+                                            for k in range(9)]
+    rows = [(tag, x0, w0) for tag in ("+T", "-T", "+B", "-B") for x0, w0 in starts]
+    table = fixture.connection_table([tag for tag, _, _ in rows])
+    geodesics._lone_rk4.cache_clear()
+    for k, q in enumerate((None, math.sin), 1):
+        batch = _assert_table_rows_equal_single_runs(
+            table, fixture.metric, [x0 for _, x0, _ in rows], [w0 for _, _, w0 in rows],
+            30, 0.01, q=q, box=fixture.box, singular_loci=fixture.singular_loci)
+        assert sum(t.exit_reason == "domain_exit" and len(t.tau) < 20 for t in batch) == 4
+        info = geodesics._lone_rk4.cache_info()
+        assert info.misses == 4 * k and info.hits + info.misses >= 80 * k
 
 
 def test_connection_table_takes_the_suites_tags_only(sw2, sw2_weak):

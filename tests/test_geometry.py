@@ -195,6 +195,27 @@ def test_singular_metric_error_names_first_bad_point():
         g.inverse(points)
 
 
+def test_a_nonfinite_metric_is_singular_at_its_first_point():
+    # g_22 = 1 + 0 * inf is NaN from x1 = 0.355 on, with no domain error:
+    # the condition check names the first such point, in a stack or alone
+    from dualgeo.fixtures import from_config, validate
+    from dualgeo.geometry import SingularMetricError
+    g = Metric.from_sources([["1", "0"], ["0", "1 + 0*(exp(1000*x1)*exp(1000*x1))"]])
+    points = np.array([[0.0, 0.0], [0.5, 0.25], [0.6, 0.0]])
+    with pytest.raises(SingularMetricError, match=r"number nan exceeds .* at \[0.5  0.25\]$"):
+        g.inverse(points)
+    with pytest.raises(SingularMetricError, match=r"at \[0.6 0. \]$"):
+        g.flat("inverse", [0.6, 0.0])
+    # a fixture on it fails validation with that message, not a LinAlgError's
+    fixture = from_config({"name": "nan-metric", "dimension": 2, "kind": "nondegenerate",
+                           "metric": [["1", "0"], ["0", "1 + 0*(exp(1000*x1)*exp(1000*x1))"]],
+                           "domain": [[0.0, 0.6], [0.0, 1.0]], "structure": {"T": [
+                               [["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]}},
+                          validate_on_load=False)
+    [failure] = [f for f in validate(fixture) if f["check"] == "metric-conditioning"]
+    assert failure["message"].endswith("at [0.6 0. ]")
+
+
 @pytest.mark.parametrize("shape", [(3, 2), (ARRAY_ROWS + 5, 2), (4, 5, 2)],
                          ids=["below-array-rows", "above-array-rows", "two-lead-axes"])
 def test_scalar_field_on_stacked_points_equals_single_points(shape):
